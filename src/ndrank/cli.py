@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -61,11 +60,6 @@ def _load_problem(tensor_arg: str, poset_args):
     else:
         raise NDRankError("no posets given and the tensor is not a fixture")
     return T, posets
-
-
-def _workers() -> int | None:
-    raw = os.environ.get("NDRANK_THREADS")
-    return int(raw) if raw else None
 
 
 def cmd_check(args) -> int:
@@ -157,7 +151,7 @@ def cmd_factorize(args) -> int:
     if args.loss == "gaussian":
         cfg = FitConfig(rank=args.rank, max_sweeps=args.max_sweeps, rel_tol=args.rel_tol,
                         restarts=args.restarts, seed=args.seed, init=args.init)
-        fact, report = hals(T, posets, cfg, workers=_workers())
+        fact, report = hals(T, posets, cfg)
         trace = report.objective_trace
         fact.diagnostics["objective_trace"] = trace
         fact.diagnostics["best_restart"] = report.best_restart

@@ -21,7 +21,7 @@ import numpy as np
 from . import poset as poset_mod
 from .errors import DegenerateCone, HypothesisViolated, ShapeMismatch, TooLarge
 from .poset import Poset, connected_upsets, has_collider, linear_extensions
-from .tensor import apply_kronecker, mobius_inverse_matrix, outer
+from .tensor import apply_kronecker, check_tensor, mobius_inverse_matrix, outer, require_finite
 
 DD_MAX_DIM = 12
 DD_MAX_GENS = 64
@@ -137,17 +137,11 @@ def _resolve_product(T: np.ndarray, posets) -> tuple[Poset, tuple]:
     """Accept a list of per-mode posets or a single (product) poset."""
     if isinstance(posets, Poset):
         P = posets
-        if T.ndim == 1 and T.size == P.p:
-            return P, (P.p,)
-        if T.size == P.p:
-            return P, T.shape
-        raise ShapeMismatch(f"tensor with {T.size} entries vs poset with {P.p} elements")
-    posets = list(posets)
-    if len(posets) != T.ndim:
-        raise ShapeMismatch(f"{len(posets)} posets for an order-{T.ndim} tensor")
-    for j, P in enumerate(posets):
-        if P.p != T.shape[j]:
-            raise ShapeMismatch(f"mode {j + 1} has size {T.shape[j]}, poset has {P.p} elements")
+        if T.size != P.p:
+            raise ShapeMismatch(f"tensor with {T.size} entries vs poset with {P.p} elements")
+        require_finite("tensor", T)
+        return P, T.shape
+    T, posets = check_tensor(T, posets)
     return poset_mod.product(posets), T.shape
 
 
@@ -228,13 +222,7 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
     (mode differencing); exactly one collider-bearing poset -> closed-form
     halfspaces; otherwise a double-description fallback at toy scale.
     """
-    T = np.asarray(T, dtype=float)
-    posets = [posets] if isinstance(posets, Poset) else list(posets)
-    if len(posets) != T.ndim:
-        raise ShapeMismatch(f"{len(posets)} posets for an order-{T.ndim} tensor")
-    for j, P in enumerate(posets):
-        if P.p != T.shape[j]:
-            raise ShapeMismatch(f"mode {j + 1} has size {T.shape[j]}, poset has {P.p} elements")
+    T, posets = check_tensor(T, [posets] if isinstance(posets, Poset) else posets)
     if tol is None:
         tol = default_tol(T)
     n_colliders = sum(has_collider(P) for P in posets)

@@ -3,17 +3,25 @@
 The workhorse is a hierarchical alternating least squares loop: cycling over
 terms and modes, each factor vector is replaced by the exact projection of
 its unconstrained least-squares update onto the mode's order cone, so the
-squared Frobenius objective never increases.  Closed-form or fixed-point
-rank-one solvers cover the multinomial, Poisson, and exponential
-likelihoods, and a truncated-SVD shortcut recovers exact rank-two matrix
-factorizations whenever the truncation already has finite ND rank.
+squared Frobenius objective never increases.  The update never forms a
+residual tensor (the Gram-matrix form of Cichocki & Phan, 2009): the target
+for term s in mode t is T contracted with the term's other vectors, minus
+sum over s' != s of lambda_s' * prod_{j != t} G_j[s, s'] * F_t[s'], where
+G_j = F_j F_j' is kept per mode and refreshed after every vector update.
+The reconstruction is built once per sweep, for the objective trace and the
+stopping test, and the residual only when a dead term is revived.
+
+Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson,
+and exponential likelihoods, and a truncated-SVD shortcut recovers exact
+rank-two matrix factorizations whenever the truncation already has finite
+ND rank.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,7 +37,7 @@ from .errors import (
 )
 from .isotonic import _chain_order, _halfspace_rows, _nnls_certified, project
 from .poset import Poset, connected_upsets, is_simplicial
-from .tensor import outer
+from .tensor import check_tensor, outer
 
 _LETTERS = "abcdefghijkl"
 
@@ -64,9 +72,13 @@ class NDFactorization:
         return self.lambdas[i] * outer([F[i] for F in self.factors])
 
     def reconstruct(self) -> np.ndarray:
-        k = len(self.factors)
-        subs = ",".join(["i"] + ["i" + _LETTERS[j] for j in range(k)])
-        return np.einsum(subs + "->" + _LETTERS[:k], self.lambdas, *self.factors)
+        # one matrix product: the scaled mode-1 factors against the
+        # Khatri-Rao product of the other modes' factors
+        kr = np.ones((self.rank, 1))
+        for F in self.factors[1:]:
+            kr = (kr[:, :, None] * F[:, None, :]).reshape(self.rank, -1)
+        shape = tuple(F.shape[1] for F in self.factors)
+        return ((self.factors[0].T * self.lambdas) @ kr).reshape(shape)
 
     def rescaled(self, mode_l1: dict, absorb: int) -> "NDFactorization":
         """Copy with chosen modes scaled to target l1 norms, scales folded
@@ -141,19 +153,12 @@ class FitReport:
 
 
 def _contract_except(X: np.ndarray, vecs: list, t: int) -> np.ndarray:
-    ops = [X]
-    subs = [_LETTERS[: X.ndim]]
-    for j in range(X.ndim):
-        if j != t:
-            ops.append(vecs[j])
-            subs.append(_LETTERS[j])
-    return np.einsum(",".join(subs) + "->" + _LETTERS[t], *ops)
-
-
-def _reconstruct(lambdas, factors):
-    k = len(factors)
-    subs = ",".join(["i"] + ["i" + _LETTERS[j] for j in range(k)])
-    return np.einsum(subs + "->" + _LETTERS[:k], lambdas, *factors)
+    """Contract X with vecs[j] along every mode j except t (chained matvecs)."""
+    for j in range(X.ndim - 1, t, -1):
+        X = X @ vecs[j]
+    for j in range(t):
+        X = (vecs[j] @ X.reshape(X.shape[0], -1)).reshape(X.shape[1:])
+    return X
 
 
 def _uniform_unit(p: int) -> np.ndarray:
@@ -260,61 +265,66 @@ def _init_random_cone(T, r, posets, seed):
 
 def _hals_single(T, posets, cfg: FitConfig, seed: int):
     r, k = cfg.rank, T.ndim
-    if cfg.init == "als-project":
-        start = init_als_project(T, r, posets, seed)
-    else:
-        start = _init_random_cone(T, r, posets, seed)
-    lambdas = start.lambdas.copy()
-    factors = [F.copy() for F in start.factors]
-    recon = _reconstruct(lambdas, factors)
+    init = init_als_project if cfg.init == "als-project" else _init_random_cone
+    fact = init(T, r, posets, seed)
+    lambdas, factors = fact.lambdas, fact.factors
+    prev = fact.reconstruct()
     trace = []
-    prev = recon.copy()
     stationary = False
     sweeps_used = cfg.max_sweeps
     for sweep in range(cfg.max_sweeps):
+        grams = [F @ F.T for F in factors]
         for s in range(r):
             vecs = [factors[j][s] for j in range(k)]
             for t in range(k):
-                term = lambdas[s] * outer(vecs)
-                resid = T - recon + term
-                target = _contract_except(resid, vecs, t)
+                # contraction of T - recon + term_s with the other modes'
+                # vectors, the other terms entering through the Gram rows
+                coef = lambdas.copy()
+                for j in range(k):
+                    if j != t:
+                        coef *= grams[j][s]
+                coef[s] = 0.0
+                target = _contract_except(T, vecs, t) - coef @ factors[t]
                 v = project(target, posets[t])
-                n = float(np.linalg.norm(v))
+                n = math.sqrt(v @ v)
                 # a numerically-zero projection must not be renormalized:
                 # dividing float crumbs by their norm fabricates an arbitrary
                 # (possibly infeasible) unit vector
-                if n > 1e-13 * (1.0 + float(np.linalg.norm(target))):
+                if n > 1e-13 * (1.0 + math.sqrt(target @ target)):
                     vecs[t] = v / n
                     lambdas[s] = n
                 else:
                     lambdas[s] = 0.0
                 factors[t][s] = vecs[t]
-                recon = recon - term + lambdas[s] * outer(vecs)
+                g = factors[t] @ vecs[t]
+                grams[t][s] = g
+                grams[t][:, s] = g
+        recon = fact.reconstruct()
         # revive dead terms from the residual, keeping the objective monotone
-        for s in range(r):
-            if lambdas[s] == 0.0:
-                E = T - recon
-                lam, vnew = _rank1_nd_fit(E, posets)
-                if lam > 0.0:
-                    cand = lam * outer(vnew)
-                    if np.linalg.norm(E - cand) <= np.linalg.norm(E):
-                        lambdas[s] = lam
-                        for j in range(k):
-                            factors[j][s] = vnew[j]
-                        recon = recon + cand
-        recon = _reconstruct(lambdas, factors)  # shed incremental drift
+        dead = np.flatnonzero(lambdas == 0.0)
+        for s in dead:
+            E = T - recon
+            lam, vnew = _rank1_nd_fit(E, posets)
+            if lam > 0.0:
+                cand = lam * outer(vnew)
+                if np.linalg.norm(E - cand) <= np.linalg.norm(E):
+                    lambdas[s] = lam
+                    for j in range(k):
+                        factors[j][s] = vnew[j]
+                    recon = recon + cand
+        if dead.size:
+            recon = fact.reconstruct()
         trace.append(float(np.sum((T - recon) ** 2)))
         delta = float(np.linalg.norm(recon - prev))
         if delta <= cfg.rel_tol * (float(np.linalg.norm(prev)) + 1e-30):
             stationary = True
             sweeps_used = sweep + 1
             break
-        prev = recon.copy()
-    fact = NDFactorization(lambdas, factors, posets=list(posets))
+        prev = recon
     return fact, trace, stationary, sweeps_used
 
 
-def hals(T, posets, cfg: FitConfig, workers: int | None = None):
+def hals(T, posets, cfg: FitConfig):
     """ND hierarchical alternating least squares (best of several restarts).
 
     Cycles through every term and mode, replacing each factor vector with
@@ -325,20 +335,9 @@ def hals(T, posets, cfg: FitConfig, workers: int | None = None):
 
     Returns ``(NDFactorization, FitReport)``.
     """
-    T = np.asarray(T, dtype=float)
-    posets = list(posets)
-    if len(posets) != T.ndim:
-        raise ShapeMismatch(f"{len(posets)} posets for an order-{T.ndim} tensor")
-    for j, P in enumerate(posets):
-        if P.p != T.shape[j]:
-            raise ShapeMismatch(f"mode {j + 1} has size {T.shape[j]}, poset has {P.p} elements")
-
+    T, posets = check_tensor(T, posets)
     seeds = [cfg.seed + i for i in range(max(cfg.restarts, 1))]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(lambda s: _hals_single(T, posets, cfg, s), seeds))
-    else:
-        runs = [_hals_single(T, posets, cfg, s) for s in seeds]
+    runs = [_hals_single(T, posets, cfg, s) for s in seeds]
 
     finals = [run[1][-1] if run[1] else float(np.sum(T ** 2)) for run in runs]
     best = min(range(len(runs)), key=lambda i: (finals[i], seeds[i]))
@@ -379,10 +378,7 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
     the leading singular pair.  If a fibre fails monotonicity the solver
     falls back to a rank-one HALS run and flags it in the diagnostics.
     """
-    T = np.asarray(T, dtype=float)
-    posets = list(posets)
-    if len(posets) != T.ndim:
-        raise ShapeMismatch(f"{len(posets)} posets for an order-{T.ndim} tensor")
+    T, posets = check_tensor(T, posets)
     if not np.any(T):
         fact = NDFactorization(np.zeros(1), [_uniform_unit(P.p)[None, :] for P in posets],
                                posets=posets)
@@ -443,10 +439,7 @@ def rank1_exponential(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> 
     minimizer of sum(log theta + T/theta) holding the others fixed; entries
     stay strictly positive throughout.
     """
-    T = np.asarray(T, dtype=float)
-    posets = list(posets)
-    if len(posets) != T.ndim:
-        raise ShapeMismatch(f"{len(posets)} posets for an order-{T.ndim} tensor")
+    T, posets = check_tensor(T, posets)
     if (T <= 0).any():
         raise NonPositiveEntry("exponential data must be strictly positive")
     if not _fibres_monotone(T, posets, default_tol(T)):

@@ -27,27 +27,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import NonFiniteInput, UncertifiedSolution
+from .errors import UncertifiedSolution
 from .poset import Poset
+from .tensor import require_finite
 
 
 # a target whose every halfspace row is violated by at most this much,
 # relative to ||y||_1, lies within rounding of the order cone
 _ROUNDING = 16 * np.finfo(float).eps
-
-
-def _require_finite(name: str, a: np.ndarray) -> None:
-    # a.a is finite unless an entry is NaN or inf, or the sum overflows;
-    # one dot is cheaper than isfinite().all() on the short vectors seen here
-    flat = a.ravel()
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
-        raise NonFiniteInput(f"{name} must be finite (found NaN or inf)")
 
 
 @dataclass
@@ -60,14 +52,14 @@ class ProjectionProblem:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
-        _require_finite("target", self.y)
+        require_finite("target", self.y)
         if self.y.shape != (self.poset.p,):
             raise ValueError(f"target length {self.y.shape} != poset size {self.poset.p}")
         if self.w is not None:
             self.w = np.asarray(self.w, dtype=float)
             if self.w.shape != self.y.shape:
                 raise ValueError("weights must match the target length")
-            _require_finite("weights", self.w)
+            require_finite("weights", self.w)
             if (self.w <= 0).any():
                 raise ValueError("weights must be strictly positive")
 
@@ -80,12 +72,12 @@ def pava_chain(y, w=None) -> np.ndarray:
     the operation is idempotent.
     """
     y = np.asarray(y, dtype=float)
-    _require_finite("target", y)
+    require_finite("target", y)
     if w is not None:
         w = np.asarray(w, dtype=float)
         if w.shape != y.shape:
             raise ValueError("weights must match y")
-        _require_finite("weights", w)
+        require_finite("weights", w)
         if (w <= 0).any():
             raise ValueError("weights must be strictly positive")
     return _pava(y, w)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotSimplicial, ParseError, ShapeMismatch
+from .errors import IndexOutOfRange, NonFiniteInput, NotSimplicial, ParseError, ShapeMismatch
 from .poset import Poset, is_simplicial
 
 
@@ -21,6 +22,33 @@ def as_tensor(data) -> np.ndarray:
     if not np.isfinite(T).all():
         raise ValueError("tensor entries must be finite")
     return T
+
+
+def require_finite(name: str, a: np.ndarray) -> None:
+    """Raise NonFiniteInput unless every entry of ``a`` is finite."""
+    # a.a is finite unless an entry is NaN or inf, or the sum overflows;
+    # one dot is cheaper than isfinite().all() on the short vectors seen here
+    flat = a.ravel()
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+        raise NonFiniteInput(f"{name} must be finite (found NaN or inf)")
+
+
+def check_tensor(T, posets) -> tuple[np.ndarray, list]:
+    """Validate a tensor against one poset per mode.
+
+    Returns T as a float array and the posets as a list.  Raises
+    ShapeMismatch unless mode j has as many entries as poset j has
+    elements, and NonFiniteInput if T holds NaN or an infinity.
+    """
+    T = np.asarray(T, dtype=float)
+    posets = list(posets)
+    if len(posets) != T.ndim:
+        raise ShapeMismatch(f"{len(posets)} posets for an order-{T.ndim} tensor")
+    for j, P in enumerate(posets):
+        if P.p != T.shape[j]:
+            raise ShapeMismatch(f"mode {j + 1} has size {T.shape[j]}, poset has {P.p} elements")
+    require_finite("tensor", T)
+    return T, posets
 
 
 def outer(vectors) -> np.ndarray:

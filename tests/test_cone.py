@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ndrank import cone, poset, tensor
-from ndrank.errors import DegenerateCone, HypothesisViolated, ShapeMismatch, TooLarge
+from ndrank.errors import (
+    DegenerateCone,
+    HypothesisViolated,
+    NonFiniteInput,
+    ShapeMismatch,
+    TooLarge,
+)
 
 from helpers import random_forest
 
@@ -144,6 +150,21 @@ def test_membership_double_description_path():
     T = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 4.0]])
     cert = cone.membership_finite_rank(T, [COLLIDER, COLLIDER])
     assert cert.member and cert.method == "double-description"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_membership_rejects_non_finite(bad):
+    # one poset tuple per dispatch path: differencing, halfspace, double description
+    for posets in ([poset.chain(3), poset.chain(3)], [COLLIDER, poset.chain(3)],
+                   [COLLIDER, COLLIDER]):
+        T = np.ones((3, 3))
+        T[0, 0] = bad
+        with pytest.raises(NonFiniteInput):
+            cone.membership_finite_rank(T, posets)
+        with pytest.raises(NonFiniteInput):
+            cone.is_monotone(T, posets)
+    with pytest.raises(NonFiniteInput):
+        cone.is_monotone(np.array([0.0, bad]), poset.chain(2))
 
 
 def test_membership_differencing_vs_double_description():

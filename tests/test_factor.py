@@ -6,13 +6,14 @@ import pytest
 from ndrank import cone, factor, isotonic, poset
 from ndrank.errors import (
     HypothesisViolated,
+    NonFiniteInput,
     NonNegativityViolated,
     NonPositiveEntry,
     ShapeMismatch,
 )
 from ndrank.factor import FitConfig
 
-from helpers import random_poset, trace_nonincreasing
+from helpers import KINDS, random_poset, reference_hals, trace_nonincreasing
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 COLLIDER_MATRIX = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 4.0]])
@@ -61,15 +62,44 @@ def test_hals_descent_random():
         assert trace_nonincreasing(report.objective_trace)
 
 
-def test_hals_workers_match_sequential():
-    rng = np.random.default_rng(6)
-    T = rng.random((3, 3))
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_hals_matches_full_tensor_reference(order, rank):
+    rng = np.random.default_rng(10 * order + rank)
+    for trial in range(2):
+        shape = tuple(int(x) for x in rng.integers(3, 5 if order < 4 else 4, size=order))
+        # cycle through chains, forests, colliders, random DAGs and trivial posets
+        posets = [KINDS[(trial + order + j) % len(KINDS)](p, rng) for j, p in enumerate(shape)]
+        T = rng.standard_normal(shape) if trial == 0 else rng.random(shape) * 3
+        cfg = FitConfig(rank=rank, restarts=2, seed=trial, max_sweeps=150,
+                        init=("als-project", "random-cone")[(order + rank + trial) % 2])
+        runs, best = reference_hals(T, posets, cfg)
+        noise = 1e-20 * np.sum(T ** 2)
+        for i, (trace, stationary, sweeps) in enumerate(runs):
+            _, got, got_stationary, got_sweeps = factor._hals_single(T, posets, cfg, cfg.seed + i)
+            assert (got_sweeps, got_stationary, len(got)) == (sweeps, stationary, len(trace))
+            # an exact fit ends at rounding noise, compared at the scale of ||T||^2
+            assert np.allclose(got, trace, rtol=1e-10, atol=noise)
+        _, report = factor.hals(T, posets, cfg)
+        finals = np.array([run[0][-1] for run in runs])
+        # restarts whose final objectives tie to rounding may be picked either way
+        tied = np.flatnonzero(np.abs(finals - finals[best]) <= 1e-10 * finals[best] + noise)
+        assert report.best_restart in tied
+        _, stationary, sweeps = runs[report.best_restart]
+        assert (report.sweeps, report.stationary) == (sweeps, stationary)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_reject_non_finite(bad):
+    T = np.ones((3, 3))
+    T[0, 0] = bad
     posets = [poset.chain(3), poset.chain(3)]
-    cfg = FitConfig(rank=2, restarts=4, seed=3)
-    f1, r1 = factor.hals(T, posets, cfg)
-    f2, r2 = factor.hals(T, posets, cfg, workers=4)
-    assert r1.best_restart == r2.best_restart
-    assert np.allclose(f1.reconstruct(), f2.reconstruct())
+    with pytest.raises(NonFiniteInput):
+        factor.hals(T, posets, FitConfig(rank=1))
+    with pytest.raises(NonFiniteInput):
+        factor.rank1_gaussian(T, posets)
+    with pytest.raises(NonFiniteInput):
+        factor.rank1_exponential(T, posets)
 
 
 def test_gauge_invariance_of_reconstruction():
