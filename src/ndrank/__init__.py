@@ -67,7 +67,7 @@ from .cone import (
     order_cone_vrep,
     sample_finite_rank_probability,
 )
-from .isotonic import ProjectionProblem, pava_chain, project, project_order_cone
+from .isotonic import pava_chain, project
 from .factor import (
     FitConfig,
     FitReport,

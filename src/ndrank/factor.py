@@ -5,11 +5,15 @@ terms and modes, each factor vector is replaced by the exact projection of
 its unconstrained least-squares update onto the mode's order cone, so the
 squared Frobenius objective never increases.  The update never forms a
 residual tensor (the Gram-matrix form of Cichocki & Phan, 2009): the target
-for term s in mode t is T contracted with the term's other vectors, minus
-sum over s' != s of lambda_s' * prod_{j != t} G_j[s, s'] * F_t[s'], where
-G_j = F_j F_j' is kept per mode and refreshed after every vector update.
-The reconstruction is built once per sweep, for the objective trace and the
-stopping test, and the residual only when a dead term is revived.
+for term s in mode t is T contracted with the term's other vectors (an
+MTTKRP), minus sum over s' != s of lambda_s' * prod_{j != t} G_j[s, s'] *
+F_t[s'], where G_j = F_j F_j' is kept per mode and refreshed after every
+vector update.  All restarts run as one batch: factors, scales and Grams
+carry a leading restart axis, so each (term, mode) update is a few array
+operations for every restart at once, and a restart leaves the batch when
+it meets the stopping test.  The reconstruction is built once per sweep,
+for the objective trace and the stopping test, and the residual only when a
+dead term is revived.
 
 Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson,
 and exponential likelihoods, and a truncated-SVD shortcut recovers exact
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,7 +38,7 @@ from .errors import (
     HypothesisViolated,
     ShapeMismatch,
 )
-from .isotonic import _chain_order, _halfspace_rows, _nnls_certified, project
+from .isotonic import _chain_order, _halfspace_rows, _nnls_certified, _project_rows, project
 from .poset import Poset, connected_upsets, is_simplicial
 from .tensor import check_tensor, outer
 
@@ -72,13 +75,8 @@ class NDFactorization:
         return self.lambdas[i] * outer([F[i] for F in self.factors])
 
     def reconstruct(self) -> np.ndarray:
-        # one matrix product: the scaled mode-1 factors against the
-        # Khatri-Rao product of the other modes' factors
-        kr = np.ones((self.rank, 1))
-        for F in self.factors[1:]:
-            kr = (kr[:, :, None] * F[:, None, :]).reshape(self.rank, -1)
         shape = tuple(F.shape[1] for F in self.factors)
-        return ((self.factors[0].T * self.lambdas) @ kr).reshape(shape)
+        return _reconstruct_rows(self.lambdas[None], [F[None] for F in self.factors]).reshape(shape)
 
     def rescaled(self, mode_l1: dict, absorb: int) -> "NDFactorization":
         """Copy with chosen modes scaled to target l1 norms, scales folded
@@ -263,65 +261,126 @@ def _init_random_cone(T, r, posets, seed):
     return NDFactorization(np.full(r, lam), factors, posets=list(posets))
 
 
-def _hals_single(T, posets, cfg: FitConfig, seed: int):
+def _khatri_rao_rows(vecs: list, lead: tuple) -> np.ndarray:
+    """Khatri-Rao product along the last axis: entry [..., :] is
+    kron(vecs[0][...], vecs[1][...], ...), for vectors stacked over the
+    leading axes ``lead``; with no vectors it is a column of ones."""
+    if not vecs:
+        return np.ones(lead + (1,))
+    kr = vecs[0]
+    for v in vecs[1:]:
+        kr = (kr[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], -1)
+    return kr
+
+
+def _reconstruct_rows(lambdas: np.ndarray, factors: list) -> np.ndarray:
+    """Flattened reconstructions of a stack: (R, r) scales, (R, r, p_j) factors.
+
+    One batched product of the scaled mode-1 factors against the Khatri-Rao
+    product of the other modes' factors; row b is restart b's tensor in
+    row-major order.
+    """
+    R = lambdas.shape[0]
+    kr = _khatri_rao_rows(factors[1:], lambdas.shape)
+    return ((factors[0].transpose(0, 2, 1) * lambdas[:, None, :]) @ kr).reshape(R, -1)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _hals_restarts(T, posets, cfg: FitConfig) -> list:
+    """Every restart of :func:`hals`, run as one batch.
+
+    Restart i starts from its own initialization (seed ``cfg.seed + i``);
+    the stack holds scales (R, r), factors (R, r, p_j) and Grams
+    G_j = F_j F_j' of shape (R, r, r), and every (term, mode) update is a
+    handful of batched products over it.  A restart that meets ``rel_tol``
+    leaves the stack.  Returns ``(NDFactorization, trace, stationary,
+    sweeps)`` per restart, in seed order.
+    """
     r, k = cfg.rank, T.ndim
+    seeds = [cfg.seed + i for i in range(max(cfg.restarts, 1))]
     init = init_als_project if cfg.init == "als-project" else _init_random_cone
-    fact = init(T, r, posets, seed)
-    lambdas, factors = fact.lambdas, fact.factors
-    prev = fact.reconstruct()
-    trace = []
-    stationary = False
-    sweeps_used = cfg.max_sweeps
+    starts = [init(T, r, posets, seed) for seed in seeds]
+    lambdas = np.array([f.lambdas for f in starts])
+    factors = [np.array([f.factors[j] for f in starts]) for j in range(k)]
+    # mode-t unfolding with rows in the Khatri-Rao order of the other modes;
+    # the first and last modes' are views of T, the others one copy each
+    unfold = [T.reshape(T.shape[0], -1).T if t == 0 else
+              np.moveaxis(T, t, -1).reshape(-1, T.shape[t]) for t in range(k)]
+    flat = T.reshape(-1)
+    active = np.arange(len(seeds))  # restart behind each row of the stack
+    traces = [[] for _ in seeds]
+    runs = [None] * len(seeds)
+
+    def finish(rows, stationary: bool, sweeps: int) -> None:
+        for b in rows:
+            i = active[b]
+            fact = NDFactorization(lambdas[b].copy(), [F[b].copy() for F in factors],
+                                   posets=list(posets))
+            runs[i] = (fact, traces[i], stationary, sweeps)
+
+    prev = _reconstruct_rows(lambdas, factors)
+    scratch = np.empty_like(prev)
     for sweep in range(cfg.max_sweeps):
-        grams = [F @ F.T for F in factors]
+        grams = [F @ F.transpose(0, 2, 1) for F in factors]
         for s in range(r):
-            vecs = [factors[j][s] for j in range(k)]
             for t in range(k):
-                # contraction of T - recon + term_s with the other modes'
-                # vectors, the other terms entering through the Gram rows
+                # the contraction of T - recon + term_s with the term's other
+                # vectors: an MTTKRP, minus the other terms through the Gram
+                # rows, coef_s' = lambda_s' prod_{j != t} G_j[s, s']
+                kr = _khatri_rao_rows([factors[j][:, s] for j in range(k) if j != t],
+                                      (len(active),))
                 coef = lambdas.copy()
                 for j in range(k):
                     if j != t:
-                        coef *= grams[j][s]
-                coef[s] = 0.0
-                target = _contract_except(T, vecs, t) - coef @ factors[t]
-                v = project(target, posets[t])
-                n = math.sqrt(v @ v)
+                        coef *= grams[j][:, s]
+                coef[:, s] = 0.0
+                target = kr @ unfold[t] - (coef[:, None, :] @ factors[t])[:, 0]
+                V = _project_rows(target, posets[t])
+                n = np.sqrt(_rowdot(V, V))
                 # a numerically-zero projection must not be renormalized:
                 # dividing float crumbs by their norm fabricates an arbitrary
-                # (possibly infeasible) unit vector
-                if n > 1e-13 * (1.0 + math.sqrt(target @ target)):
-                    vecs[t] = v / n
-                    lambdas[s] = n
-                else:
-                    lambdas[s] = 0.0
-                factors[t][s] = vecs[t]
-                g = factors[t] @ vecs[t]
-                grams[t][s] = g
+                # (possibly infeasible) unit vector; the old vector stays
+                live = n > 1e-13 * (1.0 + np.sqrt(_rowdot(target, target)))
+                lambdas[:, s] = np.where(live, n, 0.0)
+                np.divide(V, n[:, None], out=factors[t][:, s], where=live[:, None])
+                g = (factors[t] @ factors[t][:, s, :, None])[:, :, 0]
                 grams[t][:, s] = g
-        recon = fact.reconstruct()
+                grams[t][:, :, s] = g
+        recon = _reconstruct_rows(lambdas, factors)
         # revive dead terms from the residual, keeping the objective monotone
-        dead = np.flatnonzero(lambdas == 0.0)
-        for s in dead:
-            E = T - recon
-            lam, vnew = _rank1_nd_fit(E, posets)
-            if lam > 0.0:
-                cand = lam * outer(vnew)
-                if np.linalg.norm(E - cand) <= np.linalg.norm(E):
-                    lambdas[s] = lam
-                    for j in range(k):
-                        factors[j][s] = vnew[j]
-                    recon = recon + cand
-        if dead.size:
-            recon = fact.reconstruct()
-        trace.append(float(np.sum((T - recon) ** 2)))
-        delta = float(np.linalg.norm(recon - prev))
-        if delta <= cfg.rel_tol * (float(np.linalg.norm(prev)) + 1e-30):
-            stationary = True
-            sweeps_used = sweep + 1
-            break
+        for b in np.flatnonzero((lambdas == 0.0).any(axis=1)):
+            rec = recon[b].reshape(T.shape)
+            for s in np.flatnonzero(lambdas[b] == 0.0):
+                E = T - rec
+                lam, vnew = _rank1_nd_fit(E, posets)
+                if lam > 0.0:
+                    cand = lam * outer(vnew)
+                    if np.linalg.norm(E - cand) <= np.linalg.norm(E):
+                        lambdas[b, s] = lam
+                        for j in range(k):
+                            factors[j][b, s] = vnew[j]
+                        rec = rec + cand
+            recon[b] = _reconstruct_rows(lambdas[b:b + 1], [F[b:b + 1] for F in factors])[0]
+        # the residual, then the step, in one scratch buffer
+        diff = np.subtract(flat, recon, out=scratch[:len(active)])
+        for b, obj in enumerate(_rowdot(diff, diff).tolist()):
+            traces[active[b]].append(obj)
+        np.subtract(recon, prev, out=diff)
+        done = np.sqrt(_rowdot(diff, diff)) <= cfg.rel_tol * (np.sqrt(_rowdot(prev, prev)) + 1e-30)
+        if done.any():
+            finish(np.flatnonzero(done), True, sweep + 1)
+            keep = ~done
+            if not keep.any():
+                return runs
+            active, lambdas, recon = active[keep], lambdas[keep], recon[keep]
+            factors = [F[keep] for F in factors]
         prev = recon
-    return fact, trace, stationary, sweeps_used
+    finish(range(len(active)), False, cfg.max_sweeps)
+    return runs
 
 
 def hals(T, posets, cfg: FitConfig):
@@ -330,19 +389,23 @@ def hals(T, posets, cfg: FitConfig):
     Cycles through every term and mode, replacing each factor vector with
     the exact order-cone projection of its unconstrained update; stops when
     the reconstruction stabilizes in relative Frobenius norm or after
-    ``max_sweeps``.  Restart i uses seed ``cfg.seed + i``; the run with the
-    lowest final objective wins, with ties broken by the lowest seed.
+    ``max_sweeps``.  Restart i uses seed ``cfg.seed + i``, and the restarts
+    run as one batch (one set of array operations per update for all of
+    them).  The run with the lowest final objective wins; restarts whose
+    finals lie within ``1e-10 * min + 1e-20 * ||T||^2`` of the lowest count
+    as tied, and the lowest seed among them wins, so rounding alone never
+    decides the choice.
 
     Returns ``(NDFactorization, FitReport)``.
     """
     T, posets = check_tensor(T, posets)
-    seeds = [cfg.seed + i for i in range(max(cfg.restarts, 1))]
-    runs = [_hals_single(T, posets, cfg, s) for s in seeds]
-
-    finals = [run[1][-1] if run[1] else float(np.sum(T ** 2)) for run in runs]
-    best = min(range(len(runs)), key=lambda i: (finals[i], seeds[i]))
+    runs = _hals_restarts(T, posets, cfg)
+    norm2 = float(T.reshape(-1) @ T.reshape(-1))
+    finals = [trace[-1] if trace else norm2 for _, trace, _, _ in runs]
+    lowest = min(finals)
+    best = next(i for i, f in enumerate(finals) if f <= lowest + 1e-10 * lowest + 1e-20 * norm2)
     fact, trace, stationary, sweeps_used = runs[best]
-    fact.diagnostics["seed"] = seeds[best]
+    fact.diagnostics["seed"] = cfg.seed + best
     report = FitReport(
         objective_trace=trace,
         final_residual=float(np.sqrt(max(trace[-1], 0.0))) if trace else float(np.linalg.norm(T)),

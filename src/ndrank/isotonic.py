@@ -3,7 +3,8 @@
 The order cone of a poset P is the set of nonnegative vectors that are
 nondecreasing along the order.  Projection onto it is the inner solver of
 the ND-HALS factorization loop, so it has to be exact: chains are handled
-by pool-adjacent-violators followed by clamping at zero, and every other
+by pool-adjacent-violators (``scipy.optimize.isotonic_regression``)
+followed by clamping at zero, and every other
 poset goes through the Moreau decomposition, where the polar projection is
 a nonnegative least squares problem on the cover-edge dual.
 
@@ -21,16 +22,17 @@ check.  A point that fails both raises
 Clamping after the monotone projection is exact for any poset: projecting
 onto the cone intersected with the nonnegative orthant equals the monotone
 projection followed by an elementwise max with zero.
+
+:func:`project` is the one public, validated entry point; the HALS sweep
+projects its whole stack of restarts at once through the same dispatch.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import isotonic_regression, nnls
 
 from .errors import UncertifiedSolution
 from .poset import Poset
@@ -42,26 +44,14 @@ from .tensor import require_finite
 _ROUNDING = 16 * np.finfo(float).eps
 
 
-@dataclass
-class ProjectionProblem:
-    """Weighted projection target: minimize sum_l w_l (y_l - v_l)^2 over C(P)."""
-
-    y: np.ndarray
-    poset: Poset
-    w: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        require_finite("target", self.y)
-        if self.y.shape != (self.poset.p,):
-            raise ValueError(f"target length {self.y.shape} != poset size {self.poset.p}")
-        if self.w is not None:
-            self.w = np.asarray(self.w, dtype=float)
-            if self.w.shape != self.y.shape:
-                raise ValueError("weights must match the target length")
-            require_finite("weights", self.w)
-            if (self.w <= 0).any():
-                raise ValueError("weights must be strictly positive")
+def _check_weights(w, y: np.ndarray) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.shape != y.shape:
+        raise ValueError("weights must match the target length")
+    require_finite("weights", w)
+    if (w <= 0).any():
+        raise ValueError("weights must be strictly positive")
+    return w
 
 
 def pava_chain(y, w=None) -> np.ndarray:
@@ -74,30 +64,8 @@ def pava_chain(y, w=None) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     require_finite("target", y)
     if w is not None:
-        w = np.asarray(w, dtype=float)
-        if w.shape != y.shape:
-            raise ValueError("weights must match y")
-        require_finite("weights", w)
-        if (w <= 0).any():
-            raise ValueError("weights must be strictly positive")
-    return _pava(y, w)
-
-
-def _pava(y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    # Python floats throughout: iterating over numpy scalars is much slower
-    means: list[float] = []
-    weights: list[float] = []
-    sizes: list[int] = []
-    ws = itertools.repeat(1.0) if w is None else w.tolist()
-    for m, ww in zip(y.tolist(), ws):
-        n = 1
-        while means and means[-1] > m:
-            m = (ww * m + weights[-1] * means[-1]) / (ww + weights[-1])
-            ww += weights[-1]
-            n += sizes[-1]
-            means.pop(), weights.pop(), sizes.pop()
-        means.append(m), weights.append(ww), sizes.append(n)
-    return np.repeat(means, sizes)
+        w = _check_weights(w, y)
+    return isotonic_regression(y, weights=w).x
 
 
 @functools.lru_cache(maxsize=256)
@@ -125,18 +93,24 @@ def _halfspace_rows(P: Poset) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _projection_plan(P: Poset):
-    """What project_order_cone needs of a poset with covers, in one lookup.
+    """How the order cone of P is projected onto, in one lookup.
 
-    A chain gives its permutation as an index array; any other poset gives
-    its H-representation rows A, E = A^T stored C-contiguous (scipy's nnls
-    would copy a transposed view on every call) and the Gram matrix A A^T
-    for the fallback solver.
+    Returns ``(kind, idx, A, E, G)``.  A poset without covers is "clamp".
+    A chain is "chain", with its permutation in ``idx`` (an index array, or
+    a full slice when the elements are listed in chain order).
+    Any other poset is "general", with its H-representation rows A, E = A^T
+    stored C-contiguous (scipy's nnls would copy a transposed view on every
+    call) and the Gram matrix G = A A^T for the fallback solver.
     """
+    if not P.covers:
+        return "clamp", None, None, None, None
     order = _chain_order(P)
     if order is not None:
-        return np.asarray(order), None, None, None
+        # a chain listed in its own order needs no gather and scatter
+        idx = slice(None) if order == tuple(range(P.p)) else np.asarray(order)
+        return "chain", idx, None, None, None
     A = _halfspace_rows(P)
-    return None, A, np.ascontiguousarray(A.T), A @ A.T
+    return "general", None, A, np.ascontiguousarray(A.T), A @ A.T
 
 
 def _kkt_holds(E, x, r, tol: float, scale: float) -> bool:
@@ -230,41 +204,62 @@ def _nnls_certified(E, f, gram: np.ndarray | None = None) -> tuple[np.ndarray, n
         "fallback met the KKT conditions")
 
 
-def _project_general(y: np.ndarray, A, E, G, w: np.ndarray | None) -> np.ndarray:
+def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None) -> np.ndarray:
+    """Exact projection of every row of Y, shape (n, P.p), onto C(P).
+
+    The one dispatch behind :func:`project`.  The HALS sweep calls it
+    directly on its stack of restarts, so it validates nothing.  The weights
+    ``w``, if given, apply to every row.
+    """
+    kind, idx, A, E, G = _projection_plan(P)
+    if kind == "clamp":  # no order constraints: clamp is the exact projection
+        return np.maximum(Y, 0.0)
+    if kind == "chain":
+        wi = None if w is None else w[idx]
+        V = np.empty_like(Y)
+        for v, y in zip(V, Y):
+            # OptimizeResult is a dict; indexing skips its Python __getattr__
+            v[idx] = isotonic_regression(y[idx], weights=wi)["x"]
+        return np.maximum(V, 0.0, out=V)
     # Moreau: v* = y + A^T mu* in the unit-weight metric, where mu* solves
     # the polar-cone NNLS min_{mu >= 0} ||A^T mu + y||; weights rescale axes.
-    worst = min(A.dot(y).tolist())
-    if worst >= 0.0 or worst >= -_ROUNDING * sum(map(abs, y.tolist())):
-        # y is in the cone, or within rounding of it, so it is its own
-        # projection in every weighted metric (mu = 0 meets the certificate).
-        # About half of the HALS targets on the survey fixture take this
-        # exit, and so do the tied targets a few ulps outside the cone on
-        # which scipy's nnls was seen to return wrong points.
-        return np.maximum(y, 0.0)
-    if w is None:
-        _, v = _nnls_certified(E, -y, G)
-    else:
-        s = np.sqrt(w)
-        _, v = _nnls_certified((A / s).T, -s * y)
-        v = v / s
-    # the exact projection is nonnegative; clear float crumbs below zero
-    return np.maximum(v, 0.0)
-
-
-def project_order_cone(prob: ProjectionProblem) -> np.ndarray:
-    """Exact projection of the target onto the order cone of the poset."""
-    y, P, w = prob.y, prob.poset, prob.w
-    if not P.covers:  # no order constraints: clamp is the exact projection
-        v = np.maximum(y, 0.0)
-        return v
-    idx, A, E, G = _projection_plan(P)
-    if idx is not None:
-        v = np.empty_like(y)
-        v[idx] = np.maximum(_pava(y[idx], None if w is None else w[idx]), 0.0)
-        return v
-    return _project_general(y, A, E, G, w)
+    # A row in the cone, or within rounding of it, is its own projection in
+    # every weighted metric (mu = 0 meets the certificate): about half of
+    # the HALS targets on the survey fixture take this exit, and so do the
+    # tied targets a few ulps outside the cone on which scipy's nnls was
+    # seen to return wrong points.
+    V = np.maximum(Y, 0.0)
+    # on rows this short, min of a list beats numpy's reductions
+    for i, row in enumerate(Y.dot(E).tolist()):
+        worst = min(row)
+        if worst >= 0.0:
+            continue
+        y = Y[i]
+        if worst >= -_ROUNDING * sum(map(abs, y.tolist())):
+            continue
+        if w is None:
+            _, x = _nnls_certified(E, -y, G)
+        else:
+            s = np.sqrt(w)
+            _, x = _nnls_certified((A / s).T, -s * y)
+            x /= s
+        # the exact projection is nonnegative; clear float crumbs below zero
+        V[i] = np.maximum(x, 0.0)
+    return V
 
 
 def project(y, P: Poset, w=None) -> np.ndarray:
-    """Convenience wrapper around :func:`project_order_cone`."""
-    return project_order_cone(ProjectionProblem(np.asarray(y, dtype=float), P, w))
+    """Exact projection of y onto the order cone of P.
+
+    Returns the minimizer of sum_l w_l (y_l - v_l)^2 over C(P), with unit
+    weights when ``w`` is None.  Raises ValueError if y does not have P.p
+    entries or the weights do not match it or are not strictly positive,
+    and :class:`~ndrank.errors.NonFiniteInput` if either holds NaN or inf.
+    """
+    y = np.asarray(y, dtype=float)
+    require_finite("target", y)
+    if y.shape != (P.p,):
+        raise ValueError(f"target length {y.shape} != poset size {P.p}")
+    if w is not None:
+        w = _check_weights(w, y)
+    return _project_rows(y[None, :], P, w)[0]

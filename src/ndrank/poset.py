@@ -40,6 +40,9 @@ class Poset:
 
     def __post_init__(self):
         self.leq.setflags(write=False)
+        # the projection caches look a poset up on every call; hashing the
+        # cover set each time was a measurable share of a small projection
+        object.__setattr__(self, "_hash", hash((self.labels, frozenset(self.covers))))
 
     @property
     def p(self) -> int:
@@ -54,7 +57,12 @@ class Poset:
         return self.labels == other.labels and set(self.covers) == set(other.covers)
 
     def __hash__(self):
-        return hash((self.labels, frozenset(self.covers)))
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than copy the cached hash: string hashes differ
+        # between processes
+        return Poset, (self.labels, self.covers, self.leq)
 
     def __repr__(self):
         return f"Poset(p={self.p}, covers={sorted(self.covers)})"

@@ -1,6 +1,9 @@
 """Shared test utilities: random poset generators, an independent
-projected-gradient oracle for order-cone projection, and the full-tensor
-ND-HALS sweep that the Gram-matrix sweep is checked against."""
+projected-gradient oracle for order-cone projection, a pure-Python
+pool-adjacent-violators reference, and the full-tensor ND-HALS sweep that
+the batched Gram-matrix sweep is checked against."""
+
+import itertools
 
 import numpy as np
 
@@ -94,6 +97,21 @@ def projection_oracle(y, P, w=None, max_iter=200_000, kkt_tol=1e-13):
     return v, obj
 
 
+def reference_pava(y, w=None):
+    """Weighted isotonic regression on a chain by pool adjacent violators."""
+    means, weights, sizes = [], [], []
+    ws = itertools.repeat(1.0) if w is None else np.asarray(w, dtype=float).tolist()
+    for m, ww in zip(np.asarray(y, dtype=float).tolist(), ws):
+        n = 1
+        while means and means[-1] > m:
+            m = (ww * m + weights[-1] * means[-1]) / (ww + weights[-1])
+            ww += weights[-1]
+            n += sizes[-1]
+            means.pop(), weights.pop(), sizes.pop()
+        means.append(m), weights.append(ww), sizes.append(n)
+    return np.repeat(means, sizes)
+
+
 def trace_nonincreasing(trace, slack=1e-12):
     return all(trace[i + 1] <= trace[i] + slack * max(1.0, trace[i])
                for i in range(len(trace) - 1))
@@ -116,15 +134,13 @@ def reference_hals(T, posets, cfg):
 
     Every (term, mode) update forms the residual T - recon + term and
     contracts it with the other modes' vectors; ``recon`` is patched after
-    each update and rebuilt after each sweep.  Returns one
-    ``(trace, stationary, sweeps)`` per restart and the index of the winning
-    restart, chosen as ``factor.hals`` chooses it.
+    each update and rebuilt after each sweep, and each restart runs on its
+    own.  Returns one ``(trace, stationary, sweeps)`` per restart.
     """
     T = np.asarray(T, dtype=float)
     r, k = cfg.rank, T.ndim
     runs = []
-    seeds = [cfg.seed + i for i in range(max(cfg.restarts, 1))]
-    for seed in seeds:
+    for seed in range(cfg.seed, cfg.seed + max(cfg.restarts, 1)):
         if cfg.init == "als-project":
             start = factor.init_als_project(T, r, posets, seed)
         else:
@@ -167,6 +183,4 @@ def reference_hals(T, posets, cfg):
                 break
             prev = recon.copy()
         runs.append((trace, stationary, sweeps))
-    finals = [run[0][-1] if run[0] else float(np.sum(T ** 2)) for run in runs]
-    best = min(range(len(runs)), key=lambda i: (finals[i], seeds[i]))
-    return runs, best
+    return runs

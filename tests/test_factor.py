@@ -62,6 +62,28 @@ def test_hals_descent_random():
         assert trace_nonincreasing(report.objective_trace)
 
 
+def assert_matches_reference(T, posets, cfg):
+    """Every restart of the batched sweep against its own reference run, and
+    the winner against the documented tie-break."""
+    runs = reference_hals(T, posets, cfg)
+    got = factor._hals_restarts(T, posets, cfg)
+    assert len(got) == len(runs)
+    # an exact fit ends at rounding noise, compared at the scale of ||T||^2
+    noise = 1e-20 * np.sum(T ** 2)
+    for (trace, stationary, sweeps), (_, got_trace, got_stationary, got_sweeps) in zip(runs, got):
+        assert (got_sweeps, got_stationary, len(got_trace)) == (sweeps, stationary, len(trace))
+        assert np.allclose(got_trace, trace, rtol=1e-10, atol=noise)
+    _, report = factor.hals(T, posets, cfg)
+    finals = np.array(report.restart_objectives)
+    assert np.allclose(finals, [run[0][-1] for run in runs], rtol=1e-10, atol=noise)
+    # the lowest seed among the restarts tied with the lowest final to rounding
+    tied = np.flatnonzero(finals <= finals.min() * (1 + 1e-10) + noise)
+    assert report.best_restart == tied[0]
+    _, stationary, sweeps = runs[report.best_restart]
+    assert (report.sweeps, report.stationary) == (sweeps, stationary)
+    return got
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_hals_matches_full_tensor_reference(order, rank):
@@ -73,20 +95,30 @@ def test_hals_matches_full_tensor_reference(order, rank):
         T = rng.standard_normal(shape) if trial == 0 else rng.random(shape) * 3
         cfg = FitConfig(rank=rank, restarts=2, seed=trial, max_sweeps=150,
                         init=("als-project", "random-cone")[(order + rank + trial) % 2])
-        runs, best = reference_hals(T, posets, cfg)
-        noise = 1e-20 * np.sum(T ** 2)
-        for i, (trace, stationary, sweeps) in enumerate(runs):
-            _, got, got_stationary, got_sweeps = factor._hals_single(T, posets, cfg, cfg.seed + i)
-            assert (got_sweeps, got_stationary, len(got)) == (sweeps, stationary, len(trace))
-            # an exact fit ends at rounding noise, compared at the scale of ||T||^2
-            assert np.allclose(got, trace, rtol=1e-10, atol=noise)
-        _, report = factor.hals(T, posets, cfg)
-        finals = np.array([run[0][-1] for run in runs])
-        # restarts whose final objectives tie to rounding may be picked either way
-        tied = np.flatnonzero(np.abs(finals - finals[best]) <= 1e-10 * finals[best] + noise)
-        assert report.best_restart in tied
-        _, stationary, sweeps = runs[report.best_restart]
-        assert (report.sweeps, report.stationary) == (sweeps, stationary)
+        assert_matches_reference(T, posets, cfg)
+
+
+@pytest.mark.parametrize("case", ["stops-apart", "revival"])
+def test_hals_batch_matches_reference_as_restarts_diverge(case, monkeypatch):
+    # restarts leaving the batch at different sweeps (stationary early or
+    # capped), and a dead term revived while other restarts are in the batch
+    seed = {"stops-apart": 21, "revival": 1}[case]
+    T = np.random.default_rng(seed).standard_normal((3, 4, 3))
+    posets = [poset.chain(3), poset.from_relation([0, 1, 2, 3], [(0, 1), (2, 3)]),
+              poset.collider_to_top(3)]
+    cfg = FitConfig(rank=3, restarts=3, seed=seed, max_sweeps=60)
+    got = assert_matches_reference(T, posets, cfg)
+    sweeps = [run[3] for run in got]
+    assert len(set(sweeps)) == 3
+    if case == "stops-apart":
+        assert [run[2] for run in got] == [False, True, True]
+    else:
+        revivals = []
+        rank1_fit = factor._rank1_nd_fit
+        monkeypatch.setattr(factor, "_rank1_nd_fit",
+                            lambda E, posets: revivals.append(1) or rank1_fit(E, posets))
+        factor._hals_restarts(T, posets, cfg)
+        assert revivals
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

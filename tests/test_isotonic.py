@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ndrank import isotonic, poset
+from ndrank import datasets, factor, isotonic, poset
 from ndrank.cone import order_cone_vrep
 from ndrank.errors import NDRankError, NonFiniteInput, UncertifiedSolution
-from ndrank.isotonic import ProjectionProblem, pava_chain, project, project_order_cone
+from ndrank.isotonic import pava_chain, project
 
-from helpers import projection_oracle, random_collider, random_dag, random_poset
+from helpers import (projection_oracle, random_collider, random_dag, random_poset,
+                     reference_pava)
 
 COLLIDER = poset.from_relation([0, 1, 2], [(0, 2), (1, 2)])
 # a tied target one ulp off the cone; scipy 1.17.1's nnls maps it to
@@ -33,6 +34,19 @@ def test_pava_idempotent_and_block_means():
         assert np.isclose(w @ v, w @ y)
 
 
+def test_pava_matches_reference():
+    rng = np.random.default_rng(6)
+    for i in range(300):
+        n = int(rng.integers(1, 40))
+        y = rng.standard_normal(n) if i % 3 else rng.integers(-2, 3, size=n).astype(float)
+        if i % 5 == 0:  # ulp-nudged
+            y = np.nextafter(y, np.where(rng.random(n) < 0.5, -np.inf, np.inf))
+        w = rng.uniform(0.05, 20.0, size=n) if i % 2 else None
+        v = pava_chain(y, w)
+        assert (np.diff(v) >= 0).all()
+        assert np.allclose(v, reference_pava(y, w), rtol=1e-14, atol=1e-14 * np.abs(y).max())
+
+
 def test_project_frozen_examples():
     assert np.allclose(project([-1.0, 0.0, 2.0], poset.chain(3)), [0, 0, 2])
     col = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
@@ -49,11 +63,11 @@ def test_projection_is_identity_on_cone():
         assert np.allclose(project(y, P), y, atol=1e-9)
 
 
-def test_projection_problem_validation():
+def test_project_validation():
     with pytest.raises(ValueError):
-        ProjectionProblem(np.ones(3), poset.chain(2))
+        project(np.ones(3), poset.chain(2))
     with pytest.raises(ValueError):
-        ProjectionProblem(np.ones(2), poset.chain(2), np.array([1.0, 0.0]))
+        project(np.ones(2), poset.chain(2), np.array([1.0, 0.0]))
 
 
 def test_kkt_characterization():
@@ -91,7 +105,7 @@ def test_matches_oracle_with_weights():
         P = random_poset(int(rng.integers(1, 7)), rng)
         y = rng.standard_normal(P.p) * rng.uniform(0.1, 5)
         w = rng.uniform(0.3, 3.0, size=P.p) if rng.random() < 0.5 else None
-        v = project_order_cone(ProjectionProblem(y, P, w))
+        v = project(y, P, w)
         _, obj_oracle = projection_oracle(y, P, w)
         ww = np.ones(P.p) if w is None else w
         obj = float(ww @ (y - v) ** 2)
@@ -192,3 +206,50 @@ def test_non_finite_targets_and_weights_are_rejected():
         pava_chain([1.0, np.nan])
     with pytest.raises(NonFiniteInput):
         pava_chain([1.0, 2.0], [1.0, np.inf])
+
+
+def assert_rows_projected(Y, P, V):
+    assert V.shape == Y.shape
+    for y, v in zip(Y, V):
+        v_oracle, _ = projection_oracle(y, P)
+        assert np.allclose(v, v_oracle, rtol=0, atol=1e-9 * (1 + np.abs(y).sum()))
+        assert_kkt(y, v, P)
+
+
+def test_row_projector_on_random_tied_and_nudged_stacks():
+    rng = np.random.default_rng(22)
+    def scrambled_chain(p):  # a chain whose elements are not listed in order
+        order = rng.permutation(p)
+        return poset.from_relation(list(range(p)), list(zip(order[:-1], order[1:])))
+
+    kinds = [lambda p: poset.trivial(p), lambda p: poset.chain(p), scrambled_chain,
+             lambda p: random_collider(p, rng), lambda p: random_dag(p, rng)]
+    for i in range(50):
+        p = int(rng.integers(3, 8))
+        P = kinds[i % len(kinds)](p)
+        gens = order_cone_vrep(P).generators
+        rows = [rng.standard_normal(p) * rng.uniform(0.1, 5),
+                rng.integers(-2, 4, size=p).astype(float)]  # tied values
+        for _ in range(3):  # sums of generators, each entry moved by one ulp
+            pick = rng.choice(len(gens), size=int(rng.integers(1, 3)))
+            y = rng.uniform(0.01, 2.0, size=pick.size) @ gens[pick]
+            rows.append(np.nextafter(y, np.where(rng.random(p) < 0.5, -np.inf, np.inf)))
+        Y = np.array(rows)
+        assert_rows_projected(Y, P, isotonic._project_rows(Y, P))
+
+
+def test_row_projector_on_cchs_fit_stacks(monkeypatch):
+    # the HALS sweep projects through the row projector, not through project
+    stacks = []
+
+    def spy(Y, P):
+        V = isotonic._project_rows(Y, P)
+        stacks.append((Y.copy(), P, V.copy()))
+        return V
+
+    monkeypatch.setattr(factor, "_project_rows", spy)
+    T, posets = datasets.fixture("cchs")
+    factor.hals(T, posets, factor.FitConfig(rank=2, restarts=4, seed=0, max_sweeps=8))
+    assert {P.p for _, P, _ in stacks} == {P.p for P in posets}
+    for Y, P, V in stacks:
+        assert_rows_projected(Y, P, V)

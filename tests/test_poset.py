@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +15,14 @@ from helpers import random_dag, random_forest, random_poset
 def test_from_relation_already_reduced():
     P = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
     assert set(P.covers) == {(0, 2), (1, 2)}
+
+
+def test_equal_posets_hash_alike_and_survive_pickling():
+    P = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    Q = poset.Poset(P.labels, P.covers[::-1], P.leq.copy())  # covers in another order
+    assert P == Q and hash(P) == hash(Q)
+    R = pickle.loads(pickle.dumps(P))
+    assert R == P and hash(R) == hash(P) and not R.leq.flags.writeable
 
 
 def test_from_relation_reduces_transitive_edge():
