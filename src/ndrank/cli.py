@@ -147,7 +147,7 @@ def cmd_factorize(args) -> int:
     T, posets = _load_problem(args.tensor, args.posets)
     if args.loss != "gaussian" and args.rank != 1:
         raise UnsupportedLossRank(f"loss {args.loss!r} supports only rank 1 (got rank {args.rank})")
-    trace = []
+    trace, projections = [], None
     if args.loss == "gaussian":
         cfg = FitConfig(rank=args.rank, max_sweeps=args.max_sweeps, rel_tol=args.rel_tol,
                         restarts=args.restarts, seed=args.seed, init=args.init)
@@ -155,6 +155,7 @@ def cmd_factorize(args) -> int:
         trace = report.objective_trace
         fact.diagnostics["objective_trace"] = trace
         fact.diagnostics["best_restart"] = report.best_restart
+        projections = report.projection_rows
     elif args.loss == "multinomial":
         fact = rank1_multinomial(T)
     elif args.loss == "poisson":
@@ -192,6 +193,9 @@ def cmd_factorize(args) -> int:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": [f"{args.out}.json", *table_paths, trace_path],
         }
+        if projections is not None:
+            # sweep projection rows by path: clamp, chain, in_cone, warm, solved
+            manifest["projections"] = projections
         with open(f"{args.out}_manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")

@@ -13,7 +13,11 @@ carry a leading restart axis, so each (term, mode) update is a few array
 operations for every restart at once, and a restart leaves the batch when
 it meets the stopping test.  The reconstruction is built once per sweep,
 for the objective trace and the stopping test, and the residual only when a
-dead term is revived.
+dead term is revived.  On general posets each vector's projection starts
+from the active set of its previous one: the projection onto that face is
+kept only when it passes a KKT check, and otherwise the certified solver
+runs, so every projection stays exact and certified (see
+:mod:`ndrank.isotonic`); the report counts the rows each path took.
 
 Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson,
 and exponential likelihoods, and a truncated-SVD shortcut recovers exact
@@ -38,7 +42,8 @@ from .errors import (
     HypothesisViolated,
     ShapeMismatch,
 )
-from .isotonic import _chain_order, _halfspace_rows, _nnls_certified, _project_rows, project
+from .isotonic import (_ROW_PATHS, _chain_order, _halfspace_rows, _nnls_certified,
+                       _project_rows, _projection_plan, project)
 from .poset import Poset, connected_upsets, is_simplicial
 from .tensor import check_tensor, outer
 
@@ -140,6 +145,11 @@ class FitReport:
 
     ``objective_trace`` holds the squared Frobenius residual after each
     sweep; ``final_residual`` is the (unsquared) Frobenius norm.
+    ``projection_rows`` counts the sweep's factor-vector projections, summed
+    over every restart, by the path each took: ``clamp`` (no order),
+    ``chain`` (PAVA), and for general posets ``in_cone`` (already in the
+    cone), ``warm`` (certified on the previous sweep's active set) and
+    ``solved`` (certified nonnegative least squares).
     """
 
     objective_trace: list
@@ -148,6 +158,7 @@ class FitReport:
     best_restart: int
     stationary: bool
     restart_objectives: list = field(default_factory=list)
+    projection_rows: dict = field(default_factory=dict)
 
 
 def _contract_except(X: np.ndarray, vecs: list, t: int) -> np.ndarray:
@@ -209,12 +220,15 @@ def init_als_project(T, r: int, posets, seed: int) -> NDFactorization:
             for j in range(k):
                 if j != t:
                     gram *= F[j] @ F[j].T
-            ops, subs = [T], [_LETTERS[:k]]
-            for j in range(k):
-                if j != t:
-                    ops.append(F[j])
-                    subs.append("i" + _LETTERS[j])
-            W = np.einsum(",".join(subs) + "->" + _LETTERS[t] + "i", *ops)
+            if k == 1:  # no other modes: every term's column is T itself
+                W = np.repeat(T[:, None], r, axis=1)
+            else:
+                ops, subs = [T], [_LETTERS[:k]]
+                for j in range(k):
+                    if j != t:
+                        ops.append(F[j])
+                        subs.append("i" + _LETTERS[j])
+                W = np.einsum(",".join(subs) + "->" + _LETTERS[t] + "i", *ops)
             ridge = 1e-10 * (1.0 + float(np.trace(gram)) / r)
             F[t] = np.linalg.lstsq(gram + ridge * np.eye(r), W.T, rcond=None)[0]
 
@@ -290,15 +304,18 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _hals_restarts(T, posets, cfg: FitConfig) -> list:
+def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None) -> list:
     """Every restart of :func:`hals`, run as one batch.
 
     Restart i starts from its own initialization (seed ``cfg.seed + i``);
     the stack holds scales (R, r), factors (R, r, p_j) and Grams
     G_j = F_j F_j' of shape (R, r, r), and every (term, mode) update is a
-    handful of batched products over it.  A restart that meets ``rel_tol``
-    leaves the stack.  Returns ``(NDFactorization, trace, stationary,
-    sweeps)`` per restart, in seed order.
+    handful of batched products over it.  For each general-poset mode the
+    stack also keeps every vector's support (R, r, m_t), the halfspace rows
+    active at its last projection, from which the next projection starts.
+    A restart that meets ``rel_tol`` leaves the stack.  Returns
+    ``(NDFactorization, trace, stationary, sweeps)`` per restart, in seed
+    order; ``counts``, if given, adds the sweep's projection rows by path.
     """
     r, k = cfg.rank, T.ndim
     seeds = [cfg.seed + i for i in range(max(cfg.restarts, 1))]
@@ -311,6 +328,11 @@ def _hals_restarts(T, posets, cfg: FitConfig) -> list:
     unfold = [T.reshape(T.shape[0], -1).T if t == 0 else
               np.moveaxis(T, t, -1).reshape(-1, T.shape[t]) for t in range(k)]
     flat = T.reshape(-1)
+    # each vector's support, the halfspace rows active at its last
+    # projection (general posets only; clamps and chains get no rows); a
+    # stale one, after a revival say, only fails the face check
+    supports = [np.zeros((len(seeds), r, 0 if A is None else A.shape[0]), dtype=bool)
+                for _, _, A, _, _ in map(_projection_plan, posets)]
     active = np.arange(len(seeds))  # restart behind each row of the stack
     traces = [[] for _ in seeds]
     runs = [None] * len(seeds)
@@ -339,7 +361,7 @@ def _hals_restarts(T, posets, cfg: FitConfig) -> list:
                         coef *= grams[j][:, s]
                 coef[:, s] = 0.0
                 target = kr @ unfold[t] - (coef[:, None, :] @ factors[t])[:, 0]
-                V = _project_rows(target, posets[t])
+                V = _project_rows(target, posets[t], support=supports[t][:, s], counts=counts)
                 n = np.sqrt(_rowdot(V, V))
                 # a numerically-zero projection must not be renormalized:
                 # dividing float crumbs by their norm fabricates an arbitrary
@@ -378,6 +400,7 @@ def _hals_restarts(T, posets, cfg: FitConfig) -> list:
                 return runs
             active, lambdas, recon = active[keep], lambdas[keep], recon[keep]
             factors = [F[keep] for F in factors]
+            supports = [S[keep] for S in supports]
         prev = recon
     finish(range(len(active)), False, cfg.max_sweeps)
     return runs
@@ -399,7 +422,8 @@ def hals(T, posets, cfg: FitConfig):
     Returns ``(NDFactorization, FitReport)``.
     """
     T, posets = check_tensor(T, posets)
-    runs = _hals_restarts(T, posets, cfg)
+    counts = dict.fromkeys(_ROW_PATHS, 0)
+    runs = _hals_restarts(T, posets, cfg, counts)
     norm2 = float(T.reshape(-1) @ T.reshape(-1))
     finals = [trace[-1] if trace else norm2 for _, trace, _, _ in runs]
     lowest = min(finals)
@@ -413,6 +437,7 @@ def hals(T, posets, cfg: FitConfig):
         best_restart=best,
         stationary=stationary,
         restart_objectives=finals,
+        projection_rows=counts,
     )
     return fact, report
 

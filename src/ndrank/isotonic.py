@@ -25,6 +25,14 @@ projection followed by an elementwise max with zero.
 
 :func:`project` is the one public, validated entry point; the HALS sweep
 projects its whole stack of restarts at once through the same dispatch.
+The sweep also passes each row's support, the halfspace rows whose
+multipliers were positive at that vector's previous projection.  A row
+outside the cone is then first projected onto that face by one cached
+linear solve, and the point is kept only if it passes a KKT check stricter
+than the solver's (tolerance 1e-12 instead of 1e-9, relative to the same
+scale); a row that fails it, or whose support is empty or has dependent
+rows, is solved and certified as above.  Every row returned is therefore
+certified, whichever path it took.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ from .tensor import require_finite
 # a target whose every halfspace row is violated by at most this much,
 # relative to ||y||_1, lies within rounding of the order cone
 _ROUNDING = 16 * np.finfo(float).eps
+
+# the paths a row can take through _project_rows, as keys of its ``counts``
+_ROW_PATHS = ("clamp", "chain", "in_cone", "warm", "solved")
 
 
 def _check_weights(w, y: np.ndarray) -> np.ndarray:
@@ -204,17 +215,84 @@ def _nnls_certified(E, f, gram: np.ndarray | None = None) -> tuple[np.ndarray, n
         "fallback met the KKT conditions")
 
 
-def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None) -> np.ndarray:
+@functools.lru_cache(maxsize=1024)
+def _face_solver(P: Poset, support: bytes):
+    """K_S = -(A_S A_S^T)^-1 A_S, zero-padded to every row of A, or None.
+
+    For the halfspace rows S named by ``support`` (a bool mask as bytes),
+    mu = K_S y is the multiplier of the projection of y onto the face
+    A_S v = 0, and v = y + A^T mu.  Returns None for an empty support and
+    for dependent rows, where A_S A_S^T is singular (on a collider
+    e_a + (e_c - e_a) = e_b + (e_c - e_b); on a diamond the cover rows of
+    its two paths sum alike): those rows are left to the NNLS solver.
+    """
+    _, _, A, _, _ = _projection_plan(P)
+    S = np.frombuffer(support, dtype=bool)
+    A_S = A[S]
+    if not S.any() or np.linalg.matrix_rank(A_S) < A_S.shape[0]:
+        return None
+    K = np.zeros_like(A)
+    K[S] = -np.linalg.solve(A_S @ A_S.T, A_S)
+    return K
+
+
+def _project_faces(Y: np.ndarray, P: Poset, rows: list, support: np.ndarray,
+                   V: np.ndarray) -> list:
+    """Project the given rows of Y onto the faces their supports name.
+
+    Row i of V and of ``support`` is written only where the face point v
+    meets the KKT conditions at tau' = 1e-12 * s, s = 1 + ||y||_1:
+    mu >= -tau', A v >= -tau' and |mu . A v| <= tau' * s; its support then
+    becomes mu > 0.  Returns the rows that still need solving: those that
+    fail the check, and those whose support is empty or dependent.
+    """
+    _, _, A, E, _ = _projection_plan(P)
+    faces = [_face_solver(P, support[i].tobytes()) for i in rows]
+    cold = [i for i, K in zip(rows, faces) if K is None]
+    warm = [i for i, K in zip(rows, faces) if K is not None]
+    if not warm:
+        return cold
+    Yw = Y[warm]
+    mu = (np.array([K for K in faces if K is not None]) @ Yw[:, :, None])[:, :, 0]
+    Vw = Yw + mu.dot(A)
+    AV = Vw.dot(E)
+    scale = 1.0 + np.abs(Yw).sum(axis=1)
+    tol = 1e-12 * scale
+    ok = ((mu.min(axis=1) >= -tol) & (AV.min(axis=1) >= -tol)
+          & (np.abs((mu * AV).sum(axis=1)) <= tol * scale))
+    warm = np.asarray(warm)
+    V[warm[ok]] = np.maximum(Vw[ok], 0.0)
+    support[warm[ok]] = mu[ok] > 0.0
+    return cold + warm[~ok].tolist()
+
+
+def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
+                  support: np.ndarray | None = None, counts: dict | None = None) -> np.ndarray:
     """Exact projection of every row of Y, shape (n, P.p), onto C(P).
 
     The one dispatch behind :func:`project`.  The HALS sweep calls it
     directly on its stack of restarts, so it validates nothing.  The weights
     ``w``, if given, apply to every row.
+
+    ``support``, an (n, m) bool array over the m halfspace rows of a general
+    poset, is the sweep's guess at each row's active set; it is read and
+    written in place, and only the unweighted general path uses it.  A row
+    outside the cone is first projected onto the face its support names,
+    and that point is kept only if it passes a KKT check stricter than the
+    solver's (:func:`_project_faces`); every other row outside the cone goes
+    to :func:`_nnls_certified`.  Each row's support is then the positive
+    set of the multiplier that certified it, empty for rows in the cone.
+    ``counts``, if given, adds the rows taken by each path under the keys
+    of ``_ROW_PATHS``.
     """
     kind, idx, A, E, G = _projection_plan(P)
     if kind == "clamp":  # no order constraints: clamp is the exact projection
+        if counts is not None:
+            counts["clamp"] += len(Y)
         return np.maximum(Y, 0.0)
     if kind == "chain":
+        if counts is not None:
+            counts["chain"] += len(Y)
         wi = None if w is None else w[idx]
         V = np.empty_like(Y)
         for v, y in zip(V, Y):
@@ -229,22 +307,34 @@ def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None) -> np.nd
     # tied targets a few ulps outside the cone on which scipy's nnls was
     # seen to return wrong points.
     V = np.maximum(Y, 0.0)
-    # on rows this short, min of a list beats numpy's reductions
-    for i, row in enumerate(Y.dot(E).tolist()):
-        worst = min(row)
-        if worst >= 0.0:
-            continue
+    if w is not None:
+        support = None  # supports hold unit-weight multipliers
+    if support is None:
+        # on one short row (project), min of a list beats numpy's reductions
+        out = cold = [i for i, row in enumerate(Y.dot(E).tolist())
+                      if (worst := min(row)) < 0.0
+                      and worst < -_ROUNDING * sum(map(abs, Y[i].tolist()))]
+    else:  # the sweep's stack of rows: one numpy pass beats a Python loop
+        inside = Y.dot(E).min(axis=1) >= -_ROUNDING * np.abs(Y).sum(axis=1)
+        support[inside] = False
+        out = np.flatnonzero(~inside).tolist()
+        cold = _project_faces(Y, P, out, support, V) if out else []
+    if counts is not None:
+        counts["in_cone"] += len(Y) - len(out)
+        counts["warm"] += len(out) - len(cold)
+        counts["solved"] += len(cold)
+    for i in cold:
         y = Y[i]
-        if worst >= -_ROUNDING * sum(map(abs, y.tolist())):
-            continue
         if w is None:
-            _, x = _nnls_certified(E, -y, G)
+            x, v = _nnls_certified(E, -y, G)
         else:
             s = np.sqrt(w)
-            _, x = _nnls_certified((A / s).T, -s * y)
-            x /= s
+            x, v = _nnls_certified((A / s).T, -s * y)
+            v /= s
         # the exact projection is nonnegative; clear float crumbs below zero
-        V[i] = np.maximum(x, 0.0)
+        V[i] = np.maximum(v, 0.0)
+        if support is not None:
+            support[i] = x > 0.0
     return V
 
 

@@ -134,6 +134,27 @@ def test_factorize_outputs_and_determinism(tmp_path, capsys):
     assert (tmp_path / "runA_mode1.csv").read_text().startswith("element,term1")
 
 
+def test_factorize_manifest_counts_projection_rows(tmp_path, capsys):
+    # cchs at rank 2 for 5 sweeps: every restart hits the cap, and each
+    # sweep projects 2 terms x (age, year, gender) per restart
+    argv = ["factorize", "fixture:cchs", "--rank", "2", "--restarts", "3",
+            "--max-sweeps", "5", "--out", str(tmp_path / "fit")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "fit_manifest.json").read_text())["projections"]
+    assert set(rows) == {"clamp", "chain", "in_cone", "warm", "solved"}
+    assert rows["clamp"] == 3 * 5 * 2
+    assert rows["chain"] == 0
+    assert rows["in_cone"] + rows["warm"] + rows["solved"] == 3 * 5 * 2 * 2
+    assert rows["warm"] > 0
+
+    argv = ["factorize", "fixture:cchs", "--rank", "1", "--loss", "poisson",
+            "--out", str(tmp_path / "counts")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert "projections" not in json.loads((tmp_path / "counts_manifest.json").read_text())
+
+
 def test_factorize_poisson_rank1(tmp_path, capsys):
     T = np.array([[1.0, 2.0], [3.0, 4.0]])
     tpath = tmp_path / "counts.csv"

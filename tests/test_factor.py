@@ -121,6 +121,39 @@ def test_hals_batch_matches_reference_as_restarts_diverge(case, monkeypatch):
         assert revivals
 
 
+def test_fit_report_counts_projection_rows():
+    # a chain, a general poset and a clamp: every sweep row is counted once,
+    # under the path it took, summed over the restarts
+    rng = np.random.default_rng(3)
+    T = rng.random((3, 4, 2)) * 3
+    posets = [poset.chain(3), poset.collider_to_top(4), poset.trivial(2)]
+    cfg = FitConfig(rank=2, restarts=3, seed=4, max_sweeps=40)
+    counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
+    runs = factor._hals_restarts(T, posets, cfg, counts)
+    rows = sum(sweeps for *_, sweeps in runs) * cfg.rank
+    assert counts["chain"] == counts["clamp"] == rows
+    assert counts["in_cone"] + counts["warm"] + counts["solved"] == rows
+    assert counts["warm"] > 0
+    _, report = factor.hals(T, posets, cfg)
+    assert report.projection_rows == counts
+
+
+@pytest.mark.parametrize("P, y", [(poset.chain(4), [0.5, 1.0, 3.0, 2.0]),
+                                  (poset.collider_to_top(4), [2.0, -1.0, 0.5, 1.0])],
+                         ids=["chain", "collider"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_hals_order_one_fits_the_projection(P, y, rank):
+    # an order-1 tensor is a vector: the best fit of any rank is its projection
+    y = np.array(y)
+    best = float(np.sum((y - isotonic.project(y, P)) ** 2))
+    finals = []
+    for init in ("als-project", "random-cone"):
+        fact, report = factor.hals(y, [P], FitConfig(rank=rank, init=init))
+        finals.append(report.objective_trace[-1])
+        assert np.isclose(np.sum((y - fact.reconstruct()) ** 2), best, rtol=1e-9, atol=1e-12)
+    assert np.allclose(finals, best, rtol=1e-9, atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fits_reject_non_finite(bad):
     T = np.ones((3, 3))

@@ -239,17 +239,90 @@ def test_row_projector_on_random_tied_and_nudged_stacks():
 
 
 def test_row_projector_on_cchs_fit_stacks(monkeypatch):
-    # the HALS sweep projects through the row projector, not through project
+    # the HALS sweep projects through the row projector, not through project,
+    # and starts every general-poset row from its support of the last sweep:
+    # check the rows that warm-started call returned
     stacks = []
 
-    def spy(Y, P):
-        V = isotonic._project_rows(Y, P)
+    def spy(Y, P, support=None, counts=None):
+        V = isotonic._project_rows(Y, P, support=support, counts=counts)
         stacks.append((Y.copy(), P, V.copy()))
         return V
 
     monkeypatch.setattr(factor, "_project_rows", spy)
     T, posets = datasets.fixture("cchs")
-    factor.hals(T, posets, factor.FitConfig(rank=2, restarts=4, seed=0, max_sweeps=8))
+    _, report = factor.hals(T, posets, factor.FitConfig(rank=2, restarts=4, seed=0,
+                                                        max_sweeps=20))
+    assert report.projection_rows["warm"] > 0
     assert {P.p for _, P, _ in stacks} == {P.p for P in posets}
     for Y, P, V in stacks:
         assert_rows_projected(Y, P, V)
+
+
+DIAMOND = poset.from_relation([0, 1, 2, 3], [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+def _one_row(y, P, support):
+    """Project y alone from ``support`` (updated in place); return the point
+    and the path the row took."""
+    counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
+    v = isotonic._project_rows(y[None], P, support=support[None], counts=counts)[0]
+    return v, next(path for path, n in counts.items() if n)
+
+
+def test_warm_support_gives_the_certified_projection():
+    # every support the sweep could hold, right, wrong or stale, on posets
+    # whose cover rows may be dependent (the diamond): the answer is the cold
+    # projection, and the support written back is the positive set of the
+    # multiplier that certified it
+    rng = np.random.default_rng(23)
+    posets = [DIAMOND, COLLIDER, poset.collider_to_top(5)]
+    while len(posets) < 12:
+        P = random_dag(int(rng.integers(4, 9)), rng, density=0.45)
+        if isotonic._projection_plan(P)[0] == "general":
+            posets.append(P)
+    paths = []
+    for P in posets:
+        A = isotonic._halfspace_rows(P)
+        m = A.shape[0]
+        gens = order_cone_vrep(P).generators
+        targets = []
+        for _ in range(4):
+            targets.append(rng.standard_normal(P.p) * rng.uniform(0.1, 5))
+            targets.append(rng.integers(-2, 4, size=P.p).astype(float))  # tied
+            # sums of generators, each entry moved by one ulp
+            pick = rng.choice(len(gens), size=int(rng.integers(1, 3)))
+            y = rng.uniform(0.01, 2.0, size=pick.size) @ gens[pick]
+            targets.append(np.nextafter(y, np.where(rng.random(P.p) < 0.5, -np.inf, np.inf)))
+        for y, neighbour in zip(targets, targets[1:] + targets[:1]):
+            scale = 1.0 + np.abs(y).sum()
+            cold = isotonic._project_rows(y[None], P)[0]
+            v_oracle, _ = projection_oracle(y, P)
+            correct = np.zeros(m, dtype=bool)
+            _one_row(y, P, correct)
+            stale = np.zeros(m, dtype=bool)
+            _one_row(neighbour, P, stale)
+            for support in (np.zeros(m, dtype=bool), np.ones(m, dtype=bool),
+                            rng.random(m) < 0.5, stale, correct):
+                guess = support.copy()
+                v, path = _one_row(y, P, support)
+                paths.append(path)
+                assert np.allclose(v, cold, rtol=0, atol=1e-12 * scale)
+                assert np.allclose(v, v_oracle, rtol=0, atol=1e-9 * scale)
+                assert_kkt(y, v, P)
+                if path == "in_cone":
+                    assert not support.any()
+                    continue
+                if path == "warm":
+                    mu = isotonic._face_solver(P, guess.tobytes()) @ y
+                else:
+                    mu, _ = isotonic._nnls_certified(A.T, -y)
+                assert np.array_equal(support, mu > 0.0)
+                # a certified point is a fixed point of its own support
+                if isotonic._face_solver(P, support.tobytes()) is not None:
+                    again, again_path = _one_row(y, P, support.copy())
+                    assert again_path == "warm"
+                    assert np.allclose(again, v, rtol=0, atol=1e-12 * scale)
+    # all three paths ran, and supports the diamond cannot use were met
+    assert {"in_cone", "warm", "solved"} <= set(paths)
+    assert isotonic._face_solver(DIAMOND, np.array([0, 1, 1, 1, 1], dtype=bool).tobytes()) is None
