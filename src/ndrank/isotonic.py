@@ -28,9 +28,9 @@ projects its whole stack of restarts at once through the same dispatch.
 The sweep also passes each row's support, the halfspace rows whose
 multipliers were positive at that vector's previous projection.  A row
 outside the cone is then first projected onto that face by one cached
-linear solve, and the point is kept only if it passes a KKT check stricter
-than the solver's (tolerance 1e-12 instead of 1e-9, relative to the same
-scale); a row that fails it, or whose support is empty or has dependent
+linear solve, its multiplier clipped at zero, and the point is kept only
+if it passes the solver's KKT check with a tolerance 1000 times tighter
+(1e-12 instead of 1e-9, relative to the same scale); a row that fails it, or whose support is empty or has dependent
 rows, is solved and certified as above.  Every row returned is therefore
 certified, whichever path it took.
 """
@@ -215,55 +215,59 @@ def _nnls_certified(E, f, gram: np.ndarray | None = None) -> tuple[np.ndarray, n
         "fallback met the KKT conditions")
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=256)
 def _face_solver(P: Poset, support: bytes):
-    """K_S = -(A_S A_S^T)^-1 A_S, zero-padded to every row of A, or None.
+    """``(S, K)`` with K = -(A_S A_S^T)^-1 A_S for the rows S of A, or None.
 
-    For the halfspace rows S named by ``support`` (a bool mask as bytes),
-    mu = K_S y is the multiplier of the projection of y onto the face
-    A_S v = 0, and v = y + A^T mu.  Returns None for an empty support and
-    for dependent rows, where A_S A_S^T is singular (on a collider
-    e_a + (e_c - e_a) = e_b + (e_c - e_b); on a diamond the cover rows of
-    its two paths sum alike): those rows are left to the NNLS solver.
+    For the halfspace rows named by ``support`` (a bool mask as bytes), S
+    holds their indices and mu_S = K y is the multiplier of the projection
+    of y onto the face A_S v = 0, so v = y + A_S^T mu_S.  K has |S| <= P.p
+    rows, so an entry holds at most P.p^2 floats.  Returns None for an
+    empty support and for dependent rows, where A_S A_S^T is singular (on a
+    collider e_a + (e_c - e_a) = e_b + (e_c - e_b); on a diamond the cover
+    rows of its two paths sum alike): those rows are left to the NNLS
+    solver.
     """
     _, _, A, _, _ = _projection_plan(P)
-    S = np.frombuffer(support, dtype=bool)
+    S = np.flatnonzero(np.frombuffer(support, dtype=bool))
     A_S = A[S]
-    if not S.any() or np.linalg.matrix_rank(A_S) < A_S.shape[0]:
+    if not S.size or np.linalg.matrix_rank(A_S) < S.size:
         return None
-    K = np.zeros_like(A)
-    K[S] = -np.linalg.solve(A_S @ A_S.T, A_S)
-    return K
+    return S, -np.linalg.solve(A_S @ A_S.T, A_S)
 
 
 def _project_faces(Y: np.ndarray, P: Poset, rows: list, support: np.ndarray,
                    V: np.ndarray) -> list:
     """Project the given rows of Y onto the faces their supports name.
 
-    Row i of V and of ``support`` is written only where the face point v
-    meets the KKT conditions at tau' = 1e-12 * s, s = 1 + ||y||_1:
-    mu >= -tau', A v >= -tau' and |mu . A v| <= tau' * s; its support then
-    becomes mu > 0.  Returns the rows that still need solving: those that
-    fail the check, and those whose support is empty or dependent.
+    The face multiplier is clipped at zero, mu = max(K y, 0), and
+    v = y + A^T mu.  Row i of V and of ``support`` is written only where
+    v meets the KKT conditions at tau' = 1e-12 * s, s = 1 + ||y||_1:
+    A v >= -tau' and |mu . A v| <= tau' * s, with mu >= 0 exactly; its
+    support then becomes mu > 0.  These are :func:`_nnls_certified`'s
+    conditions with a tolerance 1000 times tighter.  Returns the rows that
+    still need solving: those that fail the check, and those whose support
+    is empty or dependent.
     """
     _, _, A, E, _ = _projection_plan(P)
     faces = [_face_solver(P, support[i].tobytes()) for i in rows]
-    cold = [i for i, K in zip(rows, faces) if K is None]
-    warm = [i for i, K in zip(rows, faces) if K is not None]
-    if not warm:
-        return cold
-    Yw = Y[warm]
-    mu = (np.array([K for K in faces if K is not None]) @ Yw[:, :, None])[:, :, 0]
-    Vw = Yw + mu.dot(A)
-    AV = Vw.dot(E)
-    scale = 1.0 + np.abs(Yw).sum(axis=1)
+    rows = np.asarray(rows)
+    Yr = Y[rows]
+    mu = np.zeros((len(rows), len(A)))
+    for face, y, mu_y in zip(faces, Yr, mu):
+        if face is not None:
+            S, K = face
+            mu_y[S] = K.dot(y)
+    np.maximum(mu, 0.0, out=mu)
+    warm = np.array([face is not None for face in faces])
+    Vr = Yr + mu.dot(A)
+    AV = Vr.dot(E)
+    scale = 1.0 + np.abs(Yr).sum(axis=1)
     tol = 1e-12 * scale
-    ok = ((mu.min(axis=1) >= -tol) & (AV.min(axis=1) >= -tol)
-          & (np.abs((mu * AV).sum(axis=1)) <= tol * scale))
-    warm = np.asarray(warm)
-    V[warm[ok]] = np.maximum(Vw[ok], 0.0)
-    support[warm[ok]] = mu[ok] > 0.0
-    return cold + warm[~ok].tolist()
+    ok = warm & (AV.min(axis=1) >= -tol) & (np.abs((mu * AV).sum(axis=1)) <= tol * scale)
+    V[rows[ok]] = np.maximum(Vr[ok], 0.0)
+    support[rows[ok]] = mu[ok] > 0.0
+    return rows[~ok].tolist()
 
 
 def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
@@ -309,16 +313,16 @@ def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
     V = np.maximum(Y, 0.0)
     if w is not None:
         support = None  # supports hold unit-weight multipliers
-    if support is None:
-        # on one short row (project), min of a list beats numpy's reductions
-        out = cold = [i for i, row in enumerate(Y.dot(E).tolist())
-                      if (worst := min(row)) < 0.0
-                      and worst < -_ROUNDING * sum(map(abs, Y[i].tolist()))]
-    else:  # the sweep's stack of rows: one numpy pass beats a Python loop
-        inside = Y.dot(E).min(axis=1) >= -_ROUNDING * np.abs(Y).sum(axis=1)
+    # on rows this short, min of a list beats numpy's reductions
+    out = cold = [i for i, row in enumerate(Y.dot(E).tolist())
+                  if (worst := min(row)) < 0.0
+                  and worst < -_ROUNDING * sum(map(abs, Y[i].tolist()))]
+    if support is not None:
+        inside = np.ones(len(Y), dtype=bool)
+        inside[out] = False
         support[inside] = False
-        out = np.flatnonzero(~inside).tolist()
-        cold = _project_faces(Y, P, out, support, V) if out else []
+        if out:
+            cold = _project_faces(Y, P, out, support, V)
     if counts is not None:
         counts["in_cone"] += len(Y) - len(out)
         counts["warm"] += len(out) - len(cold)

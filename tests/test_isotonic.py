@@ -314,7 +314,9 @@ def test_warm_support_gives_the_certified_projection():
                     assert not support.any()
                     continue
                 if path == "warm":
-                    mu = isotonic._face_solver(P, guess.tobytes()) @ y
+                    S, K = isotonic._face_solver(P, guess.tobytes())
+                    mu = np.zeros(m)
+                    mu[S] = np.maximum(K @ y, 0.0)
                 else:
                     mu, _ = isotonic._nnls_certified(A.T, -y)
                 assert np.array_equal(support, mu > 0.0)
