@@ -19,6 +19,13 @@ kept only when it passes a KKT check, and otherwise the certified solver
 runs, so every projection stays exact and certified (see
 :mod:`ndrank.isotonic`); the report counts the rows each path took.
 
+One contraction serves every solver here, at any order: T contracted with
+one vector per mode other than t is the Khatri-Rao product of those vectors
+times T's mode-t unfolding (Kolda & Bader, 2009).  It gives the sweep's
+MTTKRP, the right-hand sides of the ALS init, the alternating rank-one loop
+that revives dead terms and fits the Gaussian rank-one model, and the
+exponential solver's fixed-point update.
+
 Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson,
 and exponential likelihoods, and a truncated-SVD shortcut recovers exact
 rank-two matrix factorizations whenever the truncation already has finite
@@ -46,9 +53,6 @@ from .isotonic import (_ROW_PATHS, _chain_order, _halfspace_rows, _nnls_certifie
                        _project_rows, _projection_plan, project)
 from .poset import Poset, connected_upsets, is_simplicial
 from .tensor import check_tensor, outer
-
-_LETTERS = "abcdefghijkl"
-
 
 @dataclass
 class NDFactorization:
@@ -133,6 +137,10 @@ class FitConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be at least 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         if self.init not in ("als-project", "random-cone"):
@@ -161,27 +169,32 @@ class FitReport:
     projection_rows: dict = field(default_factory=dict)
 
 
-def _contract_except(X: np.ndarray, vecs: list, t: int) -> np.ndarray:
-    """Contract X with vecs[j] along every mode j except t (chained matvecs)."""
-    for j in range(X.ndim - 1, t, -1):
-        X = X @ vecs[j]
-    for j in range(t):
-        X = (vecs[j] @ X.reshape(X.shape[0], -1)).reshape(X.shape[1:])
-    return X
-
-
 def _uniform_unit(p: int) -> np.ndarray:
     return np.full(p, 1.0 / np.sqrt(p))
 
 
-def _rank1_nd_fit(E: np.ndarray, posets, sweeps: int = 30):
-    """Small internal rank-one ND fit of a (possibly signed) tensor."""
+def _unfoldings(T: np.ndarray) -> list:
+    """Mode-t unfoldings of T, shape (T.size // p_t, p_t), with rows in the
+    Khatri-Rao order of the other modes: ``_khatri_rao_rows(vecs, lead) @
+    unfold[t]`` contracts T with one vector per mode other than t.  The
+    first and last modes' are views of T, the others one copy each."""
+    return [T.reshape(T.shape[0], -1).T if t == 0 else
+            np.moveaxis(T, t, -1).reshape(-1, T.shape[t]) for t in range(T.ndim)]
+
+
+def _rank1_nd_fit(E: np.ndarray, posets, sweeps: int = 30, tol: float = 1e-12):
+    """Rank-one ND fit of a (possibly signed) tensor by alternating projections.
+
+    Returns ``(lam, vecs)``; ``lam`` is 0 when a projection dies.  Stops when
+    no unit vector moves by ``tol`` in a sweep, or after ``sweeps`` sweeps.
+    """
+    unfold = _unfoldings(E)
     vecs = [_uniform_unit(P.p) for P in posets]
     lam = 0.0
     for _ in range(sweeps):
         moved = 0.0
         for t in range(E.ndim):
-            target = _contract_except(E, vecs, t)
+            target = _khatri_rao_rows(vecs[:t] + vecs[t + 1:], ()) @ unfold[t]
             v = project(target, posets[t])
             n = float(np.linalg.norm(v))
             if n <= 1e-13 * (1.0 + float(np.linalg.norm(target))):
@@ -189,7 +202,7 @@ def _rank1_nd_fit(E: np.ndarray, posets, sweeps: int = 30):
             moved = max(moved, float(np.linalg.norm(v / n - vecs[t])))
             vecs[t] = v / n
             lam = n
-        if moved < 1e-12:
+        if moved < tol:
             break
     return lam, vecs
 
@@ -201,8 +214,10 @@ def init_als_project(T, r: int, posets, seed: int) -> NDFactorization:
     vector is then projected onto its order cone, after first choosing the
     sign orientation of the term that survives projection best (ALS factors
     are sign-ambiguous and projecting a negatively oriented pair is
-    catastrophic).  All-zero projections are replaced by the uniform cone
-    direction.
+    catastrophic).  Both orientations of every vector are projected once,
+    and each even sign pattern is scored from per-mode scalars.  A
+    numerically zero projection is replaced by the uniform cone direction
+    and its term's scale set to 0.
     """
     T = np.asarray(T, dtype=float)
     posets = list(posets)
@@ -214,50 +229,48 @@ def init_als_project(T, r: int, posets, seed: int) -> NDFactorization:
                                posets=posets)
     scale = (float(np.abs(T).mean()) or 1.0) ** (1.0 / k)
     F = [scale * f for f in F]
+    unfold = _unfoldings(T)
     for _ in range(25):
         for t in range(k):
+            others = F[:t] + F[t + 1:]
             gram = np.ones((r, r))
-            for j in range(k):
-                if j != t:
-                    gram *= F[j] @ F[j].T
-            if k == 1:  # no other modes: every term's column is T itself
-                W = np.repeat(T[:, None], r, axis=1)
-            else:
-                ops, subs = [T], [_LETTERS[:k]]
-                for j in range(k):
-                    if j != t:
-                        ops.append(F[j])
-                        subs.append("i" + _LETTERS[j])
-                W = np.einsum(",".join(subs) + "->" + _LETTERS[t] + "i", *ops)
+            for f in others:
+                gram *= f @ f.T
             ridge = 1e-10 * (1.0 + float(np.trace(gram)) / r)
-            F[t] = np.linalg.lstsq(gram + ridge * np.eye(r), W.T, rcond=None)[0]
+            # the ridged Gram is symmetric positive definite
+            F[t] = np.linalg.solve(gram + ridge * np.eye(r),
+                                   _khatri_rao_rows(others, (r,)) @ unfold[t])
 
-    lambdas = np.zeros(r)
-    out = [np.zeros((r, P.p)) for P in posets]
-    sign_patterns = [s for s in itertools.product((1.0, -1.0), repeat=k) if np.prod(s) > 0]
-    for i in range(r):
-        raw = [F[j][i] for j in range(k)]
-        best = None
-        for signs in sign_patterns:
-            proj = [project(signs[j] * raw[j], posets[j]) for j in range(k)]
-            # distance between the projected term and the raw ALS term,
-            # via the rank-one Gram identity
-            pp = np.prod([v @ v for v in proj])
-            rr = np.prod([v @ v for v in raw])
-            pr = np.prod([p_ @ (signs[j] * r_) for j, (p_, r_) in enumerate(zip(proj, raw))])
-            score = pp + rr - 2 * pr
-            if best is None or score < best[0]:
-                best = (score, proj)
-        lam = 1.0
-        for j, v in enumerate(best[1]):
-            n = float(np.linalg.norm(v))
-            if n == 0.0:
-                out[j][i] = _uniform_unit(posets[j].p)
-                lam = 0.0
-            else:
-                out[j][i] = v / n
-                lam *= n
-        lambdas[i] = lam
+    # the sign choice: both orientations of every vector are projected once,
+    # and by the rank-one Gram identity a term's squared distance to its
+    # projection, pp + rr - 2 pr, is a product of per-mode scalars for each
+    # sign pattern
+    proj, pp, pr = [], [], []
+    for f, P in zip(F, posets):
+        Y = np.concatenate([f, -f])
+        V = _project_rows(Y, P)
+        proj.append(V.reshape(2, r, -1))
+        pp.append(_rowdot(V, V).reshape(2, r))
+        pr.append(_rowdot(V, Y).reshape(2, r))
+    rr = np.prod([_rowdot(f, f) for f in F], axis=0)
+    # the even patterns as orientations per mode (1 flips the sign), in
+    # itertools.product order: argmin hands a tie to the first pattern
+    flips = np.array([s for s in itertools.product((0, 1), repeat=k) if sum(s) % 2 == 0])
+    modes, terms = np.arange(k), np.arange(r)
+    score = (np.prod(np.array(pp)[modes, flips], axis=1) + rr
+             - 2 * np.prod(np.array(pr)[modes, flips], axis=1))
+    best = flips[np.argmin(score, axis=0)]  # (r, k)
+    lambdas = np.ones(r)
+    out = []
+    for j, (f, P) in enumerate(zip(F, posets)):
+        V = proj[j][best[:, j], terms]
+        n = np.sqrt(pp[j][best[:, j], terms])
+        # the sweep's liveness test: float crumbs divided by their norm would
+        # make an arbitrary, possibly infeasible, unit vector
+        live = n > 1e-13 * (1.0 + np.sqrt(_rowdot(f, f)))
+        lambdas = np.where(live, lambdas * n, 0.0)
+        U = np.tile(_uniform_unit(P.p), (r, 1))
+        out.append(np.divide(V, n[:, None], out=U, where=live[:, None]))
     return NDFactorization(lambdas, out, posets=posets)
 
 
@@ -318,15 +331,12 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None) -> lis
     order; ``counts``, if given, adds the sweep's projection rows by path.
     """
     r, k = cfg.rank, T.ndim
-    seeds = [cfg.seed + i for i in range(max(cfg.restarts, 1))]
+    seeds = [cfg.seed + i for i in range(cfg.restarts)]
     init = init_als_project if cfg.init == "als-project" else _init_random_cone
     starts = [init(T, r, posets, seed) for seed in seeds]
     lambdas = np.array([f.lambdas for f in starts])
     factors = [np.array([f.factors[j] for f in starts]) for j in range(k)]
-    # mode-t unfolding with rows in the Khatri-Rao order of the other modes;
-    # the first and last modes' are views of T, the others one copy each
-    unfold = [T.reshape(T.shape[0], -1).T if t == 0 else
-              np.moveaxis(T, t, -1).reshape(-1, T.shape[t]) for t in range(k)]
+    unfold = _unfoldings(T)
     flat = T.reshape(-1)
     # each vector's support, the halfspace rows active at its last
     # projection (general posets only; clamps and chains get no rows); a
@@ -461,10 +471,12 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
     """Best rank-one fit under squared error, for fibre-monotone tensors.
 
     When every fibre lies in its mode's order cone, the unconstrained
-    rank-one stationary point is automatically monotone, so a plain
-    fixed-point (power) iteration suffices; for matrices it converges to
-    the leading singular pair.  If a fibre fails monotonicity the solver
-    falls back to a rank-one HALS run and flags it in the diagnostics.
+    rank-one stationary point is automatically monotone: every target of the
+    alternating rank-one loop that revives dead HALS terms is then already
+    in its cone, so each projection returns it unchanged and the loop is the
+    plain power iteration; for matrices it converges to the leading singular
+    pair.  If a fibre fails monotonicity the solver falls back to a rank-one
+    HALS run and flags it in the diagnostics.
     """
     T, posets = check_tensor(T, posets)
     if not np.any(T):
@@ -475,21 +487,10 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
         fact, report = hals(T, posets, FitConfig(rank=1, restarts=3, seed=0))
         fact.diagnostics["fallback"] = "fibres not monotone; used rank-one HALS"
         return fact
-    vecs = [_uniform_unit(P.p) for P in posets]
-    lam = 0.0
-    for _ in range(max_iter):
-        moved = 0.0
-        for t in range(T.ndim):
-            w = _contract_except(T, vecs, t)
-            n = float(np.linalg.norm(w))
-            if n == 0.0:
-                break
-            moved = max(moved, float(np.linalg.norm(w / n - vecs[t])))
-            vecs[t] = w / n
-            lam = n
-        if moved < tol:
-            break
-    return NDFactorization(np.array([lam]), [v[None, :] for v in vecs], posets=posets)
+    # at unit scale, so the loop's absolute liveness floor spares tiny tensors
+    norm = float(np.linalg.norm(T))
+    lam, vecs = _rank1_nd_fit(T / norm, posets, sweeps=max_iter, tol=tol)
+    return NDFactorization(np.array([lam * norm]), [v[None, :] for v in vecs], posets=posets)
 
 
 def _mode_marginals(T: np.ndarray):
@@ -532,16 +533,14 @@ def rank1_exponential(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> 
         raise NonPositiveEntry("exponential data must be strictly positive")
     if not _fibres_monotone(T, posets, default_tol(T)):
         raise HypothesisViolated("every fibre must lie in its order cone")
+    unfold = _unfoldings(T)
     vecs = [np.ones(P.p) for P in posets]
     n_other = [T.size // P.p for P in posets]
     for _ in range(max_iter):
         moved = 0.0
         for t in range(T.ndim):
-            inv = outer([1.0 / vecs[j] for j in range(T.ndim) if j != t])
-            ops = [T, inv]
-            subs = [_LETTERS[: T.ndim], "".join(_LETTERS[j] for j in range(T.ndim) if j != t)]
-            s = np.einsum(",".join(subs) + "->" + _LETTERS[t], *ops)
-            new = s / n_other[t]
+            inv = [1.0 / v for v in vecs[:t] + vecs[t + 1:]]
+            new = (_khatri_rao_rows(inv, ()) @ unfold[t]) / n_other[t]
             moved = max(moved, float(np.max(np.abs(new - vecs[t]) / np.maximum(vecs[t], 1e-300))))
             vecs[t] = new
         if moved < tol:

@@ -17,13 +17,6 @@ from .errors import IndexOutOfRange, NonFiniteInput, NotSimplicial, ParseError, 
 from .poset import Poset, is_simplicial
 
 
-def as_tensor(data) -> np.ndarray:
-    T = np.asarray(data, dtype=float)
-    if not np.isfinite(T).all():
-        raise ValueError("tensor entries must be finite")
-    return T
-
-
 def require_finite(name: str, a: np.ndarray) -> None:
     """Raise NonFiniteInput unless every entry of ``a`` is finite."""
     # a.a is finite unless an entry is NaN or inf, or the sum overflows;

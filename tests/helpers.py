@@ -1,7 +1,8 @@
 """Shared test utilities: random poset generators, an independent
 projected-gradient oracle for order-cone projection, a pure-Python
-pool-adjacent-violators reference, and the full-tensor ND-HALS sweep that
-the batched Gram-matrix sweep is checked against."""
+pool-adjacent-violators reference, the term-by-term ALS init and the
+full-tensor ND-HALS sweep that the package's batched versions are checked
+against."""
 
 import itertools
 
@@ -127,6 +128,66 @@ def _einsum_reconstruct(lambdas, factors):
     k = len(factors)
     subs = ",".join(["i"] + ["i" + _LETTERS[j] for j in range(k)])
     return np.einsum(subs + "->" + _LETTERS[:k], lambdas, *factors)
+
+
+def reference_init_als_project(T, r, posets, seed):
+    """The ALS-then-project init written out term by term: einsum right-hand
+    sides (so orders up to 12 only), a least-squares solve per mode, and
+    every projection of every even sign pattern of every term.  A vector
+    whose projection fails the sweep's liveness test becomes the uniform
+    unit vector and its term's scale 0."""
+    T = np.asarray(T, dtype=float)
+    posets = list(posets)
+    k = T.ndim
+    rng = np.random.default_rng(seed)
+    F = [rng.standard_normal((r, P.p)) for P in posets]
+    uniform = [np.full(P.p, 1.0 / np.sqrt(P.p)) for P in posets]
+    if not np.any(T):
+        return np.zeros(r), [np.tile(u, (r, 1)) for u in uniform]
+    scale = (float(np.abs(T).mean()) or 1.0) ** (1.0 / k)
+    F = [scale * f for f in F]
+    for _ in range(25):
+        for t in range(k):
+            gram = np.ones((r, r))
+            for j in range(k):
+                if j != t:
+                    gram *= F[j] @ F[j].T
+            if k == 1:
+                W = np.repeat(T[:, None], r, axis=1)
+            else:
+                ops, subs = [T], [_LETTERS[:k]]
+                for j in range(k):
+                    if j != t:
+                        ops.append(F[j])
+                        subs.append("i" + _LETTERS[j])
+                W = np.einsum(",".join(subs) + "->" + _LETTERS[t] + "i", *ops)
+            ridge = 1e-10 * (1.0 + float(np.trace(gram)) / r)
+            F[t] = np.linalg.lstsq(gram + ridge * np.eye(r), W.T, rcond=None)[0]
+    lambdas = np.zeros(r)
+    out = [np.zeros((r, P.p)) for P in posets]
+    sign_patterns = [s for s in itertools.product((1.0, -1.0), repeat=k) if np.prod(s) > 0]
+    for i in range(r):
+        raw = [F[j][i] for j in range(k)]
+        best = None
+        for signs in sign_patterns:
+            proj = [project(signs[j] * raw[j], posets[j]) for j in range(k)]
+            pp = np.prod([v @ v for v in proj])
+            rr = np.prod([v @ v for v in raw])
+            pr = np.prod([p_ @ (signs[j] * r_) for j, (p_, r_) in enumerate(zip(proj, raw))])
+            score = pp + rr - 2 * pr
+            if best is None or score < best[0]:
+                best = (score, proj)
+        lam = 1.0
+        for j, v in enumerate(best[1]):
+            n = float(np.linalg.norm(v))
+            if n > 1e-13 * (1.0 + float(np.linalg.norm(raw[j]))):
+                out[j][i] = v / n
+                lam *= n
+            else:
+                out[j][i] = uniform[j]
+                lam = 0.0
+        lambdas[i] = lam
+    return lambdas, out
 
 
 def reference_hals(T, posets, cfg):

@@ -112,6 +112,15 @@ def test_factorize_loss_rank_guard(capsys):
     assert "rank 1" in err
 
 
+def test_factorize_rejects_bad_fit_settings(tmp_path, capsys):
+    for flag in ("--restarts", "--max-sweeps"):
+        out = tmp_path / flag.strip("-")
+        code, _, err = run(capsys, "factorize", "fixture:cchs", "--rank", "2", flag, "0",
+                           "--out", str(out))
+        assert code == 2 and "at least 1" in err
+        assert not list(tmp_path.iterdir())
+
+
 def test_factorize_outputs_and_determinism(tmp_path, capsys):
     argv = ["factorize", "fixture:selenium", "--rank", "1", "--restarts", "2",
             "--seed", "7", "--out", str(tmp_path / "runA")]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ndrank import cone, factor, isotonic, poset
+from ndrank import cone, datasets, factor, isotonic, poset
 from ndrank.errors import (
     HypothesisViolated,
     NonFiniteInput,
@@ -12,8 +12,10 @@ from ndrank.errors import (
     ShapeMismatch,
 )
 from ndrank.factor import FitConfig
+from ndrank.tensor import outer
 
-from helpers import KINDS, random_poset, reference_hals, trace_nonincreasing
+from helpers import (KINDS, random_poset, reference_hals, reference_init_als_project,
+                     trace_nonincreasing)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 COLLIDER_MATRIX = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 4.0]])
@@ -211,6 +213,86 @@ def test_init_als_project_repairs_signs():
     assert np.linalg.norm(T - init.reconstruct()) < 1e-6 * np.linalg.norm(T)
 
 
+def assert_init_feasible(init, posets):
+    assert (init.lambdas >= 0).all()
+    for F, P in zip(init.factors, posets):
+        assert np.allclose(np.linalg.norm(F, axis=1), 1.0, atol=1e-12)
+        for v in F:
+            assert cone.is_monotone(v, [P]).member
+
+
+def test_init_als_project_vectors_are_feasible():
+    # float crumbs left by a projection must not be scaled up to a unit
+    # vector: cchs seed 284 gave such a vector outside the age poset's cone
+    T, posets = datasets.cchs_tensor(), datasets.cchs_posets()
+    assert_init_feasible(factor.init_als_project(T, 2, posets, 284), posets)
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        shape = tuple(int(x) for x in rng.integers(2, 5, size=1 + trial % 4))
+        posets = [random_poset(p, rng) for p in shape]
+        T = rng.standard_normal(shape)
+        init = factor.init_als_project(T, 1 + trial % 3, posets, trial)
+        assert_init_feasible(init, posets)
+
+
+def test_init_als_project_matches_term_by_term_reference():
+    T, posets = datasets.cchs_tensor(), datasets.cchs_posets()
+    for seed in range(300):
+        init = factor.init_als_project(T, 2, posets, seed)
+        lambdas, factors = reference_init_als_project(T, 2, posets, seed)
+        assert np.allclose(init.lambdas, lambdas, rtol=1e-10, atol=0.0)
+        live = lambdas > 0
+        for got, want in zip(init.factors, factors):
+            assert np.allclose(got[live], want[live], rtol=1e-10, atol=1e-10)
+
+
+def monotone_tensor(shape, rng):
+    T = rng.random(shape) + 0.1
+    for axis in range(T.ndim):
+        T = np.cumsum(T, axis=axis)
+    return T
+
+
+@pytest.mark.parametrize("order", [9, 13])
+def test_fits_beyond_twelve_modes(order):
+    # 9 and 13 modes: where einsum subscripts drawn from 12 letters, one of
+    # them also the term index, break
+    rng = np.random.default_rng(order)
+    posets = [poset.chain(2)] * order
+    T = monotone_tensor((2,) * order, rng)
+    fact, report = factor.hals(T, posets, FitConfig(rank=1, restarts=2))
+    assert trace_nonincreasing(report.objective_trace)
+    for F in fact.factors:
+        assert cone.is_monotone(F[0], [poset.chain(2)]).member
+    g = factor.rank1_gaussian(T, posets)
+    assert "fallback" not in g.diagnostics
+    # the best rank-one fit: its residual is orthogonal to every mode's update
+    R = T - g.reconstruct()
+    vecs = [F[0] for F in g.factors]
+    for t in range(order):
+        others = [j for j in range(order) if j != t]
+        grad = np.tensordot(R, outer([vecs[j] for j in others]), axes=(others, range(order - 1)))
+        assert np.linalg.norm(grad) < 1e-8 * np.linalg.norm(T)
+    assert report.objective_trace[-1] <= np.sum(R ** 2) * (1 + 1e-6)
+    e = factor.rank1_exponential(T, posets)
+    # the exponential fixed point: T / theta averages to 1 over each slice
+    ratio = T / e.reconstruct()
+    for t in range(order):
+        others = tuple(j for j in range(order) if j != t)
+        assert np.allclose(ratio.mean(axis=others), 1.0, atol=1e-8)
+    # signed data sends hals through the default init's sign choice
+    _, report = factor.hals(rng.standard_normal((2,) * order), posets, FitConfig(rank=1))
+    assert trace_nonincreasing(report.objective_trace)
+
+
+@pytest.mark.parametrize("field, value", [("rank", 0), ("max_sweeps", 0), ("restarts", 0),
+                                          ("restarts", -3), ("rel_tol", 0.0),
+                                          ("init", "svd")])
+def test_fit_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError):
+        FitConfig(**{"rank": 1, field: value})
+
+
 def test_rank1_gaussian_matches_svd():
     rng = np.random.default_rng(9)
     M = np.sort(np.sort(rng.uniform(0.5, 2.0, (4, 5)), axis=0), axis=1)
@@ -219,6 +301,9 @@ def test_rank1_gaussian_matches_svd():
     assert abs(f.lambdas[0] - s[0]) < 1e-8 * s[0]
     assert np.arccos(min(1.0, abs(f.factors[0][0] @ U[:, 0]))) < 1e-6
     assert np.arccos(min(1.0, abs(f.factors[1][0] @ Vt[0]))) < 1e-6
+    # the loop's liveness floor is absolute: a tiny tensor must not die
+    tiny = factor.rank1_gaussian(1e-15 * M, [poset.chain(4), poset.chain(5)])
+    assert abs(tiny.lambdas[0] - 1e-15 * s[0]) < 1e-8 * 1e-15 * s[0]
 
 
 def test_rank1_gaussian_zero_and_fallback():
