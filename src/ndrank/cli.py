@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__, datasets
 from .cone import (
@@ -147,7 +149,7 @@ def cmd_factorize(args) -> int:
     T, posets = _load_problem(args.tensor, args.posets)
     if args.loss != "gaussian" and args.rank != 1:
         raise UnsupportedLossRank(f"loss {args.loss!r} supports only rank 1 (got rank {args.rank})")
-    trace, projections = [], None
+    trace, report = [], None
     if args.loss == "gaussian":
         cfg = FitConfig(rank=args.rank, max_sweeps=args.max_sweeps, rel_tol=args.rel_tol,
                         restarts=args.restarts, seed=args.seed, init=args.init)
@@ -155,7 +157,6 @@ def cmd_factorize(args) -> int:
         trace = report.objective_trace
         fact.diagnostics["objective_trace"] = trace
         fact.diagnostics["best_restart"] = report.best_restart
-        projections = report.projection_rows
     elif args.loss == "multinomial":
         fact = rank1_multinomial(T)
     elif args.loss == "poisson":
@@ -189,13 +190,17 @@ def cmd_factorize(args) -> int:
                        "max_sweeps": args.max_sweeps, "rel_tol": args.rel_tol, "init": args.init},
             "seed": args.seed,
             "version": __version__,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                         "scipy": scipy.__version__},
             "wall_time_s": round(time.time() - t0, 6),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": [f"{args.out}.json", *table_paths, trace_path],
         }
-        if projections is not None:
+        if report is not None:
             # sweep projection rows by path: clamp, chain, in_cone, warm, solved
-            manifest["projections"] = projections
+            manifest["projections"] = report.projection_rows
+            manifest["stopped"] = report.stop_reason
+            manifest["extrapolation"] = report.extrapolation
         with open(f"{args.out}_manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")

@@ -19,6 +19,17 @@ kept only when it passes a KKT check, and otherwise the certified solver
 runs, so every projection stays exact and certified (see
 :mod:`ndrank.isotonic`); the report counts the rows each path took.
 
+The plain sweep converges linearly, and slowly on the survey fixture (the
+gap to the optimum shrinks by about 4 % a sweep), so the sweeps run in
+cycles of three with the squared extrapolation SQUAREM of Varadhan &
+Roland (2008): two plain sweeps, then one sweep started from a point
+extrapolated from the cycle's three iterates.  That sweep projects every
+vector again, so its result is as certified as any other; it is kept only
+if it lowers the objective, and otherwise the cycle's last iterate comes
+back and the trace repeats its objective (a flat step).  The fit runs on
+T / ||T|| and is scaled back, so its course does not depend on the scale
+of T.
+
 One contraction serves every solver here, at any order: T contracted with
 one vector per mode other than t is the Khatri-Rao product of those vectors
 times T's mode-t unfolding (Kolda & Bader, 2009).  It gives the sweep's
@@ -157,7 +168,11 @@ class FitReport:
     over every restart, by the path each took: ``clamp`` (no order),
     ``chain`` (PAVA), and for general posets ``in_cone`` (already in the
     cone), ``warm`` (certified on the previous sweep's active set) and
-    ``solved`` (certified nonnegative least squares).
+    ``solved`` (certified nonnegative least squares).  ``stop_reason`` is
+    ``"tolerance"`` when the best restart met ``rel_tol`` and
+    ``"max_sweeps"`` when it reached the cap; ``extrapolation`` counts the
+    extrapolated sweeps kept (``accepted``) and undone (``rejected``),
+    summed over every restart.
     """
 
     objective_trace: list
@@ -167,6 +182,8 @@ class FitReport:
     stationary: bool
     restart_objectives: list = field(default_factory=list)
     projection_rows: dict = field(default_factory=dict)
+    stop_reason: str = ""
+    extrapolation: dict = field(default_factory=dict)
 
 
 def _uniform_unit(p: int) -> np.ndarray:
@@ -317,7 +334,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None) -> list:
+def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
+                   trials: dict | None = None, extrapolate: bool = True) -> list:
     """Every restart of :func:`hals`, run as one batch.
 
     Restart i starts from its own initialization (seed ``cfg.seed + i``);
@@ -326,26 +344,50 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None) -> lis
     handful of batched products over it.  For each general-poset mode the
     stack also keeps every vector's support (R, r, m_t), the halfspace rows
     active at its last projection, from which the next projection starts.
-    A restart that meets ``rel_tol`` leaves the stack.  Returns
-    ``(NDFactorization, trace, stationary, sweeps)`` per restart, in seed
-    order; ``counts``, if given, adds the sweep's projection rows by path.
+    With ``extrapolate``, every third sweep starts from a SQUAREM point (see
+    :func:`hals`); all of its state is per restart, and its step length
+    weighs the scales and the unit vectors alike, which :func:`hals` makes
+    scale-free by passing T / ||T||.  A restart that meets ``rel_tol``
+    leaves the stack.  Returns ``(NDFactorization, trace, stationary,
+    sweeps)`` per restart, in seed order; ``counts``, if given, adds the
+    sweep's projection rows by path, and ``trials`` the accepted and
+    rejected extrapolated sweeps.
     """
     r, k = cfg.rank, T.ndim
     seeds = [cfg.seed + i for i in range(cfg.restarts)]
     init = init_als_project if cfg.init == "als-project" else _init_random_cone
     starts = [init(T, r, posets, seed) for seed in seeds]
-    lambdas = np.array([f.lambdas for f in starts])
-    factors = [np.array([f.factors[j] for f in starts]) for j in range(k)]
+    # the state x of every restart, one row each: [lambda, every mode's
+    # vectors]; ``lambdas`` (R, r) and ``factors`` (R, r, p_j) are views of it
+    offs = np.cumsum([0, r] + [r * P.p for P in posets])
+    X = np.concatenate([np.array([f.lambdas for f in starts])]
+                       + [np.array([f.factors[j] for f in starts]).reshape(len(seeds), -1)
+                          for j in range(k)], axis=1)
+
+    def views(x):
+        return x[:, :r], [x[:, offs[j + 1]:offs[j + 2]].reshape(len(x), r, P.p)
+                          for j, P in enumerate(posets)]
+
+    lambdas, factors = views(X)
     unfold = _unfoldings(T)
     flat = T.reshape(-1)
     # each vector's support, the halfspace rows active at its last
     # projection (general posets only; clamps and chains get no rows); a
-    # stale one, after a revival say, only fails the face check
+    # stale one, after a revival or a rejected trial say, only fails the
+    # face check
     supports = [np.zeros((len(seeds), r, 0 if A is None else A.shape[0]), dtype=bool)
                 for _, _, A, _, _ in map(_projection_plan, posets)]
     active = np.arange(len(seeds))  # restart behind each row of the stack
     traces = [[] for _ in seeds]
     runs = [None] * len(seeds)
+    # the SQUAREM cycle: snapshots x0, x1, x2 of the state, the step cap,
+    # and whether a term died or was revived in the cycle; a state's vectors
+    # are the segments of its row that start at ``segments``
+    snaps = np.empty((3,) + X.shape)
+    segments = np.concatenate([offs[j + 1] + P.p * np.arange(r) for j, P in enumerate(posets)])
+    widths = np.repeat([P.p for P in posets], r)
+    step_max = np.ones(len(seeds))
+    tainted = np.zeros(len(seeds), dtype=bool)
 
     def finish(rows, stationary: bool, sweeps: int) -> None:
         for b in rows:
@@ -355,14 +397,37 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None) -> lis
             runs[i] = (fact, traces[i], stationary, sweeps)
 
     prev = _reconstruct_rows(lambdas, factors)
+    last = np.full(len(seeds), np.inf)  # each restart's latest objective
     scratch = np.empty_like(prev)
     for sweep in range(cfg.max_sweeps):
+        phase = sweep % 3 if extrapolate else None
+        if phase == 0:
+            snaps[0] = X
+            tainted = (lambdas == 0.0).any(axis=1)
+        elif phase == 2:
+            # SQUAREM's S3 point y = x0 + 2a q1 + a^2 q2, its vectors
+            # renormalized into lambda; the sweep replaces every one of them
+            x0, x1, x2 = snaps
+            q1 = x1 - x0
+            q2 = x2 - x1 - q1
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                alpha = np.minimum(np.maximum(np.sqrt(_rowdot(q1, q1) / _rowdot(q2, q2)), 1.0),
+                                   step_max)
+                y = x0 + (2.0 * alpha)[:, None] * q1 + (alpha * alpha)[:, None] * q2
+                n = np.sqrt(np.add.reduceat(y * y, segments, axis=1))
+                y[:, r:] /= n.repeat(widths, axis=1)
+                y[:, :r] = np.maximum(y[:, :r], 0.0) * n.reshape(len(y), k, r).prod(axis=1)
+            trial = ~tainted & np.isfinite(y).all(axis=1)
+            # a restart without a trial runs a plain sweep from x2
+            np.copyto(X, y, where=trial[:, None])
         grams = [F @ F.transpose(0, 2, 1) for F in factors]
         for s in range(r):
             for t in range(k):
                 # the contraction of T - recon + term_s with the term's other
                 # vectors: an MTTKRP, minus the other terms through the Gram
-                # rows, coef_s' = lambda_s' prod_{j != t} G_j[s, s']
+                # rows, coef_s' = lambda_s' prod_{j != t} G_j[s, s']; one
+                # product per restart, as a single matrix product rounds a
+                # row differently with the batch's size
                 kr = _khatri_rao_rows([factors[j][:, s] for j in range(k) if j != t],
                                       (len(active),))
                 coef = lambdas.copy()
@@ -370,7 +435,7 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None) -> lis
                     if j != t:
                         coef *= grams[j][:, s]
                 coef[:, s] = 0.0
-                target = kr @ unfold[t] - (coef[:, None, :] @ factors[t])[:, 0]
+                target = ((kr[:, None] @ unfold[t]) - (coef[:, None, :] @ factors[t]))[:, 0]
                 V = _project_rows(target, posets[t], support=supports[t][:, s], counts=counts)
                 n = np.sqrt(_rowdot(V, V))
                 # a numerically-zero projection must not be renormalized:
@@ -383,8 +448,9 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None) -> lis
                 grams[t][:, s] = g
                 grams[t][:, :, s] = g
         recon = _reconstruct_rows(lambdas, factors)
+        dead = (lambdas == 0.0).any(axis=1)
         # revive dead terms from the residual, keeping the objective monotone
-        for b in np.flatnonzero((lambdas == 0.0).any(axis=1)):
+        for b in np.flatnonzero(dead):
             rec = recon[b].reshape(T.shape)
             for s in np.flatnonzero(lambdas[b] == 0.0):
                 E = T - rec
@@ -399,18 +465,44 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None) -> lis
             recon[b] = _reconstruct_rows(lambdas[b:b + 1], [F[b:b + 1] for F in factors])[0]
         # the residual, then the step, in one scratch buffer
         diff = np.subtract(flat, recon, out=scratch[:len(active)])
-        for b, obj in enumerate(_rowdot(diff, diff).tolist()):
-            traces[active[b]].append(obj)
+        obj = _rowdot(diff, diff)
+        if phase == 2:
+            # keep a trial only if it descends from x2 with every term alive;
+            # otherwise x2 comes back and the trace repeats its objective
+            rejected = trial & (dead | ~(obj <= last))
+            if rejected.any():
+                X[rejected] = x2[rejected]
+                recon[rejected] = prev[rejected]
+                obj[rejected] = last[rejected]
+            # a step that reached the cap grows it four-fold if kept, and
+            # shrinks it four-fold, to no less than 1, if rejected
+            capped = trial & (alpha == step_max)
+            step_max[capped & ~rejected] *= 4.0
+            step_max[capped & rejected] = np.maximum(step_max[capped & rejected] / 4.0, 1.0)
+            if trials is not None:
+                trials["accepted"] += int(np.count_nonzero(trial & ~rejected))
+                trials["rejected"] += int(np.count_nonzero(rejected))
+        elif phase is not None:
+            tainted |= dead
+            snaps[phase + 1] = X
+        for b, val in enumerate(obj.tolist()):
+            traces[active[b]].append(val)
+        last = obj
+        # the stopping test compares two accepted iterates: it skips a
+        # rejected trial, which is x2 again
         np.subtract(recon, prev, out=diff)
         done = np.sqrt(_rowdot(diff, diff)) <= cfg.rel_tol * (np.sqrt(_rowdot(prev, prev)) + 1e-30)
+        if phase == 2:
+            done &= ~rejected
         if done.any():
             finish(np.flatnonzero(done), True, sweep + 1)
             keep = ~done
             if not keep.any():
                 return runs
-            active, lambdas, recon = active[keep], lambdas[keep], recon[keep]
-            factors = [F[keep] for F in factors]
+            active, X, recon, last = active[keep], X[keep], recon[keep], last[keep]
+            lambdas, factors = views(X)
             supports = [S[keep] for S in supports]
+            snaps, step_max, tainted = snaps[:, keep], step_max[keep], tainted[keep]
         prev = recon
     finish(range(len(active)), False, cfg.max_sweeps)
     return runs
@@ -429,25 +521,50 @@ def hals(T, posets, cfg: FitConfig):
     as tied, and the lowest seed among them wins, so rounding alone never
     decides the choice.
 
+    The sweeps run in cycles of three, the squared extrapolation (SQUAREM)
+    of Varadhan & Roland (2008): two plain sweeps take x0 to x1 and x2,
+    where x holds a restart's scales and unit vectors, and the third sweep
+    starts from y = x0 + 2a q1 + a^2 q2 with q1 = x1 - x0,
+    q2 = x2 - 2 x1 + x0 and a = ||q1|| / ||q2|| clipped to [1, a_max].
+    Its result is kept only if its objective is at most x2's and none of
+    its terms died; otherwise x2 is restored and the trace repeats x2's
+    objective (a flat step), and the stopping test skips that sweep.  a_max
+    starts at 1 and grows or shrinks four-fold when a kept or rejected step
+    hits it.  A cycle with a dead or revived term, or a non-finite y, runs a
+    plain third sweep.  y itself is never returned: the sweep replaces each
+    of its vectors with a certified projection.
+
+    The fit runs on T / ||T|| and is scaled back, so it does not depend on
+    the scale of T.
+
     Returns ``(NDFactorization, FitReport)``.
     """
     T, posets = check_tensor(T, posets)
-    counts = dict.fromkeys(_ROW_PATHS, 0)
-    runs = _hals_restarts(T, posets, cfg, counts)
     norm2 = float(T.reshape(-1) @ T.reshape(-1))
-    finals = [trace[-1] if trace else norm2 for _, trace, _, _ in runs]
+    # the solvers' liveness floors and the init's ridge hold an absolute 1,
+    # so they see the unit-norm tensor
+    scale = float(np.sqrt(norm2)) or 1.0
+    counts = dict.fromkeys(_ROW_PATHS, 0)
+    trials = {"accepted": 0, "rejected": 0}
+    runs = _hals_restarts(T / scale, posets, cfg, counts, trials)
+    for fact, trace, _, _ in runs:
+        fact.lambdas *= scale
+        trace[:] = [val * scale ** 2 for val in trace]
+    finals = [trace[-1] for _, trace, _, _ in runs]
     lowest = min(finals)
     best = next(i for i, f in enumerate(finals) if f <= lowest + 1e-10 * lowest + 1e-20 * norm2)
     fact, trace, stationary, sweeps_used = runs[best]
     fact.diagnostics["seed"] = cfg.seed + best
     report = FitReport(
         objective_trace=trace,
-        final_residual=float(np.sqrt(max(trace[-1], 0.0))) if trace else float(np.linalg.norm(T)),
+        final_residual=float(np.sqrt(max(trace[-1], 0.0))),
         sweeps=sweeps_used,
         best_restart=best,
         stationary=stationary,
         restart_objectives=finals,
         projection_rows=counts,
+        stop_reason="tolerance" if stationary else "max_sweeps",
+        extrapolation=trials,
     )
     return fact, report
 

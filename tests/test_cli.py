@@ -1,7 +1,9 @@
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from ndrank import cli, datasets
 from ndrank.poset import format_poset_text, parse_poset_text
@@ -162,6 +164,31 @@ def test_factorize_manifest_counts_projection_rows(tmp_path, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert "projections" not in json.loads((tmp_path / "counts_manifest.json").read_text())
+
+
+def test_factorize_manifest_says_why_the_fit_stopped(tmp_path, capsys):
+    for sweeps, stopped in (("5", "max_sweeps"), ("500", "tolerance")):
+        argv = ["factorize", "fixture:cchs", "--rank", "2", "--restarts", "3",
+                "--max-sweeps", sweeps, "--out", str(tmp_path / sweeps)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / f"{sweeps}_manifest.json").read_text())
+        assert manifest["stopped"] == stopped
+        trials = manifest["extrapolation"]
+        assert set(trials) == {"accepted", "rejected"}
+        if sweeps == "5":
+            assert sum(trials.values()) == 3  # one trial sweep a restart
+        else:
+            assert trials["accepted"] > 0
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__, "scipy": scipy.__version__}
+    argv = ["factorize", "fixture:cchs", "--rank", "1", "--loss", "poisson",
+            "--out", str(tmp_path / "counts")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "counts_manifest.json").read_text())
+    assert "stopped" not in manifest and "extrapolation" not in manifest
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
 
 
 def test_factorize_poisson_rank1(tmp_path, capsys):

@@ -14,8 +14,8 @@ from ndrank.errors import (
 from ndrank.factor import FitConfig
 from ndrank.tensor import outer
 
-from helpers import (KINDS, random_poset, reference_hals, reference_init_als_project,
-                     trace_nonincreasing)
+from helpers import (KINDS, random_chain, random_collider, random_dag, random_poset,
+                     reference_hals, reference_init_als_project, trace_nonincreasing)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 COLLIDER_MATRIX = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 4.0]])
@@ -64,18 +64,23 @@ def test_hals_descent_random():
         assert trace_nonincreasing(report.objective_trace)
 
 
-def assert_matches_reference(T, posets, cfg):
-    """Every restart of the batched sweep against its own reference run, and
-    the winner against the documented tie-break."""
+def assert_matches_reference(T, posets, cfg, monkeypatch):
+    """Every restart of the batched plain sweep against its own reference
+    run, and the winner against the documented tie-break."""
     runs = reference_hals(T, posets, cfg)
-    got = factor._hals_restarts(T, posets, cfg)
+    plain = factor._hals_restarts
+    got = plain(T, posets, cfg, extrapolate=False)
     assert len(got) == len(runs)
     # an exact fit ends at rounding noise, compared at the scale of ||T||^2
     noise = 1e-20 * np.sum(T ** 2)
     for (trace, stationary, sweeps), (_, got_trace, got_stationary, got_sweeps) in zip(runs, got):
         assert (got_sweeps, got_stationary, len(got_trace)) == (sweeps, stationary, len(trace))
         assert np.allclose(got_trace, trace, rtol=1e-10, atol=noise)
-    _, report = factor.hals(T, posets, cfg)
+    # hals on the plain sweep: it fits T / ||T|| and scales the finals back
+    with monkeypatch.context() as m:
+        m.setattr(factor, "_hals_restarts",
+                  lambda *args, **kwargs: plain(*args, **kwargs, extrapolate=False))
+        _, report = factor.hals(T, posets, cfg)
     finals = np.array(report.restart_objectives)
     assert np.allclose(finals, [run[0][-1] for run in runs], rtol=1e-10, atol=noise)
     # the lowest seed among the restarts tied with the lowest final to rounding
@@ -88,7 +93,7 @@ def assert_matches_reference(T, posets, cfg):
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("rank", [1, 2, 3])
-def test_hals_matches_full_tensor_reference(order, rank):
+def test_hals_matches_full_tensor_reference(order, rank, monkeypatch):
     rng = np.random.default_rng(10 * order + rank)
     for trial in range(2):
         shape = tuple(int(x) for x in rng.integers(3, 5 if order < 4 else 4, size=order))
@@ -97,7 +102,7 @@ def test_hals_matches_full_tensor_reference(order, rank):
         T = rng.standard_normal(shape) if trial == 0 else rng.random(shape) * 3
         cfg = FitConfig(rank=rank, restarts=2, seed=trial, max_sweeps=150,
                         init=("als-project", "random-cone")[(order + rank + trial) % 2])
-        assert_matches_reference(T, posets, cfg)
+        assert_matches_reference(T, posets, cfg, monkeypatch)
 
 
 @pytest.mark.parametrize("case", ["stops-apart", "revival"])
@@ -109,7 +114,7 @@ def test_hals_batch_matches_reference_as_restarts_diverge(case, monkeypatch):
     posets = [poset.chain(3), poset.from_relation([0, 1, 2, 3], [(0, 1), (2, 3)]),
               poset.collider_to_top(3)]
     cfg = FitConfig(rank=3, restarts=3, seed=seed, max_sweeps=60)
-    got = assert_matches_reference(T, posets, cfg)
+    got = assert_matches_reference(T, posets, cfg, monkeypatch)
     sweeps = [run[3] for run in got]
     assert len(set(sweeps)) == 3
     if case == "stops-apart":
@@ -131,13 +136,139 @@ def test_fit_report_counts_projection_rows():
     posets = [poset.chain(3), poset.collider_to_top(4), poset.trivial(2)]
     cfg = FitConfig(rank=2, restarts=3, seed=4, max_sweeps=40)
     counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
-    runs = factor._hals_restarts(T, posets, cfg, counts)
+    # hals fits T / ||T||
+    runs = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg, counts)
     rows = sum(sweeps for *_, sweeps in runs) * cfg.rank
     assert counts["chain"] == counts["clamp"] == rows
     assert counts["in_cone"] + counts["warm"] + counts["solved"] == rows
     assert counts["warm"] > 0
     _, report = factor.hals(T, posets, cfg)
     assert report.projection_rows == counts
+
+
+def assert_extrapolation_invariants(T, posets, cfg):
+    """The extrapolated sweep's promises, restart by restart: the trace never
+    rises; a flat step is a rejected trial (every third sweep) unless the
+    fit has already converged to rounding; the trace ends at the returned
+    factorization's objective; every vector is a unit cone member or its
+    term's scale is 0."""
+    trials = {"accepted": 0, "rejected": 0}
+    runs = factor._hals_restarts(T, posets, cfg, trials=trials)
+    noise = 1e-20 * np.sum(T ** 2)
+    flat_trials = 0
+    for fact, trace, _, sweeps in runs:
+        assert len(trace) == sweeps
+        assert trace_nonincreasing(trace)
+        for i in range(1, len(trace)):
+            if trace[i] == trace[i - 1]:
+                if i % 3 == 2:
+                    flat_trials += 1
+                else:
+                    assert trace[i] <= trace[-1] * (1 + 1e-12) + noise
+        assert np.isclose(np.sum((T - fact.reconstruct()) ** 2), trace[-1], rtol=1e-9, atol=noise)
+        assert (fact.lambdas >= 0).all()
+        for F, P in zip(fact.factors, posets):
+            unit = np.isclose(np.linalg.norm(F, axis=1), 1.0, rtol=0, atol=1e-12)
+            assert (unit | (fact.lambdas == 0)).all()
+            for v in F:
+                assert cone.is_monotone(v, [P]).member
+    # every rejected trial repeats its objective
+    assert flat_trials >= trials["rejected"]
+    return trials
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_extrapolated_sweep_invariants(order, rank):
+    rng = np.random.default_rng(100 + 10 * order + rank)
+    shape = tuple(int(x) for x in rng.integers(3, 5 if order < 4 else 4, size=order))
+    # chains, colliders, random DAGs and clamps
+    kinds = (random_chain, random_collider, random_dag, lambda p, rng: poset.trivial(p))
+    posets = [kinds[(order + rank + j) % len(kinds)](p, rng) for j, p in enumerate(shape)]
+    T = rng.random(shape) * 3 if rank == 2 else rng.standard_normal(shape)
+    cfg = FitConfig(rank=rank, restarts=3, seed=order + rank, max_sweeps=300)
+    assert_extrapolation_invariants(T, posets, cfg)
+
+
+def test_extrapolated_sweep_invariants_with_revival(monkeypatch):
+    T = np.random.default_rng(1).standard_normal((3, 4, 3))
+    posets = [poset.chain(3), poset.from_relation([0, 1, 2, 3], [(0, 1), (2, 3)]),
+              poset.collider_to_top(3)]
+    revivals = []
+    rank1_fit = factor._rank1_nd_fit
+    monkeypatch.setattr(factor, "_rank1_nd_fit",
+                        lambda E, posets: revivals.append(1) or rank1_fit(E, posets))
+    trials = assert_extrapolation_invariants(T, posets, FitConfig(rank=3, restarts=3, seed=1,
+                                                                  max_sweeps=300))
+    assert revivals
+    assert trials["accepted"] > 0 and trials["rejected"] > 0
+
+
+@pytest.mark.parametrize("case", ["cchs-0", "cchs-1", "cchs-2", "dag-0", "dag-1"])
+def test_extrapolated_restarts_are_batch_independent(case):
+    # each restart of a batch follows the trajectory it follows alone
+    kind, seed = case.split("-")
+    seed = int(seed)
+    if kind == "cchs":
+        T, posets = datasets.fixture("cchs")
+        T = T / np.linalg.norm(T)
+    else:
+        rng = np.random.default_rng(40 + seed)
+        shape = (4, 3, 3) if seed == 0 else (3, 3, 2, 3)
+        posets = [random_dag(p, rng, density=0.5) for p in shape]
+        T = rng.random(shape) * 3
+    cfg = FitConfig(rank=2, restarts=3, seed=seed, max_sweeps=300)
+    for i, (_, trace, stationary, sweeps) in enumerate(factor._hals_restarts(T, posets, cfg)):
+        alone = FitConfig(rank=2, restarts=1, seed=seed + i, max_sweeps=300)
+        (_, want, want_stationary, want_sweeps), = factor._hals_restarts(T, posets, alone)
+        assert (sweeps, stationary) == (want_sweeps, want_stationary)
+        assert np.allclose(trace, want, rtol=1e-12, atol=0)
+
+
+def test_extrapolation_converges_on_cchs():
+    # the plain sweep needs 650-970 sweeps a restart to meet rel_tol here
+    T, posets = datasets.fixture("cchs")
+    T = T / np.linalg.norm(T)
+    plain = factor._hals_restarts(T, posets, FitConfig(rank=2, restarts=15, max_sweeps=3000),
+                                  extrapolate=False)
+    assert all(stationary for _, _, stationary, _ in plain)
+    for seed in range(6):
+        runs = factor._hals_restarts(T, posets, FitConfig(rank=2, restarts=10, seed=seed))
+        for i, (_, trace, stationary, sweeps) in enumerate(runs):
+            assert stationary and sweeps <= 200
+            assert np.isclose(trace[-1], plain[seed + i][1][-1], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e6])
+def test_hals_is_scale_invariant(scale):
+    # the fit runs on T / ||T||, so tiny tensors neither die nor move optimum
+    T, posets = datasets.fixture("cchs")
+    cfg = FitConfig(rank=2, restarts=3, seed=0)
+    fact, report = factor.hals(T, posets, cfg)
+    got, got_report = factor.hals(scale * T, posets, cfg)
+    assert np.allclose(got.lambdas / scale, fact.lambdas, rtol=1e-9, atol=0)
+    assert np.allclose(np.array(got_report.restart_objectives) / scale ** 2,
+                       report.restart_objectives, rtol=1e-9, atol=0)
+    assert np.allclose(np.array(got_report.objective_trace) / scale ** 2,
+                       report.objective_trace, rtol=1e-9, atol=0)
+    assert ((got_report.sweeps, got_report.stationary, got_report.best_restart)
+            == (report.sweeps, report.stationary, report.best_restart))
+
+
+def test_fit_report_says_why_and_how_the_fit_stopped():
+    T, posets = datasets.fixture("cchs")
+    cfg = FitConfig(rank=2, restarts=3, seed=0)
+    _, report = factor.hals(T, posets, cfg)
+    assert report.stop_reason == "tolerance" and report.stationary
+    # no term dies on cchs, so every third sweep of every restart is a trial
+    runs = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg)
+    trials = report.extrapolation
+    assert set(trials) == {"accepted", "rejected"}
+    assert trials["accepted"] + trials["rejected"] == sum(sweeps // 3 for *_, sweeps in runs)
+    assert trials["accepted"] > trials["rejected"] > 0
+    _, report = factor.hals(T, posets, FitConfig(rank=2, restarts=3, max_sweeps=5))
+    assert report.stop_reason == "max_sweeps" and not report.stationary
+    assert sum(report.extrapolation.values()) == 3
 
 
 @pytest.mark.parametrize("P, y", [(poset.chain(4), [0.5, 1.0, 3.0, 2.0]),
