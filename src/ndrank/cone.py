@@ -4,13 +4,16 @@ sampling.
 
 A tensor over a product of posets has finite nondecreasing rank exactly when
 it lies in the projective tensor product of the per-mode order cones.  That
-cone is generated by outer products of connected-upset indicators; its facet
-inequalities are available in closed form when at most one poset has a
-collider, and by double description at toy scale otherwise.
+cone is generated by outer products of connected-upset indicators.  With at
+most one collider its facets are outer products of one H-rep row per mode
+(``isotonic._halfspace_rows``), so membership is one contraction of the
+tensor, mode differencing when no poset has a collider; otherwise the facets
+come from double description at toy scale.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,8 +23,9 @@ import numpy as np
 
 from . import poset as poset_mod
 from .errors import DegenerateCone, HypothesisViolated, ShapeMismatch, TooLarge
+from .isotonic import _halfspace_rows
 from .poset import Poset, connected_upsets, has_collider, linear_extensions
-from .tensor import apply_kronecker, check_tensor, mobius_inverse_matrix, outer, require_finite
+from .tensor import apply_kronecker, check_tensor, outer
 
 DD_MAX_DIM = 12
 DD_MAX_GENS = 64
@@ -133,115 +137,102 @@ def finite_rank_vrep(posets) -> list:
     return gens
 
 
-def _resolve_product(T: np.ndarray, posets) -> tuple[Poset, tuple]:
-    """Accept a list of per-mode posets or a single (product) poset."""
-    if isinstance(posets, Poset):
-        P = posets
-        if T.size != P.p:
-            raise ShapeMismatch(f"tensor with {T.size} entries vs poset with {P.p} elements")
-        require_finite("tensor", T)
-        return P, T.shape
-    T, posets = check_tensor(T, posets)
-    return poset_mod.product(posets), T.shape
+def _monotone_values(T: np.ndarray, posets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values that are >= 0 exactly when T is monotone, and their covers.
+
+    Returns ``(values, lo, hi)``: the entries of T in row-major order, then
+    ``T.flat[hi] - T.flat[lo]`` for every cover (lo, hi) of the product
+    order on flat indices, sorted by (lo, hi) as ``poset.product`` lists them.
+    """
+    grid = np.arange(T.size).reshape([P.p for P in posets])
+    lo, hi = [], []
+    for j, P in enumerate(posets):
+        a, b = np.array(sorted(P.covers), dtype=np.intp).reshape(-1, 2).T
+        lo.append(np.take(grid, a, axis=j).ravel())
+        hi.append(np.take(grid, b, axis=j).ravel())
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    order = np.lexsort((hi, lo))
+    lo, hi, flat = lo[order], hi[order], T.ravel()
+    return np.concatenate([flat, flat[hi] - flat[lo]]), lo, hi
 
 
 def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
-    """Certificate that T is nonnegative and nondecreasing over the product order."""
+    """Certificate that T is nonnegative and nondecreasing over the product order.
+
+    ``posets`` is one poset per mode, or one poset on the flattened entries.
+    """
     T = np.asarray(T, dtype=float)
-    P, shape = _resolve_product(T, posets)
+    if isinstance(posets, Poset):
+        _, posets = check_tensor(T.ravel(), [posets])
+    else:
+        T, posets = check_tensor(T, posets)
     if tol is None:
         tol = default_tol(T)
-    flat = T.ravel()
+    values, lo, hi = _monotone_values(T, posets)
     violated = []
-    min_value = np.inf
-    for x in range(P.p):
-        min_value = min(min_value, flat[x])
-        if flat[x] < -tol:
-            normal = np.zeros(P.p)
-            normal[x] = 1.0
-            violated.append(Violation(f"{_entry_name(shape, x)} >= 0", normal, float(flat[x])))
-    for a, b in P.covers:
-        val = flat[b] - flat[a]
-        min_value = min(min_value, val)
-        if val < -tol:
-            normal = np.zeros(P.p)
+    for i in np.flatnonzero(values < -tol).tolist():
+        normal = np.zeros(T.size)
+        if i < T.size:
+            normal[i] = 1.0
+            label = f"{_entry_name(T.shape, i)} >= 0"
+        else:
+            a, b = int(lo[i - T.size]), int(hi[i - T.size])
             normal[a], normal[b] = -1.0, 1.0
-            violated.append(Violation(
-                f"{_entry_name(shape, a)} <= {_entry_name(shape, b)}", normal, float(val)))
+            label = f"{_entry_name(T.shape, a)} <= {_entry_name(T.shape, b)}"
+        violated.append(Violation(label, normal, float(values[i])))
+    # the first smallest value, as a running min would keep it
+    min_value = float(values[np.argmin(values)]) if values.size else np.inf
     return MembershipCertificate(member=not violated, violated=violated,
-                                 method="monotonicity", tol=tol, min_value=float(min_value))
-
-
-def _augmented_covers(P: Poset) -> list:
-    """Covers of P with a bottom adjoined; the bottom is index -1."""
-    return [(-1, m) for m in sorted(P.minimal_elements())] + sorted(P.covers)
+                                 method="monotonicity", tol=tol, min_value=min_value)
 
 
 def finite_rank_hrep(posets) -> ConeHRep:
     """Facet halfspaces of the finite-ND-rank cone (signed cover differences).
 
-    Valid when at most one poset has a collider.  One normal per tuple of
-    covers of the bottom-augmented posets; a bottom index drops its term.
+    Valid when at most one poset has a collider: the outer products of one
+    H-rep row per mode, the first mode's row varying slowest.
     """
     posets = list(posets)
     n_colliders = sum(has_collider(P) for P in posets)
     if n_colliders > 1:
         raise HypothesisViolated(
             f"{n_colliders} posets have colliders; the halfspace form needs at most one")
-    shape = tuple(P.p for P in posets)
-    per_mode = []
-    for P in posets:
-        vecs = []
-        for x, y in _augmented_covers(P):
-            h = np.zeros(P.p)
-            h[y] = 1.0
-            if x >= 0:
-                h[x] = -1.0
-            vecs.append(h)
-        per_mode.append(vecs)
-    normals = [outer(combo).ravel() for combo in itertools.product(*per_mode)]
-    return ConeHRep(normals=np.asarray(normals, dtype=int), shape=shape)
-
-
-def _check_hrep(T: np.ndarray, hrep: ConeHRep, tol: float, method: str) -> MembershipCertificate:
-    flat = T.ravel()
-    values = hrep.normals @ flat
-    violated = []
-    for i in np.flatnonzero(values < -tol):
-        normal = hrep.normals[i]
-        violated.append(Violation(format_normal(normal, hrep.shape or T.shape),
-                                  np.asarray(normal, dtype=float), float(values[i])))
-    return MembershipCertificate(member=not violated, violated=violated, method=method,
-                                 tol=tol, min_value=float(values.min()) if values.size else 0.0)
+    normals = functools.reduce(np.kron, [_halfspace_rows(P) for P in posets])
+    return ConeHRep(normals=normals.astype(int), shape=tuple(P.p for P in posets))
 
 
 def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCertificate:
     """Certificate of finite ND rank: is T in the projective product of order cones?
 
-    Dispatch: all posets collider-free -> Kronecker of inverse upset maps
-    (mode differencing); exactly one collider-bearing poset -> closed-form
-    halfspaces; otherwise a double-description fallback at toy scale.
+    With at most one collider-bearing poset the facet values are one
+    contraction of T with each mode's H-rep rows ("tree-differencing" when
+    no poset has a collider, "halfspace" otherwise), and each violated facet
+    is the outer product of its rows; otherwise double description finds the
+    facets at toy scale.
     """
     T, posets = check_tensor(T, [posets] if isinstance(posets, Poset) else posets)
     if tol is None:
         tol = default_tol(T)
     n_colliders = sum(has_collider(P) for P in posets)
-    if n_colliders == 0:
-        invs = [mobius_inverse_matrix(P) for P in posets]
-        D = apply_kronecker(invs, T).ravel()
-        violated = []
-        for flat in np.flatnonzero(D < -tol):
-            idx = np.unravel_index(flat, T.shape)
-            normal = outer([invs[j][idx[j]] for j in range(T.ndim)]).ravel()
-            violated.append(Violation(format_normal(normal, T.shape), normal, float(D[flat])))
+    violated = []
+    if n_colliders > 1:
+        hrep = double_description(finite_rank_vrep(posets))
+        values = hrep.normals @ T.ravel()
+        for i in np.flatnonzero(values < -tol):
+            normal = hrep.normals[i]
+            violated.append(Violation(format_normal(normal, hrep.shape or T.shape),
+                                      np.asarray(normal, dtype=float), float(values[i])))
         return MembershipCertificate(member=not violated, violated=violated,
-                                     method="tree-differencing", tol=tol,
-                                     min_value=float(D.min()))
-    if n_colliders == 1:
-        return _check_hrep(T, finite_rank_hrep(posets), tol, "halfspace")
-    gens = finite_rank_vrep(posets)
-    hrep = double_description(gens)
-    return _check_hrep(T, hrep, tol, "double-description")
+                                     method="double-description", tol=tol,
+                                     min_value=float(values.min()))
+    rows = [_halfspace_rows(P) for P in posets]
+    D = apply_kronecker(rows, T)
+    for idx in zip(*np.nonzero(D < -tol)):
+        normal = outer([H[i] for H, i in zip(rows, idx)]).ravel()
+        violated.append(Violation(format_normal(normal, T.shape), normal, float(D[idx])))
+    return MembershipCertificate(member=not violated, violated=violated,
+                                 method="halfspace" if n_colliders else "tree-differencing",
+                                 tol=tol, min_value=float(D.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -463,41 +454,16 @@ def _uniform_extension_table(P: Poset) -> np.ndarray:
 
 def _walk_sampler(P: Poset, n: int, rng) -> np.ndarray:
     """Uniform linear extensions via the downset-count DP, one walk per sample."""
-    lower_masks = [0] * P.p
-    for a, b in P.covers:
-        lower_masks[b] |= 1 << a
-    counts = {0: 1}
-
-    def count(remaining: int) -> int:
-        c = counts.get(remaining)
-        if c is not None:
-            return c
-        total = 0
-        m = remaining
-        while m:
-            bit = m & -m
-            m ^= bit
-            if lower_masks[bit.bit_length() - 1] & remaining == 0:
-                total += count(remaining ^ bit)
-        counts[remaining] = total
-        return total
-
-    full = (1 << P.p) - 1
-    count(full)
+    dp = poset_mod._Downsets(P)
     choices = {}
 
     def state(remaining: int):
         cached = choices.get(remaining)
         if cached is None:
             opts, weights = [], []
-            m = remaining
-            while m:
-                bit = m & -m
-                m ^= bit
-                x = bit.bit_length() - 1
-                if lower_masks[x] & remaining == 0:
-                    opts.append(x)
-                    weights.append(count(remaining ^ bit))
+            for x, bit in dp.minimal(remaining):
+                opts.append(x)
+                weights.append(dp.count(remaining ^ bit))
             cum = np.cumsum(weights, dtype=float)
             cum /= cum[-1]
             cached = (opts, cum)
@@ -507,7 +473,7 @@ def _walk_sampler(P: Poset, n: int, rng) -> np.ndarray:
     exts = np.empty((n, P.p), dtype=int)
     unif = rng.random((n, P.p))
     for i in range(n):
-        remaining = full
+        remaining = dp.full
         for step in range(P.p):
             opts, cum = state(remaining)
             x = opts[int(np.searchsorted(cum, unif[i, step], side="right"))]

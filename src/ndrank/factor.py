@@ -63,7 +63,7 @@ from .errors import (
 from .isotonic import (_ROW_PATHS, _chain_order, _halfspace_rows, _nnls_certified,
                        _project_rows, _projection_plan, project)
 from .poset import Poset, connected_upsets, is_simplicial
-from .tensor import check_tensor, outer
+from .tensor import check_tensor, outer, require_finite
 
 @dataclass
 class NDFactorization:
@@ -572,18 +572,6 @@ def hals(T, posets, cfg: FitConfig):
 # ---------------------------------------------------------------------------
 # rank-one likelihood solvers
 
-def _fibres_monotone(T: np.ndarray, posets, tol: float) -> bool:
-    if (T < -tol).any():
-        return False
-    for j, P in enumerate(posets):
-        for a, b in P.covers:
-            lo = np.take(T, a, axis=j)
-            hi = np.take(T, b, axis=j)
-            if (hi - lo < -tol).any():
-                return False
-    return True
-
-
 def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDFactorization:
     """Best rank-one fit under squared error, for fibre-monotone tensors.
 
@@ -600,7 +588,7 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
         fact = NDFactorization(np.zeros(1), [_uniform_unit(P.p)[None, :] for P in posets],
                                posets=posets)
         return fact
-    if not _fibres_monotone(T, posets, default_tol(T)):
+    if (cone_mod._monotone_values(T, posets)[0] < -default_tol(T)).any():
         fact, report = hals(T, posets, FitConfig(rank=1, restarts=3, seed=0))
         fact.diagnostics["fallback"] = "fibres not monotone; used rank-one HALS"
         return fact
@@ -619,6 +607,7 @@ def _mode_marginals(T: np.ndarray):
 def rank1_multinomial(T) -> NDFactorization:
     """Rank-one multinomial MLE: product of per-mode marginal distributions."""
     T = np.asarray(T, dtype=float)
+    require_finite("tensor", T)
     if (T < 0).any():
         raise NonNegativityViolated("multinomial data must be nonnegative")
     marg, total = _mode_marginals(T)
@@ -630,6 +619,7 @@ def rank1_multinomial(T) -> NDFactorization:
 def rank1_poisson(T) -> NDFactorization:
     """Rank-one Poisson MLE: marginal distributions scaled by the grand total."""
     T = np.asarray(T, dtype=float)
+    require_finite("tensor", T)
     if (T < 0).any():
         raise NonNegativityViolated("Poisson data must be nonnegative")
     marg, total = _mode_marginals(T)
@@ -648,7 +638,7 @@ def rank1_exponential(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> 
     T, posets = check_tensor(T, posets)
     if (T <= 0).any():
         raise NonPositiveEntry("exponential data must be strictly positive")
-    if not _fibres_monotone(T, posets, default_tol(T)):
+    if (cone_mod._monotone_values(T, posets)[0] < -default_tol(T)).any():
         raise HypothesisViolated("every fibre must lie in its order cone")
     unfold = _unfoldings(T)
     vecs = [np.ones(P.p) for P in posets]
@@ -719,7 +709,7 @@ def rank2_matrix_exact(T, posets, mode: str = "min-volume") -> Rank2Result:
     T = np.asarray(T, dtype=float)
     if T.ndim != 2:
         raise ShapeMismatch("rank2_matrix_exact expects a matrix")
-    posets = list(posets)
+    T, posets = check_tensor(T, posets)
     U, s, Vt = np.linalg.svd(T, full_matrices=False)
     T2 = (U[:, :2] * s[:2]) @ Vt[:2]
     cert = membership_finite_rank(T2, posets)
@@ -858,9 +848,11 @@ def tri_factorization_verify(T, H, posets, tol: float | None = None) -> TriFacto
     """
     T = np.asarray(T, dtype=float)
     H = np.asarray(H, dtype=float)
-    if T.ndim != 2 or len(list(posets)) != 2:
-        raise ShapeMismatch("tri-factorization applies to matrices with two posets")
     posets = list(posets)
+    if T.ndim != 2 or len(posets) != 2:
+        raise ShapeMismatch("tri-factorization applies to matrices with two posets")
+    T, posets = check_tensor(T, posets)
+    require_finite("H", H)
     V = [order_cone_vrep(P).generators.T for P in posets]  # (p_j, q_j)
     if H.shape != (V[0].shape[1], V[1].shape[1]):
         raise ShapeMismatch(f"H has shape {H.shape}, expected {(V[0].shape[1], V[1].shape[1])}")

@@ -89,17 +89,16 @@ def _chain_order(P: Poset):
 
 @functools.lru_cache(maxsize=256)
 def _halfspace_rows(P: Poset) -> np.ndarray:
-    """H-representation rows of C(P): e_m for minimal m, e_b - e_a for covers."""
-    rows = []
-    for m in P.minimal_elements():
-        r = np.zeros(P.p)
-        r[m] = 1.0
-        rows.append(r)
-    for a, b in P.covers:
-        r = np.zeros(P.p)
-        r[a], r[b] = -1.0, 1.0
-        rows.append(r)
-    return np.asarray(rows)
+    """H-representation rows of C(P): e_m for minimal m, then e_b - e_a for
+    covers (a, b) in sorted order.  The one H-rep in the package; read-only,
+    as the cached array is shared."""
+    mins, covers = P.minimal_elements(), sorted(P.covers)
+    A = np.zeros((len(mins) + len(covers), P.p))
+    A[range(len(mins)), mins] = 1.0
+    for r, (a, b) in enumerate(covers, start=len(mins)):
+        A[r, a], A[r, b] = -1.0, 1.0
+    A.setflags(write=False)
+    return A
 
 
 @functools.lru_cache(maxsize=256)

@@ -323,31 +323,44 @@ def count_antichains(P: Poset) -> int:
     return count(0, (1 << P.p) - 1)
 
 
-def count_linear_extensions(P: Poset) -> int:
-    """Exact count of linear extensions via dynamic programming over upsets."""
-    if P.p > 2 * LINEAR_EXTENSION_GUARD:
-        raise TooLarge(f"extension counting guarded at p <= {2 * LINEAR_EXTENSION_GUARD}")
-    lower_masks = [0] * P.p
-    for a, b in P.covers:
-        lower_masks[b] |= 1 << a
-    memo = {0: 1}
+class _Downsets:
+    """Counts of linear extensions of upsets, given as bitmasks.  An extension
+    of U starts with a minimal x of U, so count(U) sums count(U - x)."""
 
-    def count(remaining: int) -> int:
-        cached = memo.get(remaining)
-        if cached is not None:
-            return cached
-        total = 0
+    def __init__(self, P: Poset):
+        self.full = (1 << P.p) - 1
+        self._lower = [0] * P.p
+        for a, b in P.covers:
+            self._lower[b] |= 1 << a
+        self._counts = {0: 1}
+
+    def minimal(self, remaining: int):
+        """Yield ``(x, bit)`` for each element x minimal in ``remaining``."""
+        lower = self._lower
         m = remaining
         while m:
             bit = m & -m
             m ^= bit
             x = bit.bit_length() - 1
-            if lower_masks[x] & remaining == 0:  # x minimal in remaining
-                total += count(remaining ^ bit)
-        memo[remaining] = total
-        return total
+            if lower[x] & remaining == 0:
+                yield x, bit
 
-    return count((1 << P.p) - 1)
+    def count(self, remaining: int) -> int:
+        c = self._counts.get(remaining)
+        if c is None:
+            c = 0
+            for _, bit in self.minimal(remaining):
+                c += self.count(remaining ^ bit)
+            self._counts[remaining] = c
+        return c
+
+
+def count_linear_extensions(P: Poset) -> int:
+    """Exact count of linear extensions via dynamic programming over upsets."""
+    if P.p > 2 * LINEAR_EXTENSION_GUARD:
+        raise TooLarge(f"extension counting guarded at p <= {2 * LINEAR_EXTENSION_GUARD}")
+    dp = _Downsets(P)
+    return dp.count(dp.full)
 
 
 def linear_extensions(P: Poset) -> list[tuple]:
@@ -357,11 +370,9 @@ def linear_extensions(P: Poset) -> list[tuple]:
     """
     if P.p > LINEAR_EXTENSION_GUARD:
         raise TooLarge(f"linear_extensions is guarded at p <= {LINEAR_EXTENSION_GUARD} (got {P.p})")
-    if count_linear_extensions(P) > LINEAR_EXTENSION_COUNT_LIMIT:
+    dp = _Downsets(P)
+    if dp.count(dp.full) > LINEAR_EXTENSION_COUNT_LIMIT:
         raise TooLarge("poset has more than 1e6 linear extensions")
-    lower_masks = [0] * P.p
-    for a, b in P.covers:
-        lower_masks[b] |= 1 << a
     out: list[tuple] = []
     prefix: list[int] = []
 
@@ -369,17 +380,12 @@ def linear_extensions(P: Poset) -> list[tuple]:
         if not remaining:
             out.append(tuple(prefix))
             return
-        m = remaining
-        while m:
-            bit = m & -m
-            m ^= bit
-            x = bit.bit_length() - 1
-            if lower_masks[x] & remaining == 0:
-                prefix.append(x)
-                walk(remaining ^ bit)
-                prefix.pop()
+        for x, bit in dp.minimal(remaining):
+            prefix.append(x)
+            walk(remaining ^ bit)
+            prefix.pop()
 
-    walk((1 << P.p) - 1)
+    walk(dp.full)
     return out
 
 

@@ -1,14 +1,15 @@
 """Shared test utilities: random poset generators, an independent
 projected-gradient oracle for order-cone projection, a pure-Python
-pool-adjacent-violators reference, the term-by-term ALS init and the
-full-tensor ND-HALS sweep that the package's batched versions are checked
-against."""
+pool-adjacent-violators reference, the product-poset monotonicity check and
+the explicit-normals membership check, the term-by-term ALS init and the
+full-tensor ND-HALS sweep that the package's vectorized versions are
+checked against."""
 
 import itertools
 
 import numpy as np
 
-from ndrank import factor, poset
+from ndrank import cone, factor, poset, tensor
 from ndrank.isotonic import project
 from ndrank.tensor import outer
 
@@ -60,6 +61,86 @@ def cone_halfspaces(P):
         a[u], a[v] = -1.0, 1.0
         rows.append(a)
     return np.asarray(rows)
+
+
+def reference_is_monotone(T, posets, tol=None):
+    """Monotonicity over the product poset, built in full: one loop over its
+    entries, then one over its covers in the poset's order."""
+    T = np.asarray(T, dtype=float)
+    if isinstance(posets, poset.Poset):
+        P = posets
+    else:
+        T, posets = tensor.check_tensor(T, posets)
+        P = poset.product(posets)
+    if tol is None:
+        tol = cone.default_tol(T)
+    flat = T.ravel()
+    violated = []
+    min_value = np.inf
+    for x in range(P.p):
+        min_value = min(min_value, flat[x])
+        if flat[x] < -tol:
+            normal = np.zeros(P.p)
+            normal[x] = 1.0
+            violated.append(cone.Violation(f"{cone._entry_name(T.shape, x)} >= 0",
+                                           normal, float(flat[x])))
+    for a, b in P.covers:
+        val = flat[b] - flat[a]
+        min_value = min(min_value, val)
+        if val < -tol:
+            normal = np.zeros(P.p)
+            normal[a], normal[b] = -1.0, 1.0
+            violated.append(cone.Violation(
+                f"{cone._entry_name(T.shape, a)} <= {cone._entry_name(T.shape, b)}",
+                normal, float(val)))
+    return cone.MembershipCertificate(member=not violated, violated=violated,
+                                      method="monotonicity", tol=tol,
+                                      min_value=float(min_value))
+
+
+def reference_finite_rank_normals(posets):
+    """Every outer product of one augmented cover vector per mode: e_m for a
+    minimal m (a cover of an adjoined bottom) or e_b - e_a for a cover."""
+    per_mode = []
+    for P in posets:
+        vecs = []
+        for x, y in ([(-1, m) for m in sorted(P.minimal_elements())] + sorted(P.covers)):
+            h = np.zeros(P.p)
+            h[y] = 1.0
+            if x >= 0:
+                h[x] = -1.0
+            vecs.append(h)
+        per_mode.append(vecs)
+    return np.asarray([outer(c).ravel() for c in itertools.product(*per_mode)], dtype=int)
+
+
+def reference_membership(T, posets, tol=None):
+    """Finite-ND-rank membership by the written-out maps: the Kronecker
+    product of Moebius inverses for collider-free posets, every explicit
+    facet normal with one collider, double description otherwise."""
+    T, posets = tensor.check_tensor(T, [posets] if isinstance(posets, poset.Poset) else posets)
+    if tol is None:
+        tol = cone.default_tol(T)
+    n_colliders = sum(poset.has_collider(P) for P in posets)
+    if n_colliders == 0:
+        invs = [tensor.mobius_inverse_matrix(P) for P in posets]
+        values = tensor.apply_kronecker(invs, T).ravel()
+        normals = [outer([invs[j][i] for j, i in enumerate(np.unravel_index(f, T.shape))]).ravel()
+                   for f in range(T.size)]
+        method = "tree-differencing"
+    else:
+        if n_colliders == 1:
+            normals = reference_finite_rank_normals(posets)
+            method = "halfspace"
+        else:
+            normals = cone.double_description(cone.finite_rank_vrep(posets)).normals
+            method = "double-description"
+        values = normals @ T.ravel()
+    violated = [cone.Violation(cone.format_normal(normals[i], T.shape),
+                               np.asarray(normals[i], dtype=float), float(values[i]))
+                for i in np.flatnonzero(values < -tol)]
+    return cone.MembershipCertificate(member=not violated, violated=violated, method=method,
+                                      tol=tol, min_value=float(values.min()))
 
 
 def projection_oracle(y, P, w=None, max_iter=200_000, kkt_tol=1e-13):

@@ -114,6 +114,17 @@ def test_factorize_loss_rank_guard(capsys):
     assert "rank 1" in err
 
 
+@pytest.mark.parametrize("loss", ["multinomial", "poisson"])
+def test_factorize_rejects_non_finite_tensor(tmp_path, capsys, loss):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": [2, 2], "data": [1.0, float("nan"), 2.0, 3.0]}))
+    out = tmp_path / "fit"
+    code, _, err = run(capsys, "factorize", str(path), "chain:2", "chain:2", "--rank", "1",
+                       "--loss", loss, "--out", str(out))
+    assert code == 2 and "finite" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
+
+
 def test_factorize_rejects_bad_fit_settings(tmp_path, capsys):
     for flag in ("--restarts", "--max-sweeps"):
         out = tmp_path / flag.strip("-")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from ndrank import cone, poset, tensor
 from ndrank.errors import (
@@ -10,7 +11,8 @@ from ndrank.errors import (
     TooLarge,
 )
 
-from helpers import random_forest
+from helpers import (random_forest, reference_finite_rank_normals, reference_is_monotone,
+                     reference_membership)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 SELENIUM = np.array([
@@ -306,3 +308,148 @@ def test_canonical_inequalities_sign_and_scale():
     rows = [np.array([0, -2, 2]), np.array([0, 1, -1])]
     canon = cone.canonical_inequalities(rows)
     assert canon == [(0, 1, -1), (0, 1, -1)]
+
+
+def _random_posets(rng, k):
+    """k small posets: chains, forests, colliders, trivial orders."""
+    out = []
+    for _ in range(k):
+        p = int(rng.integers(1, 5))
+        kind = int(rng.integers(0, 4))
+        out.append(poset.chain(p) if kind == 0 else random_forest(p, rng) if kind == 1
+                   else poset.collider_to_top(p) if kind == 2 and p >= 3 else poset.trivial(p))
+    return out
+
+
+def _random_tensor(posets, rng, kind):
+    shape = tuple(P.p for P in posets)
+    if kind == "signed":
+        return rng.standard_normal(shape)
+    if kind == "tied":
+        return rng.integers(-2, 3, size=shape).astype(float)
+    # sorted: a nonnegative combination of outer products of upset indicators
+    T = np.zeros(shape)
+    for _ in range(int(rng.integers(1, 4))):
+        gens = [cone.order_cone_vrep(P).generators for P in posets]
+        T = T + rng.uniform(0.1, 1.0) * tensor.outer([G[rng.integers(len(G))] for G in gens])
+    return T
+
+
+def _same_certificate(a, b, atol=0.0):
+    assert (a.member, a.method, a.tol) == (b.member, b.method, b.tol)
+    assert [v.label for v in a.violated] == [v.label for v in b.violated]
+    for u, v in zip(a.violated, b.violated):
+        assert np.array_equal(u.normal, v.normal)
+        assert abs(u.value - v.value) <= atol
+    assert a.min_value == b.min_value or abs(a.min_value - b.min_value) <= atol
+
+
+def _cases(seed, n):
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        posets = _random_posets(rng, int(rng.integers(1, 4)))
+        yield posets, _random_tensor(posets, rng, ("signed", "tied", "sorted")[i % 3])
+
+
+def test_is_monotone_matches_product_poset_reference():
+    for i, (posets, T) in enumerate(_cases(40, 600)):
+        arg = poset.product(posets) if i % 4 == 3 else posets
+        new, ref = cone.is_monotone(T, arg), reference_is_monotone(T, arg)
+        _same_certificate(new, ref)
+        # bitwise, down to the sign of a zero
+        assert np.float64(new.min_value).tobytes() == np.float64(ref.min_value).tobytes()
+        assert [v.value for v in new.violated] == [v.value for v in ref.violated]
+    # a running min keeps the first of several zeros, whatever the later signs
+    for T in (np.array([[-0.0, 0.0], [0.0, 0.0]]), np.array([[0.0, -0.0], [-0.0, -0.0]])):
+        for arg in ([poset.chain(2), poset.chain(2)], poset.trivial(4)):
+            new, ref = cone.is_monotone(T, arg), reference_is_monotone(T, arg)
+            assert np.signbit(new.min_value) == np.signbit(ref.min_value) == np.signbit(T.flat[0])
+    empty = poset.from_relation([], [])
+    for posets in ([empty], [empty, poset.chain(3)]):
+        T = np.zeros(tuple(P.p for P in posets))
+        cert = cone.is_monotone(T, posets)
+        assert cert.member and cert.min_value == np.inf
+        _same_certificate(cert, reference_is_monotone(T, posets))
+
+
+def test_membership_matches_explicit_normals_reference():
+    checked = 0
+    for posets, T in _cases(41, 600):
+        if sum(poset.has_collider(P) for P in posets) > 1 and T.size > 12:
+            continue  # double description is guarded at dimension 12
+        new, ref = cone.membership_finite_rank(T, posets), reference_membership(T, posets)
+        atol = 1e-12 * (1.0 + float(np.abs(T).max()))
+        # the one-contraction paths list violations in H-rep row order
+        key = lambda c: sorted(c.violated, key=lambda v: v.label)  # noqa: E731
+        new.violated, ref.violated = key(new), key(ref)
+        _same_certificate(new, ref, atol)
+        checked += 1
+    assert checked > 500
+    # a flat poset is a one-mode tensor
+    T = np.array([3.0, 1.0, 2.0])
+    _same_certificate(cone.membership_finite_rank(T, poset.chain(3)),
+                      reference_membership(T, poset.chain(3)))
+
+
+def test_finite_rank_hrep_matches_reference_normals():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        posets = _random_posets(rng, int(rng.integers(1, 4)))
+        if sum(poset.has_collider(P) for P in posets) > 1:
+            continue
+        h = cone.finite_rank_hrep(posets)
+        ref = reference_finite_rank_normals(posets)
+        assert h.normals.dtype == ref.dtype and np.array_equal(h.normals, ref)
+        assert h.shape == tuple(P.p for P in posets)
+
+
+def test_is_monotone_builds_no_product_poset(monkeypatch):
+    def refuse(factors):
+        raise AssertionError("poset.product was called")
+
+    monkeypatch.setattr(poset, "product", refuse)
+    rng = np.random.default_rng(43)
+    posets = [poset.chain(30), poset.chain(25), poset.chain(20)]
+    T = rng.uniform(size=(30, 25, 20)).cumsum(0).cumsum(1).cumsum(2)
+    assert cone.is_monotone(T, posets).member
+    T[3, 4, 5] = -1.0  # one negative entry and the three covers into it decrease
+    cert = cone.is_monotone(T, posets)
+    assert [v.label for v in cert.violated] == [
+        "t[4,5,6] >= 0", "t[3,5,6] <= t[4,5,6]", "t[4,4,6] <= t[4,5,6]", "t[4,5,5] <= t[4,5,6]"]
+
+
+def test_rank1_monotone_checks_build_no_violations(monkeypatch):
+    from ndrank import factor
+    from ndrank.errors import HypothesisViolated
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Violation was built")
+
+    monkeypatch.setattr(cone, "Violation", refuse)
+    rng = np.random.default_rng(44)
+    posets = [poset.chain(30), poset.chain(25), poset.chain(20)]
+    with pytest.raises(HypothesisViolated):
+        factor.rank1_exponential(rng.uniform(1.0, 2.0, size=(30, 25, 20)), posets)
+
+
+def test_walk_sampler_is_uniform_on_the_grid():
+    P = poset.product([poset.chain(3), poset.chain(3)])
+    exts = [tuple(e) for e in poset.linear_extensions(P)]
+    assert len(exts) == 42
+    n = 42 * 150
+    draws = cone._walk_sampler(P, n, np.random.default_rng(45))
+    seen = {}
+    for row in draws.tolist():
+        seen[tuple(row)] = seen.get(tuple(row), 0) + 1
+    assert set(seen) == set(exts)
+    counts = np.array([seen[e] for e in exts])
+    stat = float(((counts - n / 42) ** 2 / (n / 42)).sum())
+    assert stat < chi2.ppf(1 - 1e-6, df=41)
+
+
+def test_sampler_walk_path_is_seeded():
+    a = cone.sample_finite_rank_probability(4, 2000, seed=46, allow_large=True)
+    b = cone.sample_finite_rank_probability(4, 2000, seed=46, allow_large=True)
+    assert (a.estimate, a.members, a.n_samples) == (b.estimate, b.members, b.n_samples)
+    assert 0.0 <= a.estimate < 0.05
+

@@ -300,6 +300,37 @@ def test_fits_reject_non_finite(bad):
         factor.rank1_exponential(T, posets)
 
 
+def _with_entry(value, shape=(3, 3), at=(1, 2)):
+    T = np.ones(shape)
+    T[at] = value
+    return T
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank2_matrix_exact_rejects_non_finite(bad):
+    # unchecked, the SVD fails to converge
+    with pytest.raises(NonFiniteInput):
+        factor.rank2_matrix_exact(_with_entry(bad), [poset.chain(3), poset.chain(3)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solver", [factor.rank1_multinomial, factor.rank1_poisson])
+def test_marginal_solvers_reject_non_finite(solver, bad):
+    # unchecked, the marginals and so the factors are NaN
+    with pytest.raises(NonFiniteInput):
+        solver(_with_entry(bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tri_factorization_verify_rejects_non_finite(bad):
+    # unchecked, the check reports ok=False with a NaN residual
+    posets = [poset.chain(3), poset.chain(3)]
+    with pytest.raises(NonFiniteInput):
+        factor.tri_factorization_verify(_with_entry(bad), np.ones((3, 3)), posets)
+    with pytest.raises(NonFiniteInput):
+        factor.tri_factorization_verify(np.ones((3, 3)), _with_entry(bad), posets)
+
+
 def test_gauge_invariance_of_reconstruction():
     rng = np.random.default_rng(7)
     T = np.cumsum(np.cumsum(rng.random((3, 4)), axis=0), axis=1)

@@ -210,3 +210,16 @@ def test_text_format_comments_and_errors():
     except ParseError as exc:
         err = exc
     assert err is not None
+
+
+def test_linear_extension_count_matches_listing():
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        P = random_forest(int(rng.integers(1, 8)), rng)
+        exts = poset.linear_extensions(P)
+        assert poset.count_linear_extensions(P) == len(exts) == len(set(exts))
+        for e in exts:
+            pos = {x: i for i, x in enumerate(e)}
+            assert all(pos[a] < pos[b] for a, b in P.covers)
+    assert poset.count_linear_extensions(poset.trivial(5)) == 120
+    assert poset.count_linear_extensions(poset.product([poset.chain(3), poset.chain(3)])) == 42
