@@ -201,6 +201,7 @@ def cmd_factorize(args) -> int:
             manifest["projections"] = report.projection_rows
             manifest["stopped"] = report.stop_reason
             manifest["extrapolation"] = report.extrapolation
+            manifest["timings"] = report.timings
         with open(f"{args.out}_manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")

@@ -37,6 +37,13 @@ MTTKRP, the right-hand sides of the ALS init, the alternating rank-one loop
 that revives dead terms and fits the Gaussian rank-one model, and the
 exponential solver's fixed-point update.
 
+The starts of every restart are built as one stack as well: the inits take
+an int seed, for one start, or a sequence of seeds, for a list of starts,
+and the ALS init runs each of its iterations as one batched solve per mode
+for every restart.  Each restart keeps its own random generator and every
+product is formed per restart, so a stacked start is bitwise the one its
+seed gives alone.
+
 Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson,
 and exponential likelihoods, and a truncated-SVD shortcut recovers exact
 rank-two matrix factorizations whenever the truncation already has finite
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -169,10 +177,13 @@ class FitReport:
     ``chain`` (PAVA), and for general posets ``in_cone`` (already in the
     cone), ``warm`` (certified on the previous sweep's active set) and
     ``solved`` (certified nonnegative least squares).  ``stop_reason`` is
-    ``"tolerance"`` when the best restart met ``rel_tol`` and
-    ``"max_sweeps"`` when it reached the cap; ``extrapolation`` counts the
-    extrapolated sweeps kept (``accepted``) and undone (``rejected``),
-    summed over every restart.
+    ``"dead"`` when every term of the best restart has scale 0 (the fit of
+    the zero tensor, say), and otherwise ``"tolerance"`` when the best
+    restart met ``rel_tol`` and ``"max_sweeps"`` when it reached the cap;
+    ``extrapolation`` counts the extrapolated sweeps kept (``accepted``) and
+    undone (``rejected``), summed over every restart.  ``timings`` holds the
+    seconds the whole batch of restarts spent in the init (``init_s``) and
+    in the sweeps (``sweeps_s``).
     """
 
     objective_trace: list
@@ -184,6 +195,7 @@ class FitReport:
     projection_rows: dict = field(default_factory=dict)
     stop_reason: str = ""
     extrapolation: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
 
 def _uniform_unit(p: int) -> np.ndarray:
@@ -224,7 +236,7 @@ def _rank1_nd_fit(E: np.ndarray, posets, sweeps: int = 30, tol: float = 1e-12):
     return lam, vecs
 
 
-def init_als_project(T, r: int, posets, seed: int) -> NDFactorization:
+def init_als_project(T, r: int, posets, seed) -> NDFactorization | list:
     """Unconstrained alternating-least-squares fit, then per-vector projection.
 
     A short ALS run gives a good unconstrained rank-r approximation; each
@@ -235,74 +247,93 @@ def init_als_project(T, r: int, posets, seed: int) -> NDFactorization:
     and each even sign pattern is scored from per-mode scalars.  A
     numerically zero projection is replaced by the uniform cone direction
     and its term's scale set to 0.
+
+    ``seed`` is an int, which gives one start, or a sequence of seeds, which
+    gives a list of starts in seed order.  The starts run as one stack of
+    factors (R, r, p_j): each ALS step is one batched solve per mode for
+    every restart, and the sign choice one projection call per mode.  Each
+    restart draws from its own generator and every product is formed per
+    restart, so a start is bitwise the one its seed gives alone.
     """
     T = np.asarray(T, dtype=float)
     posets = list(posets)
-    k = T.ndim
-    rng = np.random.default_rng(seed)
-    F = [rng.standard_normal((r, P.p)) for P in posets]
-    if not np.any(T):
-        return NDFactorization(np.zeros(r), [np.tile(_uniform_unit(P.p), (r, 1)) for P in posets],
-                               posets=posets)
-    scale = (float(np.abs(T).mean()) or 1.0) ** (1.0 / k)
-    F = [scale * f for f in F]
-    unfold = _unfoldings(T)
-    for _ in range(25):
-        for t in range(k):
-            others = F[:t] + F[t + 1:]
-            gram = np.ones((r, r))
-            for f in others:
-                gram *= f @ f.T
-            ridge = 1e-10 * (1.0 + float(np.trace(gram)) / r)
-            # the ridged Gram is symmetric positive definite
-            F[t] = np.linalg.solve(gram + ridge * np.eye(r),
-                                   _khatri_rao_rows(others, (r,)) @ unfold[t])
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    R, k = len(seeds), T.ndim
+    rngs = [np.random.default_rng(s) for s in seeds]
+    F = [np.array([rng.standard_normal((r, P.p)) for rng in rngs]).reshape(R, r, P.p)
+         for P in posets]
+    lambdas = np.zeros((R, r))
+    out = [np.tile(_uniform_unit(P.p), (R, r, 1)) for P in posets]
+    if np.any(T):
+        scale = (float(np.abs(T).mean()) or 1.0) ** (1.0 / k)
+        F = [scale * f for f in F]
+        unfold = _unfoldings(T)
+        for _ in range(25):
+            for t in range(k):
+                others = F[:t] + F[t + 1:]
+                gram = np.ones((R, r, r))
+                for f in others:
+                    gram *= f @ f.transpose(0, 2, 1)
+                ridge = 1e-10 * (1.0 + np.trace(gram, axis1=1, axis2=2) / r)
+                # the ridged Gram is symmetric positive definite; the
+                # right-hand side is one (r, P) @ (P, p_t) product per
+                # restart, as one (R r, P) product would round each row
+                # differently with R
+                F[t] = np.linalg.solve(gram + ridge[:, None, None] * np.eye(r),
+                                       _khatri_rao_rows(others, (R, r)) @ unfold[t])
 
-    # the sign choice: both orientations of every vector are projected once,
-    # and by the rank-one Gram identity a term's squared distance to its
-    # projection, pp + rr - 2 pr, is a product of per-mode scalars for each
-    # sign pattern
-    proj, pp, pr = [], [], []
-    for f, P in zip(F, posets):
-        Y = np.concatenate([f, -f])
-        V = _project_rows(Y, P)
-        proj.append(V.reshape(2, r, -1))
-        pp.append(_rowdot(V, V).reshape(2, r))
-        pr.append(_rowdot(V, Y).reshape(2, r))
-    rr = np.prod([_rowdot(f, f) for f in F], axis=0)
-    # the even patterns as orientations per mode (1 flips the sign), in
-    # itertools.product order: argmin hands a tie to the first pattern
-    flips = np.array([s for s in itertools.product((0, 1), repeat=k) if sum(s) % 2 == 0])
-    modes, terms = np.arange(k), np.arange(r)
-    score = (np.prod(np.array(pp)[modes, flips], axis=1) + rr
-             - 2 * np.prod(np.array(pr)[modes, flips], axis=1))
-    best = flips[np.argmin(score, axis=0)]  # (r, k)
-    lambdas = np.ones(r)
-    out = []
-    for j, (f, P) in enumerate(zip(F, posets)):
-        V = proj[j][best[:, j], terms]
-        n = np.sqrt(pp[j][best[:, j], terms])
-        # the sweep's liveness test: float crumbs divided by their norm would
-        # make an arbitrary, possibly infeasible, unit vector
-        live = n > 1e-13 * (1.0 + np.sqrt(_rowdot(f, f)))
-        lambdas = np.where(live, lambdas * n, 0.0)
-        U = np.tile(_uniform_unit(P.p), (r, 1))
-        out.append(np.divide(V, n[:, None], out=U, where=live[:, None]))
-    return NDFactorization(lambdas, out, posets=posets)
+        # the sign choice: both orientations of every vector are projected
+        # once, and by the rank-one Gram identity a term's squared distance
+        # to its projection, pp + rr - 2 pr, is a product of per-mode
+        # scalars for each sign pattern
+        proj, pp, pr = [], [], []
+        for f, P in zip(F, posets):
+            Y = np.concatenate([f, -f]).reshape(-1, P.p)
+            V = _project_rows(Y, P)
+            proj.append(V.reshape(2, R, r, P.p))
+            pp.append(_rowdot(V, V).reshape(2, R, r))
+            pr.append(_rowdot(V, Y).reshape(2, R, r))
+        rr = np.prod([_rowdot(f, f) for f in F], axis=0)
+        # the even patterns as orientations per mode (1 flips the sign), in
+        # itertools.product order: argmin hands a tie to the first pattern
+        flips = np.array([s for s in itertools.product((0, 1), repeat=k) if sum(s) % 2 == 0])
+        modes = np.arange(k)
+        score = (np.prod(np.array(pp)[modes, flips], axis=1) + rr
+                 - 2 * np.prod(np.array(pr)[modes, flips], axis=1))
+        best = flips[np.argmin(score, axis=0)]  # (R, r, k)
+        at = np.arange(R)[:, None], np.arange(r)
+        lambdas = np.ones((R, r))
+        for j, f in enumerate(F):
+            V = proj[j][(best[..., j],) + at]
+            n = np.sqrt(pp[j][(best[..., j],) + at])
+            # the sweep's liveness test: float crumbs divided by their norm
+            # would make an arbitrary, possibly infeasible, unit vector
+            live = n > 1e-13 * (1.0 + np.sqrt(_rowdot(f, f)))
+            lambdas = np.where(live, lambdas * n, 0.0)
+            np.divide(V, n[..., None], out=out[j], where=live[..., None])
+    starts = [NDFactorization(lambdas[b], [U[b] for U in out], posets=posets) for b in range(R)]
+    return starts[0] if np.ndim(seed) == 0 else starts
 
 
-def _init_random_cone(T, r, posets, seed):
-    rng = np.random.default_rng(seed)
+def _init_random_cone(T, r: int, posets, seed) -> NDFactorization | list:
+    """Random-cone init: r uniform draws per mode, projected and normalized
+    (the uniform unit vector where a projection is zero), every term at
+    scale ||T|| / r.  ``seed`` is an int or a sequence, as for
+    :func:`init_als_project`; the draws of every restart are projected in
+    one call per mode."""
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    R = len(seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
     factors = []
     for P in posets:
-        rows = []
-        for _ in range(r):
-            v = project(rng.random(P.p), P)
-            n = float(np.linalg.norm(v))
-            rows.append(v / n if n > 0 else _uniform_unit(P.p))
-        factors.append(np.asarray(rows))
-    lam = float(np.linalg.norm(T)) / max(r, 1)
-    return NDFactorization(np.full(r, lam), factors, posets=list(posets))
+        V = _project_rows(np.array([rng.random((r, P.p)) for rng in rngs]).reshape(-1, P.p), P)
+        n = np.sqrt(_rowdot(V, V))
+        U = np.tile(_uniform_unit(P.p), (R * r, 1))
+        factors.append(np.divide(V, n[:, None], out=U, where=n[:, None] > 0).reshape(R, r, P.p))
+    lam = np.full(r, float(np.linalg.norm(T)) / max(r, 1))
+    starts = [NDFactorization(lam.copy(), [F[b] for F in factors], posets=list(posets))
+              for b in range(R)]
+    return starts[0] if np.ndim(seed) == 0 else starts
 
 
 def _khatri_rao_rows(vecs: list, lead: tuple) -> np.ndarray:
@@ -330,18 +361,20 @@ def _reconstruct_rows(lambdas: np.ndarray, factors: list) -> np.ndarray:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a with the same row of b."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Dot product of each row of a with the same row of b, over any
+    leading axes."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
-                   trials: dict | None = None, extrapolate: bool = True) -> list:
+                   trials: dict | None = None, timings: dict | None = None,
+                   extrapolate: bool = True) -> list:
     """Every restart of :func:`hals`, run as one batch.
 
-    Restart i starts from its own initialization (seed ``cfg.seed + i``);
-    the stack holds scales (R, r), factors (R, r, p_j) and Grams
-    G_j = F_j F_j' of shape (R, r, r), and every (term, mode) update is a
-    handful of batched products over it.  For each general-poset mode the
+    Restart i starts from its own initialization (seed ``cfg.seed + i``),
+    and one call of the init makes them all; the stack holds scales (R, r),
+    factors (R, r, p_j) and Grams G_j = F_j F_j' of shape (R, r, r), and
+    every (term, mode) update is a handful of batched products over it.  For each general-poset mode the
     stack also keeps every vector's support (R, r, m_t), the halfspace rows
     active at its last projection, from which the next projection starts.
     With ``extrapolate``, every third sweep starts from a SQUAREM point (see
@@ -350,13 +383,16 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
     scale-free by passing T / ||T||.  A restart that meets ``rel_tol``
     leaves the stack.  Returns ``(NDFactorization, trace, stationary,
     sweeps)`` per restart, in seed order; ``counts``, if given, adds the
-    sweep's projection rows by path, and ``trials`` the accepted and
-    rejected extrapolated sweeps.
+    sweep's projection rows by path, ``trials`` the accepted and rejected
+    extrapolated sweeps, and ``timings`` the seconds spent in the init
+    (``init_s``) and in the sweeps (``sweeps_s``) of the whole batch.
     """
     r, k = cfg.rank, T.ndim
     seeds = [cfg.seed + i for i in range(cfg.restarts)]
     init = init_als_project if cfg.init == "als-project" else _init_random_cone
-    starts = [init(T, r, posets, seed) for seed in seeds]
+    t0 = time.perf_counter()
+    starts = init(T, r, posets, seeds)
+    t1 = time.perf_counter()
     # the state x of every restart, one row each: [lambda, every mode's
     # vectors]; ``lambdas`` (R, r) and ``factors`` (R, r, p_j) are views of it
     offs = np.cumsum([0, r] + [r * P.p for P in posets])
@@ -498,13 +534,17 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
             finish(np.flatnonzero(done), True, sweep + 1)
             keep = ~done
             if not keep.any():
-                return runs
+                break
             active, X, recon, last = active[keep], X[keep], recon[keep], last[keep]
             lambdas, factors = views(X)
             supports = [S[keep] for S in supports]
             snaps, step_max, tainted = snaps[:, keep], step_max[keep], tainted[keep]
         prev = recon
-    finish(range(len(active)), False, cfg.max_sweeps)
+    else:
+        finish(range(len(active)), False, cfg.max_sweeps)
+    if timings is not None:
+        timings["init_s"] = t1 - t0
+        timings["sweeps_s"] = time.perf_counter() - t1
     return runs
 
 
@@ -546,7 +586,8 @@ def hals(T, posets, cfg: FitConfig):
     scale = float(np.sqrt(norm2)) or 1.0
     counts = dict.fromkeys(_ROW_PATHS, 0)
     trials = {"accepted": 0, "rejected": 0}
-    runs = _hals_restarts(T / scale, posets, cfg, counts, trials)
+    timings = {}
+    runs = _hals_restarts(T / scale, posets, cfg, counts, trials, timings)
     for fact, trace, _, _ in runs:
         fact.lambdas *= scale
         trace[:] = [val * scale ** 2 for val in trace]
@@ -555,6 +596,10 @@ def hals(T, posets, cfg: FitConfig):
     best = next(i for i, f in enumerate(finals) if f <= lowest + 1e-10 * lowest + 1e-20 * norm2)
     fact, trace, stationary, sweeps_used = runs[best]
     fact.diagnostics["seed"] = cfg.seed + best
+    if not fact.lambdas.any():
+        stop_reason = "dead"
+    else:
+        stop_reason = "tolerance" if stationary else "max_sweeps"
     report = FitReport(
         objective_trace=trace,
         final_residual=float(np.sqrt(max(trace[-1], 0.0))),
@@ -563,8 +608,9 @@ def hals(T, posets, cfg: FitConfig):
         stationary=stationary,
         restart_objectives=finals,
         projection_rows=counts,
-        stop_reason="tolerance" if stationary else "max_sweeps",
+        stop_reason=stop_reason,
         extrapolation=trials,
+        timings=timings,
     )
     return fact, report
 

@@ -1,9 +1,9 @@
 """Shared test utilities: random poset generators, an independent
 projected-gradient oracle for order-cone projection, a pure-Python
 pool-adjacent-violators reference, the product-poset monotonicity check and
-the explicit-normals membership check, the term-by-term ALS init and the
-full-tensor ND-HALS sweep that the package's vectorized versions are
-checked against."""
+the explicit-normals membership check, the term-by-term ALS init, the
+row-by-row random-cone init and the full-tensor ND-HALS sweep that the
+package's vectorized versions are checked against."""
 
 import itertools
 
@@ -269,6 +269,22 @@ def reference_init_als_project(T, r, posets, seed):
                 lam = 0.0
         lambdas[i] = lam
     return lambdas, out
+
+
+def reference_init_random_cone(T, r, posets, seed):
+    """The random-cone init one vector at a time: r draws per mode, each
+    projected by a validated ``project`` call and normalized, the uniform
+    unit vector where the projection is zero."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for P in posets:
+        rows = []
+        for _ in range(r):
+            v = project(rng.random(P.p), P)
+            n = float(np.linalg.norm(v))
+            rows.append(v / n if n > 0 else np.full(P.p, 1.0 / np.sqrt(P.p)))
+        factors.append(np.asarray(rows))
+    return np.full(r, float(np.linalg.norm(T)) / max(r, 1)), factors
 
 
 def reference_hals(T, posets, cfg):

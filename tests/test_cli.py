@@ -202,6 +202,34 @@ def test_factorize_manifest_says_why_the_fit_stopped(tmp_path, capsys):
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
 
 
+def test_factorize_manifest_says_every_term_died(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"shape": [2, 3], "data": [0.0] * 6}))
+    argv = ["factorize", str(path), "chain:2", "chain:3", "--rank", "2",
+            "--out", str(tmp_path / "fit")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "fit_manifest.json").read_text())
+    assert manifest["stopped"] == "dead"
+
+
+def test_factorize_manifest_says_where_the_time_went(tmp_path, capsys):
+    argv = ["factorize", "fixture:cchs", "--rank", "2", "--restarts", "3",
+            "--out", str(tmp_path / "fit")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "fit_manifest.json").read_text())
+    timings = manifest["timings"]
+    assert set(timings) == {"init_s", "sweeps_s"}
+    assert min(timings.values()) >= 0.0
+    assert sum(timings.values()) <= manifest["wall_time_s"]
+    argv = ["factorize", "fixture:cchs", "--rank", "1", "--loss", "poisson",
+            "--out", str(tmp_path / "counts")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert "timings" not in json.loads((tmp_path / "counts_manifest.json").read_text())
+
+
 def test_factorize_poisson_rank1(tmp_path, capsys):
     T = np.array([[1.0, 2.0], [3.0, 4.0]])
     tpath = tmp_path / "counts.csv"

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from ndrank.factor import FitConfig
 from ndrank.tensor import outer
 
 from helpers import (KINDS, random_chain, random_collider, random_dag, random_poset,
-                     reference_hals, reference_init_als_project, trace_nonincreasing)
+                     reference_hals, reference_init_als_project, reference_init_random_cone,
+                     trace_nonincreasing)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 COLLIDER_MATRIX = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 4.0]])
@@ -271,6 +273,27 @@ def test_fit_report_says_why_and_how_the_fit_stopped():
     assert sum(report.extrapolation.values()) == 3
 
 
+def test_fit_report_says_every_term_died():
+    posets = [poset.chain(2), COLLIDER]
+    for init in ("als-project", "random-cone"):
+        fact, report = factor.hals(np.zeros((2, 3)), posets, FitConfig(rank=2, init=init))
+        assert report.stop_reason == "dead" and not fact.lambdas.any()
+    T, posets = datasets.fixture("cchs")
+    _, report = factor.hals(T, posets, FitConfig(rank=2, restarts=2, max_sweeps=5))
+    assert report.stop_reason == "max_sweeps"
+
+
+@pytest.mark.parametrize("init", ["als-project", "random-cone"])
+def test_fit_report_says_where_the_time_went(init):
+    T, posets = datasets.fixture("cchs")
+    start = time.perf_counter()
+    _, report = factor.hals(T, posets, FitConfig(rank=2, restarts=3, init=init))
+    wall = time.perf_counter() - start
+    assert set(report.timings) == {"init_s", "sweeps_s"}
+    assert min(report.timings.values()) >= 0.0
+    assert sum(report.timings.values()) <= wall
+
+
 @pytest.mark.parametrize("P, y", [(poset.chain(4), [0.5, 1.0, 3.0, 2.0]),
                                   (poset.collider_to_top(4), [2.0, -1.0, 0.5, 1.0])],
                          ids=["chain", "collider"])
@@ -406,6 +429,102 @@ def test_init_als_project_matches_term_by_term_reference():
         live = lambdas > 0
         for got, want in zip(init.factors, factors):
             assert np.allclose(got[live], want[live], rtol=1e-10, atol=1e-10)
+
+
+def assert_same_start(got, want):
+    # bitwise, down to the sign of a zero
+    assert np.array_equal(got.lambdas, want.lambdas)
+    assert len(got.factors) == len(want.factors)
+    for a, b in zip(got.factors, want.factors):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def stacked_init_cases():
+    T, posets = datasets.cchs_tensor(), datasets.cchs_posets()
+    for base in range(0, 300, 10):
+        yield T, 2, posets, list(range(base, base + 10))
+    rng = np.random.default_rng(13)
+    for trial in range(120):
+        order = 1 + trial % 4
+        shape = tuple(int(x) for x in rng.integers(2, 6, size=order))
+        posets = [random_poset(p, rng) for p in shape]
+        T = rng.standard_normal(shape) if trial % 2 else rng.random(shape)
+        seeds = [int(s) for s in rng.integers(0, 10 ** 6, size=1 + trial % 7)]
+        yield T, 1 + trial % 5, posets, seeds
+    yield rng.standard_normal((2,) * 9), 2, [poset.chain(2)] * 9, [4, 5, 6]
+    yield np.zeros((2, 3)), 2, [poset.chain(2), COLLIDER], [0, 1, 2]
+    yield datasets.cchs_tensor(), 2, datasets.cchs_posets(), [284]
+
+
+@pytest.mark.parametrize("init", [factor.init_als_project, factor._init_random_cone],
+                         ids=["als-project", "random-cone"])
+def test_stacked_init_matches_one_seed_calls(init):
+    # a sequence of seeds gives the list of the starts its seeds give one at
+    # a time: the stack's products are formed per restart
+    for T, r, posets, seeds in stacked_init_cases():
+        starts = init(T, r, posets, seeds)
+        assert isinstance(starts, list) and len(starts) == len(seeds)
+        for seed, start in zip(seeds, starts):
+            assert_same_start(start, init(T, r, posets, seed))
+    assert init(np.ones((2, 2)), 1, [poset.chain(2)] * 2, []) == []
+
+
+def test_random_cone_init_matches_row_by_row_reference(monkeypatch):
+    # draws whose first entry is below 0.3 are zeroed, so some projections
+    # are zero and their rows take the uniform unit vector
+    make_rng = np.random.default_rng
+    zeroed = []
+
+    class ZeroingGenerator:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def random(self, size):
+            x = self.rng.random(size)
+            low = x[..., 0] < 0.3
+            zeroed.append(int(np.count_nonzero(low)))
+            x[low] = 0.0
+            return x
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroingGenerator)
+    rng = make_rng(14)
+    for trial in range(200):
+        shape = tuple(int(x) for x in rng.integers(1, 6, size=1 + trial % 4))
+        posets = [random_poset(p, rng) for p in shape]
+        T = rng.standard_normal(shape)
+        r, seeds = 1 + trial % 4, list(range(trial, trial + 1 + trial % 3))
+        for seed, start in zip(seeds, factor._init_random_cone(T, r, posets, seeds)):
+            lambdas, factors = reference_init_random_cone(T, r, posets, seed)
+            assert_same_start(start, factor.NDFactorization(lambdas, factors))
+    assert sum(zeroed) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hals_with_stacked_init_matches_one_seed_loop(seed, monkeypatch):
+    T, posets = datasets.fixture("cchs")
+    cfg = FitConfig(rank=2, restarts=10, seed=seed)
+    fact, report = factor.hals(T, posets, cfg)
+    init = factor.init_als_project
+    monkeypatch.setattr(factor, "init_als_project",
+                        lambda T, r, posets, seeds: [init(T, r, posets, s) for s in seeds])
+    want, want_report = factor.hals(T, posets, cfg)
+    assert report.objective_trace == want_report.objective_trace
+    assert report.restart_objectives == want_report.restart_objectives
+    assert report.best_restart == want_report.best_restart
+    assert_same_start(fact, want)
+
+
+@pytest.mark.parametrize("init", ["als-project", "random-cone"])
+def test_hals_restarts_call_the_init_once(init, monkeypatch):
+    # one call per fit keeps the whole init inside one span of a tracer that
+    # wraps the module attribute
+    name = {"als-project": "init_als_project", "random-cone": "_init_random_cone"}[init]
+    calls = []
+    wrapped = getattr(factor, name)
+    monkeypatch.setattr(factor, name, lambda *args: calls.append(args[3]) or wrapped(*args))
+    T, posets = datasets.fixture("cchs")
+    factor.hals(T, posets, FitConfig(rank=2, restarts=4, seed=3, init=init))
+    assert calls == [[3, 4, 5, 6]]
 
 
 def monotone_tensor(shape, rng):
