@@ -21,9 +21,9 @@ import scipy
 
 from . import __version__, datasets
 from .cone import (
+    _finite_rank_facets,
     finite_rank_hrep,
     finite_rank_vrep,
-    double_description,
     is_monotone,
     membership_finite_rank,
     order_cone_vrep,
@@ -107,7 +107,7 @@ def cmd_hrep(args) -> int:
     try:
         hrep = finite_rank_hrep(posets)
     except HypothesisViolated:
-        hrep = double_description(finite_rank_vrep(posets))
+        hrep = _finite_rank_facets(tuple(posets))
     sys.stdout.write(hrep.to_text())
     return 0
 
@@ -202,6 +202,7 @@ def cmd_factorize(args) -> int:
             manifest["stopped"] = report.stop_reason
             manifest["extrapolation"] = report.extrapolation
             manifest["timings"] = report.timings
+            manifest["first_rise"] = report.first_rise
         with open(f"{args.out}_manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")

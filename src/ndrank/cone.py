@@ -8,7 +8,8 @@ cone is generated by outer products of connected-upset indicators.  With at
 most one collider its facets are outer products of one H-rep row per mode
 (``isotonic._halfspace_rows``), so membership is one contraction of the
 tensor, mode differencing when no poset has a collider; otherwise the facets
-come from double description at toy scale.
+come from double description at toy scale, computed once per poset tuple and
+kept for the next call.
 """
 
 from __future__ import annotations
@@ -201,6 +202,19 @@ def finite_rank_hrep(posets) -> ConeHRep:
     return ConeHRep(normals=normals.astype(int), shape=tuple(P.p for P in posets))
 
 
+@functools.lru_cache(maxsize=256)
+def _finite_rank_facets(posets: tuple) -> ConeHRep:
+    """Facets of the finite-ND-rank cone over ``posets`` by double description.
+
+    Computed once per poset tuple (equal posets built afresh hit the same
+    entry); the normals are read-only because every caller shares them.
+    ``TooLarge`` and ``DegenerateCone`` are raised again on every call.
+    """
+    hrep = double_description(finite_rank_vrep(posets))
+    hrep.normals.flags.writeable = False
+    return hrep
+
+
 def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCertificate:
     """Certificate of finite ND rank: is T in the projective product of order cones?
 
@@ -208,7 +222,8 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
     contraction of T with each mode's H-rep rows ("tree-differencing" when
     no poset has a collider, "halfspace" otherwise), and each violated facet
     is the outer product of its rows; otherwise double description finds the
-    facets at toy scale.
+    facets at toy scale, once per poset tuple, and later calls on the same
+    (or equal) posets reuse them.
     """
     T, posets = check_tensor(T, [posets] if isinstance(posets, Poset) else posets)
     if tol is None:
@@ -216,7 +231,7 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
     n_colliders = sum(has_collider(P) for P in posets)
     violated = []
     if n_colliders > 1:
-        hrep = double_description(finite_rank_vrep(posets))
+        hrep = _finite_rank_facets(tuple(posets))
         values = hrep.normals @ T.ravel()
         for i in np.flatnonzero(values < -tol):
             normal = hrep.normals[i]
@@ -447,9 +462,31 @@ class ProbabilityEstimate:
         return f"{self.estimate:.6f} +/- {self.stderr:.6f} ({self.members}/{self.n_samples})"
 
 
-def _uniform_extension_table(P: Poset) -> np.ndarray:
-    exts = linear_extensions(P)
-    return np.asarray(exts, dtype=int)
+@functools.lru_cache(maxsize=None)
+def _grid_sampling_plan(m: int):
+    """The m-by-m grid order and, for m <= 3, its linear extensions as
+    inverse permutations, one column each: entry (e, k) is the position of
+    element e in extension k.  Read-only; m <= 4, so four entries at most."""
+    P = poset_mod.product([poset_mod.chain(m), poset_mod.chain(m)])
+    if m > 3:
+        return P, None
+    positions = np.argsort(np.asarray(linear_extensions(P)), axis=1).T.copy()
+    positions.flags.writeable = False
+    return P, positions
+
+
+def _grid_members(X: np.ndarray, tol: float) -> int:
+    """How many points X[:, :, i] of the m-by-m grid have every mode
+    difference of X (the first row and column differenced against 0) at
+    least -tol.  A first difference x - 0.0 is x itself, so those rows are
+    copied."""
+    A = np.empty_like(X)
+    A[0] = X[0]
+    np.subtract(X[1:], X[:-1], out=A[1:])
+    D = np.empty_like(X)
+    D[:, 0] = A[:, 0]
+    np.subtract(A[:, 1:], A[:, :-1], out=D[:, 1:])
+    return int((D >= -tol).all(axis=(0, 1)).sum())
 
 
 def _walk_sampler(P: Poset, n: int, rng) -> np.ndarray:
@@ -489,7 +526,8 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int,
 
     Points are drawn by choosing a uniformly random linear extension and
     assigning sorted uniform values along it, then tested by full mode
-    differencing.  Exact enumeration covers m <= 3; m = 4 requires
+    differencing.  Exact enumeration covers m <= 3, and the grid order and
+    its extensions are built once per m; m = 4 requires
     ``allow_large`` (slower per-sample walks; the target probability there
     is so small that huge sample counts are needed for a sharp estimate).
     """
@@ -497,26 +535,34 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int,
         raise ValueError("m and n_samples must be positive")
     if m > 4 or (m == 4 and not allow_large):
         raise TooLarge("sampling is guarded at m <= 3 (m = 4 needs allow_large=True)")
-    P = poset_mod.product([poset_mod.chain(m), poset_mod.chain(m)])
+    P, positions = _grid_sampling_plan(m)
     rng = np.random.default_rng(seed)
     members = 0
     tol = 2e-9  # default_tol for entries in [0, 1]
     chunk = 200_000
-    table = _uniform_extension_table(P) if m <= 3 else None
+    # rows per block: a block's arrays (150 kB each) stay in cache; the
+    # draws of a chunk's blocks are the same stream as one draw of the chunk
+    block = 2048
     done = 0
     while done < n_samples:
         n = min(chunk, n_samples - done)
-        if table is not None:
-            exts = table[rng.integers(0, table.shape[0], size=n)]
-        else:
+        if positions is None:
             exts = _walk_sampler(P, n, rng)
-        vals = np.sort(rng.random((n, P.p)), axis=1)
-        X = np.empty((n, P.p))
-        rows = np.arange(n)[:, None]
-        X[rows, exts] = vals
-        X = X.reshape(n, m, m)
-        D = np.diff(np.diff(X, axis=1, prepend=0.0), axis=2, prepend=0.0)
-        members += int((D >= -tol).all(axis=(1, 2)).sum())
+            vals = np.sort(rng.random((n, P.p)), axis=1)
+            X = np.empty((n, P.p))
+            X[np.arange(n)[:, None], exts] = vals
+            members += _grid_members(X.T.reshape(m, m, n), tol)
+        else:
+            picks = rng.integers(0, positions.shape[1], size=n)
+            for lo in range(0, n, block):
+                b = min(block, n - lo)
+                vals = rng.random((b, P.p))
+                vals.sort(axis=1)
+                # X[e, i] = vals[i, position of e in row i's extension],
+                # gathered by flat index so that X is row-major in (e, i)
+                flat = np.take(positions, picks[lo:lo + b], axis=1)
+                flat += np.arange(0, b * P.p, P.p)
+                members += _grid_members(np.take(vals, flat).reshape(m, m, b), tol)
         done += n
     p_hat = members / n_samples
     stderr = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_samples))

@@ -183,7 +183,9 @@ class FitReport:
     ``extrapolation`` counts the extrapolated sweeps kept (``accepted``) and
     undone (``rejected``), summed over every restart.  ``timings`` holds the
     seconds the whole batch of restarts spent in the init (``init_s``) and
-    in the sweeps (``sweeps_s``).
+    in the sweeps (``sweeps_s``).  ``first_rise`` is the first (1-based)
+    sweep whose objective exceeds the previous one by more than
+    ``1e-12 * max(1, previous)``, or None when the trace never rises.
     """
 
     objective_trace: list
@@ -196,6 +198,7 @@ class FitReport:
     stop_reason: str = ""
     extrapolation: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    first_rise: int | None = None
 
 
 def _uniform_unit(p: int) -> np.ndarray:
@@ -600,6 +603,8 @@ def hals(T, posets, cfg: FitConfig):
         stop_reason = "dead"
     else:
         stop_reason = "tolerance" if stationary else "max_sweeps"
+    first_rise = next((i + 1 for i in range(1, len(trace))
+                       if trace[i] > trace[i - 1] + 1e-12 * max(1.0, trace[i - 1])), None)
     report = FitReport(
         objective_trace=trace,
         final_residual=float(np.sqrt(max(trace[-1], 0.0))),
@@ -611,6 +616,7 @@ def hals(T, posets, cfg: FitConfig):
         stop_reason=stop_reason,
         extrapolation=trials,
         timings=timings,
+        first_rise=first_rise,
     )
     return fact, report
 

@@ -2,8 +2,9 @@
 projected-gradient oracle for order-cone projection, a pure-Python
 pool-adjacent-violators reference, the product-poset monotonicity check and
 the explicit-normals membership check, the term-by-term ALS init, the
-row-by-row random-cone init and the full-tensor ND-HALS sweep that the
-package's vectorized versions are checked against."""
+row-by-row random-cone init, the full-tensor ND-HALS sweep and the
+one-scatter order-polytope sampler that the package's vectorized versions
+are checked against."""
 
 import itertools
 
@@ -197,6 +198,47 @@ def reference_pava(y, w=None):
 def trace_nonincreasing(trace, slack=1e-12):
     return all(trace[i + 1] <= trace[i] + slack * max(1.0, trace[i])
                for i in range(len(trace) - 1))
+
+
+def rising_hals_restarts(plain):
+    """Wrap ``factor._hals_restarts`` so that restart 0 reports the trace
+    [0.5, 0.4, 0.4 (1 + 1e-13), 0.45, 0.3] in units of ||T||^2: sweep 3
+    rises within the 1e-12 slack (for ||T||^2 >= 2.5) and sweep 4 beyond
+    it, so the first rise is sweep 4."""
+    def wrapped(*args, **kwargs):
+        runs = plain(*args, **kwargs)
+        runs[0][1][:] = [0.5, 0.4, 0.4 * (1 + 1e-13), 0.45, 0.3]
+        return runs
+
+    return wrapped
+
+
+def reference_grid_members(X, tol):
+    """Points X[i] of shape (m, m) whose mode differences, the first row
+    and column differenced against 0, are all at least -tol."""
+    D = np.diff(np.diff(X, axis=1, prepend=0.0), axis=2, prepend=0.0)
+    return int((D >= -tol).all(axis=(1, 2)).sum())
+
+
+def reference_sample_members(m, n_samples, seed):
+    """``members`` of the order-polytope sampler with every chunk's points
+    built by one scatter of its sorted values along its extensions."""
+    P = poset.product([poset.chain(m), poset.chain(m)])
+    rng = np.random.default_rng(seed)
+    table = np.asarray(poset.linear_extensions(P), dtype=int) if m <= 3 else None
+    members, done, chunk = 0, 0, 200_000
+    while done < n_samples:
+        n = min(chunk, n_samples - done)
+        if table is not None:
+            exts = table[rng.integers(0, table.shape[0], size=n)]
+        else:
+            exts = cone._walk_sampler(P, n, rng)
+        vals = np.sort(rng.random((n, P.p)), axis=1)
+        X = np.empty((n, P.p))
+        X[np.arange(n)[:, None], exts] = vals
+        members += reference_grid_members(X.reshape(n, m, m), 2e-9)
+        done += n
+    return members
 
 
 def _einsum_contract(X, vecs, t):

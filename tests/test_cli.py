@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy
 
-from ndrank import cli, datasets
-from ndrank.poset import format_poset_text, parse_poset_text
+from ndrank import cli, cone, datasets, factor
+from ndrank.poset import collider_to_top, format_poset_text, parse_poset_text
+
+from helpers import rising_hals_restarts
 
 
 def run(capsys, *argv):
@@ -82,6 +84,8 @@ def test_hrep_collider_pair_uses_double_description(capsys):
     code, out, _ = run(capsys, "hrep", "collider:3", "collider:3")
     assert code == 0
     assert len(out.strip().splitlines()) == 24
+    posets = [collider_to_top(3), collider_to_top(3)]
+    assert out == cone.double_description(cone.finite_rank_vrep(posets)).to_text()
 
 
 def test_bounds(capsys):
@@ -185,6 +189,7 @@ def test_factorize_manifest_says_why_the_fit_stopped(tmp_path, capsys):
         capsys.readouterr()
         manifest = json.loads((tmp_path / f"{sweeps}_manifest.json").read_text())
         assert manifest["stopped"] == stopped
+        assert manifest["first_rise"] is None
         trials = manifest["extrapolation"]
         assert set(trials) == {"accepted", "rejected"}
         if sweeps == "5":
@@ -199,7 +204,17 @@ def test_factorize_manifest_says_why_the_fit_stopped(tmp_path, capsys):
     capsys.readouterr()
     manifest = json.loads((tmp_path / "counts_manifest.json").read_text())
     assert "stopped" not in manifest and "extrapolation" not in manifest
+    assert "first_rise" not in manifest
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+
+
+def test_factorize_manifest_says_where_the_trace_first_rose(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(factor, "_hals_restarts", rising_hals_restarts(factor._hals_restarts))
+    argv = ["factorize", "fixture:cchs", "--rank", "2", "--restarts", "1",
+            "--max-sweeps", "5", "--out", str(tmp_path / "fit")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "fit_manifest.json").read_text())["first_rise"] == 4
 
 
 def test_factorize_manifest_says_every_term_died(tmp_path, capsys):

@@ -11,8 +11,8 @@ from ndrank.errors import (
     TooLarge,
 )
 
-from helpers import (random_forest, reference_finite_rank_normals, reference_is_monotone,
-                     reference_membership)
+from helpers import (random_forest, reference_finite_rank_normals, reference_grid_members,
+                     reference_is_monotone, reference_membership, reference_sample_members)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 SELENIUM = np.array([
@@ -152,6 +152,38 @@ def test_membership_double_description_path():
     T = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 4.0]])
     cert = cone.membership_finite_rank(T, [COLLIDER, COLLIDER])
     assert cert.member and cert.method == "double-description"
+
+
+def _certificate_key(cert):
+    return (cert.member, cert.method, cert.tol, cert.min_value,
+            [(v.label, v.normal.dtype, v.normal.tobytes(), v.value) for v in cert.violated])
+
+
+def test_double_description_facets_are_computed_once_per_poset_tuple(monkeypatch):
+    posets = (poset.collider_to_top(3), poset.collider_to_top(4))
+    dd = cone.double_description
+    fresh = dd(cone.finite_rank_vrep(posets))
+    T = np.random.default_rng(47).standard_normal((3, 4))
+    # the certificate with every facet computed afresh, as before the cache
+    with monkeypatch.context() as m:
+        m.setattr(cone, "_finite_rank_facets", lambda tup: dd(cone.finite_rank_vrep(tup)))
+        want = _certificate_key(cone.membership_finite_rank(T, list(posets)))
+    assert want[4], "the check needs violated facets"
+
+    calls = []
+    monkeypatch.setattr(cone, "double_description", lambda gens: calls.append(1) or dd(gens))
+    cone._finite_rank_facets.cache_clear()
+    hrep = cone._finite_rank_facets(posets)
+    assert hrep.normals.dtype == fresh.normals.dtype and np.array_equal(hrep.normals, fresh.normals)
+    assert hrep.shape == fresh.shape and not hrep.normals.flags.writeable
+    with pytest.raises(ValueError):
+        hrep.normals[0, 0] = 7
+    for tup in (list(posets), posets, [poset.collider_to_top(3), poset.collider_to_top(4)]):
+        cert = cone.membership_finite_rank(T, tup)
+        assert _certificate_key(cert) == want
+        cert.violated[0].normal[:] = 99.0  # a caller's copy, not the cached facet
+    assert cone._finite_rank_facets(posets) is hrep
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -445,6 +477,32 @@ def test_walk_sampler_is_uniform_on_the_grid():
     counts = np.array([seen[e] for e in exts])
     stat = float(((counts - n / 42) ** 2 / (n / 42)).sum())
     assert stat < chi2.ppf(1 - 1e-6, df=41)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_grid_members_match_the_diff_reference(m):
+    # entries on a 1e-9 lattice put many differences at or next to -tol
+    rng = np.random.default_rng(48)
+    for X in (rng.integers(-3, 4, size=(500, m, m)) * 1e-9, rng.standard_normal((500, m, m))):
+        want = reference_grid_members(X, 2e-9)
+        assert cone._grid_members(np.ascontiguousarray(X.transpose(1, 2, 0)), 2e-9) == want
+        assert cone._grid_members(X.transpose(1, 2, 0), 2e-9) == want
+
+
+@pytest.mark.parametrize("m, n_samples, seeds", [
+    (1, 7, range(3)), (2, 2048, range(3)), (2, 2049, range(3)), (3, 1, range(5)),
+    (3, 20_000, range(6)), (2, 200_001, [49]), (3, 200_001, [50])])
+def test_sampler_members_match_the_scatter_reference(m, n_samples, seeds):
+    for seed in seeds:
+        est = cone.sample_finite_rank_probability(m, n_samples, seed)
+        assert (est.members, est.n_samples) == (reference_sample_members(m, n_samples, seed),
+                                                n_samples)
+
+
+def test_sampler_walk_path_matches_the_scatter_reference():
+    for seed in (51, 52):
+        est = cone.sample_finite_rank_probability(4, 1500, seed, allow_large=True)
+        assert est.members == reference_sample_members(4, 1500, seed)
 
 
 def test_sampler_walk_path_is_seeded():

@@ -17,7 +17,7 @@ from ndrank.tensor import outer
 
 from helpers import (KINDS, random_chain, random_collider, random_dag, random_poset,
                      reference_hals, reference_init_als_project, reference_init_random_cone,
-                     trace_nonincreasing)
+                     rising_hals_restarts, trace_nonincreasing)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 COLLIDER_MATRIX = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 4.0]])
@@ -262,6 +262,7 @@ def test_fit_report_says_why_and_how_the_fit_stopped():
     cfg = FitConfig(rank=2, restarts=3, seed=0)
     _, report = factor.hals(T, posets, cfg)
     assert report.stop_reason == "tolerance" and report.stationary
+    assert report.first_rise is None
     # no term dies on cchs, so every third sweep of every restart is a trial
     runs = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg)
     trials = report.extrapolation
@@ -271,6 +272,15 @@ def test_fit_report_says_why_and_how_the_fit_stopped():
     _, report = factor.hals(T, posets, FitConfig(rank=2, restarts=3, max_sweeps=5))
     assert report.stop_reason == "max_sweeps" and not report.stationary
     assert sum(report.extrapolation.values()) == 3
+
+
+def test_fit_report_says_where_the_trace_first_rose(monkeypatch):
+    T, posets = datasets.fixture("cchs")
+    monkeypatch.setattr(factor, "_hals_restarts", rising_hals_restarts(factor._hals_restarts))
+    _, report = factor.hals(T, posets, FitConfig(rank=2, restarts=1, max_sweeps=5))
+    trace = report.objective_trace
+    assert report.first_rise == 4
+    assert trace_nonincreasing(trace[:3]) and not trace_nonincreasing(trace[:4])
 
 
 def test_fit_report_says_every_term_died():
