@@ -18,7 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -262,6 +262,12 @@ def _primitive(vec) -> tuple:
     return tuple(vec)
 
 
+def _clear_denominators(vec) -> tuple:
+    """The primitive integer vector on the ray of a rational vector."""
+    den = lcm(*(v.denominator for v in vec))
+    return _primitive([int(v * den) for v in vec])
+
+
 def _fraction_rref(rows, width):
     """Row-reduce over Q.  Returns (pivot_cols, reduced_rows, used_row_indices)."""
     work = [[Fraction(x) for x in row] for row in rows]
@@ -298,35 +304,8 @@ def _nullspace_int(rows, width):
         vec[fj] = Fraction(1)
         for pc, pr in zip(pivots, reduced):
             vec[pc] = -pr[fj]
-        den = 1
-        for v in vec:
-            den = den * v.denominator // gcd(den, v.denominator)
-        basis.append(_primitive([int(v * den) for v in vec]))
+        basis.append(_clear_denominators(vec))
     return basis
-
-
-def _fraction_inverse_columns(rows):
-    """Columns of the inverse of a square matrix given by integer rows."""
-    d = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-           for i, row in enumerate(rows)]
-    for col in range(d):
-        piv = next(r for r in range(col, d) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [a / f for a in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                fr = aug[r][col]
-                aug[r] = [a - fr * b for a, b in zip(aug[r], aug[col])]
-    cols = []
-    for j in range(d):
-        col = [aug[i][d + j] for i in range(d)]
-        den = 1
-        for v in col:
-            den = den * v.denominator // gcd(den, v.denominator)
-        cols.append(_primitive([int(v * den) for v in col]))
-    return cols
 
 
 def double_description(generators) -> ConeHRep:
@@ -374,18 +353,17 @@ def double_description(generators) -> ConeHRep:
     # Dual cone {a : G a >= 0}: its extreme rays are the facet normals of
     # cone(G).  Start from a simplicial subsystem and insert the remaining
     # constraints one at a time (standard double description).
-    base = used[:d]
-    rays = _fraction_inverse_columns([G[i] for i in base])
-    processed = list(base)
-    tight = []
-    for r in rays:
-        mask = 0
-        for pos, ci in enumerate(processed):
-            if sum(a * b for a, b in zip(G[ci], r)) == 0:
-                mask |= 1 << pos
-        tight.append(mask)
+    # [B | I] over the d base rows B reduces to [I | B^-1] once its rows are
+    # sorted by pivot; B times column j of B^-1 is e_j, so that ray is tight
+    # on every base row except row j.
+    pivots, reduced, _ = _fraction_rref(
+        [G[i] + tuple(int(i == k) for k in used) for i in used], d)
+    inverse = [row[d:] for _, row in sorted(zip(pivots, reduced))]
+    rays = [_clear_denominators(col) for col in zip(*inverse)]
+    tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
+    processed = list(used)
 
-    remaining = [i for i in range(len(G)) if i not in base]
+    remaining = [i for i in range(len(G)) if i not in used]
     for ci in remaining:
         g = G[ci]
         s = [sum(a * b for a, b in zip(g, r)) for r in rays]

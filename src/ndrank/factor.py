@@ -650,19 +650,19 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
     return NDFactorization(np.array([lam * norm]), [v[None, :] for v in vecs], posets=posets)
 
 
-def _mode_marginals(T: np.ndarray):
-    total = float(T.sum())
+def _count_marginals(T, model: str):
+    """Per-mode marginals and grand total of finite, nonnegative count data."""
+    T = np.asarray(T, dtype=float)
+    require_finite("tensor", T)
+    if (T < 0).any():
+        raise NonNegativityViolated(f"{model} data must be nonnegative")
     return [np.apply_over_axes(np.sum, T, [a for a in range(T.ndim) if a != j]).ravel()
-            for j in range(T.ndim)], total
+            for j in range(T.ndim)], float(T.sum())
 
 
 def rank1_multinomial(T) -> NDFactorization:
     """Rank-one multinomial MLE: product of per-mode marginal distributions."""
-    T = np.asarray(T, dtype=float)
-    require_finite("tensor", T)
-    if (T < 0).any():
-        raise NonNegativityViolated("multinomial data must be nonnegative")
-    marg, total = _mode_marginals(T)
+    marg, total = _count_marginals(T, "multinomial")
     if total == 0:
         raise NonNegativityViolated("multinomial data must not be all zero")
     return NDFactorization(np.array([1.0]), [(m / total)[None, :] for m in marg])
@@ -670,11 +670,7 @@ def rank1_multinomial(T) -> NDFactorization:
 
 def rank1_poisson(T) -> NDFactorization:
     """Rank-one Poisson MLE: marginal distributions scaled by the grand total."""
-    T = np.asarray(T, dtype=float)
-    require_finite("tensor", T)
-    if (T < 0).any():
-        raise NonNegativityViolated("Poisson data must be nonnegative")
-    marg, total = _mode_marginals(T)
+    marg, total = _count_marginals(T, "Poisson")
     if total == 0:
         return NDFactorization(np.zeros(1), [np.full(m.shape, 1.0 / m.size)[None, :] for m in marg])
     return NDFactorization(np.array([total]), [(m / total)[None, :] for m in marg])
@@ -772,12 +768,6 @@ def rank2_matrix_exact(T, posets, mode: str = "min-volume") -> Rank2Result:
     if s.size < 2 or s[1] <= 1e-12 * max(s[0], 1e-300):
         i = int(np.argmax(np.linalg.norm(T2, axis=1)))
         B = T2[None, i]
-        if not B.any():
-            zero = NDFactorization(np.zeros(2),
-                                   [np.tile(_uniform_unit(T.shape[0]), (2, 1)),
-                                    np.tile(_uniform_unit(T.shape[1]), (2, 1))],
-                                   posets=posets)
-            return Rank2Result(zero, cert, None)
         A = _nnls_coefficients(T2, B)
         a_cols = np.column_stack([A[:, 0], np.zeros(T.shape[0])])
         b_rows = np.vstack([B[0], np.zeros(T.shape[1])])

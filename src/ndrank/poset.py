@@ -125,8 +125,11 @@ def from_relation(labels, edges) -> Poset:
 
     Raises
     ------
+    ValueError
+        If two labels are equal.
     CycleError
-        If the edge digraph has a directed cycle.
+        If the edge digraph has a directed cycle, a self-loop ``(x, x)``
+        included: x < x contradicts a strict order.
     UnknownLabel
         If an edge references an undeclared label.
     """
@@ -140,6 +143,8 @@ def from_relation(labels, edges) -> Poset:
             raise UnknownLabel(f"edge references undeclared label {a!r}")
         if b not in lut:
             raise UnknownLabel(f"edge references undeclared label {b!r}")
+        if lut[a] == lut[b]:
+            raise CycleError(f"relation contains a cycle: {a!r} < {b!r}")
         idx_edges.append((lut[a], lut[b]))
     leq = _closure_from_edges(len(labels), idx_edges)
     sym = leq & leq.T & ~np.eye(len(labels), dtype=bool)
@@ -216,18 +221,10 @@ def is_simplicial(P: Poset) -> bool:
     return not has_collider(P)
 
 
-def _undirected_adjacency_masks(P: Poset) -> list[int]:
-    adj = [0] * P.p
-    for a, b in P.covers:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
-
-
-def _is_connected_mask(mask: int, adj: list[int]) -> bool:
-    start = mask & -mask
-    seen = start
-    frontier = start
+def _component(start: int, within: int, adj: list[int]) -> int:
+    """Bitmask of the elements of ``within`` reachable from ``start`` (a
+    bitmask inside ``within``) along edges of ``adj`` that stay in ``within``."""
+    seen = frontier = start
     while frontier:
         nxt = 0
         m = frontier
@@ -235,31 +232,9 @@ def _is_connected_mask(mask: int, adj: list[int]) -> bool:
             bit = m & -m
             m ^= bit
             nxt |= adj[bit.bit_length() - 1]
-        frontier = nxt & mask & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
-    return seen == mask
-
-
-def _undirected_components(P: Poset) -> list[list[int]]:
-    adj = _undirected_adjacency_masks(P)
-    unseen = (1 << P.p) - 1
-    comps = []
-    while unseen:
-        bit = unseen & -unseen
-        comp = bit
-        frontier = bit
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & ~comp
-            comp |= frontier
-        comps.append([i for i in range(P.p) if comp >> i & 1])
-        unseen &= ~comp
-    return comps
+    return seen
 
 
 def connected_upsets(P: Poset) -> list[frozenset]:
@@ -270,22 +245,26 @@ def connected_upsets(P: Poset) -> list[frozenset]:
     """
     if P.p > CONNECTED_UPSET_GUARD:
         raise TooLarge(f"connected_upsets is guarded at p <= {CONNECTED_UPSET_GUARD} (got {P.p})")
-    adj = _undirected_adjacency_masks(P)
+    adj = [0] * P.p  # undirected Hasse neighbours
     upper_masks = [0] * P.p
     for a, b in P.covers:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
         upper_masks[a] |= 1 << b
 
-    # topological order, maximal elements first, restricted per component:
-    # an element may enter an upset only after all its upper covers.
     found: list[int] = []
-    for comp in _undirected_components(P):
-        # maximal elements first: an element may only be added once everything
-        # above it is already in the mask
-        order = sorted(comp, key=lambda x: int(P.leq[x].sum()))
+    unseen = (1 << P.p) - 1
+    while unseen:
+        comp = _component(unseen & -unseen, unseen, adj)
+        unseen ^= comp
+        # maximal elements of the component first: an element may only be
+        # added once everything above it is already in the mask
+        order = sorted((i for i in range(P.p) if comp >> i & 1),
+                       key=lambda x: int(P.leq[x].sum()))
 
         def walk(i: int, mask: int):
             if i == len(order):
-                if mask and _is_connected_mask(mask, adj):
+                if mask and _component(mask & -mask, mask, adj) == mask:
                     found.append(mask)
                 return
             walk(i + 1, mask)  # exclude order[i]
@@ -394,6 +373,14 @@ def linear_extensions(P: Poset) -> list[tuple]:
 # comments start with '#'.
 
 def parse_poset_text(text: str) -> Poset:
+    """Parse the poset text format: an ``elements: a,b,c`` line, then one
+    ``x < y`` line per relation; ``#`` starts a comment.
+
+    Raises :class:`ParseError` on every malformed input: no ``elements:``
+    line, or one that is not the first; an empty element list or a repeated
+    label (both reported at the ``elements:`` line); a relation line that is
+    not ``x < y``; an undeclared label; a cycle, a line ``x < x`` included.
+    """
     labels = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -406,6 +393,8 @@ def parse_poset_text(text: str) -> Poset:
             labels = [s.strip() for s in line[len("elements:"):].split(",") if s.strip()]
             if not labels:
                 raise ParseError("empty element list", line=lineno)
+            if len(set(labels)) != len(labels):
+                raise ParseError("element labels must be distinct", line=lineno)
             continue
         if "<" not in line:
             raise ParseError(f"expected 'x < y', got {line!r}", line=lineno)

@@ -1,16 +1,21 @@
 """Shared test utilities: random poset generators, an independent
 projected-gradient oracle for order-cone projection, a pure-Python
 pool-adjacent-violators reference, the product-poset monotonicity check and
-the explicit-normals membership check, the term-by-term ALS init, the
+the explicit-normals membership check, a double description with its own
+Gauss-Jordan inverse, a brute-force connected-upset enumeration, the
+term-by-term ALS init, the
 row-by-row random-cone init, the full-tensor ND-HALS sweep and the
 one-scatter order-polytope sampler that the package's vectorized versions
 are checked against."""
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from ndrank import cone, factor, poset, tensor
+from ndrank.errors import DegenerateCone
 from ndrank.isotonic import project
 from ndrank.tensor import outer
 
@@ -142,6 +147,139 @@ def reference_membership(T, posets, tol=None):
                 for i in np.flatnonzero(values < -tol)]
     return cone.MembershipCertificate(member=not violated, violated=violated, method=method,
                                       tol=tol, min_value=float(values.min()))
+
+
+def _reference_primitive(vec):
+    g = 0
+    for v in vec:
+        g = gcd(g, abs(v))
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
+
+
+def _reference_integer(vec):
+    den = 1
+    for v in vec:
+        den = den * v.denominator // gcd(den, v.denominator)
+    return _reference_primitive([int(v * den) for v in vec])
+
+
+def _reference_rref(rows, width):
+    pivots, reduced, used = [], [], []
+    for ri, row in enumerate(rows):
+        row = [Fraction(x) for x in row]
+        for pc, pr in zip(pivots, reduced):
+            if row[pc]:
+                f = row[pc]
+                row = [a - f * b for a, b in zip(row, pr)]
+        lead = next((j for j in range(width) if row[j]), None)
+        if lead is None:
+            continue
+        row = [a / row[lead] for a in row]
+        for k, pr in enumerate(reduced):
+            if pr[lead]:
+                reduced[k] = [a - pr[lead] * b for a, b in zip(pr, row)]
+        pivots.append(lead)
+        reduced.append(row)
+        used.append(ri)
+    return pivots, reduced, used
+
+
+def _reference_inverse_columns(rows):
+    """Columns of the inverse of a square integer matrix, by Gauss-Jordan on
+    [B | I] with row swaps, each scaled to a primitive integer vector."""
+    d = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+           for i, row in enumerate(rows)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [a / aug[col][col] for a in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                fr = aug[r][col]
+                aug[r] = [a - fr * b for a, b in zip(aug[r], aug[col])]
+    return [_reference_integer([aug[i][d + j] for i in range(d)]) for j in range(d)]
+
+
+def reference_double_description(generators):
+    """Facet normals of the cone of integer generators, as the package's
+    double description computed them before its simplicial start was read
+    off its own row reduction: the start inverts the base rows with a
+    separate Gauss-Jordan, and every tight mask comes from dot products.
+    Raises ``DegenerateCone`` with the same ``equality_normals``."""
+    d = np.asarray(generators[0]).size
+    G, seen = [], set()
+    for g in generators:
+        t = _reference_primitive([int(round(float(x))) for x in np.ravel(g)])
+        if any(t) and t not in seen:
+            seen.add(t)
+            G.append(t)
+    pivots, reduced, used = _reference_rref(G, d)
+    if len(pivots) < d:
+        null = []
+        for fj in (j for j in range(d) if j not in pivots):
+            vec = [Fraction(0)] * d
+            vec[fj] = Fraction(1)
+            for pc, pr in zip(pivots, reduced):
+                vec[pc] = -pr[fj]
+            null.append(_reference_integer(vec))
+        raise DegenerateCone("degenerate", equality_normals=np.asarray(null, dtype=int))
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def mask_of(r, rows):
+        return sum(1 << pos for pos, ci in enumerate(rows) if dot(G[ci], r) == 0)
+
+    processed = list(used[:d])
+    rays = _reference_inverse_columns([G[i] for i in processed])
+    tight = [mask_of(r, processed) for r in rays]
+    for ci in [i for i in range(len(G)) if i not in processed]:
+        s = [dot(G[ci], r) for r in rays]
+        pos = len(processed)
+        processed.append(ci)
+        new_rays = []
+        for kp in (k for k, v in enumerate(s) if v > 0):
+            for km in (k for k, v in enumerate(s) if v < 0):
+                t = tight[kp] & tight[km]
+                if t.bit_count() < d - 2:
+                    continue
+                if any(t & tight[k] == t for k in range(len(rays)) if k not in (kp, km)):
+                    continue
+                new_rays.append(_reference_primitive(
+                    [s[kp] * a - s[km] * b for a, b in zip(rays[km], rays[kp])]))
+        keep = [k for k, v in enumerate(s) if v >= 0]
+        rays2 = [rays[k] for k in keep]
+        tight2 = [tight[k] | ((1 << pos) if s[k] == 0 else 0) for k in keep]
+        for r in new_rays:
+            if r not in rays2:
+                rays2.append(r)
+                tight2.append(mask_of(r, processed))
+        rays, tight = rays2, tight2
+    return np.asarray(sorted(rays), dtype=int)
+
+
+def reference_connected_upsets(P):
+    """Every nonempty subset of P that is an upset and whose Hasse subgraph
+    is connected, found by checking all 2^p subsets; ordered by size, then
+    by sorted elements."""
+    found = []
+    for size in range(1, P.p + 1):
+        for S in itertools.combinations(range(P.p), size):
+            U = set(S)
+            if any(a in U and b not in U for a, b in P.covers):
+                continue
+            reached, stack = {S[0]}, [S[0]]
+            while stack:
+                x = stack.pop()
+                for a, b in P.covers:
+                    for u, v in ((a, b), (b, a)):
+                        if u == x and v in U and v not in reached:
+                            reached.add(v)
+                            stack.append(v)
+            if reached == U:
+                found.append(frozenset(S))
+    return found
 
 
 def projection_oracle(y, P, w=None, max_iter=200_000, kkt_tol=1e-13):

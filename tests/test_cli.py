@@ -41,6 +41,17 @@ def test_check_malformed_csv(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_check_repeated_poset_label(tmp_path, capsys):
+    t = tmp_path / "t.csv"
+    t.write_text("1,2\n3,4\n")
+    good, bad = tmp_path / "good.poset", tmp_path / "bad.poset"
+    good.write_text("elements: x,y\nx < y\n")
+    bad.write_text("# two labels alike\nelements: x,x\n")
+    code, _, err = run(capsys, "check", str(t), str(good), str(bad))
+    assert code == 2
+    assert "distinct" in err and "line 2" in err
+
+
 def test_check_with_explicit_files(tmp_path, capsys):
     T = datasets.selenium_matrix()
     tpath = tmp_path / "sel.csv"

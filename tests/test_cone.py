@@ -11,8 +11,9 @@ from ndrank.errors import (
     TooLarge,
 )
 
-from helpers import (random_forest, reference_finite_rank_normals, reference_grid_members,
-                     reference_is_monotone, reference_membership, reference_sample_members)
+from helpers import (random_forest, reference_double_description, reference_finite_rank_normals,
+                     reference_grid_members, reference_is_monotone, reference_membership,
+                     reference_sample_members)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 SELENIUM = np.array([
@@ -334,6 +335,39 @@ def test_double_description_matches_brute_force_facets():
             continue
         checked += 1
         assert {tuple(int(x) for x in row) for row in h.normals} == brute_facets(G)
+
+
+def test_double_description_matches_reference_beyond_brute_force():
+    # the reference inverts the simplicial start by its own Gauss-Jordan and
+    # takes every tight mask from dot products; normals and equality normals
+    # must agree bit for bit, order and dtype included
+    grid = poset.product([poset.chain(2), poset.chain(2)])
+    diamond = poset.from_relation("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    gen_sets = [cone.finite_rank_vrep(tup) for tup in
+                [(COLLIDER, COLLIDER), (COLLIDER, poset.collider_to_top(4)),
+                 (grid, COLLIDER), (COLLIDER, diamond)]]
+    rng = np.random.default_rng(83)
+    for k in range(40):
+        d = int(rng.integers(5, 13))
+        G = rng.integers(0, 2 + k % 2, size=(int(rng.integers(d, d + 5)), d))
+        if k % 4 == 0:  # every generator in the hyperplane x_0 = x_last
+            G[:, -1] = G[:, 0]
+        gen_sets.append(list(G))
+    checked = degenerate = 0
+    for gens in gen_sets:
+        try:
+            want = reference_double_description(gens)
+        except DegenerateCone as ref:
+            with pytest.raises(DegenerateCone) as got:
+                cone.double_description(gens)
+            eq, ref_eq = got.value.equality_normals, ref.equality_normals
+            assert eq.dtype == ref_eq.dtype and np.array_equal(eq, ref_eq)
+            degenerate += 1
+            continue
+        normals = cone.double_description(gens).normals
+        assert normals.dtype == want.dtype and np.array_equal(normals, want)
+        checked += 1
+    assert checked >= 25 and degenerate >= 10
 
 
 def test_canonical_inequalities_sign_and_scale():

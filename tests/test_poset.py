@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ndrank import poset
 from ndrank.errors import CycleError, ParseError, TooLarge, UnknownLabel
 
-from helpers import random_dag, random_forest, random_poset
+from helpers import random_dag, random_forest, random_poset, reference_connected_upsets
 
 
 def test_from_relation_already_reduced():
@@ -33,6 +33,14 @@ def test_from_relation_reduces_transitive_edge():
 def test_from_relation_cycle():
     with pytest.raises(CycleError):
         poset.from_relation(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def test_from_relation_self_loop_is_a_cycle():
+    # x < x is a cycle of length one; the closure's diagonal hides it
+    with pytest.raises(CycleError):
+        poset.from_relation(["a", "b"], [("a", "a"), ("a", "b")])
+    with pytest.raises(ParseError):
+        poset.parse_poset_text("elements: a,b\na < a\na < b\n")
 
 
 def test_from_relation_unknown_label():
@@ -88,6 +96,20 @@ def test_connected_upsets_collider():
 def test_connected_upsets_grid_count():
     P = poset.product([poset.chain(2), poset.chain(3)])
     assert len(poset.connected_upsets(P)) == 9
+
+
+def test_connected_upsets_match_brute_force():
+    # random posets of every kind, and disjoint unions of two of them, so
+    # that forests, colliders and several components all occur
+    rng = np.random.default_rng(59)
+    for _ in range(100):
+        p = int(rng.integers(1, 11))
+        P = random_poset(p, rng)
+        if p >= 2 and rng.random() < 0.4:
+            k = int(rng.integers(1, p))
+            A, B = random_poset(k, rng), random_poset(p - k, rng)
+            P = poset.from_relation(range(p), list(A.covers) + [(a + k, b + k) for a, b in B.covers])
+        assert poset.connected_upsets(P) == reference_connected_upsets(P)
 
 
 def test_connected_upsets_guard():
@@ -210,6 +232,9 @@ def test_text_format_comments_and_errors():
     except ParseError as exc:
         err = exc
     assert err is not None
+    with pytest.raises(ParseError) as dup:
+        poset.parse_poset_text("# header\nelements: a,b,a\na < b\n")
+    assert dup.value.line == 2
 
 
 def test_linear_extension_count_matches_listing():
