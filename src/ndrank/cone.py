@@ -64,6 +64,20 @@ class ConeHRep:
     def count(self) -> int:
         return self.normals.shape[0]
 
+    @functools.cached_property
+    def labels(self) -> tuple:
+        """Each normal as a '>= 0' inequality over ``shape``, rendered once
+        (a cached facet set keeps its labels for every later call)."""
+        shape = self.shape or self.normals.shape[1:]
+        return tuple(format_normal(n, shape) for n in self.normals)
+
+    @functools.cached_property
+    def float_normals(self) -> np.ndarray:
+        """The normals as floats, computed once; read-only."""
+        out = self.normals.astype(float)
+        out.flags.writeable = False
+        return out
+
     def to_text(self) -> str:
         lines = []
         for row in np.asarray(self.normals):
@@ -207,7 +221,8 @@ def _finite_rank_facets(posets: tuple) -> ConeHRep:
     """Facets of the finite-ND-rank cone over ``posets`` by double description.
 
     Computed once per poset tuple (equal posets built afresh hit the same
-    entry); the normals are read-only because every caller shares them.
+    entry), which then also keeps the facets' labels and float normals once
+    rendered; the normals are read-only because every caller shares them.
     ``TooLarge`` and ``DegenerateCone`` are raised again on every call.
     """
     hrep = double_description(finite_rank_vrep(posets))
@@ -233,10 +248,8 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
     if n_colliders > 1:
         hrep = _finite_rank_facets(tuple(posets))
         values = hrep.normals @ T.ravel()
-        for i in np.flatnonzero(values < -tol):
-            normal = hrep.normals[i]
-            violated.append(Violation(format_normal(normal, hrep.shape or T.shape),
-                                      np.asarray(normal, dtype=float), float(values[i])))
+        violated = [Violation(hrep.labels[i], hrep.float_normals[i].copy(), float(values[i]))
+                    for i in np.flatnonzero(values < -tol).tolist()]
         return MembershipCertificate(member=not violated, violated=violated,
                                      method="double-description", tol=tol,
                                      min_value=float(values.min()))

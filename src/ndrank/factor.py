@@ -11,9 +11,16 @@ F_t[s'], where G_j = F_j F_j' is kept per mode and refreshed after every
 vector update.  All restarts run as one batch: factors, scales and Grams
 carry a leading restart axis, so each (term, mode) update is a few array
 operations for every restart at once, and a restart leaves the batch when
-it meets the stopping test.  The reconstruction is built once per sweep,
-for the objective trace and the stopping test, and the residual only when a
-dead term is revived.  On general posets each vector's projection starts
+it meets the stopping test.  An update builds the term's Khatri-Rao row and
+Gram coefficients from views of the stack, takes the MTTKRP, and projects:
+each mode's projection is resolved once per fit, and a chain's rows go
+straight to the compiled PAVA kernel.  What is left per restart, a handful
+of scalars (the liveness test of each update, and the SQUAREM step, cap
+and verdict), runs on Python floats, which round as numpy's do, so the
+sweep's time goes to arithmetic rather than to numpy calls on short
+vectors.  The reconstruction is built once per sweep, for the objective
+trace and the stopping test, and the residual only when a dead term is
+revived.  On general posets each vector's projection starts
 from the active set of its previous one: the projection onto that face is
 kept only when it passes a KKT check, and otherwise the certified solver
 runs, so every projection stays exact and certified (see
@@ -54,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -69,7 +77,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .isotonic import (_ROW_PATHS, _chain_order, _halfspace_rows, _nnls_certified,
-                       _project_rows, _projection_plan, project)
+                       _pava_rows, _project_rows, _projection_plan, project)
 from .poset import Poset, connected_upsets, is_simplicial
 from .tensor import check_tensor, outer, require_finite
 
@@ -369,6 +377,57 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _squarem_point(snaps: np.ndarray, step_max: list, tainted: list, segments: np.ndarray,
+                   widths: np.ndarray, r: int, k: int):
+    """SQUAREM's S3 point of every restart (Varadhan & Roland, 2008).
+
+    ``snaps`` (3, R, n) holds the cycle's states x0, x1, x2, one row per
+    restart ([lambda, every mode's vectors], the vectors being the segments
+    of a row that start at ``segments`` and have ``widths``).  Returns
+    ``(y, alpha, trial)``: y = x0 + 2a q1 + a^2 q2 with q1 = x1 - x0,
+    q2 = x2 - x1 - q1 and a = ||q1|| / ||q2|| clipped to [1, step_max],
+    its vectors renormalized into lambda (clamped at zero); ``alpha``, the
+    step of each restart as a Python float (nan where the ratio is); and
+    ``trial``, whether a restart tries y: its cycle is untainted and y is
+    finite.  The step logic runs on Python floats, which round as numpy's
+    do, and y takes two full-size temporaries.
+    """
+    q = np.diff(snaps, axis=0)  # q1 and x2 - x1
+    q[1] -= q[0]
+    alpha = []
+    for a, b, cap in zip(*_rowdot(q, q).tolist(), step_max):
+        # numpy's a / b, which gives inf or nan where b is 0
+        ratio = math.sqrt(a / b) if b else (math.inf if a > 0.0 else math.nan)
+        alpha.append(min(max(ratio, 1.0), cap) if ratio == ratio else ratio)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q *= np.array([[2.0 * a for a in alpha], [a * a for a in alpha]])[:, :, None]
+        y = np.add(snaps[0], q[0])
+        y += q[1]
+        n = np.sqrt(np.add.reduceat(np.multiply(y, y, out=q[0]), segments, axis=1))
+        y[:, r:] /= n.repeat(widths, axis=1)
+        lam = y[:, :r]
+        np.maximum(lam, 0.0, out=lam)
+        lam *= n.reshape(len(y), k, r).prod(axis=1)
+    trial = [not bad and ok for bad, ok in zip(tainted, np.isfinite(y).all(axis=1).tolist())]
+    return y, alpha, trial
+
+
+def _squarem_verdict(trial: list, dead: list, obj: list, last: list, alpha: list,
+                     step_max: list):
+    """Which SQUAREM trials are rejected, and the step caps after them.
+
+    Per restart, as Python lists: a trial is kept only if its sweep's
+    objective ``obj`` is at most x2's, ``last``, with every term alive
+    (``dead`` false).  A step that reached its cap grows the cap four-fold
+    if kept, and shrinks it four-fold, to no less than 1, if rejected.
+    Returns ``(rejected, step_max)``.
+    """
+    rejected = [tr and (d or not o <= la) for tr, d, o, la in zip(trial, dead, obj, last)]
+    caps = [(max(cap / 4.0, 1.0) if rej else cap * 4.0) if tr and a == cap else cap
+            for tr, rej, a, cap in zip(trial, rejected, alpha, step_max)]
+    return rejected, caps
+
+
 def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
                    trials: dict | None = None, timings: dict | None = None,
                    extrapolate: bool = True) -> list:
@@ -410,23 +469,28 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
     lambdas, factors = views(X)
     unfold = _unfoldings(T)
     flat = T.reshape(-1)
-    # each vector's support, the halfspace rows active at its last
-    # projection (general posets only; clamps and chains get no rows); a
+    # each mode's projection, resolved once: a chain's rows go straight to
+    # PAVA; each general mode keeps every vector's support, the halfspace
+    # rows active at its last projection (clamps and chains get no rows); a
     # stale one, after a revival or a rejected trial say, only fails the
     # face check
+    plans = [_projection_plan(P) for P in posets]
+    chains = [idx if kind == "chain" else None for kind, idx, _, _, _ in plans]
+    others = [[j for j in range(k) if j != t] for t in range(k)]
     supports = [np.zeros((len(seeds), r, 0 if A is None else A.shape[0]), dtype=bool)
-                for _, _, A, _, _ in map(_projection_plan, posets)]
+                for _, _, A, _, _ in plans]
     active = np.arange(len(seeds))  # restart behind each row of the stack
     traces = [[] for _ in seeds]
     runs = [None] * len(seeds)
-    # the SQUAREM cycle: snapshots x0, x1, x2 of the state, the step cap,
-    # and whether a term died or was revived in the cycle; a state's vectors
-    # are the segments of its row that start at ``segments``
+    # the SQUAREM cycle: snapshots x0, x1, x2 of the state, and per restart
+    # (Python lists) the step cap and whether a term died or was revived in
+    # the cycle; a state's vectors are the segments of its row that start
+    # at ``segments``
     snaps = np.empty((3,) + X.shape)
     segments = np.concatenate([offs[j + 1] + P.p * np.arange(r) for j, P in enumerate(posets)])
     widths = np.repeat([P.p for P in posets], r)
-    step_max = np.ones(len(seeds))
-    tainted = np.zeros(len(seeds), dtype=bool)
+    step_max = [1.0] * len(seeds)
+    tainted = [False] * len(seeds)
 
     def finish(rows, stationary: bool, sweeps: int) -> None:
         for b in rows:
@@ -436,60 +500,76 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
             runs[i] = (fact, traces[i], stationary, sweeps)
 
     prev = _reconstruct_rows(lambdas, factors)
-    last = np.full(len(seeds), np.inf)  # each restart's latest objective
+    last = [math.inf] * len(seeds)  # each restart's latest objective
     scratch = np.empty_like(prev)
     for sweep in range(cfg.max_sweeps):
         phase = sweep % 3 if extrapolate else None
+        n_act = len(active)
         if phase == 0:
             snaps[0] = X
-            tainted = (lambdas == 0.0).any(axis=1)
+            tainted = (lambdas == 0.0).any(axis=1).tolist()
         elif phase == 2:
-            # SQUAREM's S3 point y = x0 + 2a q1 + a^2 q2, its vectors
-            # renormalized into lambda; the sweep replaces every one of them
-            x0, x1, x2 = snaps
-            q1 = x1 - x0
-            q2 = x2 - x1 - q1
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                alpha = np.minimum(np.maximum(np.sqrt(_rowdot(q1, q1) / _rowdot(q2, q2)), 1.0),
-                                   step_max)
-                y = x0 + (2.0 * alpha)[:, None] * q1 + (alpha * alpha)[:, None] * q2
-                n = np.sqrt(np.add.reduceat(y * y, segments, axis=1))
-                y[:, r:] /= n.repeat(widths, axis=1)
-                y[:, :r] = np.maximum(y[:, :r], 0.0) * n.reshape(len(y), k, r).prod(axis=1)
-            trial = ~tainted & np.isfinite(y).all(axis=1)
+            # SQUAREM's S3 point; the sweep replaces every one of its vectors
+            x2 = snaps[2]
+            y, alpha, trial = _squarem_point(snaps, step_max, tainted, segments, widths, r, k)
             # a restart without a trial runs a plain sweep from x2
-            np.copyto(X, y, where=trial[:, None])
+            if all(trial):
+                X[:] = y
+            elif any(trial):
+                np.copyto(X, y, where=np.array(trial)[:, None])
         grams = [F @ F.transpose(0, 2, 1) for F in factors]
         for s in range(r):
+            # term s's vectors and Gram rows, as views that see every update
+            vec = [F[:, s] for F in factors]
+            grow = [G[:, s] for G in grams]
             for t in range(k):
                 # the contraction of T - recon + term_s with the term's other
                 # vectors: an MTTKRP, minus the other terms through the Gram
                 # rows, coef_s' = lambda_s' prod_{j != t} G_j[s, s']; one
                 # product per restart, as a single matrix product rounds a
                 # row differently with the batch's size
-                kr = _khatri_rao_rows([factors[j][:, s] for j in range(k) if j != t],
-                                      (len(active),))
-                coef = lambdas.copy()
-                for j in range(k):
-                    if j != t:
-                        coef *= grams[j][:, s]
+                oth = others[t]
+                if len(oth) == 2:  # order 3: the Khatri-Rao product inline
+                    a, b = oth
+                    kr = (vec[a][:, :, None] * vec[b][:, None, :]).reshape(n_act, -1)
+                else:
+                    kr = _khatri_rao_rows([vec[j] for j in oth], (n_act,))
+                coef = lambdas * grow[oth[0]] if oth else lambdas.copy()
+                for j in oth[1:]:
+                    coef *= grow[j]
                 coef[:, s] = 0.0
-                target = ((kr[:, None] @ unfold[t]) - (coef[:, None, :] @ factors[t]))[:, 0]
-                V = _project_rows(target, posets[t], support=supports[t][:, s], counts=counts)
+                target = kr[:, None] @ unfold[t]
+                target -= coef[:, None, :] @ factors[t]
+                target = target[:, 0]
+                if chains[t] is not None:
+                    V = _pava_rows(target, chains[t])
+                    np.maximum(V, 0.0, out=V)
+                    if counts is not None:
+                        counts["chain"] += n_act
+                else:
+                    V = _project_rows(target, posets[t], support=supports[t][:, s],
+                                      counts=counts)
                 n = np.sqrt(_rowdot(V, V))
                 # a numerically-zero projection must not be renormalized:
                 # dividing float crumbs by their norm fabricates an arbitrary
-                # (possibly infeasible) unit vector; the old vector stays
-                live = n > 1e-13 * (1.0 + np.sqrt(_rowdot(target, target)))
-                lambdas[:, s] = np.where(live, n, 0.0)
-                np.divide(V, n[:, None], out=factors[t][:, s], where=live[:, None])
-                g = (factors[t] @ factors[t][:, s, :, None])[:, :, 0]
-                grams[t][:, s] = g
+                # (possibly infeasible) unit vector; the old vector stays.
+                # The test runs on Python floats, which round as numpy does
+                live = [nv > 1e-13 * (1.0 + math.sqrt(tt))
+                        for nv, tt in zip(n.tolist(), _rowdot(target, target).tolist())]
+                if all(live):
+                    lambdas[:, s] = n
+                    np.divide(V, n[:, None], out=vec[t])
+                else:
+                    live = np.array(live)
+                    lambdas[:, s] = np.where(live, n, 0.0)
+                    np.divide(V, n[:, None], out=vec[t], where=live[:, None])
+                g = (factors[t] @ vec[t][:, :, None])[:, :, 0]
+                grow[t][:] = g
                 grams[t][:, :, s] = g
         recon = _reconstruct_rows(lambdas, factors)
-        dead = (lambdas == 0.0).any(axis=1)
+        dead = (lambdas == 0.0).any(axis=1).tolist()
         # revive dead terms from the residual, keeping the objective monotone
-        for b in np.flatnonzero(dead):
+        for b in itertools.compress(range(n_act), dead):
             rec = recon[b].reshape(T.shape)
             for s in np.flatnonzero(lambdas[b] == 0.0):
                 E = T - rec
@@ -503,45 +583,43 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
                         rec = rec + cand
             recon[b] = _reconstruct_rows(lambdas[b:b + 1], [F[b:b + 1] for F in factors])[0]
         # the residual, then the step, in one scratch buffer
-        diff = np.subtract(flat, recon, out=scratch[:len(active)])
-        obj = _rowdot(diff, diff)
+        diff = np.subtract(flat, recon, out=scratch[:n_act])
+        obj = _rowdot(diff, diff).tolist()
+        rejected = [False] * n_act
         if phase == 2:
-            # keep a trial only if it descends from x2 with every term alive;
-            # otherwise x2 comes back and the trace repeats its objective
-            rejected = trial & (dead | ~(obj <= last))
-            if rejected.any():
-                X[rejected] = x2[rejected]
-                recon[rejected] = prev[rejected]
-                obj[rejected] = last[rejected]
-            # a step that reached the cap grows it four-fold if kept, and
-            # shrinks it four-fold, to no less than 1, if rejected
-            capped = trial & (alpha == step_max)
-            step_max[capped & ~rejected] *= 4.0
-            step_max[capped & rejected] = np.maximum(step_max[capped & rejected] / 4.0, 1.0)
+            # a rejected trial gives x2 back, and the trace repeats its objective
+            rejected, step_max = _squarem_verdict(trial, dead, obj, last, alpha, step_max)
+            for b in itertools.compress(range(n_act), rejected):
+                X[b] = x2[b]
+                recon[b] = prev[b]
+                obj[b] = last[b]
             if trials is not None:
-                trials["accepted"] += int(np.count_nonzero(trial & ~rejected))
-                trials["rejected"] += int(np.count_nonzero(rejected))
+                n_rej = sum(rejected)
+                trials["accepted"] += sum(trial) - n_rej
+                trials["rejected"] += n_rej
         elif phase is not None:
-            tainted |= dead
+            tainted = [was or now for was, now in zip(tainted, dead)]
             snaps[phase + 1] = X
-        for b, val in enumerate(obj.tolist()):
+        for b, val in enumerate(obj):
             traces[active[b]].append(val)
         last = obj
         # the stopping test compares two accepted iterates: it skips a
         # rejected trial, which is x2 again
         np.subtract(recon, prev, out=diff)
-        done = np.sqrt(_rowdot(diff, diff)) <= cfg.rel_tol * (np.sqrt(_rowdot(prev, prev)) + 1e-30)
-        if phase == 2:
-            done &= ~rejected
-        if done.any():
-            finish(np.flatnonzero(done), True, sweep + 1)
-            keep = ~done
-            if not keep.any():
+        done = [not rej and math.sqrt(d) <= cfg.rel_tol * (math.sqrt(p) + 1e-30)
+                for rej, d, p in zip(rejected, _rowdot(diff, diff).tolist(),
+                                     _rowdot(prev, prev).tolist())]
+        if any(done):
+            finish(itertools.compress(range(n_act), done), True, sweep + 1)
+            if all(done):
                 break
-            active, X, recon, last = active[keep], X[keep], recon[keep], last[keep]
+            keep = np.logical_not(done)
+            active, X, recon = active[keep], X[keep], recon[keep]
             lambdas, factors = views(X)
             supports = [S[keep] for S in supports]
-            snaps, step_max, tainted = snaps[:, keep], step_max[keep], tainted[keep]
+            snaps = snaps[:, keep]
+            last, step_max, tainted = (list(itertools.compress(v, keep.tolist()))
+                                       for v in (last, step_max, tainted))
         prev = recon
     else:
         finish(range(len(active)), False, cfg.max_sweeps)

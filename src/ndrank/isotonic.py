@@ -3,8 +3,7 @@
 The order cone of a poset P is the set of nonnegative vectors that are
 nondecreasing along the order.  Projection onto it is the inner solver of
 the ND-HALS factorization loop, so it has to be exact: chains are handled
-by pool-adjacent-violators (``scipy.optimize.isotonic_regression``)
-followed by clamping at zero, and every other
+by pool-adjacent-violators followed by clamping at zero, and every other
 poset goes through the Moreau decomposition, where the polar projection is
 a nonnegative least squares problem on the cover-edge dual.
 
@@ -33,6 +32,13 @@ if it passes the solver's KKT check with a tolerance 1000 times tighter
 (1e-12 instead of 1e-9, relative to the same scale); a row that fails it, or whose support is empty or has dependent
 rows, is solved and certified as above.  Every row returned is therefore
 certified, whichever path it took.
+
+Chains call the compiled PAVA kernel behind
+``scipy.optimize.isotonic_regression`` directly (:func:`_pava_rows`), one
+call per row of a stack gathered once: the public wrapper's validation and
+allocations cost several times the kernel on the short rows of a HALS
+sweep.  Its answer is bitwise the wrapper's.  Should scipy move that
+private module, the same kernel is reached through the public function.
 """
 
 from __future__ import annotations
@@ -41,6 +47,12 @@ import functools
 
 import numpy as np
 from scipy.optimize import isotonic_regression, nnls
+
+try:  # the compiled kernel of isotonic_regression, which pools in place
+    from scipy.optimize._pava_pybind import pava as _pava
+except ImportError:  # a private module: reach the same kernel publicly
+    def _pava(x, w, r):
+        x[:] = isotonic_regression(x, weights=w).x
 
 from .errors import UncertifiedSolution
 from .poset import Poset
@@ -75,8 +87,37 @@ def pava_chain(y, w=None) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     require_finite("target", y)
     if w is not None:
-        w = _check_weights(w, y)
-    return isotonic_regression(y, weights=w).x
+        w = np.atleast_1d(_check_weights(w, y))
+    y = np.atleast_1d(y)
+    if y.ndim != 1:
+        raise ValueError(f"target must be one-dimensional, got shape {y.shape}")
+    return _pava_rows(y[None], slice(None), w)[0]
+
+
+def _pava_rows(Y: np.ndarray, idx, w: np.ndarray | None = None) -> np.ndarray:
+    """Isotonic regression of every row of Y along the order ``idx``.
+
+    ``idx`` lists the columns in chain order (an index array, or a full
+    slice); the weights ``w``, if given, are indexed like a row of Y.  The
+    stack is gathered once, each row is pooled in place by the compiled
+    kernel, and the rows are scattered back only when ``idx`` permutes
+    them.  Validates nothing; bitwise ``isotonic_regression(y[idx],
+    weights=w[idx]).x`` put back at ``idx``, row by row.
+    """
+    X = np.array(Y[:, idx], order="C")
+    p = X.shape[1]
+    if p > 1:  # one element is its own regression
+        # the kernel pools its weights in place: each row gets its own copy
+        W = np.empty_like(X)
+        W[:] = 1.0 if w is None else w[idx]
+        r = np.full(p + 1, -1, dtype=np.intp)
+        for x, wx in zip(X, W):
+            _pava(x, wx, r)
+    if isinstance(idx, slice):
+        return X
+    V = np.empty_like(X)
+    V[:, idx] = X
+    return V
 
 
 @functools.lru_cache(maxsize=256)
@@ -296,11 +337,7 @@ def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
     if kind == "chain":
         if counts is not None:
             counts["chain"] += len(Y)
-        wi = None if w is None else w[idx]
-        V = np.empty_like(Y)
-        for v, y in zip(V, Y):
-            # OptimizeResult is a dict; indexing skips its Python __getattr__
-            v[idx] = isotonic_regression(y[idx], weights=wi)["x"]
+        V = _pava_rows(Y, idx, w)
         return np.maximum(V, 0.0, out=V)
     # Moreau: v* = y + A^T mu* in the unit-weight metric, where mu* solves
     # the polar-cone NNLS min_{mu >= 0} ||A^T mu + y||; weights rescale axes.

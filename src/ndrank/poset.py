@@ -379,7 +379,8 @@ def parse_poset_text(text: str) -> Poset:
     Raises :class:`ParseError` on every malformed input: no ``elements:``
     line, or one that is not the first; an empty element list or a repeated
     label (both reported at the ``elements:`` line); a relation line that is
-    not ``x < y``; an undeclared label; a cycle, a line ``x < x`` included.
+    not ``x < y``, one naming an undeclared label, or a line ``x < x`` (each
+    reported at its line); a cycle through several lines.
     """
     labels = None
     edges = []
@@ -395,6 +396,7 @@ def parse_poset_text(text: str) -> Poset:
                 raise ParseError("empty element list", line=lineno)
             if len(set(labels)) != len(labels):
                 raise ParseError("element labels must be distinct", line=lineno)
+            declared = set(labels)
             continue
         if "<" not in line:
             raise ParseError(f"expected 'x < y', got {line!r}", line=lineno)
@@ -402,6 +404,11 @@ def parse_poset_text(text: str) -> Poset:
         a, b = left.strip(), right.strip()
         if not a or not b:
             raise ParseError(f"expected 'x < y', got {line!r}", line=lineno)
+        for x in (a, b):
+            if x not in declared:
+                raise ParseError(f"edge references undeclared label {x!r}", line=lineno)
+        if a == b:
+            raise ParseError(f"relation contains a cycle: {a!r} < {b!r}", line=lineno)
         edges.append((a, b))
     if labels is None:
         raise ParseError("missing 'elements:' header", line=1)

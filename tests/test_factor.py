@@ -227,6 +227,79 @@ def test_extrapolated_restarts_are_batch_independent(case):
         assert np.allclose(trace, want, rtol=1e-12, atol=0)
 
 
+def _reference_squarem(snaps, step_max, tainted, segments, widths, r, k):
+    # the S3 point and the step of every restart as whole-array numpy
+    rowdot = factor._rowdot
+    x0, x1, x2 = snaps
+    q1 = x1 - x0
+    q2 = x2 - x1 - q1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = np.minimum(np.maximum(np.sqrt(rowdot(q1, q1) / rowdot(q2, q2)), 1.0), step_max)
+        y = x0 + (2.0 * alpha)[:, None] * q1 + (alpha * alpha)[:, None] * q2
+        n = np.sqrt(np.add.reduceat(y * y, segments, axis=1))
+        y[:, r:] /= n.repeat(widths, axis=1)
+        y[:, :r] = np.maximum(y[:, :r], 0.0) * n.reshape(len(y), k, r).prod(axis=1)
+    return y, alpha, ~tainted & np.isfinite(y).all(axis=1)
+
+
+def _reference_verdict(trial, dead, obj, last, alpha, step_max):
+    rejected = trial & (dead | ~(obj <= last))
+    capped = trial & (alpha == step_max)
+    step_max = step_max.copy()
+    step_max[capped & ~rejected] *= 4.0
+    step_max[capped & rejected] = np.maximum(step_max[capped & rejected] / 4.0, 1.0)
+    return rejected, step_max
+
+
+@pytest.mark.parametrize("R", [1, 3, 7])
+def test_squarem_step_matches_whole_array_reference(R):
+    # the SQUAREM step runs its per-restart logic on Python floats; it must
+    # give the whole-array formulas' point, steps, caps and verdicts bitwise
+    rng = np.random.default_rng(310 + R)
+    for case in range(40):
+        r, widths_j = int(rng.integers(1, 4)), rng.integers(1, 6, size=int(rng.integers(1, 4)))
+        k = len(widths_j)
+        offs = np.cumsum([0, r] + [r * p for p in widths_j])
+        segments = np.concatenate([offs[j + 1] + p * np.arange(r) for j, p in enumerate(widths_j)])
+        widths = np.repeat(widths_j, r)
+        x0 = rng.random((R, offs[-1]))
+        # steps of every size relative to the cycle's curvature, so that the
+        # ratio lands below 1, inside [1, cap] and at the cap
+        d1 = rng.standard_normal(x0.shape) * 10.0 ** rng.integers(-6, 1, size=(R, 1))
+        d2 = d1 + rng.standard_normal(x0.shape) * 10.0 ** rng.integers(-8, 1, size=(R, 1))
+        snaps = np.array([x0, x0 + d1, x0 + d1 + d2])
+        b = rng.integers(R)
+        kind = case % 5
+        if kind == 1:
+            snaps[:, b] = x0[b]  # q1 = q2 = 0: the ratio is nan, y not finite
+        elif kind == 2:
+            snaps[2, b, rng.integers(offs[-1])] = np.inf  # a non-finite y
+        elif kind == 3:
+            snaps[1, b] = x0[b]  # q1 = 0: the step is 1
+        elif kind == 4:
+            snaps[2, b] = 2.0 * snaps[1, b] - x0[b]  # q2 = 0 up to rounding
+        step_max = 4.0 ** rng.integers(0, 4, size=R)
+        tainted = rng.random(R) < 0.3
+        want_y, want_alpha, want_trial = _reference_squarem(
+            snaps.copy(), step_max, tainted, segments, widths, r, k)
+        y, alpha, trial = factor._squarem_point(snaps.copy(), step_max.tolist(), tainted.tolist(),
+                                                segments, widths, r, k)
+        assert np.array_equal(np.array(alpha), want_alpha, equal_nan=True)
+        assert trial == want_trial.tolist()
+        assert np.array_equal(y, want_y, equal_nan=True)
+        fin = np.isfinite(want_y).all(axis=1)
+        assert y[fin].tobytes() == want_y[fin].tobytes()
+        dead = rng.random(R) < 0.2
+        obj = rng.random(R)
+        last = np.where(rng.random(R) < 0.5, obj, rng.random(R))  # ties included
+        obj[rng.random(R) < 0.1] = np.nan
+        want_rej, want_caps = _reference_verdict(want_trial, dead, obj, last, want_alpha, step_max)
+        rej, caps = factor._squarem_verdict(trial, dead.tolist(), obj.tolist(), last.tolist(),
+                                            alpha, step_max.tolist())
+        assert rej == want_rej.tolist()
+        assert np.array(caps).tobytes() == want_caps.tobytes()
+
+
 def test_extrapolation_converges_on_cchs():
     # the plain sweep needs 650-970 sweeps a restart to meet rel_tol here
     T, posets = datasets.fixture("cchs")

@@ -1,5 +1,9 @@
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
+from scipy.optimize import isotonic_regression
 
 from ndrank import datasets, factor, isotonic, poset
 from ndrank.cone import order_cone_vrep
@@ -45,6 +49,64 @@ def test_pava_matches_reference():
         v = pava_chain(y, w)
         assert (np.diff(v) >= 0).all()
         assert np.allclose(v, reference_pava(y, w), rtol=1e-14, atol=1e-14 * np.abs(y).max())
+
+
+def _scipy_pava_rows(Y, idx, w):
+    V = np.empty_like(Y)
+    for v, y in zip(V, Y):
+        v[idx] = isotonic_regression(y[idx], weights=None if w is None else w[idx]).x
+    return V
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 30])
+def test_pava_rows_is_bitwise_scipy(p):
+    # the sweep's PAVA helper calls scipy's compiled kernel without its
+    # wrapper; a scipy that changed the kernel's contract fails here
+    rng = np.random.default_rng(90 + p)
+    # a chain listed in order (a slice) and one whose labels are not
+    shuffled = rng.permutation(p)
+    if np.array_equal(shuffled, np.arange(p)):
+        shuffled = shuffled[::-1]
+    for order in (np.arange(p), shuffled):
+        P = poset.from_relation(list(range(p)), list(zip(order[:-1], order[1:])))
+        kind, idx = isotonic._projection_plan(P)[:2]
+        if p > 1:
+            assert kind == "chain" and np.array_equal(np.arange(p)[idx], order)
+            assert isinstance(idx, slice) == np.array_equal(order, np.arange(p))
+        else:
+            idx = slice(None)
+        along = [rng.standard_normal(p),                            # random
+                 rng.integers(-2, 3, size=p).astype(float),         # tied
+                 np.sort(rng.integers(-2, 3, size=p)).astype(float),  # sorted, with ties
+                 np.sort(rng.standard_normal(p)),                   # sorted
+                 np.full(p, 0.25)]
+        Y = np.empty((len(along), p))
+        Y[:, order] = along  # the rows as they run along the chain
+        for w in (None, rng.uniform(0.05, 20.0, size=p)):
+            Y0 = Y.copy()
+            V = isotonic._pava_rows(Y, idx, w)
+            assert V.tobytes() == _scipy_pava_rows(Y, idx, w).tobytes()
+            assert Y.tobytes() == Y0.tobytes()  # the input is left alone
+    for w in (None, rng.uniform(0.05, 20.0, size=p)):
+        for y in Y:
+            want = _scipy_pava_rows(y[None], slice(None), w)[0]
+            assert pava_chain(y, w).tobytes() == want.tobytes()
+
+
+def test_pava_rows_without_the_private_kernel(monkeypatch):
+    # should scipy move its private PAVA module, the helper reaches the same
+    # kernel through the public isotonic_regression
+    monkeypatch.setitem(sys.modules, "scipy.optimize._pava_pybind", None)
+    spec = importlib.util.spec_from_file_location("ndrank._isotonic_fallback", isotonic.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fallback)
+    assert fallback._pava is not isotonic._pava
+    rng = np.random.default_rng(97)
+    Y = np.vstack([rng.standard_normal((3, 9)), rng.integers(-2, 3, size=(3, 9))])
+    for idx in (slice(None), rng.permutation(9)):
+        for w in (None, rng.uniform(0.05, 20.0, size=9)):
+            want = isotonic._pava_rows(Y, idx, w)
+            assert fallback._pava_rows(Y, idx, w).tobytes() == want.tobytes()
 
 
 def test_project_frozen_examples():

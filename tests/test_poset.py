@@ -248,3 +248,24 @@ def test_linear_extension_count_matches_listing():
             assert all(pos[a] < pos[b] for a, b in P.covers)
     assert poset.count_linear_extensions(poset.trivial(5)) == 120
     assert poset.count_linear_extensions(poset.product([poset.chain(3), poset.chain(3)])) == 42
+
+
+def test_text_format_names_the_line_of_an_undeclared_label():
+    with pytest.raises(ParseError) as err:
+        poset.parse_poset_text("elements: a,b\n# a comment\na < b\n\na < z\n")
+    assert err.value.line == 5
+    assert str(err.value) == "edge references undeclared label 'z' (line 5)"
+    with pytest.raises(ParseError) as err:
+        poset.parse_poset_text("elements: a,b\ny < b\n")
+    assert err.value.line == 2 and "'y'" in str(err.value)
+
+
+def test_text_format_names_the_line_of_a_self_loop():
+    with pytest.raises(ParseError) as err:
+        poset.parse_poset_text("elements: a,b\na < b\nb < b  # loop\n")
+    assert err.value.line == 3
+    assert str(err.value) == "relation contains a cycle: 'b' < 'b' (line 3)"
+    # a cycle through several lines has no one line to name
+    with pytest.raises(ParseError) as err:
+        poset.parse_poset_text("elements: a,b\na < b\nb < a\n")
+    assert err.value.line is None
