@@ -18,14 +18,14 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 import numpy as np
 
 from . import poset as poset_mod
 from .errors import DegenerateCone, HypothesisViolated, ShapeMismatch, TooLarge
 from .isotonic import _halfspace_rows
-from .poset import Poset, connected_upsets, has_collider, linear_extensions
+from .poset import Poset, connected_upsets, has_collider
 from .tensor import apply_kronecker, check_tensor, outer
 
 DD_MAX_DIM = 12
@@ -38,6 +38,17 @@ def default_tol(T) -> float:
     T = np.asarray(T, dtype=float)
     peak = float(np.max(np.abs(T))) if T.size else 0.0
     return 1e-9 * (1.0 + peak)
+
+
+def _resolve_tol(T, tol) -> float:
+    """``tol``, or ``default_tol(T)`` when it is None.  A nan, infinite or
+    negative slack would turn every check into a false verdict, so those
+    raise ``ValueError``."""
+    if tol is None:
+        return default_tol(T)
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0 (got {tol!r})")
+    return tol
 
 
 @dataclass
@@ -70,13 +81,6 @@ class ConeHRep:
         (a cached facet set keeps its labels for every later call)."""
         shape = self.shape or self.normals.shape[1:]
         return tuple(format_normal(n, shape) for n in self.normals)
-
-    @functools.cached_property
-    def float_normals(self) -> np.ndarray:
-        """The normals as floats, computed once; read-only."""
-        out = self.normals.astype(float)
-        out.flags.writeable = False
-        return out
 
     def to_text(self) -> str:
         lines = []
@@ -181,8 +185,7 @@ def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
         _, posets = check_tensor(T.ravel(), [posets])
     else:
         T, posets = check_tensor(T, posets)
-    if tol is None:
-        tol = default_tol(T)
+    tol = _resolve_tol(T, tol)
     values, lo, hi = _monotone_values(T, posets)
     violated = []
     for i in np.flatnonzero(values < -tol).tolist():
@@ -221,8 +224,8 @@ def _finite_rank_facets(posets: tuple) -> ConeHRep:
     """Facets of the finite-ND-rank cone over ``posets`` by double description.
 
     Computed once per poset tuple (equal posets built afresh hit the same
-    entry), which then also keeps the facets' labels and float normals once
-    rendered; the normals are read-only because every caller shares them.
+    entry), which then also keeps the facets' labels once rendered; the
+    normals are read-only because every caller shares them.
     ``TooLarge`` and ``DegenerateCone`` are raised again on every call.
     """
     hrep = double_description(finite_rank_vrep(posets))
@@ -241,15 +244,15 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
     (or equal) posets reuse them.
     """
     T, posets = check_tensor(T, [posets] if isinstance(posets, Poset) else posets)
-    if tol is None:
-        tol = default_tol(T)
+    tol = _resolve_tol(T, tol)
     n_colliders = sum(has_collider(P) for P in posets)
     violated = []
     if n_colliders > 1:
         hrep = _finite_rank_facets(tuple(posets))
         values = hrep.normals @ T.ravel()
-        violated = [Violation(hrep.labels[i], hrep.float_normals[i].copy(), float(values[i]))
-                    for i in np.flatnonzero(values < -tol).tolist()]
+        rows = np.flatnonzero(values < -tol)
+        violated = [Violation(hrep.labels[i], normal, v) for i, normal, v in
+                    zip(rows.tolist(), hrep.normals[rows].astype(float), values[rows].tolist())]
         return MembershipCertificate(member=not violated, violated=violated,
                                      method="double-description", tol=tol,
                                      min_value=float(values.min()))
@@ -455,13 +458,12 @@ class ProbabilityEstimate:
 
 @functools.lru_cache(maxsize=None)
 def _grid_sampling_plan(m: int):
-    """The m-by-m grid order and, for m <= 3, its linear extensions as
-    inverse permutations, one column each: entry (e, k) is the position of
-    element e in extension k.  Read-only; m <= 4, so four entries at most."""
+    """The m-by-m grid order and its linear extensions as inverse
+    permutations, one column each: entry (e, k) is the position of element
+    e in extension k.  Read-only; m <= 4, so four entries at most, the
+    largest 16 by 24 024 (3 MB)."""
     P = poset_mod.product([poset_mod.chain(m), poset_mod.chain(m)])
-    if m > 3:
-        return P, None
-    positions = np.argsort(np.asarray(linear_extensions(P)), axis=1).T.copy()
+    positions = np.argsort(np.asarray(poset_mod._Downsets(P).extensions()), axis=1).T.copy()
     positions.flags.writeable = False
     return P, positions
 
@@ -480,81 +482,43 @@ def _grid_members(X: np.ndarray, tol: float) -> int:
     return int((D >= -tol).all(axis=(0, 1)).sum())
 
 
-def _walk_sampler(P: Poset, n: int, rng) -> np.ndarray:
-    """Uniform linear extensions via the downset-count DP, one walk per sample."""
-    dp = poset_mod._Downsets(P)
-    choices = {}
-
-    def state(remaining: int):
-        cached = choices.get(remaining)
-        if cached is None:
-            opts, weights = [], []
-            for x, bit in dp.minimal(remaining):
-                opts.append(x)
-                weights.append(dp.count(remaining ^ bit))
-            cum = np.cumsum(weights, dtype=float)
-            cum /= cum[-1]
-            cached = (opts, cum)
-            choices[remaining] = cached
-        return cached
-
-    exts = np.empty((n, P.p), dtype=int)
-    unif = rng.random((n, P.p))
-    for i in range(n):
-        remaining = dp.full
-        for step in range(P.p):
-            opts, cum = state(remaining)
-            x = opts[int(np.searchsorted(cum, unif[i, step], side="right"))]
-            exts[i, step] = x
-            remaining ^= 1 << x
-    return exts
-
-
-def sample_finite_rank_probability(m: int, n_samples: int, seed: int,
-                                   allow_large: bool = False) -> ProbabilityEstimate:
+def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> ProbabilityEstimate:
     """Estimate the chance that a uniform point of the order polytope of the
     m-by-m grid order has finite ND rank.
 
     Points are drawn by choosing a uniformly random linear extension and
     assigning sorted uniform values along it, then tested by full mode
-    differencing.  Exact enumeration covers m <= 3, and the grid order and
-    its extensions are built once per m; m = 4 requires
-    ``allow_large`` (slower per-sample walks; the target probability there
-    is so small that huge sample counts are needed for a sharp estimate).
+    differencing.  The grid order and a table of all its linear extensions
+    are built once per m; m <= 4 (the 4-by-4 grid has 24 024 extensions,
+    the 5-by-5 grid 701 149 020, so m = 5 raises ``TooLarge``).  At m = 4
+    the target probability is small, so a sharp estimate needs millions of
+    samples.
     """
     if m < 1 or n_samples < 1:
         raise ValueError("m and n_samples must be positive")
-    if m > 4 or (m == 4 and not allow_large):
-        raise TooLarge("sampling is guarded at m <= 3 (m = 4 needs allow_large=True)")
+    if m > 4:
+        raise TooLarge(f"sampling is guarded at m <= 4 (got {m})")
     P, positions = _grid_sampling_plan(m)
     rng = np.random.default_rng(seed)
     members = 0
     tol = 2e-9  # default_tol for entries in [0, 1]
     chunk = 200_000
-    # rows per block: a block's arrays (150 kB each) stay in cache; the
-    # draws of a chunk's blocks are the same stream as one draw of the chunk
+    # rows per block: a block's arrays (150 kB each at m = 3, 260 kB at
+    # m = 4) stay in cache; the draws of a chunk's blocks are the same
+    # stream as one draw of the chunk
     block = 2048
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, chunk):
         n = min(chunk, n_samples - done)
-        if positions is None:
-            exts = _walk_sampler(P, n, rng)
-            vals = np.sort(rng.random((n, P.p)), axis=1)
-            X = np.empty((n, P.p))
-            X[np.arange(n)[:, None], exts] = vals
-            members += _grid_members(X.T.reshape(m, m, n), tol)
-        else:
-            picks = rng.integers(0, positions.shape[1], size=n)
-            for lo in range(0, n, block):
-                b = min(block, n - lo)
-                vals = rng.random((b, P.p))
-                vals.sort(axis=1)
-                # X[e, i] = vals[i, position of e in row i's extension],
-                # gathered by flat index so that X is row-major in (e, i)
-                flat = np.take(positions, picks[lo:lo + b], axis=1)
-                flat += np.arange(0, b * P.p, P.p)
-                members += _grid_members(np.take(vals, flat).reshape(m, m, b), tol)
-        done += n
+        picks = rng.integers(0, positions.shape[1], size=n)
+        for lo in range(0, n, block):
+            b = min(block, n - lo)
+            vals = rng.random((b, P.p))
+            vals.sort(axis=1)
+            # X[e, i] = vals[i, position of e in row i's extension],
+            # gathered by flat index so that X is row-major in (e, i)
+            flat = np.take(positions, picks[lo:lo + b], axis=1)
+            flat += np.arange(0, b * P.p, P.p)
+            members += _grid_members(np.take(vals, flat).reshape(m, m, b), tol)
     p_hat = members / n_samples
     stderr = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_samples))
     return ProbabilityEstimate(estimate=p_hat, stderr=stderr,

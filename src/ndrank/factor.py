@@ -168,8 +168,8 @@ class FitConfig:
             raise ValueError("max_sweeps must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be positive and finite (got {self.rel_tol!r})")
         if self.init not in ("als-project", "random-cone"):
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -937,8 +937,6 @@ def rank_bounds(posets) -> RankBounds:
     upper = 1
     for val in sorted(q)[:-1]:
         upper *= val
-    if len(posets) == 1:
-        upper = 1
     exact_max = None
     typical_min = None
     typical_range = None
@@ -978,7 +976,6 @@ def tri_factorization_verify(T, H, posets, tol: float | None = None) -> TriFacto
         raise ShapeMismatch(f"H has shape {H.shape}, expected {(V[0].shape[1], V[1].shape[1])}")
     if (H < 0).any():
         raise NonNegativityViolated("H must be nonnegative")
-    if tol is None:
-        tol = default_tol(T)
+    tol = cone_mod._resolve_tol(T, tol)
     residual = float(np.linalg.norm(T - V[0] @ H @ V[1].T))
     return TriFactorCheck(ok=residual <= tol, residual=residual)

@@ -76,9 +76,6 @@ class Poset:
     def upper_covers(self, x: int) -> list[int]:
         return [b for a, b in self.covers if a == x]
 
-    def lower_covers(self, x: int) -> list[int]:
-        return [a for a, b in self.covers if b == x]
-
     def minimal_elements(self) -> list[int]:
         has_lower = {b for _, b in self.covers}
         return [x for x in range(self.p) if x not in has_lower]
@@ -86,9 +83,6 @@ class Poset:
     def maximal_elements(self) -> list[int]:
         has_upper = {a for a, _ in self.covers}
         return [x for x in range(self.p) if x not in has_upper]
-
-    def has_maximum(self) -> bool:
-        return any(bool(self.leq[:, y].all()) for y in self.maximal_elements())
 
 
 def _closure_from_edges(p: int, edges) -> np.ndarray:
@@ -303,8 +297,9 @@ def count_antichains(P: Poset) -> int:
 
 
 class _Downsets:
-    """Counts of linear extensions of upsets, given as bitmasks.  An extension
-    of U starts with a minimal x of U, so count(U) sums count(U - x)."""
+    """Counts of linear extensions of upsets, given as bitmasks, and the
+    listing of all extensions.  An extension of U starts with a minimal x of
+    U, so count(U) sums count(U - x)."""
 
     def __init__(self, P: Poset):
         self.full = (1 << P.p) - 1
@@ -333,6 +328,24 @@ class _Downsets:
             self._counts[remaining] = c
         return c
 
+    def extensions(self) -> list[tuple]:
+        """Every linear extension as an index tuple, in depth-first order
+        over the minimal elements.  Unguarded: callers bound the count."""
+        out: list[tuple] = []
+        prefix: list[int] = []
+
+        def walk(remaining: int):
+            if not remaining:
+                out.append(tuple(prefix))
+                return
+            for x, bit in self.minimal(remaining):
+                prefix.append(x)
+                walk(remaining ^ bit)
+                prefix.pop()
+
+        walk(self.full)
+        return out
+
 
 def count_linear_extensions(P: Poset) -> int:
     """Exact count of linear extensions via dynamic programming over upsets."""
@@ -352,20 +365,7 @@ def linear_extensions(P: Poset) -> list[tuple]:
     dp = _Downsets(P)
     if dp.count(dp.full) > LINEAR_EXTENSION_COUNT_LIMIT:
         raise TooLarge("poset has more than 1e6 linear extensions")
-    out: list[tuple] = []
-    prefix: list[int] = []
-
-    def walk(remaining: int):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        for x, bit in dp.minimal(remaining):
-            prefix.append(x)
-            walk(remaining ^ bit)
-            prefix.pop()
-
-    walk(dp.full)
-    return out
+    return dp.extensions()
 
 
 # ---------------------------------------------------------------------------

@@ -363,14 +363,11 @@ def reference_sample_members(m, n_samples, seed):
     built by one scatter of its sorted values along its extensions."""
     P = poset.product([poset.chain(m), poset.chain(m)])
     rng = np.random.default_rng(seed)
-    table = np.asarray(poset.linear_extensions(P), dtype=int) if m <= 3 else None
+    table = np.asarray(poset._Downsets(P).extensions(), dtype=int)
     members, done, chunk = 0, 0, 200_000
     while done < n_samples:
         n = min(chunk, n_samples - done)
-        if table is not None:
-            exts = table[rng.integers(0, table.shape[0], size=n)]
-        else:
-            exts = cone._walk_sampler(P, n, rng)
+        exts = table[rng.integers(0, table.shape[0], size=n)]
         vals = np.sort(rng.random((n, P.p)), axis=1)
         X = np.empty((n, P.p))
         X[np.arange(n)[:, None], exts] = vals

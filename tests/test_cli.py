@@ -114,6 +114,21 @@ def test_sample_m1(capsys):
     assert "1.000000" in out
 
 
+def test_sample_m4(capsys):
+    code, out, _ = run(capsys, "sample", "--m", "4", "--n", "3000", "--seed", "2")
+    assert code == 0
+    assert str(cone.sample_finite_rank_probability(4, 3000, 2)) in out
+    code, _, err = run(capsys, "sample", "--m", "5", "--n", "10")
+    assert code == 2 and "m <= 4" in err
+
+
+def test_check_rejects_a_bad_tol(capsys):
+    # with --tol nan this printed "member" for a tensor with negative entries
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run(capsys, "check", "fixture:selenium", "--tol", tol)
+        assert code == 2 and out == "" and "tol" in err
+
+
 def test_factorize_cchs_rank1(capsys):
     code, out, _ = run(capsys, "factorize", "fixture:cchs", "--rank", "1", "--seed", "0")
     assert code == 0
@@ -147,6 +162,15 @@ def test_factorize_rejects_bad_fit_settings(tmp_path, capsys):
                            "--out", str(out))
         assert code == 2 and "at least 1" in err
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf"])
+def test_factorize_rejects_a_non_finite_rel_tol(tmp_path, capsys, rel_tol):
+    out = tmp_path / "fit"
+    code, _, err = run(capsys, "factorize", "fixture:cchs", "--rank", "2", "--rel-tol", rel_tol,
+                       "--out", str(out))
+    assert code == 2 and "rel_tol" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_factorize_outputs_and_determinism(tmp_path, capsys):
@@ -264,6 +288,22 @@ def test_factorize_poisson_rank1(tmp_path, capsys):
                        "--rank", "1", "--loss", "poisson")
     assert code == 0
     assert "RSS" in out
+
+
+def test_factorize_multinomial_residual_is_on_the_count_scale(tmp_path, capsys):
+    # both fits have cells N * p_i * q_j; the multinomial one was compared
+    # as p_i * q_j with the counts and printed a relative residual of 0.952
+    # against 0.0899
+    tpath = tmp_path / "counts.csv"
+    tpath.write_text("1,2,3\n4,5,6\n")
+    printed = {}
+    for loss in ("multinomial", "poisson"):
+        code, out, _ = run(capsys, "factorize", str(tpath), "trivial:2", "trivial:3",
+                           "--rank", "1", "--loss", loss)
+        assert code == 0
+        printed[loss] = out
+    assert printed["multinomial"] == printed["poisson"]
+    assert "RSS: 0.734694" in printed["poisson"]
 
 
 def test_loading_poset_tokens(tmp_path):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
-from ndrank import cone, poset, tensor
+from ndrank import cone, factor, poset, tensor
 from ndrank.errors import (
     DegenerateCone,
     HypothesisViolated,
@@ -202,6 +201,26 @@ def test_membership_rejects_non_finite(bad):
         cone.is_monotone(np.array([0.0, bad]), poset.chain(2))
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_checks_reject_a_bad_tol(tol):
+    # a nan or infinite slack certified [[1,-5],[0,2]] as a member, and
+    # tol=-1 reported the satisfied t[2,1] >= 0 as violated; a nan or
+    # negative tol failed an exact tri-factorization, an infinite one passed any
+    T = np.array([[1.0, -5.0], [0.0, 2.0]])
+    chains = [poset.chain(2), poset.chain(2)]
+    with pytest.raises(ValueError, match="tol"):
+        cone.is_monotone(T, chains, tol)
+    for posets in (chains, [COLLIDER, COLLIDER]):
+        with pytest.raises(ValueError, match="tol"):
+            cone.membership_finite_rank(np.ones((len(posets[0]),) * 2), posets, tol)
+    with pytest.raises(ValueError, match="tol"):
+        factor.tri_factorization_verify(np.zeros((3, 3)), np.zeros((4, 4)), [COLLIDER, COLLIDER],
+                                        tol)
+    cert = cone.is_monotone(T, chains, 0.0)
+    assert [v.label for v in cert.violated] == ["t[1,2] >= 0", "t[1,1] <= t[1,2]",
+                                                 "t[1,1] <= t[2,1]"]
+
+
 def test_membership_differencing_vs_double_description():
     rng = np.random.default_rng(1)
     posets = [poset.chain(2), poset.chain(3)]
@@ -300,9 +319,7 @@ def test_sampler_m1_and_seeding():
 
 def test_sampler_guard():
     with pytest.raises(TooLarge):
-        cone.sample_finite_rank_probability(4, 10, seed=0)
-    with pytest.raises(TooLarge):
-        cone.sample_finite_rank_probability(5, 10, seed=0, allow_large=True)
+        cone.sample_finite_rank_probability(5, 10, seed=0)
 
 
 def test_double_description_matches_brute_force_facets():
@@ -498,19 +515,17 @@ def test_rank1_monotone_checks_build_no_violations(monkeypatch):
         factor.rank1_exponential(rng.uniform(1.0, 2.0, size=(30, 25, 20)), posets)
 
 
-def test_walk_sampler_is_uniform_on_the_grid():
-    P = poset.product([poset.chain(3), poset.chain(3)])
-    exts = [tuple(e) for e in poset.linear_extensions(P)]
-    assert len(exts) == 42
-    n = 42 * 150
-    draws = cone._walk_sampler(P, n, np.random.default_rng(45))
-    seen = {}
-    for row in draws.tolist():
-        seen[tuple(row)] = seen.get(tuple(row), 0) + 1
-    assert set(seen) == set(exts)
-    counts = np.array([seen[e] for e in exts])
-    stat = float(((counts - n / 42) ** 2 / (n / 42)).sum())
-    assert stat < chi2.ppf(1 - 1e-6, df=41)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_grid_extension_table_lists_every_extension_once(m):
+    P, positions = cone._grid_sampling_plan(m)
+    count = poset.count_linear_extensions(P)
+    assert count == {1: 1, 2: 2, 3: 42, 4: 24_024}[m]
+    assert positions.shape == (m * m, count) and not positions.flags.writeable
+    # each column is the inverse of a distinct permutation of the grid
+    assert (np.sort(positions, axis=0) == np.arange(m * m)[:, None]).all()
+    assert len({col.tobytes() for col in positions.T}) == count
+    lo, hi = np.array(P.covers, dtype=np.intp).reshape(-1, 2).T
+    assert (positions[lo] < positions[hi]).all()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -525,7 +540,8 @@ def test_grid_members_match_the_diff_reference(m):
 
 @pytest.mark.parametrize("m, n_samples, seeds", [
     (1, 7, range(3)), (2, 2048, range(3)), (2, 2049, range(3)), (3, 1, range(5)),
-    (3, 20_000, range(6)), (2, 200_001, [49]), (3, 200_001, [50])])
+    (3, 20_000, range(6)), (2, 200_001, [49]), (3, 200_001, [50]),
+    (4, 1500, [51, 52]), (4, 2049, range(2)), (4, 200_001, [53])])
 def test_sampler_members_match_the_scatter_reference(m, n_samples, seeds):
     for seed in seeds:
         est = cone.sample_finite_rank_probability(m, n_samples, seed)
@@ -533,15 +549,9 @@ def test_sampler_members_match_the_scatter_reference(m, n_samples, seeds):
                                                 n_samples)
 
 
-def test_sampler_walk_path_matches_the_scatter_reference():
-    for seed in (51, 52):
-        est = cone.sample_finite_rank_probability(4, 1500, seed, allow_large=True)
-        assert est.members == reference_sample_members(4, 1500, seed)
-
-
-def test_sampler_walk_path_is_seeded():
-    a = cone.sample_finite_rank_probability(4, 2000, seed=46, allow_large=True)
-    b = cone.sample_finite_rank_probability(4, 2000, seed=46, allow_large=True)
+def test_sampler_m4_is_seeded():
+    a = cone.sample_finite_rank_probability(4, 2000, seed=46)
+    b = cone.sample_finite_rank_probability(4, 2000, seed=46)
     assert (a.estimate, a.members, a.n_samples) == (b.estimate, b.members, b.n_samples)
     assert 0.0 <= a.estimate < 0.05
 

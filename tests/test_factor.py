@@ -651,7 +651,8 @@ def test_fits_beyond_twelve_modes(order):
 
 @pytest.mark.parametrize("field, value", [("rank", 0), ("max_sweeps", 0), ("restarts", 0),
                                           ("restarts", -3), ("rel_tol", 0.0),
-                                          ("init", "svd")])
+                                          ("init", "svd"), ("rel_tol", np.nan),
+                                          ("rel_tol", np.inf)])
 def test_fit_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
         FitConfig(**{"rank": 1, field: value})
@@ -813,6 +814,9 @@ def test_rank_bounds_cases():
     assert b3.exact_max == 3 and b3.typical_range == (3, 3)
     b4 = factor.rank_bounds([COLLIDER, COLLIDER, poset.chain(2)])
     assert b4.upper == 8 and b4.exact_max is None
+    for P in (COLLIDER, poset.chain(4)):
+        b1 = factor.rank_bounds([P])
+        assert b1.upper == 1 and b1.exact_max is None and b1.typical_range is None
 
 
 def test_tri_factorization_identity():
