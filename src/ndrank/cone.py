@@ -10,6 +10,11 @@ most one collider its facets are outer products of one H-rep row per mode
 tensor, mode differencing when no poset has a collider; otherwise the facets
 come from double description at toy scale, computed once per poset tuple and
 kept for the next call.
+
+A certificate lists each violated inequality as a :class:`Violation` kept in
+sparse form (its value, the normal's support and coefficients); the label
+and the dense normal are rendered from that only when read, so a check pays
+for the sign test, not for paperwork a caller may never look at.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite, lcm, prod
 
 import numpy as np
 
@@ -36,7 +41,7 @@ VREP_GUARD = 1_000_000
 def default_tol(T) -> float:
     """Scale-invariant slack for float noise: 1e-9 * (1 + max |entry|)."""
     T = np.asarray(T, dtype=float)
-    peak = float(np.max(np.abs(T))) if T.size else 0.0
+    peak = float(np.abs(T).max()) if T.size else 0.0
     return 1e-9 * (1.0 + peak)
 
 
@@ -76,11 +81,10 @@ class ConeHRep:
         return self.normals.shape[0]
 
     @functools.cached_property
-    def labels(self) -> tuple:
-        """Each normal as a '>= 0' inequality over ``shape``, rendered once
-        (a cached facet set keeps its labels for every later call)."""
-        shape = self.shape or self.normals.shape[1:]
-        return tuple(format_normal(n, shape) for n in self.normals)
+    def sparse_rows(self) -> tuple:
+        """Each normal as ``(support, coefficients)``, found once (a cached
+        facet set keeps them for every later call)."""
+        return tuple(map(_sparse, self.normals.tolist()))
 
     def to_text(self) -> str:
         lines = []
@@ -89,11 +93,48 @@ class ConeHRep:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(slots=True)
 class Violation:
-    label: str
-    normal: np.ndarray
+    """A violated inequality <normal, T> >= 0, stored sparsely.
+
+    ``value`` is <normal, T>; ``support`` lists the flat (row-major) indices
+    of the normal's nonzeros in ascending order and ``coeffs`` their
+    coefficients; ``shape`` is the tensor's shape.  ``cover`` marks an
+    ``is_monotone`` cover e_b - e_a, which reads ``t[a] <= t[b]``.
+
+    ``label`` and ``normal`` are rendered from this on every access and not
+    kept: a signed input can have tens of thousands of violations, each
+    normal as long as the tensor.  ``normal`` is a fresh writable float
+    array of ``T.size`` entries.
+    """
+
     value: float
+    support: tuple
+    coeffs: tuple
+    shape: tuple
+    cover: bool = False
+
+    @property
+    def label(self) -> str:
+        if self.cover:
+            a, b = self.support if self.coeffs[0] < 0 else self.support[::-1]
+            return f"{_entry_name(self.shape, a)} <= {_entry_name(self.shape, b)}"
+        return _format_terms(self.support, self.coeffs, self.shape)
+
+    @property
+    def normal(self) -> np.ndarray:
+        normal = np.zeros(prod(self.shape))
+        normal[list(self.support)] = self.coeffs
+        return normal
+
+    def __eq__(self, other):
+        if not isinstance(other, Violation):
+            return NotImplemented
+        return (self.label == other.label and self.value == other.value
+                and np.array_equal(self.normal, other.normal))
+
+    def __repr__(self):
+        return f"Violation({self.label!r}, value={self.value!r})"
 
 
 @dataclass
@@ -113,12 +154,31 @@ def _entry_name(shape, flat: int) -> str:
     return "t[" + ",".join(str(i + 1) for i in idx) + "]"
 
 
+def _sparse(row: list) -> tuple:
+    """A dense vector as ``(support, coefficients)``, float, support ascending."""
+    support = [j for j, x in enumerate(row) if x]
+    return tuple(support), tuple(float(row[j]) for j in support)
+
+
+@functools.lru_cache(maxsize=32)
+def _facet_rows(posets: tuple) -> tuple:
+    """Per mode, each H-rep row as ``(support, coefficients)`` with the
+    support scaled by the mode's row-major stride: a facet's flat support is
+    the sums over one row per mode, and its coefficients the products."""
+    strides = [prod(P.p for P in posets[j + 1:]) for j in range(len(posets))]
+    return tuple(tuple((tuple(j * stride for j in support), coeffs)
+                       for support, coeffs in map(_sparse, _halfspace_rows(P).tolist()))
+                 for P, stride in zip(posets, strides))
+
+
 def format_normal(normal, shape) -> str:
     """Render an integer normal as a human-readable '>= 0' inequality."""
-    normal = np.asarray(normal).ravel()
+    return _format_terms(*_sparse(np.asarray(normal).ravel().tolist()), shape)
+
+
+def _format_terms(support, coeffs, shape) -> str:
     terms = []
-    for flat in np.flatnonzero(normal):
-        c = normal[flat]
+    for flat, c in zip(support, coeffs):
         name = _entry_name(shape, flat)
         mag = "" if abs(c) == 1 else f"{abs(c):g}*"
         if not terms:
@@ -156,14 +216,12 @@ def finite_rank_vrep(posets) -> list:
     return gens
 
 
-def _monotone_values(T: np.ndarray, posets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The values that are >= 0 exactly when T is monotone, and their covers.
-
-    Returns ``(values, lo, hi)``: the entries of T in row-major order, then
-    ``T.flat[hi] - T.flat[lo]`` for every cover (lo, hi) of the product
-    order on flat indices, sorted by (lo, hi) as ``poset.product`` lists them.
-    """
-    grid = np.arange(T.size).reshape([P.p for P in posets])
+# a few entries only: the pairs of a 30x25x20 grid take 690 kB
+@functools.lru_cache(maxsize=32)
+def _product_covers(posets: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Every cover (lo, hi) of the product order on flat indices, sorted by
+    (lo, hi) as ``poset.product`` lists them.  Read-only, as they are shared."""
+    grid = np.arange(prod(P.p for P in posets)).reshape([P.p for P in posets])
     lo, hi = [], []
     for j, P in enumerate(posets):
         a, b = np.array(sorted(P.covers), dtype=np.intp).reshape(-1, 2).T
@@ -171,7 +229,20 @@ def _monotone_values(T: np.ndarray, posets) -> tuple[np.ndarray, np.ndarray, np.
         hi.append(np.take(grid, b, axis=j).ravel())
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     order = np.lexsort((hi, lo))
-    lo, hi, flat = lo[order], hi[order], T.ravel()
+    lo, hi = lo[order], hi[order]
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
+def _monotone_values(T: np.ndarray, posets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values that are >= 0 exactly when T is monotone, and their covers.
+
+    Returns ``(values, lo, hi)``: the entries of T in row-major order, then
+    ``T.flat[hi] - T.flat[lo]`` for every cover (lo, hi) of
+    ``_product_covers``.
+    """
+    lo, hi = _product_covers(tuple(posets))
+    flat = T.ravel()
     return np.concatenate([flat, flat[hi] - flat[lo]]), lo, hi
 
 
@@ -187,19 +258,18 @@ def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
         T, posets = check_tensor(T, posets)
     tol = _resolve_tol(T, tol)
     values, lo, hi = _monotone_values(T, posets)
+    bad = np.flatnonzero(values < -tol)
     violated = []
-    for i in np.flatnonzero(values < -tol).tolist():
-        normal = np.zeros(T.size)
+    for i, v in zip(bad.tolist(), values.take(bad).tolist()):
         if i < T.size:
-            normal[i] = 1.0
-            label = f"{_entry_name(T.shape, i)} >= 0"
-        else:
-            a, b = int(lo[i - T.size]), int(hi[i - T.size])
-            normal[a], normal[b] = -1.0, 1.0
-            label = f"{_entry_name(T.shape, a)} <= {_entry_name(T.shape, b)}"
-        violated.append(Violation(label, normal, float(values[i])))
+            violated.append(Violation(v, (i,), (1.0,), T.shape))
+            continue
+        # the support ascending, with -1 on the lower end of the cover
+        a, b = int(lo[i - T.size]), int(hi[i - T.size])
+        violated.append(Violation(v, (a, b), (-1.0, 1.0), T.shape, cover=True) if a < b else
+                        Violation(v, (b, a), (1.0, -1.0), T.shape, cover=True))
     # the first smallest value, as a running min would keep it
-    min_value = float(values[np.argmin(values)]) if values.size else np.inf
+    min_value = float(values[values.argmin()]) if values.size else np.inf
     return MembershipCertificate(member=not violated, violated=violated,
                                  method="monotonicity", tol=tol, min_value=min_value)
 
@@ -224,7 +294,7 @@ def _finite_rank_facets(posets: tuple) -> ConeHRep:
     """Facets of the finite-ND-rank cone over ``posets`` by double description.
 
     Computed once per poset tuple (equal posets built afresh hit the same
-    entry), which then also keeps the facets' labels once rendered; the
+    entry), which then also keeps the facets' sparse rows once found; the
     normals are read-only because every caller shares them.
     ``TooLarge`` and ``DegenerateCone`` are raised again on every call.
     """
@@ -251,16 +321,22 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
         hrep = _finite_rank_facets(tuple(posets))
         values = hrep.normals @ T.ravel()
         rows = np.flatnonzero(values < -tol)
-        violated = [Violation(hrep.labels[i], normal, v) for i, normal, v in
-                    zip(rows.tolist(), hrep.normals[rows].astype(float), values[rows].tolist())]
+        violated = [Violation(v, *hrep.sparse_rows[i], T.shape)
+                    for i, v in zip(rows.tolist(), values[rows].tolist())]
         return MembershipCertificate(member=not violated, violated=violated,
                                      method="double-description", tol=tol,
                                      min_value=float(values.min()))
-    rows = [_halfspace_rows(P) for P in posets]
-    D = apply_kronecker(rows, T)
-    for idx in zip(*np.nonzero(D < -tol)):
-        normal = outer([H[i] for H, i in zip(rows, idx)]).ravel()
-        violated.append(Violation(format_normal(normal, T.shape), normal, float(D[idx])))
+    D = apply_kronecker([_halfspace_rows(P) for P in posets], T)
+    bad = np.flatnonzero(D < -tol)
+    if bad.size:
+        rows = _facet_rows(tuple(posets))
+        for idx, v in zip(zip(*[i.tolist() for i in np.unravel_index(bad, D.shape)]),
+                          D.take(bad).tolist()):
+            # the facet is the outer product of one row per mode; each row's
+            # support ascends, so the sums, last mode fastest, ascend too
+            supports, coeffs = zip(*map(tuple.__getitem__, rows, idx))
+            violated.append(Violation(v, tuple(map(sum, itertools.product(*supports))),
+                                      tuple(map(prod, itertools.product(*coeffs))), T.shape))
     return MembershipCertificate(member=not violated, violated=violated,
                                  method="halfspace" if n_colliders else "tree-differencing",
                                  tol=tol, min_value=float(D.min()))

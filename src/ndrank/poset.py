@@ -87,21 +87,25 @@ class Poset:
 
 def _closure_from_edges(p: int, edges) -> np.ndarray:
     """Reflexive-transitive closure of an edge set, as a boolean matrix."""
-    reach = np.eye(p, dtype=bool)
+    reach = np.eye(p)
     for a, b in edges:
-        reach[a, b] = True
-    # repeated boolean squaring
+        reach[a, b] = 1.0
+    # repeated squaring of the reflexive relation, as float64 products:
+    # numpy's boolean matmul has no BLAS kernel and is several times slower.
+    # Squaring only adds pairs, so an unchanged count means a fixed point.
+    count = np.count_nonzero(reach)
     while True:
-        nxt = reach | (reach @ reach)
-        if (nxt == reach).all():
-            return reach
-        reach = nxt
+        reach = np.minimum(reach @ reach, 1.0)
+        count, before = np.count_nonzero(reach), count
+        if count == before:
+            return reach > 0
 
 
 def _reduce_closure(leq: np.ndarray) -> tuple:
     """Transitively reduced cover pairs of a closure matrix (unique for posets)."""
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    two_step = (strict @ strict) > 0
+    f = strict.astype(float)
+    two_step = (f @ f) > 0
     cov = strict & ~two_step
     xs, ys = np.nonzero(cov)
     return tuple(sorted(zip(xs.tolist(), ys.tolist())))

@@ -120,17 +120,24 @@ def apply_kronecker(maps, T) -> np.ndarray:
 
     Result[j1..jk] = sum over i1..ik of A_1[j1,i1] ... A_k[jk,ik] T[i1..ik];
     map j must have as many columns as mode j of T.
+
+    One matmul per mode on the unfolded tensor: map j acts on the leading
+    axis, and the transpose moves its output axis to the back, so after k
+    steps the axes are back in order.
     """
     T = np.asarray(T, dtype=float)
     maps = [np.asarray(A, dtype=float) for A in maps]
     if len(maps) != T.ndim:
         raise ShapeMismatch(f"got {len(maps)} maps for an order-{T.ndim} tensor")
-    out = T
     for j, A in enumerate(maps):
         if A.ndim != 2 or A.shape[1] != T.shape[j]:
             raise ShapeMismatch(f"map {j + 1} has shape {A.shape}, mode has size {T.shape[j]}")
-        out = np.moveaxis(np.tensordot(A, out, axes=(1, j)), 0, j)
-    return out
+    out, dims = T, list(T.shape)
+    for A in maps:
+        # explicit sizes, not -1: a mode of size 0 leaves the rest ambiguous
+        out = (A @ out.reshape(dims[0], math.prod(dims[1:]))).T
+        dims = dims[1:] + [A.shape[0]]
+    return out.reshape(dims)
 
 
 def mode_difference(T, mode: int) -> np.ndarray:

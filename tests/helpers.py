@@ -9,6 +9,7 @@ one-scatter order-polytope sampler that the package's vectorized versions
 are checked against."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -69,6 +70,17 @@ def cone_halfspaces(P):
     return np.asarray(rows)
 
 
+@dataclass
+class DenseViolation:
+    """A violation with its label and dense normal built up front, as the
+    package built them before it kept violations sparse: the references
+    render both on their own, not through ``cone.Violation``."""
+
+    label: str
+    normal: np.ndarray
+    value: float
+
+
 def reference_is_monotone(T, posets, tol=None):
     """Monotonicity over the product poset, built in full: one loop over its
     entries, then one over its covers in the poset's order."""
@@ -88,7 +100,7 @@ def reference_is_monotone(T, posets, tol=None):
         if flat[x] < -tol:
             normal = np.zeros(P.p)
             normal[x] = 1.0
-            violated.append(cone.Violation(f"{cone._entry_name(T.shape, x)} >= 0",
+            violated.append(DenseViolation(f"{cone._entry_name(T.shape, x)} >= 0",
                                            normal, float(flat[x])))
     for a, b in P.covers:
         val = flat[b] - flat[a]
@@ -96,7 +108,7 @@ def reference_is_monotone(T, posets, tol=None):
         if val < -tol:
             normal = np.zeros(P.p)
             normal[a], normal[b] = -1.0, 1.0
-            violated.append(cone.Violation(
+            violated.append(DenseViolation(
                 f"{cone._entry_name(T.shape, a)} <= {cone._entry_name(T.shape, b)}",
                 normal, float(val)))
     return cone.MembershipCertificate(member=not violated, violated=violated,
@@ -142,7 +154,7 @@ def reference_membership(T, posets, tol=None):
             normals = cone.double_description(cone.finite_rank_vrep(posets)).normals
             method = "double-description"
         values = normals @ T.ravel()
-    violated = [cone.Violation(cone.format_normal(normals[i], T.shape),
+    violated = [DenseViolation(cone.format_normal(normals[i], T.shape),
                                np.asarray(normals[i], dtype=float), float(values[i]))
                 for i in np.flatnonzero(values < -tol)]
     return cone.MembershipCertificate(member=not violated, violated=violated, method=method,

@@ -25,6 +25,113 @@ def test_check_selenium_fixture(capsys):
     assert "-3.9" in out
 
 
+# standard output of four commands, recorded before violations were kept
+# sparse and rendered on access; it must not change by a byte
+SELENIUM_CHECK = """\
+monotonicity [monotonicity]: NON-MEMBER
+  violated: t[1,2] <= t[1,3]   (value -0.7)
+  violated: t[1,2] <= t[3,2]   (value -3)
+  violated: t[2,3] <= t[2,4]   (value -1.2)
+finite ND rank [halfspace]: NON-MEMBER
+  violated: -t[1,2] + t[1,3] >= 0   (value -0.7)
+  violated: -t[2,3] + t[2,4] >= 0   (value -1.2)
+  violated: t[1,1] - t[1,2] - t[3,1] + t[3,2] >= 0   (value -3.9)
+  violated: t[1,3] - t[1,4] - t[3,3] + t[3,4] >= 0   (value -19.8)
+"""
+
+SIGNED_CHAIN_CHECK = """\
+monotonicity [monotonicity]: NON-MEMBER
+  violated: t[1,2] >= 0   (value -1.25)
+  violated: t[2,1] >= 0   (value -0.5)
+  violated: t[2,3] >= 0   (value -2.25)
+  violated: t[3,2] >= 0   (value -0.75)
+  violated: t[3,4] >= 0   (value -1.5)
+  violated: t[1,1] <= t[1,2]   (value -1.75)
+  violated: t[1,1] <= t[2,1]   (value -1)
+  violated: t[1,3] <= t[1,4]   (value -1.25)
+  violated: t[1,3] <= t[2,3]   (value -4.25)
+  violated: t[2,2] <= t[2,3]   (value -3.75)
+  violated: t[2,2] <= t[3,2]   (value -2.25)
+  violated: t[2,4] <= t[3,4]   (value -4.5)
+  violated: t[3,1] <= t[3,2]   (value -1.75)
+  violated: t[3,3] <= t[3,4]   (value -1.75)
+finite ND rank [tree-differencing]: NON-MEMBER
+  violated: -t[1,1] + t[1,2] >= 0   (value -1.75)
+  violated: -t[1,3] + t[1,4] >= 0   (value -1.25)
+  violated: -t[1,1] + t[2,1] >= 0   (value -1)
+  violated: t[1,2] - t[1,3] - t[2,2] + t[2,3] >= 0   (value -7)
+  violated: t[2,1] - t[2,2] - t[3,1] + t[3,2] >= 0   (value -3.75)
+  violated: t[2,3] - t[2,4] - t[3,3] + t[3,4] >= 0   (value -7)
+"""
+
+COLLIDER_PAIR_CHECK = """\
+monotonicity [monotonicity]: NON-MEMBER
+  violated: t[1,2] >= 0   (value -1)
+  violated: t[2,3] >= 0   (value -2)
+  violated: t[1,1] <= t[1,3]   (value -1.5)
+  violated: t[1,1] <= t[3,1]   (value -1.75)
+  violated: t[2,1] <= t[2,3]   (value -3)
+  violated: t[2,1] <= t[3,1]   (value -0.75)
+  violated: t[2,2] <= t[2,3]   (value -5)
+  violated: t[2,2] <= t[3,2]   (value -1.5)
+finite ND rank [double-description]: NON-MEMBER
+  violated: -t[1,1] - t[1,2] + t[1,3] + t[2,1] - t[2,2] + t[3,2] >= 0   (value -1)
+  violated: -t[1,1] + t[3,1] >= 0   (value -1.75)
+  violated: -t[1,1] + t[1,3] >= 0   (value -1.5)
+  violated: -t[1,1] + t[1,2] - t[2,1] - t[2,2] + t[2,3] + t[3,1] >= 0   (value -8.75)
+  violated: -t[2,1] + t[3,1] >= 0   (value -0.75)
+  violated: -t[2,1] + t[2,3] >= 0   (value -3)
+  violated: -t[2,2] + t[3,2] >= 0   (value -1.5)
+  violated: -t[2,2] + t[2,3] >= 0   (value -5)
+  violated: t[1,2] >= 0   (value -1)
+  violated: t[1,1] - t[1,2] - t[2,1] - t[2,2] + t[2,3] + t[3,2] >= 0   (value -1.5)
+"""
+
+COLLIDER_PAIR_HREP = """\
+-1 -1 1 -1 1 0 1 0 0
+-1 -1 1 1 -1 0 0 1 0
+-1 0 0 0 0 0 1 0 0
+-1 0 1 0 0 0 0 0 0
+-1 1 0 -1 -1 1 1 0 0
+-1 1 0 1 1 -1 0 -1 1
+0 -1 0 0 0 0 0 1 0
+0 -1 1 0 0 0 0 0 0
+0 0 0 -1 0 0 1 0 0
+0 0 0 -1 0 1 0 0 0
+0 0 0 0 -1 0 0 1 0
+0 0 0 0 -1 1 0 0 0
+0 0 0 0 1 -1 0 -1 1
+0 0 0 0 1 0 0 0 0
+0 0 0 1 0 -1 -1 0 1
+0 0 0 1 0 0 0 0 0
+0 1 -1 0 0 0 0 -1 1
+0 1 0 0 0 0 0 0 0
+1 -1 0 -1 -1 1 0 1 0
+1 -1 0 1 1 -1 -1 0 1
+1 0 -1 0 0 0 -1 0 1
+1 0 0 0 0 0 0 0 0
+1 1 -1 -1 1 0 0 -1 1
+1 1 -1 1 -1 0 -1 0 1
+"""
+
+
+
+def test_certificate_output_is_byte_identical(tmp_path, capsys):
+    signed = [[0.5, -1.25, 2.0, 0.75], [-0.5, 1.5, -2.25, 3.0], [1.0, -0.75, 0.25, -1.5]]
+    pair = [[2.0, -1.0, 0.5], [1.0, 3.0, -2.0], [0.25, 1.5, 4.0]]
+    (tmp_path / "signed.json").write_text(json.dumps({"shape": [3, 4], "data": sum(signed, [])}))
+    (tmp_path / "pair.json").write_text(json.dumps({"shape": [3, 3], "data": sum(pair, [])}))
+    for argv, want_code, want in (
+            (["check", "fixture:selenium"], 1, SELENIUM_CHECK),
+            (["check", str(tmp_path / "signed.json"), "chain:3", "chain:4"], 1,
+             SIGNED_CHAIN_CHECK),
+            (["check", str(tmp_path / "pair.json"), "collider:3", "collider:3"], 1,
+             COLLIDER_PAIR_CHECK),
+            (["hrep", "collider:3", "collider:3"], 0, COLLIDER_PAIR_HREP)):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (want_code, want)
+
+
 def test_check_collider_fixture_member(capsys):
     code, out, _ = run(capsys, "check", "fixture:collider3")
     assert code == 0

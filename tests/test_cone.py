@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -499,6 +501,62 @@ def test_is_monotone_builds_no_product_poset(monkeypatch):
     cert = cone.is_monotone(T, posets)
     assert [v.label for v in cert.violated] == [
         "t[4,5,6] >= 0", "t[3,5,6] <= t[4,5,6]", "t[4,4,6] <= t[4,5,6]", "t[4,5,5] <= t[4,5,6]"]
+
+
+def test_violation_renders_label_and_normal_on_access():
+    v = cone.Violation(-1.5, (1, 4), (1.0, -1.0), (2, 3), cover=True)
+    assert v.label == "t[2,2] <= t[1,2]"
+    first, second = v.normal, v.normal
+    assert first is not second and first.flags.writeable
+    assert first.dtype == float and np.array_equal(first, [0, 1, 0, 0, -1, 0])
+    first[:] = 7.0  # a fresh array each time: the violation is unchanged
+    assert np.array_equal(v.normal, second)
+    facet = cone.Violation(-2.0, (0, 1, 3, 4), (1.0, -1.0, -1.0, 2.0), (2, 3))
+    assert facet.label == "t[1,1] - t[1,2] - t[2,1] + 2*t[2,2] >= 0"
+    assert facet.label == cone.format_normal(facet.normal, (2, 3))
+    assert repr(facet) == "Violation('t[1,1] - t[1,2] - t[2,1] + 2*t[2,2] >= 0', value=-2.0)"
+    # equal when label, normal and value are
+    assert v == cone.Violation(-1.5, (1, 4), (1.0, -1.0), (2, 3), cover=True)
+    assert v != cone.Violation(-1.5, (1, 4), (1.0, -1.0), (2, 3))
+    assert v != cone.Violation(-1.0, (1, 4), (1.0, -1.0), (2, 3), cover=True)
+
+
+def test_signed_grid_certificates_stay_small():
+    # each violation used to carry a dense normal of T.size floats: about
+    # 36 500 of them here, over 4 GB
+    rng = np.random.default_rng(45)
+    posets = [poset.chain(30), poset.chain(25), poset.chain(20)]
+    T = rng.standard_normal((30, 25, 20))
+    tol = cone.default_tol(T)
+    tracemalloc.start()
+    try:
+        mono = cone.is_monotone(T, posets)
+        cert = cone.membership_finite_rank(T, posets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    n_mono = (T < -tol).sum() + sum((np.diff(T, axis=j) < -tol).sum() for j in range(3))
+    assert len(mono.violated) == n_mono > 20_000
+    assert len(cert.violated) == (tensor.full_difference(T) < -tol).sum()
+    # the violations inside a corner block are the block's own, rendered
+    # alike (labels are 1-based multi-indices, so they do not see the shape)
+    block = (4, 3, 3)
+    sub = T[:4, :3, :3]
+    corner = np.zeros(T.shape, dtype=bool)
+    corner[:4, :3, :3] = True
+    inside = set(np.flatnonzero(corner).tolist())
+    chains = [poset.chain(b) for b in block]
+    for new, ref in ((mono, reference_is_monotone(sub, chains, tol)),
+                     (cert, reference_membership(sub, chains, tol))):
+        mine = [v for v in new.violated if inside.issuperset(v.support)]
+        assert mine
+        assert [v.label for v in mine] == [v.label for v in ref.violated]
+        assert [v.value for v in mine] == [v.value for v in ref.violated]
+        for v, r in zip(mine, ref.violated):
+            normal = v.normal.reshape(T.shape)
+            assert np.array_equal(normal[:4, :3, :3].ravel(), r.normal)
+            assert np.count_nonzero(normal) == np.count_nonzero(r.normal)
 
 
 def test_rank1_monotone_checks_build_no_violations(monkeypatch):

@@ -43,6 +43,54 @@ def test_from_relation_self_loop_is_a_cycle():
         poset.parse_poset_text("elements: a,b\na < a\na < b\n")
 
 
+def _brute_force_closure(p, edges):
+    """Reachability by one depth-first search per element."""
+    succ = [[] for _ in range(p)]
+    for a, b in edges:
+        succ[a].append(b)
+    leq = np.zeros((p, p), dtype=bool)
+    for x in range(p):
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            if not leq[x, y]:
+                leq[x, y] = True
+                stack.extend(succ[y])
+    return leq
+
+
+def test_from_relation_matches_brute_force_closure():
+    rng = np.random.default_rng(60)
+    for _ in range(150):
+        p = int(rng.integers(1, 16))
+        order = rng.permutation(p)  # declaration order is not the order
+        edges = [(int(order[i]), int(order[j])) for i in range(p) for j in range(i + 1, p)
+                 if rng.random() < rng.uniform(0.05, 0.6)]
+        P = poset.from_relation(list(range(p)), edges)
+        leq = _brute_force_closure(p, edges)
+        assert P.leq.dtype == bool and np.array_equal(P.leq, leq)
+        # a cover is a strict relation with no element strictly between
+        strict = leq & ~np.eye(p, dtype=bool)
+        covers = {(a, b) for a in range(p) for b in range(p) if strict[a, b]
+                  and not any(strict[a, c] and strict[c, b] for c in range(p))}
+        assert P.covers == tuple(sorted(covers))
+
+
+def test_from_relation_cycle_messages():
+    cases = [
+        (["a", "b"], [("a", "a")], "relation contains a cycle: 'a' < 'a'"),
+        (["a", "b"], [("a", "b"), ("b", "a")], "relation contains a cycle through 'a' and 'b'"),
+        (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")],
+         "relation contains a cycle through 'b' and 'c'"),
+        (["x", "y", "z"], [("z", "x"), ("x", "y"), ("y", "z")],
+         "relation contains a cycle through 'x' and 'y'"),
+    ]
+    for labels, edges, message in cases:
+        with pytest.raises(CycleError) as info:
+            poset.from_relation(labels, edges)
+        assert str(info.value) == message
+
+
 def test_from_relation_unknown_label():
     with pytest.raises(UnknownLabel):
         poset.from_relation(["a", "b"], [("a", "z")])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ndrank import poset, tensor
+from ndrank import cone, poset, tensor
 from ndrank.errors import IndexOutOfRange, NotSimplicial, ParseError, ShapeMismatch
 
 from helpers import random_forest
@@ -114,6 +114,36 @@ def test_apply_kronecker_linearity():
     lhs = tensor.apply_kronecker(maps, a * S + b * T)
     rhs = a * tensor.apply_kronecker(maps, S) + b * tensor.apply_kronecker(maps, T)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _tensordot_kronecker(maps, T):
+    out = T
+    for j, A in enumerate(maps):
+        out = np.moveaxis(np.tensordot(A, out, axes=(1, j)), 0, j)
+    return out
+
+
+def test_apply_kronecker_matches_tensordot():
+    rng = np.random.default_rng(4)
+    for i in range(200):
+        shape = tuple(int(s) for s in rng.integers(1, 6, size=int(rng.integers(1, 5))))
+        T = rng.standard_normal(shape)
+        # dense maps agree to rounding
+        maps = [rng.standard_normal((int(rng.integers(1, 6)), p)) for p in shape]
+        out = tensor.apply_kronecker(maps, T)
+        assert np.allclose(out, _tensordot_kronecker(maps, T))
+        # maps with at most two +-1 entries a row, as every H-rep row, agree bitwise
+        rows = [cone._halfspace_rows(poset.chain(p) if i % 2 else poset.collider_to_top(p))
+                for p in shape]
+        T = rng.integers(-2, 3, size=shape).astype(float) if i % 3 else T
+        assert tensor.apply_kronecker(rows, T).tobytes() == _tensordot_kronecker(rows, T).tobytes()
+    # a mode of size zero
+    out = tensor.apply_kronecker([np.ones((2, 0)), np.eye(3)], np.zeros((0, 3)))
+    assert out.shape == (2, 3) and not out.any()
+    with pytest.raises(ShapeMismatch):
+        tensor.apply_kronecker([np.eye(2), np.eye(2)], np.zeros((2, 3)))
+    with pytest.raises(ShapeMismatch):
+        tensor.apply_kronecker([np.eye(2)], np.zeros((2, 3)))
 
 
 def test_mode_difference():
