@@ -59,6 +59,8 @@ def _load_problem(tensor_arg: str, poset_args):
         posets = [_load_poset(tok) for tok in poset_args]
     elif default_posets is not None:
         posets = default_posets
+    elif T.ndim == 0:  # an order-0 tensor has no modes to order
+        posets = []
     else:
         raise NDRankError("no posets given and the tensor is not a fixture")
     return T, posets

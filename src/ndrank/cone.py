@@ -222,7 +222,8 @@ def _product_covers(posets: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Every cover (lo, hi) of the product order on flat indices, sorted by
     (lo, hi) as ``poset.product`` lists them.  Read-only, as they are shared."""
     grid = np.arange(prod(P.p for P in posets)).reshape([P.p for P in posets])
-    lo, hi = [], []
+    # the empty pair keeps an order-0 tensor, with no posets, coverless
+    lo, hi = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for j, P in enumerate(posets):
         a, b = np.array(sorted(P.covers), dtype=np.intp).reshape(-1, 2).T
         lo.append(np.take(grid, a, axis=j).ravel())
@@ -327,16 +328,18 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
                                      method="double-description", tol=tol,
                                      min_value=float(values.min()))
     D = apply_kronecker([_halfspace_rows(P) for P in posets], T)
-    bad = np.flatnonzero(D < -tol)
-    if bad.size:
+    bad = D < -tol
+    if bad.any():
         rows = _facet_rows(tuple(posets))
-        for idx, v in zip(zip(*[i.tolist() for i in np.unravel_index(bad, D.shape)]),
-                          D.take(bad).tolist()):
+        # row-major like the facets; an order-0 D has one index, the empty one
+        for idx, v in zip(np.argwhere(bad).tolist(), D[bad].tolist()):
             # the facet is the outer product of one row per mode; each row's
             # support ascends, so the sums, last mode fastest, ascend too
-            supports, coeffs = zip(*map(tuple.__getitem__, rows, idx))
-            violated.append(Violation(v, tuple(map(sum, itertools.product(*supports))),
-                                      tuple(map(prod, itertools.product(*coeffs))), T.shape))
+            picked = [mode_rows[i] for mode_rows, i in zip(rows, idx)]
+            supports = itertools.product(*(support for support, _ in picked))
+            coeffs = itertools.product(*(coeff for _, coeff in picked))
+            violated.append(Violation(v, tuple(map(sum, supports)), tuple(map(prod, coeffs)),
+                                      T.shape))
     return MembershipCertificate(member=not violated, violated=violated,
                                  method="halfspace" if n_colliders else "tree-differencing",
                                  tol=tol, min_value=float(D.min()))

@@ -37,26 +37,112 @@ Chains call the compiled PAVA kernel behind
 ``scipy.optimize.isotonic_regression`` directly (:func:`_pava_rows`), one
 call per row of a stack gathered once: the public wrapper's validation and
 allocations cost several times the kernel on the short rows of a HALS
-sweep.  Its answer is bitwise the wrapper's.  Should scipy move that
-private module, the same kernel is reached through the public function.
+sweep.  Its answer is bitwise the wrapper's.
+
+Both compiled kernels, PAVA in ``scipy.optimize._pava_pybind`` and NNLS in
+``scipy.optimize._slsqplib``, are loaded at import straight from scipy's
+``optimize`` directory (:func:`_resolve_kernels`), without running
+``scipy/optimize/__init__.py``: that package pulls in ``scipy.linalg``,
+``scipy.fft`` and ``scipy.special``, about 0.5 s of import on a 2-vCPU x86
+VM and most of a short ``ndrank`` process.  The two modules are registered in
+``sys.modules`` under their own names, so a later ``import scipy.optimize``
+uses the same objects.  NNLS is called as scipy's public ``nnls`` calls it,
+minus the input checks its callers here make already, and both kernels
+are checked once on a problem with a known answer.  When scipy.optimize
+is already imported (nothing is saved then), when a kernel module is
+blocked or missing, or when loading or that check fails, the kernels are
+reached through ``scipy.optimize``'s public functions instead, as on
+scipy builds whose files or kernel contract differ.  Every NNLS answer is
+certified either way.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import os
+import sys
+from importlib.machinery import PathFinder
 
 import numpy as np
-from scipy.optimize import isotonic_regression, nnls
-
-try:  # the compiled kernel of isotonic_regression, which pools in place
-    from scipy.optimize._pava_pybind import pava as _pava
-except ImportError:  # a private module: reach the same kernel publicly
-    def _pava(x, w, r):
-        x[:] = isotonic_regression(x, weights=w).x
+import scipy
 
 from .errors import UncertifiedSolution
 from .poset import Poset
 from .tensor import require_finite
+
+
+def _public_kernels():
+    """``(pava, nnls)`` through ``scipy.optimize``, which this imports."""
+    from scipy.optimize import isotonic_regression, nnls
+
+    try:  # the compiled kernel of isotonic_regression, which pools in place
+        from scipy.optimize._pava_pybind import pava
+    except ImportError:  # a private module: reach the same kernel publicly
+        def pava(x, w, r):
+            x[:] = isotonic_regression(x, weights=w).x
+    return pava, nnls
+
+
+def _kernel_nnls(kernel):
+    """scipy 1.17.1's public ``nnls(A, b)`` over its compiled ``kernel``,
+    without the checks for finite input and matching shapes."""
+    def nnls(A, b):
+        # the weighted path passes a transposed, Fortran-ordered A
+        A = np.asarray(A, dtype=np.float64, order="C")
+        x, rnorm, info = kernel(A, np.asarray(b, dtype=np.float64), 3 * A.shape[1])
+        if info == 3:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return x, rnorm
+    return nnls
+
+
+def _load_kernels(path) -> tuple:
+    """``(pava, nnls)`` from the kernel modules in the directories ``path``,
+    without importing ``scipy.optimize``.
+
+    A module already in ``sys.modules`` is used as it is; one blocked there
+    by a None entry, or not found, raises ImportError.  Each module loaded
+    is registered under its own name.  Both kernels must then solve a probe
+    with a known answer, or this raises RuntimeError.
+    """
+    modules = []
+    for name in ("scipy.optimize._pava_pybind", "scipy.optimize._slsqplib"):
+        if name in sys.modules:
+            module = sys.modules[name]
+            if module is None:
+                raise ImportError(f"{name} is blocked in sys.modules")
+        else:
+            spec = PathFinder.find_spec(name, path)
+            if spec is None:
+                raise ImportError(f"no {name} in {path}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        modules.append(module)
+    pava, nnls = modules[0].pava, _kernel_nnls(modules[1].nnls)
+    x = np.array([3.0, 1.0, 2.0])
+    pava(x, np.ones(3), np.full(4, -1, dtype=np.intp))
+    # the second column's unconstrained optimum, -1, is clipped to 0
+    z, _ = nnls(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0, -1.0]))
+    if not (np.array_equal(x, [2.0, 2.0, 2.0]) and np.allclose(z, [1.5, 0.0], rtol=0, atol=1e-12)):
+        raise RuntimeError("scipy's compiled kernels failed their probe")
+    return pava, nnls
+
+
+def _resolve_kernels(path) -> tuple:
+    """``(pava, nnls)``: :func:`_load_kernels` from ``path`` or, if
+    ``scipy.optimize`` is imported already or that fails, :func:`_public_kernels`."""
+    if "scipy.optimize" not in sys.modules:
+        try:
+            return _load_kernels(path)
+        # a missing or blocked module, or a kernel whose contract changed
+        except (ImportError, AttributeError, TypeError, ValueError, RuntimeError):
+            pass
+    return _public_kernels()
+
+
+_pava, nnls = _resolve_kernels([os.path.join(d, "optimize") for d in scipy.__path__])
 
 
 # a target whose every halfspace row is violated by at most this much,

@@ -138,6 +138,19 @@ def test_check_collider_fixture_member(capsys):
     assert "member" in out
 
 
+def test_check_order_0_tensor(tmp_path, capsys):
+    # an order-0 tensor has no modes, so it needs no posets
+    t = tmp_path / "t.json"
+    for x, code_want in ((2.0, 0), (0.0, 0), (-1e-9, 0), (-1.0, 1)):
+        t.write_text(json.dumps({"shape": [], "data": [x]}))
+        code, out, _ = run(capsys, "check", str(t))
+        assert code == code_want
+        verdict, violated = (("member", "") if code_want == 0 else
+                             ("NON-MEMBER", "  violated: t[] >= 0   (value -1)\n"))
+        assert out == (f"monotonicity [monotonicity]: {verdict}\n{violated}"
+                       f"finite ND rank [tree-differencing]: {verdict}\n{violated}")
+
+
 def test_check_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1, 2\n3, zap\n")

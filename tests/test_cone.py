@@ -223,6 +223,21 @@ def test_checks_reject_a_bad_tol(tol):
                                                  "t[1,1] <= t[2,1]"]
 
 
+# an order-0 tensor (no posets) is a member iff t >= -tol; -1e-9 lies just
+# inside the default slack 1e-9 * (1 + 1e-9), and the bounds of tol=0.5
+@pytest.mark.parametrize("x, tol, member", [
+    (2.0, None, True), (0.0, None, True), (-1e-9, None, True), (-1.0, None, False),
+    (-0.5, 0.5, True), (np.nextafter(-0.5, -1.0), 0.5, False)])
+def test_order_0_tensor_checks(x, tol, member):
+    # is_monotone raised numpy's ValueError on every order-0 tensor, and
+    # membership_finite_rank on every non-member
+    for check in (cone.is_monotone, cone.membership_finite_rank):
+        cert = check(np.float64(x), [], tol)
+        assert cert.member == member and cert.min_value == x
+        assert [(v.label, v.value, v.normal.tolist()) for v in cert.violated] == (
+            [] if member else [("t[] >= 0", x, [1.0])])
+
+
 def test_membership_differencing_vs_double_description():
     rng = np.random.default_rng(1)
     posets = [poset.chain(2), poset.chain(3)]

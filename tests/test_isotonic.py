@@ -1,9 +1,15 @@
 import importlib.util
+import os
+import subprocess
 import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.optimize import isotonic_regression
+from scipy.optimize import nnls as scipy_nnls
 
 from ndrank import datasets, factor, isotonic, poset
 from ndrank.cone import order_cone_vrep
@@ -13,6 +19,9 @@ from ndrank.isotonic import pava_chain, project
 from helpers import (projection_oracle, random_collider, random_dag, random_poset,
                      reference_pava)
 
+ROOT = Path(__file__).resolve().parents[1]
+KERNEL_PATH = [os.path.join(d, "optimize") for d in scipy.__path__]
+KERNEL_MODULES = ("scipy.optimize._pava_pybind", "scipy.optimize._slsqplib")
 COLLIDER = poset.from_relation([0, 1, 2], [(0, 2), (1, 2)])
 # a tied target one ulp off the cone; scipy 1.17.1's nnls maps it to
 # [0, 0, 0.265] and reports a residual of 0
@@ -107,6 +116,121 @@ def test_pava_rows_without_the_private_kernel(monkeypatch):
         for w in (None, rng.uniform(0.05, 20.0, size=9)):
             want = isotonic._pava_rows(Y, idx, w)
             assert fallback._pava_rows(Y, idx, w).tobytes() == want.tobytes()
+
+
+def test_nnls_is_bitwise_scipy():
+    # isotonic.nnls, and the wrapper of scipy's compiled NNLS kernel that it
+    # is when scipy.optimize was not imported first, answer as scipy's nnls
+    rng = np.random.default_rng(98)
+    A = isotonic._halfspace_rows(COLLIDER)
+    w = np.array([0.5, 2.0, 1.5])
+    # the collider reproducer, unweighted and weighted as _project_rows poses it
+    problems = [(np.ascontiguousarray(A.T), -TIED_Y), ((A / np.sqrt(w)).T, -np.sqrt(w) * TIED_Y)]
+    for m, n in ((4, 3), (12, 20), (20, 12), (9, 9)):
+        A = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        # C-ordered, F-ordered, and a strided view that is neither
+        problems += [(A, b), (np.asfortranarray(A), b), (A[::-1, ::2], -b[::-1])]
+    solvers = [isotonic.nnls]
+    if importlib.util.find_spec(KERNEL_MODULES[1]) is not None:  # not on older scipy
+        solvers.append(isotonic._load_kernels(KERNEL_PATH)[1])
+    for solve in solvers:
+        for A, b in problems:
+            x, rnorm = solve(A, b)
+            want, rnorm_want = scipy_nnls(A, b)
+            assert x.tobytes() == want.tobytes() and rnorm == rnorm_want
+
+
+def test_nnls_kernel_is_called_as_scipy_calls_it():
+    calls = []
+
+    def kernel(A, b, maxiter):
+        calls.append((A.flags.c_contiguous, A.dtype, b.dtype, maxiter))
+        return np.zeros(A.shape[1]), 0.0, 3 if maxiter == 15 else 1
+
+    nnls = isotonic._kernel_nnls(kernel)
+    nnls(np.asfortranarray(np.ones((4, 3))), np.ones(4, dtype=np.float32))
+    assert calls == [(True, np.float64, np.float64, 9)]
+    with pytest.raises(RuntimeError, match="Maximum number of iterations"):
+        nnls(np.ones((2, 5)), np.ones(2))
+
+
+def _good_pava(x, w, r):
+    x[:] = isotonic_regression(x, weights=w).x
+
+
+def _good_nnls(A, b, maxiter):
+    return (*scipy_nnls(A, b), 1)
+
+
+@pytest.mark.parametrize("pava, nnls, falls_back", [
+    (_good_pava, _good_nnls, False),
+    (_good_pava, lambda A, b, maxiter: (np.zeros(A.shape[1]), 0.0, 1), True),  # a wrong answer
+    (lambda x, w, r: None, _good_nnls, True),                                  # pools nothing
+    (_good_pava, lambda A, b: _good_nnls(A, b, 0), True),                      # another signature
+    (_good_pava, lambda A, b, maxiter: (np.zeros(A.shape[1]), 0.0, 3), True),  # at its cap
+    (None, _good_nnls, True),                                                  # blocked
+])
+def test_kernels_fall_back_when_the_probe_fails(monkeypatch, pava, nnls, falls_back):
+    # kernel modules stand in for scipy's; the public functions for a sentinel
+    public = (object(), object())
+    monkeypatch.setattr(isotonic, "_public_kernels", lambda: public)
+    monkeypatch.delitem(sys.modules, "scipy.optimize")
+    monkeypatch.setitem(sys.modules, KERNEL_MODULES[0],
+                        None if pava is None else types.SimpleNamespace(pava=pava))
+    monkeypatch.setitem(sys.modules, KERNEL_MODULES[1], types.SimpleNamespace(nnls=nnls))
+    kernels = isotonic._resolve_kernels(KERNEL_PATH)
+    assert (kernels is public) == falls_back
+    if not falls_back:
+        assert kernels[0] is _good_pava
+        A, b = np.random.default_rng(96).standard_normal((2, 5, 4))
+        assert kernels[1](A, b[:, 0])[0].tobytes() == scipy_nnls(A, b[:, 0])[0].tobytes()
+
+
+def _run_python(code, *args, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *code, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_kernels_resolved_against_an_empty_directory(tmp_path):
+    # with nothing to load, the kernels come from scipy.optimize's public
+    # functions, with the same answers
+    code = """
+import sys
+import numpy as np
+from ndrank import isotonic
+# as if nothing of scipy.optimize were loaded yet
+for name in [name for name in sys.modules if name.startswith("scipy.optimize")]:
+    del sys.modules[name]
+pava, nnls = isotonic._resolve_kernels([sys.argv[1]])
+import scipy.optimize
+assert nnls is scipy.optimize.nnls
+rng = np.random.default_rng(99)
+A, b = rng.standard_normal((12, 20)), rng.standard_normal(12)
+assert nnls(A, b)[0].tobytes() == isotonic.nnls(A, b)[0].tobytes()
+x, w = rng.standard_normal(9), rng.uniform(0.5, 2.0, size=9)
+x_own, w_own = x.copy(), w.copy()
+isotonic._pava(x_own, w_own, np.full(10, -1, dtype=np.intp))
+pava(x, w, np.full(10, -1, dtype=np.intp))
+assert x.tobytes() == x_own.tobytes()
+print("ok")
+"""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    proc = _run_python(["-c", code], str(empty), tmp_path=tmp_path)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr[-2000:]
+
+
+def test_start_up_leaves_scipy_optimize_out(tmp_path):
+    # the whole check, with its assertions, is a script that CI also runs
+    # against the installed package
+    proc = _run_python([str(ROOT / "tests" / "startup_check.py")], tmp_path=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith(f"start-up ok: {ROOT / 'src' / 'ndrank'}")
+    if scipy.__version__ == "1.17.1":
+        assert proc.stdout.rstrip().endswith("loaded without scipy.optimize")
 
 
 def test_project_frozen_examples():
