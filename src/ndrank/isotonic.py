@@ -46,10 +46,10 @@ Both compiled kernels, PAVA in ``scipy.optimize._pava_pybind`` and NNLS in
 ``scipy.fft`` and ``scipy.special``, about 0.5 s of import on a 2-vCPU x86
 VM and most of a short ``ndrank`` process.  The two modules are registered in
 ``sys.modules`` under their own names, so a later ``import scipy.optimize``
-uses the same objects.  NNLS is called as scipy's public ``nnls`` calls it,
-minus the input checks its callers here make already, and both kernels
-are checked once on a problem with a known answer.  When scipy.optimize
-is already imported (nothing is saved then), when a kernel module is
+uses the same objects, and a module ``scipy.optimize`` has loaded already is
+used as it is.  NNLS is called as scipy's public ``nnls`` calls it, minus
+the input checks its callers here make already, and both kernels are
+checked once on a problem with a known answer.  When a kernel module is
 blocked or missing, or when loading or that check fails, the kernels are
 reached through ``scipy.optimize``'s public functions instead, as on
 scipy builds whose files or kernel contract differ.  Every NNLS answer is
@@ -131,15 +131,13 @@ def _load_kernels(path) -> tuple:
 
 
 def _resolve_kernels(path) -> tuple:
-    """``(pava, nnls)``: :func:`_load_kernels` from ``path`` or, if
-    ``scipy.optimize`` is imported already or that fails, :func:`_public_kernels`."""
-    if "scipy.optimize" not in sys.modules:
-        try:
-            return _load_kernels(path)
-        # a missing or blocked module, or a kernel whose contract changed
-        except (ImportError, AttributeError, TypeError, ValueError, RuntimeError):
-            pass
-    return _public_kernels()
+    """``(pava, nnls)``: :func:`_load_kernels` from ``path`` or, if that
+    fails, :func:`_public_kernels`."""
+    try:
+        return _load_kernels(path)
+    # a missing or blocked module, or a kernel whose contract changed
+    except (ImportError, AttributeError, TypeError, ValueError, RuntimeError):
+        return _public_kernels()
 
 
 _pava, nnls = _resolve_kernels([os.path.join(d, "optimize") for d in scipy.__path__])

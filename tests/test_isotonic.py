@@ -119,8 +119,8 @@ def test_pava_rows_without_the_private_kernel(monkeypatch):
 
 
 def test_nnls_is_bitwise_scipy():
-    # isotonic.nnls, and the wrapper of scipy's compiled NNLS kernel that it
-    # is when scipy.optimize was not imported first, answer as scipy's nnls
+    # isotonic.nnls, the wrapper of scipy's compiled NNLS kernel wherever the
+    # kernel loads, answers as scipy's nnls
     rng = np.random.default_rng(98)
     A = isotonic._halfspace_rows(COLLIDER)
     w = np.array([0.5, 2.0, 1.5])
@@ -131,9 +131,10 @@ def test_nnls_is_bitwise_scipy():
         b = rng.standard_normal(m)
         # C-ordered, F-ordered, and a strided view that is neither
         problems += [(A, b), (np.asfortranarray(A), b), (A[::-1, ::2], -b[::-1])]
-    solvers = [isotonic.nnls]
-    if importlib.util.find_spec(KERNEL_MODULES[1]) is not None:  # not on older scipy
-        solvers.append(isotonic._load_kernels(KERNEL_PATH)[1])
+    # resolved again, now that this module has imported scipy.optimize
+    solvers = [isotonic.nnls, isotonic._resolve_kernels(KERNEL_PATH)[1]]
+    if scipy.__version__ == "1.17.1":
+        assert solvers[1] is not scipy_nnls
     for solve in solvers:
         for A, b in problems:
             x, rnorm = solve(A, b)
@@ -170,16 +171,21 @@ def _good_nnls(A, b, maxiter):
     (_good_pava, lambda A, b: _good_nnls(A, b, 0), True),                      # another signature
     (_good_pava, lambda A, b, maxiter: (np.zeros(A.shape[1]), 0.0, 3), True),  # at its cap
     (None, _good_nnls, True),                                                  # blocked
+    ("missing", None, True),                                                   # not found
 ])
-def test_kernels_fall_back_when_the_probe_fails(monkeypatch, pava, nnls, falls_back):
-    # kernel modules stand in for scipy's; the public functions for a sentinel
+def test_kernels_fall_back_when_the_probe_fails(monkeypatch, tmp_path, pava, nnls, falls_back):
+    # kernel modules stand in for scipy's, or there are none to find in an
+    # empty directory; the public functions stand in for a sentinel
     public = (object(), object())
     monkeypatch.setattr(isotonic, "_public_kernels", lambda: public)
-    monkeypatch.delitem(sys.modules, "scipy.optimize")
-    monkeypatch.setitem(sys.modules, KERNEL_MODULES[0],
-                        None if pava is None else types.SimpleNamespace(pava=pava))
-    monkeypatch.setitem(sys.modules, KERNEL_MODULES[1], types.SimpleNamespace(nnls=nnls))
-    kernels = isotonic._resolve_kernels(KERNEL_PATH)
+    if pava == "missing":
+        for name in KERNEL_MODULES:
+            monkeypatch.delitem(sys.modules, name, raising=False)
+    else:
+        monkeypatch.setitem(sys.modules, KERNEL_MODULES[0],
+                            None if pava is None else types.SimpleNamespace(pava=pava))
+        monkeypatch.setitem(sys.modules, KERNEL_MODULES[1], types.SimpleNamespace(nnls=nnls))
+    kernels = isotonic._resolve_kernels([str(tmp_path)])
     assert (kernels is public) == falls_back
     if not falls_back:
         assert kernels[0] is _good_pava
@@ -187,46 +193,13 @@ def test_kernels_fall_back_when_the_probe_fails(monkeypatch, pava, nnls, falls_b
         assert kernels[1](A, b[:, 0])[0].tobytes() == scipy_nnls(A, b[:, 0])[0].tobytes()
 
 
-def _run_python(code, *args, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *code, *args], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-
-
-def test_kernels_resolved_against_an_empty_directory(tmp_path):
-    # with nothing to load, the kernels come from scipy.optimize's public
-    # functions, with the same answers
-    code = """
-import sys
-import numpy as np
-from ndrank import isotonic
-# as if nothing of scipy.optimize were loaded yet
-for name in [name for name in sys.modules if name.startswith("scipy.optimize")]:
-    del sys.modules[name]
-pava, nnls = isotonic._resolve_kernels([sys.argv[1]])
-import scipy.optimize
-assert nnls is scipy.optimize.nnls
-rng = np.random.default_rng(99)
-A, b = rng.standard_normal((12, 20)), rng.standard_normal(12)
-assert nnls(A, b)[0].tobytes() == isotonic.nnls(A, b)[0].tobytes()
-x, w = rng.standard_normal(9), rng.uniform(0.5, 2.0, size=9)
-x_own, w_own = x.copy(), w.copy()
-isotonic._pava(x_own, w_own, np.full(10, -1, dtype=np.intp))
-pava(x, w, np.full(10, -1, dtype=np.intp))
-assert x.tobytes() == x_own.tobytes()
-print("ok")
-"""
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    proc = _run_python(["-c", code], str(empty), tmp_path=tmp_path)
-    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr[-2000:]
-
-
 def test_start_up_leaves_scipy_optimize_out(tmp_path):
     # the whole check, with its assertions, is a script that CI also runs
     # against the installed package
-    proc = _run_python([str(ROOT / "tests" / "startup_check.py")], tmp_path=tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "startup_check.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith(f"start-up ok: {ROOT / 'src' / 'ndrank'}")
     if scipy.__version__ == "1.17.1":
