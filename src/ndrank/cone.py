@@ -319,14 +319,16 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
     n_colliders = sum(has_collider(P) for P in posets)
     violated = []
     if n_colliders > 1:
-        hrep = _finite_rank_facets(tuple(posets))
-        values = hrep.normals @ T.ravel()
-        rows = np.flatnonzero(values < -tol)
-        violated = [Violation(v, *hrep.sparse_rows[i], T.shape)
-                    for i, v in zip(rows.tolist(), values[rows].tolist())]
+        values = np.empty(0)
+        if T.size:  # an empty tensor lies in R^0, where the cone has no facets
+            hrep = _finite_rank_facets(tuple(posets))
+            values = hrep.normals @ T.ravel()
+            rows = np.flatnonzero(values < -tol)
+            violated = [Violation(v, *hrep.sparse_rows[i], T.shape)
+                        for i, v in zip(rows.tolist(), values[rows].tolist())]
         return MembershipCertificate(member=not violated, violated=violated,
                                      method="double-description", tol=tol,
-                                     min_value=float(values.min()))
+                                     min_value=float(values.min(initial=np.inf)))
     D = apply_kronecker([_halfspace_rows(P) for P in posets], T)
     bad = D < -tol
     if bad.any():
@@ -342,7 +344,7 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
                                       T.shape))
     return MembershipCertificate(member=not violated, violated=violated,
                                  method="halfspace" if n_colliders else "tree-differencing",
-                                 tol=tol, min_value=float(D.min()))
+                                 tol=tol, min_value=float(D.min(initial=np.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ from .errors import (
 from .isotonic import (_ROW_PATHS, _chain_order, _halfspace_rows, _nnls_certified,
                        _pava_rows, _project_rows, _projection_plan, project)
 from .poset import Poset, connected_upsets, is_simplicial
-from .tensor import check_tensor, outer, require_finite
+from .tensor import check_tensor, outer, require_entries, require_finite
 
 @dataclass
 class NDFactorization:
@@ -267,6 +267,7 @@ def init_als_project(T, r: int, posets, seed) -> NDFactorization | list:
     restart, so a start is bitwise the one its seed gives alone.
     """
     T = np.asarray(T, dtype=float)
+    require_entries(T)
     posets = list(posets)
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     R, k = len(seeds), T.ndim
@@ -661,6 +662,7 @@ def hals(T, posets, cfg: FitConfig):
     Returns ``(NDFactorization, FitReport)``.
     """
     T, posets = check_tensor(T, posets)
+    require_entries(T)
     norm2 = float(T.reshape(-1) @ T.reshape(-1))
     # the solvers' liveness floors and the init's ridge hold an absolute 1,
     # so they see the unit-norm tensor
@@ -714,6 +716,7 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
     HALS run and flags it in the diagnostics.
     """
     T, posets = check_tensor(T, posets)
+    require_entries(T)
     if not np.any(T):
         fact = NDFactorization(np.zeros(1), [_uniform_unit(P.p)[None, :] for P in posets],
                                posets=posets)
@@ -731,6 +734,7 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
 def _count_marginals(T, model: str):
     """Per-mode marginals and grand total of finite, nonnegative count data."""
     T = np.asarray(T, dtype=float)
+    require_entries(T)
     require_finite("tensor", T)
     if (T < 0).any():
         raise NonNegativityViolated(f"{model} data must be nonnegative")
@@ -762,6 +766,7 @@ def rank1_exponential(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> 
     stay strictly positive throughout.
     """
     T, posets = check_tensor(T, posets)
+    require_entries(T)
     if (T <= 0).any():
         raise NonPositiveEntry("exponential data must be strictly positive")
     if (cone_mod._monotone_values(T, posets)[0] < -default_tol(T)).any():
@@ -836,6 +841,7 @@ def rank2_matrix_exact(T, posets, mode: str = "min-volume") -> Rank2Result:
     if T.ndim != 2:
         raise ShapeMismatch("rank2_matrix_exact expects a matrix")
     T, posets = check_tensor(T, posets)
+    require_entries(T)
     U, s, Vt = np.linalg.svd(T, full_matrices=False)
     T2 = (U[:, :2] * s[:2]) @ Vt[:2]
     cert = membership_finite_rank(T2, posets)

@@ -1,14 +1,16 @@
 """Finite posets represented by their Hasse diagram of cover relations.
 
 Elements are indexed 0..p-1 in declaration order; a label table maps indices
-to user-facing names.  All order queries derive from ``leq``, the reflexive
-transitive closure of the cover relation.
+to user-facing names.  A poset stores its labels and covers; order queries
+read each element's strict upper set as a bit row, unpacked into ``leq``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +23,7 @@ LINEAR_EXTENSION_COUNT_LIMIT = 1_000_000
 
 @dataclass(frozen=True, eq=False)
 class Poset:
-    """A finite poset.
+    """A finite poset, stored as its labels and covers; ``leq`` is derived.
 
     Parameters
     ----------
@@ -29,17 +31,12 @@ class Poset:
         Element names in declaration order.
     covers : tuple of (int, int)
         Index pairs ``(x, y)`` meaning y covers x (x is immediately below y).
-    leq : numpy.ndarray of bool, shape (p, p)
-        ``leq[x, y]`` is True iff x <= y.  Reflexive, antisymmetric,
-        transitive, and equal to the reflexive-transitive closure of covers.
     """
 
     labels: tuple
     covers: tuple
-    leq: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.leq.setflags(write=False)
         # the projection caches look a poset up on every call; hashing the
         # cover set each time was a measurable share of a small projection
         object.__setattr__(self, "_hash", hash((self.labels, frozenset(self.covers))))
@@ -62,10 +59,25 @@ class Poset:
     def __reduce__(self):
         # rebuild rather than copy the cached hash: string hashes differ
         # between processes
-        return Poset, (self.labels, self.covers, self.leq)
+        return Poset, (self.labels, self.covers)
 
     def __repr__(self):
         return f"Poset(p={self.p}, covers={sorted(self.covers)})"
+
+    @functools.cached_property
+    def _upper(self) -> list[int]:
+        """Strict upper set of each element, as a bit row."""
+        return _close(self.labels, self.covers)[0]
+
+    @functools.cached_property
+    def leq(self) -> np.ndarray:
+        """Read-only boolean matrix, unpacked from the bit rows in one step."""
+        width = self.p // 8 + 1
+        rows = b"".join((up | 1 << x).to_bytes(width, "little") for x, up in enumerate(self._upper))
+        raw = np.frombuffer(rows, dtype=np.uint8).reshape(self.p, width)
+        leq = np.unpackbits(raw, axis=1, count=self.p, bitorder="little").view(bool)
+        leq.setflags(write=False)
+        return leq
 
     def index(self, label):
         try:
@@ -85,30 +97,43 @@ class Poset:
         return [x for x in range(self.p) if x not in has_upper]
 
 
-def _closure_from_edges(p: int, edges) -> np.ndarray:
-    """Reflexive-transitive closure of an edge set, as a boolean matrix."""
-    reach = np.eye(p)
-    for a, b in edges:
-        reach[a, b] = 1.0
-    # repeated squaring of the reflexive relation, as float64 products:
-    # numpy's boolean matmul has no BLAS kernel and is several times slower.
-    # Squaring only adds pairs, so an unchanged count means a fixed point.
-    count = np.count_nonzero(reach)
-    while True:
-        reach = np.minimum(reach @ reach, 1.0)
-        count, before = np.count_nonzero(reach), count
-        if count == before:
-            return reach > 0
+def _bits(mask: int):
+    """Yield the index of each set bit of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _reduce_closure(leq: np.ndarray) -> tuple:
-    """Transitively reduced cover pairs of a closure matrix (unique for posets)."""
-    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    f = strict.astype(float)
-    two_step = (f @ f) > 0
-    cov = strict & ~two_step
-    xs, ys = np.nonzero(cov)
-    return tuple(sorted(zip(xs.tolist(), ys.tolist())))
+def _close(labels, edges) -> tuple[list[int], tuple]:
+    """Strict upper sets (bit rows) and sorted covers generated by index pairs:
+    rows are OR-ed down a topological (Kahn) order, and an edge is a cover
+    unless it ends in another successor's row (Aho, Garey & Ullman 1972)."""
+    p = len(labels)
+    succ, out, indeg = [0] * p, [[] for _ in range(p)], [0] * p
+    for a, b in set(edges):  # a repeated edge counts once
+        succ[a] |= 1 << b
+        out[a].append(b)
+        indeg[b] += 1
+    order = [x for x in range(p) if not indeg[x]]
+    for x in order:  # the list grows as elements are freed
+        for y in out[x]:
+            indeg[y] -= 1
+            if not indeg[y]:
+                order.append(y)
+    if len(order) < p:  # every cycle lies in what Kahn's pass left
+        left = (1 << p) - 1 - sum(1 << x for x in order)
+        reach = {z: _component(1 << z, left, succ) for z in _bits(left)}
+        x, y = next((x, y) for x in reach for y in _bits(reach[x] & ~(1 << x)) if reach[y] >> x & 1)
+        raise CycleError(f"relation contains a cycle through {labels[x]!r} and {labels[y]!r}")
+    upper, covers = [0] * p, []
+    for x in reversed(order):
+        above = 0
+        for y in out[x]:
+            above |= upper[y]
+        upper[x] = succ[x] | above
+        covers += [(x, y) for y in out[x] if not above >> y & 1]
+    return upper, tuple(sorted(covers))
 
 
 def from_relation(labels, edges) -> Poset:
@@ -137,19 +162,16 @@ def from_relation(labels, edges) -> Poset:
     lut = {lab: i for i, lab in enumerate(labels)}
     idx_edges = []
     for a, b in edges:
-        if a not in lut:
-            raise UnknownLabel(f"edge references undeclared label {a!r}")
-        if b not in lut:
-            raise UnknownLabel(f"edge references undeclared label {b!r}")
+        for x in (a, b):
+            if x not in lut:
+                raise UnknownLabel(f"edge references undeclared label {x!r}")
         if lut[a] == lut[b]:
             raise CycleError(f"relation contains a cycle: {a!r} < {b!r}")
         idx_edges.append((lut[a], lut[b]))
-    leq = _closure_from_edges(len(labels), idx_edges)
-    sym = leq & leq.T & ~np.eye(len(labels), dtype=bool)
-    if sym.any():
-        x, y = np.argwhere(sym)[0]
-        raise CycleError(f"relation contains a cycle through {labels[x]!r} and {labels[y]!r}")
-    return Poset(labels=labels, covers=_reduce_closure(leq), leq=leq)
+    upper, covers = _close(labels, idx_edges)
+    P = Poset(labels, covers)
+    vars(P)["_upper"] = upper  # fill the cache with the rows just found
+    return P
 
 
 def chain(p: int) -> Poset:
@@ -190,18 +212,11 @@ def product(factors) -> Poset:
         return factors[0]
     labels = tuple(itertools.product(*(f.labels for f in factors)))
     sizes = [f.p for f in factors]
-    strides = [1] * len(sizes)
-    for j in range(len(sizes) - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    covers = []
-    for flat, tup in enumerate(itertools.product(*(range(s) for s in sizes))):
-        for j, f in enumerate(factors):
-            for b in f.upper_covers(tup[j]):
-                covers.append((flat, flat + (b - tup[j]) * strides[j]))
-    leq = np.array([[True]])
-    for f in factors:
-        leq = np.kron(leq, f.leq)
-    return Poset(labels=labels, covers=tuple(sorted(covers)), leq=leq)
+    strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
+    covers = sorted((flat, flat + (b - tup[j]) * strides[j])
+                    for flat, tup in enumerate(itertools.product(*(range(s) for s in sizes)))
+                    for j, f in enumerate(factors) for b in f.upper_covers(tup[j]))
+    return Poset(labels, tuple(covers))
 
 
 def has_collider(P: Poset) -> bool:
@@ -225,11 +240,8 @@ def _component(start: int, within: int, adj: list[int]) -> int:
     seen = frontier = start
     while frontier:
         nxt = 0
-        m = frontier
-        while m:
-            bit = m & -m
-            m ^= bit
-            nxt |= adj[bit.bit_length() - 1]
+        for x in _bits(frontier):
+            nxt |= adj[x]
         frontier = nxt & within & ~seen
         seen |= frontier
     return seen
@@ -244,11 +256,9 @@ def connected_upsets(P: Poset) -> list[frozenset]:
     if P.p > CONNECTED_UPSET_GUARD:
         raise TooLarge(f"connected_upsets is guarded at p <= {CONNECTED_UPSET_GUARD} (got {P.p})")
     adj = [0] * P.p  # undirected Hasse neighbours
-    upper_masks = [0] * P.p
     for a, b in P.covers:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-        upper_masks[a] |= 1 << b
 
     found: list[int] = []
     unseen = (1 << P.p) - 1
@@ -257,8 +267,7 @@ def connected_upsets(P: Poset) -> list[frozenset]:
         unseen ^= comp
         # maximal elements of the component first: an element may only be
         # added once everything above it is already in the mask
-        order = sorted((i for i in range(P.p) if comp >> i & 1),
-                       key=lambda x: int(P.leq[x].sum()))
+        order = sorted(_bits(comp), key=lambda x: P._upper[x].bit_count())
 
         def walk(i: int, mask: int):
             if i == len(order):
@@ -267,11 +276,11 @@ def connected_upsets(P: Poset) -> list[frozenset]:
                 return
             walk(i + 1, mask)  # exclude order[i]
             e = order[i]
-            if upper_masks[e] & ~mask == 0:
+            if P._upper[e] & ~mask == 0:
                 walk(i + 1, mask | (1 << e))
 
         walk(0, 0)
-    sets = [frozenset(i for i in range(P.p) if m >> i & 1) for m in found]
+    sets = [frozenset(_bits(m)) for m in found]
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -281,19 +290,13 @@ def count_antichains(P: Poset) -> int:
     For posets with a maximum element this equals the number of connected
     upsets.  Runs in time proportional to the count itself.
     """
-    comparable = [0] * P.p
-    for x in range(P.p):
-        for y in range(P.p):
-            if P.leq[x, y] or P.leq[y, x]:
-                comparable[x] |= 1 << y
+    up = P._upper
+    comparable = [up[x] | 1 << x | sum(1 << y for y in range(P.p) if up[y] >> x & 1)
+                  for x in range(P.p)]
 
     def count(start: int, allowed: int) -> int:
         total = 0
-        m = allowed >> start << start
-        while m:
-            bit = m & -m
-            m ^= bit
-            j = bit.bit_length() - 1
+        for j in _bits(allowed >> start << start):
             total += 1 + count(j + 1, allowed & ~comparable[j])
         return total
 
@@ -315,13 +318,9 @@ class _Downsets:
     def minimal(self, remaining: int):
         """Yield ``(x, bit)`` for each element x minimal in ``remaining``."""
         lower = self._lower
-        m = remaining
-        while m:
-            bit = m & -m
-            m ^= bit
-            x = bit.bit_length() - 1
+        for x in _bits(remaining):
             if lower[x] & remaining == 0:
-                yield x, bit
+                yield x, 1 << x
 
     def count(self, remaining: int) -> int:
         c = self._counts.get(remaining)
@@ -384,10 +383,11 @@ def parse_poset_text(text: str) -> Poset:
     line, or one that is not the first; an empty element list or a repeated
     label (both reported at the ``elements:`` line); a relation line that is
     not ``x < y``, one naming an undeclared label, or a line ``x < x`` (each
-    reported at its line); a cycle through several lines.
+    reported at its line); a cycle through several lines, reported at the
+    line that closes the first cycle when the relations are read in order.
     """
     labels = None
-    edges = []
+    edges, linenos = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -414,15 +414,46 @@ def parse_poset_text(text: str) -> Poset:
         if a == b:
             raise ParseError(f"relation contains a cycle: {a!r} < {b!r}", line=lineno)
         edges.append((a, b))
+        linenos.append(lineno)
     if labels is None:
         raise ParseError("missing 'elements:' header", line=1)
     try:
         return from_relation(labels, edges)
-    except (UnknownLabel, CycleError) as exc:
-        raise ParseError(str(exc)) from exc
+    except CycleError as exc:
+        raise ParseError(str(exc), line=linenos[_first_cycle_edge(labels, edges)]) from exc
+
+
+def _first_cycle_edge(labels, edges) -> int:
+    """Index of the edge that closes the first cycle when the edges of a
+    cyclic relation (without self-loops) are added in order."""
+    lut = {lab: i for i, lab in enumerate(labels)}
+    upper = [0] * len(labels)  # strict upper sets of the edges so far
+    for k, (a, b) in enumerate(edges):
+        a, b = lut[a], lut[b]
+        if upper[b] >> a & 1:
+            return k
+        gained = 1 << b | upper[b]
+        for x, up in enumerate(upper):
+            if x == a or up >> a & 1:
+                upper[x] = up | gained
 
 
 def format_poset_text(P: Poset) -> str:
+    """The poset in the text format that ``parse_poset_text`` reads.
+
+    Raises ``ValueError`` naming the first label that would not read back
+    as written: one whose text is empty, has surrounding whitespace, breaks
+    the line or holds ``,``, ``<`` or ``#``, or equals an earlier label's.
+    """
+    seen = {}
+    for lab in P.labels:
+        text = str(lab)
+        # an empty text has no line, so the split test catches it too
+        if text != text.strip() or text.splitlines() != [text] or not set(text).isdisjoint(",<#"):
+            raise ValueError(f"label {lab!r} cannot be written in the poset text format")
+        if text in seen:
+            raise ValueError(f"labels {seen[text]!r} and {lab!r} both write as {text!r}")
+        seen[text] = lab
     lines = ["elements: " + ",".join(str(lab) for lab in P.labels)]
     lines += [f"{P.labels[a]} < {P.labels[b]}" for a, b in P.covers]
     return "\n".join(lines) + "\n"
@@ -434,5 +465,6 @@ def read_poset(path) -> Poset:
 
 
 def write_poset(P: Poset, path) -> None:
+    text = format_poset_text(P)  # a label it refuses leaves no file behind
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_poset_text(P))
+        fh.write(text)

@@ -44,6 +44,13 @@ def check_tensor(T, posets) -> tuple[np.ndarray, list]:
     return T, posets
 
 
+def require_entries(T: np.ndarray) -> None:
+    """Raise ShapeMismatch naming the first mode of size 0: a fit has no
+    entry to fit there."""
+    if 0 in T.shape:
+        raise ShapeMismatch(f"mode {T.shape.index(0) + 1} is empty; a fit needs entries")
+
+
 def outer(vectors) -> np.ndarray:
     """Outer product of k vectors: T[i1,...,ik] = prod_j v_j[i_j]."""
     vecs = [np.asarray(v, dtype=float) for v in vectors]
@@ -177,11 +184,18 @@ def tensor_from_json(text: str) -> np.ndarray:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
         raise ParseError("tensor JSON needs 'shape' and 'data' fields")
-    shape = tuple(int(s) for s in obj["shape"])
-    data = np.asarray(obj["data"], dtype=float)
-    if data.size != int(np.prod(shape)):
-        raise ParseError(f"data length {data.size} does not match shape {shape}")
-    return data.reshape(shape)
+    shape, data = obj["shape"], obj["data"]
+    # bool is a subclass of int, so the types are compared exactly
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise ParseError(f"'shape' must be a list of non-negative integers, got {json.dumps(shape)}")
+    if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
+        raise ParseError("'data' must be a flat list of numbers")
+    if len(data) != math.prod(shape):
+        raise ParseError(f"data length {len(data)} does not match shape {tuple(shape)}")
+    try:
+        return np.array(data, dtype=float).reshape(shape)
+    except OverflowError:
+        raise ParseError("'data' holds an integer too large for a float") from None
 
 
 def matrix_from_csv(text: str) -> np.ndarray:

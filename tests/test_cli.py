@@ -441,3 +441,17 @@ def test_missing_posets_for_plain_tensor(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(t))
     assert code == 2
     assert "poset" in err.lower()
+
+
+@pytest.mark.parametrize("body", [
+    '{"shape": [2.5], "data": [1, 2]}',
+    '{"shape": [true, 2], "data": [1, 2]}',
+    '{"shape": [2], "data": [[1], [2]]}',
+    '{"shape": "ab", "data": [1, 2]}',
+])
+def test_check_rejects_a_malformed_tensor_json(tmp_path, capsys, body):
+    path = tmp_path / "t.json"
+    path.write_text(body)
+    code, out, err = run(capsys, "check", str(path), "chain:2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'shape'") or err.startswith("error: 'data'")

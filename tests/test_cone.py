@@ -628,3 +628,21 @@ def test_sampler_m4_is_seeded():
     assert (a.estimate, a.members, a.n_samples) == (b.estimate, b.members, b.n_samples)
     assert 0.0 <= a.estimate < 0.05
 
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape, posets, method", [
+    ((0, 3), [poset.from_relation([], []), poset.chain(3)], "tree-differencing"),
+    ((3, 0), [COLLIDER, poset.from_relation([], [])], "halfspace"),
+    ((0, 3, 3), [poset.from_relation([], []), COLLIDER, COLLIDER], "double-description"),
+])
+def test_empty_tensor_is_a_member_on_every_path(shape, posets, method):
+    # numpy's min of an empty array raised, and double description had no
+    # generators to start from; an empty tensor lies in every cone, as
+    # is_monotone already answered
+    T = np.zeros(shape)
+    mono = cone.is_monotone(T, posets)
+    cert = cone.membership_finite_rank(T, posets)
+    assert mono.member and mono.min_value == np.inf
+    assert cert.member and cert.min_value == np.inf and cert.method == method
+    assert not cert.violated

@@ -884,3 +884,27 @@ def test_factorization_json_roundtrip():
     assert np.allclose(back.reconstruct(), fact.reconstruct())
     obj = json.loads(text)
     assert set(obj) == {"rank", "lambdas", "factors", "posets", "diagnostics"}
+
+
+EMPTY = poset.from_relation([], [])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fit", [
+    lambda T, Ps: factor.hals(T, Ps, FitConfig(rank=2, restarts=2)),
+    lambda T, Ps: factor.init_als_project(T, 2, Ps, 0),
+    lambda T, Ps: factor.rank1_gaussian(T, Ps),
+    lambda T, Ps: factor.rank1_exponential(T, Ps),
+    lambda T, Ps: factor.rank1_poisson(T),
+    lambda T, Ps: factor.rank1_multinomial(T),
+    lambda T, Ps: factor.rank2_matrix_exact(T, Ps),
+], ids=["hals", "init_als_project", "rank1_gaussian", "rank1_exponential", "rank1_poisson",
+        "rank1_multinomial", "rank2_matrix_exact"])
+@pytest.mark.parametrize("empty_mode", [1, 2])
+def test_fits_reject_an_empty_mode(fit, empty_mode):
+    # these divided by zero, reshaped to nothing or reduced an empty array
+    posets = [poset.chain(3), poset.chain(3)]
+    posets[empty_mode - 1] = EMPTY
+    T = np.zeros([P.p for P in posets])
+    with pytest.raises(ShapeMismatch, match=f"mode {empty_mode} is empty"):
+        fit(T, posets)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ def test_from_relation_already_reduced():
 
 def test_equal_posets_hash_alike_and_survive_pickling():
     P = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    Q = poset.Poset(P.labels, P.covers[::-1], P.leq.copy())  # covers in another order
-    assert P == Q and hash(P) == hash(Q)
+    Q = poset.Poset(P.labels, P.covers[::-1])  # covers in another order
+    assert P == Q and hash(P) == hash(Q) and np.array_equal(P.leq, Q.leq)
     R = pickle.loads(pickle.dumps(P))
-    assert R == P and hash(R) == hash(P) and not R.leq.flags.writeable
+    assert R == P and hash(R) == hash(P)
+    assert np.array_equal(R.leq, P.leq) and not R.leq.flags.writeable
+    with pytest.raises(ValueError):
+        R.leq[0, 1] = True
 
 
 def test_from_relation_reduces_transitive_edge():
@@ -61,8 +65,9 @@ def _brute_force_closure(p, edges):
 
 def test_from_relation_matches_brute_force_closure():
     rng = np.random.default_rng(60)
-    for _ in range(150):
-        p = int(rng.integers(1, 16))
+    # p = 0 and p = 1, then small posets, then some whose bit rows pass 64 bits
+    sizes = [0, 1] + rng.integers(2, 16, size=150).tolist() + rng.integers(60, 71, size=6).tolist()
+    for p in sizes:
         order = rng.permutation(p)  # declaration order is not the order
         edges = [(int(order[i]), int(order[j])) for i in range(p) for j in range(i + 1, p)
                  if rng.random() < rng.uniform(0.05, 0.6)]
@@ -313,7 +318,58 @@ def test_text_format_names_the_line_of_a_self_loop():
         poset.parse_poset_text("elements: a,b\na < b\nb < b  # loop\n")
     assert err.value.line == 3
     assert str(err.value) == "relation contains a cycle: 'b' < 'b' (line 3)"
-    # a cycle through several lines has no one line to name
+    # a cycle through several lines is named at the line that closes it
     with pytest.raises(ParseError) as err:
         poset.parse_poset_text("elements: a,b\na < b\nb < a\n")
-    assert err.value.line is None
+    assert err.value.line == 3
+
+
+def test_text_format_rejects_labels_it_cannot_read_back(tmp_path):
+    # write_poset wrote these, and read_poset then raised or changed them
+    grid = poset.product([poset.chain(2), poset.chain(2)])
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        poset.write_poset(grid, tmp_path / "grid.txt")
+    assert not (tmp_path / "grid.txt").exists()
+    for bad in ["a,b", "a<b", "a#b", " a", "a ", "a\nb", "a\u2028b", ""]:
+        P = poset.from_relation(["x", bad], [("x", bad)])
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            poset.format_poset_text(P)
+    with pytest.raises(ValueError, match="1 and '1'"):
+        poset.format_poset_text(poset.from_relation([1, "1"], []))
+
+
+LABEL_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(LABEL_TEXT, min_size=1, max_size=6, unique=True), st.randoms(use_true_random=False))
+def test_text_format_round_trips_or_refuses(labels, rand):
+    edges = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if rand.random() < 0.4]
+    P = poset.from_relation(labels, edges)
+    try:
+        text = poset.format_poset_text(P)
+    except ValueError:
+        # refused only for a label that cannot be written as it is
+        assert any(lab != lab.strip() or lab.splitlines() != [lab] or set(lab) & set(",<#")
+                   for lab in labels)
+        return
+    Q = poset.parse_poset_text(text)
+    assert Q.labels == P.labels and Q.covers == P.covers
+
+
+def test_text_format_round_trips_random_labels(tmp_path):
+    rng = np.random.default_rng(18)
+    alphabet = list("abcXYZ019_-.:;()[]{}>=+*/\\'\"é€ ") + ["été", "\t"]
+    for trial in range(40):
+        n, labels = int(rng.integers(1, 9)), set()
+        while len(labels) < n:
+            lab = "".join(rng.choice(alphabet, size=int(rng.integers(1, 6)))).strip()
+            if lab:
+                labels.add(lab)
+        labels = sorted(labels)
+        P = random_dag(len(labels), rng)
+        P = poset.from_relation(labels, [(labels[a], labels[b]) for a, b in P.covers])
+        path = tmp_path / f"p{trial}.txt"
+        poset.write_poset(P, path)
+        Q = poset.read_poset(path)
+        assert Q.labels == P.labels and Q.covers == P.covers

@@ -184,3 +184,27 @@ def test_csv_matrix(tmp_path):
     with pytest.raises(ParseError) as err:
         tensor.read_tensor(bad)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"shape": [2.5], "data": [1, 2]}', "shape"),
+    ('{"shape": [true, 2], "data": [1, 2]}', "shape"),
+    ('{"shape": [-1], "data": []}', "shape"),
+    ('{"shape": "ab", "data": [1]}', "shape"),
+    ('{"shape": {"n": 2}, "data": [1, 2]}', "shape"),
+    ('{"shape": [2], "data": [[1], [2]]}', "data"),
+    ('{"shape": [2], "data": [1, true]}', "data"),
+    ('{"shape": [2], "data": [1, "2"]}', "data"),
+    ('{"shape": [2], "data": 12}', "data"),
+    ('{"shape": [1], "data": [1%s]}' % ("0" * 400), "data"),
+])
+def test_json_rejects_malformed_shape_and_data(text, field):
+    # these loaded as a vector, a (1, 2) matrix, a flattened nest, or
+    # raised a bare ValueError or OverflowError
+    with pytest.raises(ParseError, match=f"'{field}'"):
+        tensor.tensor_from_json(text)
+
+
+def test_json_accepts_empty_and_order_0_shapes():
+    assert tensor.tensor_from_json('{"shape": [0, 3], "data": []}').shape == (0, 3)
+    assert tensor.tensor_from_json('{"shape": [], "data": [2]}') == np.array(2.0)
