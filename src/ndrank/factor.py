@@ -11,10 +11,11 @@ F_t[s'], where G_j = F_j F_j' is kept per mode and refreshed after every
 vector update.  All restarts run as one batch: factors, scales and Grams
 carry a leading restart axis, so each (term, mode) update is a few array
 operations for every restart at once, and a restart leaves the batch when
-it meets the stopping test.  An update builds the term's Khatri-Rao row and
-Gram coefficients from views of the stack, takes the MTTKRP, and projects:
-each mode's projection is resolved once per fit, and a chain's rows go
-straight to the compiled PAVA kernel.  What is left per restart, a handful
+it meets the stopping test.  An update takes its MTTKRP from the term's
+suffix contractions (below) and its Gram coefficients from views of the
+stack, and projects: each mode's projection is resolved once per fit, and
+a chain's rows go straight to the compiled PAVA kernel, pooled in place
+when the chain is listed in order.  What is left per restart, a handful
 of scalars (the liveness test of each update, and the SQUAREM step, cap
 and verdict), runs on Python floats, which round as numpy's do, so the
 sweep's time goes to arithmetic rather than to numpy calls on short
@@ -37,12 +38,20 @@ back and the trace repeats its objective (a flat step).  The fit runs on
 T / ||T|| and is scaled back, so its course does not depend on the scale
 of T.
 
-One contraction serves every solver here, at any order: T contracted with
-one vector per mode other than t is the Khatri-Rao product of those vectors
-times T's mode-t unfolding (Kolda & Bader, 2009).  It gives the sweep's
-MTTKRP, the right-hand sides of the ALS init, the alternating rank-one loop
-that revives dead terms and fits the Gaussian rank-one model, and the
-exponential solver's fixed-point update.
+The sweep reads T twice per term, at any order, instead of once per mode.
+When term s's pass starts, T is contracted with the term's vectors from the
+last mode back, Q_{k-1} = T and Q_t = Q_{t+1} x_{t+1} v_{t+1}, one stack
+per restart (p_0 ... p_t entries for Q_t).  Mode t's MTTKRP is Q_t
+contracted with the vectors the pass has already updated, those of modes
+0 ... t-1: the modes after t keep the vectors Q_t was built from until
+their own update.  Only building Q_{k-2} and the last mode's contraction
+read all of T (the dimension-tree idea of Phan, Tichavsky & Cichocki, 2013,
+for sequential mode updates).  Every other solver contracts T with one
+vector per mode other than t as the Khatri-Rao product of those vectors
+times T's mode-t unfolding (Kolda & Bader, 2009): the right-hand sides of
+the ALS init, the alternating rank-one loop that revives dead terms and
+fits the Gaussian rank-one model, and the exponential solver's fixed-point
+update.
 
 The starts of every restart are built as one stack as well: the inits take
 an int seed, for one start, or a sequence of seeds, for a list of starts,
@@ -71,13 +80,14 @@ import numpy as np
 from . import cone as cone_mod
 from .cone import default_tol, is_monotone, membership_finite_rank, order_cone_vrep
 from .errors import (
+    NonFiniteInput,
     NonNegativityViolated,
     NonPositiveEntry,
     HypothesisViolated,
     ShapeMismatch,
 )
 from .isotonic import (_ROW_PATHS, _chain_order, _halfspace_rows, _nnls_certified,
-                       _pava_rows, _project_rows, _projection_plan, project)
+                       _pava_rows, _pool_rows, _project_rows, _projection_plan, project)
 from .poset import Poset, connected_upsets, is_simplicial
 from .tensor import check_tensor, outer, require_entries, require_finite
 
@@ -213,6 +223,25 @@ def _uniform_unit(p: int) -> np.ndarray:
     return np.full(p, 1.0 / np.sqrt(p))
 
 
+def _require_fit_shape(T: np.ndarray) -> None:
+    """Raise ShapeMismatch unless T has at least one mode and no empty one."""
+    if T.ndim == 0:
+        raise ShapeMismatch("a fit needs at least one mode")
+    require_entries(T)
+
+
+def _squared_norm(T: np.ndarray) -> float:
+    """||T||^2 of a finite tensor.  Raises NonFiniteInput when it overflows:
+    the objective trace is in squared units and cannot hold such a fit."""
+    flat = T.reshape(-1)
+    with np.errstate(over="ignore"):
+        norm2 = float(flat @ flat)
+    if not math.isfinite(norm2):
+        raise NonFiniteInput("the tensor's squared Frobenius norm overflows a float; "
+                             "rescale the tensor before fitting it")
+    return norm2
+
+
 def _unfoldings(T: np.ndarray) -> list:
     """Mode-t unfoldings of T, shape (T.size // p_t, p_t), with rows in the
     Khatri-Rao order of the other modes: ``_khatri_rao_rows(vecs, lead) @
@@ -267,7 +296,7 @@ def init_als_project(T, r: int, posets, seed) -> NDFactorization | list:
     restart, so a start is bitwise the one its seed gives alone.
     """
     T = np.asarray(T, dtype=float)
-    require_entries(T)
+    _require_fit_shape(T)
     posets = list(posets)
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     R, k = len(seeds), T.ndim
@@ -372,10 +401,32 @@ def _reconstruct_rows(lambdas: np.ndarray, factors: list) -> np.ndarray:
     return ((factors[0].transpose(0, 2, 1) * lambdas[:, None, :]) @ kr).reshape(R, -1)
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _rowdot_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row of a with the same row of b, over any
     leading axes."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+# numpy >= 2.0 has the same dot as one call, bitwise equal and twice as fast
+_rowdot = getattr(np, "vecdot", _rowdot_matmul)
+
+
+def _mode_target(Q: np.ndarray, vec: list, t: int, coef: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The HALS target of a term in mode t, for every restart of the stack.
+
+    ``Q`` is T contracted with the term's vectors of the modes after t: a
+    stack (n, p_0 ... p_t), or T itself, flat, for the last mode.  It is
+    contracted further with the term's vectors ``vec[j]`` (n, p_j) of the
+    modes j < t, first mode first, one product per restart, and ``coef``
+    (n, r) @ ``F`` (n, r, p_t), the other terms through the Gram rows, is
+    taken off.  The target of mode 0 is written over Q when Q is a stack.
+    """
+    for v in vec[:t]:
+        Q = (v[:, None, :] @ Q.reshape(Q.shape[:-1] + (v.shape[1], -1)))[:, 0]
+    if Q.ndim == 1:  # order 1: T is every restart's target
+        Q = np.tile(Q, (len(coef), 1))
+    Q -= (coef[:, None, :] @ F)[:, 0]
+    return Q
 
 
 def _squarem_point(snaps: np.ndarray, step_max: list, tainted: list, segments: np.ndarray,
@@ -468,15 +519,17 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
                           for j, P in enumerate(posets)]
 
     lambdas, factors = views(X)
-    unfold = _unfoldings(T)
     flat = T.reshape(-1)
     # each mode's projection, resolved once: a chain's rows go straight to
-    # PAVA; each general mode keeps every vector's support, the halfspace
-    # rows active at its last projection (clamps and chains get no rows); a
-    # stale one, after a revival or a rejected trial say, only fails the
-    # face check
+    # PAVA, pooled in place when the chain is listed in order, with one
+    # weight row and one kernel scratch per mode; each general mode keeps
+    # every vector's support, the halfspace rows active at its last
+    # projection (clamps and chains get no rows); a stale one, after a
+    # revival or a rejected trial say, only fails the face check
     plans = [_projection_plan(P) for P in posets]
     chains = [idx if kind == "chain" else None for kind, idx, _, _, _ in plans]
+    pools = [(np.empty(P.p), np.empty(P.p + 1, dtype=np.intp))
+             if isinstance(idx, slice) else None for P, idx in zip(posets, chains)]
     others = [[j for j in range(k) if j != t] for t in range(k)]
     supports = [np.zeros((len(seeds), r, 0 if A is None else A.shape[0]), dtype=bool)
                 for _, _, A, _, _ in plans]
@@ -523,40 +576,47 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
             # term s's vectors and Gram rows, as views that see every update
             vec = [F[:, s] for F in factors]
             grow = [G[:, s] for G in grams]
+            # T contracted with the term's vectors of every mode after t,
+            # Q_{k-1} = T and Q_t = Q_{t+1} x_{t+1} v_{t+1}, from the last mode
+            # back: the pass updates mode t before any mode after it, so
+            # Q_t still holds the vectors mode t's update needs
+            Q = [flat] * k
+            for t in range(k - 2, -1, -1):
+                q = Q[t + 1].reshape(Q[t + 1].shape[:-1] + (-1, T.shape[t + 1]))
+                Q[t] = (q @ vec[t + 1][:, :, None])[:, :, 0]
             for t in range(k):
                 # the contraction of T - recon + term_s with the term's other
-                # vectors: an MTTKRP, minus the other terms through the Gram
-                # rows, coef_s' = lambda_s' prod_{j != t} G_j[s, s']; one
-                # product per restart, as a single matrix product rounds a
-                # row differently with the batch's size
+                # vectors: Q_t contracted with the vectors this pass updated
+                # already, minus the other terms through the Gram rows,
+                # coef_s' = lambda_s' prod_{j != t} G_j[s, s']; one product
+                # per restart, as a single matrix product rounds a row
+                # differently with the batch's size
                 oth = others[t]
-                if len(oth) == 2:  # order 3: the Khatri-Rao product inline
-                    a, b = oth
-                    kr = (vec[a][:, :, None] * vec[b][:, None, :]).reshape(n_act, -1)
-                else:
-                    kr = _khatri_rao_rows([vec[j] for j in oth], (n_act,))
                 coef = lambdas * grow[oth[0]] if oth else lambdas.copy()
                 for j in oth[1:]:
                     coef *= grow[j]
                 coef[:, s] = 0.0
-                target = kr[:, None] @ unfold[t]
-                target -= coef[:, None, :] @ factors[t]
-                target = target[:, 0]
-                if chains[t] is not None:
-                    V = _pava_rows(target, chains[t])
+                target = _mode_target(Q[t], vec, t, coef, factors[t])
+                # the liveness test reads the target before it is pooled
+                norms = _rowdot(target, target).tolist()
+                if chains[t] is None:
+                    V = _project_rows(target, posets[t], support=supports[t][:, s],
+                                      counts=counts)
+                else:
+                    if pools[t] is None:
+                        V = _pava_rows(target, chains[t])
+                    else:  # a chain listed in order: its rows pool in place
+                        V = target
+                        _pool_rows(V, 1.0, *pools[t])
                     np.maximum(V, 0.0, out=V)
                     if counts is not None:
                         counts["chain"] += n_act
-                else:
-                    V = _project_rows(target, posets[t], support=supports[t][:, s],
-                                      counts=counts)
                 n = np.sqrt(_rowdot(V, V))
                 # a numerically-zero projection must not be renormalized:
                 # dividing float crumbs by their norm fabricates an arbitrary
                 # (possibly infeasible) unit vector; the old vector stays.
                 # The test runs on Python floats, which round as numpy does
-                live = [nv > 1e-13 * (1.0 + math.sqrt(tt))
-                        for nv, tt in zip(n.tolist(), _rowdot(target, target).tolist())]
+                live = [nv > 1e-13 * (1.0 + math.sqrt(tt)) for nv, tt in zip(n.tolist(), norms)]
                 if all(live):
                     lambdas[:, s] = n
                     np.divide(V, n[:, None], out=vec[t])
@@ -657,13 +717,14 @@ def hals(T, posets, cfg: FitConfig):
     of its vectors with a certified projection.
 
     The fit runs on T / ||T|| and is scaled back, so it does not depend on
-    the scale of T.
+    the scale of T.  A tensor of order 0 raises ShapeMismatch, and one whose
+    ||T||^2 overflows a float raises NonFiniteInput.
 
     Returns ``(NDFactorization, FitReport)``.
     """
     T, posets = check_tensor(T, posets)
-    require_entries(T)
-    norm2 = float(T.reshape(-1) @ T.reshape(-1))
+    _require_fit_shape(T)
+    norm2 = _squared_norm(T)
     # the solvers' liveness floors and the init's ridge hold an absolute 1,
     # so they see the unit-norm tensor
     scale = float(np.sqrt(norm2)) or 1.0
@@ -716,7 +777,8 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
     HALS run and flags it in the diagnostics.
     """
     T, posets = check_tensor(T, posets)
-    require_entries(T)
+    _require_fit_shape(T)
+    norm = math.sqrt(_squared_norm(T))
     if not np.any(T):
         fact = NDFactorization(np.zeros(1), [_uniform_unit(P.p)[None, :] for P in posets],
                                posets=posets)
@@ -726,7 +788,6 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
         fact.diagnostics["fallback"] = "fibres not monotone; used rank-one HALS"
         return fact
     # at unit scale, so the loop's absolute liveness floor spares tiny tensors
-    norm = float(np.linalg.norm(T))
     lam, vecs = _rank1_nd_fit(T / norm, posets, sweeps=max_iter, tol=tol)
     return NDFactorization(np.array([lam * norm]), [v[None, :] for v in vecs], posets=posets)
 
@@ -766,7 +827,7 @@ def rank1_exponential(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> 
     stay strictly positive throughout.
     """
     T, posets = check_tensor(T, posets)
-    require_entries(T)
+    _require_fit_shape(T)
     if (T <= 0).any():
         raise NonPositiveEntry("exponential data must be strictly positive")
     if (cone_mod._monotone_values(T, posets)[0] < -default_tol(T)).any():

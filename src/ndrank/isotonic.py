@@ -34,10 +34,12 @@ rows, is solved and certified as above.  Every row returned is therefore
 certified, whichever path it took.
 
 Chains call the compiled PAVA kernel behind
-``scipy.optimize.isotonic_regression`` directly (:func:`_pava_rows`), one
-call per row of a stack gathered once: the public wrapper's validation and
-allocations cost several times the kernel on the short rows of a HALS
-sweep.  Its answer is bitwise the wrapper's.
+``scipy.optimize.isotonic_regression`` directly, one call per row
+(:func:`_pool_rows`): the public wrapper's validation and allocations cost
+several times the kernel on the short rows of a HALS sweep.  Its answer is
+bitwise the wrapper's.  :func:`_pava_rows` gathers a stack's rows into a
+copy once and pools that; the sweep pools its own targets in place when
+the chain is listed in order.
 
 Both compiled kernels, PAVA in ``scipy.optimize._pava_pybind`` and NNLS in
 ``scipy.optimize._slsqplib``, are loaded at import straight from scipy's
@@ -183,25 +185,34 @@ def _pava_rows(Y: np.ndarray, idx, w: np.ndarray | None = None) -> np.ndarray:
 
     ``idx`` lists the columns in chain order (an index array, or a full
     slice); the weights ``w``, if given, are indexed like a row of Y.  The
-    stack is gathered once, each row is pooled in place by the compiled
-    kernel, and the rows are scattered back only when ``idx`` permutes
-    them.  Validates nothing; bitwise ``isotonic_regression(y[idx],
+    stack is gathered once, each row is pooled in place by
+    :func:`_pool_rows`, and the rows are scattered back only when ``idx``
+    permutes them.  Validates nothing; bitwise ``isotonic_regression(y[idx],
     weights=w[idx]).x`` put back at ``idx``, row by row.
     """
     X = np.array(Y[:, idx], order="C")
     p = X.shape[1]
     if p > 1:  # one element is its own regression
-        # the kernel pools its weights in place: each row gets its own copy
-        W = np.empty_like(X)
-        W[:] = 1.0 if w is None else w[idx]
-        r = np.full(p + 1, -1, dtype=np.intp)
-        for x, wx in zip(X, W):
-            _pava(x, wx, r)
+        _pool_rows(X, 1.0 if w is None else w[idx], np.empty(p), np.empty(p + 1, dtype=np.intp))
     if isinstance(idx, slice):
         return X
     V = np.empty_like(X)
     V[:, idx] = X
     return V
+
+
+def _pool_rows(X: np.ndarray, w, wrow: np.ndarray, r: np.ndarray) -> None:
+    """Pool every row of X, listed in chain order, in place by the compiled
+    PAVA kernel, with weights ``w`` (a scalar or a row).
+
+    The kernel pools its weights in place too, so ``wrow`` is refilled
+    from ``w`` before each row; ``r``, p + 1 intp entries, is the kernel's
+    scratch, whose contents it never reads.  Both may be reused from call
+    to call.  The rows of X must be C-contiguous.
+    """
+    for x in X:
+        wrow[:] = w
+        _pava(x, wrow, r)
 
 
 @functools.lru_cache(maxsize=256)

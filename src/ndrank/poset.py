@@ -19,6 +19,7 @@ from .errors import CycleError, ParseError, TooLarge, UnknownLabel
 CONNECTED_UPSET_GUARD = 24
 LINEAR_EXTENSION_GUARD = 12
 LINEAR_EXTENSION_COUNT_LIMIT = 1_000_000
+ANTICHAIN_COUNT_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,19 +289,25 @@ def count_antichains(P: Poset) -> int:
     """Number of non-empty antichains (pairwise-incomparable subsets).
 
     For posets with a maximum element this equals the number of connected
-    upsets.  Runs in time proportional to the count itself.
+    upsets.  Runs in time proportional to the count itself, so it raises
+    ``TooLarge`` once the count passes ``ANTICHAIN_COUNT_LIMIT``; a large
+    poset with few antichains, such as a long chain, is counted.
     """
     up = P._upper
     comparable = [up[x] | 1 << x | sum(1 << y for y in range(P.p) if up[y] >> x & 1)
                   for x in range(P.p)]
+    total = 0
 
-    def count(start: int, allowed: int) -> int:
-        total = 0
+    def count(start: int, allowed: int) -> None:
+        nonlocal total
         for j in _bits(allowed >> start << start):
-            total += 1 + count(j + 1, allowed & ~comparable[j])
-        return total
+            total += 1
+            if total > ANTICHAIN_COUNT_LIMIT:
+                raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} antichains")
+            count(j + 1, allowed & ~comparable[j])
 
-    return count(0, (1 << P.p) - 1)
+    count(0, (1 << P.p) - 1)
+    return total
 
 
 class _Downsets:

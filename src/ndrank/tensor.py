@@ -20,9 +20,12 @@ from .poset import Poset, is_simplicial
 def require_finite(name: str, a: np.ndarray) -> None:
     """Raise NonFiniteInput unless every entry of ``a`` is finite."""
     # a.a is finite unless an entry is NaN or inf, or the sum overflows;
-    # one dot is cheaper than isfinite().all() on the short vectors seen here
+    # one dot is cheaper than isfinite().all() on the short vectors seen here,
+    # and an overflow, which valid input can give, only sends it to the check
     flat = a.ravel()
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+    with np.errstate(over="ignore"):
+        probe = flat.dot(flat)
+    if not math.isfinite(probe) and not np.isfinite(flat).all():
         raise NonFiniteInput(f"{name} must be finite (found NaN or inf)")
 
 

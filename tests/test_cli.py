@@ -455,3 +455,17 @@ def test_check_rejects_a_malformed_tensor_json(tmp_path, capsys, body):
     code, out, err = run(capsys, "check", str(path), "chain:2")
     assert code == 2 and out == ""
     assert err.startswith("error: 'shape'") or err.startswith("error: 'data'")
+
+
+@pytest.mark.parametrize("tensor, posets, message", [
+    ({"shape": [2, 2], "data": [1e154, 2e154, 3e154, 4e154]}, ["chain:2", "chain:2"],
+     "overflows"),
+    ({"shape": [], "data": [2.0]}, [], "at least one mode"),
+], ids=["overflow", "order-0"])
+def test_factorize_refuses_a_tensor_it_cannot_fit(tmp_path, capsys, tensor, posets, message):
+    # both used to end in a traceback, read as the exit code of a verdict
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tensor))
+    code, out, err = run(capsys, "factorize", str(path), *posets, "--rank", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err

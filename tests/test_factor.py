@@ -130,6 +130,62 @@ def test_hals_batch_matches_reference_as_restarts_diverge(case, monkeypatch):
         assert revivals
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (7, 3), (24, 30), (2, 4, 20), (3, 4, 1),
+                                   (2, 3, 97), (2, 15000), (2, 2, 15000)])
+def test_rowdot_is_bitwise_the_matmul_form(shape):
+    # the shapes the package passes: projected rows, factor stacks, SQUAREM
+    # differences and the residual rows of a 30x25x20 fit
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape) * 1e3
+        for x, y in ((a, a), (a, b), (b, b)):
+            assert factor._rowdot(x, y).tobytes() == factor._rowdot_matmul(x, y).tobytes()
+
+
+# a chain in order, a clamp, a collider, and a chain listed out of order
+SWEEP_MODES = {
+    "chain": poset.chain,
+    "clamp": poset.trivial,
+    "general": poset.collider_to_top,
+    "permuted": lambda p: poset.from_relation(list(range(p)),
+                                              [(i + 1, i) for i in range(p - 1)]),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("first", sorted(SWEEP_MODES))
+def test_sweep_targets_match_khatri_rao_reference(order, first, monkeypatch):
+    # the sweep contracts T through each term's suffix stack; every target it
+    # forms is T contracted with the term's other current vectors, the
+    # Khatri-Rao row times the mode unfolding, minus the Gram terms
+    kinds = sorted(SWEEP_MODES)
+    kinds = kinds[kinds.index(first):] + kinds[:kinds.index(first)]
+    rng = np.random.default_rng(order)
+    shape = (4, 3, 3, 2)[:order]
+    posets = [SWEEP_MODES[kinds[j % len(kinds)]](p) for j, p in enumerate(shape)]
+    T = rng.random(shape) * 3 + rng.standard_normal(shape)
+    unfold = factor._unfoldings(T)
+    rows, real = [], factor._mode_target
+
+    def checked(Q, vec, t, coef, F):
+        n = len(coef)
+        mttkrp = (factor._khatri_rao_rows(vec[:t] + vec[t + 1:], (n,))[:, None] @ unfold[t])[:, 0]
+        gram = (coef[:, None, :] @ F)[:, 0]
+        got = real(Q, vec, t, coef, F)
+        scale = np.linalg.norm(mttkrp, axis=1) + np.linalg.norm(gram, axis=1)
+        assert (np.linalg.norm(got - (mttkrp - gram), axis=1) <= 1e-12 * scale).all()
+        rows.append(n)
+        return got
+
+    monkeypatch.setattr(factor, "_mode_target", checked)
+    cfg = FitConfig(rank=3, restarts=4, seed=order, max_sweeps=200, rel_tol=1e-7)
+    factor._hals_restarts(T, posets, cfg)
+    assert max(rows) == cfg.restarts
+    if order > 1:  # at order 1 every restart is solved by its first sweep
+        # restarts that stopped early left the batch while others ran on
+        assert min(rows) < cfg.restarts
+
+
 def test_fit_report_counts_projection_rows():
     # a chain, a general poset and a clamp: every sweep row is counted once,
     # under the path it took, summed over the restarts
@@ -887,6 +943,37 @@ def test_factorization_json_roundtrip():
 
 
 EMPTY = poset.from_relation([], [])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fit, scale", [
+    (lambda T, Ps: factor.hals(T, Ps, FitConfig(rank=1)), 1e154),
+    (lambda T, Ps: factor.rank1_gaussian(T, Ps), 1e154),
+    (lambda T, Ps: factor.rank1_gaussian(T, Ps), 1e160),
+], ids=["hals", "rank1_gaussian-1e154", "rank1_gaussian-1e160"])
+def test_fits_reject_a_squared_norm_that_overflows(fit, scale):
+    # hals raised a bare StopIteration and rank1_gaussian gave a nan scale
+    T = np.array([[1.0, 2.0], [3.0, 4.0]]) * scale
+    with pytest.raises(NonFiniteInput, match="overflows"):
+        fit(T, [poset.chain(2), poset.chain(2)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fit", [
+    lambda T: factor.hals(T, [], FitConfig(rank=1)),
+    lambda T: factor.init_als_project(T, 1, [], 0),
+    lambda T: factor.rank1_gaussian(T, []),
+    lambda T: factor.rank1_exponential(T, []),
+], ids=["hals", "init_als_project", "rank1_gaussian", "rank1_exponential"])
+def test_fits_reject_order_0(fit):
+    # these divided by zero or returned a wrong scale (0, or 1 for a fit of 2)
+    with pytest.raises(ShapeMismatch, match="at least one mode"):
+        fit(np.array(2.0))
+
+
+def test_marginal_solvers_answer_order_0():
+    assert factor.rank1_poisson(np.array(2.0)).lambdas.tolist() == [2.0]
+    assert factor.rank1_multinomial(np.array(2.0)).lambdas.tolist() == [1.0]
 
 
 @pytest.mark.filterwarnings("error")

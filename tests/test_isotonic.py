@@ -102,6 +102,37 @@ def test_pava_rows_is_bitwise_scipy(p):
             assert pava_chain(y, w).tobytes() == want.tobytes()
 
 
+def test_pool_rows_reads_no_scratch_and_reuses_it():
+    # the sweep pools its targets in place with one weight row and one
+    # kernel scratch per mode, kept for the whole fit; stale contents of
+    # either must not change an answer
+    rng = np.random.default_rng(96)
+    p = 12
+    wrow = rng.standard_normal(p)
+    r = rng.integers(-10 ** 6, 10 ** 6, size=p + 1).astype(np.intp)
+    for w in (1.0, rng.uniform(0.05, 20.0, size=p)):
+        X = np.vstack([rng.standard_normal((4, p)), rng.integers(-2, 3, size=(4, p))])
+        want = _scipy_pava_rows(X, slice(None), None if np.ndim(w) == 0 else w)
+        isotonic._pool_rows(X, w, wrow, r)
+        assert X.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("P", [
+    poset.chain(6), poset.from_relation(list(range(6)), [(i + 1, i) for i in range(5)]),
+    poset.trivial(6), poset.collider_to_top(6),
+], ids=["chain", "permuted-chain", "clamp", "general"])
+def test_project_and_pava_chain_leave_their_input_alone(P):
+    rng = np.random.default_rng(95)
+    for _ in range(5):
+        y = rng.standard_normal(6)
+        y0 = y.copy()
+        for w in (None, rng.uniform(0.05, 20.0, size=6)):
+            project(y, P, w)
+            assert y.tobytes() == y0.tobytes()
+            pava_chain(y, w)
+            assert y.tobytes() == y0.tobytes()
+
+
 def test_pava_rows_without_the_private_kernel(monkeypatch):
     # should scipy move its private PAVA module, the helper reaches the same
     # kernel through the public isotonic_regression

@@ -175,6 +175,17 @@ def test_count_antichains_chain(p):
     assert poset.count_antichains(poset.chain(p)) == p
 
 
+def test_count_antichains_is_guarded():
+    # trivial(21) has 2 097 151 antichains: counting them one by one took
+    # seconds, and trivial(4)^3, with 2^64 - 1, never ended
+    for P in (poset.trivial(21), poset.product([poset.trivial(4)] * 3)):
+        with pytest.raises(TooLarge, match="antichains"):
+            poset.count_antichains(P)
+    # a large poset with few antichains is still counted
+    assert poset.count_antichains(poset.chain(100)) == 100
+    assert poset.count_antichains(poset.trivial(19)) == 2 ** 19 - 1
+
+
 def test_count_antichains_examples():
     P = poset.product([poset.chain(2), poset.chain(3)])
     assert poset.count_antichains(P) == 9

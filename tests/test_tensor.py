@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ndrank import cone, poset, tensor
-from ndrank.errors import IndexOutOfRange, NotSimplicial, ParseError, ShapeMismatch
+from ndrank import cone, isotonic, poset, tensor
+from ndrank.errors import IndexOutOfRange, NonFiniteInput, NotSimplicial, ParseError, ShapeMismatch
 
 from helpers import random_forest
 
@@ -208,3 +208,17 @@ def test_json_rejects_malformed_shape_and_data(text, field):
 def test_json_accepts_empty_and_order_0_shapes():
     assert tensor.tensor_from_json('{"shape": [0, 3], "data": []}').shape == (0, 3)
     assert tensor.tensor_from_json('{"shape": [], "data": [2]}') == np.array(2.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_entries_near_the_float_limit_raise_no_warning():
+    # the finiteness probe's dot overflowed on these, and warned
+    big = np.full(3, 1e200)
+    tensor.require_finite("t", big)
+    P = poset.chain(3)
+    assert cone.is_monotone(big, P).member
+    assert np.array_equal(isotonic.project(big, P), big)
+    assert cone.membership_finite_rank(np.full((3, 3), 1e200), [P, P]).member
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteInput):
+            tensor.require_finite("t", np.array([1e200, bad]))
