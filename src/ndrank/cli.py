@@ -39,7 +39,7 @@ from .factor import (
     rank_bounds,
 )
 from .poset import product, chain, collider_to_top, read_poset, trivial
-from .tensor import read_tensor
+from .tensor import check_tensor, read_tensor
 
 
 def _load_poset(token: str):
@@ -148,7 +148,8 @@ def _write_factor_tables(prefix: str, fact, posets):
 
 def cmd_factorize(args) -> int:
     t0 = time.time()
-    T, posets = _load_problem(args.tensor, args.posets)
+    # every loss, the marginal ones too, writes one factor table per poset
+    T, posets = check_tensor(*_load_problem(args.tensor, args.posets))
     if args.loss != "gaussian" and args.rank != 1:
         raise UnsupportedLossRank(f"loss {args.loss!r} supports only rank 1 (got rank {args.rank})")
     trace, report = [], None

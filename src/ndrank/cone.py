@@ -253,10 +253,7 @@ def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
     ``posets`` is one poset per mode, or one poset on the flattened entries.
     """
     T = np.asarray(T, dtype=float)
-    if isinstance(posets, Poset):
-        _, posets = check_tensor(T.ravel(), [posets])
-    else:
-        T, posets = check_tensor(T, posets)
+    _, posets = check_tensor(T.ravel() if isinstance(posets, Poset) else T, posets)
     tol = _resolve_tol(T, tol)
     values, lo, hi = _monotone_values(T, posets)
     bad = np.flatnonzero(values < -tol)
@@ -314,7 +311,7 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
     facets at toy scale, once per poset tuple, and later calls on the same
     (or equal) posets reuse them.
     """
-    T, posets = check_tensor(T, [posets] if isinstance(posets, Poset) else posets)
+    T, posets = check_tensor(T, posets)
     tol = _resolve_tol(T, tol)
     n_colliders = sum(has_collider(P) for P in posets)
     violated = []

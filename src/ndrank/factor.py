@@ -13,9 +13,10 @@ carry a leading restart axis, so each (term, mode) update is a few array
 operations for every restart at once, and a restart leaves the batch when
 it meets the stopping test.  An update takes its MTTKRP from the term's
 suffix contractions (below) and its Gram coefficients from views of the
-stack, and projects: each mode's projection is resolved once per fit, and
-a chain's rows go straight to the compiled PAVA kernel, pooled in place
-when the chain is listed in order.  What is left per restart, a handful
+stack, and projects: each mode's projection is resolved once per fit; a
+chain listed in order pools its rows in place by the compiled PAVA kernel,
+and every other mode's rows go through the projection dispatch of
+:mod:`ndrank.isotonic`.  What is left per restart, a handful
 of scalars (the liveness test of each update, and the SQUAREM step, cap
 and verdict), runs on Python floats, which round as numpy's do, so the
 sweep's time goes to arithmetic rather than to numpy calls on short
@@ -64,6 +65,11 @@ Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson,
 and exponential likelihoods, and a truncated-SVD shortcut recovers exact
 rank-two matrix factorizations whenever the truncation already has finite
 ND rank.
+
+Every fit that takes posets checks its input by
+:func:`ndrank.tensor.check_fit_input` alone, :func:`rank2_matrix_exact`
+after its matrix test; the marginal fits take no posets, answer order 0
+and refuse an empty mode.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -87,9 +94,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .isotonic import (_ROW_PATHS, _chain_order, _halfspace_rows, _nnls_certified,
-                       _pava_rows, _pool_rows, _project_rows, _projection_plan, project)
+                       _pool_rows, _project_rows, _projection_plan, project)
 from .poset import Poset, connected_upsets, is_simplicial
-from .tensor import check_tensor, outer, require_entries, require_finite
+from .tensor import check_fit_input, check_tensor, outer, require_finite
 
 @dataclass
 class NDFactorization:
@@ -172,12 +179,13 @@ class FitConfig:
     init: str = "als-project"  # or "random-cone"
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        for name in ("rank", "max_sweeps", "restarts", "seed"):
+            value = getattr(self, name)
+            # bool is an Integral, but True is no count and no seed
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer (got {value!r})")
+            if name != "seed" and value < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be positive and finite (got {self.rel_tol!r})")
         if self.init not in ("als-project", "random-cone"):
@@ -221,13 +229,6 @@ class FitReport:
 
 def _uniform_unit(p: int) -> np.ndarray:
     return np.full(p, 1.0 / np.sqrt(p))
-
-
-def _require_fit_shape(T: np.ndarray) -> None:
-    """Raise ShapeMismatch unless T has at least one mode and no empty one."""
-    if T.ndim == 0:
-        raise ShapeMismatch("a fit needs at least one mode")
-    require_entries(T)
 
 
 def _squared_norm(T: np.ndarray) -> float:
@@ -295,9 +296,7 @@ def init_als_project(T, r: int, posets, seed) -> NDFactorization | list:
     restart draws from its own generator and every product is formed per
     restart, so a start is bitwise the one its seed gives alone.
     """
-    T = np.asarray(T, dtype=float)
-    _require_fit_shape(T)
-    posets = list(posets)
+    T, posets = check_fit_input(T, posets)
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     R, k = len(seeds), T.ndim
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -520,16 +519,16 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
 
     lambdas, factors = views(X)
     flat = T.reshape(-1)
-    # each mode's projection, resolved once: a chain's rows go straight to
-    # PAVA, pooled in place when the chain is listed in order, with one
-    # weight row and one kernel scratch per mode; each general mode keeps
-    # every vector's support, the halfspace rows active at its last
-    # projection (clamps and chains get no rows); a stale one, after a
+    # each mode's projection, resolved once: a chain listed in order pools
+    # its rows in place, with one weight row and one kernel scratch per
+    # mode, and every other mode goes through _project_rows; each general
+    # mode keeps every vector's support, the halfspace rows active at its
+    # last projection (clamps and chains get no rows); a stale one, after a
     # revival or a rejected trial say, only fails the face check
     plans = [_projection_plan(P) for P in posets]
-    chains = [idx if kind == "chain" else None for kind, idx, _, _, _ in plans]
     pools = [(np.empty(P.p), np.empty(P.p + 1, dtype=np.intp))
-             if isinstance(idx, slice) else None for P, idx in zip(posets, chains)]
+             if kind == "chain" and isinstance(idx, slice) else None
+             for P, (kind, idx, _, _, _) in zip(posets, plans)]
     others = [[j for j in range(k) if j != t] for t in range(k)]
     supports = [np.zeros((len(seeds), r, 0 if A is None else A.shape[0]), dtype=bool)
                 for _, _, A, _, _ in plans]
@@ -599,15 +598,12 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
                 target = _mode_target(Q[t], vec, t, coef, factors[t])
                 # the liveness test reads the target before it is pooled
                 norms = _rowdot(target, target).tolist()
-                if chains[t] is None:
+                if pools[t] is None:
                     V = _project_rows(target, posets[t], support=supports[t][:, s],
                                       counts=counts)
-                else:
-                    if pools[t] is None:
-                        V = _pava_rows(target, chains[t])
-                    else:  # a chain listed in order: its rows pool in place
-                        V = target
-                        _pool_rows(V, 1.0, *pools[t])
+                else:  # a chain listed in order: its rows pool in place
+                    V = target
+                    _pool_rows(V, 1.0, *pools[t])
                     np.maximum(V, 0.0, out=V)
                     if counts is not None:
                         counts["chain"] += n_act
@@ -717,13 +713,12 @@ def hals(T, posets, cfg: FitConfig):
     of its vectors with a certified projection.
 
     The fit runs on T / ||T|| and is scaled back, so it does not depend on
-    the scale of T.  A tensor of order 0 raises ShapeMismatch, and one whose
-    ||T||^2 overflows a float raises NonFiniteInput.
+    the scale of T.  Input that fails :func:`ndrank.tensor.check_fit_input`,
+    or whose ||T||^2 overflows a float, raises ShapeMismatch or NonFiniteInput.
 
     Returns ``(NDFactorization, FitReport)``.
     """
-    T, posets = check_tensor(T, posets)
-    _require_fit_shape(T)
+    T, posets = check_fit_input(T, posets)
     norm2 = _squared_norm(T)
     # the solvers' liveness floors and the init's ridge hold an absolute 1,
     # so they see the unit-norm tensor
@@ -739,7 +734,7 @@ def hals(T, posets, cfg: FitConfig):
     lowest = min(finals)
     best = next(i for i, f in enumerate(finals) if f <= lowest + 1e-10 * lowest + 1e-20 * norm2)
     fact, trace, stationary, sweeps_used = runs[best]
-    fact.diagnostics["seed"] = cfg.seed + best
+    fact.diagnostics["seed"] = int(cfg.seed) + best  # a numpy seed is no JSON number
     if not fact.lambdas.any():
         stop_reason = "dead"
     else:
@@ -776,8 +771,7 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
     pair.  If a fibre fails monotonicity the solver falls back to a rank-one
     HALS run and flags it in the diagnostics.
     """
-    T, posets = check_tensor(T, posets)
-    _require_fit_shape(T)
+    T, posets = check_fit_input(T, posets)
     norm = math.sqrt(_squared_norm(T))
     if not np.any(T):
         fact = NDFactorization(np.zeros(1), [_uniform_unit(P.p)[None, :] for P in posets],
@@ -795,7 +789,8 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
 def _count_marginals(T, model: str):
     """Per-mode marginals and grand total of finite, nonnegative count data."""
     T = np.asarray(T, dtype=float)
-    require_entries(T)
+    if 0 in T.shape:
+        raise ShapeMismatch(f"mode {T.shape.index(0) + 1} is empty; a fit needs entries")
     require_finite("tensor", T)
     if (T < 0).any():
         raise NonNegativityViolated(f"{model} data must be nonnegative")
@@ -826,8 +821,7 @@ def rank1_exponential(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> 
     minimizer of sum(log theta + T/theta) holding the others fixed; entries
     stay strictly positive throughout.
     """
-    T, posets = check_tensor(T, posets)
-    _require_fit_shape(T)
+    T, posets = check_fit_input(T, posets)
     if (T <= 0).any():
         raise NonPositiveEntry("exponential data must be strictly positive")
     if (cone_mod._monotone_values(T, posets)[0] < -default_tol(T)).any():
@@ -898,11 +892,9 @@ def rank2_matrix_exact(T, posets, mode: str = "min-volume") -> Rank2Result:
     Returns a fallback (factorization=None) directing callers to HALS when
     T2 lies outside the cone or the extracted factors are infeasible.
     """
-    T = np.asarray(T, dtype=float)
-    if T.ndim != 2:
+    if np.ndim(T) != 2:
         raise ShapeMismatch("rank2_matrix_exact expects a matrix")
-    T, posets = check_tensor(T, posets)
-    require_entries(T)
+    T, posets = check_fit_input(T, posets)
     U, s, Vt = np.linalg.svd(T, full_matrices=False)
     T2 = (U[:, :2] * s[:2]) @ Vt[:2]
     cert = membership_finite_rank(T2, posets)
@@ -1031,12 +1023,10 @@ def tri_factorization_verify(T, H, posets, tol: float | None = None) -> TriFacto
     H must be nonnegative with shape (q1, q2); the ND rank of T equals the
     smallest nonnegative rank among all feasible H.
     """
-    T = np.asarray(T, dtype=float)
-    H = np.asarray(H, dtype=float)
-    posets = list(posets)
-    if T.ndim != 2 or len(posets) != 2:
-        raise ShapeMismatch("tri-factorization applies to matrices with two posets")
+    if np.ndim(T) != 2:
+        raise ShapeMismatch("tri-factorization applies to matrices")
     T, posets = check_tensor(T, posets)
+    H = np.asarray(H, dtype=float)
     require_finite("H", H)
     V = [order_cone_vrep(P).generators.T for P in posets]  # (p_j, q_j)
     if H.shape != (V[0].shape[1], V[1].shape[1]):

@@ -3,6 +3,10 @@
 Tensors are plain numpy arrays in row-major layout (last index fastest);
 linear maps are dense 2-D arrays.  Indices in the public API are 1-based to
 match the usual tensor-entry notation; internal storage is 0-based.
+
+The membership checks validate their input by :func:`check_tensor`, and
+the fits that take posets by :func:`check_fit_input`, which adds that a fit
+needs at least one mode and no empty one.
 """
 
 from __future__ import annotations
@@ -32,12 +36,13 @@ def require_finite(name: str, a: np.ndarray) -> None:
 def check_tensor(T, posets) -> tuple[np.ndarray, list]:
     """Validate a tensor against one poset per mode.
 
-    Returns T as a float array and the posets as a list.  Raises
-    ShapeMismatch unless mode j has as many entries as poset j has
-    elements, and NonFiniteInput if T holds NaN or an infinity.
+    Returns T as a float array and the posets as a list; a single Poset
+    stands for the list of an order-1 tensor.  Raises ShapeMismatch unless
+    mode j has as many entries as poset j has elements, and NonFiniteInput
+    if T holds NaN or an infinity.
     """
     T = np.asarray(T, dtype=float)
-    posets = list(posets)
+    posets = [posets] if isinstance(posets, Poset) else list(posets)
     if len(posets) != T.ndim:
         raise ShapeMismatch(f"{len(posets)} posets for an order-{T.ndim} tensor")
     for j, P in enumerate(posets):
@@ -47,11 +52,16 @@ def check_tensor(T, posets) -> tuple[np.ndarray, list]:
     return T, posets
 
 
-def require_entries(T: np.ndarray) -> None:
-    """Raise ShapeMismatch naming the first mode of size 0: a fit has no
-    entry to fit there."""
+def check_fit_input(T, posets) -> tuple[np.ndarray, list]:
+    """:func:`check_tensor`, and a ShapeMismatch unless T has at least one
+    mode and no mode of size 0: a fit has no vector to fit otherwise.  The
+    one check of every fit in :mod:`ndrank.factor` that takes posets."""
+    T, posets = check_tensor(T, posets)
+    if T.ndim == 0:
+        raise ShapeMismatch("a fit needs at least one mode")
     if 0 in T.shape:
         raise ShapeMismatch(f"mode {T.shape.index(0) + 1} is empty; a fit needs entries")
+    return T, posets
 
 
 def outer(vectors) -> np.ndarray:

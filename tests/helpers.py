@@ -136,7 +136,7 @@ def reference_membership(T, posets, tol=None):
     """Finite-ND-rank membership by the written-out maps: the Kronecker
     product of Moebius inverses for collider-free posets, every explicit
     facet normal with one collider, double description otherwise."""
-    T, posets = tensor.check_tensor(T, [posets] if isinstance(posets, poset.Poset) else posets)
+    T, posets = tensor.check_tensor(T, posets)
     if tol is None:
         tol = cone.default_tol(T)
     n_colliders = sum(poset.has_collider(P) for P in posets)

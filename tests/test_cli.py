@@ -275,6 +275,22 @@ def test_factorize_rejects_non_finite_tensor(tmp_path, capsys, loss):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
 
 
+@pytest.mark.parametrize("loss, posets, message", [
+    ("poisson", ["chain:3"] * 3, "mode 1 has size 5, poset has 3 elements"),
+    ("multinomial", ["chain:5", "chain:7", "trivial:2", "chain:2"],
+     "4 posets for an order-3 tensor"),
+], ids=["poisson", "multinomial"])
+def test_factorize_checks_the_posets_for_every_loss(tmp_path, capsys, loss, posets, message):
+    # the marginal losses fit without posets, but write one factor table per
+    # poset: too short a poset died in the writer, after X.json was written
+    out = tmp_path / "fit"
+    code, stdout, err = run(capsys, "factorize", "fixture:cchs", *posets, "--rank", "1",
+                            "--loss", loss, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_factorize_rejects_bad_fit_settings(tmp_path, capsys):
     for flag in ("--restarts", "--max-sweeps"):
         out = tmp_path / flag.strip("-")

@@ -714,6 +714,23 @@ def test_fit_config_rejects_bad_values(field, value):
         FitConfig(**{"rank": 1, field: value})
 
 
+@pytest.mark.parametrize("field, value", [("rank", 1.5), ("restarts", 2.0), ("max_sweeps", 10.5),
+                                          ("seed", 1.5), ("restarts", True)])
+def test_fit_config_rejects_non_integral_counts(field, value):
+    # these constructed, and hals failed deep inside on a float count or seed
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        FitConfig(**{"rank": 1, field: value})
+
+
+def test_fit_config_takes_numpy_integers():
+    cfg = FitConfig(rank=np.int64(2), max_sweeps=np.int32(5), restarts=np.int64(2),
+                    seed=np.int64(3))
+    fact, report = factor.hals(np.ones((2, 3)), [poset.chain(2), poset.chain(3)], cfg)
+    assert report.sweeps <= 5
+    # the chosen seed was a numpy integer, which to_json could not write
+    assert json.loads(fact.to_json())["diagnostics"]["seed"] in (3, 4)
+
+
 def test_rank1_gaussian_matches_svd():
     rng = np.random.default_rng(9)
     M = np.sort(np.sort(rng.uniform(0.5, 2.0, (4, 5)), axis=0), axis=1)
@@ -969,6 +986,52 @@ def test_fits_reject_order_0(fit):
     # these divided by zero or returned a wrong scale (0, or 1 for a fit of 2)
     with pytest.raises(ShapeMismatch, match="at least one mode"):
         fit(np.array(2.0))
+
+
+FIT_ENTRIES = {
+    "hals": lambda T, Ps: factor.hals(T, Ps, FitConfig(rank=1, restarts=1)),
+    "init_als_project": lambda T, Ps: factor.init_als_project(T, 1, Ps, 0),
+    "rank1_gaussian": factor.rank1_gaussian,
+    "rank1_exponential": factor.rank1_exponential,
+    "rank2_matrix_exact": factor.rank2_matrix_exact,
+}
+BAD_FIT_INPUTS = {
+    "nan": (_with_entry(np.nan), [poset.chain(3)] * 2, NonFiniteInput, "must be finite"),
+    "one-poset-too-few": (np.ones((3, 3)), [poset.chain(3)], ShapeMismatch,
+                          "1 posets for an order-2 tensor"),
+    "wrong-mode-size": (np.ones((3, 3)), [poset.chain(3), poset.chain(4)], ShapeMismatch,
+                        "mode 2 has size 3, poset has 4 elements"),
+    "order-0": (np.array(2.0), [], ShapeMismatch, "at least one mode"),
+    "empty-mode": (np.ones((3, 0)), [poset.chain(3), EMPTY], ShapeMismatch, "mode 2 is empty"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BAD_FIT_INPUTS))
+@pytest.mark.parametrize("entry", sorted(FIT_ENTRIES))
+def test_every_fit_runs_the_one_input_check(entry, case):
+    # init_als_project checked neither: a NaN tensor gave a start with
+    # scale 0, and a poset list that did not match died in a matmul
+    T, posets, error, message = BAD_FIT_INPUTS[case]
+    if entry == "rank2_matrix_exact" and case == "order-0":
+        message = "expects a matrix"
+    with pytest.raises(error, match=message):
+        FIT_ENTRIES[entry](T, posets)
+
+
+@pytest.mark.parametrize("y", [[0.5, 1.0, 3.0, 2.0], [0.5, 1.0, 2.0, 3.0]],
+                         ids=["outside", "inside"])
+def test_fits_take_a_single_poset_for_a_vector(y):
+    # a lone Poset was iterated over as if it were the list
+    y, P = np.array(y), poset.chain(4)
+    got, report = factor.hals(y, P, FitConfig(rank=1))
+    want, want_report = factor.hals(y, [P], FitConfig(rank=1))
+    assert report.objective_trace == want_report.objective_trace
+    assert got.reconstruct().tobytes() == want.reconstruct().tobytes()
+    assert got.posets == [P]
+    got, want = factor.rank1_gaussian(y, P), factor.rank1_gaussian(y, [P])
+    assert got.reconstruct().tobytes() == want.reconstruct().tobytes()
+    assert np.allclose(got.reconstruct(), isotonic.project(y, P), atol=1e-12)
 
 
 def test_marginal_solvers_answer_order_0():
