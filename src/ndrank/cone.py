@@ -39,7 +39,10 @@ VREP_GUARD = 1_000_000
 
 
 def default_tol(T) -> float:
-    """Scale-invariant slack for float noise: 1e-9 * (1 + max |entry|)."""
+    """Slack for float noise: 1e-9 * (1 + max |entry|).  It is relative only
+    above max |entry| = 1 and absolute below, so not scale-invariant:
+    ``membership_finite_rank(c * [[0, 1], [1, 1]])`` over two 2-chains says
+    non-member at c = 1e-6 and member at c = 1e-9."""
     T = np.asarray(T, dtype=float)
     peak = float(np.abs(T).max()) if T.size else 0.0
     return 1e-9 * (1.0 + peak)

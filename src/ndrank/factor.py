@@ -62,9 +62,10 @@ product is formed per restart, so a stacked start is bitwise the one its
 seed gives alone.
 
 Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson,
-and exponential likelihoods, and a truncated-SVD shortcut recovers exact
-rank-two matrix factorizations whenever the truncation already has finite
-ND rank.
+and exponential likelihoods.  A truncated-SVD shortcut factorizes the
+rank-two truncation T2 of a matrix exactly whenever T2 has ND rank at most
+two, from the extreme rays of rowspace(T2) ∩ C(P2); for collider-free
+posets that is whenever T2 lies in the finite-rank cone.
 
 Every fit that takes posets checks its input by
 :func:`ndrank.tensor.check_fit_input` alone, :func:`rank2_matrix_exact`
@@ -93,7 +94,7 @@ from .errors import (
     HypothesisViolated,
     ShapeMismatch,
 )
-from .isotonic import (_ROW_PATHS, _chain_order, _halfspace_rows, _nnls_certified,
+from .isotonic import (_ROW_PATHS, _halfspace_rows, _nnls_certified,
                        _pool_rows, _project_rows, _projection_plan, project)
 from .poset import Poset, connected_upsets, is_simplicial
 from .tensor import check_fit_input, check_tensor, outer, require_finite
@@ -879,18 +880,18 @@ def _pack_rank2(a_cols, b_rows, posets) -> NDFactorization:
     return NDFactorization(lambdas, [F1, F2], posets=list(posets))
 
 
-def rank2_matrix_exact(T, posets, mode: str = "min-volume") -> Rank2Result:
+def rank2_matrix_exact(T, posets) -> Rank2Result:
     """Exact ND rank-two factorization of a matrix via its truncated SVD.
 
-    The best unconstrained rank-two approximation T2 is optimal over the
-    ND rank-two set whenever it has finite ND rank, so membership of T2 is
-    checked first.  On success the two rows of T2 with the largest mutual
-    angle serve as column-mode vectors ("min-volume"); row-mode coefficients
-    come from a two-column nonnegative least squares and reproduce T2
-    exactly.  ``mode="max-volume"`` instead takes the extremal rays of the
-    order cone intersected with the row space (chain column posets only).
-    Returns a fallback (factorization=None) directing callers to HALS when
-    T2 lies outside the cone or the extracted factors are infeasible.
+    The best unconstrained rank-two approximation T2 is optimal over the ND
+    rank-two set whenever it has ND rank at most two.  Its column-mode
+    vectors are the two extreme rays of rowspace(T2) ∩ C(P2), and the
+    row-mode coefficients of T2's rows on them come from a two-column NNLS.
+    Any ND rank-two factorization of T2 has its column vectors in that
+    wedge, so these coefficients are nonnegative combinations of its own:
+    the extraction succeeds whenever T2 has ND rank at most two, which for
+    collider-free posets is whenever T2 is in the finite-rank cone (Cohen &
+    Rothblum, 1993).  Otherwise factorization=None directs callers to HALS.
     """
     if np.ndim(T) != 2:
         raise ShapeMismatch("rank2_matrix_exact expects a matrix")
@@ -908,22 +909,11 @@ def rank2_matrix_exact(T, posets, mode: str = "min-volume") -> Rank2Result:
         A = _nnls_coefficients(T2, B)
         a_cols = np.column_stack([A[:, 0], np.zeros(T.shape[0])])
         b_rows = np.vstack([B[0], np.zeros(T.shape[1])])
-    elif mode == "min-volume":
-        norms = np.linalg.norm(T2, axis=1)
-        live = np.flatnonzero(norms > tol)
-        unit = T2[live] / norms[live, None]
-        dots = unit @ unit.T
-        np.fill_diagonal(dots, np.inf)
-        i1, i2 = np.unravel_index(np.argmin(dots), dots.shape)
-        b_rows = np.vstack([T2[live[i1]], T2[live[i2]]])
-        a_cols = _nnls_coefficients(T2, b_rows)
-    elif mode == "max-volume":
-        if _chain_order(posets[1]) is None:
-            raise ValueError("max-volume extraction is only implemented for chain column posets")
-        b_rows = _max_volume_rows(T2, Vt[:2], posets[1])
-        a_cols = _nnls_coefficients(T2, b_rows)
     else:
-        raise ValueError(f"unknown extraction mode {mode!r}")
+        b_rows = _wedge_rays(T2, Vt[:2], posets[1])
+        if b_rows is None:
+            return Rank2Result(None, cert, "no halfspace bounds the row space's wedge")
+        a_cols = _nnls_coefficients(T2, b_rows)
 
     recon = a_cols @ b_rows
     if np.linalg.norm(recon - T2) > 1e-8 * (1.0 + np.linalg.norm(T2)):
@@ -936,31 +926,34 @@ def rank2_matrix_exact(T, posets, mode: str = "min-volume") -> Rank2Result:
     return Rank2Result(_pack_rank2(a_cols, b_rows, posets), cert, None)
 
 
-def _max_volume_rows(T2: np.ndarray, basis: np.ndarray, col_poset: Poset) -> np.ndarray:
-    """Extremal rays of the order cone intersected with the row space.
+def _wedge_rays(T2: np.ndarray, basis: np.ndarray, col_poset: Poset) -> np.ndarray | None:
+    """The two extreme rays of rowspace(T2) ∩ C(col_poset), as rows.
 
-    The two-dimensional intersection is swept in the plane spanned by the
-    leading right singular vectors; each cone halfspace allows a half-circle
-    of directions, and the feasible arc's endpoints are the extreme rays.
+    In the plane of the orthonormal ``basis`` each halfspace row h of the
+    cone is a half-plane through 0, which bounds t on the line d + t d'
+    through the interior direction d (the normalized sum of T2's unit rows):
+    no angles, so no wrap at ±180°.  The cone lies in the nonnegative
+    orthant, so the wedge is at most 90° wide and both bounds are finite.
+    An h with T2 @ h at rounding level (a cover between tied columns) is
+    orthogonal to the plane, and is dropped lest its noise bound t.
+    Returns None if no finite wedge is left.
     """
     H = _halfspace_rows(col_poset)
-    in_plane = H @ basis.T  # (m, 2): constraint i allows A cos + B sin >= 0
-    center = T2.sum(axis=0) @ basis.T
-    theta0 = float(np.arctan2(center[1], center[0]))
-    lo, hi = -np.pi / 2, np.pi / 2
-    for A, B in in_plane:
-        if abs(A) < 1e-15 and abs(B) < 1e-15:
-            continue
-        alpha = float(np.arctan2(B, A))
-        delta = (alpha - theta0 + np.pi) % (2 * np.pi) - np.pi
-        lo = max(lo, delta - np.pi / 2)
-        hi = min(hi, delta + np.pi / 2)
-    rows = []
-    for ang in (lo, hi):
-        direction = np.cos(theta0 + ang) * basis[0] + np.sin(theta0 + ang) * basis[1]
-        direction *= np.linalg.norm(T2) / max(np.linalg.norm(direction), 1e-300)
-        rows.append(direction)
-    return np.vstack(rows)
+    noise = 1e-12 * np.linalg.norm(T2) * np.linalg.norm(H, axis=1)
+    normals = H[np.linalg.norm(T2 @ H.T, axis=0) > noise] @ basis.T
+    coords = T2 @ basis.T
+    norms = np.linalg.norm(coords, axis=1)
+    live = norms > 1e-12 * norms.max()
+    d = (coords[live] / norms[live, None]).sum(axis=0)
+    d /= np.linalg.norm(d)
+    perp = np.array([-d[1], d[0]])
+    along, across = normals @ d, normals @ perp
+    up, down = across > 0, across < 0
+    lo = np.max(-along[up] / across[up], initial=-np.inf)
+    hi = np.min(-along[down] / across[down], initial=np.inf)
+    if not np.isfinite([lo, hi]).all():
+        return None
+    return (d + np.outer([lo, hi], perp)) @ basis
 
 
 # ---------------------------------------------------------------------------

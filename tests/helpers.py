@@ -3,6 +3,7 @@ projected-gradient oracle for order-cone projection, a pure-Python
 pool-adjacent-violators reference, the product-poset monotonicity check and
 the explicit-normals membership check, a double description with its own
 Gauss-Jordan inverse, a brute-force connected-upset enumeration, the
+Moebius-transform rank-two factorization, the
 term-by-term ALS init, the
 row-by-row random-cone init, the full-tensor ND-HALS sweep and the
 one-scatter order-polytope sampler that the package's vectorized versions
@@ -343,6 +344,27 @@ def reference_pava(y, w=None):
             means.pop(), weights.pop(), sizes.pop()
         means.append(m), weights.append(ww), sizes.append(n)
     return np.repeat(means, sizes)
+
+
+def reference_rank2_mobius(T2, posets, tol=1e-10):
+    """An exact ND rank-two factorization of a rank-two matrix over
+    collider-free posets, through its Moebius transform M = D1 T2 D2': the
+    two columns of M at the extreme angles in its column space span every
+    other column with nonnegative coefficients, and D^-1 maps the
+    nonnegative orthant onto the order cone.  Returns (A, B) with
+    T2 = A @ B.T, or None when M has an entry below -tol * max |M|."""
+    D1, D2 = (tensor.mobius_inverse_matrix(P) for P in posets)
+    M = D1 @ T2 @ D2.T
+    if M.min() < -tol * np.abs(M).max():
+        return None
+    C = np.linalg.svd(M)[0][:, :2].T @ M
+    norms = np.linalg.norm(C, axis=0)
+    live = np.flatnonzero(norms > 1e-12 * norms.max())
+    mid = C[:, live].sum(axis=1)
+    angle = np.arctan2(mid[0] * C[1, live] - mid[1] * C[0, live], mid @ C[:, live])
+    W = M[:, live[[angle.argmin(), angle.argmax()]]]
+    H = np.linalg.lstsq(W, M, rcond=None)[0]
+    return np.linalg.solve(D1, W), np.linalg.solve(D2, H.T)
 
 
 def trace_nonincreasing(trace, slack=1e-12):

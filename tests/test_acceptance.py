@@ -235,18 +235,24 @@ def test_criterion_11_rank_one_and_two_exactness():
             got_e = np.sum(np.log(e.reconstruct()) + T / e.reconstruct())
             assert got_e <= best_e + 1e-8 * abs(best_e)
 
-        # rank-two matrices: exact reconstruction of the truncation when inside
+        # rank-two matrices: exact reconstruction of the truncation when
+        # inside.  Every poset here is collider-free, so a truncation in the
+        # cone has ND rank two and must factorize.
+        row_posets = (poset.trivial, poset.chain, lambda p: random_forest(p, rng))
         done = 0
         attempts = 0
         while done < 200 and attempts < 2000:
             attempts += 1
             p1, p2 = int(rng.integers(3, 8)), int(rng.integers(3, 8))
-            posets = [poset.trivial(p1), poset.chain(p2)]
+            posets = [row_posets[attempts % 3](p1), poset.chain(p2)]
             B = np.sort(rng.uniform(0.2, 2.0, size=(2, p2)), axis=1)
             A = rng.uniform(0.0, 1.5, size=(p1, 2))
+            if posets[0].covers:  # chain and forest covers run up the index
+                A = np.cumsum(A, axis=0)
             T = A @ B + 0.02 * rng.standard_normal((p1, p2))
             res = factor.rank2_matrix_exact(T, posets)
             if res.needs_hals:
+                assert not res.certificate.member, res.reason
                 continue
             U, s, Vt = np.linalg.svd(T, full_matrices=False)
             T2 = (U[:, :2] * s[:2]) @ Vt[:2]

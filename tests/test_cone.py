@@ -92,6 +92,22 @@ def test_is_monotone_accepts_flat_product_poset():
         cone.is_monotone(np.zeros((2, 3)), P)
 
 
+def test_is_monotone_at_tol_0_is_exact():
+    # fl(b - a) has the sign of b - a: with gradual underflow a float
+    # difference is 0 only when a == b, and rounding keeps its sign.  So at
+    # tol=0 every verdict is the exact one, on adjacent floats, subnormal
+    # pairs and signed zeros alike.
+    sub = np.nextafter(0.0, 1.0)
+    normal = np.finfo(float).tiny
+    values = [0.0, -0.0, sub, -sub, 2 * sub, 3 * sub, 1e-310, np.nextafter(1e-310, 1.0),
+              normal, np.nextafter(normal, 0.0), 1.0, np.nextafter(1.0, 0.0),
+              np.nextafter(1.0, 2.0), -1.0, 1e300, np.nextafter(1e300, np.inf)]
+    for a in values:
+        for b in values:
+            cert = cone.is_monotone(np.array([a, b]), [poset.chain(2)], tol=0)
+            assert cert.member == (a >= 0 and b >= a), (a, b)
+
+
 def test_finite_rank_hrep_two_chains():
     h = cone.finite_rank_hrep([poset.chain(2), poset.chain(3)])
     assert h.count == 6

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ndrank import cone, datasets, factor, isotonic, poset
 from ndrank.errors import (
@@ -15,9 +17,10 @@ from ndrank.errors import (
 from ndrank.factor import FitConfig
 from ndrank.tensor import outer
 
-from helpers import (KINDS, random_chain, random_collider, random_dag, random_poset,
-                     reference_hals, reference_init_als_project, reference_init_random_cone,
-                     rising_hals_restarts, trace_nonincreasing)
+from helpers import (KINDS, random_chain, random_collider, random_dag, random_forest,
+                     random_poset, reference_hals, reference_init_als_project,
+                     reference_init_random_cone, reference_rank2_mobius, rising_hals_restarts,
+                     trace_nonincreasing)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 COLLIDER_MATRIX = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 4.0]])
@@ -838,26 +841,64 @@ def test_rank2_coefficients_survive_scipy_iteration_cap(monkeypatch):
     A = rng.uniform(0.1, 1.0, size=(7, 2))
     T = A @ B
     posets = [poset.trivial(7), poset.chain(6)]
-    for mode in ("min-volume", "max-volume"):
-        res = factor.rank2_matrix_exact(T, posets, mode=mode)
-        assert not res.needs_hals
-        assert np.linalg.norm(res.factorization.reconstruct() - T) < 1e-8 * np.linalg.norm(T)
+    res = factor.rank2_matrix_exact(T, posets)
+    assert not res.needs_hals
+    assert np.linalg.norm(res.factorization.reconstruct() - T) < 1e-8 * np.linalg.norm(T)
     assert calls
 
 
-def test_rank2_max_volume_option():
+def test_rank2_extreme_rays_on_any_column_poset():
+    # the wedge rowspace(T2) ∩ C(P2) needs no chain: an antichain of columns
+    # factorizes as a chain does
     rng = np.random.default_rng(12)
     B = np.sort(rng.uniform(0.5, 2.0, size=(2, 5)), axis=1)
     A = rng.uniform(0.1, 1.0, size=(6, 2))
     T = A @ B
-    posets = [poset.trivial(6), poset.chain(5)]
-    res = factor.rank2_matrix_exact(T, posets, mode="max-volume")
-    assert not res.needs_hals
     U, s, Vt = np.linalg.svd(T, full_matrices=False)
     T2 = (U[:, :2] * s[:2]) @ Vt[:2]
-    assert np.linalg.norm(res.factorization.reconstruct() - T2) < 1e-8 * np.linalg.norm(T2)
-    with pytest.raises(ValueError):
-        factor.rank2_matrix_exact(T, [poset.trivial(6), poset.trivial(5)], mode="max-volume")
+    for cols in (poset.chain(5), poset.trivial(5)):
+        res = factor.rank2_matrix_exact(T, [poset.trivial(6), cols])
+        assert not res.needs_hals
+        assert np.linalg.norm(res.factorization.reconstruct() - T2) < 1e-8 * np.linalg.norm(T2)
+
+
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_rank2_exact_whenever_collider_free_truncation_is_member(p, q, seed):
+    # sums of two outer products of nondecreasing vectors (cumulative sums of
+    # sparse uniforms) over chain, forest and trivial row posets, and each
+    # transpose: with no collider a member truncation has ND rank two, and
+    # the Moebius-transform oracle builds its factorization independently
+    rng = np.random.default_rng(seed)
+    a, b = (np.cumsum(rng.uniform(0, 1, (2, n)) * (rng.random((2, n)) < 0.5), axis=1)
+            for n in (p, q))
+    T = a.T @ b
+    for rows in (poset.chain(p), random_forest(p, rng), poset.trivial(p)):
+        for M, posets in ((T, [rows, poset.chain(q)]), (T.T, [poset.chain(q), rows])):
+            U, s, Vt = np.linalg.svd(M, full_matrices=False)
+            T2 = (U[:, :2] * s[:2]) @ Vt[:2]
+            res = factor.rank2_matrix_exact(M, posets)
+            assert res.certificate.member
+            assert not res.needs_hals, res.reason
+            scale = 1e-8 * np.linalg.norm(T2)
+            assert np.linalg.norm(res.factorization.reconstruct() - T2) <= scale
+            for F, P in zip(res.factorization.factors, posets):
+                assert all(cone.is_monotone(v, [P]).member for v in F)
+            if s.size < 2 or s[1] <= 1e-12 * s[0]:
+                continue
+            A, B = reference_rank2_mobius(T2, posets)
+            assert np.linalg.norm(A @ B.T - T2) <= scale
+            assert all(cone.is_monotone(v, [P]).member
+                       for V, P in zip((A, B), posets) for v in V.T)
+
+
+def test_rank2_unbounded_wedge_falls_back(monkeypatch):
+    # with every halfspace row dropped as noise nothing bounds the wedge:
+    # the shortcut directs the caller to HALS instead of returning inf rays
+    monkeypatch.setattr(factor, "_halfspace_rows", lambda P: np.zeros((0, P.p)))
+    T = np.array([[1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
+    res = factor.rank2_matrix_exact(T, [poset.chain(2), poset.chain(3)])
+    assert res.needs_hals and res.certificate.member
+    assert res.reason == "no halfspace bounds the row space's wedge"
 
 
 def test_rank2_rank_one_input_degenerates():
