@@ -21,7 +21,6 @@ import scipy
 
 from . import __version__, datasets
 from .cone import (
-    _finite_rank_facets,
     finite_rank_hrep,
     finite_rank_vrep,
     is_monotone,
@@ -29,7 +28,7 @@ from .cone import (
     order_cone_vrep,
     sample_finite_rank_probability,
 )
-from .errors import HypothesisViolated, NDRankError, UnsupportedLossRank
+from .errors import NDRankError, UnsupportedLossRank
 from .factor import (
     FitConfig,
     hals,
@@ -106,11 +105,7 @@ def cmd_rays(args) -> int:
 
 def cmd_hrep(args) -> int:
     posets = [_load_poset(tok) for tok in args.posets]
-    try:
-        hrep = finite_rank_hrep(posets)
-    except HypothesisViolated:
-        hrep = _finite_rank_facets(tuple(posets))
-    sys.stdout.write(hrep.to_text())
+    sys.stdout.write(finite_rank_hrep(posets).to_text())
     return 0
 
 

@@ -28,10 +28,10 @@ from math import gcd, isfinite, lcm, prod
 import numpy as np
 
 from . import poset as poset_mod
-from .errors import DegenerateCone, HypothesisViolated, ShapeMismatch, TooLarge
+from .errors import DegenerateCone, ShapeMismatch, TooLarge
 from .isotonic import _halfspace_rows
 from .poset import Poset, connected_upsets, has_collider
-from .tensor import apply_kronecker, check_tensor, outer
+from .tensor import apply_kronecker, check_tensor, poset_list
 
 DD_MAX_DIM = 12
 DD_MAX_GENS = 64
@@ -203,20 +203,18 @@ def order_cone_vrep(P: Poset) -> OrderConeVRep:
 def finite_rank_vrep(posets) -> list:
     """Rank-one generator tensors of the finite-ND-rank cone.
 
-    One generator per tuple of per-mode connected upsets, formed as the
-    outer product of the upset indicators.
+    One generator per tuple of per-mode connected upsets, the outer product
+    of the upset indicators, the first mode's varying slowest: a row of the
+    Kronecker product of the per-mode generator matrices.  Order 0 has the
+    one generator 1.0.
     """
-    posets = list(posets)
-    vreps = [order_cone_vrep(P) for P in posets]
-    total = 1
-    for v in vreps:
-        total *= v.count
+    posets = poset_list(posets)
+    mats = [order_cone_vrep(P).generators for P in posets]
+    total = prod(len(G) for G in mats)
     if total > VREP_GUARD:
         raise TooLarge(f"{total} generators exceeds the {VREP_GUARD} guard")
-    gens = []
-    for combo in itertools.product(*(range(v.count) for v in vreps)):
-        gens.append(outer([vreps[j].generators[i] for j, i in enumerate(combo)]))
-    return gens
+    gens = functools.reduce(np.kron, mats, np.ones((1, 1)))
+    return list(gens.reshape((total,) + tuple(P.p for P in posets)))
 
 
 # a few entries only: the pairs of a 30x25x20 grid take 690 kB
@@ -276,17 +274,18 @@ def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
 
 
 def finite_rank_hrep(posets) -> ConeHRep:
-    """Facet halfspaces of the finite-ND-rank cone (signed cover differences).
+    """Facet halfspaces of the finite-ND-rank cone.
 
-    Valid when at most one poset has a collider: the outer products of one
-    H-rep row per mode, the first mode's row varying slowest.
+    With at most one collider-bearing poset, the outer products of one H-rep
+    row per mode, the first mode's row varying slowest; otherwise the facets
+    double description finds at toy scale, once per poset tuple.  Order 0
+    has the one facet [1].
     """
-    posets = list(posets)
-    n_colliders = sum(has_collider(P) for P in posets)
-    if n_colliders > 1:
-        raise HypothesisViolated(
-            f"{n_colliders} posets have colliders; the halfspace form needs at most one")
-    normals = functools.reduce(np.kron, [_halfspace_rows(P) for P in posets])
+    posets = poset_list(posets)
+    if sum(has_collider(P) for P in posets) > 1:
+        hrep = _finite_rank_facets(tuple(posets))
+        return ConeHRep(normals=hrep.normals.copy(), shape=hrep.shape)
+    normals = functools.reduce(np.kron, [_halfspace_rows(P) for P in posets], np.ones((1, 1)))
     return ConeHRep(normals=normals.astype(int), shape=tuple(P.p for P in posets))
 
 

@@ -61,11 +61,12 @@ for every restart.  Each restart keeps its own random generator and every
 product is formed per restart, so a stacked start is bitwise the one its
 seed gives alone.
 
-Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson,
-and exponential likelihoods.  A truncated-SVD shortcut factorizes the
-rank-two truncation T2 of a matrix exactly whenever T2 has ND rank at most
-two, from the extreme rays of rowspace(T2) ∩ C(P2); for collider-free
-posets that is whenever T2 lies in the finite-rank cone.
+Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson
+and exponential likelihoods; the Gaussian and exponential loops stop at
+fixed limits (``_RANK1_TOL``, ``_RANK1_MAX_ITER``).  A truncated-SVD shortcut
+factorizes the rank-two truncation T2 of a matrix exactly whenever T2 has
+ND rank at most two, from the extreme rays of rowspace(T2) ∩ C(P2); for
+collider-free posets that is whenever T2 lies in the finite-rank cone.
 
 Every fit that takes posets checks its input by
 :func:`ndrank.tensor.check_fit_input` alone, :func:`rank2_matrix_exact`
@@ -97,7 +98,7 @@ from .errors import (
 from .isotonic import (_ROW_PATHS, _halfspace_rows, _nnls_certified,
                        _pool_rows, _project_rows, _projection_plan, project)
 from .poset import Poset, connected_upsets, is_simplicial
-from .tensor import check_fit_input, check_tensor, outer, require_finite
+from .tensor import check_fit_input, check_tensor, outer, poset_list, require_finite
 
 @dataclass
 class NDFactorization:
@@ -529,10 +530,10 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
     plans = [_projection_plan(P) for P in posets]
     pools = [(np.empty(P.p), np.empty(P.p + 1, dtype=np.intp))
              if kind == "chain" and isinstance(idx, slice) else None
-             for P, (kind, idx, _, _, _) in zip(posets, plans)]
+             for P, (kind, idx, _, _) in zip(posets, plans)]
     others = [[j for j in range(k) if j != t] for t in range(k)]
     supports = [np.zeros((len(seeds), r, 0 if A is None else A.shape[0]), dtype=bool)
-                for _, _, A, _, _ in plans]
+                for _, _, A, _ in plans]
     active = np.arange(len(seeds))  # restart behind each row of the stack
     traces = [[] for _ in seeds]
     runs = [None] * len(seeds)
@@ -761,7 +762,13 @@ def hals(T, posets, cfg: FitConfig):
 # ---------------------------------------------------------------------------
 # rank-one likelihood solvers
 
-def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDFactorization:
+# the Gaussian and exponential loops stop at the first cycle that moves
+# their vectors by less than _RANK1_TOL, or after _RANK1_MAX_ITER cycles
+_RANK1_TOL = 1e-10
+_RANK1_MAX_ITER = 10_000
+
+
+def rank1_gaussian(T, posets) -> NDFactorization:
     """Best rank-one fit under squared error, for fibre-monotone tensors.
 
     When every fibre lies in its mode's order cone, the unconstrained
@@ -783,7 +790,7 @@ def rank1_gaussian(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDF
         fact.diagnostics["fallback"] = "fibres not monotone; used rank-one HALS"
         return fact
     # at unit scale, so the loop's absolute liveness floor spares tiny tensors
-    lam, vecs = _rank1_nd_fit(T / norm, posets, sweeps=max_iter, tol=tol)
+    lam, vecs = _rank1_nd_fit(T / norm, posets, sweeps=_RANK1_MAX_ITER, tol=_RANK1_TOL)
     return NDFactorization(np.array([lam * norm]), [v[None, :] for v in vecs], posets=posets)
 
 
@@ -815,7 +822,7 @@ def rank1_poisson(T) -> NDFactorization:
     return NDFactorization(np.array([total]), [(m / total)[None, :] for m in marg])
 
 
-def rank1_exponential(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> NDFactorization:
+def rank1_exponential(T, posets) -> NDFactorization:
     """Rank-one exponential-likelihood fit by cyclic fixed-point iteration.
 
     Each cycle replaces the mode-j vector with the exact coordinatewise
@@ -830,14 +837,14 @@ def rank1_exponential(T, posets, tol: float = 1e-10, max_iter: int = 10_000) -> 
     unfold = _unfoldings(T)
     vecs = [np.ones(P.p) for P in posets]
     n_other = [T.size // P.p for P in posets]
-    for _ in range(max_iter):
+    for _ in range(_RANK1_MAX_ITER):
         moved = 0.0
         for t in range(T.ndim):
             inv = [1.0 / v for v in vecs[:t] + vecs[t + 1:]]
             new = (_khatri_rao_rows(inv, ()) @ unfold[t]) / n_other[t]
             moved = max(moved, float(np.max(np.abs(new - vecs[t]) / np.maximum(vecs[t], 1e-300))))
             vecs[t] = new
-        if moved < tol:
+        if moved < _RANK1_TOL:
             break
     lam = 1.0
     unit = []
@@ -984,7 +991,7 @@ def rank_bounds(posets) -> RankBounds:
     simplicial (min of the two counts) and when both posets are the
     "everything below one top" order of equal size (2^(p-1)).
     """
-    posets = list(posets)
+    posets = poset_list(posets)
     q = [len(connected_upsets(P)) for P in posets]
     upper = 1
     for val in sorted(q)[:-1]:

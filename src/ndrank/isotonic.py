@@ -14,8 +14,8 @@ first, and every answer is checked against its KKT conditions (see
 :func:`_nnls_certified`).  scipy can return a wrong point with a reported
 residual of zero on tied, near-feasible targets, and can stop at its
 iteration cap; either way the problem is solved again by an in-repo
-Lawson-Hanson active set on the Gram matrix, whose answer must pass the same
-check.  A point that fails both raises
+Lawson-Hanson active set on the Gram matrix, formed only then, whose answer
+must pass the same check.  A point that fails both raises
 :class:`~ndrank.errors.UncertifiedSolution`; none is ever returned.
 
 Clamping after the monotone projection is exact for any poset: projecting
@@ -23,7 +23,8 @@ onto the cone intersected with the nonnegative orthant equals the monotone
 projection followed by an elementwise max with zero.
 
 :func:`project` is the one public, validated entry point; the HALS sweep
-projects its whole stack of restarts at once through the same dispatch.
+projects its whole stack of restarts at once through the same dispatch,
+which reads one cached plan per poset, ``(kind, idx, A, E)``.
 The sweep also passes each row's support, the halfspace rows whose
 multipliers were positive at that vector's previous projection.  A row
 outside the cone is then first projected onto that face by one cached
@@ -216,14 +217,6 @@ def _pool_rows(X: np.ndarray, w, wrow: np.ndarray, r: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def _chain_order(P: Poset):
-    """Permutation listing a total order, or None if P is not a chain."""
-    if not (P.leq | P.leq.T).all():
-        return None
-    return tuple(np.argsort(P.leq.sum(axis=1))[::-1].tolist())
-
-
-@functools.lru_cache(maxsize=256)
 def _halfspace_rows(P: Poset) -> np.ndarray:
     """H-representation rows of C(P): e_m for minimal m, then e_b - e_a for
     covers (a, b) in sorted order.  The one H-rep in the package; read-only,
@@ -241,22 +234,23 @@ def _halfspace_rows(P: Poset) -> np.ndarray:
 def _projection_plan(P: Poset):
     """How the order cone of P is projected onto, in one lookup.
 
-    Returns ``(kind, idx, A, E, G)``.  A poset without covers is "clamp".
+    Returns ``(kind, idx, A, E)``.  A poset without covers is "clamp".
     A chain is "chain", with its permutation in ``idx`` (an index array, or
     a full slice when the elements are listed in chain order).
-    Any other poset is "general", with its H-representation rows A, E = A^T
-    stored C-contiguous (scipy's nnls would copy a transposed view on every
-    call) and the Gram matrix G = A A^T for the fallback solver.
+    Any other poset is "general", with its H-representation rows A and
+    E = A^T stored C-contiguous (scipy's nnls would copy a transposed view
+    on every call).
     """
     if not P.covers:
-        return "clamp", None, None, None, None
-    order = _chain_order(P)
-    if order is not None:
-        # a chain listed in its own order needs no gather and scatter
-        idx = slice(None) if order == tuple(range(P.p)) else np.asarray(order)
-        return "chain", idx, None, None, None
+        return "clamp", None, None, None
+    if (P.leq | P.leq.T).all():
+        # a chain lists its elements by falling upset size; one listed in
+        # its own order needs no gather and scatter
+        order = np.argsort(P.leq.sum(axis=1))[::-1]
+        idx = slice(None) if np.array_equal(order, np.arange(P.p)) else order
+        return "chain", idx, None, None
     A = _halfspace_rows(P)
-    return "general", None, A, np.ascontiguousarray(A.T), A @ A.T
+    return "general", None, A, np.ascontiguousarray(A.T)
 
 
 def _kkt_holds(E, x, r, tol: float, scale: float) -> bool:
@@ -309,7 +303,7 @@ def _lawson_hanson(G: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return x
 
 
-def _nnls_certified(E, f, gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _nnls_certified(E, f) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative least squares min_{x >= 0} ||E x - f||, with a certificate.
 
     Returns ``(x, r)`` with ``r = E x - f``.  The answer of
@@ -327,8 +321,8 @@ def _nnls_certified(E, f, gram: np.ndarray | None = None) -> tuple[np.ndarray, n
 
     If the certificate fails, or scipy stops at its iteration cap, the
     problem is solved again by :func:`_lawson_hanson` on the Gram matrix
-    (``gram`` = E^T E, computed here if not given) and certified
-    the same way.  Raises :class:`UncertifiedSolution` if that fails too.
+    E^T E and certified the same way.  Raises :class:`UncertifiedSolution`
+    if that fails too.
     """
     scale = 1.0 + sum(map(abs, f.tolist()))
     tol = 1e-9 * scale
@@ -340,8 +334,7 @@ def _nnls_certified(E, f, gram: np.ndarray | None = None) -> tuple[np.ndarray, n
         r = E.dot(x) - f
         if _kkt_holds(E, x, r, tol, scale):
             return x, r
-    G = E.T @ E if gram is None else gram
-    x = _lawson_hanson(G, f.dot(E), 1e-3 * tol * max(1.0, float(np.abs(E).max())))
+    x = _lawson_hanson(E.T @ E, f.dot(E), 1e-3 * tol * max(1.0, float(np.abs(E).max())))
     r = E.dot(x) - f
     if _kkt_holds(E, x, r, tol, scale):
         return x, r
@@ -363,7 +356,7 @@ def _face_solver(P: Poset, support: bytes):
     rows of its two paths sum alike): those rows are left to the NNLS
     solver.
     """
-    _, _, A, _, _ = _projection_plan(P)
+    _, _, A, _ = _projection_plan(P)
     S = np.flatnonzero(np.frombuffer(support, dtype=bool))
     A_S = A[S]
     if not S.size or np.linalg.matrix_rank(A_S) < S.size:
@@ -384,7 +377,7 @@ def _project_faces(Y: np.ndarray, P: Poset, rows: list, support: np.ndarray,
     still need solving: those that fail the check, and those whose support
     is empty or dependent.
     """
-    _, _, A, E, _ = _projection_plan(P)
+    _, _, A, E = _projection_plan(P)
     faces = [_face_solver(P, support[i].tobytes()) for i in rows]
     rows = np.asarray(rows)
     Yr = Y[rows]
@@ -424,7 +417,7 @@ def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
     ``counts``, if given, adds the rows taken by each path under the keys
     of ``_ROW_PATHS``.
     """
-    kind, idx, A, E, G = _projection_plan(P)
+    kind, idx, A, E = _projection_plan(P)
     if kind == "clamp":  # no order constraints: clamp is the exact projection
         if counts is not None:
             counts["clamp"] += len(Y)
@@ -461,7 +454,7 @@ def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
     for i in cold:
         y = Y[i]
         if w is None:
-            x, v = _nnls_certified(E, -y, G)
+            x, v = _nnls_certified(E, -y)
         else:
             s = np.sqrt(w)
             x, v = _nnls_certified((A / s).T, -s * y)

@@ -33,16 +33,21 @@ def require_finite(name: str, a: np.ndarray) -> None:
         raise NonFiniteInput(f"{name} must be finite (found NaN or inf)")
 
 
+def poset_list(posets) -> list:
+    """One poset per mode as a list: a single Poset stands for the list of
+    an order-1 tensor, and an empty sequence for an order-0 one."""
+    return [posets] if isinstance(posets, Poset) else list(posets)
+
+
 def check_tensor(T, posets) -> tuple[np.ndarray, list]:
     """Validate a tensor against one poset per mode.
 
-    Returns T as a float array and the posets as a list; a single Poset
-    stands for the list of an order-1 tensor.  Raises ShapeMismatch unless
-    mode j has as many entries as poset j has elements, and NonFiniteInput
-    if T holds NaN or an infinity.
+    Returns T as a float array and the posets as a list (:func:`poset_list`).
+    Raises ShapeMismatch unless mode j has as many entries as poset j has
+    elements, and NonFiniteInput if T holds NaN or an infinity.
     """
     T = np.asarray(T, dtype=float)
-    posets = [posets] if isinstance(posets, Poset) else list(posets)
+    posets = poset_list(posets)
     if len(posets) != T.ndim:
         raise ShapeMismatch(f"{len(posets)} posets for an order-{T.ndim} tensor")
     for j, P in enumerate(posets):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from ndrank import cone, factor, poset, tensor
 from ndrank.errors import (
     DegenerateCone,
-    HypothesisViolated,
     NonFiniteInput,
     ShapeMismatch,
     TooLarge,
@@ -134,9 +134,48 @@ def test_finite_rank_hrep_nonneg_on_generators():
         assert (h.normals @ g.ravel() >= 0).all()
 
 
-def test_finite_rank_hrep_hypothesis():
-    with pytest.raises(HypothesisViolated):
-        cone.finite_rank_hrep([COLLIDER, COLLIDER])
+def test_finite_rank_hrep_collider_pair_is_double_description():
+    # two colliders: the cached double-description facets, in a fresh array
+    posets = [poset.collider_to_top(3), poset.collider_to_top(3)]
+    h = cone.finite_rank_hrep(posets)
+    dd = cone._finite_rank_facets(tuple(posets))
+    assert h.count == 24 and h.shape == dd.shape == (3, 3)
+    assert h.normals.dtype == dd.normals.dtype and np.array_equal(h.normals, dd.normals)
+    h.normals[0, 0] = 7
+    assert cone._finite_rank_facets(tuple(posets)).normals[0, 0] != 7
+
+
+def _outer_product_vrep(posets):
+    """The finite-rank generators as one outer product per combination of
+    per-mode generators, last mode fastest."""
+    gens = [cone.order_cone_vrep(P).generators for P in posets]
+    return [tensor.outer([G[i] for G, i in zip(gens, combo)])
+            for combo in itertools.product(*(range(len(G)) for G in gens))]
+
+
+def test_finite_rank_vrep_is_the_outer_product_list():
+    rng = np.random.default_rng(48)
+    forest = random_forest(5, rng)
+    for posets in ([poset.chain(2), poset.chain(3)], [forest, poset.chain(3)],
+                   [COLLIDER, COLLIDER], [COLLIDER, forest, poset.trivial(2)],
+                   [poset.chain(4)], [forest]):
+        got, want = cone.finite_rank_vrep(posets), _outer_product_vrep(posets)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_finite_rank_reps_at_order_0_and_for_one_poset():
+    # as membership_finite_rank reads them: no posets is an order-0 tensor,
+    # whose one facet is t >= 0, and a single Poset is a vector's list
+    h = cone.finite_rank_hrep([])
+    assert h.normals.tolist() == [[1]] and h.shape == () and h.to_text() == "1\n"
+    assert cone.finite_rank_vrep([]) == [1.0]
+    for P in (poset.chain(3), COLLIDER, random_forest(5, np.random.default_rng(49))):
+        one, listed = cone.finite_rank_hrep(P), cone.finite_rank_hrep([P])
+        assert np.array_equal(one.normals, listed.normals) and one.shape == listed.shape == (P.p,)
+        got, want = cone.finite_rank_vrep(P), cone.finite_rank_vrep([P])
+        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_membership_selenium():

@@ -931,6 +931,7 @@ def test_rank_bounds_cases():
     for P in (COLLIDER, poset.chain(4)):
         b1 = factor.rank_bounds([P])
         assert b1.upper == 1 and b1.exact_max is None and b1.typical_range is None
+        assert factor.rank_bounds(P) == b1  # a single Poset is a vector's list
 
 
 def test_tri_factorization_identity():
