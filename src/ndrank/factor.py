@@ -13,10 +13,10 @@ carry a leading restart axis, so each (term, mode) update is a few array
 operations for every restart at once, and a restart leaves the batch when
 it meets the stopping test.  An update takes its MTTKRP from the term's
 suffix contractions (below) and its Gram coefficients from views of the
-stack, and projects: each mode's projection is resolved once per fit; a
-chain listed in order pools its rows in place by the compiled PAVA kernel,
-and every other mode's rows go through the projection dispatch of
-:mod:`ndrank.isotonic`.  What is left per restart, a handful
+stack, and projects the stack of targets in place by the mode's row
+projector, which :mod:`ndrank.isotonic` resolves once per fit and mode (a
+chain's pools its rows by the compiled PAVA kernel).  What is left per
+restart, a handful
 of scalars (the liveness test of each update, and the SQUAREM step, cap
 and verdict), runs on Python floats, which round as numpy's do, so the
 sweep's time goes to arithmetic rather than to numpy calls on short
@@ -95,8 +95,7 @@ from .errors import (
     HypothesisViolated,
     ShapeMismatch,
 )
-from .isotonic import (_ROW_PATHS, _halfspace_rows, _nnls_certified,
-                       _pool_rows, _project_rows, _projection_plan, project)
+from .isotonic import _ROW_PATHS, _halfspace_rows, _nnls_certified, _row_projector, project
 from .poset import Poset, connected_upsets, is_simplicial
 from .tensor import check_fit_input, check_tensor, outer, poset_list, require_finite
 
@@ -331,7 +330,7 @@ def init_als_project(T, r: int, posets, seed) -> NDFactorization | list:
         proj, pp, pr = [], [], []
         for f, P in zip(F, posets):
             Y = np.concatenate([f, -f]).reshape(-1, P.p)
-            V = _project_rows(Y, P)
+            V = _row_projector(P)(Y.copy())  # pr reads Y after projecting
             proj.append(V.reshape(2, R, r, P.p))
             pp.append(_rowdot(V, V).reshape(2, R, r))
             pr.append(_rowdot(V, Y).reshape(2, R, r))
@@ -368,7 +367,7 @@ def _init_random_cone(T, r: int, posets, seed) -> NDFactorization | list:
     rngs = [np.random.default_rng(s) for s in seeds]
     factors = []
     for P in posets:
-        V = _project_rows(np.array([rng.random((r, P.p)) for rng in rngs]).reshape(-1, P.p), P)
+        V = _row_projector(P)(np.array([rng.random((r, P.p)) for rng in rngs]).reshape(-1, P.p))
         n = np.sqrt(_rowdot(V, V))
         U = np.tile(_uniform_unit(P.p), (R * r, 1))
         factors.append(np.divide(V, n[:, None], out=U, where=n[:, None] > 0).reshape(R, r, P.p))
@@ -521,19 +520,15 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
 
     lambdas, factors = views(X)
     flat = T.reshape(-1)
-    # each mode's projection, resolved once: a chain listed in order pools
-    # its rows in place, with one weight row and one kernel scratch per
-    # mode, and every other mode goes through _project_rows; each general
-    # mode keeps every vector's support, the halfspace rows active at its
-    # last projection (clamps and chains get no rows); a stale one, after a
+    # each mode's projection, resolved once: a projector for this fit
+    # alone (a chain's keeps its own PAVA scratch); each general mode keeps
+    # every vector's support, the halfspace rows active at its last
+    # projection (clamps and chains get no rows); a stale one, after a
     # revival or a rejected trial say, only fails the face check
-    plans = [_projection_plan(P) for P in posets]
-    pools = [(np.empty(P.p), np.empty(P.p + 1, dtype=np.intp))
-             if kind == "chain" and isinstance(idx, slice) else None
-             for P, (kind, idx, _, _) in zip(posets, plans)]
+    projectors = [_row_projector(P) for P in posets]
     others = [[j for j in range(k) if j != t] for t in range(k)]
-    supports = [np.zeros((len(seeds), r, 0 if A is None else A.shape[0]), dtype=bool)
-                for _, _, A, _ in plans]
+    supports = [np.zeros((len(seeds), r, proj.support_rows), dtype=bool)
+                for proj in projectors]
     active = np.arange(len(seeds))  # restart behind each row of the stack
     traces = [[] for _ in seeds]
     runs = [None] * len(seeds)
@@ -598,17 +593,9 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
                     coef *= grow[j]
                 coef[:, s] = 0.0
                 target = _mode_target(Q[t], vec, t, coef, factors[t])
-                # the liveness test reads the target before it is pooled
+                # the liveness test reads the target before it is projected
                 norms = _rowdot(target, target).tolist()
-                if pools[t] is None:
-                    V = _project_rows(target, posets[t], support=supports[t][:, s],
-                                      counts=counts)
-                else:  # a chain listed in order: its rows pool in place
-                    V = target
-                    _pool_rows(V, 1.0, *pools[t])
-                    np.maximum(V, 0.0, out=V)
-                    if counts is not None:
-                        counts["chain"] += n_act
+                V = projectors[t](target, support=supports[t][:, s], counts=counts)
                 n = np.sqrt(_rowdot(V, V))
                 # a numerically-zero projection must not be renormalized:
                 # dividing float crumbs by their norm fabricates an arbitrary

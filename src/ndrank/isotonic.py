@@ -22,25 +22,24 @@ Clamping after the monotone projection is exact for any poset: projecting
 onto the cone intersected with the nonnegative orthant equals the monotone
 projection followed by an elementwise max with zero.
 
-:func:`project` is the one public, validated entry point; the HALS sweep
-projects its whole stack of restarts at once through the same dispatch,
-which reads one cached plan per poset, ``(kind, idx, A, E)``.
-The sweep also passes each row's support, the halfspace rows whose
-multipliers were positive at that vector's previous projection.  A row
-outside the cone is then first projected onto that face by one cached
-linear solve, its multiplier clipped at zero, and the point is kept only
-if it passes the solver's KKT check with a tolerance 1000 times tighter
-(1e-12 instead of 1e-9, relative to the same scale); a row that fails it, or whose support is empty or has dependent
-rows, is solved and certified as above.  Every row returned is therefore
-certified, whichever path it took.
+:func:`project` is the one public, validated entry point.  Every
+projection runs through :func:`_row_projector`, which resolves a poset's
+kind once and returns a function that projects a stack of rows in place.
+The HALS sweep builds one per mode and fit, and passes each row's
+support, the halfspace rows whose multipliers were positive at that
+vector's previous projection.  A row outside the cone is then first
+projected onto that face by one cached linear solve, its multiplier
+clipped at zero, and the point is kept only if it passes the solver's KKT
+check with a tolerance 1000 times tighter (1e-12 instead of 1e-9,
+relative to the same scale); a row that fails it, or whose support is
+empty or has dependent rows, is solved and certified as above.  Every row
+returned is therefore certified, whichever path it took.
 
 Chains call the compiled PAVA kernel behind
 ``scipy.optimize.isotonic_regression`` directly, one call per row
 (:func:`_pool_rows`): the public wrapper's validation and allocations cost
 several times the kernel on the short rows of a HALS sweep.  Its answer is
-bitwise the wrapper's.  :func:`_pava_rows` gathers a stack's rows into a
-copy once and pools that; the sweep pools its own targets in place when
-the chain is listed in order.
+bitwise the wrapper's.
 
 Both compiled kernels, PAVA in ``scipy.optimize._pava_pybind`` and NNLS in
 ``scipy.optimize._slsqplib``, are loaded at import straight from scipy's
@@ -150,7 +149,7 @@ _pava, nnls = _resolve_kernels([os.path.join(d, "optimize") for d in scipy.__pat
 # relative to ||y||_1, lies within rounding of the order cone
 _ROUNDING = 16 * np.finfo(float).eps
 
-# the paths a row can take through _project_rows, as keys of its ``counts``
+# the paths a row can take through a row projector, as keys of its ``counts``
 _ROW_PATHS = ("clamp", "chain", "in_cone", "warm", "solved")
 
 
@@ -171,49 +170,37 @@ def pava_chain(y, w=None) -> np.ndarray:
     nondecreasing v.  The result is piecewise constant on pooled blocks and
     the operation is idempotent.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.array(y, dtype=float)  # a copy: the kernel pools it in place
     require_finite("target", y)
     if w is not None:
         w = np.atleast_1d(_check_weights(w, y))
     y = np.atleast_1d(y)
     if y.ndim != 1:
         raise ValueError(f"target must be one-dimensional, got shape {y.shape}")
-    return _pava_rows(y[None], slice(None), w)[0]
+    _pool_rows(y[None], slice(None), w, np.empty(y.size), np.empty(y.size + 1, dtype=np.intp))
+    return y
 
 
-def _pava_rows(Y: np.ndarray, idx, w: np.ndarray | None = None) -> np.ndarray:
-    """Isotonic regression of every row of Y along the order ``idx``.
+def _pool_rows(Y: np.ndarray, idx, w, wrow: np.ndarray, r: np.ndarray) -> None:
+    """Isotonic regression of every row of Y along the order ``idx``, in place.
 
     ``idx`` lists the columns in chain order (an index array, or a full
-    slice); the weights ``w``, if given, are indexed like a row of Y.  The
-    stack is gathered once, each row is pooled in place by
-    :func:`_pool_rows`, and the rows are scattered back only when ``idx``
-    permutes them.  Validates nothing; bitwise ``isotonic_regression(y[idx],
-    weights=w[idx]).x`` put back at ``idx``, row by row.
+    slice) and indexes the weights ``w`` too, if given.  The compiled PAVA
+    kernel pools its weights in place as well, so ``wrow`` is refilled
+    before each row; ``r``, p + 1 intp entries, is its scratch, which it
+    never reads.  It would pool a copy of a row that is not contiguous, so
+    Y is pooled where it lies only when it is C-contiguous and ``idx`` a
+    full slice, and is otherwise gathered into chain order and scattered
+    back.  Bitwise ``isotonic_regression(y[idx], weights=w[idx]).x`` put
+    back at ``idx``, row by row.
     """
-    X = np.array(Y[:, idx], order="C")
-    p = X.shape[1]
-    if p > 1:  # one element is its own regression
-        _pool_rows(X, 1.0 if w is None else w[idx], np.empty(p), np.empty(p + 1, dtype=np.intp))
-    if isinstance(idx, slice):
-        return X
-    V = np.empty_like(X)
-    V[:, idx] = X
-    return V
-
-
-def _pool_rows(X: np.ndarray, w, wrow: np.ndarray, r: np.ndarray) -> None:
-    """Pool every row of X, listed in chain order, in place by the compiled
-    PAVA kernel, with weights ``w`` (a scalar or a row).
-
-    The kernel pools its weights in place too, so ``wrow`` is refilled
-    from ``w`` before each row; ``r``, p + 1 intp entries, is the kernel's
-    scratch, whose contents it never reads.  Both may be reused from call
-    to call.  The rows of X must be C-contiguous.
-    """
+    X = Y if isinstance(idx, slice) and Y.flags.c_contiguous else np.ascontiguousarray(Y[:, idx])
+    w = 1.0 if w is None else w[idx]
     for x in X:
         wrow[:] = w
         _pava(x, wrow, r)
+    if X is not Y:
+        Y[:, idx] = X
 
 
 @functools.lru_cache(maxsize=256)
@@ -364,18 +351,17 @@ def _face_solver(P: Poset, support: bytes):
     return S, -np.linalg.solve(A_S @ A_S.T, A_S)
 
 
-def _project_faces(Y: np.ndarray, P: Poset, rows: list, support: np.ndarray,
-                   V: np.ndarray) -> list:
+def _project_faces(Y: np.ndarray, P: Poset, rows: list, support: np.ndarray) -> list:
     """Project the given rows of Y onto the faces their supports name.
 
     The face multiplier is clipped at zero, mu = max(K y, 0), and
-    v = y + A^T mu.  Row i of V and of ``support`` is written only where
-    v meets the KKT conditions at tau' = 1e-12 * s, s = 1 + ||y||_1:
-    A v >= -tau' and |mu . A v| <= tau' * s, with mu >= 0 exactly; its
-    support then becomes mu > 0.  These are :func:`_nnls_certified`'s
-    conditions with a tolerance 1000 times tighter.  Returns the rows that
-    still need solving: those that fail the check, and those whose support
-    is empty or dependent.
+    v = y + A^T mu.  Row i of Y becomes v, unclamped, and row i of
+    ``support`` becomes mu > 0, only where v meets the KKT conditions at
+    tau' = 1e-12 * s, s = 1 + ||y||_1: A v >= -tau' and
+    |mu . A v| <= tau' * s, with mu >= 0 exactly.  These are
+    :func:`_nnls_certified`'s conditions with a tolerance 1000 times
+    tighter.  Returns the rows that still need solving: those that fail
+    the check, and those whose support is empty or dependent.
     """
     _, _, A, E = _projection_plan(P)
     faces = [_face_solver(P, support[i].tobytes()) for i in rows]
@@ -393,40 +379,33 @@ def _project_faces(Y: np.ndarray, P: Poset, rows: list, support: np.ndarray,
     scale = 1.0 + np.abs(Yr).sum(axis=1)
     tol = 1e-12 * scale
     ok = warm & (AV.min(axis=1) >= -tol) & (np.abs((mu * AV).sum(axis=1)) <= tol * scale)
-    V[rows[ok]] = np.maximum(Vr[ok], 0.0)
+    Y[rows[ok]] = Vr[ok]
     support[rows[ok]] = mu[ok] > 0.0
     return rows[~ok].tolist()
 
 
-def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
-                  support: np.ndarray | None = None, counts: dict | None = None) -> np.ndarray:
-    """Exact projection of every row of Y, shape (n, P.p), onto C(P).
+def _clamp(Y, w=None, support=None, counts=None) -> np.ndarray:
+    # with no order constraints, clamping is the exact projection in any metric
+    if counts is not None:
+        counts["clamp"] += len(Y)
+    return np.maximum(Y, 0.0, out=Y)
 
-    The one dispatch behind :func:`project`.  The HALS sweep calls it
-    directly on its stack of restarts, so it validates nothing.  The weights
-    ``w``, if given, apply to every row.
 
-    ``support``, an (n, m) bool array over the m halfspace rows of a general
-    poset, is the sweep's guess at each row's active set; it is read and
-    written in place, and only the unweighted general path uses it.  A row
-    outside the cone is first projected onto the face its support names,
-    and that point is kept only if it passes a KKT check stricter than the
-    solver's (:func:`_project_faces`); every other row outside the cone goes
-    to :func:`_nnls_certified`.  Each row's support is then the positive
-    set of the multiplier that certified it, empty for rows in the cone.
-    ``counts``, if given, adds the rows taken by each path under the keys
-    of ``_ROW_PATHS``.
+_clamp.support_rows = 0
+
+
+def _project_general(P: Poset, Y, w=None, support=None, counts=None) -> np.ndarray:
+    """The row projector of a poset that is neither a clamp nor a chain.
+
+    ``support``, an (n, m) bool array over P's m halfspace rows, guesses
+    each row's active set and is written in place; only the unweighted
+    path uses it.  A row outside the cone is first projected onto the face
+    its support names, kept only if it passes a KKT check stricter than
+    the solver's (:func:`_project_faces`), and otherwise certified by
+    :func:`_nnls_certified`.  Each row's support is then the positive set
+    of the multiplier that certified it, empty for rows in the cone.
     """
-    kind, idx, A, E = _projection_plan(P)
-    if kind == "clamp":  # no order constraints: clamp is the exact projection
-        if counts is not None:
-            counts["clamp"] += len(Y)
-        return np.maximum(Y, 0.0)
-    if kind == "chain":
-        if counts is not None:
-            counts["chain"] += len(Y)
-        V = _pava_rows(Y, idx, w)
-        return np.maximum(V, 0.0, out=V)
+    _, _, A, E = _projection_plan(P)
     # Moreau: v* = y + A^T mu* in the unit-weight metric, where mu* solves
     # the polar-cone NNLS min_{mu >= 0} ||A^T mu + y||; weights rescale axes.
     # A row in the cone, or within rounding of it, is its own projection in
@@ -434,7 +413,6 @@ def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
     # the HALS targets on the survey fixture take this exit, and so do the
     # tied targets a few ulps outside the cone on which scipy's nnls was
     # seen to return wrong points.
-    V = np.maximum(Y, 0.0)
     if w is not None:
         support = None  # supports hold unit-weight multipliers
     # on rows this short, min of a list beats numpy's reductions
@@ -446,7 +424,7 @@ def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
         inside[out] = False
         support[inside] = False
         if out:
-            cold = _project_faces(Y, P, out, support, V)
+            cold = _project_faces(Y, P, out, support)
     if counts is not None:
         counts["in_cone"] += len(Y) - len(out)
         counts["warm"] += len(out) - len(cold)
@@ -459,11 +437,44 @@ def _project_rows(Y: np.ndarray, P: Poset, w: np.ndarray | None = None,
             s = np.sqrt(w)
             x, v = _nnls_certified((A / s).T, -s * y)
             v /= s
-        # the exact projection is nonnegative; clear float crumbs below zero
-        V[i] = np.maximum(v, 0.0)
+        Y[i] = v
         if support is not None:
             support[i] = x > 0.0
-    return V
+    # clamp the rows in the cone, and clear float crumbs below zero
+    return np.maximum(Y, 0.0, out=Y)
+
+
+def _row_projector(P: Poset):
+    """The exact projection onto C(P) of every row of a stack, in place.
+
+    Returns a function ``(Y, w=None, support=None, counts=None)`` that
+    projects each row of Y, shape (n, P.p), with the weights ``w`` if
+    given, and returns Y; it validates nothing.  P's kind is resolved here
+    once: :func:`_clamp`, :func:`_pool_rows` then a clamp, or
+    :func:`_project_general`, the only one to read ``support``, whose width
+    is the function's ``support_rows`` (0 for the others).  ``counts``, if
+    given, adds the rows taken by each path under the keys of
+    ``_ROW_PATHS``.  A chain's projector owns its weight row and kernel
+    scratch, so it serves one caller (one fit, say); the others hold no
+    state.
+    """
+    kind, idx, A, _ = _projection_plan(P)
+    if kind == "clamp":
+        return _clamp
+    if kind == "chain":
+        wrow, r = np.empty(P.p), np.empty(P.p + 1, dtype=np.intp)
+
+        def chain(Y, w=None, support=None, counts=None):
+            if counts is not None:
+                counts["chain"] += len(Y)
+            _pool_rows(Y, idx, w, wrow, r)
+            return np.maximum(Y, 0.0, out=Y)
+
+        chain.support_rows = 0
+        return chain
+    general = functools.partial(_project_general, P)
+    general.support_rows = len(A)
+    return general
 
 
 def project(y, P: Poset, w=None) -> np.ndarray:
@@ -474,10 +485,10 @@ def project(y, P: Poset, w=None) -> np.ndarray:
     entries or the weights do not match it or are not strictly positive,
     and :class:`~ndrank.errors.NonFiniteInput` if either holds NaN or inf.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.array(y, dtype=float)  # a copy: the projector works in place
     require_finite("target", y)
     if y.shape != (P.p,):
         raise ValueError(f"target length {y.shape} != poset size {P.p}")
     if w is not None:
         w = _check_weights(w, y)
-    return _project_rows(y[None, :], P, w)[0]
+    return _row_projector(P)(y[None], w)[0]

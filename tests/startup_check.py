@@ -6,13 +6,17 @@ imports:
     PYTHONPATH=src python tests/startup_check.py     # the checkout
     python /path/to/tests/startup_check.py           # an installed package
 
-It imports ndrank, runs a chain PAVA, a projection onto a collider from
-outside its cone (a cold NNLS solve), a short fit of the survey tensor,
-both membership checks, the sampler and ``ndrank check fixture:selenium``.
-On scipy 1.17.1 none of this may import ``scipy.optimize``; on another
-scipy, ndrank may instead have fallen back to the public functions.  Then
-it imports ``scipy.optimize`` and requires its public ``nnls`` and
-``isotonic_regression`` to answer bitwise as ndrank's kernels do.  Prints
+It imports ndrank, runs a chain PAVA, projections onto a chain listed in
+order and one listed out of order, a projection onto a collider from
+outside its cone (a cold NNLS solve), a short fit of the survey tensor and
+one of a tensor over chains (recording every stack the fit's chain modes
+project), both membership checks, the sampler and ``ndrank check
+fixture:selenium``.  On scipy 1.17.1 none of this may import
+``scipy.optimize``; on another scipy, ndrank may instead have fallen back
+to the public functions.  Then it imports ``scipy.optimize`` and requires
+its public ``nnls`` and ``isotonic_regression`` to answer bitwise as
+ndrank's kernels do: the chain projections, the fit's among them, must be
+bitwise ``isotonic_regression`` along the chain, clamped at zero.  Prints
 one line naming the package and the path taken, or exits with the failure.
 """
 
@@ -27,6 +31,7 @@ import ndrank
 from ndrank import cli, cone, datasets, factor, isotonic, poset
 
 PINNED_SCIPY = "1.17.1"
+SCRAMBLED = [3, 0, 4, 1, 2]  # a chain on 0 ... 4 that is not listed in order
 
 
 def require(ok, what):
@@ -34,10 +39,41 @@ def require(ok, what):
         sys.exit(f"start-up check failed: {what}")
 
 
+def spy_on_projectors(stacks):
+    """Make every fit record each stack it projects, with the stack's poset
+    and projection, in ``stacks``; returns a function that undoes it."""
+    real = factor._row_projector
+
+    def spying(P):
+        proj = real(P)
+
+        def spy(Y, w=None, support=None, counts=None):
+            Y0 = Y.copy()  # the projector works in place
+            stacks.append((P, Y0, proj(Y, w, support, counts).copy()))
+            return Y
+
+        spy.support_rows = proj.support_rows
+        return spy
+
+    factor._row_projector = spying
+    return lambda: setattr(factor, "_row_projector", real)
+
+
 def main():
     rng = np.random.default_rng(5)
     y, w = rng.standard_normal(9), rng.uniform(0.5, 2.0, size=9)
     chain_fits = [ndrank.pava_chain(y), ndrank.pava_chain(y, w)]
+    chains = {poset.chain(6): list(range(6)),
+              poset.from_relation(list(range(5)), list(zip(SCRAMBLED, SCRAMBLED[1:]))): SCRAMBLED}
+    alone = [(P, np.array([z]), ndrank.project(z, P)[None])
+             for P in chains for z in (rng.standard_normal(P.p), 3.0 * rng.standard_normal(P.p))]
+    fitted = []
+    undo = spy_on_projectors(fitted)
+    try:
+        factor.hals(rng.random((6, 5, 3)), list(chains) + [poset.trivial(3)],
+                    factor.FitConfig(rank=2, restarts=2, max_sweeps=6))
+    finally:
+        undo()
     collider = poset.from_relation([0, 1, 2], [(0, 2), (1, 2)])
     require(np.allclose(ndrank.project([2.0, 0.0, 1.0], collider), [1.5, 0.0, 1.5]),
             "the collider projection")
@@ -69,6 +105,15 @@ def main():
     for v, weights in zip(chain_fits, (None, w)):
         want = scipy.optimize.isotonic_regression(y, weights=weights).x
         require(v.tobytes() == want.tobytes(), "PAVA differs from isotonic_regression")
+    fitted = [(P, Y, V) for P, Y, V in fitted if P in chains]
+    require({P for P, _, _ in fitted} == set(chains), "the chain fit projected no chain")
+    for P, Y, V in alone + fitted:
+        order = chains[P]
+        want = np.empty_like(Y)
+        for row, target in zip(want, Y):
+            row[order] = scipy.optimize.isotonic_regression(target[order]).x
+        require(V.tobytes() == np.maximum(want, 0.0).tobytes(),
+                "a chain projection differs from isotonic_regression, clamped")
     A, b = rng.standard_normal((12, 20)), rng.standard_normal(12)
     for A in (A, np.asfortranarray(A), A[:, :8]):
         x, rnorm = isotonic.nnls(A, b)

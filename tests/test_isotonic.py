@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -67,9 +68,24 @@ def _scipy_pava_rows(Y, idx, w):
     return V
 
 
+def _layouts(Y):
+    """Y as a C-ordered, a Fortran-ordered and a column-sliced stack, each a
+    fresh array the caller may overwrite, and the array the slice is cut
+    from, whose other columns hold 7."""
+    wide = np.full((len(Y), Y.shape[1] + 3), 7.0)
+    wide[:, :Y.shape[1]] = Y
+    return [Y.copy(), np.asfortranarray(Y), wide[:, :Y.shape[1]]], wide
+
+
+def _scratch(proj):
+    """The weight row and kernel scratch a chain projector holds."""
+    held = inspect.getclosurevars(proj).nonlocals
+    return held["wrow"], held["r"]
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 8, 30])
 def test_pava_rows_is_bitwise_scipy(p):
-    # the sweep's PAVA helper calls scipy's compiled kernel without its
+    # a chain's row projector calls scipy's compiled kernel without its
     # wrapper; a scipy that changed the kernel's contract fails here
     rng = np.random.default_rng(90 + p)
     # a chain listed in order (a slice) and one whose labels are not
@@ -82,8 +98,6 @@ def test_pava_rows_is_bitwise_scipy(p):
         if p > 1:
             assert kind == "chain" and np.array_equal(np.arange(p)[idx], order)
             assert isinstance(idx, slice) == np.array_equal(order, np.arange(p))
-        else:
-            idx = slice(None)
         along = [rng.standard_normal(p),                            # random
                  rng.integers(-2, 3, size=p).astype(float),         # tied
                  np.sort(rng.integers(-2, 3, size=p)).astype(float),  # sorted, with ties
@@ -91,37 +105,35 @@ def test_pava_rows_is_bitwise_scipy(p):
                  np.full(p, 0.25)]
         Y = np.empty((len(along), p))
         Y[:, order] = along  # the rows as they run along the chain
+        # one projector for every call, as in a fit, its scratch dirtied
+        # between calls: stale contents must not change an answer
+        proj = isotonic._row_projector(P)
         for w in (None, rng.uniform(0.05, 20.0, size=p)):
-            Y0 = Y.copy()
-            V = isotonic._pava_rows(Y, idx, w)
-            assert V.tobytes() == _scipy_pava_rows(Y, idx, w).tobytes()
-            assert Y.tobytes() == Y0.tobytes()  # the input is left alone
+            want = np.maximum(_scipy_pava_rows(Y, order, w), 0.0).tobytes()
+            w0 = None if w is None else w.copy()
+            assert isotonic._row_projector(P)(Y.copy(), w).tobytes() == want
+            # pooled in place, or gathered and scattered back when the
+            # stack is not C-contiguous or the chain is out of order
+            stacks, wide = _layouts(Y)
+            for Z in stacks:
+                if p > 1:
+                    for held in _scratch(proj):
+                        held[:] = rng.integers(-10 ** 6, 10 ** 6, size=held.size)
+                assert proj(Z, w) is Z
+                assert np.ascontiguousarray(Z).tobytes() == want
+            assert (wide[:, p:] == 7.0).all()  # the columns beside the slice
+            assert w is None or w.tobytes() == w0.tobytes()
     for w in (None, rng.uniform(0.05, 20.0, size=p)):
         for y in Y:
             want = _scipy_pava_rows(y[None], slice(None), w)[0]
             assert pava_chain(y, w).tobytes() == want.tobytes()
 
 
-def test_pool_rows_reads_no_scratch_and_reuses_it():
-    # the sweep pools its targets in place with one weight row and one
-    # kernel scratch per mode, kept for the whole fit; stale contents of
-    # either must not change an answer
-    rng = np.random.default_rng(96)
-    p = 12
-    wrow = rng.standard_normal(p)
-    r = rng.integers(-10 ** 6, 10 ** 6, size=p + 1).astype(np.intp)
-    for w in (1.0, rng.uniform(0.05, 20.0, size=p)):
-        X = np.vstack([rng.standard_normal((4, p)), rng.integers(-2, 3, size=(4, p))])
-        want = _scipy_pava_rows(X, slice(None), None if np.ndim(w) == 0 else w)
-        isotonic._pool_rows(X, w, wrow, r)
-        assert X.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("P", [
     poset.chain(6), poset.from_relation(list(range(6)), [(i + 1, i) for i in range(5)]),
     poset.trivial(6), poset.collider_to_top(6),
 ], ids=["chain", "permuted-chain", "clamp", "general"])
-def test_project_and_pava_chain_leave_their_input_alone(P):
+def test_project_and_pava_chain_leave_their_input_alone(P, monkeypatch):
     rng = np.random.default_rng(95)
     for _ in range(5):
         y = rng.standard_normal(6)
@@ -131,11 +143,36 @@ def test_project_and_pava_chain_leave_their_input_alone(P):
             assert y.tobytes() == y0.tobytes()
             pava_chain(y, w)
             assert y.tobytes() == y0.tobytes()
+            # the row projector works in place and returns the very stack
+            Y = np.array([y, -y])
+            assert isotonic._row_projector(P)(Y, w) is Y
+    # the ALS init's sign choice reads its stack after projecting it, so it
+    # must hand the projector a copy: its starts are those of a projector
+    # that leaves NaN behind in the stack it was given
+    T = rng.standard_normal((6, 5, 3))
+    posets = [P, poset.chain(5), poset.collider_to_top(3)]
+    starts = factor.init_als_project(T, 2, posets, [0, 1, 2])
+    real = isotonic._row_projector
+
+    def poisoning(Q):
+        proj = real(Q)
+
+        def project_rows(Y, *args, **kwargs):
+            V = proj(Y.copy(), *args, **kwargs)
+            Y.fill(np.nan)
+            return V
+
+        return project_rows
+
+    monkeypatch.setattr(factor, "_row_projector", poisoning)
+    for got, want in zip(factor.init_als_project(T, 2, posets, [0, 1, 2]), starts):
+        assert got.lambdas.tobytes() == want.lambdas.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.factors, want.factors))
 
 
 def test_pava_rows_without_the_private_kernel(monkeypatch):
-    # should scipy move its private PAVA module, the helper reaches the same
-    # kernel through the public isotonic_regression
+    # should scipy move its private PAVA module, a chain's row projector
+    # reaches the same kernel through the public isotonic_regression
     monkeypatch.setitem(sys.modules, "scipy.optimize._pava_pybind", None)
     spec = importlib.util.spec_from_file_location("ndrank._isotonic_fallback", isotonic.__file__)
     fallback = importlib.util.module_from_spec(spec)
@@ -143,10 +180,14 @@ def test_pava_rows_without_the_private_kernel(monkeypatch):
     assert fallback._pava is not isotonic._pava
     rng = np.random.default_rng(97)
     Y = np.vstack([rng.standard_normal((3, 9)), rng.integers(-2, 3, size=(3, 9))])
-    for idx in (slice(None), rng.permutation(9)):
+    for order in (np.arange(9), rng.permutation(9)):
+        P = poset.from_relation(list(range(9)), list(zip(order[:-1], order[1:])))
         for w in (None, rng.uniform(0.05, 20.0, size=9)):
-            want = isotonic._pava_rows(Y, idx, w)
-            assert fallback._pava_rows(Y, idx, w).tobytes() == want.tobytes()
+            want = isotonic._row_projector(P)(Y.copy(), w)
+            for Z in _layouts(Y)[0]:
+                fallback._row_projector(P)(Z, w)
+                assert np.ascontiguousarray(Z).tobytes() == want.tobytes()
+            assert fallback.pava_chain(Y[0], w).tobytes() == pava_chain(Y[0], w).tobytes()
 
 
 def test_nnls_is_bitwise_scipy():
@@ -155,7 +196,7 @@ def test_nnls_is_bitwise_scipy():
     rng = np.random.default_rng(98)
     A = isotonic._halfspace_rows(COLLIDER)
     w = np.array([0.5, 2.0, 1.5])
-    # the collider reproducer, unweighted and weighted as _project_rows poses it
+    # the collider reproducer, unweighted and weighted as the row projector poses it
     problems = [(np.ascontiguousarray(A.T), -TIED_Y), ((A / np.sqrt(w)).T, -np.sqrt(w) * TIED_Y)]
     for m, n in ((4, 3), (12, 20), (20, 12), (9, 9)):
         A = rng.standard_normal((m, n))
@@ -425,21 +466,30 @@ def test_row_projector_on_random_tied_and_nudged_stacks():
             y = rng.uniform(0.01, 2.0, size=pick.size) @ gens[pick]
             rows.append(np.nextafter(y, np.where(rng.random(p) < 0.5, -np.inf, np.inf)))
         Y = np.array(rows)
-        assert_rows_projected(Y, P, isotonic._project_rows(Y, P))
+        assert_rows_projected(Y, P, isotonic._row_projector(P)(Y.copy()))
 
 
 def test_row_projector_on_cchs_fit_stacks(monkeypatch):
-    # the HALS sweep projects through the row projector, not through project,
-    # and starts every general-poset row from its support of the last sweep:
-    # check the rows that warm-started call returned
+    # the HALS sweep projects through the row projectors, not through
+    # project, and starts every general-poset row from its support of the
+    # last sweep: check the rows those warm-started calls returned against
+    # the targets they were given (copied before the call, which projects
+    # them in place)
     stacks = []
 
-    def spy(Y, P, support=None, counts=None):
-        V = isotonic._project_rows(Y, P, support=support, counts=counts)
-        stacks.append((Y.copy(), P, V.copy()))
-        return V
+    def spying_projector(P):
+        proj = isotonic._row_projector(P)
 
-    monkeypatch.setattr(factor, "_project_rows", spy)
+        def spy(Y, w=None, support=None, counts=None):
+            Y0 = Y.copy()
+            V = proj(Y, w, support, counts)
+            stacks.append((Y0, P, V.copy()))
+            return V
+
+        spy.support_rows = proj.support_rows
+        return spy
+
+    monkeypatch.setattr(factor, "_row_projector", spying_projector)
     T, posets = datasets.fixture("cchs")
     _, report = factor.hals(T, posets, factor.FitConfig(rank=2, restarts=4, seed=0,
                                                         max_sweeps=20))
@@ -456,7 +506,7 @@ def _one_row(y, P, support):
     """Project y alone from ``support`` (updated in place); return the point
     and the path the row took."""
     counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
-    v = isotonic._project_rows(y[None], P, support=support[None], counts=counts)[0]
+    v = isotonic._row_projector(P)(y[None].copy(), support=support[None], counts=counts)[0]
     return v, next(path for path, n in counts.items() if n)
 
 
@@ -486,7 +536,7 @@ def test_warm_support_gives_the_certified_projection():
             targets.append(np.nextafter(y, np.where(rng.random(P.p) < 0.5, -np.inf, np.inf)))
         for y, neighbour in zip(targets, targets[1:] + targets[:1]):
             scale = 1.0 + np.abs(y).sum()
-            cold = isotonic._project_rows(y[None], P)[0]
+            cold = isotonic._row_projector(P)(y[None].copy())[0]
             v_oracle, _ = projection_oracle(y, P)
             correct = np.zeros(m, dtype=bool)
             _one_row(y, P, correct)
