@@ -324,24 +324,20 @@ def init_als_project(T, r: int, posets, seed) -> NDFactorization | list:
                                        _khatri_rao_rows(others, (R, r)) @ unfold[t])
 
         # the sign choice: both orientations of every vector are projected
-        # once, and by the rank-one Gram identity a term's squared distance
-        # to its projection, pp + rr - 2 pr, is a product of per-mode
-        # scalars for each sign pattern
-        proj, pp, pr = [], [], []
+        # once; a term's squared distance to its projection is
+        # rr + pp - 2 pr by the rank-one Gram identity, and pr = pp for an
+        # exact projection onto a cone (<y - v, v> = 0), so the best even
+        # sign pattern is the one with the largest product of per-mode pp
+        proj, pp = [], []
         for f, P in zip(F, posets):
-            Y = np.concatenate([f, -f]).reshape(-1, P.p)
-            V = _row_projector(P)(Y.copy())  # pr reads Y after projecting
+            V = _row_projector(P)(np.concatenate([f, -f]).reshape(-1, P.p))
             proj.append(V.reshape(2, R, r, P.p))
             pp.append(_rowdot(V, V).reshape(2, R, r))
-            pr.append(_rowdot(V, Y).reshape(2, R, r))
-        rr = np.prod([_rowdot(f, f) for f in F], axis=0)
         # the even patterns as orientations per mode (1 flips the sign), in
-        # itertools.product order: argmin hands a tie to the first pattern
+        # itertools.product order: argmax hands a tie to the first pattern
         flips = np.array([s for s in itertools.product((0, 1), repeat=k) if sum(s) % 2 == 0])
-        modes = np.arange(k)
-        score = (np.prod(np.array(pp)[modes, flips], axis=1) + rr
-                 - 2 * np.prod(np.array(pr)[modes, flips], axis=1))
-        best = flips[np.argmin(score, axis=0)]  # (R, r, k)
+        score = np.prod(np.array(pp)[np.arange(k), flips], axis=1)  # (patterns, R, r)
+        best = flips[np.argmax(score, axis=0)]  # (R, r, k)
         at = np.arange(R)[:, None], np.arange(r)
         lambdas = np.ones((R, r))
         for j, f in enumerate(F):
@@ -521,14 +517,13 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
     lambdas, factors = views(X)
     flat = T.reshape(-1)
     # each mode's projection, resolved once: a projector for this fit
-    # alone (a chain's keeps its own PAVA scratch); each general mode keeps
-    # every vector's support, the halfspace rows active at its last
-    # projection (clamps and chains get no rows); a stale one, after a
-    # revival or a rejected trial say, only fails the face check
+    # alone (a chain's keeps its own PAVA scratch); every vector keeps its
+    # support, the halfspace rows active at its last projection, which
+    # only a general mode's projector reads; a stale one, after a revival
+    # or a rejected trial say, only fails the face check
     projectors = [_row_projector(P) for P in posets]
     others = [[j for j in range(k) if j != t] for t in range(k)]
-    supports = [np.zeros((len(seeds), r, proj.support_rows), dtype=bool)
-                for proj in projectors]
+    supports = [np.zeros((len(seeds), r, len(_halfspace_rows(P))), dtype=bool) for P in posets]
     active = np.arange(len(seeds))  # restart behind each row of the stack
     traces = [[] for _ in seeds]
     runs = [None] * len(seeds)

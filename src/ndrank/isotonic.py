@@ -27,9 +27,10 @@ projection runs through :func:`_row_projector`, which resolves a poset's
 kind once and returns a function that projects a stack of rows in place.
 The HALS sweep builds one per mode and fit, and passes each row's
 support, the halfspace rows whose multipliers were positive at that
-vector's previous projection.  A row outside the cone is then first
-projected onto that face by one cached linear solve, its multiplier
-clipped at zero, and the point is kept only if it passes the solver's KKT
+vector's previous projection.  The rows of a stack outside the cone are
+then first projected, in one pass, onto the faces their supports name:
+each face is one cached matrix, their multipliers one stacked product
+clipped at zero, and a point is kept only if it passes the solver's KKT
 check with a tolerance 1000 times tighter (1e-12 instead of 1e-9,
 relative to the same scale); a row that fails it, or whose support is
 empty or has dependent rows, is solved and certified as above.  Every row
@@ -332,56 +333,25 @@ def _nnls_certified(E, f) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=256)
 def _face_solver(P: Poset, support: bytes):
-    """``(S, K)`` with K = -(A_S A_S^T)^-1 A_S for the rows S of A, or None.
+    """K = -(A_S A_S^T)^-1 A_S for the rows S of A, scattered over all m
+    rows of A (zero off S), or None.
 
-    For the halfspace rows named by ``support`` (a bool mask as bytes), S
-    holds their indices and mu_S = K y is the multiplier of the projection
-    of y onto the face A_S v = 0, so v = y + A_S^T mu_S.  K has |S| <= P.p
-    rows, so an entry holds at most P.p^2 floats.  Returns None for an
-    empty support and for dependent rows, where A_S A_S^T is singular (on a
-    collider e_a + (e_c - e_a) = e_b + (e_c - e_b); on a diamond the cover
-    rows of its two paths sum alike): those rows are left to the NNLS
-    solver.
+    For the halfspace rows S named by ``support`` (a bool mask as bytes),
+    mu = K y is the multiplier of the projection of y onto the face
+    A_S v = 0, so v = y + A^T mu.  An entry holds m * P.p floats.  Returns
+    None for an empty support and for dependent rows, where A_S A_S^T is
+    singular (on a collider e_a + (e_c - e_a) = e_b + (e_c - e_b); on a
+    diamond the cover rows of its two paths sum alike): those rows are left
+    to the NNLS solver.
     """
     _, _, A, _ = _projection_plan(P)
     S = np.flatnonzero(np.frombuffer(support, dtype=bool))
     A_S = A[S]
     if not S.size or np.linalg.matrix_rank(A_S) < S.size:
         return None
-    return S, -np.linalg.solve(A_S @ A_S.T, A_S)
-
-
-def _project_faces(Y: np.ndarray, P: Poset, rows: list, support: np.ndarray) -> list:
-    """Project the given rows of Y onto the faces their supports name.
-
-    The face multiplier is clipped at zero, mu = max(K y, 0), and
-    v = y + A^T mu.  Row i of Y becomes v, unclamped, and row i of
-    ``support`` becomes mu > 0, only where v meets the KKT conditions at
-    tau' = 1e-12 * s, s = 1 + ||y||_1: A v >= -tau' and
-    |mu . A v| <= tau' * s, with mu >= 0 exactly.  These are
-    :func:`_nnls_certified`'s conditions with a tolerance 1000 times
-    tighter.  Returns the rows that still need solving: those that fail
-    the check, and those whose support is empty or dependent.
-    """
-    _, _, A, E = _projection_plan(P)
-    faces = [_face_solver(P, support[i].tobytes()) for i in rows]
-    rows = np.asarray(rows)
-    Yr = Y[rows]
-    mu = np.zeros((len(rows), len(A)))
-    for face, y, mu_y in zip(faces, Yr, mu):
-        if face is not None:
-            S, K = face
-            mu_y[S] = K.dot(y)
-    np.maximum(mu, 0.0, out=mu)
-    warm = np.array([face is not None for face in faces])
-    Vr = Yr + mu.dot(A)
-    AV = Vr.dot(E)
-    scale = 1.0 + np.abs(Yr).sum(axis=1)
-    tol = 1e-12 * scale
-    ok = warm & (AV.min(axis=1) >= -tol) & (np.abs((mu * AV).sum(axis=1)) <= tol * scale)
-    Y[rows[ok]] = Vr[ok]
-    support[rows[ok]] = mu[ok] > 0.0
-    return rows[~ok].tolist()
+    K = np.zeros(A.shape)
+    K[S] = -np.linalg.solve(A_S @ A_S.T, A_S)
+    return K
 
 
 def _clamp(Y, w=None, support=None, counts=None) -> np.ndarray:
@@ -391,19 +361,21 @@ def _clamp(Y, w=None, support=None, counts=None) -> np.ndarray:
     return np.maximum(Y, 0.0, out=Y)
 
 
-_clamp.support_rows = 0
-
-
 def _project_general(P: Poset, Y, w=None, support=None, counts=None) -> np.ndarray:
     """The row projector of a poset that is neither a clamp nor a chain.
 
     ``support``, an (n, m) bool array over P's m halfspace rows, guesses
     each row's active set and is written in place; only the unweighted
-    path uses it.  A row outside the cone is first projected onto the face
-    its support names, kept only if it passes a KKT check stricter than
-    the solver's (:func:`_project_faces`), and otherwise certified by
-    :func:`_nnls_certified`.  Each row's support is then the positive set
-    of the multiplier that certified it, empty for rows in the cone.
+    path uses it.  The rows outside the cone are first projected, all at
+    once, onto the faces their supports name: mu = max(K y, 0) with K from
+    :func:`_face_solver`, and v = y + A^T mu.  A row keeps v, unclamped,
+    only where its face exists and v meets the KKT conditions at
+    tau' = 1e-12 * s, s = 1 + ||y||_1: A v >= -tau' and
+    |mu . A v| <= tau' * s, with mu >= 0 exactly.  These are
+    :func:`_nnls_certified`'s conditions with a tolerance 1000 times
+    tighter; every other row is certified by :func:`_nnls_certified`.  Each
+    row's support is then the positive set of the multiplier that
+    certified it, empty for rows in the cone.
     """
     _, _, A, E = _projection_plan(P)
     # Moreau: v* = y + A^T mu* in the unit-weight metric, where mu* solves
@@ -423,8 +395,22 @@ def _project_general(P: Poset, Y, w=None, support=None, counts=None) -> np.ndarr
         inside = np.ones(len(Y), dtype=bool)
         inside[out] = False
         support[inside] = False
-        if out:
-            cold = _project_faces(Y, P, out, support)
+    if support is not None and out:
+        rows, zero = np.array(out), np.zeros(A.shape)
+        faces = [_face_solver(P, support[i].tobytes()) for i in out]
+        # a row without a face stands in with K = 0 and is never kept
+        K = np.array([zero if face is None else face for face in faces])
+        Yr = Y[rows]
+        mu = np.maximum(K @ Yr[:, :, None], 0.0)[:, :, 0]
+        Vr = Yr + mu.dot(A)
+        AV = Vr.dot(E)
+        scale = 1.0 + np.abs(Yr).sum(axis=1)
+        tol = 1e-12 * scale
+        ok = (np.array([face is not None for face in faces]) & (AV.min(axis=1) >= -tol)
+              & (np.abs((mu * AV).sum(axis=1)) <= tol * scale))
+        Y[rows[ok]] = Vr[ok]
+        support[rows[ok]] = mu[ok] > 0.0
+        cold = rows[~ok].tolist()
     if counts is not None:
         counts["in_cone"] += len(Y) - len(out)
         counts["warm"] += len(out) - len(cold)
@@ -451,14 +437,14 @@ def _row_projector(P: Poset):
     projects each row of Y, shape (n, P.p), with the weights ``w`` if
     given, and returns Y; it validates nothing.  P's kind is resolved here
     once: :func:`_clamp`, :func:`_pool_rows` then a clamp, or
-    :func:`_project_general`, the only one to read ``support``, whose width
-    is the function's ``support_rows`` (0 for the others).  ``counts``, if
-    given, adds the rows taken by each path under the keys of
+    :func:`_project_general`, the only one to read ``support``, an (n, m)
+    bool array over P's m halfspace rows; the others ignore it.  ``counts``,
+    if given, adds the rows taken by each path under the keys of
     ``_ROW_PATHS``.  A chain's projector owns its weight row and kernel
     scratch, so it serves one caller (one fit, say); the others hold no
     state.
     """
-    kind, idx, A, _ = _projection_plan(P)
+    kind, idx, _, _ = _projection_plan(P)
     if kind == "clamp":
         return _clamp
     if kind == "chain":
@@ -470,11 +456,8 @@ def _row_projector(P: Poset):
             _pool_rows(Y, idx, w, wrow, r)
             return np.maximum(Y, 0.0, out=Y)
 
-        chain.support_rows = 0
         return chain
-    general = functools.partial(_project_general, P)
-    general.support_rows = len(A)
-    return general
+    return functools.partial(_project_general, P)
 
 
 def project(y, P: Poset, w=None) -> np.ndarray:

@@ -52,7 +52,6 @@ def spy_on_projectors(stacks):
             stacks.append((P, Y0, proj(Y, w, support, counts).copy()))
             return Y
 
-        spy.support_rows = proj.support_rows
         return spy
 
     factor._row_projector = spying

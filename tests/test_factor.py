@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -571,6 +573,62 @@ def test_init_als_project_matches_term_by_term_reference():
         live = lambdas > 0
         for got, want in zip(init.factors, factors):
             assert np.allclose(got[live], want[live], rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_init_sign_choice_matches_a_loop_over_even_patterns(k, monkeypatch):
+    # each term keeps the even sign pattern whose projected vectors have the
+    # largest product of squared norms, the first such pattern on a tie; on
+    # every other tensor the last mode projects both orientations to zero,
+    # so all its patterns tie at 0
+    rng = np.random.default_rng(30 + k)
+    real, stacks = factor._row_projector, []
+
+    def spying(P):
+        proj = real(P)
+
+        def spy(Y, w=None, support=None, counts=None):
+            Y0 = Y.copy()
+            V = proj(Y, w, support, counts)
+            if P is zero:
+                V[:] = 0.0
+            stacks.append((Y0, V.copy()))
+            return V
+
+        return spy
+
+    monkeypatch.setattr(factor, "_row_projector", spying)
+    patterns = [s for s in itertools.product((0, 1), repeat=k) if sum(s) % 2 == 0]
+    for trial in range(12):
+        shape = tuple(int(x) for x in rng.integers(2, 5, size=k))
+        posets = [random_poset(p, rng) for p in shape]
+        zero = posets[-1] if trial % 2 else None
+        r, seeds = 1 + trial % 3, [trial, trial + 100]
+        stacks.clear()
+        starts = factor.init_als_project(rng.standard_normal(shape), r, posets, seeds)
+        raw = [Y0[:len(seeds) * r].reshape(len(seeds), r, -1) for Y0, _ in stacks]
+        V = [V.reshape(2, len(seeds), r, -1) for _, V in stacks]
+        pp = [factor._rowdot(v, v).tolist() for v in V]
+        for b, start in enumerate(starts):
+            for s in range(r):
+                best, top = None, -1.0
+                for pattern in patterns:
+                    score = 1.0
+                    for j, flip in enumerate(pattern):
+                        score *= pp[j][flip][b][s]
+                    if score > top:
+                        best, top = pattern, score
+                lam = 1.0
+                for j, flip in enumerate(best):
+                    v, n = V[j][flip, b, s], math.sqrt(pp[j][flip][b][s])
+                    if n > 1e-13 * (1.0 + math.sqrt(factor._rowdot(raw[j][b, s], raw[j][b, s]))):
+                        assert np.array_equal(start.factors[j][s], v / n)
+                        lam *= n
+                    else:
+                        assert np.allclose(start.factors[j][s], 1.0 / math.sqrt(v.size))
+                        lam = 0.0
+                assert start.lambdas[s] == lam
+        assert zero is None or not starts[0].lambdas.any()
 
 
 def assert_same_start(got, want):

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 from scipy.optimize import nnls as scipy_nnls
 
@@ -18,7 +20,7 @@ from ndrank.errors import NDRankError, NonFiniteInput, UncertifiedSolution
 from ndrank.isotonic import pava_chain, project
 
 from helpers import (projection_oracle, random_collider, random_dag, random_poset,
-                     reference_pava)
+                     reference_pava, reference_warm_pass)
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL_PATH = [os.path.join(d, "optimize") for d in scipy.__path__]
@@ -486,7 +488,6 @@ def test_row_projector_on_cchs_fit_stacks(monkeypatch):
             stacks.append((Y0, P, V.copy()))
             return V
 
-        spy.support_rows = proj.support_rows
         return spy
 
     monkeypatch.setattr(factor, "_row_projector", spying_projector)
@@ -554,9 +555,9 @@ def test_warm_support_gives_the_certified_projection():
                     assert not support.any()
                     continue
                 if path == "warm":
-                    S, K = isotonic._face_solver(P, guess.tobytes())
-                    mu = np.zeros(m)
-                    mu[S] = np.maximum(K @ y, 0.0)
+                    K = isotonic._face_solver(P, guess.tobytes())
+                    assert not K[~guess].any()  # K is zero off the support
+                    mu = np.maximum(K @ y, 0.0)
                 else:
                     mu, _ = isotonic._nnls_certified(A.T, -y)
                 assert np.array_equal(support, mu > 0.0)
@@ -568,3 +569,82 @@ def test_warm_support_gives_the_certified_projection():
     # all three paths ran, and supports the diamond cannot use were met
     assert {"in_cone", "warm", "solved"} <= set(paths)
     assert isotonic._face_solver(DIAMOND, np.array([0, 1, 1, 1, 1], dtype=bool).tobytes()) is None
+
+
+CCHS_ORDERS = [P for P in datasets.cchs_posets() if isotonic._projection_plan(P)[0] == "general"]
+WARM_POSETS = [COLLIDER, poset.collider_to_top(5), DIAMOND] + CCHS_ORDERS + [
+    poset.product([poset.chain(m), poset.chain(m)]) for m in (3, 4, 5)]
+
+
+def _reference_general(Y, P, support):
+    """The general projection of a stack from ``support`` with the row by
+    row warm pass: returns the projection, the support written back, each
+    row's path and the rows solved cold."""
+    V, support = Y.copy(), support.copy()
+    E = isotonic._projection_plan(P)[3]
+    out = [i for i, row in enumerate(V.dot(E).tolist())  # the projector's in-cone exit
+           if (worst := min(row)) < 0.0
+           and worst < -isotonic._ROUNDING * sum(map(abs, V[i].tolist()))]
+    support[np.setdiff1d(np.arange(len(V)), out)] = False
+    cold = reference_warm_pass(V, P, out, support) if out else []
+    for i in cold:
+        x, V[i] = isotonic._nnls_certified(E, -V[i])
+        support[i] = x > 0.0
+    paths = ["in_cone" if i not in out else "solved" if i in cold else "warm"
+             for i in range(len(V))]
+    return np.maximum(V, 0.0), support, paths, cold
+
+
+@given(st.integers(0, len(WARM_POSETS)), st.integers(0, 2**32 - 1))
+def test_warm_pass_matches_the_row_by_row_reference(which, seed):
+    # the stacked warm pass against the per-row reference on random, tied
+    # and ulp-nudged targets, from no, every, random, stale and correct
+    # supports: every row takes the same path and writes back the same
+    # support, and lands within 1e-14 (1 + ||y||_1) of the reference's
+    # point, bitwise on the survey's orders
+    rng = np.random.default_rng(seed)
+    if which < len(WARM_POSETS):
+        P = WARM_POSETS[which]
+    else:
+        P = random_dag(int(rng.integers(4, 13)), rng, density=0.4)
+        if isotonic._projection_plan(P)[0] != "general":
+            P = poset.collider_to_top(P.p)
+    with pytest.MonkeyPatch.context() as mp:
+        # the 5x5 grid is one element past the generators' guard
+        mp.setattr(poset, "CONNECTED_UPSET_GUARD", 25)
+        gens = order_cone_vrep(P).generators
+        rows = []
+        for _ in range(6):
+            rows.append(rng.standard_normal(P.p) * rng.uniform(0.1, 5))
+            rows.append(rng.integers(-2, 4, size=P.p).astype(float))  # tied
+            pick = rng.choice(len(gens), size=int(rng.integers(1, 4)))
+            y = rng.uniform(0.01, 2.0, size=pick.size) @ gens[pick]
+            # each entry moved by up to 64 ulps, to either side of the
+            # in-cone exit's 16-ulp margin
+            rows.append(y + y * np.finfo(float).eps * rng.integers(-64, 65, size=P.p))
+        Y = np.array(rows)
+        m = len(isotonic._halfspace_rows(P))
+        _, correct, _, _ = _reference_general(Y, P, np.zeros((len(Y), m), dtype=bool))
+        guesses = [np.zeros_like(correct), np.ones_like(correct),
+                   rng.random(correct.shape) < 0.5, np.roll(correct, 1, axis=0), correct]
+        support = np.array([guesses[g][i] for i, g in enumerate(rng.integers(0, 5, len(Y)))])
+        want, want_support, paths, want_cold = _reference_general(Y, P, support)
+        solved = []
+        real = isotonic._nnls_certified
+
+        def spy(E, f):
+            solved.append(f.tobytes())
+            return real(E, f)
+
+        mp.setattr(isotonic, "_nnls_certified", spy)
+        counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
+        V = isotonic._row_projector(P)(Y.copy(), support=support, counts=counts)
+        assert solved == [(-Y[i]).tobytes() for i in want_cold]
+        assert counts == {path: paths.count(path) for path in isotonic._ROW_PATHS}
+        assert np.array_equal(support, want_support)
+        if P in CCHS_ORDERS:
+            assert V.tobytes() == want.tobytes()
+        tol = 1e-14 * (1.0 + np.abs(Y).sum(axis=1))
+        assert (np.abs(V - want) <= tol[:, None]).all()
+        for y, v in zip(Y, V):
+            assert_kkt(y, v, P)
