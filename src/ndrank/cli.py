@@ -203,6 +203,7 @@ def cmd_factorize(args) -> int:
             manifest["extrapolation"] = report.extrapolation
             manifest["timings"] = report.timings
             manifest["first_rise"] = report.first_rise
+            manifest["stopping_tests"] = report.stopping_tests
         with open(f"{args.out}_manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")

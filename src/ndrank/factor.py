@@ -16,17 +16,21 @@ suffix contractions (below) and its Gram coefficients from views of the
 stack, and projects the stack of targets in place by the mode's row
 projector, which :mod:`ndrank.isotonic` resolves once per fit and mode (a
 chain's pools its rows by the compiled PAVA kernel).  What is left per
-restart, a handful
-of scalars (the liveness test of each update, and the SQUAREM step, cap
-and verdict), runs on Python floats, which round as numpy's do, so the
-sweep's time goes to arithmetic rather than to numpy calls on short
-vectors.  The reconstruction is built once per sweep, for the objective
-trace and the stopping test, and the residual only when a dead term is
-revived.  On general posets each vector's projection starts
-from the active set of its previous one: the projection onto that face is
-kept only when it passes a KKT check, and otherwise the certified solver
-runs, so every projection stays exact and certified (see
-:mod:`ndrank.isotonic`); the report counts the rows each path took.
+restart, a handful of scalars (the liveness test of each update, and the
+SQUAREM step, cap and verdict), runs on Python floats, which round as
+numpy's do, so the sweep's time goes to arithmetic rather than to numpy
+calls on short vectors.  The reconstruction is built once per sweep, for
+the objective trace, and the residual only when a dead term is revived.
+The stopping test, ||R - P|| <= rel_tol ||P|| for the new and previous
+reconstructions, takes two more full-length passes; they run only for the
+restarts that the reverse triangle inequality on the two objectives, with
+Higham's forward error bound for the rounding, leaves open
+(:func:`_cannot_converge`), so every stop is the exact test's.  On general
+posets each vector's projection starts from the active set of its previous
+one: the projection onto that face is kept only when it passes a KKT check,
+and otherwise the certified solver runs, so every projection stays exact
+and certified (see :mod:`ndrank.isotonic`); the report counts the rows
+each path took.
 
 The plain sweep converges linearly, and slowly on the survey fixture (the
 gap to the optimum shrinks by about 4 % a sweep), so the sweeps run in
@@ -213,6 +217,10 @@ class FitReport:
     in the sweeps (``sweeps_s``).  ``first_rise`` is the first (1-based)
     sweep whose objective exceeds the previous one by more than
     ``1e-12 * max(1, previous)``, or None when the trace never rises.
+    ``stopping_tests`` counts the sweeps, summed over every restart, whose
+    stopping test the objectives alone decided (``certified``) and those
+    that ran its two full-length passes (``exact``); with the rejected
+    trials, which skip the test, they add up to every restart's sweeps.
     """
 
     objective_trace: list
@@ -226,6 +234,7 @@ class FitReport:
     extrapolation: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     first_rise: int | None = None
+    stopping_tests: dict = field(default_factory=dict)
 
 
 def _uniform_unit(p: int) -> np.ndarray:
@@ -406,6 +415,8 @@ def _rowdot_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # numpy >= 2.0 has the same dot as one call, bitwise equal and twice as fast
 _rowdot = getattr(np, "vecdot", _rowdot_matmul)
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _mode_target(Q: np.ndarray, vec: list, t: int, coef: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The HALS target of a term in mode t, for every restart of the stack.
@@ -476,9 +487,41 @@ def _squarem_verdict(trial: list, dead: list, obj: list, last: list, alpha: list
     return rejected, caps
 
 
+def _cannot_converge(obj: list, last: list, tnorm: float, n: int, rel_tol: float) -> list:
+    """Which restarts surely fail the stopping test, from their objectives.
+
+    Per restart, as Python lists: ``obj`` = ||T - R||^2 and ``last`` =
+    ||T - P||^2, both computed in floats, for the new and the previous
+    reconstruction R and P of an n-entry tensor T, and ``tnorm`` = ||T||.
+    The reverse triangle inequality gives | ||T - R|| - ||T - P|| | <=
+    ||R - P||, and ||P|| <= ||T|| + ||T - P||, so the test ||R - P|| <=
+    rel_tol (||P|| + 1e-30) fails whenever
+
+        |√obj - √last| - γ (√obj + √last) > 2 rel_tol (tnorm + √last + 1e-30)
+
+    with γ = 4 (n + 4) eps, which covers Higham's (2002) forward error
+    bound γ_n of every dot product involved, and the factor 2 covers the
+    (1 + γ)^3 / (1 - γ) rounding of obj, last and the test's own two
+    passes while γ <= 0.1.  Beyond that, and for a rel_tol so small that
+    the 1e-30 floor no longer covers underflow, every restart stays open;
+    so does one whose objective is NaN or infinite.
+    """
+    gamma = 4.0 * (n + 4) * _EPS
+    if gamma > 0.1 or rel_tol < 1e-100:
+        return [False] * len(obj)
+    shut = []
+    for o, la in zip(obj, last):
+        if not (math.isfinite(o) and math.isfinite(la)):
+            shut.append(False)
+            continue
+        a, b = math.sqrt(o), math.sqrt(la)
+        shut.append(abs(a - b) - gamma * (a + b) > 2.0 * rel_tol * (tnorm + b + 1e-30))
+    return shut
+
+
 def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
                    trials: dict | None = None, timings: dict | None = None,
-                   extrapolate: bool = True) -> list:
+                   stopping: dict | None = None, extrapolate: bool = True) -> list:
     """Every restart of :func:`hals`, run as one batch.
 
     Restart i starts from its own initialization (seed ``cfg.seed + i``),
@@ -491,11 +534,17 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
     :func:`hals`); all of its state is per restart, and its step length
     weighs the scales and the unit vectors alike, which :func:`hals` makes
     scale-free by passing T / ||T||.  A restart that meets ``rel_tol``
-    leaves the stack.  Returns ``(NDFactorization, trace, stationary,
+    leaves the stack.  Each sweep builds the reconstruction for the
+    objective trace; the stopping test's two further passes over it, the
+    step from the previous reconstruction and that one's norm, run only for
+    the restarts :func:`_cannot_converge` leaves open, so every decision is
+    the exact test's.  Returns ``(NDFactorization, trace, stationary,
     sweeps)`` per restart, in seed order; ``counts``, if given, adds the
     sweep's projection rows by path, ``trials`` the accepted and rejected
-    extrapolated sweeps, and ``timings`` the seconds spent in the init
-    (``init_s``) and in the sweeps (``sweeps_s``) of the whole batch.
+    extrapolated sweeps, ``timings`` the seconds spent in the init
+    (``init_s``) and in the sweeps (``sweeps_s``) of the whole batch, and
+    ``stopping`` the restart-sweeps whose stopping test was certified from
+    the objectives (``certified``) or run in full (``exact``).
     """
     r, k = cfg.rank, T.ndim
     seeds = [cfg.seed + i for i in range(cfg.restarts)]
@@ -516,6 +565,7 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
 
     lambdas, factors = views(X)
     flat = T.reshape(-1)
+    tnorm = math.sqrt(float(flat @ flat))  # the stopping certificate's ||T||
     # each mode's projection, resolved once: a projector for this fit
     # alone (a chain's keeps its own PAVA scratch); every vector keeps its
     # support, the halfspace rows active at its last projection, which
@@ -643,13 +693,23 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
             snaps[phase + 1] = X
         for b, val in enumerate(obj):
             traces[active[b]].append(val)
-        last = obj
         # the stopping test compares two accepted iterates: it skips a
-        # rejected trial, which is x2 again
-        np.subtract(recon, prev, out=diff)
-        done = [not rej and math.sqrt(d) <= cfg.rel_tol * (math.sqrt(p) + 1e-30)
-                for rej, d, p in zip(rejected, _rowdot(diff, diff).tolist(),
-                                     _rowdot(prev, prev).tolist())]
+        # rejected trial, which is x2 again, and a restart whose objectives
+        # already rule it out; its two full-length passes run only for the
+        # restarts left open
+        shut = _cannot_converge(obj, last, tnorm, flat.size, cfg.rel_tol)
+        tested = [not (rej or sh) for rej, sh in zip(rejected, shut)]
+        done = tested
+        if any(tested):
+            np.subtract(recon, prev, out=diff)
+            done = [te and math.sqrt(d) <= cfg.rel_tol * (math.sqrt(p) + 1e-30)
+                    for te, d, p in zip(tested, _rowdot(diff, diff).tolist(),
+                                        _rowdot(prev, prev).tolist())]
+        if stopping is not None:
+            n_tested = sum(tested)
+            stopping["exact"] += n_tested
+            stopping["certified"] += n_act - n_tested - sum(rejected)
+        last = obj
         if any(done):
             finish(itertools.compress(range(n_act), done), True, sweep + 1)
             if all(done):
@@ -710,7 +770,8 @@ def hals(T, posets, cfg: FitConfig):
     counts = dict.fromkeys(_ROW_PATHS, 0)
     trials = {"accepted": 0, "rejected": 0}
     timings = {}
-    runs = _hals_restarts(T / scale, posets, cfg, counts, trials, timings)
+    stopping = {"certified": 0, "exact": 0}
+    runs = _hals_restarts(T / scale, posets, cfg, counts, trials, timings, stopping)
     for fact, trace, _, _ in runs:
         fact.lambdas *= scale
         trace[:] = [val * scale ** 2 for val in trace]
@@ -737,6 +798,7 @@ def hals(T, posets, cfg: FitConfig):
         extrapolation=trials,
         timings=timings,
         first_rise=first_rise,
+        stopping_tests=stopping,
     )
     return fact, report
 

@@ -363,10 +363,15 @@ def test_factorize_manifest_says_why_the_fit_stopped(tmp_path, capsys):
         assert manifest["first_rise"] is None
         trials = manifest["extrapolation"]
         assert set(trials) == {"accepted", "rejected"}
+        tests = manifest["stopping_tests"]
+        assert set(tests) == {"certified", "exact"}
         if sweeps == "5":
             assert sum(trials.values()) == 3  # one trial sweep a restart
+            # each restart-sweep was certified, tested in full or a rejected trial
+            assert sum(tests.values()) + trials["rejected"] == 3 * 5
         else:
             assert trials["accepted"] > 0
+        assert tests["exact"] >= 3  # no certificate on a restart's first sweep
         assert manifest["versions"] == {"python": platform.python_version(),
                                         "numpy": np.__version__, "scipy": scipy.__version__}
     argv = ["factorize", "fixture:cchs", "--rank", "1", "--loss", "poisson",
@@ -375,7 +380,7 @@ def test_factorize_manifest_says_why_the_fit_stopped(tmp_path, capsys):
     capsys.readouterr()
     manifest = json.loads((tmp_path / "counts_manifest.json").read_text())
     assert "stopped" not in manifest and "extrapolation" not in manifest
-    assert "first_rise" not in manifest
+    assert "first_rise" not in manifest and "stopping_tests" not in manifest
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
 
 

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndrank import cone, datasets, factor, isotonic, poset
@@ -436,6 +436,113 @@ def test_fit_report_says_where_the_time_went(init):
     assert set(report.timings) == {"init_s", "sweeps_s"}
     assert min(report.timings.values()) >= 0.0
     assert sum(report.timings.values()) <= wall
+
+
+def _noisy_chain_tensor(seed, shape=(30, 25, 20)):
+    """A sum of four nonnegative nondecreasing rank-one terms, plus noise at
+    about 1e-4 of its norm: the kind of tensor the fit-grid benchmark fits."""
+    rng = np.random.default_rng(seed)
+    S = sum(rng.uniform(0.5, 2.0) * outer([np.sort(rng.random(p)) for p in shape])
+            for _ in range(4))
+    return 100.0 * S / np.linalg.norm(S) + 0.01 * rng.standard_normal(shape)
+
+
+def test_fit_report_counts_stopping_tests():
+    T = _noisy_chain_tensor(0)
+    posets = [poset.chain(p) for p in T.shape]
+    cfg = FitConfig(rank=4, restarts=2, max_sweeps=100, seed=3)
+    _, report = factor.hals(T, posets, cfg)
+    tests = report.stopping_tests
+    assert set(tests) == {"certified", "exact"}
+    assert tests["certified"] > 0
+    assert tests["exact"] >= cfg.restarts  # a restart's first sweep has no last objective
+    # every restart-sweep is certified, tested in full, or a rejected trial
+    stopping, trials = {"certified": 0, "exact": 0}, {"accepted": 0, "rejected": 0}
+    runs = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg, trials=trials,
+                                 stopping=stopping)
+    assert stopping == tests and trials == report.extrapolation
+    assert sum(tests.values()) + trials["rejected"] == sum(sweeps for *_, sweeps in runs)
+
+
+def _exact_stopping_test(T, R, P, rel_tol):
+    """Objectives and stopping verdict as the sweep computes them, on one row."""
+    rowdot = factor._rowdot
+    obj, last, d, p = (float(rowdot(x, x)[0]) for x in (T - R, T - P, R - P, P))
+    return obj, last, math.sqrt(d) <= rel_tol * (math.sqrt(p) + 1e-30)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 15_000), exponent=st.sampled_from([-300, -40, 0, 40, 300]),
+       rel_tol=st.sampled_from([1e-14, 1e-9, 1e-6, 1e-2]),
+       residual=st.sampled_from(["random", "along", "against", "zero-t", "zero-p"]),
+       step=st.sampled_from(["toward", "away", "random"]),
+       edge=st.sampled_from(["certificate", "test"]),
+       slack=st.sampled_from([1 + 1e-3, 1 - 1e-3, 1 + 1e-9, 1 - 1e-9]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stopping_certificate_never_shuts_a_passing_test(n, exponent, rel_tol, residual, step,
+                                                         edge, slack, seed):
+    # (T, R, P) with ||R - P|| / ||P|| at the exact test's edge, rel_tol, or
+    # at the certificate's, 2 rel_tol (||T|| + ||T - P||) / ||P||; the tightest
+    # case is T = P / c, where ||P|| = ||T|| + ||T - P||, with R - P along T - P
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal(n)
+    E = {"random": rng.standard_normal(n) * rng.uniform(0.01, 2.0),
+         "along": P * rng.uniform(0.01, 0.9), "against": -P * rng.uniform(0.01, 0.9),
+         "zero-t": -P, "zero-p": rng.standard_normal(n)}[residual]
+    if residual == "zero-p":
+        P = np.zeros(n)
+    T = P + E
+    scale = 2.0 ** exponent
+    T, P, E = T * scale, P * scale, E * scale
+    D = {"random": rng.standard_normal(n), "toward": E, "away": -E}[step]
+    tnorm, pn, en, dn = (math.sqrt(float(x @ x)) for x in (T, P, E, D))
+    ratio = rel_tol if edge == "test" else 2.0 * rel_tol * (tnorm + en) / (pn or 1.0)
+    R = P + (ratio * slack * pn / dn) * D if dn else P.copy()
+    obj, last, passes = _exact_stopping_test(T[None], R[None], P[None], rel_tol)
+    shut, = factor._cannot_converge([obj], [last], tnorm, n, rel_tol)
+    assert not (shut and passes)
+    # no last objective, or a non-finite one, leaves the restart open
+    for o, la in ((obj, math.inf), (obj, math.nan), (math.nan, last), (math.inf, last)):
+        assert factor._cannot_converge([o], [la], tnorm, n, rel_tol) == [False]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-2, 1e-14])
+@pytest.mark.parametrize("case", ["grid", "cchs", "exact-rank2", "zero"])
+def test_stopping_certificate_changes_no_fit(case, rel_tol, monkeypatch):
+    # hals with the certificate against hals with every stopping test run in
+    # full: the same stops, so bitwise the same fit
+    if case == "grid":
+        T = _noisy_chain_tensor(1)
+        posets = [poset.chain(p) for p in T.shape]
+        cfg = FitConfig(rank=4, restarts=2, max_sweeps=100, seed=5, rel_tol=rel_tol)
+    elif case == "cchs":
+        T, posets = datasets.fixture("cchs")
+        cfg = FitConfig(rank=2, restarts=10, max_sweeps=200, rel_tol=rel_tol)
+    elif case == "exact-rank2":
+        posets = [poset.chain(4), COLLIDER, poset.chain(3)]
+        T = (outer([np.array([0.1, 0.5, 0.5, 2.0]), np.array([1.0, 0.0, 1.0]),
+                    np.array([1.0, 1.0, 3.0])])
+             + outer([np.array([1.0, 1.0, 1.0, 1.0]), np.array([0.0, 2.0, 3.0]),
+                      np.array([0.0, 1.0, 1.0])]))
+        cfg = FitConfig(rank=2, restarts=3, rel_tol=rel_tol)
+    else:
+        posets = [poset.chain(3), COLLIDER]
+        T = np.zeros((3, 3))
+        cfg = FitConfig(rank=2, restarts=2, rel_tol=rel_tol)
+    fact, report = factor.hals(T, posets, cfg)
+    monkeypatch.setattr(factor, "_cannot_converge", lambda obj, *args: [False] * len(obj))
+    want, want_report = factor.hals(T, posets, cfg)
+    assert want_report.stopping_tests["certified"] == 0
+    assert report.objective_trace == want_report.objective_trace
+    assert report.restart_objectives == want_report.restart_objectives
+    assert fact.lambdas.tobytes() == want.lambdas.tobytes()
+    assert all(F.tobytes() == G.tobytes() for F, G in zip(fact.factors, want.factors))
+    assert ((report.sweeps, report.stationary, report.best_restart)
+            == (want_report.sweeps, want_report.stationary, want_report.best_restart))
+    if case == "exact-rank2" and rel_tol == 1e-2:
+        assert report.stationary and report.sweeps <= 5
+    if case in ("grid", "cchs") and rel_tol == 1e-14:
+        assert report.stopping_tests["certified"] > 0
 
 
 @pytest.mark.parametrize("P, y", [(poset.chain(4), [0.5, 1.0, 3.0, 2.0]),

@@ -571,6 +571,33 @@ def test_warm_support_gives_the_certified_projection():
     assert isotonic._face_solver(DIAMOND, np.array([0, 1, 1, 1, 1], dtype=bool).tobytes()) is None
 
 
+def test_warm_face_check_tolerance_is_pinned(monkeypatch):
+    # on the collider {0 < 2, 1 < 2}, the face v_0 = v_2 of this target
+    # gives v = [1, 1 + 4e-11, 1], which misses v_1 <= v_2 by about
+    # 1e-11 (1 + ||y||_1): between the warm check's 1e-12 and the cold
+    # solver's 1e-9 tolerances, so the row must be solved cold
+    y = np.array([1.5, 1.0 + 4e-11, 0.5])
+    A = isotonic._halfspace_rows(COLLIDER)  # e_0, e_1, e_2 - e_0, e_2 - e_1
+    face = np.array([False, False, True, False])
+    scale = 1.0 + np.abs(y).sum()
+    mu = np.maximum(isotonic._face_solver(COLLIDER, face.tobytes()) @ y, 0.0)
+    miss = -min(A @ (y + mu @ A))
+    assert 1e-12 * scale < miss < 1e-10 * scale
+    solved = []
+    certified = isotonic._nnls_certified
+    monkeypatch.setattr(isotonic, "_nnls_certified",
+                        lambda E, f: solved.append(1) or certified(E, f))
+    support = face.copy()
+    counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
+    v = isotonic._row_projector(COLLIDER)(y[None].copy(), support=support[None],
+                                          counts=counts)[0]
+    assert counts["solved"] == 1 and counts["warm"] == 0 and solved == [1]
+    assert_kkt(y, v, COLLIDER)
+    x, _ = certified(A.T, -y)
+    assert np.array_equal(support, x > 0.0)
+    assert support.tolist() == [False, False, True, True]
+
+
 CCHS_ORDERS = [P for P in datasets.cchs_posets() if isotonic._projection_plan(P)[0] == "general"]
 WARM_POSETS = [COLLIDER, poset.collider_to_top(5), DIAMOND] + CCHS_ORDERS + [
     poset.product([poset.chain(m), poset.chain(m)]) for m in (3, 4, 5)]
