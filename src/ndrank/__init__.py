@@ -68,15 +68,11 @@ from .cone import (
     sample_finite_rank_probability,
 )
 from .isotonic import pava_chain, project
-from .factor import (
-    FitConfig,
-    FitReport,
-    NDFactorization,
+from .factor import FitConfig, FitReport, NDFactorization, hals, init_als_project
+from .rank import (
     RankBounds,
     Rank2Result,
     TriFactorCheck,
-    hals,
-    init_als_project,
     rank1_exponential,
     rank1_gaussian,
     rank1_multinomial,
@@ -87,4 +83,6 @@ from .factor import (
 )
 from . import datasets
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the rank submodule stays out of the star export: ``from ndrank import *``
+# would otherwise put a module where a script's ``rank = 2`` was
+__all__ = [name for name in dir() if not name.startswith("_") and name != "rank"]

@@ -29,15 +29,9 @@ from .cone import (
     sample_finite_rank_probability,
 )
 from .errors import NDRankError, UnsupportedLossRank
-from .factor import (
-    FitConfig,
-    hals,
-    rank1_exponential,
-    rank1_multinomial,
-    rank1_poisson,
-    rank_bounds,
-)
+from .factor import FitConfig, hals
 from .poset import product, chain, collider_to_top, read_poset, trivial
+from .rank import rank1_exponential, rank1_multinomial, rank1_poisson, rank_bounds
 from .tensor import check_tensor, read_tensor
 
 

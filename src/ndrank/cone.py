@@ -484,15 +484,13 @@ def double_description(generators) -> ConeHRep:
                 new_rays.append(_primitive(new))
         pos = len(processed)
         processed.append(ci)
-        rays2, tight2, seen2 = [], [], set()
+        rays2, tight2 = [], []
         for k in keep:
             rays2.append(rays[k])
             tight2.append(tight[k] | ((1 << pos) if s[k] == 0 else 0))
-            seen2.add(rays[k])
+        # exact arithmetic and the adjacency test give each new ray once, in
+        # the relative interior of its edge, so none repeats a kept ray
         for r in new_rays:
-            if r in seen2:
-                continue
-            seen2.add(r)
             mask = 0
             for p2, cj in enumerate(processed):
                 if sum(a * b for a, b in zip(G[cj], r)) == 0:

@@ -270,22 +270,22 @@ def _lawson_hanson(G: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
         if cand[j] <= tol:
             break
         passive[j] = True
-        for _ in range(n + 1):
+        while True:
             idx = np.flatnonzero(passive)
             z = np.zeros(n)
             z[idx] = np.linalg.lstsq(G[np.ix_(idx, idx)], b[idx], rcond=None)[0]
             out = passive & (z <= 0.0)
             if not out.any():
                 break
-            # step from x towards z until the first passive variable hits zero
-            alpha = float(np.min(x[out] / (x[out] - z[out])))
-            x = x + alpha * (z - x)
+            # step from x towards z until the first passive variable hits
+            # zero; it leaves even where the step's rounding leaves a crumb
+            # above zero, so every step drops one and the loop ends
+            ratio = x[out] / (x[out] - z[out])
+            first = np.flatnonzero(out)[np.argmin(ratio)]
+            x = x + float(ratio.min()) * (z - x)
+            x[first] = 0.0
             passive &= x > 0.0
             x[~passive] = 0.0
-        else:
-            break
-        if not passive[j]:  # the entering variable left at once: noise, stop
-            break
         x = z
         neg_grad = b - G.dot(x)
     return x

@@ -11,7 +11,7 @@ from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 
-from ndrank import cli, cone, datasets, factor, poset, tensor
+from ndrank import cli, cone, datasets, factor, poset, rank, tensor
 from ndrank.factor import FitConfig
 from ndrank.isotonic import project
 
@@ -195,7 +195,7 @@ def test_criterion_09_survey_tensor_reproduction():
 def test_criterion_10_collider_max_rank_evidence():
     with criterion(10, "two-collider matrix: exact at rank 4, stuck above 1e-3 at rank 3", 120.0):
         T, posets = datasets.fixture("collider3")
-        chk = factor.tri_factorization_verify(T, np.eye(4), posets)
+        chk = rank.tri_factorization_verify(T, np.eye(4), posets)
         assert chk.ok and chk.residual == 0.0
         _, rep4 = factor.hals(T, posets, FitConfig(rank=4, restarts=5, seed=0))
         assert rep4.final_residual < 1e-6
@@ -215,22 +215,22 @@ def test_criterion_11_rank_one_and_two_exactness():
             v = np.sort(rng.uniform(0.2, 2.0, p2))
             T = np.outer(u, v)
 
-            g = factor.rank1_gaussian(T, posets)
+            g = rank.rank1_gaussian(T, posets)
             assert np.linalg.norm(g.reconstruct() - T) < 1e-8 * np.linalg.norm(T)
 
             R = T / T.sum()
-            m = factor.rank1_multinomial(R)
+            m = rank.rank1_multinomial(R)
             best_m = -np.sum(R * np.log(R))
             got_m = -np.sum(R * np.log(m.reconstruct()))
             assert got_m <= best_m + 1e-8 * abs(best_m)
 
-            pfit = factor.rank1_poisson(T)
+            pfit = rank.rank1_poisson(T)
             theta = pfit.reconstruct()
             best_p = np.sum(T - T * np.log(T))
             got_p = np.sum(theta - T * np.log(theta))
             assert got_p <= best_p + 1e-8 * abs(best_p)
 
-            e = factor.rank1_exponential(T, posets)
+            e = rank.rank1_exponential(T, posets)
             best_e = np.sum(np.log(T) + 1.0)
             got_e = np.sum(np.log(e.reconstruct()) + T / e.reconstruct())
             assert got_e <= best_e + 1e-8 * abs(best_e)
@@ -250,7 +250,7 @@ def test_criterion_11_rank_one_and_two_exactness():
             if posets[0].covers:  # chain and forest covers run up the index
                 A = np.cumsum(A, axis=0)
             T = A @ B + 0.02 * rng.standard_normal((p1, p2))
-            res = factor.rank2_matrix_exact(T, posets)
+            res = rank.rank2_matrix_exact(T, posets)
             if res.needs_hals:
                 assert not res.certificate.member, res.reason
                 continue

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy
 
-from ndrank import cli, cone, datasets, factor
+from ndrank import cli, cone, datasets, factor, poset
 from ndrank.poset import collider_to_top, format_poset_text, parse_poset_text
 
 from helpers import rising_hals_restarts
@@ -203,6 +203,12 @@ def test_rays_guard_message(capsys):
     assert "guard" in err
 
 
+def test_rays_of_several_posets_need_a_flag(capsys):
+    code, out, err = run(capsys, "rays", "chain:2", "chain:3")
+    assert code == 2 and out == ""
+    assert "--product or --finite-rank" in err
+
+
 def test_hrep_two_chains(capsys):
     code, out, _ = run(capsys, "hrep", "chain:2", "chain:3")
     assert code == 0
@@ -226,6 +232,17 @@ def test_bounds(capsys):
     assert "typical ND ranks: 3..4" in out
     code, out, _ = run(capsys, "bounds", "chain:5", "chain:5")
     assert "max ND rank: 5" in out
+
+
+def test_bounds_without_a_known_maximum(tmp_path, capsys):
+    # two maximal elements: no collider to a top, so the maximum is unknown
+    path = tmp_path / "two_tops.poset"
+    path.write_text(format_poset_text(
+        poset.from_relation([0, 1, 2, 3], [(0, 2), (1, 2), (0, 3)])))
+    code, out, _ = run(capsys, "bounds", str(path), str(path))
+    assert code == 0
+    assert "max ND rank: unknown" in out
+    assert "typical ND ranks: 4..? (maximum unknown)" in out
 
 
 def test_sample_m1(capsys):
@@ -429,6 +446,19 @@ def test_factorize_poisson_rank1(tmp_path, capsys):
                        "--rank", "1", "--loss", "poisson")
     assert code == 0
     assert "RSS" in out
+
+
+def test_factorize_exponential_rank1(tmp_path, capsys):
+    # an outer product of positive nondecreasing vectors is its own fit
+    tpath = tmp_path / "positive.csv"
+    tpath.write_text("1,2,2\n2,4,4\n")
+    code, out, _ = run(capsys, "factorize", str(tpath), "chain:2", "chain:3",
+                       "--rank", "1", "--loss", "exponential", "--out", str(tmp_path / "exp"))
+    assert code == 0
+    rel = float(next(line.split()[2] for line in out.splitlines() if line.startswith("relative")))
+    assert rel < 1e-12
+    fact = json.loads((tmp_path / "exp.json").read_text())
+    assert fact["rank"] == 1
 
 
 def test_factorize_multinomial_residual_is_on_the_count_scale(tmp_path, capsys):

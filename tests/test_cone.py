@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ndrank import cone, factor, poset, tensor
+from ndrank import cone, datasets, poset, rank, tensor
 from ndrank.errors import (
     DegenerateCone,
     NonFiniteInput,
@@ -271,7 +271,7 @@ def test_checks_reject_a_bad_tol(tol):
         with pytest.raises(ValueError, match="tol"):
             cone.membership_finite_rank(np.ones((len(posets[0]),) * 2), posets, tol)
     with pytest.raises(ValueError, match="tol"):
-        factor.tri_factorization_verify(np.zeros((3, 3)), np.zeros((4, 4)), [COLLIDER, COLLIDER],
+        rank.tri_factorization_verify(np.zeros((3, 3)), np.zeros((4, 4)), [COLLIDER, COLLIDER],
                                         tol)
     cert = cone.is_monotone(T, chains, 0.0)
     assert [v.label for v in cert.violated] == ["t[1,2] >= 0", "t[1,1] <= t[1,2]",
@@ -629,8 +629,17 @@ def test_signed_grid_certificates_stay_small():
             assert np.count_nonzero(normal) == np.count_nonzero(r.normal)
 
 
+def test_is_monotone_names_a_cover_listed_upper_end_first():
+    # CCHS's age order has 65+ < 12-17: the cover (4, 0) runs down the index
+    P = datasets.fixture("cchs")[1][0]
+    cert = cone.is_monotone([0.0, 1.0, 1.0, 1.0, 0.5], P)
+    assert not cert.member
+    assert [(v.label, v.support, v.coeffs, v.value) for v in cert.violated] == [
+        ("t[5] <= t[1]", (0, 4), (1.0, -1.0), -0.5)]
+
+
 def test_rank1_monotone_checks_build_no_violations(monkeypatch):
-    from ndrank import factor
+    from ndrank import rank
     from ndrank.errors import HypothesisViolated
 
     def refuse(*args, **kwargs):
@@ -640,7 +649,7 @@ def test_rank1_monotone_checks_build_no_violations(monkeypatch):
     rng = np.random.default_rng(44)
     posets = [poset.chain(30), poset.chain(25), poset.chain(20)]
     with pytest.raises(HypothesisViolated):
-        factor.rank1_exponential(rng.uniform(1.0, 2.0, size=(30, 25, 20)), posets)
+        rank.rank1_exponential(rng.uniform(1.0, 2.0, size=(30, 25, 20)), posets)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -701,3 +710,25 @@ def test_empty_tensor_is_a_member_on_every_path(shape, posets, method):
     assert mono.member and mono.min_value == np.inf
     assert cert.member and cert.min_value == np.inf and cert.method == method
     assert not cert.violated
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # 24^5 generators, refused before the Kronecker product is formed
+    (lambda: cone.finite_rank_vrep([poset.chain(24)] * 5), TooLarge, "1000000 guard"),
+    (lambda: cone.double_description([]), ValueError, "at least one generator"),
+    (lambda: cone.double_description([[1, 0], [1, 0, 0]]), ShapeMismatch, "one shape"),
+    (lambda: cone.double_description([[1, 0], [0, 0.5]]), ValueError, "integer generators"),
+    (lambda: cone.double_description(list(itertools.product(range(1, 4), repeat=4))),
+     TooLarge, "generators exceeds the 64 guard"),
+    (lambda: cone.sample_finite_rank_probability(0, 10, 0), ValueError, "positive"),
+], ids=["vrep-guard", "no-generator", "shapes", "non-integer", "generator-guard",
+        "sample-m-0"])
+def test_cone_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_certificates_compare_and_test_true():
+    cert = cone.is_monotone(np.array([[1.0, 0.0]]), [poset.trivial(1), poset.chain(2)])
+    assert not cert and cone.is_monotone(np.ones((1, 2)), [poset.trivial(1), poset.chain(2)])
+    assert cert.violated[0] != "t[1,1] <= t[1,2]"

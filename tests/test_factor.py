@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndrank import cone, datasets, factor, isotonic, poset
+from ndrank import cone, datasets, factor, isotonic, poset, rank
 from ndrank.errors import (
     HypothesisViolated,
     NonFiniteInput,
@@ -506,6 +506,14 @@ def test_stopping_certificate_never_shuts_a_passing_test(n, exponent, rel_tol, r
         assert factor._cannot_converge([o], [la], tnorm, n, rel_tol) == [False]
 
 
+def test_stopping_certificate_stays_open_beyond_its_bounds():
+    # objectives 1 and 4 rule the test out, unless the rounding bound
+    # exceeds 0.1 (n = 1e15) or rel_tol is below the 1e-30 floor's reach
+    assert factor._cannot_converge([1.0], [4.0], 1.0, 10, 1e-9) == [True]
+    assert factor._cannot_converge([1.0], [4.0], 1.0, 10 ** 15, 1e-9) == [False]
+    assert factor._cannot_converge([1.0], [4.0], 1.0, 10, 1e-101) == [False]
+
+
 @pytest.mark.parametrize("rel_tol", [1e-2, 1e-14])
 @pytest.mark.parametrize("case", ["grid", "cchs", "exact-rank2", "zero"])
 def test_stopping_certificate_changes_no_fit(case, rel_tol, monkeypatch):
@@ -569,9 +577,9 @@ def test_fits_reject_non_finite(bad):
     with pytest.raises(NonFiniteInput):
         factor.hals(T, posets, FitConfig(rank=1))
     with pytest.raises(NonFiniteInput):
-        factor.rank1_gaussian(T, posets)
+        rank.rank1_gaussian(T, posets)
     with pytest.raises(NonFiniteInput):
-        factor.rank1_exponential(T, posets)
+        rank.rank1_exponential(T, posets)
 
 
 def _with_entry(value, shape=(3, 3), at=(1, 2)):
@@ -584,11 +592,11 @@ def _with_entry(value, shape=(3, 3), at=(1, 2)):
 def test_rank2_matrix_exact_rejects_non_finite(bad):
     # unchecked, the SVD fails to converge
     with pytest.raises(NonFiniteInput):
-        factor.rank2_matrix_exact(_with_entry(bad), [poset.chain(3), poset.chain(3)])
+        rank.rank2_matrix_exact(_with_entry(bad), [poset.chain(3), poset.chain(3)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("solver", [factor.rank1_multinomial, factor.rank1_poisson])
+@pytest.mark.parametrize("solver", [rank.rank1_multinomial, rank.rank1_poisson])
 def test_marginal_solvers_reject_non_finite(solver, bad):
     # unchecked, the marginals and so the factors are NaN
     with pytest.raises(NonFiniteInput):
@@ -600,9 +608,9 @@ def test_tri_factorization_verify_rejects_non_finite(bad):
     # unchecked, the check reports ok=False with a NaN residual
     posets = [poset.chain(3), poset.chain(3)]
     with pytest.raises(NonFiniteInput):
-        factor.tri_factorization_verify(_with_entry(bad), np.ones((3, 3)), posets)
+        rank.tri_factorization_verify(_with_entry(bad), np.ones((3, 3)), posets)
     with pytest.raises(NonFiniteInput):
-        factor.tri_factorization_verify(np.ones((3, 3)), _with_entry(bad), posets)
+        rank.tri_factorization_verify(np.ones((3, 3)), _with_entry(bad), posets)
 
 
 def test_gauge_invariance_of_reconstruction():
@@ -852,7 +860,7 @@ def test_fits_beyond_twelve_modes(order):
     assert trace_nonincreasing(report.objective_trace)
     for F in fact.factors:
         assert cone.is_monotone(F[0], [poset.chain(2)]).member
-    g = factor.rank1_gaussian(T, posets)
+    g = rank.rank1_gaussian(T, posets)
     assert "fallback" not in g.diagnostics
     # the best rank-one fit: its residual is orthogonal to every mode's update
     R = T - g.reconstruct()
@@ -862,7 +870,7 @@ def test_fits_beyond_twelve_modes(order):
         grad = np.tensordot(R, outer([vecs[j] for j in others]), axes=(others, range(order - 1)))
         assert np.linalg.norm(grad) < 1e-8 * np.linalg.norm(T)
     assert report.objective_trace[-1] <= np.sum(R ** 2) * (1 + 1e-6)
-    e = factor.rank1_exponential(T, posets)
+    e = rank.rank1_exponential(T, posets)
     # the exponential fixed point: T / theta averages to 1 over each slice
     ratio = T / e.reconstruct()
     for t in range(order):
@@ -902,21 +910,21 @@ def test_fit_config_takes_numpy_integers():
 def test_rank1_gaussian_matches_svd():
     rng = np.random.default_rng(9)
     M = np.sort(np.sort(rng.uniform(0.5, 2.0, (4, 5)), axis=0), axis=1)
-    f = factor.rank1_gaussian(M, [poset.chain(4), poset.chain(5)])
+    f = rank.rank1_gaussian(M, [poset.chain(4), poset.chain(5)])
     U, s, Vt = np.linalg.svd(M)
     assert abs(f.lambdas[0] - s[0]) < 1e-8 * s[0]
     assert np.arccos(min(1.0, abs(f.factors[0][0] @ U[:, 0]))) < 1e-6
     assert np.arccos(min(1.0, abs(f.factors[1][0] @ Vt[0]))) < 1e-6
     # the loop's liveness floor is absolute: a tiny tensor must not die
-    tiny = factor.rank1_gaussian(1e-15 * M, [poset.chain(4), poset.chain(5)])
+    tiny = rank.rank1_gaussian(1e-15 * M, [poset.chain(4), poset.chain(5)])
     assert abs(tiny.lambdas[0] - 1e-15 * s[0]) < 1e-8 * 1e-15 * s[0]
 
 
 def test_rank1_gaussian_zero_and_fallback():
-    z = factor.rank1_gaussian(np.zeros((2, 2)), [poset.chain(2), poset.chain(2)])
+    z = rank.rank1_gaussian(np.zeros((2, 2)), [poset.chain(2), poset.chain(2)])
     assert z.lambdas[0] == 0
     bad = np.array([[1.0, 0.0], [0.0, 1.0]])  # rows/columns not monotone
-    f = factor.rank1_gaussian(bad, [poset.chain(2), poset.chain(2)])
+    f = rank.rank1_gaussian(bad, [poset.chain(2), poset.chain(2)])
     assert "fallback" in f.diagnostics
     for j in range(2):
         assert cone.is_monotone(f.factors[j][0], [poset.chain(2)]).member
@@ -924,42 +932,48 @@ def test_rank1_gaussian_zero_and_fallback():
 
 def test_rank1_multinomial():
     T = np.full((2, 2), 0.25)
-    f = factor.rank1_multinomial(T)
+    f = rank.rank1_multinomial(T)
     assert np.allclose(f.factors[0][0], [0.5, 0.5])
     assert np.allclose(f.reconstruct(), T)
     with pytest.raises(NonNegativityViolated):
-        factor.rank1_multinomial(np.array([[1.0, -0.1], [0.0, 0.0]]))
+        rank.rank1_multinomial(np.array([[1.0, -0.1], [0.0, 0.0]]))
     with pytest.raises(NonNegativityViolated):
-        factor.rank1_multinomial(np.zeros((2, 2)))
+        rank.rank1_multinomial(np.zeros((2, 2)))
 
 
 def test_rank1_multinomial_product_pmf_exact():
     q1 = np.array([0.2, 0.3, 0.5])
     q2 = np.array([0.1, 0.9])
-    f = factor.rank1_multinomial(np.outer(q1, q2))
+    f = rank.rank1_multinomial(np.outer(q1, q2))
     assert np.allclose(f.factors[0][0], q1)
     assert np.allclose(f.factors[1][0], q2)
 
 
 def test_rank1_poisson_scale():
-    f = factor.rank1_poisson(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    f = rank.rank1_poisson(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert np.isclose(f.lambdas[0], 10.0)
     assert np.isclose(f.reconstruct().sum(), 10.0)
 
 
+def test_rank1_poisson_zero_total():
+    f = rank.rank1_poisson(np.zeros((2, 3)))
+    assert f.lambdas.tolist() == [0.0]
+    assert f.reconstruct().tolist() == np.zeros((2, 3)).tolist()
+
+
 def test_rank1_exponential():
-    e = factor.rank1_exponential(np.ones((2, 2)), [poset.chain(2), poset.chain(2)])
+    e = rank.rank1_exponential(np.ones((2, 2)), [poset.chain(2), poset.chain(2)])
     assert np.allclose(e.reconstruct(), np.ones((2, 2)))
     u = np.array([0.5, 1.0, 1.5])
     v = np.array([1.0, 2.0, 2.0, 3.0])
     T = np.outer(u, v)
-    e2 = factor.rank1_exponential(T, [poset.chain(3), poset.chain(4)])
+    e2 = rank.rank1_exponential(T, [poset.chain(3), poset.chain(4)])
     assert np.linalg.norm(e2.reconstruct() - T) < 1e-8 * np.linalg.norm(T)
     with pytest.raises(NonPositiveEntry):
-        factor.rank1_exponential(np.array([[1.0, 0.0], [1.0, 2.0]]),
+        rank.rank1_exponential(np.array([[1.0, 0.0], [1.0, 2.0]]),
                                  [poset.chain(2), poset.chain(2)])
     with pytest.raises(HypothesisViolated):
-        factor.rank1_exponential(np.array([[2.0, 1.0], [1.0, 2.0]]),
+        rank.rank1_exponential(np.array([[2.0, 1.0], [1.0, 2.0]]),
                                  [poset.chain(2), poset.chain(2)])
 
 
@@ -970,8 +984,8 @@ def test_exponential_beats_gaussian_on_own_objective():
     def exp_loss(theta):
         return float(np.sum(np.log(theta) + T / theta))
 
-    fe = factor.rank1_exponential(T, [poset.chain(3), poset.chain(4)])
-    fg = factor.rank1_gaussian(T, [poset.chain(3), poset.chain(4)])
+    fe = rank.rank1_exponential(T, [poset.chain(3), poset.chain(4)])
+    fg = rank.rank1_gaussian(T, [poset.chain(3), poset.chain(4)])
     assert exp_loss(fe.reconstruct()) <= exp_loss(fg.reconstruct()) + 1e-9
 
 
@@ -981,7 +995,7 @@ def test_rank2_exact_reconstructs_truncation():
     A = rng.uniform(0.1, 1.0, size=(7, 2))
     T = A @ B + 0.01 * rng.standard_normal((7, 6))
     posets = [poset.trivial(7), poset.chain(6)]
-    res = factor.rank2_matrix_exact(T, posets)
+    res = rank.rank2_matrix_exact(T, posets)
     assert not res.needs_hals
     U, s, Vt = np.linalg.svd(T, full_matrices=False)
     T2 = (U[:, :2] * s[:2]) @ Vt[:2]
@@ -1006,7 +1020,7 @@ def test_rank2_coefficients_survive_scipy_iteration_cap(monkeypatch):
     A = rng.uniform(0.1, 1.0, size=(7, 2))
     T = A @ B
     posets = [poset.trivial(7), poset.chain(6)]
-    res = factor.rank2_matrix_exact(T, posets)
+    res = rank.rank2_matrix_exact(T, posets)
     assert not res.needs_hals
     assert np.linalg.norm(res.factorization.reconstruct() - T) < 1e-8 * np.linalg.norm(T)
     assert calls
@@ -1022,7 +1036,7 @@ def test_rank2_extreme_rays_on_any_column_poset():
     U, s, Vt = np.linalg.svd(T, full_matrices=False)
     T2 = (U[:, :2] * s[:2]) @ Vt[:2]
     for cols in (poset.chain(5), poset.trivial(5)):
-        res = factor.rank2_matrix_exact(T, [poset.trivial(6), cols])
+        res = rank.rank2_matrix_exact(T, [poset.trivial(6), cols])
         assert not res.needs_hals
         assert np.linalg.norm(res.factorization.reconstruct() - T2) < 1e-8 * np.linalg.norm(T2)
 
@@ -1041,7 +1055,7 @@ def test_rank2_exact_whenever_collider_free_truncation_is_member(p, q, seed):
         for M, posets in ((T, [rows, poset.chain(q)]), (T.T, [poset.chain(q), rows])):
             U, s, Vt = np.linalg.svd(M, full_matrices=False)
             T2 = (U[:, :2] * s[:2]) @ Vt[:2]
-            res = factor.rank2_matrix_exact(M, posets)
+            res = rank.rank2_matrix_exact(M, posets)
             assert res.certificate.member
             assert not res.needs_hals, res.reason
             scale = 1e-8 * np.linalg.norm(T2)
@@ -1059,17 +1073,36 @@ def test_rank2_exact_whenever_collider_free_truncation_is_member(p, q, seed):
 def test_rank2_unbounded_wedge_falls_back(monkeypatch):
     # with every halfspace row dropped as noise nothing bounds the wedge:
     # the shortcut directs the caller to HALS instead of returning inf rays
-    monkeypatch.setattr(factor, "_halfspace_rows", lambda P: np.zeros((0, P.p)))
+    monkeypatch.setattr(rank, "_halfspace_rows", lambda P: np.zeros((0, P.p)))
     T = np.array([[1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
-    res = factor.rank2_matrix_exact(T, [poset.chain(2), poset.chain(3)])
+    res = rank.rank2_matrix_exact(T, [poset.chain(2), poset.chain(3)])
     assert res.needs_hals and res.certificate.member
     assert res.reason == "no halfspace bounds the row space's wedge"
+
+
+@pytest.mark.parametrize("target, fake, reason", [
+    # coefficients that rebuild nothing
+    ("_nnls_coefficients", lambda T2, B: np.zeros((T2.shape[0], B.shape[0])),
+     "extraction failed to reproduce the rank-two truncation"),
+    # rays [1, 2, 3] - [1, 3, 6] and [1, 3, 6]: T's first row is their sum
+    ("_wedge_rays", lambda T2, basis, P: np.array([T2[0] - T2[1], T2[1]]),
+     "extracted column-mode vector is infeasible"),
+    # T's rows as rays: the coefficients [1, 0] and [0, 1] fall along chain(2)
+    ("_wedge_rays", lambda T2, basis, P: T2.copy(),
+     "extracted row-mode coefficients are infeasible"),
+], ids=["reconstruction", "column-vector", "row-coefficients"])
+def test_rank2_rejects_an_infeasible_extraction(target, fake, reason, monkeypatch):
+    monkeypatch.setattr(rank, target, fake)
+    T = np.array([[1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
+    res = rank.rank2_matrix_exact(T, [poset.chain(2), poset.chain(3)])
+    assert res.needs_hals and res.certificate.member
+    assert res.reason == reason
 
 
 def test_rank2_rank_one_input_degenerates():
     u = np.array([1.0, 2.0, 3.0])
     v = np.array([1.0, 1.0, 2.0, 4.0])
-    res = factor.rank2_matrix_exact(np.outer(u, v), [poset.chain(3), poset.chain(4)])
+    res = rank.rank2_matrix_exact(np.outer(u, v), [poset.chain(3), poset.chain(4)])
     assert not res.needs_hals
     lam = np.sort(res.factorization.lambdas)
     assert lam[0] == 0.0 and lam[1] > 0
@@ -1078,37 +1111,47 @@ def test_rank2_rank_one_input_degenerates():
 def test_rank2_fallback_when_truncation_outside():
     # staircase pattern: monotone but without finite ND rank
     T = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]) + 1e-3
-    res = factor.rank2_matrix_exact(T, [poset.chain(2), poset.chain(3)])
+    res = rank.rank2_matrix_exact(T, [poset.chain(2), poset.chain(3)])
     assert res.needs_hals
     assert res.factorization is None
 
 
 def test_rank_bounds_cases():
     rows = poset.from_relation(["I", "II", "III"], [("I", "III"), ("II", "III")])
-    b = factor.rank_bounds([rows, poset.chain(4)])
+    b = rank.rank_bounds([rows, poset.chain(4)])
     assert b.upper == 4 and b.exact_max == 4
-    b2 = factor.rank_bounds([COLLIDER, COLLIDER])
+    b2 = rank.rank_bounds([COLLIDER, COLLIDER])
     assert b2.exact_max == 4 and b2.typical_range == (3, 4)
-    b3 = factor.rank_bounds([poset.chain(3), poset.chain(5)])
+    b3 = rank.rank_bounds([poset.chain(3), poset.chain(5)])
     assert b3.exact_max == 3 and b3.typical_range == (3, 3)
-    b4 = factor.rank_bounds([COLLIDER, COLLIDER, poset.chain(2)])
+    b4 = rank.rank_bounds([COLLIDER, COLLIDER, poset.chain(2)])
     assert b4.upper == 8 and b4.exact_max is None
     for P in (COLLIDER, poset.chain(4)):
-        b1 = factor.rank_bounds([P])
+        b1 = rank.rank_bounds([P])
         assert b1.upper == 1 and b1.exact_max is None and b1.typical_range is None
-        assert factor.rank_bounds(P) == b1  # a single Poset is a vector's list
+        assert rank.rank_bounds(P) == b1  # a single Poset is a vector's list
+
+
+def test_rank_bounds_with_two_maximal_elements():
+    # two maxima: no collider to a top, so no exact maximum is known
+    P = poset.from_relation([0, 1, 2, 3], [(0, 2), (1, 2), (0, 3)])
+    b = rank.rank_bounds([P, P])
+    assert (b.upper, b.exact_max, b.typical_min, b.typical_range) == (5, None, 4, None)
+    assert b.extremal_ray_counts == [5, 5]
 
 
 def test_tri_factorization_identity():
-    chk = factor.tri_factorization_verify(COLLIDER_MATRIX, np.eye(4), [COLLIDER, COLLIDER])
+    chk = rank.tri_factorization_verify(COLLIDER_MATRIX, np.eye(4), [COLLIDER, COLLIDER])
     assert chk.ok and chk.residual == 0.0
-    chk0 = factor.tri_factorization_verify(COLLIDER_MATRIX, np.zeros((4, 4)),
+    chk0 = rank.tri_factorization_verify(COLLIDER_MATRIX, np.zeros((4, 4)),
                                            [COLLIDER, COLLIDER])
     assert not chk0.ok
     with pytest.raises(ShapeMismatch):
-        factor.tri_factorization_verify(COLLIDER_MATRIX, np.eye(3), [COLLIDER, COLLIDER])
+        rank.tri_factorization_verify(COLLIDER_MATRIX, np.eye(3), [COLLIDER, COLLIDER])
     with pytest.raises(NonNegativityViolated):
-        factor.tri_factorization_verify(COLLIDER_MATRIX, -np.eye(4), [COLLIDER, COLLIDER])
+        rank.tri_factorization_verify(COLLIDER_MATRIX, -np.eye(4), [COLLIDER, COLLIDER])
+    with pytest.raises(ShapeMismatch, match="matrices"):
+        rank.tri_factorization_verify(np.ones(3), np.eye(4), [COLLIDER])
 
 
 def test_tri_factorization_random_cone_coefficients():
@@ -1117,7 +1160,7 @@ def test_tri_factorization_random_cone_coefficients():
     V = [cone.order_cone_vrep(P).generators.T for P in posets]
     H = rng.uniform(0, 2, size=(V[0].shape[1], V[1].shape[1]))
     T = V[0] @ H @ V[1].T
-    chk = factor.tri_factorization_verify(T, H, posets)
+    chk = rank.tri_factorization_verify(T, H, posets)
     assert chk.ok
 
 
@@ -1125,7 +1168,7 @@ def test_bound_consistency_on_members():
     rng = np.random.default_rng(14)
     posets = [poset.chain(3), COLLIDER]
     gens = cone.finite_rank_vrep(posets)
-    b = factor.rank_bounds(posets)
+    b = rank.rank_bounds(posets)
     for trial in range(3):
         idx = rng.choice(len(gens), size=3, replace=False)
         T = sum(rng.uniform(0.3, 1.5) * gens[i] for i in idx)
@@ -1172,8 +1215,8 @@ EMPTY = poset.from_relation([], [])
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fit, scale", [
     (lambda T, Ps: factor.hals(T, Ps, FitConfig(rank=1)), 1e154),
-    (lambda T, Ps: factor.rank1_gaussian(T, Ps), 1e154),
-    (lambda T, Ps: factor.rank1_gaussian(T, Ps), 1e160),
+    (lambda T, Ps: rank.rank1_gaussian(T, Ps), 1e154),
+    (lambda T, Ps: rank.rank1_gaussian(T, Ps), 1e160),
 ], ids=["hals", "rank1_gaussian-1e154", "rank1_gaussian-1e160"])
 def test_fits_reject_a_squared_norm_that_overflows(fit, scale):
     # hals raised a bare StopIteration and rank1_gaussian gave a nan scale
@@ -1186,8 +1229,8 @@ def test_fits_reject_a_squared_norm_that_overflows(fit, scale):
 @pytest.mark.parametrize("fit", [
     lambda T: factor.hals(T, [], FitConfig(rank=1)),
     lambda T: factor.init_als_project(T, 1, [], 0),
-    lambda T: factor.rank1_gaussian(T, []),
-    lambda T: factor.rank1_exponential(T, []),
+    lambda T: rank.rank1_gaussian(T, []),
+    lambda T: rank.rank1_exponential(T, []),
 ], ids=["hals", "init_als_project", "rank1_gaussian", "rank1_exponential"])
 def test_fits_reject_order_0(fit):
     # these divided by zero or returned a wrong scale (0, or 1 for a fit of 2)
@@ -1198,9 +1241,9 @@ def test_fits_reject_order_0(fit):
 FIT_ENTRIES = {
     "hals": lambda T, Ps: factor.hals(T, Ps, FitConfig(rank=1, restarts=1)),
     "init_als_project": lambda T, Ps: factor.init_als_project(T, 1, Ps, 0),
-    "rank1_gaussian": factor.rank1_gaussian,
-    "rank1_exponential": factor.rank1_exponential,
-    "rank2_matrix_exact": factor.rank2_matrix_exact,
+    "rank1_gaussian": rank.rank1_gaussian,
+    "rank1_exponential": rank.rank1_exponential,
+    "rank2_matrix_exact": rank.rank2_matrix_exact,
 }
 BAD_FIT_INPUTS = {
     "nan": (_with_entry(np.nan), [poset.chain(3)] * 2, NonFiniteInput, "must be finite"),
@@ -1236,25 +1279,25 @@ def test_fits_take_a_single_poset_for_a_vector(y):
     assert report.objective_trace == want_report.objective_trace
     assert got.reconstruct().tobytes() == want.reconstruct().tobytes()
     assert got.posets == [P]
-    got, want = factor.rank1_gaussian(y, P), factor.rank1_gaussian(y, [P])
+    got, want = rank.rank1_gaussian(y, P), rank.rank1_gaussian(y, [P])
     assert got.reconstruct().tobytes() == want.reconstruct().tobytes()
     assert np.allclose(got.reconstruct(), isotonic.project(y, P), atol=1e-12)
 
 
 def test_marginal_solvers_answer_order_0():
-    assert factor.rank1_poisson(np.array(2.0)).lambdas.tolist() == [2.0]
-    assert factor.rank1_multinomial(np.array(2.0)).lambdas.tolist() == [1.0]
+    assert rank.rank1_poisson(np.array(2.0)).lambdas.tolist() == [2.0]
+    assert rank.rank1_multinomial(np.array(2.0)).lambdas.tolist() == [1.0]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fit", [
     lambda T, Ps: factor.hals(T, Ps, FitConfig(rank=2, restarts=2)),
     lambda T, Ps: factor.init_als_project(T, 2, Ps, 0),
-    lambda T, Ps: factor.rank1_gaussian(T, Ps),
-    lambda T, Ps: factor.rank1_exponential(T, Ps),
-    lambda T, Ps: factor.rank1_poisson(T),
-    lambda T, Ps: factor.rank1_multinomial(T),
-    lambda T, Ps: factor.rank2_matrix_exact(T, Ps),
+    lambda T, Ps: rank.rank1_gaussian(T, Ps),
+    lambda T, Ps: rank.rank1_exponential(T, Ps),
+    lambda T, Ps: rank.rank1_poisson(T),
+    lambda T, Ps: rank.rank1_multinomial(T),
+    lambda T, Ps: rank.rank2_matrix_exact(T, Ps),
 ], ids=["hals", "init_als_project", "rank1_gaussian", "rank1_exponential", "rank1_poisson",
         "rank1_multinomial", "rank2_matrix_exact"])
 @pytest.mark.parametrize("empty_mode", [1, 2])

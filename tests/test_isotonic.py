@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -412,6 +413,43 @@ def test_fallback_when_scipy_hits_its_iteration_cap(monkeypatch):
         assert np.allclose(v, v_oracle, rtol=0, atol=1e-9 * (1 + np.abs(y).sum()))
 
 
+def _nnls_by_supports(E, f):
+    """min_{x >= 0} ||E x - f|| by enumerating supports (exact for small n)."""
+    best, best_x = np.inf, None
+    for k in range(E.shape[1] + 1):
+        for S in itertools.combinations(range(E.shape[1]), k):
+            x = np.zeros(E.shape[1])
+            if S:
+                x[list(S)] = np.linalg.lstsq(E[:, S], f, rcond=None)[0]
+                if x.min() < 0:
+                    continue
+            value = float(np.sum((E @ x - f) ** 2))
+            if value < best:
+                best, best_x = value, x
+    return best_x
+
+
+def test_lawson_hanson_backs_off_on_correlated_columns(monkeypatch):
+    # strongly correlated columns make the active set shed variables; at
+    # seed 1259 the back-off step left a crumb above zero, the loop ran out
+    # of steps, and _nnls_certified raised UncertifiedSolution
+    def capped(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(isotonic, "nnls", capped)
+    for seed in range(1500):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(n, n + 5))
+        E = rng.standard_normal((m, 1)) + 0.05 * rng.standard_normal((m, n))
+        f = rng.standard_normal(m)
+        x, r = isotonic._nnls_certified(E, f)
+        scale = 1.0 + np.abs(f).sum()
+        assert isotonic._kkt_holds(E, x, r, 1e-9 * scale, scale), seed
+        want = _nnls_by_supports(E, f)
+        assert np.abs(x - want).max() <= 1e-7 * (1 + np.abs(want).max()), seed
+
+
 def test_uncertified_answer_is_never_returned(monkeypatch):
     y = np.array([2.0, 0.0, 1.0])
     expected = np.array([1.5, 0.0, 1.5])
@@ -675,3 +713,10 @@ def test_warm_pass_matches_the_row_by_row_reference(which, seed):
         assert (np.abs(V - want) <= tol[:, None]).all()
         for y, v in zip(Y, V):
             assert_kkt(y, v, P)
+
+
+def test_pava_chain_input_checks():
+    with pytest.raises(ValueError, match="match the target length"):
+        pava_chain([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        pava_chain([[1.0, 2.0]])

@@ -384,3 +384,29 @@ def test_text_format_round_trips_random_labels(tmp_path):
         poset.write_poset(P, path)
         Q = poset.read_poset(path)
         assert Q.labels == P.labels and Q.covers == P.covers
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: poset.from_relation(["a", "a"], []), ValueError, "distinct"),
+    (lambda: poset.chain(0), ValueError, "positive"),
+    (lambda: poset.trivial(0), ValueError, "positive"),
+    (lambda: poset.collider_to_top(0), ValueError, "positive"),
+    (lambda: poset.product([]), ValueError, "at least one factor"),
+    (lambda: poset.chain(3).index(4), UnknownLabel, "unknown element 4"),
+    (lambda: poset.count_linear_extensions(poset.chain(25)), TooLarge, "p <= 24"),
+    # 10! extensions, counted over 2^10 downsets before any is listed
+    (lambda: poset.linear_extensions(poset.trivial(10)), TooLarge, "1e6"),
+    (lambda: poset.parse_poset_text("elements: ,\n"), ParseError, "empty element list"),
+    (lambda: poset.parse_poset_text("elements: a,b\na <\n"), ParseError, "expected 'x < y'"),
+    (lambda: poset.parse_poset_text("# no header\n\n"), ParseError, "missing 'elements:'"),
+], ids=["repeated-label", "chain-0", "trivial-0", "collider-0", "no-factor", "unknown-label",
+        "count-guard", "listing-guard", "empty-elements", "empty-side", "no-header"])
+def test_poset_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_poset_compares_and_prints():
+    P = poset.chain(2)
+    assert P != "chain:2" and P == poset.chain(2)
+    assert repr(P) == "Poset(p=2, covers=[(0, 1)])"

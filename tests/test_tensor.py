@@ -222,3 +222,29 @@ def test_finite_entries_near_the_float_limit_raise_no_warning():
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteInput):
             tensor.require_finite("t", np.array([1e200, bad]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tensor.outer([]), ValueError, "at least one vector"),
+    (lambda: tensor.outer([[1.0], []]), ValueError, "non-empty vector"),
+    (lambda: tensor.outer([[[1.0]]]), ValueError, "non-empty vector"),
+    (lambda: tensor.fibre(np.ones((2, 2)), 1, [1, 1]), IndexOutOfRange, "expected 1 fixed"),
+    (lambda: tensor.mode_difference(np.ones((2, 2)), 3), IndexOutOfRange, "mode 3"),
+    (lambda: tensor.tensor_from_json("[1, 2]"), ParseError, "'shape' and 'data'"),
+    (lambda: tensor.matrix_from_csv("1,2\n3\n"), ParseError, "expected 2 columns"),
+    (lambda: tensor.matrix_from_csv("# only a comment\n\n"), ParseError, "empty matrix"),
+], ids=["no-vector", "empty-vector", "matrix-factor", "fixed-count", "difference-mode",
+        "json-fields", "csv-width", "csv-empty"])
+def test_tensor_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_read_tensor_takes_json_by_content(tmp_path):
+    # a file named for CSV that holds JSON is read as JSON
+    path = tmp_path / "t.csv"
+    path.write_text('  {"shape": [2], "data": [1, 2]}')
+    assert tensor.read_tensor(path).tolist() == [1.0, 2.0]
+    csv = tmp_path / "c.csv"
+    csv.write_text("# header comment\n1,2\n\n3,4\n")
+    assert tensor.read_tensor(csv).tolist() == [[1.0, 2.0], [3.0, 4.0]]
