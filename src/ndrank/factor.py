@@ -199,6 +199,7 @@ class FitReport:
     stopping test the objectives alone decided (``certified``) and those
     that ran its two full-length passes (``exact``); with the rejected
     trials, which skip the test, they add up to every restart's sweeps.
+    :func:`hals`, its one constructor, sets every field.
     """
 
     objective_trace: list
@@ -206,13 +207,13 @@ class FitReport:
     sweeps: int
     best_restart: int
     stationary: bool
-    restart_objectives: list = field(default_factory=list)
-    projection_rows: dict = field(default_factory=dict)
-    stop_reason: str = ""
-    extrapolation: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    first_rise: int | None = None
-    stopping_tests: dict = field(default_factory=dict)
+    restart_objectives: list
+    projection_rows: dict
+    stop_reason: str
+    extrapolation: dict
+    timings: dict
+    first_rise: int | None
+    stopping_tests: dict
 
 
 def _uniform_unit(p: int) -> np.ndarray:
@@ -497,9 +498,7 @@ def _cannot_converge(obj: list, last: list, tnorm: float, n: int, rel_tol: float
     return shut
 
 
-def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
-                   trials: dict | None = None, timings: dict | None = None,
-                   stopping: dict | None = None, extrapolate: bool = True) -> list:
+def _hals_restarts(T, posets, cfg: FitConfig, extrapolate: bool = True) -> tuple:
     """Every restart of :func:`hals`, run as one batch.
 
     Restart i starts from its own initialization (seed ``cfg.seed + i``),
@@ -516,15 +515,20 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
     objective trace; the stopping test's two further passes over it, the
     step from the previous reconstruction and that one's norm, run only for
     the restarts :func:`_cannot_converge` leaves open, so every decision is
-    the exact test's.  Returns ``(NDFactorization, trace, stationary,
-    sweeps)`` per restart, in seed order; ``counts``, if given, adds the
-    sweep's projection rows by path, ``trials`` the accepted and rejected
-    extrapolated sweeps, ``timings`` the seconds spent in the init
-    (``init_s``) and in the sweeps (``sweeps_s``) of the whole batch, and
-    ``stopping`` the restart-sweeps whose stopping test was certified from
-    the objectives (``certified``) or run in full (``exact``).
+    the exact test's.  Returns ``(runs, stats)``: ``runs`` holds
+    ``(NDFactorization, trace, stationary, sweeps)`` per restart, in seed
+    order, and ``stats`` the counters of the whole batch under their
+    :class:`FitReport` field names: ``projection_rows`` (the sweep's
+    projection rows by path), ``extrapolation`` (the accepted and rejected
+    extrapolated sweeps), ``timings`` (the seconds spent in the init,
+    ``init_s``, and in the sweeps, ``sweeps_s``) and ``stopping_tests``
+    (the restart-sweeps whose stopping test was certified from the
+    objectives, ``certified``, or run in full, ``exact``).
     """
     r, k = cfg.rank, T.ndim
+    counts = dict.fromkeys(_ROW_PATHS, 0)
+    trials = {"accepted": 0, "rejected": 0}
+    stopping = {"certified": 0, "exact": 0}
     seeds = [cfg.seed + i for i in range(cfg.restarts)]
     init = init_als_project if cfg.init == "als-project" else _init_random_cone
     t0 = time.perf_counter()
@@ -662,10 +666,9 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
                 X[b] = x2[b]
                 recon[b] = prev[b]
                 obj[b] = last[b]
-            if trials is not None:
-                n_rej = sum(rejected)
-                trials["accepted"] += sum(trial) - n_rej
-                trials["rejected"] += n_rej
+            n_rej = sum(rejected)
+            trials["accepted"] += sum(trial) - n_rej
+            trials["rejected"] += n_rej
         elif phase is not None:
             tainted = [was or now for was, now in zip(tainted, dead)]
             snaps[phase + 1] = X
@@ -683,10 +686,9 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
             done = [te and math.sqrt(d) <= cfg.rel_tol * (math.sqrt(p) + 1e-30)
                     for te, d, p in zip(tested, _rowdot(diff, diff).tolist(),
                                         _rowdot(prev, prev).tolist())]
-        if stopping is not None:
-            n_tested = sum(tested)
-            stopping["exact"] += n_tested
-            stopping["certified"] += n_act - n_tested - sum(rejected)
+        n_tested = sum(tested)
+        stopping["exact"] += n_tested
+        stopping["certified"] += n_act - n_tested - sum(rejected)
         last = obj
         if any(done):
             finish(itertools.compress(range(n_act), done), True, sweep + 1)
@@ -702,10 +704,9 @@ def _hals_restarts(T, posets, cfg: FitConfig, counts: dict | None = None,
         prev = recon
     else:
         finish(range(len(active)), False, cfg.max_sweeps)
-    if timings is not None:
-        timings["init_s"] = t1 - t0
-        timings["sweeps_s"] = time.perf_counter() - t1
-    return runs
+    timings = {"init_s": t1 - t0, "sweeps_s": time.perf_counter() - t1}
+    return runs, {"projection_rows": counts, "extrapolation": trials, "timings": timings,
+                  "stopping_tests": stopping}
 
 
 def hals(T, posets, cfg: FitConfig):
@@ -745,11 +746,7 @@ def hals(T, posets, cfg: FitConfig):
     # the solvers' liveness floors and the init's ridge hold an absolute 1,
     # so they see the unit-norm tensor
     scale = float(np.sqrt(norm2)) or 1.0
-    counts = dict.fromkeys(_ROW_PATHS, 0)
-    trials = {"accepted": 0, "rejected": 0}
-    timings = {}
-    stopping = {"certified": 0, "exact": 0}
-    runs = _hals_restarts(T / scale, posets, cfg, counts, trials, timings, stopping)
+    runs, stats = _hals_restarts(T / scale, posets, cfg)
     for fact, trace, _, _ in runs:
         fact.lambdas *= scale
         trace[:] = [val * scale ** 2 for val in trace]
@@ -771,11 +768,8 @@ def hals(T, posets, cfg: FitConfig):
         best_restart=best,
         stationary=stationary,
         restart_objectives=finals,
-        projection_rows=counts,
         stop_reason=stop_reason,
-        extrapolation=trials,
-        timings=timings,
         first_rise=first_rise,
-        stopping_tests=stopping,
+        **stats,
     )
     return fact, report

@@ -14,9 +14,11 @@ first, and every answer is checked against its KKT conditions (see
 :func:`_nnls_certified`).  scipy can return a wrong point with a reported
 residual of zero on tied, near-feasible targets, and can stop at its
 iteration cap; either way the problem is solved again by an in-repo
-Lawson-Hanson active set on the Gram matrix, formed only then, whose answer
-must pass the same check.  A point that fails both raises
-:class:`~ndrank.errors.UncertifiedSolution`; none is ever returned.
+Lawson-Hanson active set, whose passive subproblems are least-squares
+solves on E's columns (never on the Gram matrix E^T E, which would square
+E's condition number), and whose answer must pass the same check.  A
+point that fails both raises :class:`~ndrank.errors.UncertifiedSolution`;
+none is ever returned.
 
 Clamping after the monotone projection is exact for any poset: projecting
 onto the cone intersected with the nonnegative orthant equals the monotone
@@ -252,18 +254,20 @@ def _kkt_holds(E, x, r, tol: float, scale: float) -> bool:
             and abs(x.dot(g)) <= tol * scale)
 
 
-def _lawson_hanson(G: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Lawson-Hanson active set for min_{x >= 0} x^T G x / 2 - b^T x.
+def _lawson_hanson(E: np.ndarray, f: np.ndarray, tol: float) -> np.ndarray:
+    """Lawson-Hanson active set for min_{x >= 0} ||E x - f||.
 
-    Lawson & Hanson (1974), *Solving Least Squares Problems*, ch. 23, in the
-    Gram form: only G = E^T E and b = E^T f enter.  A variable joins the
-    passive set only when its negative gradient exceeds ``tol``, which keeps
-    rounding noise from adding a column dependent on the passive ones.
+    Lawson & Hanson (1974), *Solving Least Squares Problems*, ch. 23.  Each
+    passive subproblem is a least-squares solve on E's passive columns, not
+    on the Gram matrix E^T E, whose condition number is E's squared.  A
+    variable joins the passive set only when its negative gradient exceeds
+    ``tol``, which keeps rounding noise from adding a column dependent on
+    the passive ones.
     """
-    n = b.size
+    n = E.shape[1]
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    neg_grad = b.copy()
+    neg_grad = f.dot(E)
     for _ in range(3 * n + 3):
         cand = np.where(passive, -np.inf, neg_grad)
         j = int(np.argmax(cand))
@@ -273,7 +277,7 @@ def _lawson_hanson(G: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
         while True:
             idx = np.flatnonzero(passive)
             z = np.zeros(n)
-            z[idx] = np.linalg.lstsq(G[np.ix_(idx, idx)], b[idx], rcond=None)[0]
+            z[idx] = np.linalg.lstsq(E[:, idx], f, rcond=None)[0]
             out = passive & (z <= 0.0)
             if not out.any():
                 break
@@ -287,7 +291,7 @@ def _lawson_hanson(G: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
             passive &= x > 0.0
             x[~passive] = 0.0
         x = z
-        neg_grad = b - G.dot(x)
+        neg_grad = (f - E.dot(x)).dot(E)
     return x
 
 
@@ -308,9 +312,9 @@ def _nnls_certified(E, f) -> tuple[np.ndarray, np.ndarray]:
     feasibility A v >= -tau, the dual sign, and |x . A v| <= tau * s.
 
     If the certificate fails, or scipy stops at its iteration cap, the
-    problem is solved again by :func:`_lawson_hanson` on the Gram matrix
-    E^T E and certified the same way.  Raises :class:`UncertifiedSolution`
-    if that fails too.
+    problem is solved again by :func:`_lawson_hanson`, which solves on E's
+    columns, and certified the same way.  Raises
+    :class:`UncertifiedSolution` if that fails too.
     """
     scale = 1.0 + sum(map(abs, f.tolist()))
     tol = 1e-9 * scale
@@ -322,7 +326,7 @@ def _nnls_certified(E, f) -> tuple[np.ndarray, np.ndarray]:
         r = E.dot(x) - f
         if _kkt_holds(E, x, r, tol, scale):
             return x, r
-    x = _lawson_hanson(E.T @ E, f.dot(E), 1e-3 * tol * max(1.0, float(np.abs(E).max())))
+    x = _lawson_hanson(E, f, 1e-3 * tol * max(1.0, float(np.abs(E).max())))
     r = E.dot(x) - f
     if _kkt_holds(E, x, r, tol, scale):
         return x, r

@@ -421,9 +421,9 @@ def rising_hals_restarts(plain):
     rises within the 1e-12 slack (for ||T||^2 >= 2.5) and sweep 4 beyond
     it, so the first rise is sweep 4."""
     def wrapped(*args, **kwargs):
-        runs = plain(*args, **kwargs)
+        runs, stats = plain(*args, **kwargs)
         runs[0][1][:] = [0.5, 0.4, 0.4 * (1 + 1e-13), 0.45, 0.3]
-        return runs
+        return runs, stats
 
     return wrapped
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -684,6 +685,15 @@ def test_sampler_members_match_the_scatter_reference(m, n_samples, seeds):
         est = cone.sample_finite_rank_probability(m, n_samples, seed)
         assert (est.members, est.n_samples) == (reference_sample_members(m, n_samples, seed),
                                                 n_samples)
+
+
+@pytest.mark.parametrize("m, seed", [(1, 0), (2, 1), (3, 2)])
+def test_sampler_estimates_one_over_the_grid_extensions(m, seed):
+    # the finite-rank part of the grid's order polytope is one simplex of
+    # its triangulation by linear extensions, so the chance is 1 / e(grid)
+    exact = 1.0 / poset.count_linear_extensions(poset.product([poset.chain(m), poset.chain(m)]))
+    est = cone.sample_finite_rank_probability(m, 200_000, seed)
+    assert abs(est.estimate - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / est.n_samples)
 
 
 def test_sampler_m4_is_seeded():

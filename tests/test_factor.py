@@ -76,7 +76,7 @@ def assert_matches_reference(T, posets, cfg, monkeypatch):
     run, and the winner against the documented tie-break."""
     runs = reference_hals(T, posets, cfg)
     plain = factor._hals_restarts
-    got = plain(T, posets, cfg, extrapolate=False)
+    got, _ = plain(T, posets, cfg, extrapolate=False)
     assert len(got) == len(runs)
     # an exact fit ends at rounding noise, compared at the scale of ||T||^2
     noise = 1e-20 * np.sum(T ** 2)
@@ -198,9 +198,10 @@ def test_fit_report_counts_projection_rows():
     T = rng.random((3, 4, 2)) * 3
     posets = [poset.chain(3), poset.collider_to_top(4), poset.trivial(2)]
     cfg = FitConfig(rank=2, restarts=3, seed=4, max_sweeps=40)
-    counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
     # hals fits T / ||T||
-    runs = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg, counts)
+    runs, stats = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg)
+    counts = stats["projection_rows"]
+    assert set(counts) == set(isotonic._ROW_PATHS)
     rows = sum(sweeps for *_, sweeps in runs) * cfg.rank
     assert counts["chain"] == counts["clamp"] == rows
     assert counts["in_cone"] + counts["warm"] + counts["solved"] == rows
@@ -215,8 +216,8 @@ def assert_extrapolation_invariants(T, posets, cfg):
     fit has already converged to rounding; the trace ends at the returned
     factorization's objective; every vector is a unit cone member or its
     term's scale is 0."""
-    trials = {"accepted": 0, "rejected": 0}
-    runs = factor._hals_restarts(T, posets, cfg, trials=trials)
+    runs, stats = factor._hals_restarts(T, posets, cfg)
+    trials = stats["extrapolation"]
     noise = 1e-20 * np.sum(T ** 2)
     flat_trials = 0
     for fact, trace, _, sweeps in runs:
@@ -281,9 +282,9 @@ def test_extrapolated_restarts_are_batch_independent(case):
         posets = [random_dag(p, rng, density=0.5) for p in shape]
         T = rng.random(shape) * 3
     cfg = FitConfig(rank=2, restarts=3, seed=seed, max_sweeps=300)
-    for i, (_, trace, stationary, sweeps) in enumerate(factor._hals_restarts(T, posets, cfg)):
+    for i, (_, trace, stationary, sweeps) in enumerate(factor._hals_restarts(T, posets, cfg)[0]):
         alone = FitConfig(rank=2, restarts=1, seed=seed + i, max_sweeps=300)
-        (_, want, want_stationary, want_sweeps), = factor._hals_restarts(T, posets, alone)
+        [(_, want, want_stationary, want_sweeps)], _ = factor._hals_restarts(T, posets, alone)
         assert (sweeps, stationary) == (want_sweeps, want_stationary)
         assert np.allclose(trace, want, rtol=1e-12, atol=0)
 
@@ -365,11 +366,11 @@ def test_extrapolation_converges_on_cchs():
     # the plain sweep needs 650-970 sweeps a restart to meet rel_tol here
     T, posets = datasets.fixture("cchs")
     T = T / np.linalg.norm(T)
-    plain = factor._hals_restarts(T, posets, FitConfig(rank=2, restarts=15, max_sweeps=3000),
-                                  extrapolate=False)
+    plain, _ = factor._hals_restarts(T, posets, FitConfig(rank=2, restarts=15, max_sweeps=3000),
+                                     extrapolate=False)
     assert all(stationary for _, _, stationary, _ in plain)
     for seed in range(6):
-        runs = factor._hals_restarts(T, posets, FitConfig(rank=2, restarts=10, seed=seed))
+        runs, _ = factor._hals_restarts(T, posets, FitConfig(rank=2, restarts=10, seed=seed))
         for i, (_, trace, stationary, sweeps) in enumerate(runs):
             assert stationary and sweeps <= 200
             assert np.isclose(trace[-1], plain[seed + i][1][-1], rtol=1e-9, atol=0)
@@ -398,7 +399,7 @@ def test_fit_report_says_why_and_how_the_fit_stopped():
     assert report.stop_reason == "tolerance" and report.stationary
     assert report.first_rise is None
     # no term dies on cchs, so every third sweep of every restart is a trial
-    runs = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg)
+    runs, _ = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg)
     trials = report.extrapolation
     assert set(trials) == {"accepted", "rejected"}
     assert trials["accepted"] + trials["rejected"] == sum(sweeps // 3 for *_, sweeps in runs)
@@ -457,10 +458,9 @@ def test_fit_report_counts_stopping_tests():
     assert tests["certified"] > 0
     assert tests["exact"] >= cfg.restarts  # a restart's first sweep has no last objective
     # every restart-sweep is certified, tested in full, or a rejected trial
-    stopping, trials = {"certified": 0, "exact": 0}, {"accepted": 0, "rejected": 0}
-    runs = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg, trials=trials,
-                                 stopping=stopping)
-    assert stopping == tests and trials == report.extrapolation
+    runs, stats = factor._hals_restarts(T / np.linalg.norm(T), posets, cfg)
+    trials = stats["extrapolation"]
+    assert stats["stopping_tests"] == tests and trials == report.extrapolation
     assert sum(tests.values()) + trials["rejected"] == sum(sweeps for *_, sweeps in runs)
 
 

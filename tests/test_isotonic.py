@@ -432,22 +432,27 @@ def _nnls_by_supports(E, f):
 def test_lawson_hanson_backs_off_on_correlated_columns(monkeypatch):
     # strongly correlated columns make the active set shed variables; at
     # seed 1259 the back-off step left a crumb above zero, the loop ran out
-    # of steps, and _nnls_certified raised UncertifiedSolution
+    # of steps, and _nnls_certified raised UncertifiedSolution.  Nearly
+    # dependent columns (cond(E) about 1e8 at noise 1e-7) failed the
+    # certificate at seeds 214, 286, 380 and 483 while the fallback solved
+    # on the Gram matrix E^T E, which squares E's condition number
     def capped(*args, **kwargs):
         raise RuntimeError("Maximum number of iterations reached.")
 
     monkeypatch.setattr(isotonic, "nnls", capped)
-    for seed in range(1500):
+    near = [214, 286, 380, 483, *range(100)]
+    cases = [(0.05, s) for s in range(1500)] + [(noise, s) for noise in (1e-7, 1e-6) for s in near]
+    for noise, seed in cases:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         m = int(rng.integers(n, n + 5))
-        E = rng.standard_normal((m, 1)) + 0.05 * rng.standard_normal((m, n))
+        E = rng.standard_normal((m, 1)) + noise * rng.standard_normal((m, n))
         f = rng.standard_normal(m)
         x, r = isotonic._nnls_certified(E, f)
         scale = 1.0 + np.abs(f).sum()
-        assert isotonic._kkt_holds(E, x, r, 1e-9 * scale, scale), seed
+        assert isotonic._kkt_holds(E, x, r, 1e-9 * scale, scale), (noise, seed)
         want = _nnls_by_supports(E, f)
-        assert np.abs(x - want).max() <= 1e-7 * (1 + np.abs(want).max()), seed
+        assert np.abs(x - want).max() <= 1e-7 * (1 + np.abs(want).max()), (noise, seed)
 
 
 def test_uncertified_answer_is_never_returned(monkeypatch):
@@ -459,7 +464,7 @@ def test_uncertified_answer_is_never_returned(monkeypatch):
     v = project(y, COLLIDER)  # the Lawson-Hanson fallback repairs it
     assert np.allclose(v, expected, rtol=0, atol=1e-12)
     assert_kkt(y, v, COLLIDER)
-    monkeypatch.setattr(isotonic, "_lawson_hanson", lambda G, b, tol: wrong.copy())
+    monkeypatch.setattr(isotonic, "_lawson_hanson", lambda E, f, tol: wrong.copy())
     with pytest.raises(UncertifiedSolution):
         project(y, COLLIDER)
 
