@@ -11,16 +11,18 @@ tensor, mode differencing when no poset has a collider; otherwise the facets
 come from double description at toy scale, computed once per poset tuple and
 kept for the next call.
 
-A certificate lists each violated inequality as a :class:`Violation` kept in
-sparse form (its value, the normal's support and coefficients); the label
-and the dense normal are rendered from that only when read, so a check pays
-for the sign test, not for paperwork a caller may never look at.
+Every check hands its facet values to one builder, which keeps the violated
+facets' indices and values; a certificate's list of :class:`Violation` s is
+rendered on first read, each kept sparse (its value, the normal's support
+and coefficients) with its label and dense normal rendered when read, so a
+check pays for the sign test, not for paperwork a caller may never look at.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isfinite, lcm, prod
@@ -30,7 +32,7 @@ import numpy as np
 from . import poset as poset_mod
 from .errors import DegenerateCone, ShapeMismatch, TooLarge
 from .isotonic import _halfspace_rows
-from .poset import Poset, connected_upsets, has_collider
+from .poset import Poset, _product_covers, connected_upsets, has_collider
 from .tensor import apply_kronecker, check_tensor, poset_list
 
 DD_MAX_DIM = 12
@@ -83,12 +85,6 @@ class ConeHRep:
     def count(self) -> int:
         return self.normals.shape[0]
 
-    @functools.cached_property
-    def sparse_rows(self) -> tuple:
-        """Each normal as ``(support, coefficients)``, found once (a cached
-        facet set keeps them for every later call)."""
-        return tuple(map(_sparse, self.normals.tolist()))
-
     def to_text(self) -> str:
         lines = []
         for row in np.asarray(self.normals):
@@ -140,16 +136,68 @@ class Violation:
         return f"Violation({self.label!r}, value={self.value!r})"
 
 
-@dataclass
+@dataclass(eq=False)
 class MembershipCertificate:
+    """A check's verdict; ``min_value`` is the first least facet value (inf if none).  It
+    keeps the violated facets' indices and values, not T or the facet array, and renders
+    ``violated`` on first read.  Equal when member, violated, method, tol, min_value are."""
+
     member: bool
-    violated: list
     method: str
     tol: float
     min_value: float
+    _indices: np.ndarray = field(repr=False)
+    _values: np.ndarray = field(repr=False)
+    _render: functools.partial = field(repr=False)
+
+    @functools.cached_property
+    def violated(self) -> list:
+        return list(map(self._render, self._indices.tolist(), self._values.tolist()))
 
     def __bool__(self):
         return self.member
+
+    def __eq__(self, other):
+        key = lambda c: (c.member, c.violated, c.method, c.tol, c.min_value)  # noqa: E731
+        return isinstance(other, MembershipCertificate) and key(self) == key(other)
+
+
+def _certificate(values: np.ndarray, tol: float, method: str, render) -> MembershipCertificate:
+    """The certificate of flat facet values: facet i is violated when its
+    value lies below ``-tol``, and ``render(i, value)`` is its Violation."""
+    indices = np.flatnonzero(values < -tol)
+    return MembershipCertificate(
+        member=not indices.size, method=method, tol=tol,
+        # the first least value, as a running min would keep it
+        min_value=float(values[values.argmin()]) if values.size else np.inf,
+        _indices=indices, _values=values[indices], _render=render)
+
+
+def _monotone_violation(shape, lo, hi, i: int, value: float) -> Violation:
+    """Value i of ``is_monotone``: entry i of T (row-major) while i < T.size,
+    then the cover (lo[k], hi[k]) at k = i - T.size."""
+    size = prod(shape)
+    if i < size:
+        return Violation(value, (i,), (1.0,), shape)
+    # the support ascending, with -1 on the lower end of the cover
+    a, b = int(lo[i - size]), int(hi[i - size])
+    return (Violation(value, (a, b), (-1.0, 1.0), shape, cover=True) if a < b else
+            Violation(value, (b, a), (1.0, -1.0), shape, cover=True))
+
+
+def _facet_violation(shape, rows, i: int, value: float) -> Violation:
+    """Facet i (row-major) of a one-contraction check: the outer product of one of ``rows``
+    per mode.  Each row's support ascends, so the sums, last mode fastest, ascend too."""
+    index = np.unravel_index(i, [len(mode_rows) for mode_rows in rows])
+    picked = [mode_rows[r] for mode_rows, r in zip(rows, index)]
+    supports = itertools.product(*(support for support, _ in picked))
+    coeffs = itertools.product(*(coeff for _, coeff in picked))
+    return Violation(value, tuple(map(sum, supports)), tuple(map(prod, coeffs)), shape)
+
+
+def _normal_violation(shape, normals, i: int, value: float) -> Violation:
+    """Row i of the normals matrix ``normals`` (at most DD_MAX_DIM wide)."""
+    return Violation(value, *_sparse(normals[i].tolist()), shape)
 
 
 def _entry_name(shape, flat: int) -> str:
@@ -217,60 +265,20 @@ def finite_rank_vrep(posets) -> list:
     return list(gens.reshape((total,) + tuple(P.p for P in posets)))
 
 
-# a few entries only: the pairs of a 30x25x20 grid take 690 kB
-@functools.lru_cache(maxsize=32)
-def _product_covers(posets: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Every cover (lo, hi) of the product order on flat indices, sorted by
-    (lo, hi) as ``poset.product`` lists them.  Read-only, as they are shared."""
-    grid = np.arange(prod(P.p for P in posets)).reshape([P.p for P in posets])
-    # the empty pair keeps an order-0 tensor, with no posets, coverless
-    lo, hi = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for j, P in enumerate(posets):
-        a, b = np.array(sorted(P.covers), dtype=np.intp).reshape(-1, 2).T
-        lo.append(np.take(grid, a, axis=j).ravel())
-        hi.append(np.take(grid, b, axis=j).ravel())
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
-
-
-def _monotone_values(T: np.ndarray, posets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The values that are >= 0 exactly when T is monotone, and their covers.
-
-    Returns ``(values, lo, hi)``: the entries of T in row-major order, then
-    ``T.flat[hi] - T.flat[lo]`` for every cover (lo, hi) of
-    ``_product_covers``.
-    """
-    lo, hi = _product_covers(tuple(posets))
-    flat = T.ravel()
-    return np.concatenate([flat, flat[hi] - flat[lo]]), lo, hi
-
-
 def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
     """Certificate that T is nonnegative and nondecreasing over the product order.
 
     ``posets`` is one poset per mode, or one poset on the flattened entries.
+    Its values are T's entries, row-major, then ``T.flat[hi] - T.flat[lo]``
+    for each cover (lo, hi) of the product order, sorted.
     """
     T = np.asarray(T, dtype=float)
     _, posets = check_tensor(T.ravel() if isinstance(posets, Poset) else T, posets)
     tol = _resolve_tol(T, tol)
-    values, lo, hi = _monotone_values(T, posets)
-    bad = np.flatnonzero(values < -tol)
-    violated = []
-    for i, v in zip(bad.tolist(), values.take(bad).tolist()):
-        if i < T.size:
-            violated.append(Violation(v, (i,), (1.0,), T.shape))
-            continue
-        # the support ascending, with -1 on the lower end of the cover
-        a, b = int(lo[i - T.size]), int(hi[i - T.size])
-        violated.append(Violation(v, (a, b), (-1.0, 1.0), T.shape, cover=True) if a < b else
-                        Violation(v, (b, a), (1.0, -1.0), T.shape, cover=True))
-    # the first smallest value, as a running min would keep it
-    min_value = float(values[values.argmin()]) if values.size else np.inf
-    return MembershipCertificate(member=not violated, violated=violated,
-                                 method="monotonicity", tol=tol, min_value=min_value)
+    lo, hi = _product_covers(tuple(posets))
+    flat = T.ravel()
+    return _certificate(np.concatenate([flat, flat[hi] - flat[lo]]), tol, "monotonicity",
+                        functools.partial(_monotone_violation, T.shape, lo, hi))
 
 
 def finite_rank_hrep(posets) -> ConeHRep:
@@ -294,8 +302,7 @@ def _finite_rank_facets(posets: tuple) -> ConeHRep:
     """Facets of the finite-ND-rank cone over ``posets`` by double description.
 
     Computed once per poset tuple (equal posets built afresh hit the same
-    entry), which then also keeps the facets' sparse rows once found; the
-    normals are read-only because every caller shares them.
+    entry); the normals are read-only because every caller shares them.
     ``TooLarge`` and ``DegenerateCone`` are raised again on every call.
     """
     hrep = double_description(finite_rank_vrep(posets))
@@ -316,46 +323,22 @@ def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCer
     T, posets = check_tensor(T, posets)
     tol = _resolve_tol(T, tol)
     n_colliders = sum(has_collider(P) for P in posets)
-    violated = []
     if n_colliders > 1:
-        values = np.empty(0)
-        if T.size:  # an empty tensor lies in R^0, where the cone has no facets
-            hrep = _finite_rank_facets(tuple(posets))
-            values = hrep.normals @ T.ravel()
-            rows = np.flatnonzero(values < -tol)
-            violated = [Violation(v, *hrep.sparse_rows[i], T.shape)
-                        for i, v in zip(rows.tolist(), values[rows].tolist())]
-        return MembershipCertificate(member=not violated, violated=violated,
-                                     method="double-description", tol=tol,
-                                     min_value=float(values.min(initial=np.inf)))
+        # an empty tensor lies in R^0, where the cone has no facets
+        normals = _finite_rank_facets(tuple(posets)).normals if T.size else np.empty((0, 0))
+        return _certificate(normals @ T.ravel(), tol, "double-description",
+                            functools.partial(_normal_violation, T.shape, normals))
     D = apply_kronecker([_halfspace_rows(P) for P in posets], T)
-    bad = D < -tol
-    if bad.any():
-        rows = _facet_rows(tuple(posets))
-        # row-major like the facets; an order-0 D has one index, the empty one
-        for idx, v in zip(np.argwhere(bad).tolist(), D[bad].tolist()):
-            # the facet is the outer product of one row per mode; each row's
-            # support ascends, so the sums, last mode fastest, ascend too
-            picked = [mode_rows[i] for mode_rows, i in zip(rows, idx)]
-            supports = itertools.product(*(support for support, _ in picked))
-            coeffs = itertools.product(*(coeff for _, coeff in picked))
-            violated.append(Violation(v, tuple(map(sum, supports)), tuple(map(prod, coeffs)),
-                                      T.shape))
-    return MembershipCertificate(member=not violated, violated=violated,
-                                 method="halfspace" if n_colliders else "tree-differencing",
-                                 tol=tol, min_value=float(D.min(initial=np.inf)))
+    return _certificate(D.ravel(), tol, "halfspace" if n_colliders else "tree-differencing",
+                        functools.partial(_facet_violation, T.shape, _facet_rows(tuple(posets))))
 
 
 # ---------------------------------------------------------------------------
 # double description (exact integer arithmetic)
 
 def _primitive(vec) -> tuple:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    if g > 1:
-        vec = [v // g for v in vec]
-    return tuple(vec)
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
 def _clear_denominators(vec) -> tuple:
@@ -570,10 +553,11 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
     are built once per m; m <= 4 (the 4-by-4 grid has 24 024 extensions,
     the 5-by-5 grid 701 149 020, so m = 5 raises ``TooLarge``).  At m = 4
     the target probability is small, so a sharp estimate needs millions of
-    samples.
+    samples.  ``m`` and ``n_samples`` are positive integers, not bools.
     """
-    if m < 1 or n_samples < 1:
-        raise ValueError("m and n_samples must be positive")
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1
+           for n in (m, n_samples)):
+        raise ValueError(f"m and n_samples must be positive integers (got {m!r}, {n_samples!r})")
     if m > 4:
         raise TooLarge(f"sampling is guarded at m <= 4 (got {m})")
     P, positions = _grid_sampling_plan(m)

@@ -211,13 +211,28 @@ def product(factors) -> Poset:
         raise ValueError("need at least one factor")
     if len(factors) == 1:
         return factors[0]
-    labels = tuple(itertools.product(*(f.labels for f in factors)))
-    sizes = [f.p for f in factors]
-    strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
-    covers = sorted((flat, flat + (b - tup[j]) * strides[j])
-                    for flat, tup in enumerate(itertools.product(*(range(s) for s in sizes)))
-                    for j, f in enumerate(factors) for b in f.upper_covers(tup[j]))
-    return Poset(labels, tuple(covers))
+    lo, hi = _product_covers(tuple(factors))
+    return Poset(tuple(itertools.product(*(f.labels for f in factors))),
+                 tuple(zip(lo.tolist(), hi.tolist())))
+
+
+# a few entries only: the pairs of a 30x25x20 grid take 690 kB
+@functools.lru_cache(maxsize=32)
+def _product_covers(factors: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The covers (lo, hi) of ``product(factors)``, sorted, without its
+    labels.  Read-only, as they are shared."""
+    grid = np.arange(math.prod(P.p for P in factors)).reshape([P.p for P in factors])
+    # the empty pair keeps an order-0 tensor, with no posets, coverless
+    lo, hi = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for j, P in enumerate(factors):
+        a, b = np.array(P.covers, dtype=np.intp).reshape(-1, 2).T
+        lo.append(np.take(grid, a, axis=j).ravel())
+        hi.append(np.take(grid, b, axis=j).ravel())
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 def has_collider(P: Poset) -> bool:

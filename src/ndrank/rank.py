@@ -69,7 +69,7 @@ def rank1_gaussian(T, posets) -> NDFactorization:
         fact = NDFactorization(np.zeros(1), [_uniform_unit(P.p)[None, :] for P in posets],
                                posets=posets)
         return fact
-    if (cone_mod._monotone_values(T, posets)[0] < -default_tol(T)).any():
+    if not is_monotone(T, posets).member:
         fact, report = hals(T, posets, FitConfig(rank=1, restarts=3, seed=0))
         fact.diagnostics["fallback"] = "fibres not monotone; used rank-one HALS"
         return fact
@@ -116,7 +116,7 @@ def rank1_exponential(T, posets) -> NDFactorization:
     T, posets = check_fit_input(T, posets)
     if (T <= 0).any():
         raise NonPositiveEntry("exponential data must be strictly positive")
-    if (cone_mod._monotone_values(T, posets)[0] < -default_tol(T)).any():
+    if not is_monotone(T, posets).member:
         raise HypothesisViolated("every fibre must lie in its order cone")
     unfold = _unfoldings(T)
     vecs = [np.ones(P.p) for P in posets]

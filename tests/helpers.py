@@ -1,6 +1,7 @@
 """Shared test utilities: random poset generators, an independent
 projected-gradient oracle for order-cone projection, a pure-Python
-pool-adjacent-violators reference, the product-poset monotonicity check and
+pool-adjacent-violators reference, the product-order covers, the
+product-poset monotonicity check and
 the explicit-normals membership check, a double description with its own
 Gauss-Jordan inverse, a brute-force connected-upset enumeration, the
 Moebius-transform rank-two factorization, the
@@ -12,7 +13,8 @@ are checked against."""
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -82,39 +84,53 @@ class DenseViolation:
     value: float
 
 
+def reference_product_covers(factors):
+    """The covers of the product order on flat indices, sorted: the pairs
+    that step one coordinate along a cover of its factor."""
+    sizes = [f.p for f in factors]
+    strides = [prod(sizes[j + 1:]) for j in range(len(sizes))]
+    return sorted((flat, flat + (b - tup[j]) * strides[j])
+                  for flat, tup in enumerate(itertools.product(*(range(s) for s in sizes)))
+                  for j, f in enumerate(factors) for b in f.upper_covers(tup[j]))
+
+
+def _certificate(violated, method, tol, min_value):
+    """A plain record with a certificate's five attributes."""
+    return SimpleNamespace(member=not violated, violated=violated, method=method, tol=tol,
+                           min_value=float(min_value))
+
+
 def reference_is_monotone(T, posets, tol=None):
     """Monotonicity over the product poset, built in full: one loop over its
-    entries, then one over its covers in the poset's order."""
+    entries, then one over its covers (a flat poset's in its own order)."""
     T = np.asarray(T, dtype=float)
     if isinstance(posets, poset.Poset):
-        P = posets
+        covers = posets.covers
     else:
         T, posets = tensor.check_tensor(T, posets)
-        P = poset.product(posets)
+        covers = reference_product_covers(posets)
     if tol is None:
         tol = cone.default_tol(T)
     flat = T.ravel()
     violated = []
     min_value = np.inf
-    for x in range(P.p):
+    for x in range(flat.size):
         min_value = min(min_value, flat[x])
         if flat[x] < -tol:
-            normal = np.zeros(P.p)
+            normal = np.zeros(flat.size)
             normal[x] = 1.0
             violated.append(DenseViolation(f"{cone._entry_name(T.shape, x)} >= 0",
                                            normal, float(flat[x])))
-    for a, b in P.covers:
+    for a, b in covers:
         val = flat[b] - flat[a]
         min_value = min(min_value, val)
         if val < -tol:
-            normal = np.zeros(P.p)
+            normal = np.zeros(flat.size)
             normal[a], normal[b] = -1.0, 1.0
             violated.append(DenseViolation(
                 f"{cone._entry_name(T.shape, a)} <= {cone._entry_name(T.shape, b)}",
                 normal, float(val)))
-    return cone.MembershipCertificate(member=not violated, violated=violated,
-                                      method="monotonicity", tol=tol,
-                                      min_value=float(min_value))
+    return _certificate(violated, "monotonicity", tol, min_value)
 
 
 def reference_finite_rank_normals(posets):
@@ -158,8 +174,7 @@ def reference_membership(T, posets, tol=None):
     violated = [DenseViolation(cone.format_normal(normals[i], T.shape),
                                np.asarray(normals[i], dtype=float), float(values[i]))
                 for i in np.flatnonzero(values < -tol)]
-    return cone.MembershipCertificate(member=not violated, violated=violated, method=method,
-                                      tol=tol, min_value=float(values.min()))
+    return _certificate(violated, method, tol, values.min())
 
 
 def _reference_primitive(vec):

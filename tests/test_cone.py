@@ -1,6 +1,8 @@
 import itertools
 import math
+import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -649,8 +651,51 @@ def test_rank1_monotone_checks_build_no_violations(monkeypatch):
     monkeypatch.setattr(cone, "Violation", refuse)
     rng = np.random.default_rng(44)
     posets = [poset.chain(30), poset.chain(25), poset.chain(20)]
+    T = rng.uniform(1.0, 2.0, size=(30, 25, 20))
+    assert not cone.is_monotone(T, posets).member
     with pytest.raises(HypothesisViolated):
-        rank.rank1_exponential(rng.uniform(1.0, 2.0, size=(30, 25, 20)), posets)
+        rank.rank1_exponential(T, posets)
+    # a small one for the Gaussian fit, which falls back to rank-one HALS
+    small = [poset.chain(4), poset.chain(3), poset.chain(3)]
+    fact = rank.rank1_gaussian(rng.uniform(1.0, 2.0, size=(4, 3, 3)), small)
+    assert "fallback" in fact.diagnostics
+
+
+# one non-member per dispatch path
+NON_MEMBERS = [
+    (cone.is_monotone, [poset.chain(3), poset.chain(4)], "monotonicity"),
+    (cone.membership_finite_rank, [poset.chain(3), poset.chain(4)], "tree-differencing"),
+    (cone.membership_finite_rank, [COLLIDER, poset.chain(4)], "halfspace"),
+    (cone.membership_finite_rank, [COLLIDER, COLLIDER], "double-description"),
+]
+
+
+@pytest.mark.parametrize("check, posets, method", NON_MEMBERS, ids=[m for *_, m in NON_MEMBERS])
+def test_certificates_render_violations_on_first_read(monkeypatch, check, posets, method):
+    built = []
+    violation = cone.Violation
+    monkeypatch.setattr(cone, "Violation", lambda *a, **k: built.append(1) or violation(*a, **k))
+    T = np.random.default_rng(49).standard_normal(tuple(P.p for P in posets))
+    cert = check(T, posets)
+    assert not cert.member and cert.method == method and not built
+    violated = cert.violated
+    assert len(violated) == len(built) > 0
+    assert cert.violated is violated and len(built) == len(violated)  # rendered once
+
+
+@pytest.mark.parametrize("check, posets, method", NON_MEMBERS, ids=[m for *_, m in NON_MEMBERS])
+def test_certificates_survive_pickling(check, posets, method):
+    T = np.random.default_rng(50).standard_normal(tuple(P.p for P in posets))
+    alive = weakref.ref(T)
+    cert = check(T, posets)
+    del T
+    assert alive() is None  # the certificate keeps no reference to the tensor
+    copy = pickle.loads(pickle.dumps(cert))  # before the list is rendered
+    assert copy.method == method and not copy.member and copy == cert
+    want = [(v.label, v.value, v.normal.tolist()) for v in cert.violated]
+    assert want and [(v.label, v.value, v.normal.tolist()) for v in copy.violated] == want
+    again = pickle.loads(pickle.dumps(cert))  # and after
+    assert [(v.label, v.value, v.normal.tolist()) for v in again.violated] == want
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -694,6 +739,15 @@ def test_sampler_estimates_one_over_the_grid_extensions(m, seed):
     exact = 1.0 / poset.count_linear_extensions(poset.product([poset.chain(m), poset.chain(m)]))
     est = cone.sample_finite_rank_probability(m, 200_000, seed)
     assert abs(est.estimate - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / est.n_samples)
+
+
+@pytest.mark.parametrize("m, n_samples", [(2, True), (True, 10), (2.0, 10), (2, 2.5), (2, "10"),
+                                          (None, 10)])
+def test_sampler_takes_integer_counts(m, n_samples):
+    # n_samples=True returned 1.000000 +/- 0.000000 (1/True); a float m or
+    # n_samples raised TypeError from poset.chain or range
+    with pytest.raises(ValueError, match="positive integers"):
+        cone.sample_finite_rank_probability(m, n_samples, 0)
 
 
 def test_sampler_m4_is_seeded():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import re
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from ndrank import poset
 from ndrank.errors import CycleError, ParseError, TooLarge, UnknownLabel
 
-from helpers import random_dag, random_forest, random_poset, reference_connected_upsets
+from helpers import (random_dag, random_forest, random_poset, reference_connected_upsets,
+                     reference_product_covers)
 
 
 def test_from_relation_already_reduced():
@@ -120,6 +122,17 @@ def test_product_selenium_shape():
     P = poset.product([rows, poset.chain(4)])
     assert P.p == 12
     assert len(P.covers) == 17
+
+
+def test_product_covers_match_the_reference_loop():
+    # the covers come from the vectorized _product_covers, which is_monotone
+    # reads too; the reference steps one coordinate along a factor's cover
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        factors = [random_poset(int(rng.integers(1, 5)), rng) for _ in range(rng.integers(2, 4))]
+        P = poset.product(factors)
+        assert P.covers == tuple(reference_product_covers(factors))
+        assert P.labels == tuple(itertools.product(*(f.labels for f in factors)))
 
 
 def test_product_leq_is_coordinatewise():
