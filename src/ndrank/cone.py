@@ -554,6 +554,8 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
     the 5-by-5 grid 701 149 020, so m = 5 raises ``TooLarge``).  At m = 4
     the target probability is small, so a sharp estimate needs millions of
     samples.  ``m`` and ``n_samples`` are positive integers, not bools.
+    A point's entries lie in [0, 1], so it is tested with the slack
+    ``default_tol(1.0)``, which a rule change in :func:`default_tol` reaches.
     """
     if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1
            for n in (m, n_samples)):
@@ -563,7 +565,7 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
     P, positions = _grid_sampling_plan(m)
     rng = np.random.default_rng(seed)
     members = 0
-    tol = 2e-9  # default_tol for entries in [0, 1]
+    tol = default_tol(1.0)
     chunk = 200_000
     # rows per block: a block's arrays (150 kB each at m = 3, 260 kB at
     # m = 4) stay in cache; the draws of a chunk's blocks are the same

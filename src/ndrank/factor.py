@@ -41,7 +41,8 @@ vector again, so its result is as certified as any other; it is kept only
 if it lowers the objective, and otherwise the cycle's last iterate comes
 back and the trace repeats its objective (a flat step).  The fit runs on
 T / ||T|| and is scaled back, so its course does not depend on the scale
-of T.
+of T; :func:`_unit_scale` takes that step for every fit, here and in
+:mod:`ndrank.rank`.
 
 The sweep reads T twice per term, at any order, instead of once per mode.
 When term s's pass starts, T is contracted with the term's vectors from the
@@ -81,7 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteInput
-from .isotonic import _ROW_PATHS, _halfspace_rows, _row_projector, project
+from .isotonic import _ROW_PATHS, _halfspace_rows, _row_projector
 from .tensor import check_fit_input, outer
 
 @dataclass
@@ -216,20 +217,36 @@ class FitReport:
     stopping_tests: dict
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
 def _uniform_unit(p: int) -> np.ndarray:
     return np.full(p, 1.0 / np.sqrt(p))
 
 
-def _squared_norm(T: np.ndarray) -> float:
-    """||T||^2 of a finite tensor.  Raises NonFiniteInput when it overflows:
-    the objective trace is in squared units and cannot hold such a fit."""
+def _unit_scale(T: np.ndarray) -> tuple:
+    """``(T / s, s)`` with s = ||T||: the scale every fit works at, and the
+    factor it multiplies its result by, since the fits' liveness floors and
+    the init's ridge hold an absolute 1.  A zero tensor, and one whose norm
+    lies within γ = 4 (n + 4) eps of 1 (the bound of
+    :func:`_cannot_converge`), come back unchanged with s = 1, so T / ||T||
+    passes through as it is.  Raises NonFiniteInput when ||T||^2 overflows
+    a float, or falls below the least normal float for a nonzero T: the
+    objective trace is in squared units and cannot hold such a fit."""
     flat = T.reshape(-1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         norm2 = float(flat @ flat)
     if not math.isfinite(norm2):
         raise NonFiniteInput("the tensor's squared Frobenius norm overflows a float; "
                              "rescale the tensor before fitting it")
-    return norm2
+    if norm2 < _TINY and flat.any():
+        raise NonFiniteInput("the tensor's squared Frobenius norm underflows a float; "
+                             "rescale the tensor before fitting it")
+    s = math.sqrt(norm2)
+    if s == 0.0 or abs(s - 1.0) <= 4.0 * (flat.size + 4) * _EPS:
+        return T, 1.0
+    return T / s, s
 
 
 def _unfoldings(T: np.ndarray) -> list:
@@ -248,15 +265,18 @@ def _rank1_nd_fit(E: np.ndarray, posets, sweeps: int = 30, tol: float = 1e-12):
     no unit vector moves by ``tol`` in a sweep, or after ``sweeps`` sweeps.
     """
     unfold = _unfoldings(E)
+    projectors = [_row_projector(P) for P in posets]
     vecs = [_uniform_unit(P.p) for P in posets]
     lam = 0.0
     for _ in range(sweeps):
         moved = 0.0
         for t in range(E.ndim):
             target = _khatri_rao_rows(vecs[:t] + vecs[t + 1:], ()) @ unfold[t]
-            v = project(target, posets[t])
+            # the liveness test reads the target before it is projected in place
+            floor = 1e-13 * (1.0 + float(np.linalg.norm(target)))
+            v = projectors[t](target[None])[0]
             n = float(np.linalg.norm(v))
-            if n <= 1e-13 * (1.0 + float(np.linalg.norm(target))):
+            if n <= floor:
                 return 0.0, vecs
             moved = max(moved, float(np.linalg.norm(v / n - vecs[t])))
             vecs[t] = v / n
@@ -284,8 +304,15 @@ def init_als_project(T, r: int, posets, seed) -> NDFactorization | list:
     every restart, and the sign choice one projection call per mode.  Each
     restart draws from its own generator and every product is formed per
     restart, so a start is bitwise the one its seed gives alone.
+
+    The init runs on T / ||T|| (:func:`_unit_scale`) and multiplies its
+    scales back, so the start of c T is c times that of T.  Input that
+    fails :func:`ndrank.tensor.check_fit_input`, or whose ||T||^2
+    overflows or underflows a float (||T|| outside about [1.5e-154,
+    1.3e154]), raises ShapeMismatch or NonFiniteInput.
     """
     T, posets = check_fit_input(T, posets)
+    T, norm = _unit_scale(T)
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     R, k = len(seeds), T.ndim
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -336,6 +363,7 @@ def init_als_project(T, r: int, posets, seed) -> NDFactorization | list:
             live = n > 1e-13 * (1.0 + np.sqrt(_rowdot(f, f)))
             lambdas = np.where(live, lambdas * n, 0.0)
             np.divide(V, n[..., None], out=out[j], where=live[..., None])
+        lambdas *= norm
     starts = [NDFactorization(lambdas[b], [U[b] for U in out], posets=posets) for b in range(R)]
     return starts[0] if np.ndim(seed) == 0 else starts
 
@@ -393,8 +421,6 @@ def _rowdot_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # numpy >= 2.0 has the same dot as one call, bitwise equal and twice as fast
 _rowdot = getattr(np, "vecdot", _rowdot_matmul)
-
-_EPS = float(np.finfo(float).eps)
 
 
 def _mode_target(Q: np.ndarray, vec: list, t: int, coef: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -735,24 +761,24 @@ def hals(T, posets, cfg: FitConfig):
     plain third sweep.  y itself is never returned: the sweep replaces each
     of its vectors with a certified projection.
 
-    The fit runs on T / ||T|| and is scaled back, so it does not depend on
-    the scale of T.  Input that fails :func:`ndrank.tensor.check_fit_input`,
-    or whose ||T||^2 overflows a float, raises ShapeMismatch or NonFiniteInput.
+    The fit runs on T / ||T|| (:func:`_unit_scale`) and is scaled back, so
+    it does not depend on the scale of T.  Input that fails
+    :func:`ndrank.tensor.check_fit_input`, or whose ||T||^2 overflows or
+    underflows a float (||T|| outside about [1.5e-154, 1.3e154]), raises
+    ShapeMismatch or NonFiniteInput.
 
     Returns ``(NDFactorization, FitReport)``.
     """
     T, posets = check_fit_input(T, posets)
-    norm2 = _squared_norm(T)
-    # the solvers' liveness floors and the init's ridge hold an absolute 1,
-    # so they see the unit-norm tensor
-    scale = float(np.sqrt(norm2)) or 1.0
-    runs, stats = _hals_restarts(T / scale, posets, cfg)
+    T, scale = _unit_scale(T)
+    runs, stats = _hals_restarts(T, posets, cfg)
     for fact, trace, _, _ in runs:
         fact.lambdas *= scale
         trace[:] = [val * scale ** 2 for val in trace]
     finals = [trace[-1] for _, trace, _, _ in runs]
     lowest = min(finals)
-    best = next(i for i, f in enumerate(finals) if f <= lowest + 1e-10 * lowest + 1e-20 * norm2)
+    best = next(i for i, f in enumerate(finals)
+                if f <= lowest + 1e-10 * lowest + 1e-20 * scale ** 2)
     fact, trace, stationary, sweeps_used = runs[best]
     fact.diagnostics["seed"] = int(cfg.seed) + best  # a numpy seed is no JSON number
     if not fact.lambdas.any():

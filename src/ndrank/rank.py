@@ -13,13 +13,13 @@ engine the fits fall back on is :mod:`ndrank.factor`.
 
 Every fit that takes posets checks its input by
 :func:`ndrank.tensor.check_fit_input` alone, :func:`rank2_matrix_exact`
-after its matrix test; the marginal fits take no posets, answer order 0
-and refuse an empty mode.
+after its matrix test, and works at the unit scale that
+:func:`ndrank.factor._unit_scale` gives; the marginal fits take no
+posets, answer order 0 and refuse an empty mode.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,8 +33,8 @@ from .factor import (
     NDFactorization,
     _khatri_rao_rows,
     _rank1_nd_fit,
-    _squared_norm,
     _uniform_unit,
+    _unit_scale,
     _unfoldings,
     hals,
 )
@@ -61,20 +61,19 @@ def rank1_gaussian(T, posets) -> NDFactorization:
     in its cone, so each projection returns it unchanged and the loop is the
     plain power iteration; for matrices it converges to the leading singular
     pair.  If a fibre fails monotonicity the solver falls back to a rank-one
-    HALS run and flags it in the diagnostics.
+    HALS run and flags it in the diagnostics.  The loop runs on T / ||T||
+    (:func:`ndrank.factor._unit_scale`) and multiplies its scale back; a
+    zero tensor gets scale 0 and uniform unit vectors, and a T whose
+    ||T||^2 overflows or underflows a float (||T|| outside about
+    [1.5e-154, 1.3e154]) raises NonFiniteInput.
     """
     T, posets = check_fit_input(T, posets)
-    norm = math.sqrt(_squared_norm(T))
-    if not np.any(T):
-        fact = NDFactorization(np.zeros(1), [_uniform_unit(P.p)[None, :] for P in posets],
-                               posets=posets)
-        return fact
+    unit, norm = _unit_scale(T)
     if not is_monotone(T, posets).member:
         fact, report = hals(T, posets, FitConfig(rank=1, restarts=3, seed=0))
         fact.diagnostics["fallback"] = "fibres not monotone; used rank-one HALS"
         return fact
-    # at unit scale, so the loop's absolute liveness floor spares tiny tensors
-    lam, vecs = _rank1_nd_fit(T / norm, posets, sweeps=_RANK1_MAX_ITER, tol=_RANK1_TOL)
+    lam, vecs = _rank1_nd_fit(unit, posets, sweeps=_RANK1_MAX_ITER, tol=_RANK1_TOL)
     return NDFactorization(np.array([lam * norm]), [v[None, :] for v in vecs], posets=posets)
 
 
@@ -111,13 +110,17 @@ def rank1_exponential(T, posets) -> NDFactorization:
 
     Each cycle replaces the mode-j vector with the exact coordinatewise
     minimizer of sum(log theta + T/theta) holding the others fixed; entries
-    stay strictly positive throughout.
+    stay strictly positive throughout.  The iteration runs on T / ||T||
+    (:func:`ndrank.factor._unit_scale`) and multiplies its scale back; a T
+    whose ||T||^2 overflows or underflows a float (||T|| outside about
+    [1.5e-154, 1.3e154]) raises NonFiniteInput.
     """
     T, posets = check_fit_input(T, posets)
     if (T <= 0).any():
         raise NonPositiveEntry("exponential data must be strictly positive")
     if not is_monotone(T, posets).member:
         raise HypothesisViolated("every fibre must lie in its order cone")
+    T, norm = _unit_scale(T)
     unfold = _unfoldings(T)
     vecs = [np.ones(P.p) for P in posets]
     n_other = [T.size // P.p for P in posets]
@@ -130,7 +133,7 @@ def rank1_exponential(T, posets) -> NDFactorization:
             vecs[t] = new
         if moved < _RANK1_TOL:
             break
-    lam = 1.0
+    lam = norm
     unit = []
     for v in vecs:
         n = float(np.linalg.norm(v))
@@ -183,6 +186,12 @@ def rank2_matrix_exact(T, posets) -> Rank2Result:
     the extraction succeeds whenever T2 has ND rank at most two, which for
     collider-free posets is whenever T2 is in the finite-rank cone (Cohen &
     Rothblum, 1993).  Otherwise factorization=None directs callers to HALS.
+
+    The certificate is that of T2, in T's units.  The extraction and its
+    checks run on T2 / ||T2|| (:func:`ndrank.factor._unit_scale`), and the
+    scales are multiplied back; a member T2 whose ||T2||^2 overflows or
+    underflows a float (||T2|| outside about [1.5e-154, 1.3e154]) raises
+    NonFiniteInput.
     """
     if np.ndim(T) != 2:
         raise ShapeMismatch("rank2_matrix_exact expects a matrix")
@@ -192,6 +201,7 @@ def rank2_matrix_exact(T, posets) -> Rank2Result:
     cert = membership_finite_rank(T2, posets)
     if not cert.member:
         return Rank2Result(None, cert, "truncated SVD is outside the finite-rank cone")
+    T2, norm = _unit_scale(T2)
     tol = default_tol(T2)
 
     if s.size < 2 or s[1] <= 1e-12 * max(s[0], 1e-300):
@@ -214,7 +224,9 @@ def rank2_matrix_exact(T, posets) -> Rank2Result:
             return Rank2Result(None, cert, "extracted column-mode vector is infeasible")
         if a_cols[:, i].any() and not is_monotone(a_cols[:, i], posets[0], tol).member:
             return Rank2Result(None, cert, "extracted row-mode coefficients are infeasible")
-    return Rank2Result(_pack_rank2(a_cols, b_rows, posets), cert, None)
+    fact = _pack_rank2(a_cols, b_rows, posets)
+    fact.lambdas *= norm
+    return Rank2Result(fact, cert, None)
 
 
 def _wedge_rays(T2: np.ndarray, basis: np.ndarray, col_poset: Poset) -> np.ndarray | None:

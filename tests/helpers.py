@@ -485,8 +485,11 @@ def reference_init_als_project(T, r, posets, seed):
     sides (so orders up to 12 only), a least-squares solve per mode, and
     every projection of every even sign pattern of every term.  A vector
     whose projection fails the sweep's liveness test becomes the uniform
-    unit vector and its term's scale 0."""
+    unit vector and its term's scale 0.  It runs on T / ||T|| and multiplies
+    the scales back by ||T||."""
     T = np.asarray(T, dtype=float)
+    norm = float(np.linalg.norm(T)) or 1.0
+    T = T / norm
     posets = list(posets)
     k = T.ndim
     rng = np.random.default_rng(seed)
@@ -537,7 +540,7 @@ def reference_init_als_project(T, r, posets, seed):
                 out[j][i] = uniform[j]
                 lam = 0.0
         lambdas[i] = lam
-    return lambdas, out
+    return lambdas * norm, out
 
 
 def reference_init_random_cone(T, r, posets, seed):

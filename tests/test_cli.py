@@ -511,10 +511,13 @@ def test_check_rejects_a_malformed_tensor_json(tmp_path, capsys, body):
 @pytest.mark.parametrize("tensor, posets, message", [
     ({"shape": [2, 2], "data": [1e154, 2e154, 3e154, 4e154]}, ["chain:2", "chain:2"],
      "overflows"),
+    ({"shape": [2, 2], "data": [1e-200, 2e-200, 3e-200, 4e-200]}, ["chain:2", "chain:2"],
+     "underflows"),
     ({"shape": [], "data": [2.0]}, [], "at least one mode"),
-], ids=["overflow", "order-0"])
+], ids=["overflow", "underflow", "order-0"])
 def test_factorize_refuses_a_tensor_it_cannot_fit(tmp_path, capsys, tensor, posets, message):
-    # both used to end in a traceback, read as the exit code of a verdict
+    # the first and last used to end in a traceback, read as the exit code
+    # of a verdict, and the second in a fit whose every scale was 0
     path = tmp_path / "t.json"
     path.write_text(json.dumps(tensor))
     code, out, err = run(capsys, "factorize", str(path), *posets, "--rank", "1")

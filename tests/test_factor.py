@@ -720,7 +720,10 @@ def test_init_sign_choice_matches_a_loop_over_even_patterns(k, monkeypatch):
         zero = posets[-1] if trial % 2 else None
         r, seeds = 1 + trial % 3, [trial, trial + 100]
         stacks.clear()
-        starts = factor.init_als_project(rng.standard_normal(shape), r, posets, seeds)
+        T = rng.standard_normal(shape)
+        starts = factor.init_als_project(T, r, posets, seeds)
+        # the init runs on T / ||T|| and multiplies its scales back
+        norm = factor._unit_scale(T)[1]
         raw = [Y0[:len(seeds) * r].reshape(len(seeds), r, -1) for Y0, _ in stacks]
         V = [V.reshape(2, len(seeds), r, -1) for _, V in stacks]
         pp = [factor._rowdot(v, v).tolist() for v in V]
@@ -742,7 +745,7 @@ def test_init_sign_choice_matches_a_loop_over_even_patterns(k, monkeypatch):
                     else:
                         assert np.allclose(start.factors[j][s], 1.0 / math.sqrt(v.size))
                         lam = 0.0
-                assert start.lambdas[s] == lam
+                assert start.lambdas[s] == lam * norm
         assert zero is None or not starts[0].lambdas.any()
 
 
@@ -1213,19 +1216,6 @@ EMPTY = poset.from_relation([], [])
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("fit, scale", [
-    (lambda T, Ps: factor.hals(T, Ps, FitConfig(rank=1)), 1e154),
-    (lambda T, Ps: rank.rank1_gaussian(T, Ps), 1e154),
-    (lambda T, Ps: rank.rank1_gaussian(T, Ps), 1e160),
-], ids=["hals", "rank1_gaussian-1e154", "rank1_gaussian-1e160"])
-def test_fits_reject_a_squared_norm_that_overflows(fit, scale):
-    # hals raised a bare StopIteration and rank1_gaussian gave a nan scale
-    T = np.array([[1.0, 2.0], [3.0, 4.0]]) * scale
-    with pytest.raises(NonFiniteInput, match="overflows"):
-        fit(T, [poset.chain(2), poset.chain(2)])
-
-
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fit", [
     lambda T: factor.hals(T, [], FitConfig(rank=1)),
     lambda T: factor.init_als_project(T, 1, [], 0),
@@ -1267,6 +1257,66 @@ def test_every_fit_runs_the_one_input_check(entry, case):
         message = "expects a matrix"
     with pytest.raises(error, match=message):
         FIT_ENTRIES[entry](T, posets)
+
+
+def _fitted(out):
+    """The factorization a fit entry returns."""
+    if isinstance(out, rank.Rank2Result):
+        return out.factorization
+    return out[0] if isinstance(out, tuple) else out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e-12, 1e12])
+@pytest.mark.parametrize("entry", sorted(FIT_ENTRIES))
+def test_fits_scale_with_the_tensor(entry, c):
+    # every fit runs on T / ||T||: the init's liveness floor and ridge gave
+    # the scales of 1e-12 T a relative error near 1, and rank1_exponential
+    # and rank2_matrix_exact ran on T as it came
+    T = np.outer([1.0, 2.0, 4.0], [1.0, 1.5, 2.0, 3.0])
+    posets = [poset.chain(3), poset.chain(4)]
+    want = c * _fitted(FIT_ENTRIES[entry](T, posets)).reconstruct()
+    got = _fitted(FIT_ENTRIES[entry](c * T, posets)).reconstruct()
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fit, scale", [
+    (lambda T, Ps: factor.hals(T, Ps, FitConfig(rank=1)), 1e154),
+    (lambda T, Ps: rank.rank1_gaussian(T, Ps), 1e154),
+    (lambda T, Ps: rank.rank1_gaussian(T, Ps), 1e160),
+] + [(FIT_ENTRIES[entry], c) for entry in sorted(FIT_ENTRIES) for c in (1e-200, 1e200)],
+    ids=["hals", "rank1_gaussian-1e154", "rank1_gaussian-1e160"]
+    + [f"{entry}-{c:g}" for entry in sorted(FIT_ENTRIES) for c in (1e-200, 1e200)])
+def test_fits_reject_a_squared_norm_that_overflows(fit, scale):
+    # hals raised a bare StopIteration and rank1_gaussian gave a nan scale;
+    # a nonzero tensor whose squared norm underflows is refused as well:
+    # hals gave every term scale 0, rank1_gaussian divided by zero, and
+    # rank2_matrix_exact reported a fit of scale 0 (at 1e-200) or inf
+    T = np.array([[1.0, 2.0], [3.0, 4.0]]) * scale
+    with pytest.raises(NonFiniteInput, match="overflows" if scale > 1 else "underflows"):
+        fit(T, [poset.chain(2), poset.chain(2)])
+
+
+def test_fits_project_only_through_row_projectors(monkeypatch):
+    # the rank-one loop of the revival and of rank1_gaussian called the
+    # public project once per target: a copy, a finiteness pass and a
+    # projector lookup each.  The fit is the batch test's revival case
+    real, rank1_fit = isotonic.project, factor._rank1_nd_fit
+    calls, revivals = [], []
+    for mod in (isotonic, factor, rank):
+        for name, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(factor, "_rank1_nd_fit",
+                        lambda E, posets: revivals.append(1) or rank1_fit(E, posets))
+    T = np.random.default_rng(1).standard_normal((3, 4, 3))
+    posets = [poset.chain(3), poset.from_relation([0, 1, 2, 3], [(0, 1), (2, 3)]),
+              poset.collider_to_top(3)]
+    factor.hals(T, posets, FitConfig(rank=3, restarts=3, seed=1, max_sweeps=60))
+    rank.rank1_gaussian(np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 3.0, 4.0]),
+                        [poset.chain(3), posets[1]])
+    assert revivals and not calls
 
 
 @pytest.mark.parametrize("y", [[0.5, 1.0, 3.0, 2.0], [0.5, 1.0, 2.0, 3.0]],
