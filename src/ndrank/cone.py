@@ -440,22 +440,16 @@ def double_description(generators) -> ConeHRep:
     inverse = [row[d:] for _, row in sorted(zip(pivots, reduced))]
     rays = [_clear_denominators(col) for col in zip(*inverse)]
     tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
-    processed = list(used)
 
+    # bit pos of a tight set is the constraint inserted pos-th, base rows first
     remaining = [i for i in range(len(G)) if i not in used]
-    for ci in remaining:
+    for pos, ci in enumerate(remaining, start=d):
         g = G[ci]
         s = [sum(a * b for a, b in zip(g, r)) for r in rays]
-        if all(v >= 0 for v in s):
-            pos = len(processed)
-            processed.append(ci)
-            tight = [t | ((1 << pos) if v == 0 else 0) for t, v in zip(tight, s)]
-            continue
-        keep = [k for k, v in enumerate(s) if v >= 0]
-        new_rays = []
         plus = [k for k, v in enumerate(s) if v > 0]
         minus = [k for k, v in enumerate(s) if v < 0]
         need = d - 2
+        new_rays, new_tight = [], []
         for kp in plus:
             for km in minus:
                 t = tight[kp] & tight[km]
@@ -463,24 +457,16 @@ def double_description(generators) -> ConeHRep:
                     continue
                 if any(t & tight[k] == t for k in range(len(rays)) if k not in (kp, km)):
                     continue
+                # a positive combination of two rays that satisfy every
+                # inserted constraint is tight where both are, and on this
+                # one; exact arithmetic and the adjacency test give each new
+                # ray once, inside its edge, so none repeats a kept ray
                 new = [s[kp] * a - s[km] * b for a, b in zip(rays[km], rays[kp])]
                 new_rays.append(_primitive(new))
-        pos = len(processed)
-        processed.append(ci)
-        rays2, tight2 = [], []
-        for k in keep:
-            rays2.append(rays[k])
-            tight2.append(tight[k] | ((1 << pos) if s[k] == 0 else 0))
-        # exact arithmetic and the adjacency test give each new ray once, in
-        # the relative interior of its edge, so none repeats a kept ray
-        for r in new_rays:
-            mask = 0
-            for p2, cj in enumerate(processed):
-                if sum(a * b for a, b in zip(G[cj], r)) == 0:
-                    mask |= 1 << p2
-            rays2.append(r)
-            tight2.append(mask)
-        rays, tight = rays2, tight2
+                new_tight.append(t | 1 << pos)
+        keep = [k for k, v in enumerate(s) if v >= 0]
+        rays = [rays[k] for k in keep] + new_rays
+        tight = [tight[k] | ((1 << pos) if s[k] == 0 else 0) for k in keep] + new_tight
 
     normals = sorted(rays)
     return ConeHRep(normals=np.asarray(normals, dtype=int), shape=shape)
@@ -519,27 +505,23 @@ class ProbabilityEstimate:
 
 @functools.lru_cache(maxsize=None)
 def _grid_sampling_plan(m: int):
-    """The m-by-m grid order and its linear extensions as inverse
-    permutations, one column each: entry (e, k) is the position of element
-    e in extension k.  Read-only; m <= 4, so four entries at most, the
-    largest 16 by 24 024 (3 MB)."""
+    """The m-by-m grid order, its linear extensions as inverse permutations,
+    one column each (entry (e, k) is the position of element e in extension
+    k), and the m-chain's H-rep rows.  Read-only; m <= 4, so four entries at
+    most, the largest 16 by 24 024 (3 MB)."""
     P = poset_mod.product([poset_mod.chain(m), poset_mod.chain(m)])
     positions = np.argsort(np.asarray(poset_mod._Downsets(P).extensions()), axis=1).T.copy()
     positions.flags.writeable = False
-    return P, positions
+    return P, positions, _halfspace_rows(poset_mod.chain(m))
 
 
-def _grid_members(X: np.ndarray, tol: float) -> int:
-    """How many points X[:, :, i] of the m-by-m grid have every mode
-    difference of X (the first row and column differenced against 0) at
-    least -tol.  A first difference x - 0.0 is x itself, so those rows are
-    copied."""
-    A = np.empty_like(X)
-    A[0] = X[0]
-    np.subtract(X[1:], X[:-1], out=A[1:])
-    D = np.empty_like(X)
-    D[:, 0] = A[:, 0]
-    np.subtract(A[:, 1:], A[:, :-1], out=D[:, 1:])
+def _grid_members(X: np.ndarray, H: np.ndarray, tol: float) -> int:
+    """How many points X[:, :, i] of the m-by-m grid have every facet value
+    at least -tol: X contracted with the chain's H-rep rows ``H`` in both
+    modes, as :func:`membership_finite_rank` contracts a tensor.  Each value
+    is a difference of two entries, or an entry, plus exact zeros."""
+    m = H.shape[0]
+    D = H @ (H @ X.reshape(m, -1)).reshape(X.shape)
     return int((D >= -tol).all(axis=(0, 1)).sum())
 
 
@@ -548,12 +530,12 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
     m-by-m grid order has finite ND rank.
 
     Points are drawn by choosing a uniformly random linear extension and
-    assigning sorted uniform values along it, then tested by full mode
-    differencing.  The grid order and a table of all its linear extensions
-    are built once per m; m <= 4 (the 4-by-4 grid has 24 024 extensions,
-    the 5-by-5 grid 701 149 020, so m = 5 raises ``TooLarge``).  At m = 4
-    the target probability is small, so a sharp estimate needs millions of
-    samples.  ``m`` and ``n_samples`` are positive integers, not bools.
+    assigning sorted uniform values along it, then tested against the
+    facets, the m-chain's H-rep rows in both modes.  The grid order, a table
+    of all its linear extensions and those rows are built once per m;
+    m <= 4 (the 4-by-4 grid has 24 024 extensions, the 5-by-5 grid
+    701 149 020, so m = 5 raises ``TooLarge``).  At m = 4 the target
+    probability is small, so a sharp estimate needs millions of samples.  ``m`` and ``n_samples`` are positive integers, not bools.
     A point's entries lie in [0, 1], so it is tested with the slack
     ``default_tol(1.0)``, which a rule change in :func:`default_tol` reaches.
     """
@@ -562,7 +544,7 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
         raise ValueError(f"m and n_samples must be positive integers (got {m!r}, {n_samples!r})")
     if m > 4:
         raise TooLarge(f"sampling is guarded at m <= 4 (got {m})")
-    P, positions = _grid_sampling_plan(m)
+    P, positions, H = _grid_sampling_plan(m)
     rng = np.random.default_rng(seed)
     members = 0
     tol = default_tol(1.0)
@@ -582,7 +564,7 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
             # gathered by flat index so that X is row-major in (e, i)
             flat = np.take(positions, picks[lo:lo + b], axis=1)
             flat += np.arange(0, b * P.p, P.p)
-            members += _grid_members(np.take(vals, flat).reshape(m, m, b), tol)
+            members += _grid_members(np.take(vals, flat).reshape(m, m, b), H, tol)
     p_hat = members / n_samples
     stderr = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_samples))
     return ProbabilityEstimate(estimate=p_hat, stderr=stderr,

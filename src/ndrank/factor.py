@@ -195,7 +195,9 @@ class FitReport:
     seconds the whole batch of restarts spent in the init (``init_s``) and
     in the sweeps (``sweeps_s``).  ``first_rise`` is the first (1-based)
     sweep whose objective exceeds the previous one by more than
-    ``1e-12 * max(1, previous)``, or None when the trace never rises.
+    ``1e-12 * max(||T||^2, previous)``, the objective's own rounding, so
+    the answer does not move with the scale of T; None when the trace
+    never rises.
     ``stopping_tests`` counts the sweeps, summed over every restart, whose
     stopping test the objectives alone decided (``certified``) and those
     that ran its two full-length passes (``exact``); with the rejected
@@ -786,7 +788,7 @@ def hals(T, posets, cfg: FitConfig):
     else:
         stop_reason = "tolerance" if stationary else "max_sweeps"
     first_rise = next((i + 1 for i in range(1, len(trace))
-                       if trace[i] > trace[i - 1] + 1e-12 * max(1.0, trace[i - 1])), None)
+                       if trace[i] > trace[i - 1] + 1e-12 * max(scale ** 2, trace[i - 1])), None)
     report = FitReport(
         objective_trace=trace,
         final_residual=float(np.sqrt(max(trace[-1], 0.0))),

@@ -267,7 +267,10 @@ def connected_upsets(P: Poset) -> list[frozenset]:
     """All non-empty upsets whose induced (undirected) Hasse subgraph is connected.
 
     Returned in a deterministic order: by size, then lexicographically by
-    sorted element indices.  Worst-case exponential; guarded at p <= 24.
+    sorted element indices.  The walk visits every upset of each connected
+    component, so it is guarded at p <= 24 and raises ``TooLarge`` once it
+    has visited more than ``ANTICHAIN_COUNT_LIMIT`` of them: a poset with
+    more than 10^6 upsets, such as ``collider_to_top(21)``, is refused.
     """
     if P.p > CONNECTED_UPSET_GUARD:
         raise TooLarge(f"connected_upsets is guarded at p <= {CONNECTED_UPSET_GUARD} (got {P.p})")
@@ -277,6 +280,7 @@ def connected_upsets(P: Poset) -> list[frozenset]:
         adj[b] |= 1 << a
 
     found: list[int] = []
+    leaves = 0
     unseen = (1 << P.p) - 1
     while unseen:
         comp = _component(unseen & -unseen, unseen, adj)
@@ -286,7 +290,11 @@ def connected_upsets(P: Poset) -> list[frozenset]:
         order = sorted(_bits(comp), key=lambda x: P._upper[x].bit_count())
 
         def walk(i: int, mask: int):
+            nonlocal leaves
             if i == len(order):
+                leaves += 1  # one upset of the component
+                if leaves > ANTICHAIN_COUNT_LIMIT:
+                    raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets")
                 if mask and _component(mask & -mask, mask, adj) == mask:
                     found.append(mask)
                 return
@@ -328,7 +336,8 @@ def count_antichains(P: Poset) -> int:
 class _Downsets:
     """Counts of linear extensions of upsets, given as bitmasks, and the
     listing of all extensions.  An extension of U starts with a minimal x of
-    U, so count(U) sums count(U - x)."""
+    U, so count(U) sums count(U - x).  ``count`` keeps one count per upset
+    and raises ``TooLarge`` once it keeps more than ``ANTICHAIN_COUNT_LIMIT``."""
 
     def __init__(self, P: Poset):
         self.full = (1 << P.p) - 1
@@ -351,6 +360,8 @@ class _Downsets:
             for _, bit in self.minimal(remaining):
                 c += self.count(remaining ^ bit)
             self._counts[remaining] = c
+            if len(self._counts) > ANTICHAIN_COUNT_LIMIT:
+                raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets")
         return c
 
     def extensions(self) -> list[tuple]:
@@ -373,7 +384,10 @@ class _Downsets:
 
 
 def count_linear_extensions(P: Poset) -> int:
-    """Exact count of linear extensions via dynamic programming over upsets."""
+    """Exact count of linear extensions via dynamic programming over upsets.
+
+    Guarded at p <= 24, and refuses with ``TooLarge`` a poset with more than
+    10^6 upsets, such as ``trivial(20)``, whose table would not fit."""
     if P.p > 2 * LINEAR_EXTENSION_GUARD:
         raise TooLarge(f"extension counting guarded at p <= {2 * LINEAR_EXTENSION_GUARD}")
     dp = _Downsets(P)

@@ -433,8 +433,8 @@ def trace_nonincreasing(trace, slack=1e-12):
 def rising_hals_restarts(plain):
     """Wrap ``factor._hals_restarts`` so that restart 0 reports the trace
     [0.5, 0.4, 0.4 (1 + 1e-13), 0.45, 0.3] in units of ||T||^2: sweep 3
-    rises within the 1e-12 slack (for ||T||^2 >= 2.5) and sweep 4 beyond
-    it, so the first rise is sweep 4."""
+    rises within the 1e-12 slack and sweep 4 beyond it, so the first rise
+    is sweep 4."""
     def wrapped(*args, **kwargs):
         runs, stats = plain(*args, **kwargs)
         runs[0][1][:] = [0.5, 0.4, 0.4 * (1 + 1e-13), 0.45, 0.3]

@@ -409,11 +409,13 @@ def test_fit_report_says_why_and_how_the_fit_stopped():
     assert sum(report.extrapolation.values()) == 3
 
 
-def test_fit_report_says_where_the_trace_first_rose(monkeypatch):
+@pytest.mark.parametrize("c", [1e-10, 1.0, 1e10])
+def test_fit_report_says_where_the_trace_first_rose(monkeypatch, c):
     T, posets = datasets.fixture("cchs")
+    T = c * T
     monkeypatch.setattr(factor, "_hals_restarts", rising_hals_restarts(factor._hals_restarts))
     _, report = factor.hals(T, posets, FitConfig(rank=2, restarts=1, max_sweeps=5))
-    trace = report.objective_trace
+    trace = np.asarray(report.objective_trace) / np.sum(T ** 2)
     assert report.first_rise == 4
     assert trace_nonincreasing(trace[:3]) and not trace_nonincreasing(trace[:4])
 

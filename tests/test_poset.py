@@ -183,6 +183,19 @@ def test_connected_upsets_guard():
         poset.connected_upsets(poset.trivial(25))
 
 
+def test_upset_walks_are_guarded_by_their_work(monkeypatch):
+    # at the real limit, collider_to_top(24) lists 8 388 608 upsets (about
+    # 8 GB) and trivial(24) memoizes 2^24 counts: both pass the p guards
+    monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", 100)
+    with pytest.raises(TooLarge, match="upsets"):
+        poset.connected_upsets(poset.collider_to_top(9))  # 256 upsets and the empty one
+    with pytest.raises(TooLarge, match="upsets"):
+        poset.count_linear_extensions(poset.trivial(8))  # 256 upsets
+    # a large poset with few upsets is still walked
+    assert len(poset.connected_upsets(poset.chain(20))) == 20
+    assert poset.count_linear_extensions(poset.chain(20)) == 1
+
+
 @pytest.mark.parametrize("p", [1, 2, 5, 8])
 def test_count_antichains_chain(p):
     assert poset.count_antichains(poset.chain(p)) == p
