@@ -191,7 +191,8 @@ def cmd_factorize(args) -> int:
             "outputs": [f"{args.out}.json", *table_paths, trace_path],
         }
         if report is not None:
-            # sweep projection rows by path: clamp, chain, in_cone, warm, solved
+            # sweep projection rows by path: clamp, chain, and for a general
+            # poset in_cone (the in-cone exit) or solved (certified NNLS)
             manifest["projections"] = report.projection_rows
             manifest["stopped"] = report.stop_reason
             manifest["extrapolation"] = report.extrapolation

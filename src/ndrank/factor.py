@@ -25,12 +25,9 @@ The stopping test, ||R - P|| <= rel_tol ||P|| for the new and previous
 reconstructions, takes two more full-length passes; they run only for the
 restarts that the reverse triangle inequality on the two objectives, with
 Higham's forward error bound for the rounding, leaves open
-(:func:`_cannot_converge`), so every stop is the exact test's.  On general
-posets each vector's projection starts from the active set of its previous
-one: the projection onto that face is kept only when it passes a KKT check,
-and otherwise the certified solver runs, so every projection stays exact
-and certified (see :mod:`ndrank.isotonic`); the report counts the rows
-each path took.
+(:func:`_cannot_converge`), so every stop is the exact test's.  Every
+projection is exact, and on general posets certified (see
+:mod:`ndrank.isotonic`); the report counts the rows each path took.
 
 The plain sweep converges linearly, and slowly on the survey fixture (the
 gap to the optimum shrinks by about 4 % a sweep), so the sweeps run in
@@ -82,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteInput
-from .isotonic import _ROW_PATHS, _halfspace_rows, _row_projector
+from .isotonic import _ROW_PATHS, _row_projector
 from .tensor import check_fit_input, outer
 
 @dataclass
@@ -184,20 +181,19 @@ class FitReport:
     sweep; ``final_residual`` is the (unsquared) Frobenius norm.
     ``projection_rows`` counts the sweep's factor-vector projections, summed
     over every restart, by the path each took: ``clamp`` (no order),
-    ``chain`` (PAVA), and for general posets ``in_cone`` (already in the
-    cone), ``warm`` (certified on the previous sweep's active set) and
-    ``solved`` (certified nonnegative least squares).  ``stop_reason`` is
-    ``"dead"`` when every term of the best restart has scale 0 (the fit of
-    the zero tensor, say), and otherwise ``"tolerance"`` when the best
-    restart met ``rel_tol`` and ``"max_sweeps"`` when it reached the cap;
-    ``extrapolation`` counts the extrapolated sweeps kept (``accepted``) and
-    undone (``rejected``), summed over every restart.  ``timings`` holds the
-    seconds the whole batch of restarts spent in the init (``init_s``) and
-    in the sweeps (``sweeps_s``).  ``first_rise`` is the first (1-based)
-    sweep whose objective exceeds the previous one by more than
-    ``1e-12 * max(||T||^2, previous)``, the objective's own rounding, so
-    the answer does not move with the scale of T; None when the trace
-    never rises.
+    ``chain`` (PAVA), and for general posets ``in_cone`` (in the cone, or
+    within rounding of it) and ``solved`` (certified nonnegative least
+    squares).  ``stop_reason`` is ``"dead"`` when every term of the best
+    restart has scale 0 (the fit of the zero tensor, say), and otherwise
+    ``"tolerance"`` when the best restart met ``rel_tol`` and
+    ``"max_sweeps"`` when it reached the cap; ``extrapolation`` counts the
+    extrapolated sweeps kept (``accepted``) and undone (``rejected``),
+    summed over every restart.  ``timings`` holds the seconds the whole
+    batch of restarts spent in the init (``init_s``) and in the sweeps
+    (``sweeps_s``).  ``first_rise`` is the first (1-based) sweep whose
+    objective exceeds the previous one by more than ``1e-12 * max(||T||^2,
+    previous)``, the objective's own rounding, so the answer does not move
+    with the scale of T; None when the trace never rises.
     ``stopping_tests`` counts the sweeps, summed over every restart, whose
     stopping test the objectives alone decided (``certified``) and those
     that ran its two full-length passes (``exact``); with the rejected
@@ -532,9 +528,7 @@ def _hals_restarts(T, posets, cfg: FitConfig, extrapolate: bool = True) -> tuple
     Restart i starts from its own initialization (seed ``cfg.seed + i``),
     and one call of the init makes them all; the stack holds scales (R, r),
     factors (R, r, p_j) and Grams G_j = F_j F_j' of shape (R, r, r), and
-    every (term, mode) update is a handful of batched products over it.  For each general-poset mode the
-    stack also keeps every vector's support (R, r, m_t), the halfspace rows
-    active at its last projection, from which the next projection starts.
+    every (term, mode) update is a handful of batched products over it.
     With ``extrapolate``, every third sweep starts from a SQUAREM point (see
     :func:`hals`); all of its state is per restart, and its step length
     weighs the scales and the unit vectors alike, which :func:`hals` makes
@@ -577,13 +571,9 @@ def _hals_restarts(T, posets, cfg: FitConfig, extrapolate: bool = True) -> tuple
     flat = T.reshape(-1)
     tnorm = math.sqrt(float(flat @ flat))  # the stopping certificate's ||T||
     # each mode's projection, resolved once: a projector for this fit
-    # alone (a chain's keeps its own PAVA scratch); every vector keeps its
-    # support, the halfspace rows active at its last projection, which
-    # only a general mode's projector reads; a stale one, after a revival
-    # or a rejected trial say, only fails the face check
+    # alone (a chain's keeps its own PAVA scratch)
     projectors = [_row_projector(P) for P in posets]
     others = [[j for j in range(k) if j != t] for t in range(k)]
-    supports = [np.zeros((len(seeds), r, len(_halfspace_rows(P))), dtype=bool) for P in posets]
     active = np.arange(len(seeds))  # restart behind each row of the stack
     traces = [[] for _ in seeds]
     runs = [None] * len(seeds)
@@ -650,7 +640,7 @@ def _hals_restarts(T, posets, cfg: FitConfig, extrapolate: bool = True) -> tuple
                 target = _mode_target(Q[t], vec, t, coef, factors[t])
                 # the liveness test reads the target before it is projected
                 norms = _rowdot(target, target).tolist()
-                V = projectors[t](target, support=supports[t][:, s], counts=counts)
+                V = projectors[t](target, counts=counts)
                 n = np.sqrt(_rowdot(V, V))
                 # a numerically-zero projection must not be renormalized:
                 # dividing float crumbs by their norm fabricates an arbitrary
@@ -725,7 +715,6 @@ def _hals_restarts(T, posets, cfg: FitConfig, extrapolate: bool = True) -> tuple
             keep = np.logical_not(done)
             active, X, recon = active[keep], X[keep], recon[keep]
             lambdas, factors = views(X)
-            supports = [S[keep] for S in supports]
             snaps = snaps[:, keep]
             last, step_max, tainted = (list(itertools.compress(v, keep.tolist()))
                                        for v in (last, step_max, tainted))

@@ -26,17 +26,9 @@ projection followed by an elementwise max with zero.
 
 :func:`project` is the one public, validated entry point.  Every
 projection runs through :func:`_row_projector`, which resolves a poset's
-kind once and returns a function that projects a stack of rows in place.
-The HALS sweep builds one per mode and fit, and passes each row's
-support, the halfspace rows whose multipliers were positive at that
-vector's previous projection.  The rows of a stack outside the cone are
-then first projected, in one pass, onto the faces their supports name:
-each face is one cached matrix, their multipliers one stacked product
-clipped at zero, and a point is kept only if it passes the solver's KKT
-check with a tolerance 1000 times tighter (1e-12 instead of 1e-9,
-relative to the same scale); a row that fails it, or whose support is
-empty or has dependent rows, is solved and certified as above.  Every row
-returned is therefore certified, whichever path it took.
+kind once and returns a function that projects a stack of rows in place;
+the HALS sweep builds one per mode and fit.  A general poset's projector
+has one path per row: the in-cone exit above, or the certified NNLS.
 
 Chains call the compiled PAVA kernel behind
 ``scipy.optimize.isotonic_regression`` directly, one call per row
@@ -153,7 +145,7 @@ _pava, nnls = _resolve_kernels([os.path.join(d, "optimize") for d in scipy.__pat
 _ROUNDING = 16 * np.finfo(float).eps
 
 # the paths a row can take through a row projector, as keys of its ``counts``
-_ROW_PATHS = ("clamp", "chain", "in_cone", "warm", "solved")
+_ROW_PATHS = ("clamp", "chain", "in_cone", "solved")
 
 
 def _check_weights(w, y: np.ndarray) -> np.ndarray:
@@ -335,52 +327,16 @@ def _nnls_certified(E, f) -> tuple[np.ndarray, np.ndarray]:
         "fallback met the KKT conditions")
 
 
-@functools.lru_cache(maxsize=256)
-def _face_solver(P: Poset, support: bytes):
-    """K = -(A_S A_S^T)^-1 A_S for the rows S of A, scattered over all m
-    rows of A (zero off S), or None.
-
-    For the halfspace rows S named by ``support`` (a bool mask as bytes),
-    mu = K y is the multiplier of the projection of y onto the face
-    A_S v = 0, so v = y + A^T mu.  An entry holds m * P.p floats.  Returns
-    None for an empty support and for dependent rows, where A_S A_S^T is
-    singular (on a collider e_a + (e_c - e_a) = e_b + (e_c - e_b); on a
-    diamond the cover rows of its two paths sum alike): those rows are left
-    to the NNLS solver.
-    """
-    _, _, A, _ = _projection_plan(P)
-    S = np.flatnonzero(np.frombuffer(support, dtype=bool))
-    A_S = A[S]
-    if not S.size or np.linalg.matrix_rank(A_S) < S.size:
-        return None
-    K = np.zeros(A.shape)
-    K[S] = -np.linalg.solve(A_S @ A_S.T, A_S)
-    return K
-
-
-def _clamp(Y, w=None, support=None, counts=None) -> np.ndarray:
+def _clamp(Y, w=None, counts=None) -> np.ndarray:
     # with no order constraints, clamping is the exact projection in any metric
     if counts is not None:
         counts["clamp"] += len(Y)
     return np.maximum(Y, 0.0, out=Y)
 
 
-def _project_general(P: Poset, Y, w=None, support=None, counts=None) -> np.ndarray:
-    """The row projector of a poset that is neither a clamp nor a chain.
-
-    ``support``, an (n, m) bool array over P's m halfspace rows, guesses
-    each row's active set and is written in place; only the unweighted
-    path uses it.  The rows outside the cone are first projected, all at
-    once, onto the faces their supports name: mu = max(K y, 0) with K from
-    :func:`_face_solver`, and v = y + A^T mu.  A row keeps v, unclamped,
-    only where its face exists and v meets the KKT conditions at
-    tau' = 1e-12 * s, s = 1 + ||y||_1: A v >= -tau' and
-    |mu . A v| <= tau' * s, with mu >= 0 exactly.  These are
-    :func:`_nnls_certified`'s conditions with a tolerance 1000 times
-    tighter; every other row is certified by :func:`_nnls_certified`.  Each
-    row's support is then the positive set of the multiplier that
-    certified it, empty for rows in the cone.
-    """
+def _project_general(P: Poset, Y, w=None, counts=None) -> np.ndarray:
+    """The row projector of a poset that is neither a clamp nor a chain:
+    each row outside the cone is certified by :func:`_nnls_certified`."""
     _, _, A, E = _projection_plan(P)
     # Moreau: v* = y + A^T mu* in the unit-weight metric, where mu* solves
     # the polar-cone NNLS min_{mu >= 0} ||A^T mu + y||; weights rescale axes.
@@ -389,47 +345,20 @@ def _project_general(P: Poset, Y, w=None, support=None, counts=None) -> np.ndarr
     # the HALS targets on the survey fixture take this exit, and so do the
     # tied targets a few ulps outside the cone on which scipy's nnls was
     # seen to return wrong points.
-    if w is not None:
-        support = None  # supports hold unit-weight multipliers
     # on rows this short, min of a list beats numpy's reductions
-    out = cold = [i for i, row in enumerate(Y.dot(E).tolist())
-                  if (worst := min(row)) < 0.0
-                  and worst < -_ROUNDING * sum(map(abs, Y[i].tolist()))]
-    if support is not None:
-        inside = np.ones(len(Y), dtype=bool)
-        inside[out] = False
-        support[inside] = False
-    if support is not None and out:
-        rows, zero = np.array(out), np.zeros(A.shape)
-        faces = [_face_solver(P, support[i].tobytes()) for i in out]
-        # a row without a face stands in with K = 0 and is never kept
-        K = np.array([zero if face is None else face for face in faces])
-        Yr = Y[rows]
-        mu = np.maximum(K @ Yr[:, :, None], 0.0)[:, :, 0]
-        Vr = Yr + mu.dot(A)
-        AV = Vr.dot(E)
-        scale = 1.0 + np.abs(Yr).sum(axis=1)
-        tol = 1e-12 * scale
-        ok = (np.array([face is not None for face in faces]) & (AV.min(axis=1) >= -tol)
-              & (np.abs((mu * AV).sum(axis=1)) <= tol * scale))
-        Y[rows[ok]] = Vr[ok]
-        support[rows[ok]] = mu[ok] > 0.0
-        cold = rows[~ok].tolist()
+    out = [i for i, row in enumerate(Y.dot(E).tolist())
+           if (worst := min(row)) < 0.0
+           and worst < -_ROUNDING * sum(map(abs, Y[i].tolist()))]
     if counts is not None:
         counts["in_cone"] += len(Y) - len(out)
-        counts["warm"] += len(out) - len(cold)
-        counts["solved"] += len(cold)
-    for i in cold:
+        counts["solved"] += len(out)
+    for i in out:
         y = Y[i]
         if w is None:
-            x, v = _nnls_certified(E, -y)
+            Y[i] = _nnls_certified(E, -y)[1]
         else:
             s = np.sqrt(w)
-            x, v = _nnls_certified((A / s).T, -s * y)
-            v /= s
-        Y[i] = v
-        if support is not None:
-            support[i] = x > 0.0
+            Y[i] = _nnls_certified((A / s).T, -s * y)[1] / s
     # clamp the rows in the cone, and clear float crumbs below zero
     return np.maximum(Y, 0.0, out=Y)
 
@@ -437,12 +366,10 @@ def _project_general(P: Poset, Y, w=None, support=None, counts=None) -> np.ndarr
 def _row_projector(P: Poset):
     """The exact projection onto C(P) of every row of a stack, in place.
 
-    Returns a function ``(Y, w=None, support=None, counts=None)`` that
-    projects each row of Y, shape (n, P.p), with the weights ``w`` if
-    given, and returns Y; it validates nothing.  P's kind is resolved here
-    once: :func:`_clamp`, :func:`_pool_rows` then a clamp, or
-    :func:`_project_general`, the only one to read ``support``, an (n, m)
-    bool array over P's m halfspace rows; the others ignore it.  ``counts``,
+    Returns a function ``(Y, w=None, counts=None)`` that projects each row
+    of Y, shape (n, P.p), with the weights ``w`` if given, and returns Y;
+    it validates nothing.  P's kind is resolved here once: :func:`_clamp`,
+    :func:`_pool_rows` then a clamp, or :func:`_project_general`.  ``counts``,
     if given, adds the rows taken by each path under the keys of
     ``_ROW_PATHS``.  A chain's projector owns its weight row and kernel
     scratch, so it serves one caller (one fit, say); the others hold no
@@ -454,7 +381,7 @@ def _row_projector(P: Poset):
     if kind == "chain":
         wrow, r = np.empty(P.p), np.empty(P.p + 1, dtype=np.intp)
 
-        def chain(Y, w=None, support=None, counts=None):
+        def chain(Y, w=None, counts=None):
             if counts is not None:
                 counts["chain"] += len(Y)
             _pool_rows(Y, idx, w, wrow, r)

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import CycleError, ParseError, TooLarge, UnknownLabel
 
-CONNECTED_UPSET_GUARD = 24
-LINEAR_EXTENSION_GUARD = 12
 LINEAR_EXTENSION_COUNT_LIMIT = 1_000_000
 ANTICHAIN_COUNT_LIMIT = 1_000_000
 
@@ -268,12 +266,10 @@ def connected_upsets(P: Poset) -> list[frozenset]:
 
     Returned in a deterministic order: by size, then lexicographically by
     sorted element indices.  The walk visits every upset of each connected
-    component, so it is guarded at p <= 24 and raises ``TooLarge`` once it
-    has visited more than ``ANTICHAIN_COUNT_LIMIT`` of them: a poset with
-    more than 10^6 upsets, such as ``collider_to_top(21)``, is refused.
+    component, so it raises ``TooLarge`` once it has visited more than
+    ``ANTICHAIN_COUNT_LIMIT`` of them: a poset with more than 10^6 upsets,
+    such as ``collider_to_top(21)``, is refused.
     """
-    if P.p > CONNECTED_UPSET_GUARD:
-        raise TooLarge(f"connected_upsets is guarded at p <= {CONNECTED_UPSET_GUARD} (got {P.p})")
     adj = [0] * P.p  # undirected Hasse neighbours
     for a, b in P.covers:
         adj[a] |= 1 << b
@@ -289,21 +285,22 @@ def connected_upsets(P: Poset) -> list[frozenset]:
         # added once everything above it is already in the mask
         order = sorted(_bits(comp), key=lambda x: P._upper[x].bit_count())
 
-        def walk(i: int, mask: int):
-            nonlocal leaves
+        # a depth-first walk that excludes, then includes, each element in
+        # turn; a stack rather than recursion, so a long chain is walked too
+        stack = [(0, 0)]
+        while stack:
+            i, mask = stack.pop()
             if i == len(order):
                 leaves += 1  # one upset of the component
                 if leaves > ANTICHAIN_COUNT_LIMIT:
                     raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets")
                 if mask and _component(mask & -mask, mask, adj) == mask:
                     found.append(mask)
-                return
-            walk(i + 1, mask)  # exclude order[i]
+                continue
             e = order[i]
             if P._upper[e] & ~mask == 0:
-                walk(i + 1, mask | (1 << e))
-
-        walk(0, 0)
+                stack.append((i + 1, mask | (1 << e)))
+            stack.append((i + 1, mask))
     sets = [frozenset(_bits(m)) for m in found]
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
@@ -320,31 +317,30 @@ def count_antichains(P: Poset) -> int:
     comparable = [up[x] | 1 << x | sum(1 << y for y in range(P.p) if up[y] >> x & 1)
                   for x in range(P.p)]
     total = 0
-
-    def count(start: int, allowed: int) -> None:
-        nonlocal total
+    # each antichain extends one with smaller elements by an element j
+    # comparable to none of them
+    stack = [(0, (1 << P.p) - 1)]
+    while stack:
+        start, allowed = stack.pop()
         for j in _bits(allowed >> start << start):
             total += 1
             if total > ANTICHAIN_COUNT_LIMIT:
                 raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} antichains")
-            count(j + 1, allowed & ~comparable[j])
-
-    count(0, (1 << P.p) - 1)
+            stack.append((j + 1, allowed & ~comparable[j]))
     return total
 
 
 class _Downsets:
-    """Counts of linear extensions of upsets, given as bitmasks, and the
-    listing of all extensions.  An extension of U starts with a minimal x of
-    U, so count(U) sums count(U - x).  ``count`` keeps one count per upset
-    and raises ``TooLarge`` once it keeps more than ``ANTICHAIN_COUNT_LIMIT``."""
+    """The count and the listing of a poset's linear extensions, over its
+    upsets as bitmasks: an extension of an upset U starts with a minimal x
+    of U and goes on with one of U - x.  Both walk with a stack or level by
+    level, never recursing, so a long chain is walked as well."""
 
     def __init__(self, P: Poset):
-        self.full = (1 << P.p) - 1
+        self.p, self.full = P.p, (1 << P.p) - 1
         self._lower = [0] * P.p
         for a, b in P.covers:
             self._lower[b] |= 1 << a
-        self._counts = {0: 1}
 
     def minimal(self, remaining: int):
         """Yield ``(x, bit)`` for each element x minimal in ``remaining``."""
@@ -353,56 +349,65 @@ class _Downsets:
             if lower[x] & remaining == 0:
                 yield x, 1 << x
 
-    def count(self, remaining: int) -> int:
-        c = self._counts.get(remaining)
-        if c is None:
-            c = 0
-            for _, bit in self.minimal(remaining):
-                c += self.count(remaining ^ bit)
-            self._counts[remaining] = c
-            if len(self._counts) > ANTICHAIN_COUNT_LIMIT:
-                raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets")
-        return c
+    def count(self) -> int:
+        """The number of linear extensions, by dynamic programming over the
+        upsets of each size in turn: ``ways`` maps the upsets left after
+        removing k elements to the number of orders that remove them.
+        Raises ``TooLarge`` once it has met more than
+        ``ANTICHAIN_COUNT_LIMIT`` upsets, the empty one included."""
+        ways, seen = {self.full: 1}, 1
+        for _ in range(self.p):
+            nxt: dict[int, int] = {}
+            for upset, n in ways.items():
+                for _, bit in self.minimal(upset):
+                    nxt[upset ^ bit] = nxt.get(upset ^ bit, 0) + n
+                if seen + len(nxt) > ANTICHAIN_COUNT_LIMIT:
+                    raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets")
+            seen += len(nxt)
+            ways = nxt
+        return ways[0]
 
     def extensions(self) -> list[tuple]:
         """Every linear extension as an index tuple, in depth-first order
         over the minimal elements.  Unguarded: callers bound the count."""
         out: list[tuple] = []
         prefix: list[int] = []
-
-        def walk(remaining: int):
-            if not remaining:
-                out.append(tuple(prefix))
-                return
-            for x, bit in self.minimal(remaining):
+        remaining = self.full
+        # the minimal elements still to try after each entry of the prefix
+        stack = [self.minimal(remaining)]
+        while stack:
+            for x, bit in stack[-1]:
                 prefix.append(x)
-                walk(remaining ^ bit)
+                remaining ^= bit
+                if remaining:  # go deeper
+                    stack.append(self.minimal(remaining))
+                    break
+                out.append(tuple(prefix))
                 prefix.pop()
-
-        walk(self.full)
+                remaining = bit
+            else:  # every extension of the prefix is listed
+                stack.pop()
+                if prefix:
+                    remaining |= 1 << prefix.pop()
         return out
 
 
 def count_linear_extensions(P: Poset) -> int:
     """Exact count of linear extensions via dynamic programming over upsets.
 
-    Guarded at p <= 24, and refuses with ``TooLarge`` a poset with more than
-    10^6 upsets, such as ``trivial(20)``, whose table would not fit."""
-    if P.p > 2 * LINEAR_EXTENSION_GUARD:
-        raise TooLarge(f"extension counting guarded at p <= {2 * LINEAR_EXTENSION_GUARD}")
-    dp = _Downsets(P)
-    return dp.count(dp.full)
+    Refuses with ``TooLarge`` a poset with more than 10^6 upsets, such as
+    ``trivial(20)``, whose table would not fit."""
+    return _Downsets(P).count()
 
 
 def linear_extensions(P: Poset) -> list[tuple]:
     """All total orders (as index tuples) consistent with the poset order.
 
-    Guarded at p <= 12 elements and at most one million extensions.
+    Counted first, as :func:`count_linear_extensions` counts, and refused
+    with ``TooLarge`` past one million extensions.
     """
-    if P.p > LINEAR_EXTENSION_GUARD:
-        raise TooLarge(f"linear_extensions is guarded at p <= {LINEAR_EXTENSION_GUARD} (got {P.p})")
     dp = _Downsets(P)
-    if dp.count(dp.full) > LINEAR_EXTENSION_COUNT_LIMIT:
+    if dp.count() > LINEAR_EXTENSION_COUNT_LIMIT:
         raise TooLarge("poset has more than 1e6 linear extensions")
     return dp.extensions()
 

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ndrank import cone, factor, isotonic, poset, tensor
+from ndrank import cone, factor, poset, tensor
 from ndrank.errors import DegenerateCone
 from ndrank.isotonic import project
 from ndrank.tensor import outer
@@ -344,49 +344,6 @@ def projection_oracle(y, P, w=None, max_iter=200_000, kkt_tol=1e-13):
     v = (c + B.T @ mu) / s
     obj = float(np.sum(np.asarray(w) * (y - v) ** 2))
     return v, obj
-
-
-def reference_face(P, support):
-    """``(S, K_S)`` with K_S = -(A_S A_S^T)^-1 A_S for the halfspace rows S
-    of P that the bool mask ``support`` names, or None when S is empty or
-    its rows are dependent."""
-    A = isotonic._halfspace_rows(P)
-    S = np.flatnonzero(support)
-    A_S = A[S]
-    if not S.size or np.linalg.matrix_rank(A_S) < S.size:
-        return None
-    return S, -np.linalg.solve(A_S @ A_S.T, A_S)
-
-
-def reference_warm_pass(Y, P, rows, support):
-    """The general projector's warm pass, one face product per row.
-
-    Each of the given rows of Y, all outside C(P), is projected onto the
-    face its row of ``support`` names: mu_S = K_S y per row, clipped at
-    zero, and v = y + A^T mu.  Where the face exists and v meets the KKT
-    conditions at tau' = 1e-12 * s, s = 1 + ||y||_1, row i of Y becomes v
-    and row i of ``support`` becomes mu > 0.  Returns the rows left to the
-    NNLS solver.
-    """
-    _, _, A, E = isotonic._projection_plan(P)
-    faces = [reference_face(P, support[i]) for i in rows]
-    rows = np.asarray(rows)
-    Yr = Y[rows]
-    mu = np.zeros((len(rows), len(A)))
-    for face, y, mu_y in zip(faces, Yr, mu):
-        if face is not None:
-            S, K = face
-            mu_y[S] = K.dot(y)
-    np.maximum(mu, 0.0, out=mu)
-    warm = np.array([face is not None for face in faces])
-    Vr = Yr + mu.dot(A)
-    AV = Vr.dot(E)
-    scale = 1.0 + np.abs(Yr).sum(axis=1)
-    tol = 1e-12 * scale
-    ok = warm & (AV.min(axis=1) >= -tol) & (np.abs((mu * AV).sum(axis=1)) <= tol * scale)
-    Y[rows[ok]] = Vr[ok]
-    support[rows[ok]] = mu[ok] > 0.0
-    return rows[~ok].tolist()
 
 
 def reference_pava(y, w=None):

@@ -47,9 +47,9 @@ def spy_on_projectors(stacks):
     def spying(P):
         proj = real(P)
 
-        def spy(Y, w=None, support=None, counts=None):
+        def spy(Y, w=None, counts=None):
             Y0 = Y.copy()  # the projector works in place
-            stacks.append((P, Y0, proj(Y, w, support, counts).copy()))
+            stacks.append((P, Y0, proj(Y, w, counts).copy()))
             return Y
 
         return spy

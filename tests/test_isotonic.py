@@ -10,8 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 from scipy.optimize import nnls as scipy_nnls
 
@@ -20,8 +18,7 @@ from ndrank.cone import order_cone_vrep
 from ndrank.errors import NDRankError, NonFiniteInput, UncertifiedSolution
 from ndrank.isotonic import pava_chain, project
 
-from helpers import (projection_oracle, random_collider, random_dag, random_poset,
-                     reference_pava, reference_warm_pass)
+from helpers import projection_oracle, random_collider, random_dag, random_poset, reference_pava
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL_PATH = [os.path.join(d, "optimize") for d in scipy.__path__]
@@ -514,210 +511,53 @@ def test_row_projector_on_random_tied_and_nudged_stacks():
         assert_rows_projected(Y, P, isotonic._row_projector(P)(Y.copy()))
 
 
-def test_row_projector_on_cchs_fit_stacks(monkeypatch):
-    # the HALS sweep projects through the row projectors, not through
-    # project, and starts every general-poset row from its support of the
-    # last sweep: check the rows those warm-started calls returned against
-    # the targets they were given (copied before the call, which projects
-    # them in place)
+def _fit_stacks(monkeypatch, T, posets, cfg):
+    """Fit ``hals`` with every row projector spied on; returns the report
+    and each stack the sweep projected, as (targets, poset, projection),
+    the targets copied before the call, which projects them in place."""
     stacks = []
 
     def spying_projector(P):
         proj = isotonic._row_projector(P)
 
-        def spy(Y, w=None, support=None, counts=None):
+        def spy(Y, w=None, counts=None):
             Y0 = Y.copy()
-            V = proj(Y, w, support, counts)
+            V = proj(Y, w, counts)
             stacks.append((Y0, P, V.copy()))
             return V
 
         return spy
 
     monkeypatch.setattr(factor, "_row_projector", spying_projector)
-    T, posets = datasets.fixture("cchs")
-    _, report = factor.hals(T, posets, factor.FitConfig(rank=2, restarts=4, seed=0,
-                                                        max_sweeps=20))
-    assert report.projection_rows["warm"] > 0
+    _, report = factor.hals(T, posets, cfg)
     assert {P.p for _, P, _ in stacks} == {P.p for P in posets}
+    return report, stacks
+
+
+def test_row_projector_on_cchs_fit_stacks(monkeypatch):
+    # the HALS sweep projects through the row projectors, not through
+    # project: check the rows those calls returned against their targets
+    T, posets = datasets.fixture("cchs")
+    report, stacks = _fit_stacks(monkeypatch, T, posets,
+                                 factor.FitConfig(rank=2, restarts=4, seed=0, max_sweeps=20))
+    assert report.projection_rows["solved"] > 0
     for Y, P, V in stacks:
         assert_rows_projected(Y, P, V)
 
 
-DIAMOND = poset.from_relation([0, 1, 2, 3], [(0, 1), (0, 2), (1, 3), (2, 3)])
-
-
-def _one_row(y, P, support):
-    """Project y alone from ``support`` (updated in place); return the point
-    and the path the row took."""
-    counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
-    v = isotonic._row_projector(P)(y[None].copy(), support=support[None], counts=counts)[0]
-    return v, next(path for path, n in counts.items() if n)
-
-
-def test_warm_support_gives_the_certified_projection():
-    # every support the sweep could hold, right, wrong or stale, on posets
-    # whose cover rows may be dependent (the diamond): the answer is the cold
-    # projection, and the support written back is the positive set of the
-    # multiplier that certified it
-    rng = np.random.default_rng(23)
-    posets = [DIAMOND, COLLIDER, poset.collider_to_top(5)]
-    while len(posets) < 12:
-        P = random_dag(int(rng.integers(4, 9)), rng, density=0.45)
-        if isotonic._projection_plan(P)[0] == "general":
-            posets.append(P)
-    paths = []
-    for P in posets:
-        A = isotonic._halfspace_rows(P)
-        m = A.shape[0]
-        gens = order_cone_vrep(P).generators
-        targets = []
-        for _ in range(4):
-            targets.append(rng.standard_normal(P.p) * rng.uniform(0.1, 5))
-            targets.append(rng.integers(-2, 4, size=P.p).astype(float))  # tied
-            # sums of generators, each entry moved by one ulp
-            pick = rng.choice(len(gens), size=int(rng.integers(1, 3)))
-            y = rng.uniform(0.01, 2.0, size=pick.size) @ gens[pick]
-            targets.append(np.nextafter(y, np.where(rng.random(P.p) < 0.5, -np.inf, np.inf)))
-        for y, neighbour in zip(targets, targets[1:] + targets[:1]):
-            scale = 1.0 + np.abs(y).sum()
-            cold = isotonic._row_projector(P)(y[None].copy())[0]
-            v_oracle, _ = projection_oracle(y, P)
-            correct = np.zeros(m, dtype=bool)
-            _one_row(y, P, correct)
-            stale = np.zeros(m, dtype=bool)
-            _one_row(neighbour, P, stale)
-            for support in (np.zeros(m, dtype=bool), np.ones(m, dtype=bool),
-                            rng.random(m) < 0.5, stale, correct):
-                guess = support.copy()
-                v, path = _one_row(y, P, support)
-                paths.append(path)
-                assert np.allclose(v, cold, rtol=0, atol=1e-12 * scale)
-                assert np.allclose(v, v_oracle, rtol=0, atol=1e-9 * scale)
-                assert_kkt(y, v, P)
-                if path == "in_cone":
-                    assert not support.any()
-                    continue
-                if path == "warm":
-                    K = isotonic._face_solver(P, guess.tobytes())
-                    assert not K[~guess].any()  # K is zero off the support
-                    mu = np.maximum(K @ y, 0.0)
-                else:
-                    mu, _ = isotonic._nnls_certified(A.T, -y)
-                assert np.array_equal(support, mu > 0.0)
-                # a certified point is a fixed point of its own support
-                if isotonic._face_solver(P, support.tobytes()) is not None:
-                    again, again_path = _one_row(y, P, support.copy())
-                    assert again_path == "warm"
-                    assert np.allclose(again, v, rtol=0, atol=1e-12 * scale)
-    # all three paths ran, and supports the diamond cannot use were met
-    assert {"in_cone", "warm", "solved"} <= set(paths)
-    assert isotonic._face_solver(DIAMOND, np.array([0, 1, 1, 1, 1], dtype=bool).tobytes()) is None
-
-
-def test_warm_face_check_tolerance_is_pinned(monkeypatch):
-    # on the collider {0 < 2, 1 < 2}, the face v_0 = v_2 of this target
-    # gives v = [1, 1 + 4e-11, 1], which misses v_1 <= v_2 by about
-    # 1e-11 (1 + ||y||_1): between the warm check's 1e-12 and the cold
-    # solver's 1e-9 tolerances, so the row must be solved cold
-    y = np.array([1.5, 1.0 + 4e-11, 0.5])
-    A = isotonic._halfspace_rows(COLLIDER)  # e_0, e_1, e_2 - e_0, e_2 - e_1
-    face = np.array([False, False, True, False])
-    scale = 1.0 + np.abs(y).sum()
-    mu = np.maximum(isotonic._face_solver(COLLIDER, face.tobytes()) @ y, 0.0)
-    miss = -min(A @ (y + mu @ A))
-    assert 1e-12 * scale < miss < 1e-10 * scale
-    solved = []
-    certified = isotonic._nnls_certified
-    monkeypatch.setattr(isotonic, "_nnls_certified",
-                        lambda E, f: solved.append(1) or certified(E, f))
-    support = face.copy()
-    counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
-    v = isotonic._row_projector(COLLIDER)(y[None].copy(), support=support[None],
-                                          counts=counts)[0]
-    assert counts["solved"] == 1 and counts["warm"] == 0 and solved == [1]
-    assert_kkt(y, v, COLLIDER)
-    x, _ = certified(A.T, -y)
-    assert np.array_equal(support, x > 0.0)
-    assert support.tolist() == [False, False, True, True]
-
-
-CCHS_ORDERS = [P for P in datasets.cchs_posets() if isotonic._projection_plan(P)[0] == "general"]
-WARM_POSETS = [COLLIDER, poset.collider_to_top(5), DIAMOND] + CCHS_ORDERS + [
-    poset.product([poset.chain(m), poset.chain(m)]) for m in (3, 4, 5)]
-
-
-def _reference_general(Y, P, support):
-    """The general projection of a stack from ``support`` with the row by
-    row warm pass: returns the projection, the support written back, each
-    row's path and the rows solved cold."""
-    V, support = Y.copy(), support.copy()
-    E = isotonic._projection_plan(P)[3]
-    out = [i for i, row in enumerate(V.dot(E).tolist())  # the projector's in-cone exit
-           if (worst := min(row)) < 0.0
-           and worst < -isotonic._ROUNDING * sum(map(abs, V[i].tolist()))]
-    support[np.setdiff1d(np.arange(len(V)), out)] = False
-    cold = reference_warm_pass(V, P, out, support) if out else []
-    for i in cold:
-        x, V[i] = isotonic._nnls_certified(E, -V[i])
-        support[i] = x > 0.0
-    paths = ["in_cone" if i not in out else "solved" if i in cold else "warm"
-             for i in range(len(V))]
-    return np.maximum(V, 0.0), support, paths, cold
-
-
-@given(st.integers(0, len(WARM_POSETS)), st.integers(0, 2**32 - 1))
-def test_warm_pass_matches_the_row_by_row_reference(which, seed):
-    # the stacked warm pass against the per-row reference on random, tied
-    # and ulp-nudged targets, from no, every, random, stale and correct
-    # supports: every row takes the same path and writes back the same
-    # support, and lands within 1e-14 (1 + ||y||_1) of the reference's
-    # point, bitwise on the survey's orders
-    rng = np.random.default_rng(seed)
-    if which < len(WARM_POSETS):
-        P = WARM_POSETS[which]
-    else:
-        P = random_dag(int(rng.integers(4, 13)), rng, density=0.4)
-        if isotonic._projection_plan(P)[0] != "general":
-            P = poset.collider_to_top(P.p)
-    with pytest.MonkeyPatch.context() as mp:
-        # the 5x5 grid is one element past the generators' guard
-        mp.setattr(poset, "CONNECTED_UPSET_GUARD", 25)
-        gens = order_cone_vrep(P).generators
-        rows = []
-        for _ in range(6):
-            rows.append(rng.standard_normal(P.p) * rng.uniform(0.1, 5))
-            rows.append(rng.integers(-2, 4, size=P.p).astype(float))  # tied
-            pick = rng.choice(len(gens), size=int(rng.integers(1, 4)))
-            y = rng.uniform(0.01, 2.0, size=pick.size) @ gens[pick]
-            # each entry moved by up to 64 ulps, to either side of the
-            # in-cone exit's 16-ulp margin
-            rows.append(y + y * np.finfo(float).eps * rng.integers(-64, 65, size=P.p))
-        Y = np.array(rows)
-        m = len(isotonic._halfspace_rows(P))
-        _, correct, _, _ = _reference_general(Y, P, np.zeros((len(Y), m), dtype=bool))
-        guesses = [np.zeros_like(correct), np.ones_like(correct),
-                   rng.random(correct.shape) < 0.5, np.roll(correct, 1, axis=0), correct]
-        support = np.array([guesses[g][i] for i, g in enumerate(rng.integers(0, 5, len(Y)))])
-        want, want_support, paths, want_cold = _reference_general(Y, P, support)
-        solved = []
-        real = isotonic._nnls_certified
-
-        def spy(E, f):
-            solved.append(f.tobytes())
-            return real(E, f)
-
-        mp.setattr(isotonic, "_nnls_certified", spy)
-        counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
-        V = isotonic._row_projector(P)(Y.copy(), support=support, counts=counts)
-        assert solved == [(-Y[i]).tobytes() for i in want_cold]
-        assert counts == {path: paths.count(path) for path in isotonic._ROW_PATHS}
-        assert np.array_equal(support, want_support)
-        if P in CCHS_ORDERS:
-            assert V.tobytes() == want.tobytes()
-        tol = 1e-14 * (1.0 + np.abs(Y).sum(axis=1))
-        assert (np.abs(V - want) <= tol[:, None]).all()
-        for y, v in zip(Y, V):
-            assert_kkt(y, v, P)
+def test_row_projector_on_grid_fit_stacks(monkeypatch):
+    # a 4x4 grid has dependent halfspace rows (the two paths round each
+    # square) and sends many more rows per sweep to the certified solver
+    # than the survey's orders, whose largest has 7 elements
+    rng = np.random.default_rng(0)
+    grid = poset.product([poset.chain(4), poset.chain(4)])
+    T = np.add.outer(np.arange(16) % 4 + np.arange(16) // 4, np.arange(6)) / 12.0
+    T += 0.3 * rng.uniform(size=T.shape)
+    report, stacks = _fit_stacks(monkeypatch, T, [grid, poset.chain(6)],
+                                 factor.FitConfig(rank=3, restarts=2, seed=0, max_sweeps=30))
+    assert report.projection_rows["solved"] > 0
+    for Y, P, V in stacks:
+        assert_rows_projected(Y, P, V)
 
 
 def test_pava_chain_input_checks():

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -179,13 +180,29 @@ def test_connected_upsets_match_brute_force():
 
 
 def test_connected_upsets_guard():
-    with pytest.raises(TooLarge):
-        poset.connected_upsets(poset.trivial(25))
+    # each walk is guarded by its work alone, so a long poset with few
+    # upsets answers: 25 upsets of a chain, 25 singletons of an antichain
+    for P in (poset.chain(25), poset.trivial(25)):
+        assert len(poset.connected_upsets(P)) == 25
+    assert poset.count_linear_extensions(poset.chain(25)) == 1
+    assert poset.linear_extensions(poset.chain(13)) == [tuple(range(13))]
+
+
+def test_walks_do_not_recurse_per_element():
+    # every walk keeps its own stack: a chain longer than the recursion
+    # limit is walked, and an antichain as long is refused by its count
+    p = sys.getrecursionlimit() + 10
+    assert len(poset.connected_upsets(poset.chain(p))) == p
+    assert poset.count_linear_extensions(poset.chain(p)) == 1
+    assert poset.linear_extensions(poset.chain(p)) == [tuple(range(p))]
+    assert poset.count_antichains(poset.chain(p)) == p
+    with pytest.raises(TooLarge, match="antichains"):
+        poset.count_antichains(poset.trivial(p))
 
 
 def test_upset_walks_are_guarded_by_their_work(monkeypatch):
     # at the real limit, collider_to_top(24) lists 8 388 608 upsets (about
-    # 8 GB) and trivial(24) memoizes 2^24 counts: both pass the p guards
+    # 8 GB) and trivial(24) has 2^24 upsets to count over
     monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", 100)
     with pytest.raises(TooLarge, match="upsets"):
         poset.connected_upsets(poset.collider_to_top(9))  # 256 upsets and the empty one
@@ -412,6 +429,12 @@ def test_text_format_round_trips_random_labels(tmp_path):
         assert Q.labels == P.labels and Q.covers == P.covers
 
 
+def _walk_under_limit(limit, walk, P):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poset, "ANTICHAIN_COUNT_LIMIT", limit)
+        return walk(P)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: poset.from_relation(["a", "a"], []), ValueError, "distinct"),
     (lambda: poset.chain(0), ValueError, "positive"),
@@ -419,7 +442,9 @@ def test_text_format_round_trips_random_labels(tmp_path):
     (lambda: poset.collider_to_top(0), ValueError, "positive"),
     (lambda: poset.product([]), ValueError, "at least one factor"),
     (lambda: poset.chain(3).index(4), UnknownLabel, "unknown element 4"),
-    (lambda: poset.count_linear_extensions(poset.chain(25)), TooLarge, "p <= 24"),
+    # the count is refused by its work: trivial(8) has 256 upsets, past a limit of 100
+    (lambda: _walk_under_limit(100, poset.count_linear_extensions, poset.trivial(8)),
+     TooLarge, "more than 100 upsets"),
     # 10! extensions, counted over 2^10 downsets before any is listed
     (lambda: poset.linear_extensions(poset.trivial(10)), TooLarge, "1e6"),
     (lambda: poset.parse_poset_text("elements: ,\n"), ParseError, "empty element list"),
