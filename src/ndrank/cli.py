@@ -14,7 +14,9 @@ import json
 import platform
 import sys
 import time
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from math import prod
 
 import numpy as np
 import scipy
@@ -29,8 +31,8 @@ from .cone import (
     sample_finite_rank_probability,
 )
 from .errors import NDRankError, UnsupportedLossRank
-from .factor import FitConfig, hals
-from .poset import product, chain, collider_to_top, read_poset, trivial
+from .factor import INITS, FitConfig, hals
+from .poset import chain, collider_to_top, connected_upsets, product, read_poset, trivial
 from .rank import rank1_exponential, rank1_multinomial, rank1_poisson, rank_bounds
 from .tensor import check_tensor, read_tensor
 
@@ -74,10 +76,13 @@ def cmd_check(args) -> int:
 
 def cmd_rays(args) -> int:
     posets = [_load_poset(tok) for tok in args.posets]
+    if args.finite_rank and args.count_only:
+        # one generator per tuple of per-mode rays: counted, not built
+        print(prod(len(connected_upsets(P)) for P in posets))
+        return 0
     if args.finite_rank:
-        gens = finite_rank_vrep(posets)
-        arrays = gens
-        header = f"{len(gens)} finite-rank generators"
+        arrays = finite_rank_vrep(posets)
+        header = f"{len(arrays)} finite-rank generators"
     elif args.product or len(posets) == 1:
         P = product(posets) if len(posets) > 1 else posets[0]
         vrep = order_cone_vrep(P)
@@ -137,18 +142,16 @@ def _write_factor_tables(prefix: str, fact, posets):
 
 def cmd_factorize(args) -> int:
     t0 = time.time()
-    # every loss, the marginal ones too, writes one factor table per poset
+    # every loss checks its settings, and writes one factor table per poset
+    cfg = FitConfig(**{f.name: getattr(args, f.name) for f in fields(FitConfig)})
     T, posets = check_tensor(*_load_problem(args.tensor, args.posets))
-    if args.loss != "gaussian" and args.rank != 1:
-        raise UnsupportedLossRank(f"loss {args.loss!r} supports only rank 1 (got rank {args.rank})")
-    trace, report = [], None
+    if args.loss != "gaussian" and cfg.rank != 1:
+        raise UnsupportedLossRank(f"loss {args.loss!r} supports only rank 1 (got rank {cfg.rank})")
+    trace, fit = [], {}
     if args.loss == "gaussian":
-        cfg = FitConfig(rank=args.rank, max_sweeps=args.max_sweeps, rel_tol=args.rel_tol,
-                        restarts=args.restarts, seed=args.seed, init=args.init)
         fact, report = hals(T, posets, cfg)
-        trace = report.objective_trace
-        fact.diagnostics["objective_trace"] = trace
-        fact.diagnostics["best_restart"] = report.best_restart
+        fit = asdict(report)
+        trace = fit.pop("objective_trace")  # the _trace.csv, not the manifest
     elif args.loss == "multinomial":
         fact = rank1_multinomial(T)
     elif args.loss == "poisson":
@@ -180,25 +183,16 @@ def cmd_factorize(args) -> int:
             "command": "factorize",
             "tensor": args.tensor,
             "posets": list(args.posets),
-            "config": {"rank": args.rank, "loss": args.loss, "restarts": args.restarts,
-                       "max_sweeps": args.max_sweeps, "rel_tol": args.rel_tol, "init": args.init},
-            "seed": args.seed,
+            "config": {**asdict(cfg), "loss": args.loss},
             "version": __version__,
             "versions": {"python": platform.python_version(), "numpy": np.__version__,
                          "scipy": scipy.__version__},
             "wall_time_s": round(time.time() - t0, 6),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "outputs": [f"{args.out}.json", *table_paths, trace_path],
+            # a Gaussian fit's FitReport, every field under its own name
+            **fit,
         }
-        if report is not None:
-            # sweep projection rows by path: clamp, chain, and for a general
-            # poset in_cone (the in-cone exit) or solved (certified NNLS)
-            manifest["projections"] = report.projection_rows
-            manifest["stopped"] = report.stop_reason
-            manifest["extrapolation"] = report.extrapolation
-            manifest["timings"] = report.timings
-            manifest["first_rise"] = report.first_rise
-            manifest["stopping_tests"] = report.stopping_tests
         with open(f"{args.out}_manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
@@ -232,11 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tensor")
     p.add_argument("posets", nargs="*")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-sweeps", type=int, default=500)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--init", choices=["als-project", "random-cone"], default="als-project")
+    for f in fields(FitConfig):  # every other setting defaults as FitConfig does
+        if f.name != "rank":
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+                           choices=INITS if f.name == "init" else None)
     p.add_argument("--loss", choices=["gaussian", "multinomial", "poisson", "exponential"],
                    default="gaussian")
     p.add_argument("--out", help="output prefix for factorization JSON, factor CSVs, trace")

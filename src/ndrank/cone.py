@@ -41,13 +41,11 @@ VREP_GUARD = 1_000_000
 
 
 def default_tol(T) -> float:
-    """Slack for float noise: 1e-9 * (1 + max |entry|).  It is relative only
-    above max |entry| = 1 and absolute below, so not scale-invariant:
-    ``membership_finite_rank(c * [[0, 1], [1, 1]])`` over two 2-chains says
-    non-member at c = 1e-6 and member at c = 1e-9."""
+    """Slack for float noise: 1e-9 * max |entry|, relative to T's scale, so
+    c * T gets T's verdicts for every c > 0, up to the rounding of its
+    entries (and the zero tensor gets 0)."""
     T = np.asarray(T, dtype=float)
-    peak = float(np.abs(T).max()) if T.size else 0.0
-    return 1e-9 * (1.0 + peak)
+    return 1e-9 * float(np.abs(T).max()) if T.size else 0.0
 
 
 def _resolve_tol(T, tol) -> float:
@@ -254,15 +252,16 @@ def finite_rank_vrep(posets) -> list:
     One generator per tuple of per-mode connected upsets, the outer product
     of the upset indicators, the first mode's varying slowest: a row of the
     Kronecker product of the per-mode generator matrices.  Order 0 has the
-    one generator 1.0.
+    one generator 1.0.  Raises ``TooLarge`` before the product is formed
+    when its generators times their entries exceed ``VREP_GUARD``.
     """
     posets = poset_list(posets)
     mats = [order_cone_vrep(P).generators for P in posets]
-    total = prod(len(G) for G in mats)
-    if total > VREP_GUARD:
-        raise TooLarge(f"{total} generators exceeds the {VREP_GUARD} guard")
+    total, shape = prod(len(G) for G in mats), tuple(P.p for P in posets)
+    if total * prod(shape) > VREP_GUARD:
+        raise TooLarge(f"{total} generators x {prod(shape)} entries exceeds the {VREP_GUARD} guard")
     gens = functools.reduce(np.kron, mats, np.ones((1, 1)))
-    return list(gens.reshape((total,) + tuple(P.p for P in posets)))
+    return list(gens.reshape((total,) + shape))
 
 
 def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
@@ -303,8 +302,10 @@ def _finite_rank_facets(posets: tuple) -> ConeHRep:
 
     Computed once per poset tuple (equal posets built afresh hit the same
     entry); the normals are read-only because every caller shares them.
-    ``TooLarge`` and ``DegenerateCone`` are raised again on every call.
+    ``TooLarge`` and ``DegenerateCone`` are raised again on every call;
+    a tuple past the dimension guard is refused before its generators exist.
     """
+    _check_dd_dim(prod(P.p for P in posets))
     hrep = double_description(finite_rank_vrep(posets))
     hrep.normals.flags.writeable = False
     return hrep
@@ -387,6 +388,11 @@ def _nullspace_int(rows, width):
     return basis
 
 
+def _check_dd_dim(d: int) -> None:
+    if d > DD_MAX_DIM:
+        raise TooLarge(f"ambient dimension {d} exceeds the {DD_MAX_DIM} guard")
+
+
 def double_description(generators) -> ConeHRep:
     """Irredundant facet normals of the cone generated by integer vectors.
 
@@ -404,8 +410,7 @@ def double_description(generators) -> ConeHRep:
     d = flat[0].size
     if any(g.size != d for g in flat):
         raise ShapeMismatch("generators must share one shape")
-    if d > DD_MAX_DIM:
-        raise TooLarge(f"ambient dimension {d} exceeds the {DD_MAX_DIM} guard")
+    _check_dd_dim(d)
     G = []
     seen = set()
     for g in flat:
@@ -536,8 +541,8 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
     m <= 4 (the 4-by-4 grid has 24 024 extensions, the 5-by-5 grid
     701 149 020, so m = 5 raises ``TooLarge``).  At m = 4 the target
     probability is small, so a sharp estimate needs millions of samples.  ``m`` and ``n_samples`` are positive integers, not bools.
-    A point's entries lie in [0, 1], so it is tested with the slack
-    ``default_tol(1.0)``, which a rule change in :func:`default_tol` reaches.
+    A point's entries lie in [0, 1], so each point is tested with the slack
+    ``default_tol(1.0)``, the default of a point whose largest entry is 1.
     """
     if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1
            for n in (m, n_samples)):

@@ -150,14 +150,21 @@ class NDFactorization:
                    diagnostics=obj.get("diagnostics") or {})
 
 
+# the names of FitConfig.init, its default first
+INITS = ("als-project", "random-cone")
+
+
 @dataclass
 class FitConfig:
+    """Settings of a :func:`hals` fit; ``ndrank factorize`` takes each
+    field's default and writes the config it used to the manifest."""
+
     rank: int
     max_sweeps: int = 500
     rel_tol: float = 1e-9
     restarts: int = 5
     seed: int = 0
-    init: str = "als-project"  # or "random-cone"
+    init: str = INITS[0]
 
     def __post_init__(self):
         for name in ("rank", "max_sweeps", "restarts", "seed"):
@@ -169,7 +176,7 @@ class FitConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be positive and finite (got {self.rel_tol!r})")
-        if self.init not in ("als-project", "random-cone"):
+        if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
 
 
@@ -198,7 +205,10 @@ class FitReport:
     stopping test the objectives alone decided (``certified``) and those
     that ran its two full-length passes (``exact``); with the rejected
     trials, which skip the test, they add up to every restart's sweeps.
-    :func:`hals`, its one constructor, sets every field.
+    :func:`hals`, its one constructor, sets every field, and
+    ``ndrank factorize --out`` writes each one to its manifest under the
+    field's own name, all but ``objective_trace``, which is the
+    ``_trace.csv``.
     """
 
     objective_trace: list
@@ -552,7 +562,7 @@ def _hals_restarts(T, posets, cfg: FitConfig, extrapolate: bool = True) -> tuple
     trials = {"accepted": 0, "rejected": 0}
     stopping = {"certified": 0, "exact": 0}
     seeds = [cfg.seed + i for i in range(cfg.restarts)]
-    init = init_als_project if cfg.init == "als-project" else _init_random_cone
+    init = init_als_project if cfg.init == INITS[0] else _init_random_cone
     t0 = time.perf_counter()
     starts = init(T, r, posets, seeds)
     t1 = time.perf_counter()

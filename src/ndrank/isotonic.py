@@ -292,8 +292,9 @@ def _nnls_certified(E, f) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(x, r)`` with ``r = E x - f``.  The answer of
     ``scipy.optimize.nnls`` is kept only if it meets the KKT conditions of
-    the problem, with the gradient g = E^T r and one tolerance scaled to f,
-    tau = 1e-9 * s where s = 1 + ||f||_1:
+    the problem, with the gradient g = E^T r and one tolerance relative to
+    f, tau = 1e-9 * s where s = ||f||_1 (so c * f is certified as f is, and
+    a zero target only by the exact answer):
 
     - dual sign: x >= 0;
     - feasibility of the gradient: g >= -tau * max(1, max |E|);
@@ -308,7 +309,7 @@ def _nnls_certified(E, f) -> tuple[np.ndarray, np.ndarray]:
     columns, and certified the same way.  Raises
     :class:`UncertifiedSolution` if that fails too.
     """
-    scale = 1.0 + sum(map(abs, f.tolist()))
+    scale = sum(map(abs, f.tolist()))
     tol = 1e-9 * scale
     try:
         x = nnls(E, f)[0]

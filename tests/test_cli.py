@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import platform
 
@@ -141,12 +142,13 @@ def test_check_collider_fixture_member(capsys):
 def test_check_order_0_tensor(tmp_path, capsys):
     # an order-0 tensor has no modes, so it needs no posets
     t = tmp_path / "t.json"
-    for x, code_want in ((2.0, 0), (0.0, 0), (-1e-9, 0), (-1.0, 1)):
+    # the default slack is relative, so -1e-9 fails as -1 does
+    for x, code_want in ((2.0, 0), (0.0, 0), (-1e-9, 1), (-1.0, 1)):
         t.write_text(json.dumps({"shape": [], "data": [x]}))
         code, out, _ = run(capsys, "check", str(t))
         assert code == code_want
         verdict, violated = (("member", "") if code_want == 0 else
-                             ("NON-MEMBER", "  violated: t[] >= 0   (value -1)\n"))
+                             ("NON-MEMBER", f"  violated: t[] >= 0   (value {x:.6g})\n"))
         assert out == (f"monotonicity [monotonicity]: {verdict}\n{violated}"
                        f"finite ND rank [tree-differencing]: {verdict}\n{violated}")
 
@@ -189,6 +191,29 @@ def test_rays_counts(capsys):
     assert code == 0 and out.strip() == "6"
     code, out, _ = run(capsys, "rays", "chain:2", "chain:3", "--product", "--count-only")
     assert code == 0 and out.strip() == "9"
+
+
+def test_rays_counts_finite_rank_generators_without_building_them(capsys, monkeypatch):
+    # 10 000 generators of 10 000 entries: 800 MB to print their count
+    def refuse(posets):
+        raise AssertionError("finite_rank_vrep was called")
+
+    monkeypatch.setattr(cli, "finite_rank_vrep", refuse)
+    code, out, _ = run(capsys, "rays", "chain:100", "chain:100", "--finite-rank", "--count-only")
+    assert code == 0 and out == "10000\n"
+    code, out, _ = run(capsys, "rays", "collider:3", "collider:3", "chain:2", "--finite-rank",
+                       "--count-only")
+    assert code == 0 and out == "32\n"
+
+
+def test_rays_lists_finite_rank_generators(capsys):
+    code, out, _ = run(capsys, "rays", "chain:2", "chain:2", "--finite-rank")
+    assert code == 0
+    assert out == ("4 finite-rank generators\n"
+                   "generator 1:\n  [[0 0]\n   [0 1]]\n"
+                   "generator 2:\n  [[0 0]\n   [1 1]]\n"
+                   "generator 3:\n  [[0 1]\n   [0 1]]\n"
+                   "generator 4:\n  [[1 1]\n   [1 1]]\n")
 
 
 def test_rays_trivial_basis(capsys):
@@ -312,12 +337,66 @@ def test_factorize_checks_the_posets_for_every_loss(tmp_path, capsys, loss, pose
 
 
 def test_factorize_rejects_bad_fit_settings(tmp_path, capsys):
-    for flag in ("--restarts", "--max-sweeps"):
-        out = tmp_path / flag.strip("-")
-        code, _, err = run(capsys, "factorize", "fixture:cchs", "--rank", "2", flag, "0",
-                           "--out", str(out))
-        assert code == 2 and "at least 1" in err
-        assert not list(tmp_path.iterdir())
+    # every loss builds its FitConfig: a marginal fit ran on bad settings
+    for loss, rank in (("gaussian", "2"), ("poisson", "1"), ("multinomial", "1"),
+                       ("exponential", "1")):
+        for flags, message in ((["--restarts", "0"], "at least 1"),
+                               (["--max-sweeps", "0"], "at least 1"),
+                               (["--restarts", "0", "--rel-tol", "-5"], "at least 1"),
+                               (["--rel-tol", "-5"], "rel_tol")):
+            code, _, err = run(capsys, "factorize", "fixture:cchs", "--rank", rank,
+                               "--loss", loss, *flags, "--out", str(tmp_path / "fit"))
+            assert code == 2 and message in err
+            assert not list(tmp_path.iterdir())
+
+
+def test_factorize_parser_defaults_are_fit_config_defaults():
+    p = cli.build_parser()
+    args = p.parse_args(["factorize", "fixture:cchs", "--rank", "3"])
+    assert dataclasses.asdict(factor.FitConfig(rank=3)) == {
+        f.name: getattr(args, f.name) for f in dataclasses.fields(factor.FitConfig)}
+    for init in factor.INITS:
+        assert p.parse_args(["factorize", "x", "--rank", "1", "--init", init]).init == init
+    with pytest.raises(SystemExit):
+        p.parse_args(["factorize", "fixture:cchs", "--rank", "1", "--init", "svd"])
+
+
+def test_factorize_manifest_holds_the_fit_report(tmp_path, capsys, monkeypatch):
+    reports = []
+
+    def recording_hals(*a):
+        fact, report = factor.hals(*a)
+        reports.append(report)
+        return fact, report
+
+    monkeypatch.setattr(cli, "hals", recording_hals)
+    argv = ["factorize", "fixture:cchs", "--rank", "2", "--restarts", "3", "--seed", "4",
+            "--init", "random-cone", "--out", str(tmp_path / "fit")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "fit_manifest.json").read_text())
+    base = {"command", "tensor", "posets", "config", "version", "versions", "wall_time_s",
+            "timestamp", "outputs"}
+    fit = {k: v for k, v in manifest.items() if k not in base}
+    [report] = reports
+    assert fit == {k: v for k, v in dataclasses.asdict(report).items() if k != "objective_trace"}
+    assert manifest["config"] == {**dataclasses.asdict(factor.FitConfig(
+        rank=2, restarts=3, seed=4, init="random-cone")), "loss": "gaussian"}
+    # the trace lives in its own table, one row a sweep, and nowhere else
+    rows = (tmp_path / "fit_trace.csv").read_text().splitlines()
+    assert rows[0] == "sweep,rss" and len(rows) - 1 == report.sweeps
+    assert [float(row.split(",")[1]) for row in rows[1:]] == pytest.approx(
+        report.objective_trace, rel=1e-11, abs=0)
+    assert set(json.loads((tmp_path / "fit.json").read_text())["diagnostics"]) == {"seed"}
+
+    argv = ["factorize", "fixture:cchs", "--rank", "1", "--loss", "poisson",
+            "--out", str(tmp_path / "counts")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "counts_manifest.json").read_text())
+    assert set(manifest) == base
+    assert manifest["config"]["loss"] == "poisson"
+    assert (tmp_path / "counts_trace.csv").read_text() == "sweep,rss\n"
 
 
 @pytest.mark.parametrize("rel_tol", ["nan", "inf"])
@@ -346,7 +425,7 @@ def test_factorize_outputs_and_determinism(tmp_path, capsys):
 
     manifest = json.loads((tmp_path / "runA_manifest.json").read_text())
     assert manifest["command"] == "factorize"
-    assert manifest["seed"] == 7
+    assert manifest["config"]["seed"] == 7
     assert manifest["version"]
     assert (tmp_path / "runA_mode1.csv").read_text().startswith("element,term1")
 
@@ -358,18 +437,12 @@ def test_factorize_manifest_counts_projection_rows(tmp_path, capsys):
             "--max-sweeps", "5", "--out", str(tmp_path / "fit")]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    rows = json.loads((tmp_path / "fit_manifest.json").read_text())["projections"]
+    rows = json.loads((tmp_path / "fit_manifest.json").read_text())["projection_rows"]
     assert set(rows) == {"clamp", "chain", "in_cone", "solved"}
     assert rows["clamp"] == 3 * 5 * 2
     assert rows["chain"] == 0
     assert rows["in_cone"] + rows["solved"] == 3 * 5 * 2 * 2
     assert rows["in_cone"] > 0 and rows["solved"] > 0
-
-    argv = ["factorize", "fixture:cchs", "--rank", "1", "--loss", "poisson",
-            "--out", str(tmp_path / "counts")]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    assert "projections" not in json.loads((tmp_path / "counts_manifest.json").read_text())
 
 
 def test_factorize_manifest_says_why_the_fit_stopped(tmp_path, capsys):
@@ -379,7 +452,7 @@ def test_factorize_manifest_says_why_the_fit_stopped(tmp_path, capsys):
         assert cli.main(argv) == 0
         capsys.readouterr()
         manifest = json.loads((tmp_path / f"{sweeps}_manifest.json").read_text())
-        assert manifest["stopped"] == stopped
+        assert manifest["stop_reason"] == stopped
         assert manifest["first_rise"] is None
         trials = manifest["extrapolation"]
         assert set(trials) == {"accepted", "rejected"}
@@ -399,7 +472,7 @@ def test_factorize_manifest_says_why_the_fit_stopped(tmp_path, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     manifest = json.loads((tmp_path / "counts_manifest.json").read_text())
-    assert "stopped" not in manifest and "extrapolation" not in manifest
+    assert "stop_reason" not in manifest and "extrapolation" not in manifest
     assert "first_rise" not in manifest and "stopping_tests" not in manifest
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
 
@@ -421,7 +494,7 @@ def test_factorize_manifest_says_every_term_died(tmp_path, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     manifest = json.loads((tmp_path / "fit_manifest.json").read_text())
-    assert manifest["stopped"] == "dead"
+    assert manifest["stop_reason"] == "dead"
 
 
 def test_factorize_manifest_says_where_the_time_went(tmp_path, capsys):
@@ -434,11 +507,6 @@ def test_factorize_manifest_says_where_the_time_went(tmp_path, capsys):
     assert set(timings) == {"init_s", "sweeps_s"}
     assert min(timings.values()) >= 0.0
     assert sum(timings.values()) <= manifest["wall_time_s"]
-    argv = ["factorize", "fixture:cchs", "--rank", "1", "--loss", "poisson",
-            "--out", str(tmp_path / "counts")]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    assert "timings" not in json.loads((tmp_path / "counts_manifest.json").read_text())
 
 
 def test_factorize_poisson_rank1(tmp_path, capsys):

@@ -20,6 +20,7 @@ from helpers import (random_forest, reference_double_description, reference_fini
                      reference_sample_members)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
+COLLIDER_4 = poset.collider_to_top(4)
 SELENIUM = np.array([
     [2.0, 27.4, 26.7, 68.0],
     [1.4, 19.6, 41.5, 40.3],
@@ -281,10 +282,11 @@ def test_checks_reject_a_bad_tol(tol):
                                                  "t[1,1] <= t[2,1]"]
 
 
-# an order-0 tensor (no posets) is a member iff t >= -tol; -1e-9 lies just
-# inside the default slack 1e-9 * (1 + 1e-9), and the bounds of tol=0.5
+# an order-0 tensor (no posets) is a member iff t >= -tol; -1e-9 lies far
+# outside the default slack 1e-9 * 1e-9, relative to |t| as it is at t = -1,
+# and the bounds of tol=0.5
 @pytest.mark.parametrize("x, tol, member", [
-    (2.0, None, True), (0.0, None, True), (-1e-9, None, True), (-1.0, None, False),
+    (2.0, None, True), (0.0, None, True), (-1e-9, None, False), (-1.0, None, False),
     (-0.5, 0.5, True), (np.nextafter(-0.5, -1.0), 0.5, False)])
 def test_order_0_tensor_checks(x, tol, member):
     # is_monotone raised numpy's ValueError on every order-0 tensor, and
@@ -294,6 +296,37 @@ def test_order_0_tensor_checks(x, tol, member):
         assert cert.member == member and cert.min_value == x
         assert [(v.label, v.value, v.normal.tolist()) for v in cert.violated] == (
             [] if member else [("t[] >= 0", x, [1.0])])
+
+
+@pytest.mark.parametrize("c", [2.0 ** 40, 2.0 ** -40, 1e-12], ids=["2^40", "2^-40", "1e-12"])
+def test_verdicts_do_not_move_with_scale(c):
+    # the default slack is relative to max |T|: below |T| = 1 it was
+    # absolute, and c * [[0, 1], [1, 1]] passed as a member at c = 1e-9
+    X = np.array([[0.0, 1.0], [1.0, 1.0]])
+    for scale in (1.0, 1e-9, c):
+        assert not cone.membership_finite_rank(scale * X, [poset.chain(2)] * 2).member
+    assert not cone.is_monotone(c * np.array([-1.0, 0.0]), poset.chain(2)).member
+    rng = np.random.default_rng(50)
+    forest = random_forest(4, rng)
+    tuples = ([poset.chain(3), poset.chain(3)], [COLLIDER, poset.chain(2)],
+              [COLLIDER, COLLIDER], [forest, poset.chain(3)])
+    verdicts = set()
+    for posets in tuples:
+        gens = cone.finite_rank_vrep(posets)
+        for _ in range(20):
+            # integer entries, so ties, and facet values at 0 or at least 1
+            # from it: a sum of generators, the same with one entry moved
+            # by one, and a draw
+            member = sum(k * g for k, g in zip(rng.integers(0, 3, size=len(gens)), gens))
+            moved = member.copy()
+            moved.flat[rng.integers(moved.size)] += rng.choice([-1.0, 1.0])
+            for T in (member, moved, rng.integers(-1, 3, size=member.shape) * 1.0):
+                for check in (cone.is_monotone, cone.membership_finite_rank):
+                    want, got = check(T, posets), check(c * T, posets)
+                    assert got.member == want.member
+                    assert [v.label for v in got.violated] == [v.label for v in want.violated]
+                    verdicts.add(want.member)
+    assert verdicts == {True, False}
 
 
 def test_membership_differencing_vs_double_description():
@@ -360,6 +393,28 @@ def test_double_description_degenerate():
 def test_double_description_guards():
     with pytest.raises(TooLarge):
         cone.double_description([np.ones(13)])
+
+
+def test_a_tuple_past_the_dimension_guard_builds_no_generators(monkeypatch):
+    # collider:8 x collider:8 x chain(40) has 655 360 generators of 2 560
+    # entries, 13.4 GB: double description refuses its dimension first
+    def refuse(posets):
+        raise AssertionError("finite_rank_vrep was called")
+
+    monkeypatch.setattr(cone, "finite_rank_vrep", refuse)
+    posets = [poset.collider_to_top(8), poset.collider_to_top(8), poset.chain(40)]
+    with pytest.raises(TooLarge, match="ambient dimension 2560 exceeds the 12 guard"):
+        cone.membership_finite_rank(np.zeros((8, 8, 40)), posets)
+    with pytest.raises(TooLarge, match="ambient dimension 16 exceeds the 12 guard"):
+        cone.finite_rank_hrep([COLLIDER_4, COLLIDER_4])
+
+
+def test_vrep_guard_bounds_generators_times_entries(monkeypatch):
+    monkeypatch.setattr(cone, "VREP_GUARD", 100)
+    assert len(cone.finite_rank_vrep([poset.chain(3), poset.chain(3)])) == 9  # 81 values
+    # 12 generators pass a bound on generators alone; their 144 values do not
+    with pytest.raises(TooLarge, match="12 generators x 12 entries exceeds the 100 guard"):
+        cone.finite_rank_vrep([poset.chain(4), poset.chain(3)])
 
 
 def test_duality_generators_vs_facets():

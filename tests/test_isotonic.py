@@ -18,7 +18,8 @@ from ndrank.cone import order_cone_vrep
 from ndrank.errors import NDRankError, NonFiniteInput, UncertifiedSolution
 from ndrank.isotonic import pava_chain, project
 
-from helpers import projection_oracle, random_collider, random_dag, random_poset, reference_pava
+from helpers import (cone_halfspaces, projection_oracle, random_collider, random_dag, random_forest,
+                     random_poset, reference_pava)
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL_PATH = [os.path.join(d, "optimize") for d in scipy.__path__]
@@ -387,6 +388,44 @@ def test_tied_near_feasible_targets_match_oracle():
                                atol=1e-9 * (1 + np.abs(y).sum()))
             n += 1
     assert n > 400
+
+
+GRID = poset.product([poset.chain(3), poset.chain(3)])
+# scipy's nnls answers 1e-12 times this target with a point whose facet
+# values dip to -0.049 ||f||_1, under an absolute slack of 1e-9
+GRID_Y = np.array([-1.7, 0.9, -0.3, -1.1, 0.2, -0.5, -0.3, 0.8, -0.9])
+
+
+def assert_moreau(y, v, P, slack=1e-9):
+    """v is the projection of y onto C(P) (Moreau: v in C(P), y - v in its
+    polar cone, the two orthogonal), each test at ``slack`` relative to y."""
+    ny = np.linalg.norm(y)
+    assert (cone_halfspaces(P) @ v >= -slack * ny).all()
+    assert (order_cone_vrep(P).generators @ (y - v) <= slack * ny).all()
+    assert abs((y - v) @ v) <= slack * ny ** 2
+
+
+@pytest.mark.parametrize("c", [2.0 ** 40, 2.0 ** -40, 1e-12], ids=["2^40", "2^-40", "1e-12"])
+def test_projection_commutes_with_scaling(c):
+    # every tolerance of the general path is relative to the target, so
+    # project(c y) = c project(y) up to rounding, and passes the same checks
+    assert np.allclose(project(GRID_Y, GRID), [0, 1 / 30, 1 / 30, 0, 1 / 30, 1 / 30, 0, 1 / 30,
+                                               1 / 30], rtol=0, atol=1e-12)
+    rng = np.random.default_rng(31)
+    kinds = [lambda p: GRID, lambda p: random_collider(p, rng), lambda p: random_forest(p, rng)]
+    cases = [(GRID, GRID_Y)]
+    for i in range(45):
+        P = kinds[i % 3](int(rng.integers(3, 8)))
+        gens = order_cone_vrep(P).generators
+        pick = rng.choice(len(gens), size=2)
+        # a draw, a tied draw, and a near-cone sum of two generators
+        cases += [(P, rng.standard_normal(P.p)), (P, rng.integers(-2, 3, size=P.p) * 1.0),
+                  (P, rng.uniform(0.01, 2.0, size=2) @ gens[pick] - 0.5 * rng.random(P.p))]
+    for P, y in cases:
+        v = project(y, P)
+        got = project(c * y, P)
+        assert np.abs(got / c - v).max() <= 1e-12 * max(np.abs(v).max(), np.abs(y).max())
+        assert_moreau(c * y, got, P)
 
 
 def test_fallback_when_scipy_hits_its_iteration_cap(monkeypatch):
