@@ -32,7 +32,7 @@ from .cone import (
 )
 from .errors import NDRankError, UnsupportedLossRank
 from .factor import INITS, FitConfig, hals
-from .poset import chain, collider_to_top, connected_upsets, product, read_poset, trivial
+from .poset import chain, collider_to_top, count_connected_upsets, product, read_poset, trivial
 from .rank import rank1_exponential, rank1_multinomial, rank1_poisson, rank_bounds
 from .tensor import check_tensor, read_tensor
 
@@ -76,24 +76,23 @@ def cmd_check(args) -> int:
 
 def cmd_rays(args) -> int:
     posets = [_load_poset(tok) for tok in args.posets]
-    if args.finite_rank and args.count_only:
-        # one generator per tuple of per-mode rays: counted, not built
-        print(prod(len(connected_upsets(P)) for P in posets))
-        return 0
+    if not (args.finite_rank or args.product or len(posets) == 1):
+        raise NDRankError("several posets: pass --product or --finite-rank")
     if args.finite_rank:
+        if args.count_only:  # one generator per tuple of per-mode rays
+            print(prod(count_connected_upsets(P) for P in posets))
+            return 0
         arrays = finite_rank_vrep(posets)
         header = f"{len(arrays)} finite-rank generators"
-    elif args.product or len(posets) == 1:
+    else:
         P = product(posets) if len(posets) > 1 else posets[0]
+        if args.count_only:  # one generator per connected upset
+            print(count_connected_upsets(P))
+            return 0
         vrep = order_cone_vrep(P)
         shape = tuple(Q.p for Q in posets)
         arrays = [g.reshape(shape) for g in vrep.generators]
         header = f"{vrep.count} order-cone generators"
-    else:
-        raise NDRankError("several posets: pass --product or --finite-rank")
-    if args.count_only:
-        print(len(arrays))
-        return 0
     print(header)
     for i, g in enumerate(arrays):
         print(f"generator {i + 1}:")

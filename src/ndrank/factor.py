@@ -80,7 +80,7 @@ import numpy as np
 
 from .errors import NonFiniteInput
 from .isotonic import _ROW_PATHS, _row_projector
-from .tensor import check_fit_input, outer
+from .tensor import _rowdot, check_fit_input, outer
 
 @dataclass
 class NDFactorization:
@@ -189,9 +189,10 @@ class FitReport:
     ``projection_rows`` counts the sweep's factor-vector projections, summed
     over every restart, by the path each took: ``clamp`` (no order),
     ``chain`` (PAVA), and for general posets ``in_cone`` (in the cone, or
-    within rounding of it) and ``solved`` (certified nonnegative least
-    squares).  ``stop_reason`` is ``"dead"`` when every term of the best
-    restart has scale 0 (the fit of the zero tensor, say), and otherwise
+    within rounding of it) and ``solved`` (certified by the KKT test, from
+    the poset's face table or by nonnegative least squares).
+    ``stop_reason`` is ``"dead"`` when every term of the best restart has
+    scale 0 (the fit of the zero tensor, say), and otherwise
     ``"tolerance"`` when the best restart met ``rel_tol`` and
     ``"max_sweeps"`` when it reached the cap; ``extrapolation`` counts the
     extrapolated sweeps kept (``accepted``) and undone (``rejected``),
@@ -273,7 +274,8 @@ def _rank1_nd_fit(E: np.ndarray, posets, sweeps: int = 30, tol: float = 1e-12):
     no unit vector moves by ``tol`` in a sweep, or after ``sweeps`` sweeps.
     """
     unfold = _unfoldings(E)
-    projectors = [_row_projector(P) for P in posets]
+    # each projection is of one row, where a face table costs more than NNLS
+    projectors = [_row_projector(P, table=False) for P in posets]
     vecs = [_uniform_unit(P.p) for P in posets]
     lam = 0.0
     for _ in range(sweeps):
@@ -419,16 +421,6 @@ def _reconstruct_rows(lambdas: np.ndarray, factors: list) -> np.ndarray:
     R = lambdas.shape[0]
     kr = _khatri_rao_rows(factors[1:], lambdas.shape)
     return ((factors[0].transpose(0, 2, 1) * lambdas[:, None, :]) @ kr).reshape(R, -1)
-
-
-def _rowdot_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a with the same row of b, over any
-    leading axes."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-# numpy >= 2.0 has the same dot as one call, bitwise equal and twice as fast
-_rowdot = getattr(np, "vecdot", _rowdot_matmul)
 
 
 def _mode_target(Q: np.ndarray, vec: list, t: int, coef: np.ndarray, F: np.ndarray) -> np.ndarray:

@@ -27,8 +27,18 @@ projection followed by an elementwise max with zero.
 :func:`project` is the one public, validated entry point.  Every
 projection runs through :func:`_row_projector`, which resolves a poset's
 kind once and returns a function that projects a stack of rows in place;
-the HALS sweep builds one per mode and fit.  A general poset's projector
-has one path per row: the in-cone exit above, or the certified NNLS.
+the HALS sweep builds one per mode and fit.  On a general poset,
+:func:`project` takes the in-cone exit above or the certified NNLS.  The
+fits' projector reads the rows outside the cone off a face table instead
+(:func:`_face_table`), when the poset's table is at most
+``_TABLE_COLUMNS`` wide: one product per row picks the active set whose
+KKT conditions the row violates least, and the point it gives is kept
+only if it passes the same certificate as an NNLS answer, else the row
+goes to the NNLS.  On the CCHS age order (62 sets, 372 columns) a stack
+of 10 rows outside the cone projects in 22 us against 62 us by NNLS (one
+row: 17 us against 7 us), and ten CCHS fits (rank 2, 10 restarts) take
+0.220 s against 0.254 s (2-vCPU x86 VM, BLAS at one thread).  Rows are projected one at a time on every
+path, so a stack gives bitwise what its rows give alone.
 
 Chains call the compiled PAVA kernel behind
 ``scipy.optimize.isotonic_regression`` directly, one call per row
@@ -66,7 +76,7 @@ import scipy
 
 from .errors import UncertifiedSolution
 from .poset import Poset
-from .tensor import require_finite
+from .tensor import _rowdot, require_finite
 
 
 def _public_kernels():
@@ -146,6 +156,15 @@ _ROUNDING = 16 * np.finfo(float).eps
 
 # the paths a row can take through a row projector, as keys of its ``counts``
 _ROW_PATHS = ("clamp", "chain", "in_cone", "solved")
+
+# the widest face table, in columns, that a general poset gets.  Measured on
+# a 2-vCPU x86 VM with BLAS at one thread, on random posets and rows outside
+# the cone: a table costs about 17-20 us a call plus 0.5-2 us a row at up to
+# 2 000 columns, against about 7 us a row by NNLS, and a 5-row stack breaks
+# even at about 3 500-4 000 columns.  At 2 048 a 5-row stack projects 1.3x
+# faster by the table (10 rows, 1.8x); the CCHS year order (7 560 columns,
+# its rows mostly in the cone) made whole fits 1.7x slower with a table.
+_TABLE_COLUMNS = 2048
 
 
 def _check_weights(w, y: np.ndarray) -> np.ndarray:
@@ -364,17 +383,121 @@ def _project_general(P: Poset, Y, w=None, counts=None) -> np.ndarray:
     return np.maximum(Y, 0.0, out=Y)
 
 
-def _row_projector(P: Poset):
+@functools.lru_cache(maxsize=32)  # a table holds up to p * _TABLE_COLUMNS floats
+def _face_table(P: Poset):
+    """The explicit solution of a general poset's polar problem, or None
+    when its table would be wider than ``_TABLE_COLUMNS``.
+
+    The projection onto C(P) = {v : A v >= 0} is v = y + A_S^T mu_S for
+    the optimal active set S of H-rep rows, where mu_S = K_S y with
+    K_S = -(A_S A_S^T)^{-1} A_S, so it is linear on each set's region
+    (Bemporad, Morari, Dua & Pistikopoulos 2002, "The explicit linear
+    quadratic regulator for constrained systems", Automatica 38).  An
+    active set need only be independent.  Row e_m is the edge from a ground
+    vertex to the minimal element m, and row e_b - e_a the Hasse edge
+    (a, b), so a set of rows is independent exactly when its edges form a
+    forest; the sets are listed by growing forests edge by edge, with a
+    component label per vertex, and no rank is computed.
+
+    Returns ``(W, upper)``.  For F sets, the empty set first, W has shape
+    (p, m F), and ``(y @ W).reshape(m, F)[:, f]`` is z with z_i = (mu_S)_i
+    for i in set f's rows S and z_i = (A v_S)_i, v_S = y + A_S^T mu_S,
+    otherwise: S is optimal for y exactly when min z >= 0 (the KKT
+    conditions of the face), and the empty set's column of every row is
+    E = A^T itself.  ``upper`` (F, m) is inf on each set's rows and 0
+    elsewhere, so clipping z into [0, upper] gives the multipliers.
+    """
+    _, _, A, E = _projection_plan(P)
+    m, p = A.shape
+    # each row's two ends, the ground vertex p standing in for a minimal row's
+    ends = [(list(np.flatnonzero(a)) + [p])[:2] for a in A]
+    faces, stack = [], [((), tuple(range(p + 1)), 0)]
+    while stack:
+        S, label, start = stack.pop()
+        faces.append(S)
+        if len(faces) * m > _TABLE_COLUMNS:
+            return None
+        for e in range(start, m):
+            a, b = label[ends[e][0]], label[ends[e][1]]
+            if a != b:  # joins two trees: merge b's component into a's
+                stack.append((S + (e,), tuple(a if c == b else c for c in label), e + 1))
+    W = np.empty((len(faces), p, m))
+    upper = np.zeros((len(faces), m))
+    W[0] = E
+    # the sets of each size as one batch: rows (n, k), A_S (n, k, p)
+    for k in range(1, max(map(len, faces)) + 1):
+        at = np.array([f for f, S in enumerate(faces) if len(S) == k])
+        rows = np.array([faces[f] for f in at])
+        A_S = A[rows]
+        A_St = A_S.transpose(0, 2, 1)
+        K = -np.linalg.solve(A_S @ A_St, A_S)
+        block = (np.eye(p) + A_St @ K).transpose(0, 2, 1) @ E
+        np.put_along_axis(block, rows[:, None, :], K.transpose(0, 2, 1), axis=2)
+        W[at] = block
+        upper[at[:, None], rows] = np.inf
+    W = np.ascontiguousarray(W.transpose(1, 2, 0)).reshape(p, -1)
+    W.setflags(write=False)
+    upper.setflags(write=False)
+    return W, upper
+
+
+def _project_table(P: Poset, Y, w=None, counts=None) -> np.ndarray:
+    """The row projector of a general poset with a face table: each row
+    outside the cone takes the set of :func:`_face_table` with the largest
+    slack, is kept if it meets :func:`_nnls_certified`'s certificate, and
+    is solved by that function otherwise.  Weighted rows are projected by
+    :func:`_project_general`."""
+    if w is not None:
+        return _project_general(P, Y, w, counts)
+    _, _, A, E = _projection_plan(P)
+    W, upper = _face_table(P)
+    n, m = Y.shape[0], A.shape[0]
+    # one product per row: a product of the whole stack rounds a row
+    # differently with the stack's height
+    Z = np.matmul(Y[:, None, :], W).reshape(n, m, len(upper))
+    slack = Z.min(axis=1)
+    # ||y||_1 summed left to right, as _nnls_certified sums it
+    scale = np.add.accumulate(np.abs(Y), axis=1)[:, -1]
+    # the in-cone exit of _project_general, bitwise: Z[:, :, 0] is Y E
+    inside = slack[:, 0] >= -_ROUNDING * scale
+    n_in = int(np.count_nonzero(inside))
+    if counts is not None:
+        counts["in_cone"] += n_in
+        counts["solved"] += n - n_in
+    if n_in < n:
+        slack[:, 0] = -np.inf  # a row outside the cone takes a nonempty set
+        face = slack.argmax(axis=1)
+        mu = np.minimum(np.maximum(Z[np.arange(n), :, face], 0.0), upper[face])
+        V = np.matmul(mu[:, None, :], A)[:, 0]
+        V += Y
+        # _nnls_certified's conditions with x = mu, g = A v and max |E| = 1:
+        # mu >= 0 holds by the clip; each column of E holds one or two
+        # entries +-1, so each entry of g rounds once, whatever the stack
+        G = V @ E
+        tol = 1e-9 * scale
+        ok = inside | ((G.min(axis=1) >= -tol) & (np.abs(_rowdot(mu, G)) <= tol * scale))
+        if not ok.all():
+            for i in np.flatnonzero(~ok):
+                V[i] = _nnls_certified(E, -Y[i])[1]
+        np.copyto(Y, V, where=~inside[:, None])
+    # clamp the rows in the cone, and clear float crumbs below zero
+    return np.maximum(Y, 0.0, out=Y)
+
+
+def _row_projector(P: Poset, table: bool = True):
     """The exact projection onto C(P) of every row of a stack, in place.
 
     Returns a function ``(Y, w=None, counts=None)`` that projects each row
     of Y, shape (n, P.p), with the weights ``w`` if given, and returns Y;
     it validates nothing.  P's kind is resolved here once: :func:`_clamp`,
-    :func:`_pool_rows` then a clamp, or :func:`_project_general`.  ``counts``,
-    if given, adds the rows taken by each path under the keys of
-    ``_ROW_PATHS``.  A chain's projector owns its weight row and kernel
-    scratch, so it serves one caller (one fit, say); the others hold no
-    state.
+    :func:`_pool_rows` then a clamp, or for any other poset
+    :func:`_project_table` when ``table`` is true and P has a face table,
+    and :func:`_project_general` otherwise.  Rows are projected one at a
+    time on every path, so a row of a stack comes back bitwise as it
+    would alone.  ``counts``, if given, adds the rows taken by each path
+    under the keys of ``_ROW_PATHS``.  A chain's projector owns its weight
+    row and kernel scratch, so it serves one caller (one fit, say); the
+    others hold no state.
     """
     kind, idx, _, _ = _projection_plan(P)
     if kind == "clamp":
@@ -389,6 +512,8 @@ def _row_projector(P: Poset):
             return np.maximum(Y, 0.0, out=Y)
 
         return chain
+    if table and _face_table(P) is not None:
+        return functools.partial(_project_table, P)
     return functools.partial(_project_general, P)
 
 
@@ -406,4 +531,4 @@ def project(y, P: Poset, w=None) -> np.ndarray:
         raise ValueError(f"target length {y.shape} != poset size {P.p}")
     if w is not None:
         w = _check_weights(w, y)
-    return _row_projector(P)(y[None], w)[0]
+    return _row_projector(P, table=False)(y[None], w)[0]

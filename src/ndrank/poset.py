@@ -261,21 +261,14 @@ def _component(start: int, within: int, adj: list[int]) -> int:
     return seen
 
 
-def connected_upsets(P: Poset) -> list[frozenset]:
-    """All non-empty upsets whose induced (undirected) Hasse subgraph is connected.
-
-    Returned in a deterministic order: by size, then lexicographically by
-    sorted element indices.  The walk visits every upset of each connected
-    component, so it raises ``TooLarge`` once it has visited more than
-    ``ANTICHAIN_COUNT_LIMIT`` of them: a poset with more than 10^6 upsets,
-    such as ``collider_to_top(21)``, is refused.
-    """
+def _connected_upset_masks(P: Poset):
+    """Yield the bitmask of every non-empty connected upset of P, component
+    by component, as :func:`connected_upsets` documents (its guard too)."""
     adj = [0] * P.p  # undirected Hasse neighbours
     for a, b in P.covers:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
 
-    found: list[int] = []
     leaves = 0
     unseen = (1 << P.p) - 1
     while unseen:
@@ -284,6 +277,9 @@ def connected_upsets(P: Poset) -> list[frozenset]:
         # maximal elements of the component first: an element may only be
         # added once everything above it is already in the mask
         order = sorted(_bits(comp), key=lambda x: P._upper[x].bit_count())
+        # below a single maximal element, every non-empty upset holds it and
+        # a path up to it from each of its elements, so it is connected
+        one_top = sum(1 for x in order if not P._upper[x]) == 1
 
         # a depth-first walk that excludes, then includes, each element in
         # turn; a stack rather than recursion, so a long chain is walked too
@@ -294,15 +290,32 @@ def connected_upsets(P: Poset) -> list[frozenset]:
                 leaves += 1  # one upset of the component
                 if leaves > ANTICHAIN_COUNT_LIMIT:
                     raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets")
-                if mask and _component(mask & -mask, mask, adj) == mask:
-                    found.append(mask)
+                if mask and (one_top or _component(mask & -mask, mask, adj) == mask):
+                    yield mask
                 continue
             e = order[i]
             if P._upper[e] & ~mask == 0:
                 stack.append((i + 1, mask | (1 << e)))
             stack.append((i + 1, mask))
-    sets = [frozenset(_bits(m)) for m in found]
+
+
+def connected_upsets(P: Poset) -> list[frozenset]:
+    """All non-empty upsets whose induced (undirected) Hasse subgraph is connected.
+
+    Returned in a deterministic order: by size, then lexicographically by
+    sorted element indices.  The walk visits every upset of each connected
+    component, so it raises ``TooLarge`` once it has visited more than
+    ``ANTICHAIN_COUNT_LIMIT`` of them: a poset with more than 10^6 upsets,
+    such as ``collider_to_top(21)``, is refused.
+    """
+    sets = [frozenset(_bits(m)) for m in _connected_upset_masks(P)]
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def count_connected_upsets(P: Poset) -> int:
+    """``len(connected_upsets(P))``, from the same walk and with the same
+    guard, without building the sets."""
+    return sum(1 for _ in _connected_upset_masks(P))
 
 
 def count_antichains(P: Poset) -> int:

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ndrank import cone, factor, poset, tensor
+from ndrank import cone, factor, isotonic, poset, tensor
 from ndrank.errors import DegenerateCone
 from ndrank.isotonic import project
 from ndrank.tensor import outer
@@ -502,14 +502,14 @@ def reference_init_als_project(T, r, posets, seed):
 
 def reference_init_random_cone(T, r, posets, seed):
     """The random-cone init one vector at a time: r draws per mode, each
-    projected by a validated ``project`` call and normalized, the uniform
-    unit vector where the projection is zero."""
+    projected alone by the mode's row projector, as a stack of one row, and
+    normalized, the uniform unit vector where the projection is zero."""
     rng = np.random.default_rng(seed)
     factors = []
     for P in posets:
         rows = []
         for _ in range(r):
-            v = project(rng.random(P.p), P)
+            v = isotonic._row_projector(P)(rng.random((1, P.p)))[0]
             n = float(np.linalg.norm(v))
             rows.append(v / n if n > 0 else np.full(P.p, 1.0 / np.sqrt(P.p)))
         factors.append(np.asarray(rows))

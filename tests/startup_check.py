@@ -44,8 +44,8 @@ def spy_on_projectors(stacks):
     and projection, in ``stacks``; returns a function that undoes it."""
     real = factor._row_projector
 
-    def spying(P):
-        proj = real(P)
+    def spying(P, **kwargs):
+        proj = real(P, **kwargs)
 
         def spy(Y, w=None, counts=None):
             Y0 = Y.copy()  # the projector works in place

@@ -206,6 +206,27 @@ def test_rays_counts_finite_rank_generators_without_building_them(capsys, monkey
     assert code == 0 and out == "32\n"
 
 
+def test_rays_counts_product_generators_without_building_them(capsys, monkeypatch):
+    # the product's connected upsets are counted by a walk over bitmasks:
+    # chain:10 x chain:10 has 184 755, which as frozensets and a dense
+    # generator matrix took 647 MB
+    cases = [("chain:2", "chain:3"), ("collider:3", "chain:2"), ("trivial:2", "chain:2"),
+             ("collider:3", "collider:3"), ("trivial:3",), ("collider:4",)]
+    want = [len(cone.order_cone_vrep(poset.product([cli._load_poset(tok) for tok in toks])).upsets)
+            for toks in cases]
+
+    def refuse(*args):
+        raise AssertionError("the generators were built")
+
+    monkeypatch.setattr(cli, "order_cone_vrep", refuse)
+    monkeypatch.setattr(poset, "connected_upsets", refuse)
+    for toks, count in zip(cases, want):
+        code, out, _ = run(capsys, "rays", *toks, "--product", "--count-only")
+        assert code == 0 and out == f"{count}\n"
+    code, out, _ = run(capsys, "rays", "chain:10", "chain:10", "--product", "--count-only")
+    assert code == 0 and out == "184755\n"
+
+
 def test_rays_lists_finite_rank_generators(capsys):
     code, out, _ = run(capsys, "rays", "chain:2", "chain:2", "--finite-rank")
     assert code == 0

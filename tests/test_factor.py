@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndrank import cone, datasets, factor, isotonic, poset, rank
+from ndrank import cone, datasets, factor, isotonic, poset, rank, tensor
 from ndrank.errors import (
     HypothesisViolated,
     NonFiniteInput,
@@ -144,7 +144,7 @@ def test_rowdot_is_bitwise_the_matmul_form(shape):
     for _ in range(20):
         a, b = rng.standard_normal(shape), rng.standard_normal(shape) * 1e3
         for x, y in ((a, a), (a, b), (b, b)):
-            assert factor._rowdot(x, y).tobytes() == factor._rowdot_matmul(x, y).tobytes()
+            assert tensor._rowdot(x, y).tobytes() == tensor._rowdot_matmul(x, y).tobytes()
 
 
 # a chain in order, a clamp, a collider, and a chain listed out of order

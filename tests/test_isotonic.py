@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 from scipy.optimize import nnls as scipy_nnls
 
@@ -556,8 +558,8 @@ def _fit_stacks(monkeypatch, T, posets, cfg):
     the targets copied before the call, which projects them in place."""
     stacks = []
 
-    def spying_projector(P):
-        proj = isotonic._row_projector(P)
+    def spying_projector(P, **kwargs):
+        proj = isotonic._row_projector(P, **kwargs)
 
         def spy(Y, w=None, counts=None):
             Y0 = Y.copy()
@@ -597,6 +599,104 @@ def test_row_projector_on_grid_fit_stacks(monkeypatch):
     assert report.projection_rows["solved"] > 0
     for Y, P, V in stacks:
         assert_rows_projected(Y, P, V)
+
+
+# posets whose row projectors go through a face table
+TABLE_POSETS = {
+    "cchs-age": datasets.cchs_posets()[0],
+    "collider-to-top-3": poset.collider_to_top(3),
+    "collider-to-top-4": poset.collider_to_top(4),
+    "collider-to-top-5": poset.collider_to_top(5),
+    "grid-2x3": poset.product([poset.chain(2), poset.chain(3)]),
+}
+
+
+def _table_stack(P, rng, n):
+    """n targets for P: random, integer-tied, and sums of two generators
+    moved by up to 256 ulps per entry, so some lie just inside the in-cone
+    exit's 16-ulp margin and some just outside."""
+    gens = order_cone_vrep(P).generators
+    rows = []
+    for i in range(n):
+        if i % 3 == 0:
+            y = rng.standard_normal(P.p) * rng.uniform(0.1, 5)
+        elif i % 3 == 1:
+            y = rng.integers(-2, 3, size=P.p).astype(float)
+        else:
+            y = rng.uniform(0.01, 2.0, size=2) @ gens[rng.choice(len(gens), size=2)]
+            y += rng.integers(-256, 257, size=P.p) * np.spacing(y)
+        rows.append(y)
+    return np.array(rows).reshape(n, P.p)
+
+
+@given(kind=st.sampled_from([*TABLE_POSETS, "dag"]), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(0, 12))
+def test_face_table_rows_match_project(kind, seed, n):
+    # the table projector agrees with project's NNLS path to rounding,
+    # returns only points that meet the certificate's conditions, keeps
+    # the in-cone rows bitwise, and projects a stack as its rows alone
+    rng = np.random.default_rng(seed)
+    P = TABLE_POSETS.get(kind) or random_dag(int(rng.integers(3, 8)), rng)
+    assume(isotonic._projection_plan(P)[0] == "general" and isotonic._face_table(P) is not None)
+    proj = isotonic._row_projector(P)
+    assert proj.func is isotonic._project_table
+    A, gens = isotonic._halfspace_rows(P), order_cone_vrep(P).generators
+    Y = _table_stack(P, rng, n)
+    counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
+    V = proj(Y.copy(), counts=counts)
+    inside = 0
+    for y, v in zip(Y, V):
+        s = sum(map(abs, y.tolist()))
+        want = project(y, P)
+        assert np.abs(v - want).max() <= 1e-12 * s
+        # _kkt_holds' three conditions on v, with the same tau: A v >= -tau,
+        # y - v = -A^T mu for some mu >= 0 (y - v in the polar cone, which
+        # the generators test), and mu . A v = <v - y, v> within tau * s
+        tau = 1e-9 * s
+        assert (A @ v >= -tau).all()
+        assert (gens @ (y - v) <= tau).all()
+        assert abs((v - y) @ v) <= tau * s
+        if (A @ y).min() >= -isotonic._ROUNDING * s:
+            inside += 1
+            assert v.tobytes() == want.tobytes() == np.maximum(y, 0.0).tobytes()
+        assert proj(y[None].copy())[0].tobytes() == v.tobytes()
+    assert counts == {"clamp": 0, "chain": 0, "in_cone": inside, "solved": n - inside}
+    # weighted rows take project's path, row by row
+    w = rng.uniform(0.3, 3.0, size=P.p)
+    want = np.array([project(y, P, w) for y in Y])
+    assert proj(Y.copy(), w).tobytes() == want.tobytes()
+
+
+def test_a_row_that_fails_its_face_certificate_is_solved_by_nnls(monkeypatch):
+    # halve the multipliers of the set the table picks for y, so the point
+    # it gives leaves the cone: that row, and only that row, is solved
+    # again by _nnls_certified
+    y = np.array([2.0, 0.5, 1.0])       # pools 0 and 2: [1.5, 0.5, 1.5]
+    y_other = np.array([-1.0, 2.0, 3.0])  # clamps 0: [0, 2, 3]
+    y_in = np.array([0.5, 0.25, 1.0])     # in the cone
+    W, upper = isotonic._face_table(COLLIDER)
+    m = upper.shape[1]
+    face = int((y @ W).reshape(m, -1)[:, 1:].min(axis=0).argmax()) + 1
+    other = int((y_other @ W).reshape(m, -1)[:, 1:].min(axis=0).argmax()) + 1
+    assert face != other
+    bad = W.reshape(COLLIDER.p, m, -1).copy()
+    bad[:, upper[face] > 0, face] *= 0.5
+    monkeypatch.setattr(isotonic, "_face_table", lambda P: (bad.reshape(COLLIDER.p, -1), upper))
+    solved, real = [], isotonic._nnls_certified
+
+    def spy(E, f):
+        solved.append(f.copy())
+        return real(E, f)
+
+    monkeypatch.setattr(isotonic, "_nnls_certified", spy)
+    Y = np.array([y, y_other, y_in])
+    counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
+    V = isotonic._row_projector(COLLIDER)(Y.copy(), counts=counts)
+    assert len(solved) == 1 and solved[0].tobytes() == (-y).tobytes()
+    assert counts["solved"] == 2 and counts["in_cone"] == 1
+    for target, v in zip(Y, V):
+        assert_moreau(target, v, COLLIDER)
+    assert np.allclose(V, [[1.5, 0.5, 1.5], [0.0, 2.0, 3.0], y_in], rtol=0, atol=1e-12)
 
 
 def test_pava_chain_input_checks():

@@ -176,7 +176,9 @@ def test_connected_upsets_match_brute_force():
             k = int(rng.integers(1, p))
             A, B = random_poset(k, rng), random_poset(p - k, rng)
             P = poset.from_relation(range(p), list(A.covers) + [(a + k, b + k) for a, b in B.covers])
-        assert poset.connected_upsets(P) == reference_connected_upsets(P)
+        want = reference_connected_upsets(P)
+        assert poset.connected_upsets(P) == want
+        assert poset.count_connected_upsets(P) == len(want)
 
 
 def test_connected_upsets_guard():
