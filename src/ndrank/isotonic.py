@@ -354,10 +354,10 @@ def _clamp(Y, w=None, counts=None) -> np.ndarray:
     return np.maximum(Y, 0.0, out=Y)
 
 
-def _project_general(P: Poset, Y, w=None, counts=None) -> np.ndarray:
-    """The row projector of a poset that is neither a clamp nor a chain:
-    each row outside the cone is certified by :func:`_nnls_certified`."""
-    _, _, A, E = _projection_plan(P)
+def _project_general(A, E, Y, w=None, counts=None) -> np.ndarray:
+    """The row projector of a poset that is neither a clamp nor a chain,
+    with H-rep rows A and E = A^T from :func:`_projection_plan`: each row
+    outside the cone is certified by :func:`_nnls_certified`."""
     # Moreau: v* = y + A^T mu* in the unit-weight metric, where mu* solves
     # the polar-cone NNLS min_{mu >= 0} ||A^T mu + y||; weights rescale axes.
     # A row in the cone, or within rounding of it, is its own projection in
@@ -441,16 +441,14 @@ def _face_table(P: Poset):
     return W, upper
 
 
-def _project_table(P: Poset, Y, w=None, counts=None) -> np.ndarray:
-    """The row projector of a general poset with a face table: each row
-    outside the cone takes the set of :func:`_face_table` with the largest
-    slack, is kept if it meets :func:`_nnls_certified`'s certificate, and
-    is solved by that function otherwise.  Weighted rows are projected by
-    :func:`_project_general`."""
+def _project_table(A, E, W, upper, Y, w=None, counts=None) -> np.ndarray:
+    """The row projector of a general poset with a face table ``(W,
+    upper)``: each row outside the cone takes the set of :func:`_face_table`
+    with the largest slack, is kept if it meets :func:`_nnls_certified`'s
+    certificate, and is solved by that function otherwise.  Weighted rows
+    are projected by :func:`_project_general`."""
     if w is not None:
-        return _project_general(P, Y, w, counts)
-    _, _, A, E = _projection_plan(P)
-    W, upper = _face_table(P)
+        return _project_general(A, E, Y, w, counts)
     n, m = Y.shape[0], A.shape[0]
     # one product per row: a product of the whole stack rounds a row
     # differently with the stack's height
@@ -492,14 +490,15 @@ def _row_projector(P: Poset, table: bool = True):
     it validates nothing.  P's kind is resolved here once: :func:`_clamp`,
     :func:`_pool_rows` then a clamp, or for any other poset
     :func:`_project_table` when ``table`` is true and P has a face table,
-    and :func:`_project_general` otherwise.  Rows are projected one at a
+    and :func:`_project_general` otherwise, each bound to the arrays of
+    P it reads, so no call looks them up again.  Rows are projected one at a
     time on every path, so a row of a stack comes back bitwise as it
     would alone.  ``counts``, if given, adds the rows taken by each path
     under the keys of ``_ROW_PATHS``.  A chain's projector owns its weight
     row and kernel scratch, so it serves one caller (one fit, say); the
     others hold no state.
     """
-    kind, idx, _, _ = _projection_plan(P)
+    kind, idx, A, E = _projection_plan(P)
     if kind == "clamp":
         return _clamp
     if kind == "chain":
@@ -512,9 +511,10 @@ def _row_projector(P: Poset, table: bool = True):
             return np.maximum(Y, 0.0, out=Y)
 
         return chain
-    if table and _face_table(P) is not None:
-        return functools.partial(_project_table, P)
-    return functools.partial(_project_general, P)
+    faces = _face_table(P) if table else None
+    if faces is not None:
+        return functools.partial(_project_table, A, E, *faces)
+    return functools.partial(_project_general, A, E)
 
 
 def project(y, P: Poset, w=None) -> np.ndarray:

@@ -261,6 +261,37 @@ def _component(start: int, within: int, adj: list[int]) -> int:
     return seen
 
 
+def _upset_masks(P: Poset, parts):
+    """Yield the bitmask of every non-empty upset of P inside each bitmask
+    of ``parts`` (unions of components), as the upset generated by each
+    non-empty antichain: an antichain is extended by a later element
+    comparable to none of its members, and its upset by that element's.
+    The work is proportional to the upsets yielded, and ``TooLarge`` is
+    raised once more than ``ANTICHAIN_COUNT_LIMIT`` have been, over all
+    parts together."""
+    above = [row | 1 << x for x, row in enumerate(P._upper)]  # the upset x generates
+    # the elements comparable to none of it, from the order matrix in one step
+    rows = np.packbits(P.leq | P.leq.T, axis=1, bitorder="little")
+    free = [~int.from_bytes(row.tobytes(), "little") for row in rows]
+    walked = 0
+    for part in parts:
+        stack = [(part, 0)]  # the elements an antichain may still take, its upset
+        while stack:
+            rest, upset = stack.pop()
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                walked += 1
+                if walked > ANTICHAIN_COUNT_LIMIT:
+                    raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets "
+                                   "(non-empty antichains)")
+                mask = upset | above[j]
+                yield mask
+                if rest & free[j]:
+                    stack.append((rest & free[j], mask))
+
+
 def _connected_upset_masks(P: Poset):
     """Yield the bitmask of every non-empty connected upset of P, component
     by component, as :func:`connected_upsets` documents (its guard too)."""
@@ -268,45 +299,28 @@ def _connected_upset_masks(P: Poset):
     for a, b in P.covers:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-
-    leaves = 0
-    unseen = (1 << P.p) - 1
+    comps, unseen = [], (1 << P.p) - 1
     while unseen:
-        comp = _component(unseen & -unseen, unseen, adj)
-        unseen ^= comp
-        # maximal elements of the component first: an element may only be
-        # added once everything above it is already in the mask
-        order = sorted(_bits(comp), key=lambda x: P._upper[x].bit_count())
-        # below a single maximal element, every non-empty upset holds it and
-        # a path up to it from each of its elements, so it is connected
-        one_top = sum(1 for x in order if not P._upper[x]) == 1
-
-        # a depth-first walk that excludes, then includes, each element in
-        # turn; a stack rather than recursion, so a long chain is walked too
-        stack = [(0, 0)]
-        while stack:
-            i, mask = stack.pop()
-            if i == len(order):
-                leaves += 1  # one upset of the component
-                if leaves > ANTICHAIN_COUNT_LIMIT:
-                    raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets")
-                if mask and (one_top or _component(mask & -mask, mask, adj) == mask):
-                    yield mask
-                continue
-            e = order[i]
-            if P._upper[e] & ~mask == 0:
-                stack.append((i + 1, mask | (1 << e)))
-            stack.append((i + 1, mask))
+        comps.append(_component(unseen & -unseen, unseen, adj))
+        unseen ^= comps[-1]
+    maxima = sum(1 << x for x, row in enumerate(P._upper) if not row)
+    for mask in _upset_masks(P, comps):
+        # an upset holding one maximal element holds a path up to it from
+        # each of its elements, so it is connected
+        if (mask & maxima).bit_count() == 1 or _component(mask & -mask, mask, adj) == mask:
+            yield mask
 
 
 def connected_upsets(P: Poset) -> list[frozenset]:
     """All non-empty upsets whose induced (undirected) Hasse subgraph is connected.
 
     Returned in a deterministic order: by size, then lexicographically by
-    sorted element indices.  The walk visits every upset of each connected
-    component, so it raises ``TooLarge`` once it has visited more than
-    ``ANTICHAIN_COUNT_LIMIT`` of them: a poset with more than 10^6 upsets,
-    such as ``collider_to_top(21)``, is refused.
+    sorted element indices.  A connected upset lies in one component of
+    P, so each component's non-empty upsets are walked, one per antichain,
+    in time proportional to their number; the walk raises ``TooLarge`` once
+    it has met more than ``ANTICHAIN_COUNT_LIMIT`` of them in all: a
+    poset with more than 10^6 non-empty upsets, such as
+    ``collider_to_top(21)``, is refused, and a long chain is walked.
     """
     sets = [frozenset(_bits(m)) for m in _connected_upset_masks(P)]
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
@@ -314,7 +328,7 @@ def connected_upsets(P: Poset) -> list[frozenset]:
 
 def count_connected_upsets(P: Poset) -> int:
     """``len(connected_upsets(P))``, from the same walk and with the same
-    guard, without building the sets."""
+    guard on the non-empty upsets it meets, without building the sets."""
     return sum(1 for _ in _connected_upset_masks(P))
 
 
@@ -322,25 +336,12 @@ def count_antichains(P: Poset) -> int:
     """Number of non-empty antichains (pairwise-incomparable subsets).
 
     For posets with a maximum element this equals the number of connected
-    upsets.  Runs in time proportional to the count itself, so it raises
+    upsets.  Counts the non-empty upsets of P, one per antichain, with the
+    walk of :func:`connected_upsets` run over all of P, so it raises
     ``TooLarge`` once the count passes ``ANTICHAIN_COUNT_LIMIT``; a large
     poset with few antichains, such as a long chain, is counted.
     """
-    up = P._upper
-    comparable = [up[x] | 1 << x | sum(1 << y for y in range(P.p) if up[y] >> x & 1)
-                  for x in range(P.p)]
-    total = 0
-    # each antichain extends one with smaller elements by an element j
-    # comparable to none of them
-    stack = [(0, (1 << P.p) - 1)]
-    while stack:
-        start, allowed = stack.pop()
-        for j in _bits(allowed >> start << start):
-            total += 1
-            if total > ANTICHAIN_COUNT_LIMIT:
-                raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} antichains")
-            stack.append((j + 1, allowed & ~comparable[j]))
-    return total
+    return sum(1 for _ in _upset_masks(P, [(1 << P.p) - 1]))
 
 
 class _Downsets:

@@ -39,7 +39,7 @@ from .factor import (
     hals,
 )
 from .isotonic import _halfspace_rows, _nnls_certified
-from .poset import Poset, connected_upsets, is_simplicial
+from .poset import Poset, count_connected_upsets, is_simplicial
 from .tensor import check_fit_input, check_tensor, poset_list, require_finite
 
 
@@ -288,7 +288,7 @@ def rank_bounds(posets) -> RankBounds:
     "everything below one top" order of equal size (2^(p-1)).
     """
     posets = poset_list(posets)
-    q = [len(connected_upsets(P)) for P in posets]
+    q = [count_connected_upsets(P) for P in posets]
     upper = 1
     for val in sorted(q)[:-1]:
         upper *= val

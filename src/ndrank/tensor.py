@@ -23,13 +23,7 @@ from .poset import Poset, is_simplicial
 
 def require_finite(name: str, a: np.ndarray) -> None:
     """Raise NonFiniteInput unless every entry of ``a`` is finite."""
-    # a.a is finite unless an entry is NaN or inf, or the sum overflows;
-    # one dot is cheaper than isfinite().all() on the short vectors seen here,
-    # and an overflow, which valid input can give, only sends it to the check
-    flat = a.ravel()
-    with np.errstate(over="ignore"):
-        probe = flat.dot(flat)
-    if not math.isfinite(probe) and not np.isfinite(flat).all():
+    if not np.isfinite(a).all():
         raise NonFiniteInput(f"{name} must be finite (found NaN or inf)")
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from ndrank import cli, cone, datasets, factor, poset
+from ndrank import cli, cone, datasets, factor, poset, rank
 from ndrank.poset import collider_to_top, format_poset_text, parse_poset_text
 
 from helpers import rising_hals_restarts
@@ -281,6 +281,24 @@ def test_bounds(capsys):
     assert "typical ND ranks: 3..4" in out
     code, out, _ = run(capsys, "bounds", "chain:5", "chain:5")
     assert "max ND rank: 5" in out
+
+
+def test_bounds_count_rays_without_listing_upsets(capsys, monkeypatch):
+    # rank_bounds counts each cone's rays with count_connected_upsets: the
+    # 524 288 upsets of collider:20 as frozensets take about 0.5 GB
+    def refuse(*args):
+        raise AssertionError("the connected upsets were listed")
+
+    for mod in (poset, cone, rank):  # wherever a module could bind the name
+        monkeypatch.setattr(mod, "connected_upsets", refuse, raising=False)
+    b = rank.rank_bounds([collider_to_top(12), poset.chain(3)])
+    assert (b.extremal_ray_counts, b.upper, b.exact_max) == ([2048, 3], 3, 3)
+    code, out, _ = run(capsys, "bounds", "collider:12", "collider:12")
+    assert code == 0
+    assert out == ("extremal ray counts: 2048 2048\n"
+                   "max ND rank upper bound: 2048\n"
+                   "max ND rank: 2048\n"
+                   "typical ND ranks: 12..2048\n")
 
 
 def test_bounds_without_a_known_maximum(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from ndrank import poset
 from ndrank.errors import CycleError, ParseError, TooLarge, UnknownLabel
 
-from helpers import (random_dag, random_forest, random_poset, reference_connected_upsets,
-                     reference_product_covers)
+from helpers import (random_chain, random_collider, random_dag, random_forest, random_poset,
+                     reference_connected_upsets, reference_product_covers)
 
 
 def test_from_relation_already_reduced():
@@ -213,6 +214,75 @@ def test_upset_walks_are_guarded_by_their_work(monkeypatch):
     # a large poset with few upsets is still walked
     assert len(poset.connected_upsets(poset.chain(20))) == 20
     assert poset.count_linear_extensions(poset.chain(20)) == 1
+
+
+def _upset_count(P):
+    """The number of upsets of P, the empty one included, by checking
+    every subset."""
+    return sum(all(not S >> a & 1 or S >> b & 1 for a, b in P.covers) for S in range(1 << P.p))
+
+
+def _drawn_poset(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        return poset.product([random_poset(int(rng.integers(1, 4)), rng) for _ in range(2)])
+    if kind == "disconnected":
+        A, B = (random_poset(int(rng.integers(1, 6)), rng) for _ in range(2))
+        return poset.from_relation(range(A.p + B.p),
+                                   list(A.covers) + [(a + A.p, b + A.p) for a, b in B.covers])
+    kinds = {"chain": random_chain, "forest": random_forest, "collider": random_collider,
+             "dag": random_dag}
+    return kinds[kind](int(rng.integers(1, 11)), rng)
+
+
+@given(st.sampled_from(["chain", "forest", "collider", "dag", "product", "disconnected"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_upset_walk_matches_brute_force(kind, seed):
+    # one walk answers all three: each non-empty upset of P is met once,
+    # as the upset of one non-empty antichain
+    P = _drawn_poset(kind, seed)
+    want = reference_connected_upsets(P)
+    assert poset.connected_upsets(P) == want
+    assert poset.count_connected_upsets(P) == len(want)
+    assert poset.count_antichains(P) + 1 == _upset_count(P)
+
+
+def test_upset_walk_guard_counts_non_empty_upsets(monkeypatch):
+    # at a limit of a connected poset's non-empty upsets every walk
+    # answers, and one less refuses them all
+    grid = poset.product([poset.chain(3), poset.chain(3)])
+    dag = random_dag(7, np.random.default_rng(5))
+    for P in (poset.chain(5), poset.collider_to_top(6), grid, dag):
+        n = _upset_count(P) - 1
+        monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", n)
+        assert poset.count_antichains(P) == n
+        assert poset.count_connected_upsets(P) == len(poset.connected_upsets(P))
+        monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", n - 1)
+        for walk in (poset.connected_upsets, poset.count_connected_upsets, poset.count_antichains):
+            with pytest.raises(TooLarge, match=f"more than {n - 1} upsets .*antichains"):
+                walk(P)
+    # over several components the limit bounds the upsets of all of them
+    # together: 5 and 32 here, where P has 6 * 33 - 1 antichains
+    P = poset.from_relation(range(11), [(0, 1), (1, 2), (2, 3), (3, 4)]
+                            + [(x, 10) for x in range(5, 10)])
+    monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", 37)
+    assert poset.count_connected_upsets(P) == 5 + 32
+    monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", 36)
+    with pytest.raises(TooLarge):
+        poset.count_connected_upsets(P)
+    monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", 6 * 33 - 1)
+    assert poset.count_antichains(P) == 6 * 33 - 1
+
+
+def test_upset_walk_guard_bounds_its_work(monkeypatch):
+    # the grid of two 30-chains has C(60, 30) upsets; the walk meets only
+    # those it counts, so it refuses after 10^5 of them, not after walking
+    # a share of the grid's subsets
+    monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", 100_000)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        poset.count_connected_upsets(poset.product([poset.chain(30), poset.chain(30)]))
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 8])
