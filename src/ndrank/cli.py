@@ -19,7 +19,6 @@ from datetime import datetime, timezone
 from math import prod
 
 import numpy as np
-import scipy
 
 from . import __version__, datasets
 from .cone import (
@@ -178,6 +177,7 @@ def cmd_factorize(args) -> int:
             fh.write("sweep,rss\n")
             for i, val in enumerate(trace):
                 fh.write(f"{i + 1},{val:.12g}\n")
+        import scipy  # for its version: importing ndrank does not run scipy/__init__.py
         manifest = {
             "command": "factorize",
             "tensor": args.tensor,

@@ -32,7 +32,7 @@ import numpy as np
 from . import poset as poset_mod
 from .errors import DegenerateCone, ShapeMismatch, TooLarge
 from .isotonic import _halfspace_rows
-from .poset import Poset, _product_covers, connected_upsets, has_collider
+from .poset import Poset, _product_covers, has_collider
 from .tensor import apply_kronecker, check_tensor, poset_list
 
 DD_MAX_DIM = 12
@@ -65,7 +65,6 @@ class OrderConeVRep:
 
     poset: Poset
     generators: np.ndarray  # (q, p) 0/1 matrix, one row per connected upset
-    upsets: list = field(default_factory=list)
 
     @property
     def count(self) -> int:
@@ -238,12 +237,11 @@ def _format_terms(support, coeffs, shape) -> str:
 
 
 def order_cone_vrep(P: Poset) -> OrderConeVRep:
-    """V-representation of the order cone of P, one generator per connected upset."""
-    ups = connected_upsets(P)
-    gens = np.zeros((len(ups), P.p))
-    for i, U in enumerate(ups):
-        gens[i, sorted(U)] = 1.0
-    return OrderConeVRep(poset=P, generators=gens, upsets=ups)
+    """V-representation of the order cone of P: one 0/1 generator row per
+    connected upset, in the order of :func:`~ndrank.poset.connected_upsets`,
+    unpacked from the upset walk's bitmasks without building the sets."""
+    masks = poset_mod._ordered_connected_upset_masks(P)
+    return OrderConeVRep(poset=P, generators=poset_mod._unpack(masks, P.p).astype(float))
 
 
 def finite_rank_vrep(posets) -> list:
@@ -350,12 +348,9 @@ def _clear_denominators(vec) -> tuple:
 
 def _fraction_rref(rows, width):
     """Row-reduce over Q.  Returns (pivot_cols, reduced_rows, used_row_indices)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    used = []
-    reduced = []
-    for ri, row in enumerate(work):
-        row = list(row)
+    pivots, reduced, used = [], [], []
+    for ri, row in enumerate(rows):
+        row = [Fraction(x) for x in row]
         for pc, pr in zip(pivots, reduced):
             if row[pc]:
                 f = row[pc]
@@ -380,8 +375,7 @@ def _nullspace_int(rows, width):
     free = [j for j in range(width) if j not in pivots]
     basis = []
     for fj in free:
-        vec = [Fraction(0)] * width
-        vec[fj] = Fraction(1)
+        vec = [Fraction(int(j == fj)) for j in range(width)]
         for pc, pr in zip(pivots, reduced):
             vec[pc] = -pr[fj]
         basis.append(_clear_denominators(vec))
@@ -411,16 +405,12 @@ def double_description(generators) -> ConeHRep:
     if any(g.size != d for g in flat):
         raise ShapeMismatch("generators must share one shape")
     _check_dd_dim(d)
-    G = []
-    seen = set()
+    G, seen = [], set()
     for g in flat:
-        ints = []
-        for x in g:
-            r = round(float(x))
-            if abs(float(x) - r) > 1e-9:
-                raise ValueError("double_description requires integer generators")
-            ints.append(int(r))
-        t = _primitive(ints)
+        g = g.astype(float)
+        if (np.abs(g - np.round(g)) > 1e-9).any():
+            raise ValueError("double_description requires integer generators")
+        t = _primitive([round(x) for x in g.tolist()])
         if any(t) and t not in seen:
             seen.add(t)
             G.append(t)

@@ -7,8 +7,6 @@ kept in the same text format the file loader reads.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .poset import parse_poset_text
@@ -140,6 +138,7 @@ def fixture(name: str):
 
 def checksum(T) -> str:
     """SHA-256 over a canonical decimal rendering of the array."""
+    import hashlib  # here, so importing ndrank does not load it
     T = np.asarray(T, dtype=float)
     payload = ",".join(f"{v:.6f}" for v in T.ravel()) + "|" + ",".join(map(str, T.shape))
     return hashlib.sha256(payload.encode()).hexdigest()

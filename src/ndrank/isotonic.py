@@ -48,8 +48,9 @@ bitwise the wrapper's.
 
 Both compiled kernels, PAVA in ``scipy.optimize._pava_pybind`` and NNLS in
 ``scipy.optimize._slsqplib``, are loaded at import straight from scipy's
-``optimize`` directory (:func:`_resolve_kernels`), without running
-``scipy/optimize/__init__.py``: that package pulls in ``scipy.linalg``,
+``optimize`` directory, found by ``importlib.util.find_spec("scipy")``
+(:func:`_resolve_kernels`), so neither ``scipy/__init__.py`` (13 ms) nor
+``scipy/optimize/__init__.py`` runs: that pulls in ``scipy.linalg``,
 ``scipy.fft`` and ``scipy.special``, about 0.5 s of import on a 2-vCPU x86
 VM and most of a short ``ndrank`` process.  The two modules are registered in
 ``sys.modules`` under their own names, so a later ``import scipy.optimize``
@@ -72,7 +73,6 @@ import sys
 from importlib.machinery import PathFinder
 
 import numpy as np
-import scipy
 
 from .errors import UncertifiedSolution
 from .poset import Poset
@@ -147,7 +147,8 @@ def _resolve_kernels(path) -> tuple:
         return _public_kernels()
 
 
-_pava, nnls = _resolve_kernels([os.path.join(d, "optimize") for d in scipy.__path__])
+_SCIPY_DIRS = importlib.util.find_spec("scipy").submodule_search_locations  # scipy not run
+_pava, nnls = _resolve_kernels([os.path.join(d, "optimize") for d in _SCIPY_DIRS])
 
 
 # a target whose every halfspace row is violated by at most this much,
@@ -496,7 +497,11 @@ def _row_projector(P: Poset, table: bool = True):
     would alone.  ``counts``, if given, adds the rows taken by each path
     under the keys of ``_ROW_PATHS``.  A chain's projector owns its weight
     row and kernel scratch, so it serves one caller (one fit, say); the
-    others hold no state.
+    others hold no state.  The caller picks ``table``, never the stack's
+    height: the table and NNLS round a row differently (sending stacks of
+    one or two rows to NNLS moved CCHS fits' final objectives by up to
+    6e-16 relative), so a restart left alone in its stack would switch paths
+    mid-fit and round as the number of restarts sharing its stack decides.
     """
     kind, idx, A, E = _projection_plan(P)
     if kind == "clamp":

@@ -71,10 +71,7 @@ class Poset:
     @functools.cached_property
     def leq(self) -> np.ndarray:
         """Read-only boolean matrix, unpacked from the bit rows in one step."""
-        width = self.p // 8 + 1
-        rows = b"".join((up | 1 << x).to_bytes(width, "little") for x, up in enumerate(self._upper))
-        raw = np.frombuffer(rows, dtype=np.uint8).reshape(self.p, width)
-        leq = np.unpackbits(raw, axis=1, count=self.p, bitorder="little").view(bool)
+        leq = _unpack([up | 1 << x for x, up in enumerate(self._upper)], self.p).view(bool)
         leq.setflags(write=False)
         return leq
 
@@ -94,6 +91,13 @@ class Poset:
     def maximal_elements(self) -> list[int]:
         has_upper = {a for a, _ in self.covers}
         return [x for x in range(self.p) if x not in has_upper]
+
+
+def _unpack(masks, p: int) -> np.ndarray:
+    """Bitmasks as the rows of a 0/1 uint8 matrix of p columns, bit x in column x."""
+    width = p // 8 + 1
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(-1, width), axis=1, count=p, bitorder="little")
 
 
 def _bits(mask: int):
@@ -311,19 +315,25 @@ def _connected_upset_masks(P: Poset):
             yield mask
 
 
+def _ordered_connected_upset_masks(P: Poset) -> list[int]:
+    """The bitmasks of P's connected upsets in :func:`connected_upsets`' order:
+    of two masks of one size, the one larger read from bit 0 up first."""
+    key = lambda m: (m.bit_count(), -int(f"{m:0{P.p}b}"[::-1], 2))  # noqa: E731
+    return sorted(_connected_upset_masks(P), key=key)
+
+
 def connected_upsets(P: Poset) -> list[frozenset]:
     """All non-empty upsets whose induced (undirected) Hasse subgraph is connected.
 
-    Returned in a deterministic order: by size, then lexicographically by
-    sorted element indices.  A connected upset lies in one component of
-    P, so each component's non-empty upsets are walked, one per antichain,
-    in time proportional to their number; the walk raises ``TooLarge`` once
-    it has met more than ``ANTICHAIN_COUNT_LIMIT`` of them in all: a
-    poset with more than 10^6 non-empty upsets, such as
+    By size, then lexicographically by sorted element indices, the order of
+    ``order_cone_vrep``'s rows, unpacked from the same bitmasks.  A connected
+    upset lies in one component of P, so each component's non-empty upsets
+    are walked, one per antichain, in time proportional to their number; the
+    walk raises ``TooLarge`` once it has met more than ``ANTICHAIN_COUNT_LIMIT``
+    of them in all: a poset with more than 10^6 non-empty upsets, such as
     ``collider_to_top(21)``, is refused, and a long chain is walked.
     """
-    sets = [frozenset(_bits(m)) for m in _connected_upset_masks(P)]
-    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+    return [frozenset(_bits(m)) for m in _ordered_connected_upset_masks(P)]
 
 
 def count_connected_upsets(P: Poset) -> int:
@@ -336,10 +346,9 @@ def count_antichains(P: Poset) -> int:
     """Number of non-empty antichains (pairwise-incomparable subsets).
 
     For posets with a maximum element this equals the number of connected
-    upsets.  Counts the non-empty upsets of P, one per antichain, with the
-    walk of :func:`connected_upsets` run over all of P, so it raises
-    ``TooLarge`` once the count passes ``ANTICHAIN_COUNT_LIMIT``; a large
-    poset with few antichains, such as a long chain, is counted.
+    upsets.  Counts P's non-empty upsets, one per antichain, by the walk of
+    :func:`connected_upsets` over all of P: ``TooLarge`` once the count
+    passes ``ANTICHAIN_COUNT_LIMIT``, while a long chain, with few, is counted.
     """
     return sum(1 for _ in _upset_masks(P, [(1 << P.p) - 1]))
 

@@ -21,6 +21,7 @@ posets, answer order 0 and refuse an empty mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -289,12 +290,8 @@ def rank_bounds(posets) -> RankBounds:
     """
     posets = poset_list(posets)
     q = [count_connected_upsets(P) for P in posets]
-    upper = 1
-    for val in sorted(q)[:-1]:
-        upper *= val
-    exact_max = None
-    typical_min = None
-    typical_range = None
+    upper = prod(sorted(q)[:-1])  # 1 for one poset
+    exact_max = typical_min = typical_range = None
     if len(posets) == 2:
         typical_min = min(P.p for P in posets)
         if any(is_simplicial(P) for P in posets):

@@ -1,4 +1,5 @@
-"""Shared test utilities: random poset generators, an independent
+"""Shared test utilities: random poset generators, the posets of the
+metamorphic rules and their relabelling, an independent
 projected-gradient oracle for order-cone projection, a pure-Python
 pool-adjacent-violators reference, the product-order covers, the
 product-poset monotonicity check and
@@ -57,6 +58,31 @@ KINDS = (random_chain, random_forest, random_collider, random_dag,
 
 def random_poset(p, rng):
     return KINDS[int(rng.integers(0, len(KINDS)))](p, rng)
+
+
+# the poset kinds the metamorphic rules are checked on
+METAMORPHIC_KINDS = ("chain", "forest", "collider", "product")
+
+
+def metamorphic_poset(kind, rng):
+    """A small poset of ``kind``: a chain or a forest of 1 to 6 elements,
+    ``collider_to_top`` of 3 or 4 (one collider), or the grid of a 2-chain
+    and a 2- or 3-chain."""
+    if kind == "chain":
+        return poset.chain(int(rng.integers(1, 7)))
+    if kind == "forest":
+        return random_forest(int(rng.integers(1, 7)), rng)
+    if kind == "collider":
+        return poset.collider_to_top(int(rng.integers(3, 5)))
+    return poset.product([poset.chain(2), poset.chain(int(rng.integers(2, 4)))])
+
+
+def relabel(P, perm):
+    """P with element x moved to index ``perm[x]``: the same labels and
+    order, declared in another order."""
+    inv = np.argsort(perm)
+    return poset.from_relation([P.labels[x] for x in inv],
+                               [(P.labels[a], P.labels[b]) for a, b in P.covers])
 
 
 def cone_halfspaces(P):

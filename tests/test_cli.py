@@ -212,7 +212,7 @@ def test_rays_counts_product_generators_without_building_them(capsys, monkeypatc
     # generator matrix took 647 MB
     cases = [("chain:2", "chain:3"), ("collider:3", "chain:2"), ("trivial:2", "chain:2"),
              ("collider:3", "collider:3"), ("trivial:3",), ("collider:4",)]
-    want = [len(cone.order_cone_vrep(poset.product([cli._load_poset(tok) for tok in toks])).upsets)
+    want = [cone.order_cone_vrep(poset.product([cli._load_poset(tok) for tok in toks])).count
             for toks in cases]
 
     def refuse(*args):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -6,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ndrank import cone, datasets, poset, rank, tensor
 from ndrank.errors import (
@@ -15,9 +18,11 @@ from ndrank.errors import (
     TooLarge,
 )
 
-from helpers import (random_forest, reference_double_description, reference_finite_rank_normals,
-                     reference_grid_members, reference_is_monotone, reference_membership,
-                     reference_sample_members)
+from helpers import (METAMORPHIC_KINDS, metamorphic_poset, random_dag, random_forest,
+                     random_poset, reference_connected_upsets, reference_double_description,
+                     reference_finite_rank_normals, reference_grid_members,
+                     reference_is_monotone, reference_membership, reference_sample_members,
+                     relabel)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 COLLIDER_4 = poset.collider_to_top(4)
@@ -62,6 +67,50 @@ def test_order_cone_vrep_grid_staircases():
     P = poset.product([poset.chain(2), poset.chain(3)])
     v = cone.order_cone_vrep(P)
     assert _as_set(v.generators) == _as_set(BOX_MATRICES) | _as_set(STAIRCASE_ONLY)
+
+
+def test_order_cone_vrep_unpacks_the_upset_walks_masks(monkeypatch):
+    # the generators are the walk's bitmasks, unpacked by the unpacker of
+    # Poset.leq in connected_upsets' order: no upset is built as a set
+    def refuse(P):
+        raise AssertionError("the connected upsets were built as sets")
+
+    monkeypatch.setattr(poset, "connected_upsets", refuse)
+    monkeypatch.setattr(cone, "connected_upsets", refuse, raising=False)
+    real_unpack, unpacked = poset._unpack, []
+
+    def unpack(masks, p):
+        unpacked.append((len(masks), p))
+        return real_unpack(masks, p)
+
+    monkeypatch.setattr(poset, "_unpack", unpack)
+    rng = np.random.default_rng(62)
+    posets = [poset.chain(12), poset.trivial(8), COLLIDER, poset.collider_to_top(9),
+              poset.product([poset.chain(3), poset.chain(4)]), poset.product([COLLIDER, COLLIDER]),
+              poset.from_relation(range(5), [(3, 1), (4, 2)])]
+    for _ in range(30):  # elements declared out of order
+        D = random_dag(int(rng.integers(1, 10)), rng, density=0.4)
+        perm = rng.permutation(D.p).tolist()
+        posets.append(poset.from_relation(range(D.p), [(perm[a], perm[b]) for a, b in D.covers]))
+    posets += [random_poset(int(rng.integers(1, 10)), rng) for _ in range(20)]
+    for P in posets:
+        ups = reference_connected_upsets(P)
+        want = np.zeros((len(ups), P.p))
+        for i, U in enumerate(ups):
+            want[i, sorted(U)] = 1.0
+        got = cone.order_cone_vrep(P).generators
+        assert got.dtype == float and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert unpacked[-1] == (len(ups), P.p)
+        # a fresh poset's order matrix, unpacked once, against the closure of its covers
+        reach = np.eye(P.p, dtype=int)
+        for a, b in P.covers:
+            reach[a, b] = 1
+        for _ in range(P.p):
+            reach = np.minimum(reach @ reach, 1)
+        unpacked.clear()
+        assert np.array_equal(poset.Poset(P.labels, P.covers).leq, reach.astype(bool))
+        assert unpacked == [(P.p, P.p)]
+    assert [f.name for f in dataclasses.fields(cone.OrderConeVRep)] == ["poset", "generators"]
 
 
 def test_finite_rank_vrep_boxes():
@@ -327,6 +376,62 @@ def test_verdicts_do_not_move_with_scale(c):
                     assert [v.label for v in got.violated] == [v.label for v in want.violated]
                     verdicts.add(want.member)
     assert verdicts == {True, False}
+
+
+def _metamorphic_problem(kind, seed):
+    """A poset of ``kind`` and a second one, with at most DD_MAX_DIM entries
+    when both have colliders, and an integer tensor over them, so that every
+    facet value is exact: a sum of generators, the same with one entry moved
+    by one, or a draw.  Returns the generator for further draws too."""
+    rng = np.random.default_rng(seed)
+    P = metamorphic_poset(kind, rng)
+    Q = metamorphic_poset(METAMORPHIC_KINDS[int(rng.integers(len(METAMORPHIC_KINDS)))], rng)
+    if poset.has_collider(P) and poset.has_collider(Q) and P.p * Q.p > cone.DD_MAX_DIM:
+        Q = poset.chain(Q.p)
+    gens = cone.finite_rank_vrep([P, Q])
+    T = sum(k * g for k, g in zip(rng.integers(0, 3, size=len(gens)), gens))
+    draw = int(rng.integers(3))
+    if draw == 1:
+        T.flat[rng.integers(T.size)] += rng.choice([-1.0, 1.0])
+    elif draw == 2:
+        T = rng.integers(-1, 3, size=T.shape) * 1.0
+    return rng, [P, Q], T
+
+
+def _violations(cert, index=lambda f: f):
+    """A certificate's violations as a sorted list of values and sparse
+    normals, each support mapped through ``index`` and sorted with its
+    coefficients."""
+    return sorted((v.value, sorted(zip(map(index, v.support), v.coeffs))) for v in cert.violated)
+
+
+@given(st.sampled_from(METAMORPHIC_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_relabelling_a_mode_permutes_the_certificates(kind, seed):
+    # declaring one mode's elements in another order, with the tensor's
+    # slices moved along, keeps every verdict and moves every violation
+    rng, posets, T = _metamorphic_problem(kind, seed)
+    j = int(rng.integers(2))
+    perm = rng.permutation(posets[j].p)
+    moved = list(posets)
+    moved[j] = relabel(posets[j], perm)
+
+    def index(flat):
+        idx = list(np.unravel_index(flat, T.shape))
+        idx[j] = perm[idx[j]]
+        return int(np.ravel_multi_index(idx, T.shape))
+
+    for check in (cone.is_monotone, cone.membership_finite_rank):
+        want, got = check(T, posets), check(np.take(T, np.argsort(perm), axis=j), moved)
+        assert (got.member, got.method, got.min_value) == (want.member, want.method, want.min_value)
+        assert _violations(got) == _violations(want, index)
+
+
+@given(st.sampled_from(METAMORPHIC_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_a_trivial_mode_keeps_the_certificates(kind, seed):
+    _, posets, T = _metamorphic_problem(kind, seed)
+    for check in (cone.is_monotone, cone.membership_finite_rank):
+        want, got = check(T, posets), check(T[..., None], posets + [poset.trivial(1)])
+        assert (got.member, got.method, got.min_value) == (want.member, want.method, want.min_value)
 
 
 def test_membership_differencing_vs_double_description():

@@ -20,8 +20,9 @@ from ndrank.cone import order_cone_vrep
 from ndrank.errors import NDRankError, NonFiniteInput, UncertifiedSolution
 from ndrank.isotonic import pava_chain, project
 
-from helpers import (cone_halfspaces, projection_oracle, random_collider, random_dag, random_forest,
-                     random_poset, reference_pava)
+from helpers import (METAMORPHIC_KINDS, cone_halfspaces, metamorphic_poset, projection_oracle,
+                     random_collider, random_dag, random_forest, random_poset, reference_pava,
+                     relabel)
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL_PATH = [os.path.join(d, "optimize") for d in scipy.__path__]
@@ -279,6 +280,39 @@ def test_start_up_leaves_scipy_optimize_out(tmp_path):
     assert proc.stdout.startswith(f"start-up ok: {ROOT / 'src' / 'ndrank'}")
     if scipy.__version__ == "1.17.1":
         assert proc.stdout.rstrip().endswith("loaded without scipy.optimize")
+
+
+def test_import_leaves_scipy_and_hashlib_out():
+    # the kernels are found from scipy's directories without running its
+    # __init__.py, and hashlib is imported by the one function that uses it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, ndrank; print(sorted(m for m in ('scipy', 'scipy.optimize', 'hashlib')"
+            " if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    if scipy.__version__ == "1.17.1":  # elsewhere the kernels may come through scipy.optimize
+        assert proc.stdout == "[]\n"
+
+
+@given(st.sampled_from(METAMORPHIC_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_projection_onto_a_relabelled_poset_is_permuted(kind, seed):
+    # declaring the elements in another order permutes the projection: to
+    # rounding on the general path, bitwise on a chain, which pools the
+    # same values in the same order
+    rng = np.random.default_rng(seed)
+    P = metamorphic_poset(kind, rng)
+    perm = rng.permutation(P.p)
+    # tied integer targets half the time, else a scaled draw
+    y = (rng.integers(-2, 3, size=P.p) * 1.0 if rng.random() < 0.5
+         else rng.standard_normal(P.p) * 10.0 ** int(rng.integers(-3, 4)))
+    want = project(y, P)
+    got = project(y[np.argsort(perm)], relabel(P, perm))[perm]
+    if kind == "chain":
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(y).sum()
 
 
 def test_project_frozen_examples():
