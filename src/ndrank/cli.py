@@ -77,27 +77,45 @@ def cmd_rays(args) -> int:
     posets = [_load_poset(tok) for tok in args.posets]
     if not (args.finite_rank or args.product or len(posets) == 1):
         raise NDRankError("several posets: pass --product or --finite-rank")
+    shape = tuple(P.p for P in posets)
     if args.finite_rank:
         if args.count_only:  # one generator per tuple of per-mode rays
             print(prod(count_connected_upsets(P) for P in posets))
             return 0
-        arrays = finite_rank_vrep(posets)
-        header = f"{len(arrays)} finite-rank generators"
+        gens = np.array(finite_rank_vrep(posets)).reshape(-1, prod(shape))
+        print(f"{len(gens)} finite-rank generators")
     else:
         P = product(posets) if len(posets) > 1 else posets[0]
         if args.count_only:  # one generator per connected upset
             print(count_connected_upsets(P))
             return 0
-        vrep = order_cone_vrep(P)
-        shape = tuple(Q.p for Q in posets)
-        arrays = [g.reshape(shape) for g in vrep.generators]
-        header = f"{vrep.count} order-cone generators"
-    print(header)
-    for i, g in enumerate(arrays):
-        print(f"generator {i + 1}:")
-        body = np.array2string(np.asarray(g, dtype=int), separator=" ")
-        print("  " + body.replace("\n", "\n  "))
+        gens = order_cone_vrep(P).generators
+        print(f"{len(gens)} order-cone generators")
+    _print_generators(gens, shape)
     return 0
+
+
+def _print_generators(gens, shape) -> None:
+    """Print each 0/1 row of ``gens`` reshaped to ``shape``, as ``np.array2string``
+    prints it.  Every entry is one character wide, so one rendering of zeros, its
+    lines indented, is every generator's template: its 0s take the printed digits."""
+    template = "  " + np.array2string(np.zeros(shape, int), separator=" ").replace("\n", "\n  ")
+    template = np.frombuffer(template.encode(), np.uint8)
+    slots = np.flatnonzero(template == ord("0"))
+    digits = gens.astype(np.uint8).reshape((len(gens),) + shape)
+    opts = np.get_printoptions()
+    if prod(shape) > opts["threshold"]:  # summarized: the ends of each long axis
+        edge = opts["edgeitems"]
+        for axis, n in enumerate(shape, start=1):
+            if n > 2 * edge:
+                digits = digits.take(np.r_[:edge, n - edge:n], axis=axis)
+    digits = digits.reshape(len(gens), slots.size)
+    for lo in range(0, len(digits), 4096):  # a block at a time bounds the memory
+        chunk = digits[lo:lo + 4096]
+        block = np.tile(template, (len(chunk), 1))
+        block[:, slots] += chunk
+        sys.stdout.write("".join(f"generator {lo + i + 1}:\n{row.tobytes().decode()}\n"
+                                 for i, row in enumerate(block)))
 
 
 def cmd_hrep(args) -> int:
@@ -151,9 +169,9 @@ def cmd_factorize(args) -> int:
         fit = asdict(report)
         trace = fit.pop("objective_trace")  # the _trace.csv, not the manifest
     elif args.loss == "multinomial":
-        fact = rank1_multinomial(T)
+        fact = rank1_multinomial(T, posets)
     elif args.loss == "poisson":
-        fact = rank1_poisson(T)
+        fact = rank1_poisson(T, posets)
     else:
         fact = rank1_exponential(T, posets)
     recon = fact.reconstruct()

@@ -4,12 +4,13 @@ sampling.
 
 A tensor over a product of posets has finite nondecreasing rank exactly when
 it lies in the projective tensor product of the per-mode order cones.  That
-cone is generated by outer products of connected-upset indicators.  With at
-most one collider its facets are outer products of one H-rep row per mode
-(``isotonic._halfspace_rows``), so membership is one contraction of the
-tensor, mode differencing when no poset has a collider; otherwise the facets
-come from double description at toy scale, computed once per poset tuple and
-kept for the next call.
+cone is generated by outer products of connected-upset indicators, and its
+facet normals are always the Kronecker product of a few linear maps: one
+plan per poset tuple, computed once and kept for the next call, holds them.
+With at most one collider the maps are each mode's H-rep rows
+(``isotonic._halfspace_rows``); otherwise the one map is the facets double
+description finds over the flattened tensor, at toy scale.  Membership is
+one contraction of the tensor with the maps.
 
 Every check hands its facet values to one builder, which keeps the violated
 facets' indices and values; a certificate's list of :class:`Violation` s is
@@ -184,17 +185,12 @@ def _monotone_violation(shape, lo, hi, i: int, value: float) -> Violation:
 
 def _facet_violation(shape, rows, i: int, value: float) -> Violation:
     """Facet i (row-major) of a one-contraction check: the outer product of one of ``rows``
-    per mode.  Each row's support ascends, so the sums, last mode fastest, ascend too."""
+    per map.  Each row's support ascends, so the sums, last map fastest, ascend too."""
     index = np.unravel_index(i, [len(mode_rows) for mode_rows in rows])
     picked = [mode_rows[r] for mode_rows, r in zip(rows, index)]
     supports = itertools.product(*(support for support, _ in picked))
     coeffs = itertools.product(*(coeff for _, coeff in picked))
     return Violation(value, tuple(map(sum, supports)), tuple(map(prod, coeffs)), shape)
-
-
-def _normal_violation(shape, normals, i: int, value: float) -> Violation:
-    """Row i of the normals matrix ``normals`` (at most DD_MAX_DIM wide)."""
-    return Violation(value, *_sparse(normals[i].tolist()), shape)
 
 
 def _entry_name(shape, flat: int) -> str:
@@ -206,17 +202,6 @@ def _sparse(row: list) -> tuple:
     """A dense vector as ``(support, coefficients)``, float, support ascending."""
     support = [j for j, x in enumerate(row) if x]
     return tuple(support), tuple(float(row[j]) for j in support)
-
-
-@functools.lru_cache(maxsize=32)
-def _facet_rows(posets: tuple) -> tuple:
-    """Per mode, each H-rep row as ``(support, coefficients)`` with the
-    support scaled by the mode's row-major stride: a facet's flat support is
-    the sums over one row per mode, and its coefficients the products."""
-    strides = [prod(P.p for P in posets[j + 1:]) for j in range(len(posets))]
-    return tuple(tuple((tuple(j * stride for j in support), coeffs)
-                       for support, coeffs in map(_sparse, _halfspace_rows(P).tolist()))
-                 for P, stride in zip(posets, strides))
 
 
 def format_normal(normal, shape) -> str:
@@ -279,57 +264,64 @@ def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
 
 
 def finite_rank_hrep(posets) -> ConeHRep:
-    """Facet halfspaces of the finite-ND-rank cone.
-
-    With at most one collider-bearing poset, the outer products of one H-rep
-    row per mode, the first mode's row varying slowest; otherwise the facets
-    double description finds at toy scale, once per poset tuple.  Order 0
-    has the one facet [1].
-    """
-    posets = poset_list(posets)
-    if sum(has_collider(P) for P in posets) > 1:
-        hrep = _finite_rank_facets(tuple(posets))
-        return ConeHRep(normals=hrep.normals.copy(), shape=hrep.shape)
-    normals = functools.reduce(np.kron, [_halfspace_rows(P) for P in posets], np.ones((1, 1)))
+    """Facet halfspaces of the finite-ND-rank cone, in a fresh integer array:
+    the Kronecker product of the maps of :func:`_finite_rank_plan`, the
+    first map's row varying slowest.  Order 0 has the one facet [1]."""
+    posets = tuple(poset_list(posets))
+    _, maps, _ = _finite_rank_plan(posets)
+    normals = functools.reduce(np.kron, maps, np.ones((1, 1)))
     return ConeHRep(normals=normals.astype(int), shape=tuple(P.p for P in posets))
 
 
 @functools.lru_cache(maxsize=256)
-def _finite_rank_facets(posets: tuple) -> ConeHRep:
-    """Facets of the finite-ND-rank cone over ``posets`` by double description.
+def _finite_rank_plan(posets: tuple) -> tuple:
+    """How membership in the finite-ND-rank cone over ``posets`` is checked.
+
+    Returns ``(method, maps, rows)``: the cone's facet normals are
+    ``kron(*maps)``, read-only float matrices.  With at most one
+    collider-bearing poset, ``maps`` is each mode's H-rep rows and the
+    method "tree-differencing" (no collider) or "halfspace"; otherwise it
+    is one matrix, the facets of double description over the flattened
+    tensor, and the method "double-description" (an empty tensor's cone
+    lies in R^0 and has no facets, so its map is 0 by 0).  ``rows`` holds
+    each map's rows as ``(support, coefficients)``, the support scaled by
+    the map's row-major stride, so a facet's flat support is the sums over
+    one row per map and its coefficients the products.
 
     Computed once per poset tuple (equal posets built afresh hit the same
-    entry); the normals are read-only because every caller shares them.
-    ``TooLarge`` and ``DegenerateCone`` are raised again on every call;
-    a tuple past the dimension guard is refused before its generators exist.
+    entry).  ``TooLarge`` is raised again on every call, and a tuple past
+    the dimension guard is refused before its generators exist.
     """
-    _check_dd_dim(prod(P.p for P in posets))
-    hrep = double_description(finite_rank_vrep(posets))
-    hrep.normals.flags.writeable = False
-    return hrep
+    n_colliders = sum(has_collider(P) for P in posets)
+    if n_colliders <= 1:
+        method = "halfspace" if n_colliders else "tree-differencing"
+        maps = tuple(_halfspace_rows(P) for P in posets)
+    else:
+        d = prod(P.p for P in posets)
+        _check_dd_dim(d)
+        normals = (double_description(finite_rank_vrep(posets)).normals.astype(float)
+                   if d else np.empty((0, 0)))
+        normals.flags.writeable = False
+        method, maps = "double-description", (normals,)
+    strides = [prod(M.shape[1] for M in maps[j + 1:]) for j in range(len(maps))]
+    rows = tuple(tuple((tuple(j * stride for j in support), coeffs)
+                       for support, coeffs in map(_sparse, M.tolist()))
+                 for M, stride in zip(maps, strides))
+    return method, maps, rows
 
 
 def membership_finite_rank(T, posets, tol: float | None = None) -> MembershipCertificate:
     """Certificate of finite ND rank: is T in the projective product of order cones?
 
-    With at most one collider-bearing poset the facet values are one
-    contraction of T with each mode's H-rep rows ("tree-differencing" when
-    no poset has a collider, "halfspace" otherwise), and each violated facet
-    is the outer product of its rows; otherwise double description finds the
-    facets at toy scale, once per poset tuple, and later calls on the same
-    (or equal) posets reuse them.
+    The facet values are one contraction of T with the maps of the poset
+    tuple's :func:`_finite_rank_plan`, and each violated facet is the outer
+    product of one row per map.
     """
     T, posets = check_tensor(T, posets)
     tol = _resolve_tol(T, tol)
-    n_colliders = sum(has_collider(P) for P in posets)
-    if n_colliders > 1:
-        # an empty tensor lies in R^0, where the cone has no facets
-        normals = _finite_rank_facets(tuple(posets)).normals if T.size else np.empty((0, 0))
-        return _certificate(normals @ T.ravel(), tol, "double-description",
-                            functools.partial(_normal_violation, T.shape, normals))
-    D = apply_kronecker([_halfspace_rows(P) for P in posets], T)
-    return _certificate(D.ravel(), tol, "halfspace" if n_colliders else "tree-differencing",
-                        functools.partial(_facet_violation, T.shape, _facet_rows(tuple(posets))))
+    method, maps, rows = _finite_rank_plan(tuple(posets))
+    D = apply_kronecker(maps, T.reshape([M.shape[1] for M in maps]))
+    return _certificate(D.ravel(), tol, method, functools.partial(_facet_violation, T.shape, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ known, and :func:`tri_factorization_verify` checks the reduction to
 nonnegative rank, T = V1 H V2' over the cones' extremal rays.  The ND-HALS
 engine the fits fall back on is :mod:`ndrank.factor`.
 
-Every fit that takes posets checks its input by
+The Gaussian, exponential and rank-two fits check their input by
 :func:`ndrank.tensor.check_fit_input` alone, :func:`rank2_matrix_exact`
-after its matrix test, and works at the unit scale that
-:func:`ndrank.factor._unit_scale` gives; the marginal fits take no
-posets, answer order 0 and refuse an empty mode.
+after its matrix test, and work at the unit scale that
+:func:`ndrank.factor._unit_scale` gives; the marginal fits check theirs by
+:func:`ndrank.tensor.check_tensor`, so they answer order 0, and refuse an
+empty mode themselves.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .factor import (
     _unfoldings,
     hals,
 )
-from .isotonic import _halfspace_rows, _nnls_certified
+from .isotonic import _halfspace_rows, _nnls_certified, project
 from .poset import Poset, count_connected_upsets, is_simplicial
 from .tensor import check_fit_input, check_tensor, poset_list, require_finite
 
@@ -78,32 +79,43 @@ def rank1_gaussian(T, posets) -> NDFactorization:
     return NDFactorization(np.array([lam * norm]), [v[None, :] for v in vecs], posets=posets)
 
 
-def _count_marginals(T, model: str):
-    """Per-mode marginals and grand total of finite, nonnegative count data."""
-    T = np.asarray(T, dtype=float)
+def _count_marginals(T, model: str, posets):
+    """Per-mode marginals and grand total of finite, nonnegative count data,
+    with ``posets`` as a list after :func:`check_tensor`."""
+    T, posets = check_tensor(T, posets)
     if 0 in T.shape:
         raise ShapeMismatch(f"mode {T.shape.index(0) + 1} is empty; a fit needs entries")
-    require_finite("tensor", T)
     if (T < 0).any():
         raise NonNegativityViolated(f"{model} data must be nonnegative")
     return [np.apply_over_axes(np.sum, T, [a for a in range(T.ndim) if a != j]).ravel()
-            for j in range(T.ndim)], float(T.sum())
+            for j in range(T.ndim)], float(T.sum()), posets
 
 
-def rank1_multinomial(T) -> NDFactorization:
-    """Rank-one multinomial MLE: product of per-mode marginal distributions."""
-    marg, total = _count_marginals(T, "multinomial")
+def _proportions(marg, total: float, posets) -> list:
+    """Each marginal's proportions m / N projected onto its order cone, as a
+    one-row factor: the order-restricted multinomial MLE is the unit-weight
+    isotonic regression of m / N, which keeps the sum at 1 (Robertson, Wright
+    & Dykstra 1988, Thm 1.5.1, Phi(x) = x log x - x)."""
+    return [project(m / total, P)[None, :] for m, P in zip(marg, posets)]
+
+
+def rank1_multinomial(T, posets) -> NDFactorization:
+    """Rank-one multinomial MLE: product of per-mode marginal distributions,
+    each nondecreasing over its poset."""
+    marg, total, posets = _count_marginals(T, "multinomial", posets)
     if total == 0:
         raise NonNegativityViolated("multinomial data must not be all zero")
-    return NDFactorization(np.array([1.0]), [(m / total)[None, :] for m in marg])
+    return NDFactorization(np.array([1.0]), _proportions(marg, total, posets), posets=posets)
 
 
-def rank1_poisson(T) -> NDFactorization:
-    """Rank-one Poisson MLE: marginal distributions scaled by the grand total."""
-    marg, total = _count_marginals(T, "Poisson")
+def rank1_poisson(T, posets) -> NDFactorization:
+    """Rank-one Poisson MLE: marginal distributions scaled by the grand total,
+    each nondecreasing over its poset."""
+    marg, total, posets = _count_marginals(T, "Poisson", posets)
     if total == 0:
-        return NDFactorization(np.zeros(1), [np.full(m.shape, 1.0 / m.size)[None, :] for m in marg])
-    return NDFactorization(np.array([total]), [(m / total)[None, :] for m in marg])
+        return NDFactorization(np.zeros(1), [np.full(m.shape, 1.0 / m.size)[None, :] for m in marg],
+                               posets=posets)
+    return NDFactorization(np.array([total]), _proportions(marg, total, posets), posets=posets)
 
 
 def rank1_exponential(T, posets) -> NDFactorization:

@@ -219,12 +219,12 @@ def test_criterion_11_rank_one_and_two_exactness():
             assert np.linalg.norm(g.reconstruct() - T) < 1e-8 * np.linalg.norm(T)
 
             R = T / T.sum()
-            m = rank.rank1_multinomial(R)
+            m = rank.rank1_multinomial(R, posets)
             best_m = -np.sum(R * np.log(R))
             got_m = -np.sum(R * np.log(m.reconstruct()))
             assert got_m <= best_m + 1e-8 * abs(best_m)
 
-            pfit = rank.rank1_poisson(T)
+            pfit = rank.rank1_poisson(T, posets)
             theta = pfit.reconstruct()
             best_p = np.sum(T - T * np.log(T))
             got_p = np.sum(theta - T * np.log(theta))

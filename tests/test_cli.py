@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import platform
 
@@ -237,6 +238,26 @@ def test_rays_lists_finite_rank_generators(capsys):
                    "generator 4:\n  [[1 1]\n   [1 1]]\n")
 
 
+@pytest.mark.parametrize("toks", [
+    ("chain:2", "chain:3", "--finite-rank"), ("collider:3", "chain:2", "--product"),
+    ("chain:60",), ("trivial:2", "chain:501", "--product")],
+    ids=["finite-rank", "product", "wrapped", "summarized"])
+def test_rays_listing_is_what_array2string_prints(capsys, toks):
+    # one template filled with each generator's digits: rows that wrap, and
+    # listings past numpy's threshold that show only each axis's ends
+    posets = [cli._load_poset(tok) for tok in toks if not tok.startswith("--")]
+    shape = tuple(P.p for P in posets)
+    if "--finite-rank" in toks:
+        gens = cone.finite_rank_vrep(posets)
+    else:
+        gens = cone.order_cone_vrep(poset.product(posets) if len(posets) > 1 else posets[0]).generators
+    want = "".join(f"generator {i + 1}:\n  " + np.array2string(
+        np.reshape(g, shape).astype(int), separator=" ").replace("\n", "\n  ") + "\n"
+        for i, g in enumerate(gens))
+    code, out, _ = run(capsys, "rays", *toks)
+    assert code == 0 and out.split("\n", 1)[1] == want
+
+
 def test_rays_trivial_basis(capsys):
     code, out, _ = run(capsys, "rays", "trivial:3")
     assert code == 0
@@ -256,6 +277,29 @@ def test_rays_of_several_posets_need_a_flag(capsys):
     code, out, err = run(capsys, "rays", "chain:2", "chain:3")
     assert code == 2 and out == ""
     assert "--product or --finite-rank" in err
+
+
+# sha256 of the standard output of each command, recorded before the
+# finite-rank cone kept one plan per poset tuple and `rays` rendered its
+# listing from one template
+CLI_SHA256 = {
+    "check fixture:selenium": "d3102eb65ee121e52fd66ca2864090db7ccee1967022d47f32b7ca0df1fd9246",
+    "check fixture:collider3": "b2e89cf3a91fc2ddb9a36f3918cb045138ba17617f01753e832727470fded0cf",
+    "hrep collider:3 collider:3": "121a33dbf6fb1e8a31f77dfb16d4ee7b598b74eba7b10de117d27f5c6f61233f",
+    "hrep chain:3 collider:4 chain:2":
+        "192f687ba33aa638a77020280eb66b6633e5340170d201a0569d4e152b732a84",
+    "rays chain:4 chain:3 --product":
+        "42b58474a1d894c882e1fb4888006a9cb5bbbe38aa07e3588fa46a68b8cff004",
+    "rays collider:3 collider:3 --finite-rank":
+        "e266f9fd63ecd03c90092342e037352a9dd738221f614f4e842864b0e6bb5991",
+    "rays chain:60": "9be369f94cb4ece762033b833d2d5cd6f63980a18e34ed3296117b1afc6808c5",
+}
+
+
+@pytest.mark.parametrize("command", CLI_SHA256)
+def test_cli_output_is_pinned(capsys, command):
+    _, out, _ = run(capsys, *command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[command]
 
 
 def test_hrep_two_chains(capsys):
@@ -585,6 +629,21 @@ def test_factorize_multinomial_residual_is_on_the_count_scale(tmp_path, capsys):
         printed[loss] = out
     assert printed["multinomial"] == printed["poisson"]
     assert "RSS: 0.734694" in printed["poisson"]
+
+
+@pytest.mark.parametrize("loss", ["multinomial", "poisson"])
+def test_factorize_marginal_fits_honour_the_posets(tmp_path, capsys, loss):
+    # the marginals [0.65, 0.35] and [0.65, 0.25, 0.1] fall, so each factor
+    # table pools to uniform; they were written as they fell
+    tpath = tmp_path / "counts.csv"
+    tpath.write_text("9,3,1\n4,2,1\n")
+    code, _, _ = run(capsys, "factorize", str(tpath), "chain:2", "chain:3", "--rank", "1",
+                     "--loss", loss, "--out", str(tmp_path / "fit"))
+    assert code == 0
+    for j, P in enumerate([poset.chain(2), poset.chain(3)]):
+        rows = (tmp_path / f"fit_mode{j + 1}.csv").read_text().splitlines()[1:]
+        v = np.array([float(row.split(",")[1]) for row in rows])
+        assert cone.is_monotone(v, P).member and np.allclose(v, 1 / P.p)
 
 
 def test_loading_poset_tokens(tmp_path):

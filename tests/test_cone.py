@@ -188,14 +188,17 @@ def test_finite_rank_hrep_nonneg_on_generators():
 
 
 def test_finite_rank_hrep_collider_pair_is_double_description():
-    # two colliders: the cached double-description facets, in a fresh array
+    # two colliders: the plan's one map, the double-description facets, in
+    # a fresh array
     posets = [poset.collider_to_top(3), poset.collider_to_top(3)]
     h = cone.finite_rank_hrep(posets)
-    dd = cone._finite_rank_facets(tuple(posets))
+    dd = cone.double_description(cone.finite_rank_vrep(posets))
+    method, (normals,), _ = cone._finite_rank_plan(tuple(posets))
+    assert method == "double-description" and np.array_equal(normals, dd.normals)
     assert h.count == 24 and h.shape == dd.shape == (3, 3)
     assert h.normals.dtype == dd.normals.dtype and np.array_equal(h.normals, dd.normals)
     h.normals[0, 0] = 7
-    assert cone._finite_rank_facets(tuple(posets)).normals[0, 0] != 7
+    assert cone._finite_rank_plan(tuple(posets))[1][0][0, 0] != 7
 
 
 def _outer_product_vrep(posets):
@@ -276,23 +279,29 @@ def test_double_description_facets_are_computed_once_per_poset_tuple(monkeypatch
     T = np.random.default_rng(47).standard_normal((3, 4))
     # the certificate with every facet computed afresh, as before the cache
     with monkeypatch.context() as m:
-        m.setattr(cone, "_finite_rank_facets", lambda tup: dd(cone.finite_rank_vrep(tup)))
+        m.setattr(cone, "_finite_rank_plan", cone._finite_rank_plan.__wrapped__)
         want = _certificate_key(cone.membership_finite_rank(T, list(posets)))
     assert want[4], "the check needs violated facets"
 
     calls = []
     monkeypatch.setattr(cone, "double_description", lambda gens: calls.append(1) or dd(gens))
-    cone._finite_rank_facets.cache_clear()
-    hrep = cone._finite_rank_facets(posets)
-    assert hrep.normals.dtype == fresh.normals.dtype and np.array_equal(hrep.normals, fresh.normals)
-    assert hrep.shape == fresh.shape and not hrep.normals.flags.writeable
+    cone._finite_rank_plan.cache_clear()
+    method, (normals,), _ = cone._finite_rank_plan(posets)
+    assert method == "double-description" and np.array_equal(normals, fresh.normals)
+    assert not normals.flags.writeable
     with pytest.raises(ValueError):
-        hrep.normals[0, 0] = 7
+        normals[0, 0] = 7
     for tup in (list(posets), posets, [poset.collider_to_top(3), poset.collider_to_top(4)]):
         cert = cone.membership_finite_rank(T, tup)
         assert _certificate_key(cert) == want
         cert.violated[0].normal[:] = 99.0  # a caller's copy, not the cached facet
-    assert cone._finite_rank_facets(posets) is hrep
+    assert cone._finite_rank_plan(posets)[1][0] is normals
+    # the H-rep is a fresh writable copy, as double description returns it
+    hrep = cone.finite_rank_hrep(posets)
+    assert hrep.normals.dtype == fresh.normals.dtype and np.array_equal(hrep.normals, fresh.normals)
+    assert hrep.shape == fresh.shape and hrep.normals.flags.writeable
+    hrep.normals[0, 0] = 7
+    assert cone._finite_rank_plan(posets)[1][0][0, 0] != 7
     assert len(calls) == 1
 
 
@@ -432,6 +441,35 @@ def test_a_trivial_mode_keeps_the_certificates(kind, seed):
     for check in (cone.is_monotone, cone.membership_finite_rank):
         want, got = check(T, posets), check(T[..., None], posets + [poset.trivial(1)])
         assert (got.member, got.method, got.min_value) == (want.member, want.method, want.min_value)
+
+
+@given(st.sampled_from(["tree-differencing", "halfspace", "double-description"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_transposing_two_modes_moves_the_certificates_and_facets(method, seed):
+    # swapping two modes of T and of its posets keeps every verdict on an
+    # integer tensor, so every facet value is exact, and moves every
+    # violation and every facet through the swap
+    rng = np.random.default_rng(seed)
+    forests = [random_forest(int(rng.integers(1, 4)), rng) for _ in range(3)]
+    posets = {"tree-differencing": forests, "halfspace": [COLLIDER] + forests[:2],
+              "double-description": [COLLIDER, [COLLIDER, COLLIDER_4][rng.integers(2)],
+                                     poset.chain(1)]}[method]
+    posets = [posets[j] for j in rng.permutation(3)]
+    gens = cone.finite_rank_vrep(posets)
+    T = sum(k * g for k, g in zip(rng.integers(0, 3, size=len(gens)), gens))
+    T.flat[rng.integers(T.size)] += rng.choice([-1.0, 0.0, 1.0])
+    i, k = rng.choice(3, size=2, replace=False)
+    swapped = list(posets)
+    swapped[i], swapped[k] = posets[k], posets[i]
+    order = np.arange(T.size).reshape(T.shape).swapaxes(i, k).ravel()  # swapped flat -> T's
+    where = order.argsort()  # T's flat -> swapped
+
+    want, got = (cone.membership_finite_rank(T, posets),
+                 cone.membership_finite_rank(T.swapaxes(i, k), swapped))
+    assert (got.member, got.method, got.min_value) == (want.member, method, want.min_value)
+    assert _violations(got) == _violations(want, lambda f: int(where[f]))
+    assert (cone.canonical_inequalities(cone.finite_rank_hrep(swapped).normals)
+            == cone.canonical_inequalities(cone.finite_rank_hrep(posets).normals[:, order]))
 
 
 def test_membership_differencing_vs_double_description():

@@ -602,7 +602,7 @@ def test_rank2_matrix_exact_rejects_non_finite(bad):
 def test_marginal_solvers_reject_non_finite(solver, bad):
     # unchecked, the marginals and so the factors are NaN
     with pytest.raises(NonFiniteInput):
-        solver(_with_entry(bad))
+        solver(_with_entry(bad), [poset.chain(3), poset.chain(3)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -937,33 +937,77 @@ def test_rank1_gaussian_zero_and_fallback():
 
 def test_rank1_multinomial():
     T = np.full((2, 2), 0.25)
-    f = rank.rank1_multinomial(T)
+    free = [poset.trivial(2), poset.trivial(2)]
+    f = rank.rank1_multinomial(T, free)
     assert np.allclose(f.factors[0][0], [0.5, 0.5])
     assert np.allclose(f.reconstruct(), T)
     with pytest.raises(NonNegativityViolated):
-        rank.rank1_multinomial(np.array([[1.0, -0.1], [0.0, 0.0]]))
+        rank.rank1_multinomial(np.array([[1.0, -0.1], [0.0, 0.0]]), free)
     with pytest.raises(NonNegativityViolated):
-        rank.rank1_multinomial(np.zeros((2, 2)))
+        rank.rank1_multinomial(np.zeros((2, 2)), free)
 
 
 def test_rank1_multinomial_product_pmf_exact():
     q1 = np.array([0.2, 0.3, 0.5])
     q2 = np.array([0.1, 0.9])
-    f = rank.rank1_multinomial(np.outer(q1, q2))
+    f = rank.rank1_multinomial(np.outer(q1, q2), [poset.trivial(3), poset.trivial(2)])
     assert np.allclose(f.factors[0][0], q1)
     assert np.allclose(f.factors[1][0], q2)
 
 
 def test_rank1_poisson_scale():
-    f = rank.rank1_poisson(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    f = rank.rank1_poisson(np.array([[1.0, 2.0], [3.0, 4.0]]), [poset.trivial(2), poset.trivial(2)])
     assert np.isclose(f.lambdas[0], 10.0)
     assert np.isclose(f.reconstruct().sum(), 10.0)
 
 
 def test_rank1_poisson_zero_total():
-    f = rank.rank1_poisson(np.zeros((2, 3)))
+    f = rank.rank1_poisson(np.zeros((2, 3)), [poset.trivial(2), poset.trivial(3)])
     assert f.lambdas.tolist() == [0.0]
     assert f.reconstruct().tolist() == np.zeros((2, 3)).tolist()
+
+
+@pytest.mark.parametrize("solver", [rank.rank1_multinomial, rank.rank1_poisson])
+def test_marginal_fits_meet_the_constrained_kkt_conditions(solver):
+    # each mode's vector v maximizes sum m log v over the simplex within
+    # C(P): some mu >= 0 has A^T mu = N 1 - m / v and mu . A v = 0, A the
+    # H-rep rows; the marginals over chains, a forest and a collider fall
+    rng = np.random.default_rng(50)
+    for posets in ([poset.chain(3), poset.chain(4)], [random_forest(5, rng), poset.chain(2)],
+                   [COLLIDER, poset.chain(3), random_collider(4, rng)]):
+        shape = [P.p for P in posets]
+        T = rng.integers(1, 20, size=shape) * (np.arange(shape[-1], 0, -1.0) ** 2)
+        fit = solver(T, posets)
+        assert fit.posets == posets
+        N = T.sum()
+        for j, P in enumerate(posets):
+            m = np.apply_over_axes(np.sum, T, [a for a in range(T.ndim) if a != j]).ravel()
+            v = fit.factors[j][0]
+            assert cone.is_monotone(v, P).member and math.isclose(v.sum(), 1.0, rel_tol=1e-12)
+            A = isotonic._halfspace_rows(P)
+            f = N - m / v
+            mu, r = isotonic._nnls_certified(A.T, f)
+            assert np.abs(r).max() <= 1e-9 * np.abs(f).sum()
+            assert abs(mu @ (A @ v)) <= 1e-9
+        assert np.isclose(fit.reconstruct().sum(), 1.0 if solver is rank.rank1_multinomial else N)
+    # the reversed marginals [0.65, 0.35] and [0.65, 0.25, 0.1] pool to uniform
+    fit = solver(np.array([[9.0, 3.0, 1.0], [4.0, 2.0, 1.0]]), [poset.chain(2), poset.chain(3)])
+    assert np.allclose(fit.factors[0], 1 / 2) and np.allclose(fit.factors[1], 1 / 3)
+
+
+@pytest.mark.parametrize("solver", [rank.rank1_multinomial, rank.rank1_poisson])
+def test_marginal_fits_check_their_posets(solver):
+    with pytest.raises(ShapeMismatch):
+        solver(np.ones((2, 3)), [poset.chain(3), poset.chain(2)])
+    with pytest.raises(ShapeMismatch):
+        solver(np.ones((2, 3)), [poset.chain(2)])
+    # antichains constrain nothing: each factor is bitwise its marginal's m / N
+    T = np.array([[5.0, 1.0, 2.0], [0.0, 3.0, 1.0]])
+    free = [poset.trivial(2), poset.trivial(3)]
+    fit = solver(T, free)
+    assert fit.posets == free
+    for row, m in zip(fit.factors, [T.sum(axis=1), T.sum(axis=0)]):
+        assert row.tobytes() == (m / T.sum()).tobytes()
 
 
 def test_rank1_exponential():
@@ -1337,8 +1381,8 @@ def test_fits_take_a_single_poset_for_a_vector(y):
 
 
 def test_marginal_solvers_answer_order_0():
-    assert rank.rank1_poisson(np.array(2.0)).lambdas.tolist() == [2.0]
-    assert rank.rank1_multinomial(np.array(2.0)).lambdas.tolist() == [1.0]
+    assert rank.rank1_poisson(np.array(2.0), []).lambdas.tolist() == [2.0]
+    assert rank.rank1_multinomial(np.array(2.0), []).lambdas.tolist() == [1.0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -1347,8 +1391,8 @@ def test_marginal_solvers_answer_order_0():
     lambda T, Ps: factor.init_als_project(T, 2, Ps, 0),
     lambda T, Ps: rank.rank1_gaussian(T, Ps),
     lambda T, Ps: rank.rank1_exponential(T, Ps),
-    lambda T, Ps: rank.rank1_poisson(T),
-    lambda T, Ps: rank.rank1_multinomial(T),
+    lambda T, Ps: rank.rank1_poisson(T, Ps),
+    lambda T, Ps: rank.rank1_multinomial(T, Ps),
     lambda T, Ps: rank.rank2_matrix_exact(T, Ps),
 ], ids=["hals", "init_als_project", "rank1_gaussian", "rank1_exponential", "rank1_poisson",
         "rank1_multinomial", "rank2_matrix_exact"])
