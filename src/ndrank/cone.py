@@ -8,9 +8,9 @@ cone is generated by outer products of connected-upset indicators, and its
 facet normals are always the Kronecker product of a few linear maps: one
 plan per poset tuple, computed once and kept for the next call, holds them.
 With at most one collider the maps are each mode's H-rep rows
-(``isotonic._halfspace_rows``); otherwise the one map is the facets double
+(``tensor._halfspace_rows``); otherwise the one map is the facets double
 description finds over the flattened tensor, at toy scale.  Membership is
-one contraction of the tensor with the maps.
+one contraction of the tensor with the maps, as is the sampler's point test.
 
 Every check hands its facet values to one builder, which keeps the violated
 facets' indices and values; a certificate's list of :class:`Violation` s is
@@ -32,9 +32,8 @@ import numpy as np
 
 from . import poset as poset_mod
 from .errors import DegenerateCone, ShapeMismatch, TooLarge
-from .isotonic import _halfspace_rows
 from .poset import Poset, _product_covers, has_collider
-from .tensor import apply_kronecker, check_tensor, poset_list
+from .tensor import _halfspace_rows, apply_kronecker, check_tensor, poset_list
 
 DD_MAX_DIM = 12
 DD_MAX_GENS = 64
@@ -491,24 +490,23 @@ class ProbabilityEstimate:
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_sampling_plan(m: int):
-    """The m-by-m grid order, its linear extensions as inverse permutations,
-    one column each (entry (e, k) is the position of element e in extension
-    k), and the m-chain's H-rep rows.  Read-only; m <= 4, so four entries at
-    most, the largest 16 by 24 024 (3 MB)."""
+def _grid_sampling_plan(m: int) -> np.ndarray:
+    """The m-by-m grid's linear extensions as inverse permutations, one column
+    each: entry (e, k) is the position of element e in extension k.
+    Read-only; m <= 4, so four entries at most, the largest 16 by 24 024."""
     P = poset_mod.product([poset_mod.chain(m), poset_mod.chain(m)])
-    positions = np.argsort(np.asarray(poset_mod._Downsets(P).extensions()), axis=1).T.copy()
+    positions = np.argsort(np.asarray(poset_mod.linear_extensions(P)), axis=1).T.copy()
     positions.flags.writeable = False
-    return P, positions, _halfspace_rows(poset_mod.chain(m))
+    return positions
 
 
-def _grid_members(X: np.ndarray, H: np.ndarray, tol: float) -> int:
+def _grid_members(X: np.ndarray, maps, tol: float) -> int:
     """How many points X[:, :, i] of the m-by-m grid have every facet value
-    at least -tol: X contracted with the chain's H-rep rows ``H`` in both
-    modes, as :func:`membership_finite_rank` contracts a tensor.  Each value
+    at least -tol: X contracted with the grid plan's two ``maps``, one per
+    mode, as :func:`membership_finite_rank` contracts a tensor.  Each value
     is a difference of two entries, or an entry, plus exact zeros."""
-    m = H.shape[0]
-    D = H @ (H @ X.reshape(m, -1)).reshape(X.shape)
+    A, B = maps
+    D = B @ (A @ X.reshape(X.shape[0], -1)).reshape(X.shape)
     return int((D >= -tol).all(axis=(0, 1)).sum())
 
 
@@ -518,11 +516,13 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
 
     Points are drawn by choosing a uniformly random linear extension and
     assigning sorted uniform values along it, then tested against the
-    facets, the m-chain's H-rep rows in both modes.  The grid order, a table
-    of all its linear extensions and those rows are built once per m;
+    facets: each block of points is contracted with the maps of the grid's
+    :func:`_finite_rank_plan`, the m-chain's H-rep rows in both modes.  A
+    table of all the grid's linear extensions is built once per m, so
     m <= 4 (the 4-by-4 grid has 24 024 extensions, the 5-by-5 grid
     701 149 020, so m = 5 raises ``TooLarge``).  At m = 4 the target
-    probability is small, so a sharp estimate needs millions of samples.  ``m`` and ``n_samples`` are positive integers, not bools.
+    probability is small, so a sharp estimate needs millions of samples.
+    ``m`` and ``n_samples`` must be positive integers; a bool is refused.
     A point's entries lie in [0, 1], so each point is tested with the slack
     ``default_tol(1.0)``, the default of a point whose largest entry is 1.
     """
@@ -531,7 +531,8 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
         raise ValueError(f"m and n_samples must be positive integers (got {m!r}, {n_samples!r})")
     if m > 4:
         raise TooLarge(f"sampling is guarded at m <= 4 (got {m})")
-    P, positions, H = _grid_sampling_plan(m)
+    C = poset_mod.chain(m)
+    maps, positions = _finite_rank_plan((C, C))[1], _grid_sampling_plan(m)
     rng = np.random.default_rng(seed)
     members = 0
     tol = default_tol(1.0)
@@ -545,13 +546,13 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
         picks = rng.integers(0, positions.shape[1], size=n)
         for lo in range(0, n, block):
             b = min(block, n - lo)
-            vals = rng.random((b, P.p))
+            vals = rng.random((b, m * m))
             vals.sort(axis=1)
             # X[e, i] = vals[i, position of e in row i's extension],
             # gathered by flat index so that X is row-major in (e, i)
             flat = np.take(positions, picks[lo:lo + b], axis=1)
-            flat += np.arange(0, b * P.p, P.p)
-            members += _grid_members(np.take(vals, flat).reshape(m, m, b), H, tol)
+            flat += np.arange(0, b * m * m, m * m)
+            members += _grid_members(np.take(vals, flat).reshape(m, m, b), maps, tol)
     p_hat = members / n_samples
     stderr = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_samples))
     return ProbabilityEstimate(estimate=p_hat, stderr=stderr,

@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import UncertifiedSolution
 from .poset import Poset
-from .tensor import _rowdot, require_finite
+from .tensor import _halfspace_rows, _rowdot, require_finite
 
 
 def _public_kernels():
@@ -216,20 +216,6 @@ def _pool_rows(Y: np.ndarray, idx, w, wrow: np.ndarray, r: np.ndarray) -> None:
         _pava(x, wrow, r)
     if X is not Y:
         Y[:, idx] = X
-
-
-@functools.lru_cache(maxsize=256)
-def _halfspace_rows(P: Poset) -> np.ndarray:
-    """H-representation rows of C(P): e_m for minimal m, then e_b - e_a for
-    covers (a, b) in sorted order.  The one H-rep in the package; read-only,
-    as the cached array is shared."""
-    mins, covers = P.minimal_elements(), sorted(P.covers)
-    A = np.zeros((len(mins) + len(covers), P.p))
-    A[range(len(mins)), mins] = 1.0
-    for r, (a, b) in enumerate(covers, start=len(mins)):
-        A[r, a], A[r, b] = -1.0, 1.0
-    A.setflags(write=False)
-    return A
 
 
 @functools.lru_cache(maxsize=256)

@@ -40,9 +40,9 @@ from .factor import (
     _unfoldings,
     hals,
 )
-from .isotonic import _halfspace_rows, _nnls_certified, project
+from .isotonic import _nnls_certified, project
 from .poset import Poset, count_connected_upsets, is_simplicial
-from .tensor import check_fit_input, check_tensor, poset_list, require_finite
+from .tensor import _halfspace_rows, check_fit_input, check_tensor, poset_list, require_finite
 
 
 # ---------------------------------------------------------------------------

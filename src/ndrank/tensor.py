@@ -2,7 +2,8 @@
 
 Tensors are plain numpy arrays in row-major layout (last index fastest);
 linear maps are dense 2-D arrays.  Indices in the public API are 1-based to
-match the usual tensor-entry notation; internal storage is 0-based.
+match the usual tensor-entry notation; internal storage is 0-based.  Every
+order-cone facet row is built here, by :func:`_halfspace_rows`.
 
 The membership checks validate their input by :func:`check_tensor`, and
 the fits that take posets by :func:`check_fit_input`, which adds that a fit
@@ -130,17 +131,29 @@ def mobius_matrix(P: Poset) -> np.ndarray:
     return P.leq.T.astype(float)
 
 
-def mobius_inverse_matrix(P: Poset) -> np.ndarray:
-    """Inverse of the upset-indicator map, valid for collider-free posets.
+@functools.lru_cache(maxsize=256)
+def _halfspace_rows(P: Poset) -> np.ndarray:
+    """H-representation rows of C(P): e_m for minimal m, then e_b - e_a for
+    covers (a, b) in sorted order.  Every order-cone facet row in the
+    package is built here; read-only, as the cached array is shared."""
+    mins, covers = P.minimal_elements(), sorted(P.covers)
+    A = np.zeros((len(mins) + len(covers), P.p))
+    A[range(len(mins)), mins] = 1.0
+    for r, (a, b) in enumerate(covers, start=len(mins)):
+        A[r, a], A[r, b] = -1.0, 1.0
+    A.setflags(write=False)
+    return A
 
-    Entry (x, y) is 1 if x = y, -1 if y is covered by x, 0 otherwise; for a
-    chain this is the bidiagonal differencing matrix.
-    """
+
+def mobius_inverse_matrix(P: Poset) -> np.ndarray:
+    """Inverse of the upset-indicator map of a collider-free poset: its H-rep
+    rows, each at its +1 entry, so entry (x, y) is 1 if x = y, -1 if y is
+    covered by x, 0 otherwise (for a chain, the bidiagonal differencing)."""
     if not is_simplicial(P):
         raise NotSimplicial("the inverse formula requires a collider-free poset")
-    M = np.eye(P.p)
-    for a, b in P.covers:
-        M[b, a] = -1.0
+    H = _halfspace_rows(P)
+    M = np.empty_like(H)
+    M[np.nonzero(H > 0)[1]] = H
     return M
 
 

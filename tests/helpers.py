@@ -3,8 +3,9 @@ metamorphic rules and their relabelling, an independent
 projected-gradient oracle for order-cone projection, a pure-Python
 pool-adjacent-violators reference, the product-order covers, the
 product-poset monotonicity check and
-the explicit-normals membership check, a double description with its own
-Gauss-Jordan inverse, a brute-force connected-upset enumeration, the
+the explicit-normals membership check, the cover-loop Moebius inverse, a
+double description with its own Gauss-Jordan inverse, a brute-force
+connected-upset enumeration, the
 Moebius-transform rank-two factorization, the
 term-by-term ALS init, the
 row-by-row random-cone init, the full-tensor ND-HALS sweep and the
@@ -58,6 +59,15 @@ KINDS = (random_chain, random_forest, random_collider, random_dag,
 
 def random_poset(p, rng):
     return KINDS[int(rng.integers(0, len(KINDS)))](p, rng)
+
+
+def reference_mobius_inverse(P):
+    """Inverse of the upset-indicator map of a collider-free poset, by its
+    cover loop: the identity with -1 at (b, a) for each cover (a, b)."""
+    M = np.eye(P.p)
+    for a, b in P.covers:
+        M[b, a] = -1.0
+    return M
 
 
 # the poset kinds the metamorphic rules are checked on

@@ -898,7 +898,7 @@ def test_certificates_survive_pickling(check, posets, method):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_grid_extension_table_lists_every_extension_once(m):
-    P, positions, _ = cone._grid_sampling_plan(m)
+    P, positions = poset.product([poset.chain(m), poset.chain(m)]), cone._grid_sampling_plan(m)
     count = poset.count_linear_extensions(P)
     assert count == {1: 1, 2: 2, 3: 42, 4: 24_024}[m]
     assert positions.shape == (m * m, count) and not positions.flags.writeable
@@ -913,11 +913,12 @@ def test_grid_extension_table_lists_every_extension_once(m):
 def test_grid_members_match_the_diff_reference(m):
     # entries on a 1e-9 lattice put many differences at or next to -tol
     rng = np.random.default_rng(48)
-    H = cone._grid_sampling_plan(m)[2]
+    C = poset.chain(m)
+    maps = cone._finite_rank_plan((C, C))[1]
     for X in (rng.integers(-3, 4, size=(500, m, m)) * 1e-9, rng.standard_normal((500, m, m))):
         want = reference_grid_members(X, 2e-9)
-        assert cone._grid_members(np.ascontiguousarray(X.transpose(1, 2, 0)), H, 2e-9) == want
-        assert cone._grid_members(X.transpose(1, 2, 0), H, 2e-9) == want
+        assert cone._grid_members(np.ascontiguousarray(X.transpose(1, 2, 0)), maps, 2e-9) == want
+        assert cone._grid_members(X.transpose(1, 2, 0), maps, 2e-9) == want
 
 
 @pytest.mark.parametrize("m, n_samples, seeds", [

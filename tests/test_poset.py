@@ -276,13 +276,34 @@ def test_upset_walk_guard_counts_non_empty_upsets(monkeypatch):
 
 def test_upset_walk_guard_bounds_its_work(monkeypatch):
     # the grid of two 30-chains has C(60, 30) upsets; the walk meets only
-    # those it counts, so it refuses after 10^5 of them, not after walking
-    # a share of the grid's subsets
-    monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", 100_000)
-    start = time.perf_counter()
-    with pytest.raises(TooLarge):
-        poset.count_connected_upsets(poset.product([poset.chain(30), poset.chain(30)]))
-    assert time.perf_counter() - start < 2.0
+    # those it counts, so it refuses after exactly the limit of them, not
+    # after walking a share of the grid's subsets.  The masks are counted
+    # as they come, so a walk that ignores its guard fails here at once
+    grid = poset.product([poset.chain(30), poset.chain(30)])
+    walk, walked = poset._upset_masks, [0]
+
+    def counted(P, parts):
+        walked[0] = 0
+        for mask in walk(P, parts):
+            walked[0] += 1
+            assert walked[0] <= poset.ANTICHAIN_COUNT_LIMIT, "the walk passed its guard"
+            yield mask
+
+    monkeypatch.setattr(poset, "_upset_masks", counted)
+
+    def refused_after(limit):
+        monkeypatch.setattr(poset, "ANTICHAIN_COUNT_LIMIT", limit)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            poset.count_connected_upsets(grid)
+        assert walked[0] == limit
+        return time.perf_counter() - start
+
+    small = min(refused_after(10_000) for _ in range(3))
+    # the work, not the wall time, is bounded: ten times the limit takes
+    # five to ten times as long (a fixed cost per walk), so a bound of 50x
+    # holds under a line tracer as well as without one
+    assert refused_after(100_000) <= 50 * small
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 8])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ndrank import cone, isotonic, poset, tensor
 from ndrank.errors import IndexOutOfRange, NonFiniteInput, NotSimplicial, ParseError, ShapeMismatch
 
-from helpers import random_forest
+from helpers import random_forest, reference_mobius_inverse
 
 
 def test_outer_examples():
@@ -61,6 +63,29 @@ def test_mobius_inverse_rejects_collider():
     P = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
     with pytest.raises(NotSimplicial):
         tensor.mobius_inverse_matrix(P)
+
+
+@st.composite
+def forests(draw):
+    """A forest on 0 to 10 elements: each element is a root or covers one
+    earlier element, so chains and antichains are among them."""
+    parents = [draw(st.integers(-1, i - 1)) for i in range(draw(st.integers(0, 10)))]
+    return poset.from_relation(list(range(len(parents))),
+                               [(a, b) for b, a in enumerate(parents) if a >= 0])
+
+
+@given(st.one_of(st.integers(1, 10).map(poset.chain), st.integers(1, 10).map(poset.trivial),
+                 forests(), st.just(poset.from_relation([], []))), st.data())
+def test_mobius_inverse_is_the_cover_loop_bitwise(P, data):
+    M, want = tensor.mobius_inverse_matrix(P), reference_mobius_inverse(P)
+    assert (M.shape, M.dtype, M.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    assert M.flags.writeable  # a fresh array, not the shared read-only rows
+    # a new top covering an element and a new root makes a collider
+    top = P.p + 2
+    a = data.draw(st.integers(0, P.p))  # P.p is a second new root
+    Q = poset.from_relation(list(range(P.p + 3)), list(P.covers) + [(a, top), (P.p + 1, top)])
+    with pytest.raises(NotSimplicial):
+        tensor.mobius_inverse_matrix(Q)
 
 
 def test_mobius_identity_random_forests():
