@@ -26,11 +26,11 @@ from .cone import (
     finite_rank_vrep,
     is_monotone,
     membership_finite_rank,
-    order_cone_vrep,
     sample_finite_rank_probability,
 )
 from .errors import NDRankError, UnsupportedLossRank
 from .factor import INITS, FitConfig, hals
+from .poset import _ordered_connected_upset_masks, _unpack
 from .poset import chain, collider_to_top, count_connected_upsets, product, read_poset, trivial
 from .rank import rank1_exponential, rank1_multinomial, rank1_poisson, rank_bounds
 from .tensor import check_tensor, read_tensor
@@ -89,7 +89,8 @@ def cmd_rays(args) -> int:
         if args.count_only:  # one generator per connected upset
             print(count_connected_upsets(P))
             return 0
-        gens = order_cone_vrep(P).generators
+        # order_cone_vrep's rows, kept as uint8: its float copy would be 8x the listing
+        gens = _unpack(_ordered_connected_upset_masks(P), P.p)
         print(f"{len(gens)} order-cone generators")
     _print_generators(gens, shape)
     return 0
@@ -102,7 +103,7 @@ def _print_generators(gens, shape) -> None:
     template = "  " + np.array2string(np.zeros(shape, int), separator=" ").replace("\n", "\n  ")
     template = np.frombuffer(template.encode(), np.uint8)
     slots = np.flatnonzero(template == ord("0"))
-    digits = gens.astype(np.uint8).reshape((len(gens),) + shape)
+    digits = gens.astype(np.uint8, copy=False).reshape((len(gens),) + shape)
     opts = np.get_printoptions()
     if prod(shape) > opts["threshold"]:  # summarized: the ends of each long axis
         edge = opts["edgeitems"]
@@ -230,8 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rays", help="extremal ray listings")
     p.add_argument("posets", nargs="+")
-    p.add_argument("--product", action="store_true", help="rays of the product order cone")
-    p.add_argument("--finite-rank", action="store_true", help="rays of the finite-ND-rank cone")
+    cone_flag = p.add_mutually_exclusive_group()
+    cone_flag.add_argument("--product", action="store_true", help="rays of the product order cone")
+    cone_flag.add_argument("--finite-rank", action="store_true",
+                           help="rays of the finite-ND-rank cone")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=cmd_rays)
 

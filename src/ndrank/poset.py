@@ -353,66 +353,34 @@ def count_antichains(P: Poset) -> int:
     return sum(1 for _ in _upset_masks(P, [(1 << P.p) - 1]))
 
 
-class _Downsets:
-    """The count and the listing of a poset's linear extensions, over its
-    upsets as bitmasks: an extension of an upset U starts with a minimal x
-    of U and goes on with one of U - x.  Both walk with a stack or level by
-    level, never recursing, so a long chain is walked as well."""
-
-    def __init__(self, P: Poset):
-        self.p, self.full = P.p, (1 << P.p) - 1
-        self._lower = [0] * P.p
-        for a, b in P.covers:
-            self._lower[b] |= 1 << a
-
-    def minimal(self, remaining: int):
-        """Yield ``(x, bit)`` for each element x minimal in ``remaining``."""
-        lower = self._lower
-        for x in _bits(remaining):
-            if lower[x] & remaining == 0:
-                yield x, 1 << x
-
-    def count(self) -> int:
-        """The number of linear extensions, by dynamic programming over the
-        upsets of each size in turn: ``ways`` maps the upsets left after
-        removing k elements to the number of orders that remove them.
-        Raises ``TooLarge`` once it has met more than
-        ``ANTICHAIN_COUNT_LIMIT`` upsets, the empty one included."""
-        ways, seen = {self.full: 1}, 1
-        for _ in range(self.p):
-            nxt: dict[int, int] = {}
-            for upset, n in ways.items():
-                for _, bit in self.minimal(upset):
-                    nxt[upset ^ bit] = nxt.get(upset ^ bit, 0) + n
-                if seen + len(nxt) > ANTICHAIN_COUNT_LIMIT:
-                    raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets")
-            seen += len(nxt)
-            ways = nxt
-        return ways[0]
-
-    def extensions(self) -> list[tuple]:
-        """Every linear extension as an index tuple, in depth-first order
-        over the minimal elements.  Unguarded: callers bound the count."""
-        out: list[tuple] = []
-        prefix: list[int] = []
-        remaining = self.full
-        # the minimal elements still to try after each entry of the prefix
-        stack = [self.minimal(remaining)]
-        while stack:
-            for x, bit in stack[-1]:
-                prefix.append(x)
-                remaining ^= bit
-                if remaining:  # go deeper
-                    stack.append(self.minimal(remaining))
-                    break
-                out.append(tuple(prefix))
-                prefix.pop()
-                remaining = bit
-            else:  # every extension of the prefix is listed
-                stack.pop()
-                if prefix:
-                    remaining |= 1 << prefix.pop()
-        return out
+def _downset_walk(P: Poset, start, extend):
+    """Sum ``extend`` over P's linear extensions, level by level over its
+    upsets as bitmasks, never recursing: an extension of an upset U starts
+    with a minimal x of U and goes on with one of U - x.  ``ways`` maps the
+    upsets left after removing k elements to the sum, over the orders that
+    remove them, of ``start`` extended by each removed x in turn; a level is
+    consumed as the next is built.  Raises ``TooLarge`` once it has met more
+    than ``ANTICHAIN_COUNT_LIMIT`` upsets, the empty one included."""
+    lower = [0] * P.p
+    for a, b in P.covers:
+        lower[b] |= 1 << a
+    ways, seen = {(1 << P.p) - 1: start}, 1
+    for _ in range(P.p):
+        nxt = {}
+        while ways:
+            upset, value = ways.popitem()
+            for x in _bits(upset):
+                if not lower[x] & upset:
+                    rest = upset ^ 1 << x
+                    if rest in nxt:
+                        nxt[rest] += extend(value, x)
+                    else:
+                        nxt[rest] = extend(value, x)
+            if seen + len(nxt) > ANTICHAIN_COUNT_LIMIT:
+                raise TooLarge(f"poset has more than {ANTICHAIN_COUNT_LIMIT} upsets")
+        seen += len(nxt)
+        ways = nxt
+    return ways[0]
 
 
 def count_linear_extensions(P: Poset) -> int:
@@ -420,19 +388,19 @@ def count_linear_extensions(P: Poset) -> int:
 
     Refuses with ``TooLarge`` a poset with more than 10^6 upsets, such as
     ``trivial(20)``, whose table would not fit."""
-    return _Downsets(P).count()
+    return _downset_walk(P, 1, lambda n, x: n)
 
 
 def linear_extensions(P: Poset) -> list[tuple]:
-    """All total orders (as index tuples) consistent with the poset order.
+    """All total orders (as index tuples) consistent with the poset order,
+    in lexicographic order, listed by the walk that counts them.
 
     Counted first, as :func:`count_linear_extensions` counts, and refused
     with ``TooLarge`` past one million extensions.
     """
-    dp = _Downsets(P)
-    if dp.count() > LINEAR_EXTENSION_COUNT_LIMIT:
+    if count_linear_extensions(P) > LINEAR_EXTENSION_COUNT_LIMIT:
         raise TooLarge("poset has more than 1e6 linear extensions")
-    return dp.extensions()
+    return sorted(_downset_walk(P, [()], lambda orders, x: [o + (x,) for o in orders]))
 
 
 # ---------------------------------------------------------------------------
@@ -484,31 +452,28 @@ def parse_poset_text(text: str) -> Poset:
     try:
         return from_relation(labels, edges)
     except CycleError as exc:
-        raise ParseError(str(exc), line=linenos[_first_cycle_edge(labels, edges)]) from exc
-
-
-def _first_cycle_edge(labels, edges) -> int:
-    """Index of the edge that closes the first cycle when the edges of a
-    cyclic relation (without self-loops) are added in order."""
-    lut = {lab: i for i, lab in enumerate(labels)}
-    upper = [0] * len(labels)  # strict upper sets of the edges so far
-    for k, (a, b) in enumerate(edges):
-        a, b = lut[a], lut[b]
-        if upper[b] >> a & 1:
-            return k
-        gained = 1 << b | upper[b]
-        for x, up in enumerate(upper):
-            if x == a or up >> a & 1:
-                upper[x] = up | gained
+        # the shortest cyclic prefix ends at the line closing the first cycle
+        lo, hi = 0, len(edges)  # an acyclic prefix and a cyclic one
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                from_relation(labels, edges[:mid])
+                lo = mid
+            except CycleError:
+                hi = mid
+        raise ParseError(str(exc), line=linenos[hi - 1]) from exc
 
 
 def format_poset_text(P: Poset) -> str:
     """The poset in the text format that ``parse_poset_text`` reads.
 
-    Raises ``ValueError`` naming the first label that would not read back
-    as written: one whose text is empty, has surrounding whitespace, breaks
-    the line or holds ``,``, ``<`` or ``#``, or equals an earlier label's.
+    Raises ``ValueError`` for a poset with no elements, or naming the first
+    label that would not read back as written: one whose text is empty, has
+    surrounding whitespace, breaks the line or holds ``,``, ``<`` or ``#``,
+    or equals an earlier label's.
     """
+    if not P.labels:
+        raise ValueError("a poset with no elements cannot be written in the poset text format")
     seen = {}
     for lab in P.labels:
         text = str(lab)
@@ -529,6 +494,6 @@ def read_poset(path) -> Poset:
 
 
 def write_poset(P: Poset, path) -> None:
-    text = format_poset_text(P)  # a label it refuses leaves no file behind
+    text = format_poset_text(P)  # a poset it refuses leaves no file behind
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -323,6 +323,29 @@ def reference_double_description(generators):
     return np.asarray(sorted(rays), dtype=int)
 
 
+def reference_linear_extensions(P):
+    """Every order of P's elements that puts each cover's lower end first,
+    by filtering all p! permutations, which come in lexicographic order."""
+    return [order for order in itertools.permutations(range(P.p))
+            if all(order.index(a) < order.index(b) for a, b in P.covers)]
+
+
+def reference_first_cycle_edge(labels, edges):
+    """Index of the edge that closes the first cycle when the edges of a
+    cyclic relation (without self-loops) are added in order, by keeping the
+    strict upper sets of the edges so far as bit rows."""
+    lut = {lab: i for i, lab in enumerate(labels)}
+    upper = [0] * len(labels)
+    for k, (a, b) in enumerate(edges):
+        a, b = lut[a], lut[b]
+        if upper[b] >> a & 1:
+            return k
+        gained = 1 << b | upper[b]
+        for x, up in enumerate(upper):
+            if x == a or up >> a & 1:
+                upper[x] = up | gained
+
+
 def reference_connected_upsets(P):
     """Every nonempty subset of P that is an upset and whose Hasse subgraph
     is connected, found by checking all 2^p subsets; ordered by size, then
@@ -448,7 +471,7 @@ def reference_sample_members(m, n_samples, seed):
     built by one scatter of its sorted values along its extensions."""
     P = poset.product([poset.chain(m), poset.chain(m)])
     rng = np.random.default_rng(seed)
-    table = np.asarray(poset._Downsets(P).extensions(), dtype=int)
+    table = np.asarray(poset.linear_extensions(P), dtype=int)
     members, done, chunk = 0, 0, 200_000
     while done < n_samples:
         n = min(chunk, n_samples - done)

@@ -219,7 +219,8 @@ def test_rays_counts_product_generators_without_building_them(capsys, monkeypatc
     def refuse(*args):
         raise AssertionError("the generators were built")
 
-    monkeypatch.setattr(cli, "order_cone_vrep", refuse)
+    monkeypatch.setattr(cli, "_ordered_connected_upset_masks", refuse)
+    monkeypatch.setattr(cli, "_unpack", refuse)
     monkeypatch.setattr(poset, "connected_upsets", refuse)
     for toks, count in zip(cases, want):
         code, out, _ = run(capsys, "rays", *toks, "--product", "--count-only")
@@ -277,6 +278,15 @@ def test_rays_of_several_posets_need_a_flag(capsys):
     code, out, err = run(capsys, "rays", "chain:2", "chain:3")
     assert code == 2 and out == ""
     assert "--product or --finite-rank" in err
+
+
+def test_rays_cone_flags_exclude_each_other(capsys):
+    # --finite-rank used to win over --product without a word
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rays", "chain:2", "chain:2", "--product", "--finite-rank"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument --product" in captured.err
 
 
 # sha256 of the standard output of each command, recorded before the

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from ndrank import poset
 from ndrank.errors import CycleError, ParseError, TooLarge, UnknownLabel
 
-from helpers import (random_chain, random_collider, random_dag, random_forest, random_poset,
-                     reference_connected_upsets, reference_product_covers)
+from helpers import (KINDS, random_chain, random_collider, random_dag, random_forest, random_poset,
+                     reference_connected_upsets, reference_first_cycle_edge,
+                     reference_linear_extensions, reference_product_covers)
 
 
 def test_from_relation_already_reduced():
@@ -392,6 +393,24 @@ def test_count_linear_extensions_matches_enumeration():
         assert poset.count_linear_extensions(P) == len(poset.linear_extensions(P))
 
 
+def test_linear_extensions_are_the_orders_that_respect_every_cover():
+    # one level walk counts and lists: on the empty poset, on chains,
+    # forests, colliders, DAGs and antichains of up to 7 elements and on
+    # products as small, the listing is the sorted filter of all orders
+    rng = np.random.default_rng(40)
+    posets = [poset.from_relation([], [])]
+    posets += [kind(p, rng) for kind in KINDS for p in range(1, 8) for _ in range(2)]
+    for _ in range(12):
+        a = int(rng.integers(1, 4))
+        b = int(rng.integers(1, 7 // a + 1))
+        posets.append(poset.product([random_poset(a, rng), random_poset(b, rng)]))
+    for P in posets:
+        want = reference_linear_extensions(P)
+        assert poset.linear_extensions(P) == want
+        assert poset.count_linear_extensions(P) == len(want)
+    assert poset.linear_extensions(posets[0]) == [()]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12))
 def test_closure_of_reduction_idempotent(pairs):
@@ -469,6 +488,49 @@ def test_text_format_names_the_line_of_a_self_loop():
     with pytest.raises(ParseError) as err:
         poset.parse_poset_text("elements: a,b\na < b\nb < a\n")
     assert err.value.line == 3
+
+
+def test_text_format_names_the_line_closing_the_first_cycle():
+    # the parser bisects over prefixes of the relation with from_relation;
+    # blank and comment lines keep a line's number apart from its edge's
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 150:
+        p = int(rng.integers(2, 10))
+        labels = [f"e{i}" for i in range(p)]
+        edges = []
+        for _ in range(int(rng.integers(2, 3 * p))):
+            a, b = rng.choice(p, size=2, replace=False)
+            edges.append((labels[a], labels[b]))
+        try:
+            poset.from_relation(labels, edges)
+            continue
+        except CycleError as exc:
+            message = str(exc)
+        lines, linenos = ["elements: " + ",".join(labels)], []
+        for a, b in edges:
+            if rng.random() < 0.3:
+                lines.append("# a comment" if rng.random() < 0.5 else "")
+            lines.append(f"{a} < {b}")
+            linenos.append(len(lines))
+        with pytest.raises(ParseError) as err:
+            poset.parse_poset_text("\n".join(lines) + "\n")
+        line = linenos[reference_first_cycle_edge(labels, edges)]
+        assert err.value.line == line
+        assert str(err.value) == f"{message} (line {line})"
+        checked += 1
+
+
+def test_text_format_refuses_the_empty_poset(tmp_path):
+    # "elements: " would be read back as an empty element list, and refused
+    E = poset.from_relation([], [])
+    with pytest.raises(ValueError, match="no elements"):
+        poset.format_poset_text(E)
+    with pytest.raises(ValueError, match="no elements"):
+        poset.write_poset(E, tmp_path / "empty.txt")
+    assert not (tmp_path / "empty.txt").exists()
+    with pytest.raises(ParseError, match="empty element list"):
+        poset.parse_poset_text("elements: \n")
 
 
 def test_text_format_rejects_labels_it_cannot_read_back(tmp_path):
