@@ -184,10 +184,6 @@ def cmd_factorize(args) -> int:
     print(f"TSS: {tss:.6g}")
     print(f"relative residual: {np.sqrt(rss / tss) if tss > 0 else 0.0:.6g}")
     if args.out:
-        if args.posets:
-            fact.diagnostics["poset_refs"] = list(args.posets)
-        elif args.tensor.startswith("fixture:"):
-            fact.diagnostics["poset_refs"] = [args.tensor]
         with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
             fh.write(fact.to_json())
         table_paths = _write_factor_tables(args.out, fact, posets)

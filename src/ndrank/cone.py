@@ -50,11 +50,11 @@ def default_tol(T) -> float:
 
 def _resolve_tol(T, tol) -> float:
     """``tol``, or ``default_tol(T)`` when it is None.  A nan, infinite or
-    negative slack would turn every check into a false verdict, so those
-    raise ``ValueError``."""
+    negative slack would turn every check into a false verdict, and a bool
+    is no slack, so those raise ``ValueError``."""
     if tol is None:
         return default_tol(T)
-    if not (isfinite(tol) and tol >= 0):
+    if isinstance(tol, bool) or not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0 (got {tol!r})")
     return tol
 
@@ -522,13 +522,16 @@ def sample_finite_rank_probability(m: int, n_samples: int, seed: int) -> Probabi
     m <= 4 (the 4-by-4 grid has 24 024 extensions, the 5-by-5 grid
     701 149 020, so m = 5 raises ``TooLarge``).  At m = 4 the target
     probability is small, so a sharp estimate needs millions of samples.
-    ``m`` and ``n_samples`` must be positive integers; a bool is refused.
+    ``m`` and ``n_samples`` must be positive integers and ``seed`` a
+    nonnegative one; a bool is refused.
     A point's entries lie in [0, 1], so each point is tested with the slack
     ``default_tol(1.0)``, the default of a point whose largest entry is 1.
     """
     if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1
            for n in (m, n_samples)):
         raise ValueError(f"m and n_samples must be positive integers (got {m!r}, {n_samples!r})")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer (got {seed!r})")
     if m > 4:
         raise TooLarge(f"sampling is guarded at m <= 4 (got {m})")
     C = poset_mod.chain(m)

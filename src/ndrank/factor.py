@@ -87,8 +87,9 @@ class NDFactorization:
     """Sum of rank-one terms with per-mode vectors constrained to order cones.
 
     ``factors[j]`` has shape (rank, p_j); row i is the mode-j vector of term
-    i.  ``lambdas[i]`` is the nonnegative scale of term i (vectors are kept
-    at unit Euclidean norm by the solvers).
+    i.  ``lambdas[i]`` is the nonnegative scale of term i.  Vectors have
+    unit l2 norm, but ``rank1_poisson`` and ``rank1_multinomial`` return
+    proportions (each vector sums to 1).
     """
 
     lambdas: np.ndarray
@@ -114,7 +115,9 @@ class NDFactorization:
 
     def rescaled(self, mode_l1: dict, absorb: int) -> "NDFactorization":
         """Copy with chosen modes scaled to target l1 norms, scales folded
-        into ``absorb`` (lambdas become 1)."""
+        into ``absorb`` (lambdas become 1); each target must be positive and finite."""
+        if not all(math.isfinite(t) and t > 0 for t in mode_l1.values()):
+            raise ValueError(f"l1 targets must be positive and finite (got {mode_l1!r})")
         factors = [F.copy() for F in self.factors]
         lambdas = self.lambdas.copy()
         for i in range(self.rank):
@@ -124,8 +127,7 @@ class NDFactorization:
                     factors[mode][i] *= target / norm
                     lambdas[i] *= norm / target
             factors[absorb][i] *= lambdas[i]
-            lambdas[i] = 1.0
-        return NDFactorization(lambdas, factors, self.posets, dict(self.diagnostics))
+        return NDFactorization(np.ones(self.rank), factors, self.posets, dict(self.diagnostics))
 
     def to_json(self) -> str:
         obj = {
@@ -133,9 +135,7 @@ class NDFactorization:
             "lambdas": self.lambdas.tolist(),
             "factors": [[self.factors[j][i].tolist() for j in range(self.order)]
                         for i in range(self.rank)],
-            "posets": self.diagnostics.get("poset_refs"),
-            "diagnostics": {k: v for k, v in self.diagnostics.items()
-                            if k != "poset_refs"},
+            "diagnostics": self.diagnostics,
         }
         return json.dumps(obj, indent=2)
 
@@ -144,10 +144,8 @@ class NDFactorization:
         obj = json.loads(text)
         r = obj["rank"]
         k = len(obj["factors"][0]) if r else 0
-        factors = [np.asarray([obj["factors"][i][j] for i in range(r)], dtype=float)
-                   for j in range(k)]
-        return cls(np.asarray(obj["lambdas"], dtype=float), factors,
-                   diagnostics=obj.get("diagnostics") or {})
+        factors = [[obj["factors"][i][j] for i in range(r)] for j in range(k)]
+        return cls(obj["lambdas"], factors, diagnostics=obj.get("diagnostics") or {})
 
 
 # the names of FitConfig.init, its default first
@@ -167,14 +165,14 @@ class FitConfig:
     init: str = INITS[0]
 
     def __post_init__(self):
-        for name in ("rank", "max_sweeps", "restarts", "seed"):
+        for name, least in (("rank", 1), ("max_sweeps", 1), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             # bool is an Integral, but True is no count and no seed
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer (got {value!r})")
-            if name != "seed" and value < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
+        if isinstance(self.rel_tol, bool) or not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be positive and finite (got {self.rel_tol!r})")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")

@@ -146,13 +146,7 @@ def rank1_exponential(T, posets) -> NDFactorization:
             vecs[t] = new
         if moved < _RANK1_TOL:
             break
-    lam = norm
-    unit = []
-    for v in vecs:
-        n = float(np.linalg.norm(v))
-        unit.append(v / n)
-        lam *= n
-    return NDFactorization(np.array([lam]), [v[None, :] for v in unit], posets=posets)
+    return _unit_terms([v[None, :] for v in vecs], posets, scale=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +169,18 @@ def _nnls_coefficients(T2: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A
 
 
-def _pack_rank2(a_cols, b_rows, posets) -> NDFactorization:
-    lambdas = np.zeros(2)
-    F1 = np.zeros((2, a_cols.shape[0]))
-    F2 = np.zeros((2, b_rows.shape[1]))
-    for i in range(2):
-        na, nb = np.linalg.norm(a_cols[:, i]), np.linalg.norm(b_rows[i])
-        lambdas[i] = na * nb
-        F1[i] = a_cols[:, i] / na if na > 0 else _uniform_unit(a_cols.shape[0])
-        F2[i] = b_rows[i] / nb if nb > 0 else _uniform_unit(b_rows.shape[1])
-    return NDFactorization(lambdas, [F1, F2], posets=list(posets))
+def _unit_terms(vectors, posets, scale: float = 1.0) -> NDFactorization:
+    """The factorization whose term i has mode-j vector ``vectors[j][i]``
+    (row i of an (r, p_j) array) at unit norm, or uniform where it is zero,
+    and the scale ``scale`` times those vectors' norms, in mode order."""
+    lambdas = np.full(len(vectors[0]), scale)
+    factors = [np.empty(V.shape) for V in vectors]
+    for F, V in zip(factors, vectors):
+        for i, v in enumerate(V):
+            n = np.linalg.norm(v)
+            lambdas[i] *= n
+            F[i] = v / n if n > 0 else _uniform_unit(v.size)
+    return NDFactorization(lambdas, factors, posets=list(posets))
 
 
 def rank2_matrix_exact(T, posets) -> Rank2Result:
@@ -237,7 +233,7 @@ def rank2_matrix_exact(T, posets) -> Rank2Result:
             return Rank2Result(None, cert, "extracted column-mode vector is infeasible")
         if a_cols[:, i].any() and not is_monotone(a_cols[:, i], posets[0], tol).member:
             return Rank2Result(None, cert, "extracted row-mode coefficients are infeasible")
-    fact = _pack_rank2(a_cols, b_rows, posets)
+    fact = _unit_terms([a_cols.T, b_rows], posets)
     fact.lambdas *= norm
     return Rank2Result(fact, cert, None)
 

@@ -441,6 +441,21 @@ def reference_rank2_mobius(T2, posets, tol=1e-10):
     return np.linalg.solve(D1, W), np.linalg.solve(D2, H.T)
 
 
+def reference_pack_rank2(a_cols, b_rows, posets):
+    """The rank-two fit's own packing before it shared ``rank._unit_terms``:
+    term i is column i of ``a_cols`` and row i of ``b_rows``, each at unit
+    norm (uniform where zero), with lambda_i the product of their norms."""
+    lambdas = np.zeros(2)
+    F1 = np.zeros((2, a_cols.shape[0]))
+    F2 = np.zeros((2, b_rows.shape[1]))
+    for i in range(2):
+        na, nb = np.linalg.norm(a_cols[:, i]), np.linalg.norm(b_rows[i])
+        lambdas[i] = na * nb
+        F1[i] = a_cols[:, i] / na if na > 0 else factor._uniform_unit(a_cols.shape[0])
+        F2[i] = b_rows[i] / nb if nb > 0 else factor._uniform_unit(b_rows.shape[1])
+    return factor.NDFactorization(lambdas, [F1, F2], posets=list(posets))
+
+
 def trace_nonincreasing(trace, slack=1e-12):
     return all(trace[i + 1] <= trace[i] + slack * max(1.0, trace[i])
                for i in range(len(trace) - 1))

@@ -501,6 +501,47 @@ def test_factorize_rejects_a_non_finite_rel_tol(tmp_path, capsys, rel_tol):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_refuses_a_negative_seed(tmp_path, capsys):
+    # numpy refused it with a message that named no setting, and a Poisson
+    # fit wrote "seed": -1 to its manifest and exited 0
+    for loss in ("gaussian", "poisson"):
+        code, out, err = run(capsys, "factorize", "fixture:selenium", "--rank", "1", "--loss", loss,
+                             "--seed", "-1", "--out", str(tmp_path / "fit"))
+        assert code == 2 and out == "" and err == "error: seed must be at least 0\n"
+        assert not list(tmp_path.iterdir())
+    code, out, err = run(capsys, "sample", "--m", "2", "--n", "10", "--seed", "-1")
+    assert code == 2 and out == "" and "seed" in err
+
+
+def test_factorize_file_reads_back_as_written(tmp_path, capsys, monkeypatch):
+    # the factor file holds the fit alone; the manifest is the one record
+    # of the tensor and the posets
+    facts = []
+
+    def recording_hals(*a):
+        fact, report = factor.hals(*a)
+        facts.append(fact)
+        return fact, report
+
+    monkeypatch.setattr(cli, "hals", recording_hals)
+    argv = ["factorize", "fixture:cchs", "--rank", "2", "--restarts", "3",
+            "--out", str(tmp_path / "cchs")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    text = (tmp_path / "cchs.json").read_text()
+    assert set(json.loads(text)) == {"rank", "lambdas", "factors", "diagnostics"}
+    back = factor.NDFactorization.from_json(text)
+    [fact] = facts
+    assert back.lambdas.tobytes() == fact.lambdas.tobytes()
+    assert [F.tobytes() for F in back.factors] == [F.tobytes() for F in fact.factors]
+    assert back.diagnostics == fact.diagnostics and back.to_json() == text
+    manifest = json.loads((tmp_path / "cchs_manifest.json").read_text())
+    assert (manifest["tensor"], manifest["posets"]) == ("fixture:cchs", [])
+    T, _ = datasets.fixture("cchs")
+    assert np.sum((T - back.reconstruct()) ** 2) == pytest.approx(
+        manifest["final_residual"] ** 2, rel=1e-9, abs=0)
+
+
 def test_factorize_outputs_and_determinism(tmp_path, capsys):
     argv = ["factorize", "fixture:selenium", "--rank", "1", "--restarts", "2",
             "--seed", "7", "--out", str(tmp_path / "runA")]

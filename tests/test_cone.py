@@ -320,9 +320,9 @@ def test_membership_rejects_non_finite(bad):
         cone.is_monotone(np.array([0.0, bad]), poset.chain(2))
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, True])
 def test_checks_reject_a_bad_tol(tol):
-    # a nan or infinite slack certified [[1,-5],[0,2]] as a member, and
+    # True ran as the slack 1.0; a nan or infinite slack certified [[1,-5],[0,2]] as a member, and
     # tol=-1 reported the satisfied t[2,1] >= 0 as violated; a nan or
     # negative tol failed an exact tri-factorization, an infinite one passed any
     T = np.array([[1.0, -5.0], [0.0, 2.0]])
@@ -985,8 +985,11 @@ def test_empty_tensor_is_a_member_on_every_path(shape, posets, method):
     (lambda: cone.double_description(list(itertools.product(range(1, 4), repeat=4))),
      TooLarge, "generators exceeds the 64 guard"),
     (lambda: cone.sample_finite_rank_probability(0, 10, 0), ValueError, "positive"),
+    # numpy's default_rng refused -1 with a message that named no setting
+    (lambda: cone.sample_finite_rank_probability(2, 10, -1), ValueError, "seed"),
+    (lambda: cone.sample_finite_rank_probability(2, 10, True), ValueError, "seed"),
 ], ids=["vrep-guard", "no-generator", "shapes", "non-integer", "generator-guard",
-        "sample-m-0"])
+        "sample-m-0", "sample-seed-negative", "sample-seed-bool"])
 def test_cone_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -21,8 +21,8 @@ from ndrank.tensor import outer
 
 from helpers import (KINDS, random_chain, random_collider, random_dag, random_forest,
                      random_poset, reference_hals, reference_init_als_project,
-                     reference_init_random_cone, reference_rank2_mobius, rising_hals_restarts,
-                     trace_nonincreasing)
+                     reference_init_random_cone, reference_pack_rank2, reference_rank2_mobius,
+                     rising_hals_restarts, trace_nonincreasing)
 
 COLLIDER = poset.from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
 COLLIDER_MATRIX = np.array([[2.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 2.0, 4.0]])
@@ -889,9 +889,11 @@ def test_fits_beyond_twelve_modes(order):
 @pytest.mark.parametrize("field, value", [("rank", 0), ("max_sweeps", 0), ("restarts", 0),
                                           ("restarts", -3), ("rel_tol", 0.0),
                                           ("init", "svd"), ("rel_tol", np.nan),
-                                          ("rel_tol", np.inf)])
+                                          ("rel_tol", np.inf), ("seed", -1), ("rel_tol", True)])
 def test_fit_config_rejects_bad_values(field, value):
-    with pytest.raises(ValueError):
+    # seed=-1 failed inside numpy's default_rng with a message that named no
+    # setting, and rel_tol=True ran as 1.0
+    with pytest.raises(ValueError, match=field):
         FitConfig(**{"rank": 1, field: value})
 
 
@@ -1245,17 +1247,73 @@ def test_survey_rank2_factor_tables():
         assert np.allclose(shown.factors[2][i], ref_gender[slot], atol=0.02)
 
 
+def assert_same_factorization(a, b):
+    assert a.lambdas.tobytes() == b.lambdas.tobytes()
+    assert [(F.shape, F.tobytes()) for F in a.factors] == [(G.shape, G.tobytes())
+                                                          for G in b.factors]
+
+
 def test_factorization_json_roundtrip():
+    # the file holds what from_json reads and nothing else: no poset
+    # references, which live in the manifest of ndrank factorize
     rng = np.random.default_rng(15)
     T = np.cumsum(rng.random((3, 4)), axis=1)
     fact, report = factor.hals(T, [poset.trivial(3), poset.chain(4)], FitConfig(rank=2, seed=0))
     fact.diagnostics["objective_trace"] = report.objective_trace
-    text = fact.to_json()
-    back = factor.NDFactorization.from_json(text)
-    assert back.rank == fact.rank
-    assert np.allclose(back.reconstruct(), fact.reconstruct())
-    obj = json.loads(text)
-    assert set(obj) == {"rank", "lambdas", "factors", "posets", "diagnostics"}
+    chains = [poset.chain(3), poset.chain(4)]
+    pair = rank.rank2_matrix_exact(np.outer([1.0, 2, 4], [1.0, 1, 2, 3]) + np.outer(
+        [0.5, 0.5, 1], [0.0, 1, 1, 1]), chains).factorization
+    exponential = rank.rank1_exponential(np.cumsum(np.cumsum(1 + rng.random((3, 4, 2)), 0), 1),
+                                         chains + [poset.chain(2)])
+    for fit in (fact, pair, exponential):
+        text = fit.to_json()
+        back = factor.NDFactorization.from_json(text)
+        assert set(json.loads(text)) == {"rank", "lambdas", "factors", "diagnostics"}
+        assert back.rank == fit.rank
+        assert_same_factorization(back, fit)
+        assert back.diagnostics == fit.diagnostics
+        assert back.to_json() == text
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), n=st.integers(1, 6),
+       exponent=st.sampled_from([-100, 0, 100]), zero_a=st.sampled_from([(), (0,), (1,), (0, 1)]),
+       zero_b=st.sampled_from([(), (0,), (1,), (0, 1)]), k=st.integers(1, 4))
+def test_unit_terms_matches_the_packers_it_replaced(seed, m, n, exponent, zero_a, zero_b, k):
+    rng = np.random.default_rng(seed)
+    # rank two: the columns of a_cols and the rows of b_rows, zero ones included
+    a_cols = rng.random((m, 2)) * 10.0 ** exponent
+    b_rows = rng.random((2, n))
+    a_cols[:, list(zero_a)] = 0
+    b_rows[list(zero_b)] = 0
+    posets = [random_poset(m, rng), random_poset(n, rng)]
+    got = rank._unit_terms([a_cols.T, b_rows], posets)
+    assert_same_factorization(got, reference_pack_rank2(a_cols, b_rows, posets))
+    assert got.posets == posets
+    # the exponential fit: one term over k modes, with its scale multiplied first
+    vecs = [rng.uniform(0.1, 10.0, int(rng.integers(1, 6))) for _ in range(k)]
+    norm = float(rng.uniform(0.5, 2.0)) * 10.0 ** exponent
+    lam, unit = norm, []
+    for v in vecs:
+        nv = float(np.linalg.norm(v))
+        unit.append(v / nv)
+        lam *= nv
+    got = rank._unit_terms([v[None, :] for v in vecs], [poset.chain(v.size) for v in vecs],
+                           scale=norm)
+    assert_same_factorization(got, factor.NDFactorization(np.array([lam]),
+                                                          [v[None, :] for v in unit]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", [-1.0, 0.0, np.nan, np.inf])
+def test_rescaled_refuses_a_target_that_leaves_the_cone(target):
+    # -1 gave mode-2 entries down to -0.255, outside their order cone; 0
+    # divided by zero, and nan gave nan factors
+    T, posets = datasets.fixture("cchs")
+    fact, _ = factor.hals(T, posets, FitConfig(rank=2, restarts=1))
+    with pytest.raises(ValueError, match="l1 targets must be positive and finite"):
+        fact.rescaled({1: target}, absorb=0)
+    with pytest.raises(ValueError, match="l1 targets"):
+        fact.rescaled({2: 1.0, 1: target}, absorb=0)
 
 
 EMPTY = poset.from_relation([], [])
