@@ -17,6 +17,7 @@ import time
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from math import prod
+from pathlib import Path
 
 import numpy as np
 
@@ -145,15 +146,12 @@ def cmd_sample(args) -> int:
 
 
 def _write_factor_tables(prefix: str, fact, posets):
-    paths = []
-    for j, P in enumerate(posets):
-        path = f"{prefix}_mode{j + 1}.csv"
+    paths = [f"{prefix}_mode{j + 1}.csv" for j in range(len(posets))]
+    for path, F, P in zip(paths, fact.factors, posets):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("element," + ",".join(f"term{i + 1}" for i in range(fact.rank)) + "\n")
-            for row in range(P.p):
-                cells = ",".join(f"{fact.factors[j][i][row]:.12g}" for i in range(fact.rank))
-                fh.write(f"{P.labels[row]},{cells}\n")
-        paths.append(path)
+            fh.writelines(f"{label}," + ",".join(f"{x:.12g}" for x in col) + "\n"
+                          for label, col in zip(P.labels, F.T))
     return paths
 
 
@@ -184,14 +182,11 @@ def cmd_factorize(args) -> int:
     print(f"TSS: {tss:.6g}")
     print(f"relative residual: {np.sqrt(rss / tss) if tss > 0 else 0.0:.6g}")
     if args.out:
-        with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
-            fh.write(fact.to_json())
+        Path(f"{args.out}.json").write_text(fact.to_json(), encoding="utf-8")
         table_paths = _write_factor_tables(args.out, fact, posets)
         trace_path = f"{args.out}_trace.csv"
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write("sweep,rss\n")
-            for i, val in enumerate(trace):
-                fh.write(f"{i + 1},{val:.12g}\n")
+        rows = "".join(f"{i + 1},{val:.12g}\n" for i, val in enumerate(trace))
+        Path(trace_path).write_text("sweep,rss\n" + rows, encoding="utf-8")
         import scipy  # for its version: importing ndrank does not run scipy/__init__.py
         manifest = {
             "command": "factorize",
@@ -207,9 +202,7 @@ def cmd_factorize(args) -> int:
             # a Gaussian fit's FitReport, every field under its own name
             **fit,
         }
-        with open(f"{args.out}_manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        Path(f"{args.out}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

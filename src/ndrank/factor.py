@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteInput
+from .errors import NonFiniteInput, ParseError
 from .isotonic import _ROW_PATHS, _row_projector
 from .tensor import _rowdot, check_fit_input, outer
 
@@ -86,16 +86,16 @@ from .tensor import _rowdot, check_fit_input, outer
 class NDFactorization:
     """Sum of rank-one terms with per-mode vectors constrained to order cones.
 
-    ``factors[j]`` has shape (rank, p_j); row i is the mode-j vector of term
-    i.  ``lambdas[i]`` is the nonnegative scale of term i.  Vectors have
-    unit l2 norm, but ``rank1_poisson`` and ``rank1_multinomial`` return
-    proportions (each vector sums to 1).
+    Three fields: ``lambdas[i]``, the nonnegative scale of term i;
+    ``factors[j]``, (rank, p_j), row i the mode-j vector of term i at unit l2
+    norm (a proportion for ``rank1_poisson`` and ``rank1_multinomial``); and
+    ``diagnostics``.  Its file holds ``rank``, ``shape`` (the p_j) and these
+    three, each ``factors[j]`` a list of rows as in memory.
     """
 
     lambdas: np.ndarray
     factors: list
-    posets: list | None = None
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict, kw_only=True)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -127,25 +127,35 @@ class NDFactorization:
                     factors[mode][i] *= target / norm
                     lambdas[i] *= norm / target
             factors[absorb][i] *= lambdas[i]
-        return NDFactorization(np.ones(self.rank), factors, self.posets, dict(self.diagnostics))
+        return NDFactorization(np.ones(self.rank), factors, diagnostics=dict(self.diagnostics))
 
     def to_json(self) -> str:
         obj = {
             "rank": self.rank,
+            "shape": [F.shape[1] for F in self.factors],
             "lambdas": self.lambdas.tolist(),
-            "factors": [[self.factors[j][i].tolist() for j in range(self.order)]
-                        for i in range(self.rank)],
+            "factors": [F.tolist() for F in self.factors],
             "diagnostics": self.diagnostics,
         }
         return json.dumps(obj, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "NDFactorization":
+        """Read :meth:`to_json`'s text back; a malformed file is a ParseError naming its key."""
         obj = json.loads(text)
-        r = obj["rank"]
-        k = len(obj["factors"][0]) if r else 0
-        factors = [[obj["factors"][i][j] for i in range(r)] for j in range(k)]
-        return cls(obj["lambdas"], factors, diagnostics=obj.get("diagnostics") or {})
+        if missing := [k for k in ("rank", "shape", "lambdas", "factors", "diagnostics") if k not in obj]:
+            raise ParseError(f"factor JSON needs a {missing[0]!r} field")
+        r, shape, tables = obj["rank"], obj["shape"], obj["factors"]
+        if len(obj["lambdas"]) != r:
+            raise ParseError(f"'lambdas' holds {len(obj['lambdas'])} scales, not rank {r}")
+        if len(tables) != len(shape):
+            raise ParseError(f"'factors' holds {len(tables)} tables, not one per mode of 'shape' {shape}")
+        for j, (F, p) in enumerate(zip(tables, shape)):
+            tabular = type(F) is list and all(type(row) is list and len(row) == p for row in F)
+            if not (tabular and len(F) == r and all(type(x) in (int, float) for row in F for x in row)):
+                raise ParseError(f"'factors'[{j}] is not {r} rows of {p} numbers")
+        return cls(obj["lambdas"], [np.reshape(F, (r, p)) for F, p in zip(tables, shape)],
+                   diagnostics=obj["diagnostics"])
 
 
 # the names of FitConfig.init, its default first
@@ -372,7 +382,7 @@ def init_als_project(T, r: int, posets, seed) -> NDFactorization | list:
             lambdas = np.where(live, lambdas * n, 0.0)
             np.divide(V, n[..., None], out=out[j], where=live[..., None])
         lambdas *= norm
-    starts = [NDFactorization(lambdas[b], [U[b] for U in out], posets=posets) for b in range(R)]
+    starts = [NDFactorization(lambdas[b], [U[b] for U in out]) for b in range(R)]
     return starts[0] if np.ndim(seed) == 0 else starts
 
 
@@ -392,20 +402,19 @@ def _init_random_cone(T, r: int, posets, seed) -> NDFactorization | list:
         U = np.tile(_uniform_unit(P.p), (R * r, 1))
         factors.append(np.divide(V, n[:, None], out=U, where=n[:, None] > 0).reshape(R, r, P.p))
     lam = np.full(r, float(np.linalg.norm(T)) / max(r, 1))
-    starts = [NDFactorization(lam.copy(), [F[b] for F in factors], posets=list(posets))
-              for b in range(R)]
+    starts = [NDFactorization(lam.copy(), [F[b] for F in factors]) for b in range(R)]
     return starts[0] if np.ndim(seed) == 0 else starts
 
 
 def _khatri_rao_rows(vecs: list, lead: tuple) -> np.ndarray:
     """Khatri-Rao product along the last axis: entry [..., :] is
     kron(vecs[0][...], vecs[1][...], ...), for vectors stacked over the
-    leading axes ``lead``; with no vectors it is a column of ones."""
+    leading axes ``lead`` (of size 0 at rank 0); with no vectors, a column of ones."""
     if not vecs:
         return np.ones(lead + (1,))
     kr = vecs[0]
     for v in vecs[1:]:
-        kr = (kr[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], -1)
+        kr = (kr[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], kr.shape[-1] * v.shape[-1])
     return kr
 
 
@@ -590,8 +599,7 @@ def _hals_restarts(T, posets, cfg: FitConfig, extrapolate: bool = True) -> tuple
     def finish(rows, stationary: bool, sweeps: int) -> None:
         for b in rows:
             i = active[b]
-            fact = NDFactorization(lambdas[b].copy(), [F[b].copy() for F in factors],
-                                   posets=list(posets))
+            fact = NDFactorization(lambdas[b].copy(), [F[b].copy() for F in factors])
             runs[i] = (fact, traces[i], stationary, sweeps)
 
     prev = _reconstruct_rows(lambdas, factors)

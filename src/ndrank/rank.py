@@ -76,7 +76,7 @@ def rank1_gaussian(T, posets) -> NDFactorization:
         fact.diagnostics["fallback"] = "fibres not monotone; used rank-one HALS"
         return fact
     lam, vecs = _rank1_nd_fit(unit, posets, sweeps=_RANK1_MAX_ITER, tol=_RANK1_TOL)
-    return NDFactorization(np.array([lam * norm]), [v[None, :] for v in vecs], posets=posets)
+    return NDFactorization(np.array([lam * norm]), [v[None, :] for v in vecs])
 
 
 def _count_marginals(T, model: str, posets):
@@ -105,7 +105,7 @@ def rank1_multinomial(T, posets) -> NDFactorization:
     marg, total, posets = _count_marginals(T, "multinomial", posets)
     if total == 0:
         raise NonNegativityViolated("multinomial data must not be all zero")
-    return NDFactorization(np.array([1.0]), _proportions(marg, total, posets), posets=posets)
+    return NDFactorization(np.array([1.0]), _proportions(marg, total, posets))
 
 
 def rank1_poisson(T, posets) -> NDFactorization:
@@ -113,9 +113,8 @@ def rank1_poisson(T, posets) -> NDFactorization:
     each nondecreasing over its poset."""
     marg, total, posets = _count_marginals(T, "Poisson", posets)
     if total == 0:
-        return NDFactorization(np.zeros(1), [np.full(m.shape, 1.0 / m.size)[None, :] for m in marg],
-                               posets=posets)
-    return NDFactorization(np.array([total]), _proportions(marg, total, posets), posets=posets)
+        return NDFactorization(np.zeros(1), [np.full(m.shape, 1.0 / m.size)[None, :] for m in marg])
+    return NDFactorization(np.array([total]), _proportions(marg, total, posets))
 
 
 def rank1_exponential(T, posets) -> NDFactorization:
@@ -146,7 +145,7 @@ def rank1_exponential(T, posets) -> NDFactorization:
             vecs[t] = new
         if moved < _RANK1_TOL:
             break
-    return _unit_terms([v[None, :] for v in vecs], posets, scale=norm)
+    return _unit_terms([v[None, :] for v in vecs], scale=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,7 @@ def _nnls_coefficients(T2: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A
 
 
-def _unit_terms(vectors, posets, scale: float = 1.0) -> NDFactorization:
+def _unit_terms(vectors, scale: float = 1.0) -> NDFactorization:
     """The factorization whose term i has mode-j vector ``vectors[j][i]``
     (row i of an (r, p_j) array) at unit norm, or uniform where it is zero,
     and the scale ``scale`` times those vectors' norms, in mode order."""
@@ -180,7 +179,7 @@ def _unit_terms(vectors, posets, scale: float = 1.0) -> NDFactorization:
             n = np.linalg.norm(v)
             lambdas[i] *= n
             F[i] = v / n if n > 0 else _uniform_unit(v.size)
-    return NDFactorization(lambdas, factors, posets=list(posets))
+    return NDFactorization(lambdas, factors)
 
 
 def rank2_matrix_exact(T, posets) -> Rank2Result:
@@ -233,7 +232,7 @@ def rank2_matrix_exact(T, posets) -> Rank2Result:
             return Rank2Result(None, cert, "extracted column-mode vector is infeasible")
         if a_cols[:, i].any() and not is_monotone(a_cols[:, i], posets[0], tol).member:
             return Rank2Result(None, cert, "extracted row-mode coefficients are infeasible")
-    fact = _unit_terms([a_cols.T, b_rows], posets)
+    fact = _unit_terms([a_cols.T, b_rows])
     fact.lambdas *= norm
     return Rank2Result(fact, cert, None)
 

@@ -529,7 +529,7 @@ def test_factorize_file_reads_back_as_written(tmp_path, capsys, monkeypatch):
     assert cli.main(argv) == 0
     capsys.readouterr()
     text = (tmp_path / "cchs.json").read_text()
-    assert set(json.loads(text)) == {"rank", "lambdas", "factors", "diagnostics"}
+    assert set(json.loads(text)) == {"rank", "shape", "lambdas", "factors", "diagnostics"}
     back = factor.NDFactorization.from_json(text)
     [fact] = facts
     assert back.lambdas.tobytes() == fact.lambdas.tobytes()

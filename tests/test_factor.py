@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from ndrank.errors import (
     NonFiniteInput,
     NonNegativityViolated,
     NonPositiveEntry,
+    ParseError,
     ShapeMismatch,
 )
 from ndrank.factor import FitConfig
@@ -621,8 +623,7 @@ def test_gauge_invariance_of_reconstruction():
     fact, _ = factor.hals(T, [poset.chain(3), poset.chain(4)], FitConfig(rank=2, seed=0))
     scaled = factor.NDFactorization(
         fact.lambdas.copy(),
-        [fact.factors[0] * 2.0, fact.factors[1] / 2.0],
-        posets=fact.posets)
+        [fact.factors[0] * 2.0, fact.factors[1] / 2.0])
     assert np.allclose(scaled.reconstruct(), fact.reconstruct())
     resc = fact.rescaled({1: 7.0}, absorb=0)
     assert np.allclose(resc.reconstruct(), fact.reconstruct())
@@ -980,7 +981,6 @@ def test_marginal_fits_meet_the_constrained_kkt_conditions(solver):
         shape = [P.p for P in posets]
         T = rng.integers(1, 20, size=shape) * (np.arange(shape[-1], 0, -1.0) ** 2)
         fit = solver(T, posets)
-        assert fit.posets == posets
         N = T.sum()
         for j, P in enumerate(posets):
             m = np.apply_over_axes(np.sum, T, [a for a in range(T.ndim) if a != j]).ravel()
@@ -1007,7 +1007,6 @@ def test_marginal_fits_check_their_posets(solver):
     T = np.array([[5.0, 1.0, 2.0], [0.0, 3.0, 1.0]])
     free = [poset.trivial(2), poset.trivial(3)]
     fit = solver(T, free)
-    assert fit.posets == free
     for row, m in zip(fit.factors, [T.sum(axis=1), T.sum(axis=0)]):
         assert row.tobytes() == (m / T.sum()).tobytes()
 
@@ -1268,11 +1267,70 @@ def test_factorization_json_roundtrip():
     for fit in (fact, pair, exponential):
         text = fit.to_json()
         back = factor.NDFactorization.from_json(text)
-        assert set(json.loads(text)) == {"rank", "lambdas", "factors", "diagnostics"}
+        assert set(json.loads(text)) == {"rank", "shape", "lambdas", "factors", "diagnostics"}
         assert back.rank == fit.rank
         assert_same_factorization(back, fit)
         assert back.diagnostics == fit.diagnostics
         assert back.to_json() == text
+
+
+@given(r=st.integers(0, 3), shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1), exponent=st.sampled_from([-300, 0, 300]),
+       zero_lambdas=st.booleans(),
+       diagnostics=st.one_of(st.just({}), st.fixed_dictionaries({"seed": st.integers(0, 2 ** 32)}),
+                             st.fixed_dictionaries({"fallback": st.text(max_size=20)})))
+def test_every_factorization_reads_back_bitwise(r, shape, seed, exponent, zero_lambdas, diagnostics):
+    # the file keeps each mode's size, so a rank-0 factorization keeps its
+    # modes: the term-major layout read it back with none
+    rng = np.random.default_rng(seed)
+    lambdas = np.zeros(r) if zero_lambdas else rng.random(r) * 10.0 ** exponent
+    fit = factor.NDFactorization(lambdas, [rng.random((r, p)) for p in shape],
+                                 diagnostics=diagnostics)
+    text = fit.to_json()
+    back = factor.NDFactorization.from_json(text)
+    assert json.loads(text)["shape"] == shape and back.order == len(shape)
+    assert_same_factorization(back, fit)
+    assert back.diagnostics == diagnostics
+    assert back.to_json() == text
+    if r == 0:
+        assert back.reconstruct().tobytes() == np.zeros(shape).tobytes()
+
+
+def test_factorization_takes_no_posets():
+    # a caller passing posets third got them stored as its diagnostics
+    with pytest.raises(TypeError):
+        factor.NDFactorization(np.ones(1), [np.ones((1, 2))], [poset.chain(2)])
+
+
+def _factor_file(**changes):
+    """A valid factor file's object with ``changes`` made; a None drops the key."""
+    obj = json.loads(factor.NDFactorization(np.array([2.0, 1.0]), [np.ones((2, 3)), np.ones((2, 2))],
+                                            diagnostics={"seed": 1}).to_json())
+    obj.update(changes)
+    return {k: v for k, v in obj.items() if v is not None}
+
+
+@pytest.mark.parametrize("obj, key", [
+    *[(_factor_file(**{k: None}), f"'{k}'") for k in ("rank", "shape", "lambdas", "factors", "diagnostics")],
+    # the term-major layout of older files has no shape
+    ({"rank": 1, "lambdas": [1.0], "factors": [[[1.0, 1.0], [1.0]]], "diagnostics": {}}, "'shape'"),
+    (_factor_file(lambdas=[2.0]), "'lambdas'"),
+    (_factor_file(rank=3), "'lambdas'"),
+    (_factor_file(shape=[3, 2, 1]), "'factors'"),
+    (_factor_file(factors=[[[1.0] * 3] * 2]), "'factors'"),
+    (_factor_file(factors=[[[1.0] * 3], [[1.0] * 2] * 2]), "'factors'[0]"),
+    (_factor_file(factors=[[[1.0] * 3] * 2, [[1.0] * 2, [1.0] * 3]]), "'factors'[1]"),
+    (_factor_file(factors=[[[1.0] * 2] * 3, [[1.0] * 2] * 2]), "'factors'[0]"),  # transposed
+    (_factor_file(factors=[[[1.0] * 3] * 2, [[1.0, "1.0"]] * 2]), "'factors'[1]"),
+    (_factor_file(factors=[[[1.0] * 3] * 2, [[1.0, True]] * 2]), "'factors'[1]"),
+    (_factor_file(factors=[[[1.0] * 3] * 2, [[1.0, None]] * 2]), "'factors'[1]"),
+    (_factor_file(factors=[[[1.0] * 3] * 2, [1.0, 1.0]]), "'factors'[1]"),
+    (_factor_file(factors=[6.0, [[1.0] * 2] * 2]), "'factors'[0]"),
+])
+def test_malformed_factor_file_is_refused_by_key(obj, key):
+    # a bare KeyError, or numpy's "cannot reshape", named nothing in the file
+    with pytest.raises(ParseError, match=re.escape(key)):
+        factor.NDFactorization.from_json(json.dumps(obj))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), n=st.integers(1, 6),
@@ -1285,10 +1343,8 @@ def test_unit_terms_matches_the_packers_it_replaced(seed, m, n, exponent, zero_a
     b_rows = rng.random((2, n))
     a_cols[:, list(zero_a)] = 0
     b_rows[list(zero_b)] = 0
-    posets = [random_poset(m, rng), random_poset(n, rng)]
-    got = rank._unit_terms([a_cols.T, b_rows], posets)
-    assert_same_factorization(got, reference_pack_rank2(a_cols, b_rows, posets))
-    assert got.posets == posets
+    got = rank._unit_terms([a_cols.T, b_rows])
+    assert_same_factorization(got, reference_pack_rank2(a_cols, b_rows))
     # the exponential fit: one term over k modes, with its scale multiplied first
     vecs = [rng.uniform(0.1, 10.0, int(rng.integers(1, 6))) for _ in range(k)]
     norm = float(rng.uniform(0.5, 2.0)) * 10.0 ** exponent
@@ -1297,8 +1353,7 @@ def test_unit_terms_matches_the_packers_it_replaced(seed, m, n, exponent, zero_a
         nv = float(np.linalg.norm(v))
         unit.append(v / nv)
         lam *= nv
-    got = rank._unit_terms([v[None, :] for v in vecs], [poset.chain(v.size) for v in vecs],
-                           scale=norm)
+    got = rank._unit_terms([v[None, :] for v in vecs], scale=norm)
     assert_same_factorization(got, factor.NDFactorization(np.array([lam]),
                                                           [v[None, :] for v in unit]))
 
@@ -1432,7 +1487,6 @@ def test_fits_take_a_single_poset_for_a_vector(y):
     want, want_report = factor.hals(y, [P], FitConfig(rank=1))
     assert report.objective_trace == want_report.objective_trace
     assert got.reconstruct().tobytes() == want.reconstruct().tobytes()
-    assert got.posets == [P]
     got, want = rank.rank1_gaussian(y, P), rank.rank1_gaussian(y, [P])
     assert got.reconstruct().tobytes() == want.reconstruct().tobytes()
     assert np.allclose(got.reconstruct(), isotonic.project(y, P), atol=1e-12)
