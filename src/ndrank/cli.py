@@ -63,14 +63,12 @@ def _load_problem(tensor_arg: str, poset_args):
 
 def cmd_check(args) -> int:
     T, posets = _load_problem(args.tensor, args.posets)
-    mono = is_monotone(T, posets, args.tol)
-    print(f"monotonicity [{mono.method}]: {'member' if mono.member else 'NON-MEMBER'}")
-    for v in mono.violated:
-        print(f"  violated: {v.label}   (value {v.value:.6g})")
-    cert = membership_finite_rank(T, posets, args.tol)
-    print(f"finite ND rank [{cert.method}]: {'member' if cert.member else 'NON-MEMBER'}")
-    for v in cert.violated:
-        print(f"  violated: {v.label}   (value {v.value:.6g})")
+    # each certificate is printed before the next is computed, which may refuse
+    for name, check in (("monotonicity", is_monotone), ("finite ND rank", membership_finite_rank)):
+        cert = check(T, posets, args.tol)
+        print(f"{name} [{cert.method}]: {'member' if cert.member else 'NON-MEMBER'}")
+        for v in cert.violated:
+            print(f"  violated: {v.label}   (value {v.value:.6g})")
     return 0 if cert.member else 1
 
 
@@ -145,14 +143,19 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _write_factor_tables(prefix: str, fact, posets):
-    paths = [f"{prefix}_mode{j + 1}.csv" for j in range(len(posets))]
-    for path, F, P in zip(paths, fact.factors, posets):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("element," + ",".join(f"term{i + 1}" for i in range(fact.rank)) + "\n")
-            fh.writelines(f"{label}," + ",".join(f"{x:.12g}" for x in col) + "\n"
-                          for label, col in zip(P.labels, F.T))
-    return paths
+# the fits other than the Gaussian, each of rank one only
+_RANK1_FITS = {"multinomial": rank1_multinomial, "poisson": rank1_poisson, "exponential": rank1_exponential}
+
+
+def _factor_tables(prefix: str, fact, posets) -> dict:
+    """``{PREFIX_modeJ.csv: text}``: row e of a mode's CSV holds element e's
+    weight in each term, column e of the mode's table."""
+    header = "element," + ",".join(f"term{i + 1}" for i in range(fact.rank)) + "\n"
+    tables = {}
+    for j, (F, P) in enumerate(zip(fact.factors, posets)):
+        rows = (f"{label}," + ",".join(f"{x:.12g}" for x in col) + "\n" for label, col in zip(P.labels, F.T))
+        tables[f"{prefix}_mode{j + 1}.csv"] = header + "".join(rows)
+    return tables
 
 
 def cmd_factorize(args) -> int:
@@ -167,12 +170,8 @@ def cmd_factorize(args) -> int:
         fact, report = hals(T, posets, cfg)
         fit = asdict(report)
         trace = fit.pop("objective_trace")  # the _trace.csv, not the manifest
-    elif args.loss == "multinomial":
-        fact = rank1_multinomial(T, posets)
-    elif args.loss == "poisson":
-        fact = rank1_poisson(T, posets)
     else:
-        fact = rank1_exponential(T, posets)
+        fact = _RANK1_FITS[args.loss](T, posets)
     recon = fact.reconstruct()
     if args.loss == "multinomial":
         recon *= T.sum()  # the fit is a distribution; compare counts with N p
@@ -182,11 +181,12 @@ def cmd_factorize(args) -> int:
     print(f"TSS: {tss:.6g}")
     print(f"relative residual: {np.sqrt(rss / tss) if tss > 0 else 0.0:.6g}")
     if args.out:
-        Path(f"{args.out}.json").write_text(fact.to_json(), encoding="utf-8")
-        table_paths = _write_factor_tables(args.out, fact, posets)
-        trace_path = f"{args.out}_trace.csv"
-        rows = "".join(f"{i + 1},{val:.12g}\n" for i, val in enumerate(trace))
-        Path(trace_path).write_text("sweep,rss\n" + rows, encoding="utf-8")
+        trace_rows = "".join(f"{i + 1},{val:.12g}\n" for i, val in enumerate(trace))
+        # every file the run writes; the manifest, written last, lists them
+        outputs = {f"{args.out}.json": fact.to_json(), **_factor_tables(args.out, fact, posets),
+                   f"{args.out}_trace.csv": "sweep,rss\n" + trace_rows}
+        for path, text in outputs.items():
+            Path(path).write_text(text, encoding="utf-8")
         import scipy  # for its version: importing ndrank does not run scipy/__init__.py
         manifest = {
             "command": "factorize",
@@ -198,7 +198,7 @@ def cmd_factorize(args) -> int:
                          "scipy": scipy.__version__},
             "wall_time_s": round(time.time() - t0, 6),
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "outputs": [f"{args.out}.json", *table_paths, trace_path],
+            "outputs": list(outputs),
             # a Gaussian fit's FitReport, every field under its own name
             **fit,
         }
@@ -239,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         if f.name != "rank":
             p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
                            choices=INITS if f.name == "init" else None)
-    p.add_argument("--loss", choices=["gaussian", "multinomial", "poisson", "exponential"],
-                   default="gaussian")
+    p.add_argument("--loss", choices=["gaussian", *_RANK1_FITS], default="gaussian")
     p.add_argument("--out", help="output prefix for factorization JSON, factor CSVs, trace")
     p.set_defaults(fn=cmd_factorize)
 
@@ -261,10 +260,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except NDRankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, ValueError) as exc:
+    except (NDRankError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -69,7 +69,7 @@ class UnsupportedLossRank(NDRankError):
 
 
 class ParseError(NDRankError):
-    """A poset or tensor file could not be parsed.
+    """A poset, tensor or factor file could not be parsed.
 
     Carries ``line`` (1-based) and optionally ``column`` when known.
     """

@@ -73,6 +73,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -141,21 +142,36 @@ class NDFactorization:
 
     @classmethod
     def from_json(cls, text: str) -> "NDFactorization":
-        """Read :meth:`to_json`'s text back; a malformed file is a ParseError naming its key."""
-        obj = json.loads(text)
-        if missing := [k for k in ("rank", "shape", "lambdas", "factors", "diagnostics") if k not in obj]:
+        """Read :meth:`to_json`'s text back; a malformed file is a ParseError naming its field."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+        keys = ("rank", "shape", "lambdas", "factors", "diagnostics")
+        if missing := [k for k in keys if not isinstance(obj, dict) or k not in obj]:
             raise ParseError(f"factor JSON needs a {missing[0]!r} field")
-        r, shape, tables = obj["rank"], obj["shape"], obj["factors"]
-        if len(obj["lambdas"]) != r:
-            raise ParseError(f"'lambdas' holds {len(obj['lambdas'])} scales, not rank {r}")
-        if len(tables) != len(shape):
-            raise ParseError(f"'factors' holds {len(tables)} tables, not one per mode of 'shape' {shape}")
+        r, shape, lambdas, tables, diagnostics = (obj[k] for k in keys)
+        # bool is a subclass of int, so the types are compared exactly
+        if type(r) is not int or r < 0:
+            raise ParseError(f"'rank' must be a non-negative integer, got {json.dumps(r)}")
+        if type(shape) is not list or not all(type(p) is int and p >= 0 for p in shape):
+            raise ParseError(f"'shape' must be a list of non-negative integers, got {json.dumps(shape)}")
+        if not (type(lambdas) is list and len(lambdas) == r and all(map(_is_number, lambdas))):
+            raise ParseError(f"'lambdas' is not {r} numbers, one scale per term")
+        if type(tables) is not list or len(tables) != len(shape):
+            raise ParseError(f"'factors' is not {len(shape)} tables, one per mode of 'shape' {shape}")
         for j, (F, p) in enumerate(zip(tables, shape)):
-            tabular = type(F) is list and all(type(row) is list and len(row) == p for row in F)
-            if not (tabular and len(F) == r and all(type(x) in (int, float) for row in F for x in row)):
+            if not (type(F) is list and len(F) == r
+                    and all(type(row) is list and len(row) == p and all(map(_is_number, row)) for row in F)):
                 raise ParseError(f"'factors'[{j}] is not {r} rows of {p} numbers")
-        return cls(obj["lambdas"], [np.reshape(F, (r, p)) for F, p in zip(tables, shape)],
-                   diagnostics=obj["diagnostics"])
+        if type(diagnostics) is not dict:
+            raise ParseError("'diagnostics' must be an object")
+        return cls(lambdas, [np.reshape(F, (r, p)) for F, p in zip(tables, shape)], diagnostics=diagnostics)
+
+
+def _is_number(x) -> bool:
+    # a factor file's scale or table entry: no bool, null, string or int past a float's range
+    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
 
 
 # the names of FitConfig.init, its default first

@@ -177,27 +177,28 @@ def from_relation(labels, edges) -> Poset:
     return P
 
 
+def _labels(p) -> tuple:
+    """1..p, the elements of a shorthand; p must be a positive integer, and a bool is none."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise ValueError(f"p must be a positive integer (got {p!r})")
+    return tuple(range(1, p + 1))
+
+
 def chain(p: int) -> Poset:
     """Total order 1 < 2 < ... < p."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    labels = tuple(range(1, p + 1))
-    return from_relation(labels, [(i, i + 1) for i in range(1, p)])
+    labels = _labels(p)
+    return from_relation(labels, [(i, i + 1) for i in labels[:-1]])
 
 
 def trivial(p: int) -> Poset:
     """Antichain of p elements: no ordering constraints."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    return from_relation(tuple(range(1, p + 1)), [])
+    return from_relation(_labels(p), [])
 
 
 def collider_to_top(p: int) -> Poset:
     """Order with elements 1..p-1 incomparable and all below element p."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    labels = tuple(range(1, p + 1))
-    return from_relation(labels, [(i, p) for i in range(1, p)])
+    labels = _labels(p)
+    return from_relation(labels, [(i, labels[-1]) for i in labels[:-1]])
 
 
 def product(factors) -> Poset:

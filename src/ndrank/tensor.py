@@ -235,42 +235,28 @@ def tensor_from_json(text: str) -> np.ndarray:
 
 def matrix_from_csv(text: str) -> np.ndarray:
     rows = []
-    width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        cells = [c.strip() for c in line.split(",")]
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            bad = next(i for i, c in enumerate(cells) if not _is_float(c))
-            raise ParseError(f"not a number: {cells[bad]!r}", line=lineno, column=bad + 1) from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"expected {width} columns, got {len(row)}", line=lineno)
+        row = []
+        for column, cell in enumerate(line.split(","), start=1):
+            try:
+                row.append(float(cell))  # float() ignores the cell's padding
+            except ValueError:
+                raise ParseError(f"not a number: {cell.strip()!r}", line=lineno, column=column) from None
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(f"expected {len(rows[0])} columns, got {len(row)}", line=lineno)
         rows.append(row)
     if not rows:
         raise ParseError("empty matrix file")
     return np.asarray(rows, dtype=float)
 
 
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
-
-
 def read_tensor(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    if str(path).endswith(".json"):
-        return tensor_from_json(text)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if str(path).endswith(".json") or text.lstrip().startswith("{"):
         return tensor_from_json(text)
     return matrix_from_csv(text)
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,6 +541,34 @@ def test_factorize_file_reads_back_as_written(tmp_path, capsys, monkeypatch):
     T, _ = datasets.fixture("cchs")
     assert np.sum((T - back.reconstruct()) ** 2) == pytest.approx(
         manifest["final_residual"] ** 2, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("source, loss", [
+    ("fixture:cchs", "gaussian"), ("fixture:selenium", "poisson"),
+    ("fixture:selenium", "multinomial"), (None, "exponential"),
+])
+def test_factorize_manifest_lists_exactly_the_files_written(tmp_path, capsys, source, loss):
+    given, posets = set(), []
+    if source is None:  # the exponential fit needs a positive monotone tensor
+        rng = np.random.default_rng(0)
+        T = np.outer(np.sort(rng.random(3)) + 0.1, np.sort(rng.random(4)) + 0.1)
+        (tmp_path / "t.json").write_text(json.dumps({"shape": [3, 4], "data": T.ravel().tolist()}))
+        source, posets = str(tmp_path / "t.json"), ["chain:3", "chain:4"]
+        given.add("t.json")
+    code, _, err = run(capsys, "factorize", source, *posets, "--rank", "1", "--max-sweeps", "5",
+                       "--loss", loss, "--out", str(tmp_path / "fit"))
+    assert code == 0, err
+    listed = [Path(path) for path in json.loads((tmp_path / "fit_manifest.json").read_text())["outputs"]]
+    assert all(path.parent == tmp_path for path in listed) and len(set(listed)) == len(listed)
+    # the directory holds the listed files, the manifest and the tensor file, and nothing else
+    assert {path.name for path in tmp_path.iterdir()} == {p.name for p in listed} | {"fit_manifest.json"} | given
+
+
+def test_factorize_refuses_an_unknown_loss(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["factorize", "fixture:selenium", "--rank", "1", "--loss", "nope"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_factorize_outputs_and_determinism(tmp_path, capsys):

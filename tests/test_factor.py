@@ -1326,11 +1326,37 @@ def _factor_file(**changes):
     (_factor_file(factors=[[[1.0] * 3] * 2, [[1.0, None]] * 2]), "'factors'[1]"),
     (_factor_file(factors=[[[1.0] * 3] * 2, [1.0, 1.0]]), "'factors'[1]"),
     (_factor_file(factors=[6.0, [[1.0] * 2] * 2]), "'factors'[0]"),
+    (_factor_file(factors=5), "'factors'"),
+    # text that is not JSON, or JSON that is not an object (a str is the file's text)
+    ('{"rank": 1,', "invalid JSON"),
+    ("5", "'rank'"),
+    (_factor_file(rank=True, lambdas=[2.0], factors=[[[1.0] * 3], [[1.0] * 2]]), "'rank'"),
+    (_factor_file(rank=-1), "'rank'"),
+    (_factor_file(rank=1.0, lambdas=[2.0], factors=[[[1.0] * 3], [[1.0] * 2]]), "'rank'"),
+    # rank 0 has empty tables, which do not check the shape
+    ({"rank": 0, "shape": [-1], "lambdas": [], "factors": [[]], "diagnostics": {}}, "'shape'"),
+    ({"rank": 0, "shape": [2.5], "lambdas": [], "factors": [[]], "diagnostics": {}}, "'shape'"),
+    (_factor_file(shape=[3, True]), "'shape'"),
+    (_factor_file(shape="ab"), "'shape'"),
+    (_factor_file(lambdas=["a", 1.0]), "'lambdas'"),
+    (_factor_file(lambdas={"a": 1, "b": 2}), "'lambdas'"),
+    (_factor_file(lambdas=[True, 1.0]), "'lambdas'"),
+    (_factor_file(lambdas=[2.0, 10 ** 400]), "'lambdas'"),
+    (_factor_file(factors=[[[1.0] * 3] * 2, [[1.0, 10 ** 400]] * 2]), "'factors'[1]"),
+    (_factor_file(diagnostics=[]), "'diagnostics'"),
 ])
 def test_malformed_factor_file_is_refused_by_key(obj, key):
-    # a bare KeyError, or numpy's "cannot reshape", named nothing in the file
+    # a bare KeyError, TypeError or OverflowError, or numpy's "cannot
+    # reshape", named nothing in the file
+    text = obj if isinstance(obj, str) else json.dumps(obj)
     with pytest.raises(ParseError, match=re.escape(key)):
-        factor.NDFactorization.from_json(json.dumps(obj))
+        factor.NDFactorization.from_json(text)
+
+
+def test_factor_file_of_bad_json_says_where():
+    with pytest.raises(ParseError) as err:
+        factor.NDFactorization.from_json('{\n  "rank": 1,\n  "shape": [2]\n  "lambdas": []}')
+    assert (err.value.line, err.value.column) == (4, 3)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), n=st.integers(1, 6),

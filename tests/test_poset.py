@@ -595,6 +595,10 @@ def _walk_under_limit(limit, walk, P):
     (lambda: poset.chain(0), ValueError, "positive"),
     (lambda: poset.trivial(0), ValueError, "positive"),
     (lambda: poset.collider_to_top(0), ValueError, "positive"),
+    # each of these built a one-element poset or raised a TypeError from range or <
+    *[(lambda make=make, p=p: make(p), ValueError, re.escape(f"positive integer (got {p!r})"))
+      for make in (poset.chain, poset.trivial, poset.collider_to_top)
+      for p in (True, 2.5, np.float64(3.0), "3")],
     (lambda: poset.product([]), ValueError, "at least one factor"),
     (lambda: poset.chain(3).index(4), UnknownLabel, "unknown element 4"),
     # the count is refused by its work: trivial(8) has 256 upsets, past a limit of 100
@@ -605,11 +609,19 @@ def _walk_under_limit(limit, walk, P):
     (lambda: poset.parse_poset_text("elements: ,\n"), ParseError, "empty element list"),
     (lambda: poset.parse_poset_text("elements: a,b\na <\n"), ParseError, "expected 'x < y'"),
     (lambda: poset.parse_poset_text("# no header\n\n"), ParseError, "missing 'elements:'"),
-], ids=["repeated-label", "chain-0", "trivial-0", "collider-0", "no-factor", "unknown-label",
+], ids=["repeated-label", "chain-0", "trivial-0", "collider-0",
+        *[f"{name}-{p!r}" for name in ("chain", "trivial", "collider")
+          for p in (True, 2.5, np.float64(3.0), "3")], "no-factor", "unknown-label",
         "count-guard", "listing-guard", "empty-elements", "empty-side", "no-header"])
 def test_poset_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("make", [poset.chain, poset.trivial, poset.collider_to_top])
+def test_shorthands_take_a_numpy_integer(make):
+    P = make(np.int64(3))
+    assert P == make(3) and all(type(x) is int for x in P.labels)
 
 
 def test_poset_compares_and_prints():

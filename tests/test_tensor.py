@@ -265,6 +265,20 @@ def test_tensor_input_checks(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("text, line, column, cell", [
+    ("1,2\nx,y,z\n", 2, 1, "x"),  # the first bad cell of several
+    ("1,2,3\n4,5,6\n7,8,oops\n", 3, 3, "oops"),  # after good ones
+    ("# note\n\n 1 ,\t2\t\n 3 ,  ? \n", 4, 2, "?"),  # padded cells, after skipped lines
+    ("1,,3\n", 1, 2, ""),
+    ("nan,1\nnan, NaN ,nope\n", 2, 3, "nope"),  # nan parses, as before
+])
+def test_csv_reports_the_first_bad_cell(text, line, column, cell):
+    with pytest.raises(ParseError) as err:
+        tensor.matrix_from_csv(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"not a number: {cell!r} (line {line}, column {column})"
+
+
 def test_read_tensor_takes_json_by_content(tmp_path):
     # a file named for CSV that holds JSON is read as JSON
     path = tmp_path / "t.csv"
