@@ -202,7 +202,8 @@ def cmd_factorize(args) -> int:
             # a Gaussian fit's FitReport, every field under its own name
             **fit,
         }
-        Path(f"{args.out}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        Path(f"{args.out}_manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n",
+                                                      encoding="utf-8")
     return 0
 
 

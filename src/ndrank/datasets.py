@@ -94,46 +94,22 @@ b < c
 """
 
 
-def selenium_matrix() -> np.ndarray:
-    return SELENIUM.copy()
-
-
-def selenium_posets():
-    return [parse_poset_text(SELENIUM_ROW_POSET), parse_poset_text(SELENIUM_COLUMN_POSET)]
-
-
-def cchs_tensor() -> np.ndarray:
-    return CCHS.copy()
-
-
-def cchs_posets():
-    return [parse_poset_text(CCHS_AGE_POSET), parse_poset_text(CCHS_YEAR_POSET),
-            parse_poset_text(CCHS_GENDER_POSET)]
-
-
-def collider3_matrix() -> np.ndarray:
-    return COLLIDER3_MATRIX.copy()
-
-
-def collider3_posets():
-    P = parse_poset_text(COLLIDER3_POSET)
-    return [P, P]
-
-
+# name -> (tensor, one poset text per mode); fixture() copies and parses them
 FIXTURES = {
-    "selenium": (selenium_matrix, selenium_posets),
-    "cchs": (cchs_tensor, cchs_posets),
-    "collider3": (collider3_matrix, collider3_posets),
+    "selenium": (SELENIUM, (SELENIUM_ROW_POSET, SELENIUM_COLUMN_POSET)),
+    "cchs": (CCHS, (CCHS_AGE_POSET, CCHS_YEAR_POSET, CCHS_GENDER_POSET)),
+    "collider3": (COLLIDER3_MATRIX, (COLLIDER3_POSET, COLLIDER3_POSET)),
 }
 
 
 def fixture(name: str):
-    """Return (tensor, posets) for a named fixture."""
+    """Return (tensor, posets) for a named fixture: a fresh copy of its
+    tensor and its parsed posets."""
     try:
-        make_tensor, make_posets = FIXTURES[name]
+        T, texts = FIXTURES[name]
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}") from None
-    return make_tensor(), make_posets()
+    return T.copy(), [parse_poset_text(text) for text in texts]
 
 
 def checksum(T) -> str:

@@ -73,15 +73,14 @@ import itertools
 import json
 import math
 import numbers
-import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteInput, ParseError
+from .errors import NonFiniteInput, ParseError, ShapeMismatch
 from .isotonic import _ROW_PATHS, _row_projector
-from .tensor import _rowdot, check_fit_input, outer
+from .tensor import _is_number, _json_fields, _rowdot, check_fit_input, outer
 
 @dataclass
 class NDFactorization:
@@ -91,7 +90,9 @@ class NDFactorization:
     ``factors[j]``, (rank, p_j), row i the mode-j vector of term i at unit l2
     norm (a proportion for ``rank1_poisson`` and ``rank1_multinomial``); and
     ``diagnostics``.  Its file holds ``rank``, ``shape`` (the p_j) and these
-    three, each ``factors[j]`` a list of rows as in memory.
+    three, each ``factors[j]`` a list of rows as in memory.  The shapes are
+    checked at construction: a ShapeMismatch, naming the field, unless
+    ``lambdas`` is 1-D and each ``factors[j]`` a 2-D table of rank rows.
     """
 
     lambdas: np.ndarray
@@ -101,6 +102,11 @@ class NDFactorization:
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         self.factors = [np.asarray(F, dtype=float) for F in self.factors]
+        if self.lambdas.ndim != 1:
+            raise ShapeMismatch(f"'lambdas' must be 1-D, got shape {self.lambdas.shape}")
+        for j, F in enumerate(self.factors):
+            if F.ndim != 2 or F.shape[0] != self.rank:
+                raise ShapeMismatch(f"'factors'[{j}] has shape {F.shape}, not (rank, p) with rank {self.rank}")
 
     @property
     def rank(self) -> int:
@@ -116,7 +122,15 @@ class NDFactorization:
 
     def rescaled(self, mode_l1: dict, absorb: int) -> "NDFactorization":
         """Copy with chosen modes scaled to target l1 norms, scales folded
-        into ``absorb`` (lambdas become 1); each target must be positive and finite."""
+        into ``absorb`` (lambdas become 1); each target must be positive and
+        finite, and ``absorb`` and each key of ``mode_l1`` a mode number, the
+        two apart, or a ValueError names the argument."""
+        for name, m in [("absorb", absorb), *(("each key of mode_l1", k) for k in mode_l1)]:
+            # bool is an Integral, but True is no mode
+            if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 0 <= m < self.order:
+                raise ValueError(f"{name} must be a mode in range({self.order}) (got {m!r})")
+        if absorb in mode_l1:
+            raise ValueError(f"absorb={absorb} is also a key of mode_l1, whose l1 norm the scales would change")
         if not all(math.isfinite(t) and t > 0 for t in mode_l1.values()):
             raise ValueError(f"l1 targets must be positive and finite (got {mode_l1!r})")
         factors = [F.copy() for F in self.factors]
@@ -138,40 +152,27 @@ class NDFactorization:
             "factors": [F.tolist() for F in self.factors],
             "diagnostics": self.diagnostics,
         }
-        return json.dumps(obj, indent=2)
+        return json.dumps(obj, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "NDFactorization":
         """Read :meth:`to_json`'s text back; a malformed file is a ParseError naming its field."""
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-        keys = ("rank", "shape", "lambdas", "factors", "diagnostics")
-        if missing := [k for k in keys if not isinstance(obj, dict) or k not in obj]:
-            raise ParseError(f"factor JSON needs a {missing[0]!r} field")
-        r, shape, lambdas, tables, diagnostics = (obj[k] for k in keys)
+        r, shape, lambdas, tables, diagnostics = _json_fields(
+            text, ("rank", "shape", "lambdas", "factors", "diagnostics"), "factor")
         # bool is a subclass of int, so the types are compared exactly
         if type(r) is not int or r < 0:
             raise ParseError(f"'rank' must be a non-negative integer, got {json.dumps(r)}")
-        if type(shape) is not list or not all(type(p) is int and p >= 0 for p in shape):
-            raise ParseError(f"'shape' must be a list of non-negative integers, got {json.dumps(shape)}")
         if not (type(lambdas) is list and len(lambdas) == r and all(map(_is_number, lambdas))):
-            raise ParseError(f"'lambdas' is not {r} numbers, one scale per term")
+            raise ParseError(f"'lambdas' is not {r} finite numbers, one scale per term")
         if type(tables) is not list or len(tables) != len(shape):
             raise ParseError(f"'factors' is not {len(shape)} tables, one per mode of 'shape' {shape}")
         for j, (F, p) in enumerate(zip(tables, shape)):
             if not (type(F) is list and len(F) == r
                     and all(type(row) is list and len(row) == p and all(map(_is_number, row)) for row in F)):
-                raise ParseError(f"'factors'[{j}] is not {r} rows of {p} numbers")
+                raise ParseError(f"'factors'[{j}] is not {r} rows of {p} finite numbers")
         if type(diagnostics) is not dict:
             raise ParseError("'diagnostics' must be an object")
         return cls(lambdas, [np.reshape(F, (r, p)) for F, p in zip(tables, shape)], diagnostics=diagnostics)
-
-
-def _is_number(x) -> bool:
-    # a factor file's scale or table entry: no bool, null, string or int past a float's range
-    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
 
 
 # the names of FitConfig.init, its default first

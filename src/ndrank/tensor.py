@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -205,32 +206,44 @@ def full_difference(T) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # file formats: JSON {"shape": [...], "data": [...row-major...]} and, for
-# matrices, headerless CSV with rows along mode 1.
+# matrices, headerless CSV with rows along mode 1.  Both JSON readers, this
+# one and NDFactorization.from_json, use one decoder and one number rule.
 
-def tensor_to_json(T) -> str:
-    T = np.asarray(T, dtype=float)
-    return json.dumps({"shape": list(T.shape), "data": T.ravel().tolist()})
+def _is_number(x) -> bool:
+    # a JSON file's entry: no bool, null, string, NaN, infinity or int past a float's range
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
-def tensor_from_json(text: str) -> np.ndarray:
+def _json_fields(text: str, keys: tuple, kind: str) -> list:
+    """The values of ``keys``, ``"shape"`` among them, in the JSON object
+    ``text``; a ParseError for invalid JSON (with its line and column), for
+    a value that is not an object or lacks a key (naming the first missing
+    one), and for a shape that is not a list of non-negative integers."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
-        raise ParseError("tensor JSON needs 'shape' and 'data' fields")
-    shape, data = obj["shape"], obj["data"]
+    if missing := [k for k in keys if not isinstance(obj, dict) or k not in obj]:
+        raise ParseError(f"{kind} JSON needs a {missing[0]!r} field")
+    shape = obj["shape"]
     # bool is a subclass of int, so the types are compared exactly
-    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+    if type(shape) is not list or not all(type(p) is int and p >= 0 for p in shape):
         raise ParseError(f"'shape' must be a list of non-negative integers, got {json.dumps(shape)}")
-    if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
-        raise ParseError("'data' must be a flat list of numbers")
+    return [obj[k] for k in keys]
+
+
+def tensor_to_json(T) -> str:
+    T = np.asarray(T, dtype=float)
+    return json.dumps({"shape": list(T.shape), "data": T.ravel().tolist()}, allow_nan=False)
+
+
+def tensor_from_json(text: str) -> np.ndarray:
+    shape, data = _json_fields(text, ("shape", "data"), "tensor")
+    if type(data) is not list or not all(map(_is_number, data)):
+        raise ParseError("'data' must be a flat list of finite numbers")
     if len(data) != math.prod(shape):
         raise ParseError(f"data length {len(data)} does not match shape {tuple(shape)}")
-    try:
-        return np.array(data, dtype=float).reshape(shape)
-    except OverflowError:
-        raise ParseError("'data' holds an integer too large for a float") from None
+    return np.array(data, dtype=float).reshape(shape)
 
 
 def matrix_from_csv(text: str) -> np.ndarray:

@@ -177,10 +177,9 @@ def test_check_repeated_poset_label(tmp_path, capsys):
 
 
 def test_check_with_explicit_files(tmp_path, capsys):
-    T = datasets.selenium_matrix()
+    T, (rows, cols) = datasets.fixture("selenium")
     tpath = tmp_path / "sel.csv"
     tpath.write_text("\n".join(",".join(str(v) for v in row) for row in T) + "\n")
-    rows, cols = datasets.selenium_posets()
     rp, cp = tmp_path / "rows.poset", tmp_path / "cols.poset"
     rp.write_text(format_poset_text(rows))
     cp.write_text(format_poset_text(cols))

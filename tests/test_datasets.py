@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ndrank import datasets, poset
+from ndrank.tensor import check_tensor
 
 SELENIUM_SHA = "e7aa699d8308144a26e209c08f9e70706f6126a68b04ece3a9cd2c59036025ab"
 CCHS_SHA = "200d7e440dfead06cd3ce157a9f204c7cce58b8d505a1772bdc734276af88f02"
@@ -9,16 +10,15 @@ COLLIDER3_SHA = "5b2938f4021a4a23a6cca748089609ca84c464a534f76dae5c9d9448f43935a
 
 
 def test_checksums_pin_fixture_values():
-    assert datasets.checksum(datasets.selenium_matrix()) == SELENIUM_SHA
-    assert datasets.checksum(datasets.cchs_tensor()) == CCHS_SHA
-    assert datasets.checksum(datasets.collider3_matrix()) == COLLIDER3_SHA
+    assert datasets.checksum(datasets.fixture("selenium")[0]) == SELENIUM_SHA
+    assert datasets.checksum(datasets.fixture("cchs")[0]) == CCHS_SHA
+    assert datasets.checksum(datasets.fixture("collider3")[0]) == COLLIDER3_SHA
 
 
 def test_selenium_values():
-    T = datasets.selenium_matrix()
+    T, (rows, cols) = datasets.fixture("selenium")
     assert T.shape == (3, 4)
     assert T[0, 1] == 27.4 and T[2, 1] == 24.4 and T[2, 3] == 96.5
-    rows, cols = datasets.selenium_posets()
     assert rows.labels == ("I", "II", "III")
     assert set(rows.covers) == {(0, 2), (1, 2)}
     assert cols.labels == ("0", "100", "200", "400")
@@ -26,7 +26,7 @@ def test_selenium_values():
 
 
 def test_cchs_shape_and_spot_values():
-    T = datasets.cchs_tensor()
+    T, _ = datasets.fixture("cchs")
     assert T.shape == (5, 7, 2)
     # age 12-17, year 2022: female 21.0, male 8.7
     assert T[0, 6, 0] == 21.0 and T[0, 6, 1] == 8.7
@@ -35,7 +35,7 @@ def test_cchs_shape_and_spot_values():
 
 
 def test_cchs_posets_match_drawn_structure():
-    age, year, gender = datasets.cchs_posets()
+    _, (age, year, gender) = datasets.fixture("cchs")
     lab = age.labels
     assert lab == ("12-17", "18-34", "35-49", "50-64", "65+")
     covers = {(lab[a], lab[b]) for a, b in age.covers}
@@ -66,3 +66,15 @@ def test_collider3_matrix_is_generator_self_product_sum():
 def test_unknown_fixture():
     with pytest.raises(KeyError):
         datasets.fixture("nope")
+
+
+@pytest.mark.parametrize("name", sorted(datasets.FIXTURES))
+def test_every_fixture_is_a_fresh_valid_problem(name):
+    # each call copies the tensor, so a caller's edit does not reach the next
+    T, posets = datasets.fixture(name)
+    before = T.tobytes()
+    T += 1.0
+    again, posets_again = datasets.fixture(name)
+    assert again.tobytes() == before and again.dtype == float
+    assert posets_again == posets
+    check_tensor(again, posets_again)

@@ -671,7 +671,7 @@ def assert_init_feasible(init, posets):
 def test_init_als_project_vectors_are_feasible():
     # float crumbs left by a projection must not be scaled up to a unit
     # vector: cchs seed 284 gave such a vector outside the age poset's cone
-    T, posets = datasets.cchs_tensor(), datasets.cchs_posets()
+    T, posets = datasets.fixture("cchs")
     assert_init_feasible(factor.init_als_project(T, 2, posets, 284), posets)
     rng = np.random.default_rng(12)
     for trial in range(200):
@@ -683,7 +683,7 @@ def test_init_als_project_vectors_are_feasible():
 
 
 def test_init_als_project_matches_term_by_term_reference():
-    T, posets = datasets.cchs_tensor(), datasets.cchs_posets()
+    T, posets = datasets.fixture("cchs")
     for seed in range(300):
         init = factor.init_als_project(T, 2, posets, seed)
         lambdas, factors = reference_init_als_project(T, 2, posets, seed)
@@ -761,7 +761,7 @@ def assert_same_start(got, want):
 
 
 def stacked_init_cases():
-    T, posets = datasets.cchs_tensor(), datasets.cchs_posets()
+    T, posets = datasets.fixture("cchs")
     for base in range(0, 300, 10):
         yield T, 2, posets, list(range(base, base + 10))
     rng = np.random.default_rng(13)
@@ -774,7 +774,8 @@ def stacked_init_cases():
         yield T, 1 + trial % 5, posets, seeds
     yield rng.standard_normal((2,) * 9), 2, [poset.chain(2)] * 9, [4, 5, 6]
     yield np.zeros((2, 3)), 2, [poset.chain(2), COLLIDER], [0, 1, 2]
-    yield datasets.cchs_tensor(), 2, datasets.cchs_posets(), [284]
+    T, posets = datasets.fixture("cchs")
+    yield T, 2, posets, [284]
 
 
 @pytest.mark.parametrize("init", [factor.init_als_project, factor._init_random_cone],
@@ -1344,6 +1345,14 @@ def _factor_file(**changes):
     (_factor_file(lambdas=[2.0, 10 ** 400]), "'lambdas'"),
     (_factor_file(factors=[[[1.0] * 3] * 2, [[1.0, 10 ** 400]] * 2]), "'factors'[1]"),
     (_factor_file(diagnostics=[]), "'diagnostics'"),
+    # NaN, Infinity and a literal past a float's range loaded as numbers
+    (_factor_file(lambdas=[2.0, math.nan]), "'lambdas'"),
+    (_factor_file(lambdas=[math.inf, 1.0]), "'lambdas'"),
+    (json.dumps(_factor_file(lambdas=[2.0, 0.5])).replace("0.5", "1e400"), "'lambdas'"),
+    (_factor_file(factors=[[[1.0] * 3] * 2, [[1.0, -math.inf]] * 2]), "'factors'[1]"),
+    (_factor_file(factors=[[[1.0, math.nan, 1.0]] * 2, [[1.0] * 2] * 2]), "'factors'[0]"),
+    (json.dumps(_factor_file(factors=[[[1.0] * 3] * 2, [[1.0, 0.5]] * 2])).replace("0.5", "-1e400"),
+     "'factors'[1]"),
 ])
 def test_malformed_factor_file_is_refused_by_key(obj, key):
     # a bare KeyError, TypeError or OverflowError, or numpy's "cannot
@@ -1395,6 +1404,47 @@ def test_rescaled_refuses_a_target_that_leaves_the_cone(target):
         fact.rescaled({1: target}, absorb=0)
     with pytest.raises(ValueError, match="l1 targets"):
         fact.rescaled({2: 1.0, 1: target}, absorb=0)
+
+
+@pytest.mark.parametrize("mode_l1, absorb, message", [
+    ({0: 1.0}, 0, "also a key of mode_l1"),  # mode 0's l1 norms came out 80.0 and 123.6
+    ({1: 1.0}, 3, "absorb must be a mode"),  # an IndexError
+    ({1: 1.0}, -1, "absorb must be a mode"),  # absorbed into the last mode
+    ({1: 1.0}, True, "absorb must be a mode"),
+    ({True: 1.0}, 0, "each key of mode_l1 must be a mode"),  # rescaled mode 1
+    ({3: 1.0}, 0, "each key of mode_l1 must be a mode"),
+    ({"1": 1.0}, 0, "each key of mode_l1 must be a mode"),
+])
+def test_rescaled_refuses_modes_it_cannot_honour(mode_l1, absorb, message):
+    T, posets = datasets.fixture("cchs")
+    fact, _ = factor.hals(T, posets, FitConfig(rank=2, restarts=2))
+    with pytest.raises(ValueError, match=message):
+        fact.rescaled(mode_l1, absorb=absorb)
+    resc = fact.rescaled({np.int64(1): 7.0}, absorb=np.int64(0))  # a numpy int is a mode
+    assert np.allclose(np.abs(resc.factors[1]).sum(axis=1), 7.0)
+
+
+@pytest.mark.parametrize("lambdas, factors, field", [
+    ([1.0], [np.ones((2, 3)), np.ones((1, 4))], "'factors'[0]"),  # reconstruct hit a matmul error
+    ([1.0], [np.ones(3)], "'factors'[0]"),  # to_json raised an IndexError
+    ([1.0, 2.0], [np.ones((2, 3)), np.ones((2, 2, 1))], "'factors'[1]"),
+    ([[1.0, 2.0]], [np.ones((2, 3))], "'lambdas'"),
+    (2.0, [np.ones((1, 3))], "'lambdas'"),
+])
+def test_factorization_refuses_shapes_its_file_cannot_hold(lambdas, factors, field):
+    with pytest.raises(ShapeMismatch, match=re.escape(field)):
+        factor.NDFactorization(lambdas, factors)
+
+
+@pytest.mark.parametrize("lambdas, factors", [
+    ([np.nan], [np.ones((1, 2))]),
+    ([1.0], [[[1.0, np.inf]]]),
+    ([-np.inf], [np.ones((1, 2))]),
+])
+def test_factor_file_of_a_non_finite_value_is_not_written(lambdas, factors):
+    # to_json wrote NaN and Infinity, which are not JSON
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        factor.NDFactorization(lambdas, factors).to_json()
 
 
 EMPTY = poset.from_relation([], [])

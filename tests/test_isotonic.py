@@ -637,7 +637,7 @@ def test_row_projector_on_grid_fit_stacks(monkeypatch):
 
 # posets whose row projectors go through a face table
 TABLE_POSETS = {
-    "cchs-age": datasets.cchs_posets()[0],
+    "cchs-age": datasets.fixture("cchs")[1][0],
     "collider-to-top-3": poset.collider_to_top(3),
     "collider-to-top-4": poset.collider_to_top(4),
     "collider-to-top-5": poset.collider_to_top(5),

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -222,12 +224,27 @@ def test_csv_matrix(tmp_path):
     ('{"shape": [2], "data": [1, "2"]}', "data"),
     ('{"shape": [2], "data": 12}', "data"),
     ('{"shape": [1], "data": [1%s]}' % ("0" * 400), "data"),
+    # these loaded as non-finite entries, for a later check to refuse or not
+    ('{"shape": [2], "data": [1, NaN]}', "data"),
+    ('{"shape": [2], "data": [Infinity, 1]}', "data"),
+    ('{"shape": [2], "data": [1, -Infinity]}', "data"),
+    ('{"shape": [1], "data": [1e400]}', "data"),
 ])
 def test_json_rejects_malformed_shape_and_data(text, field):
     # these loaded as a vector, a (1, 2) matrix, a flattened nest, or
     # raised a bare ValueError or OverflowError
     with pytest.raises(ParseError, match=f"'{field}'"):
         tensor.tensor_from_json(text)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_json_of_a_non_finite_tensor_is_not_written(bad):
+    # tensor_to_json wrote NaN or Infinity, which are not JSON
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        tensor.tensor_to_json(np.array([1.0, bad]))
+    # the largest finite floats are numbers, written and read
+    big = np.array([sys.float_info.max, -sys.float_info.max, 1e-308])
+    assert tensor.tensor_from_json(tensor.tensor_to_json(big)).tobytes() == big.tobytes()
 
 
 def test_json_accepts_empty_and_order_0_shapes():
@@ -255,7 +272,7 @@ def test_finite_entries_near_the_float_limit_raise_no_warning():
     (lambda: tensor.outer([[[1.0]]]), ValueError, "non-empty vector"),
     (lambda: tensor.fibre(np.ones((2, 2)), 1, [1, 1]), IndexOutOfRange, "expected 1 fixed"),
     (lambda: tensor.mode_difference(np.ones((2, 2)), 3), IndexOutOfRange, "mode 3"),
-    (lambda: tensor.tensor_from_json("[1, 2]"), ParseError, "'shape' and 'data'"),
+    (lambda: tensor.tensor_from_json("[1, 2]"), ParseError, "tensor JSON needs a 'shape' field"),
     (lambda: tensor.matrix_from_csv("1,2\n3\n"), ParseError, "expected 2 columns"),
     (lambda: tensor.matrix_from_csv("# only a comment\n\n"), ParseError, "empty matrix"),
 ], ids=["no-vector", "empty-vector", "matrix-factor", "fixed-count", "difference-mode",
