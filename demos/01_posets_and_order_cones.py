@@ -4,6 +4,7 @@ The ground objects of the package are finite posets given by their cover
 relations.  Each poset carries an order cone: the nonnegative vectors that
 are nondecreasing along the order.  Its extremal rays are indicators of
 connected upsets, so a 2 x 3 grid order yields "staircase" matrices.
+``order_cone_vrep`` returns them as the rows of one 0/1 matrix.
 """
 
 import numpy as np
@@ -23,10 +24,10 @@ print("chain(3) upsets:      ", [sorted(u) for u in connected_upsets(c3)])
 print("fork upsets:          ", [sorted(u) for u in connected_upsets(fork)])
 
 # the product order compares coordinatewise; for two chains the rays of the
-# product cone are staircase matrices
+# product cone are staircase matrices, each a row of the (rays, 6) matrix
 grid = product([chain(2), chain(3)])
 print("\n2 x 3 grid: ", grid.p, "elements,", len(grid.covers), "covers,",
       count_antichains(grid), "antichains")
 print("staircase rays of the product order cone:")
-for g in order_cone_vrep(grid).generators:
+for g in order_cone_vrep(grid):
     print(np.asarray(g, dtype=int).reshape(2, 3), "\n")

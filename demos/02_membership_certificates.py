@@ -24,10 +24,11 @@ for v in cert.violated:
     print("   ", v.label, f"(value {v.value:+.2f})")
 
 # the certificate inequalities are facets of the cone: signed differences
-# over covers of the bottom-augmented posets
-hrep = finite_rank_hrep(posets)
-print("\nthe cone has", hrep.count, "facet inequalities; the first few normals:")
-print(hrep.normals[:4])
+# over covers of the bottom-augmented posets, one integer row of normals per
+# facet over the flattened 3 x 4 table
+normals = finite_rank_hrep(posets)
+print("\nthe cone has", len(normals), "facet inequalities; the first few normals:")
+print(normals[:4])
 
 # contrast: a staircase matrix is monotone yet has no finite ND rank
 from ndrank import chain

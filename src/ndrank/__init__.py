@@ -51,9 +51,7 @@ from .tensor import (
     write_tensor,
 )
 from .cone import (
-    ConeHRep,
     MembershipCertificate,
-    OrderConeVRep,
     ProbabilityEstimate,
     Violation,
     canonical_inequalities,

@@ -46,7 +46,10 @@ def _load_poset(token: str):
 
 def _load_problem(tensor_arg: str, poset_args):
     if tensor_arg.startswith("fixture:"):
-        T, default_posets = datasets.fixture(tensor_arg[len("fixture:"):])
+        try:
+            T, default_posets = datasets.fixture(tensor_arg[len("fixture:"):])
+        except KeyError as exc:  # str() of a KeyError quotes its message
+            raise NDRankError(exc.args[0]) from None
     else:
         T = read_tensor(tensor_arg)
         default_posets = None
@@ -81,7 +84,7 @@ def cmd_rays(args) -> int:
         if args.count_only:  # one generator per tuple of per-mode rays
             print(prod(count_connected_upsets(P) for P in posets))
             return 0
-        gens = np.array(finite_rank_vrep(posets)).reshape(-1, prod(shape))
+        gens = finite_rank_vrep(posets)
         print(f"{len(gens)} finite-rank generators")
     else:
         P = product(posets) if len(posets) > 1 else posets[0]
@@ -96,7 +99,7 @@ def cmd_rays(args) -> int:
 
 
 def _print_generators(gens, shape) -> None:
-    """Print each 0/1 row of ``gens`` reshaped to ``shape``, as ``np.array2string``
+    """Print each 0/1 generator of ``gens`` reshaped to ``shape``, as ``np.array2string``
     prints it.  Every entry is one character wide, so one rendering of zeros, its
     lines indented, is every generator's template: its 0s take the printed digits."""
     template = "  " + np.array2string(np.zeros(shape, int), separator=" ").replace("\n", "\n  ")
@@ -120,7 +123,8 @@ def _print_generators(gens, shape) -> None:
 
 def cmd_hrep(args) -> int:
     posets = [_load_poset(tok) for tok in args.posets]
-    sys.stdout.write(finite_rank_hrep(posets).to_text())
+    normals = finite_rank_hrep(posets).tolist()
+    sys.stdout.write("".join(" ".join(map(str, row)) + "\n" for row in normals))
     return 0
 
 
@@ -261,7 +265,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (NDRankError, OSError, KeyError, ValueError) as exc:
+    except (NDRankError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,14 @@
 certificates, a small exact double-description converter, and order-polytope
 sampling.
 
+The representations are plain arrays.  A poset's order cone is generated by
+the rows of ``order_cone_vrep(P)``, a (q, p) 0/1 matrix G_j; the
+finite-ND-rank cone by ``finite_rank_vrep(posets)``, a (Q, p_1, ..., p_k)
+array whose flattened rows are those of the Kronecker product of the G_j;
+and its facets are the rows of ``finite_rank_hrep(posets)``, an (m, d)
+integer matrix of normals over the flattened tensor, as
+``double_description`` returns them for any generators.
+
 A tensor over a product of posets has finite nondecreasing rank exactly when
 it lies in the projective tensor product of the per-mode order cones.  That
 cone is generated by outer products of connected-upset indicators, and its
@@ -57,36 +65,6 @@ def _resolve_tol(T, tol) -> float:
     if isinstance(tol, bool) or not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0 (got {tol!r})")
     return tol
-
-
-@dataclass
-class OrderConeVRep:
-    """Extremal rays of an order cone: indicators of connected upsets."""
-
-    poset: Poset
-    generators: np.ndarray  # (q, p) 0/1 matrix, one row per connected upset
-
-    @property
-    def count(self) -> int:
-        return self.generators.shape[0]
-
-
-@dataclass
-class ConeHRep:
-    """Halfspace description {x : <a_i, x> >= 0 for all rows a_i}."""
-
-    normals: np.ndarray  # (m, d), integer where exact
-    shape: tuple | None = None  # tensor shape for rendering, if known
-
-    @property
-    def count(self) -> int:
-        return self.normals.shape[0]
-
-    def to_text(self) -> str:
-        lines = []
-        for row in np.asarray(self.normals):
-            lines.append(" ".join(str(int(c)) for c in row))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(slots=True)
@@ -220,30 +198,33 @@ def _format_terms(support, coeffs, shape) -> str:
     return " ".join(terms) + " >= 0"
 
 
-def order_cone_vrep(P: Poset) -> OrderConeVRep:
-    """V-representation of the order cone of P: one 0/1 generator row per
-    connected upset, in the order of :func:`~ndrank.poset.connected_upsets`,
-    unpacked from the upset walk's bitmasks without building the sets."""
+def order_cone_vrep(P: Poset) -> np.ndarray:
+    """V-representation of the order cone of P: the (q, p) float 0/1 matrix
+    with one generator row per connected upset, in the order of
+    :func:`~ndrank.poset.connected_upsets`, unpacked from the upset walk's
+    bitmasks without building the sets."""
     masks = poset_mod._ordered_connected_upset_masks(P)
-    return OrderConeVRep(poset=P, generators=poset_mod._unpack(masks, P.p).astype(float))
+    return poset_mod._unpack(masks, P.p).astype(float)
 
 
-def finite_rank_vrep(posets) -> list:
-    """Rank-one generator tensors of the finite-ND-rank cone.
+def finite_rank_vrep(posets) -> np.ndarray:
+    """Rank-one generator tensors of the finite-ND-rank cone, as one float
+    array G of shape (Q, p_1, ..., p_k): generator i is ``G[i]``, and
+    ``G.reshape(len(G), -1)`` is the generator matrix.
 
     One generator per tuple of per-mode connected upsets, the outer product
     of the upset indicators, the first mode's varying slowest: a row of the
     Kronecker product of the per-mode generator matrices.  Order 0 has the
-    one generator 1.0.  Raises ``TooLarge`` before the product is formed
-    when its generators times their entries exceed ``VREP_GUARD``.
+    one generator 1.0, so G is ``[1.0]``.  Raises ``TooLarge`` before the
+    product is formed when its generators times their entries exceed
+    ``VREP_GUARD``.
     """
     posets = poset_list(posets)
-    mats = [order_cone_vrep(P).generators for P in posets]
+    mats = [order_cone_vrep(P) for P in posets]
     total, shape = prod(len(G) for G in mats), tuple(P.p for P in posets)
     if total * prod(shape) > VREP_GUARD:
         raise TooLarge(f"{total} generators x {prod(shape)} entries exceeds the {VREP_GUARD} guard")
-    gens = functools.reduce(np.kron, mats, np.ones((1, 1)))
-    return list(gens.reshape((total,) + shape))
+    return functools.reduce(np.kron, mats, np.ones((1, 1))).reshape((total,) + shape)
 
 
 def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
@@ -262,14 +243,13 @@ def is_monotone(T, posets, tol: float | None = None) -> MembershipCertificate:
                         functools.partial(_monotone_violation, T.shape, lo, hi))
 
 
-def finite_rank_hrep(posets) -> ConeHRep:
-    """Facet halfspaces of the finite-ND-rank cone, in a fresh integer array:
-    the Kronecker product of the maps of :func:`_finite_rank_plan`, the
-    first map's row varying slowest.  Order 0 has the one facet [1]."""
-    posets = tuple(poset_list(posets))
-    _, maps, _ = _finite_rank_plan(posets)
-    normals = functools.reduce(np.kron, maps, np.ones((1, 1)))
-    return ConeHRep(normals=normals.astype(int), shape=tuple(P.p for P in posets))
+def finite_rank_hrep(posets) -> np.ndarray:
+    """Facet halfspaces {x : <a_i, x> >= 0} of the finite-ND-rank cone, as a
+    fresh, writable (m, d) integer matrix of normals a_i over the flattened
+    tensor: the Kronecker product of the maps of :func:`_finite_rank_plan`,
+    the first map's row varying slowest.  Order 0 has the one facet [1]."""
+    _, maps, _ = _finite_rank_plan(tuple(poset_list(posets)))
+    return functools.reduce(np.kron, maps, np.ones((1, 1))).astype(int)
 
 
 @functools.lru_cache(maxsize=256)
@@ -298,7 +278,7 @@ def _finite_rank_plan(posets: tuple) -> tuple:
     else:
         d = prod(P.p for P in posets)
         _check_dd_dim(d)
-        normals = (double_description(finite_rank_vrep(posets)).normals.astype(float)
+        normals = (double_description(finite_rank_vrep(posets)).astype(float)
                    if d else np.empty((0, 0)))
         normals.flags.writeable = False
         method, maps = "double-description", (normals,)
@@ -378,30 +358,35 @@ def _check_dd_dim(d: int) -> None:
         raise TooLarge(f"ambient dimension {d} exceeds the {DD_MAX_DIM} guard")
 
 
-def double_description(generators) -> ConeHRep:
+def double_description(generators) -> np.ndarray:
     """Irredundant facet normals of the cone generated by integer vectors.
 
+    ``generators`` is an (n, ...) array-like of n generators of one shape,
+    each flattened row-major to a vector of R^d; ragged or 1-D input raises
+    ``ShapeMismatch``.  Returns the sorted (m, d) integer matrix of the
+    normals a_i, the cone being {x : <a_i, x> >= 0 for all i}.
     The generators must span the ambient space (otherwise
     :class:`DegenerateCone` reports the implicit equalities) and generate a
     pointed cone, which holds in particular for nonnegative generators.
     Exact rational arithmetic throughout; guarded at dimension 12 and 64
     generators.
     """
-    raw = [np.asarray(g) for g in generators]
-    if not raw:
+    try:
+        raw = np.asarray(generators)
+    except ValueError:  # numpy refuses ragged nesting
+        raise ShapeMismatch("generators must share one shape") from None
+    if not len(raw):
         raise ValueError("need at least one generator")
-    shape = raw[0].shape if raw[0].ndim > 1 else None
-    flat = [g.ravel() for g in raw]
-    d = flat[0].size
-    if any(g.size != d for g in flat):
-        raise ShapeMismatch("generators must share one shape")
+    if raw.ndim < 2:
+        raise ShapeMismatch(f"generators must be an (n, ...) array of one shape, got shape {raw.shape}")
+    flat = raw.reshape(len(raw), -1).astype(float)
+    d = flat.shape[1]
     _check_dd_dim(d)
+    if (np.abs(flat - np.round(flat)) > 1e-9).any():
+        raise ValueError("double_description requires integer generators")
     G, seen = [], set()
-    for g in flat:
-        g = g.astype(float)
-        if (np.abs(g - np.round(g)) > 1e-9).any():
-            raise ValueError("double_description requires integer generators")
-        t = _primitive([round(x) for x in g.tolist()])
+    for g in flat.tolist():
+        t = _primitive([round(x) for x in g])
         if any(t) and t not in seen:
             seen.add(t)
             G.append(t)
@@ -454,8 +439,7 @@ def double_description(generators) -> ConeHRep:
         rays = [rays[k] for k in keep] + new_rays
         tight = [tight[k] | ((1 << pos) if s[k] == 0 else 0) for k in keep] + new_tight
 
-    normals = sorted(rays)
-    return ConeHRep(normals=np.asarray(normals, dtype=int), shape=shape)
+    return np.asarray(sorted(rays), dtype=int)
 
 
 def canonical_inequalities(normals) -> list:

@@ -172,6 +172,10 @@ class NDFactorization:
                 raise ParseError(f"'factors'[{j}] is not {r} rows of {p} finite numbers")
         if type(diagnostics) is not dict:
             raise ParseError("'diagnostics' must be an object")
+        try:  # json.loads reads NaN, Infinity and 1e400, which to_json cannot write
+            json.dumps(diagnostics, allow_nan=False)
+        except ValueError:
+            raise ParseError("'diagnostics' holds NaN or an infinity, which is not JSON") from None
         return cls(lambdas, [np.reshape(F, (r, p)) for F, p in zip(tables, shape)], diagnostics=diagnostics)
 
 

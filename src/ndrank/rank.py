@@ -328,7 +328,7 @@ def tri_factorization_verify(T, H, posets, tol: float | None = None) -> TriFacto
     T, posets = check_tensor(T, posets)
     H = np.asarray(H, dtype=float)
     require_finite("H", H)
-    V = [order_cone_vrep(P).generators.T for P in posets]  # (p_j, q_j)
+    V = [order_cone_vrep(P).T for P in posets]  # (p_j, q_j)
     if H.shape != (V[0].shape[1], V[1].shape[1]):
         raise ShapeMismatch(f"H has shape {H.shape}, expected {(V[0].shape[1], V[1].shape[1])}")
     if (H < 0).any():

@@ -207,10 +207,11 @@ def full_difference(T) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # file formats: JSON {"shape": [...], "data": [...row-major...]} and, for
 # matrices, headerless CSV with rows along mode 1.  Both JSON readers, this
-# one and NDFactorization.from_json, use one decoder and one number rule.
+# one and NDFactorization.from_json, use one decoder, and they and the CSV
+# reader one number rule.
 
 def _is_number(x) -> bool:
-    # a JSON file's entry: no bool, null, string, NaN, infinity or int past a float's range
+    # a file's entry: no bool, null, string, NaN, infinity or number past a float's range
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
@@ -255,9 +256,13 @@ def matrix_from_csv(text: str) -> np.ndarray:
         row = []
         for column, cell in enumerate(line.split(","), start=1):
             try:
-                row.append(float(cell))  # float() ignores the cell's padding
+                x = float(cell)  # float() ignores the cell's padding
             except ValueError:
-                raise ParseError(f"not a number: {cell.strip()!r}", line=lineno, column=column) from None
+                x = None
+            # the JSON readers' rule: float() also reads nan, inf and 1e400 (as inf)
+            if not _is_number(x):
+                raise ParseError(f"not a finite number: {cell.strip()!r}", line=lineno, column=column)
+            row.append(x)
         if rows and len(row) != len(rows[0]):
             raise ParseError(f"expected {len(rows[0])} columns, got {len(row)}", line=lineno)
         rows.append(row)

@@ -204,7 +204,7 @@ def reference_membership(T, posets, tol=None):
             normals = reference_finite_rank_normals(posets)
             method = "halfspace"
         else:
-            normals = cone.double_description(cone.finite_rank_vrep(posets)).normals
+            normals = cone.double_description(cone.finite_rank_vrep(posets))
             method = "double-description"
         values = normals @ T.ravel()
     violated = [DenseViolation(cone.format_normal(normals[i], T.shape),

@@ -163,6 +163,18 @@ def test_check_malformed_csv(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad), str(pos), str(pos))
     assert code == 2
     assert "line 2" in err
+    # a nan cell read as a number, and the tensor check refused it with no location
+    bad.write_text("1, 2\n3, nan\n")
+    code, _, err = run(capsys, "check", str(bad), str(pos), str(pos))
+    assert code == 2
+    assert err == "error: not a finite number: 'nan' (line 2, column 2)\n"
+
+
+def test_check_unknown_fixture(capsys):
+    # the KeyError's message, without the quotes its str() adds
+    code, out, err = run(capsys, "check", "fixture:foo")
+    assert code == 2 and out == ""
+    assert err == f"error: unknown fixture 'foo'; available: {sorted(datasets.FIXTURES)}\n"
 
 
 def test_check_repeated_poset_label(tmp_path, capsys):
@@ -213,7 +225,7 @@ def test_rays_counts_product_generators_without_building_them(capsys, monkeypatc
     # generator matrix took 647 MB
     cases = [("chain:2", "chain:3"), ("collider:3", "chain:2"), ("trivial:2", "chain:2"),
              ("collider:3", "collider:3"), ("trivial:3",), ("collider:4",)]
-    want = [cone.order_cone_vrep(poset.product([cli._load_poset(tok) for tok in toks])).count
+    want = [len(cone.order_cone_vrep(poset.product([cli._load_poset(tok) for tok in toks])))
             for toks in cases]
 
     def refuse(*args):
@@ -251,7 +263,7 @@ def test_rays_listing_is_what_array2string_prints(capsys, toks):
     if "--finite-rank" in toks:
         gens = cone.finite_rank_vrep(posets)
     else:
-        gens = cone.order_cone_vrep(poset.product(posets) if len(posets) > 1 else posets[0]).generators
+        gens = cone.order_cone_vrep(poset.product(posets) if len(posets) > 1 else posets[0])
     want = "".join(f"generator {i + 1}:\n  " + np.array2string(
         np.reshape(g, shape).astype(int), separator=" ").replace("\n", "\n  ") + "\n"
         for i, g in enumerate(gens))
@@ -325,7 +337,8 @@ def test_hrep_collider_pair_uses_double_description(capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 24
     posets = [collider_to_top(3), collider_to_top(3)]
-    assert out == cone.double_description(cone.finite_rank_vrep(posets)).to_text()
+    normals = cone.double_description(cone.finite_rank_vrep(posets))
+    assert out == "\n".join(" ".join(str(int(c)) for c in row) for row in normals) + "\n"
 
 
 def test_bounds(capsys):

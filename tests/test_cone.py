@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import pickle
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ndrank import cone, datasets, poset, rank, tensor
+from ndrank import cli, cone, datasets, poset, rank, tensor
 from ndrank.errors import (
     DegenerateCone,
     NonFiniteInput,
@@ -54,19 +53,16 @@ def _as_set(mats):
 
 
 def test_order_cone_vrep_chain():
-    v = cone.order_cone_vrep(poset.chain(3))
-    assert _as_set(v.generators) == {(0, 0, 1), (0, 1, 1), (1, 1, 1)}
+    assert _as_set(cone.order_cone_vrep(poset.chain(3))) == {(0, 0, 1), (0, 1, 1), (1, 1, 1)}
 
 
 def test_order_cone_vrep_collider_hypercube_sides():
-    v = cone.order_cone_vrep(COLLIDER)
-    assert _as_set(v.generators) == {(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)}
+    assert _as_set(cone.order_cone_vrep(COLLIDER)) == {(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)}
 
 
 def test_order_cone_vrep_grid_staircases():
     P = poset.product([poset.chain(2), poset.chain(3)])
-    v = cone.order_cone_vrep(P)
-    assert _as_set(v.generators) == _as_set(BOX_MATRICES) | _as_set(STAIRCASE_ONLY)
+    assert _as_set(cone.order_cone_vrep(P)) == _as_set(BOX_MATRICES) | _as_set(STAIRCASE_ONLY)
 
 
 def test_order_cone_vrep_unpacks_the_upset_walks_masks(monkeypatch):
@@ -98,8 +94,9 @@ def test_order_cone_vrep_unpacks_the_upset_walks_masks(monkeypatch):
         want = np.zeros((len(ups), P.p))
         for i, U in enumerate(ups):
             want[i, sorted(U)] = 1.0
-        got = cone.order_cone_vrep(P).generators
-        assert got.dtype == float and got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = cone.order_cone_vrep(P)  # the matrix itself, no record around it
+        assert type(got) is np.ndarray and got.dtype == float
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert unpacked[-1] == (len(ups), P.p)
         # a fresh poset's order matrix, unpacked once, against the closure of its covers
         reach = np.eye(P.p, dtype=int)
@@ -110,7 +107,6 @@ def test_order_cone_vrep_unpacks_the_upset_walks_masks(monkeypatch):
         unpacked.clear()
         assert np.array_equal(poset.Poset(P.labels, P.covers).leq, reach.astype(bool))
         assert unpacked == [(P.p, P.p)]
-    assert [f.name for f in dataclasses.fields(cone.OrderConeVRep)] == ["poset", "generators"]
 
 
 def test_finite_rank_vrep_boxes():
@@ -163,8 +159,8 @@ def test_is_monotone_at_tol_0_is_exact():
 
 def test_finite_rank_hrep_two_chains():
     h = cone.finite_rank_hrep([poset.chain(2), poset.chain(3)])
-    assert h.count == 6
-    rows = {tuple(r) for r in h.normals}
+    assert len(h) == 6
+    rows = {tuple(r) for r in h}
     assert (1, 0, 0, 0, 0, 0) in rows                 # nonnegativity at the minimum
     assert (1, -1, 0, -1, 1, 0) in rows               # second difference
     assert (-1, 1, 0, 0, 0, 0) in rows                # first difference along columns
@@ -172,11 +168,11 @@ def test_finite_rank_hrep_two_chains():
 
 def test_finite_rank_hrep_selenium_values():
     h = cone.finite_rank_hrep(SELENIUM_POSETS)
-    vals = h.normals @ SELENIUM.ravel()
+    vals = h @ SELENIUM.ravel()
     assert vals.min() < -1e-9
     expected = np.zeros((3, 4))
     expected[0, 0], expected[0, 1], expected[2, 0], expected[2, 1] = 1, -1, -1, 1
-    idx = next(i for i, r in enumerate(h.normals) if np.array_equal(r, expected.ravel()))
+    idx = next(i for i, r in enumerate(h) if np.array_equal(r, expected.ravel()))
     assert np.isclose(vals[idx], -3.9)
 
 
@@ -184,7 +180,7 @@ def test_finite_rank_hrep_nonneg_on_generators():
     posets = [poset.chain(3), poset.from_relation("xyz", [("x", "z"), ("y", "z")])]
     h = cone.finite_rank_hrep(posets)
     for g in cone.finite_rank_vrep(posets):
-        assert (h.normals @ g.ravel() >= 0).all()
+        assert (h @ g.ravel() >= 0).all()
 
 
 def test_finite_rank_hrep_collider_pair_is_double_description():
@@ -194,17 +190,17 @@ def test_finite_rank_hrep_collider_pair_is_double_description():
     h = cone.finite_rank_hrep(posets)
     dd = cone.double_description(cone.finite_rank_vrep(posets))
     method, (normals,), _ = cone._finite_rank_plan(tuple(posets))
-    assert method == "double-description" and np.array_equal(normals, dd.normals)
-    assert h.count == 24 and h.shape == dd.shape == (3, 3)
-    assert h.normals.dtype == dd.normals.dtype and np.array_equal(h.normals, dd.normals)
-    h.normals[0, 0] = 7
+    assert method == "double-description" and np.array_equal(normals, dd)
+    assert h.shape == dd.shape == (24, 9)
+    assert h.dtype == dd.dtype and np.array_equal(h, dd)
+    h[0, 0] = 7
     assert cone._finite_rank_plan(tuple(posets))[1][0][0, 0] != 7
 
 
 def _outer_product_vrep(posets):
     """The finite-rank generators as one outer product per combination of
     per-mode generators, last mode fastest."""
-    gens = [cone.order_cone_vrep(P).generators for P in posets]
+    gens = [cone.order_cone_vrep(P) for P in posets]
     return [tensor.outer([G[i] for G, i in zip(gens, combo)])
             for combo in itertools.product(*(range(len(G)) for G in gens))]
 
@@ -216,22 +212,23 @@ def test_finite_rank_vrep_is_the_outer_product_list():
                    [COLLIDER, COLLIDER], [COLLIDER, forest, poset.trivial(2)],
                    [poset.chain(4)], [forest]):
         got, want = cone.finite_rank_vrep(posets), _outer_product_vrep(posets)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        # one array, generator i at got[i], stacked from the list it replaced
+        assert type(got) is np.ndarray and got.shape == (len(want),) + tuple(P.p for P in posets)
+        assert got.dtype == want[0].dtype and got.tobytes() == np.array(want).tobytes()
 
 
 def test_finite_rank_reps_at_order_0_and_for_one_poset():
     # as membership_finite_rank reads them: no posets is an order-0 tensor,
     # whose one facet is t >= 0, and a single Poset is a vector's list
     h = cone.finite_rank_hrep([])
-    assert h.normals.tolist() == [[1]] and h.shape == () and h.to_text() == "1\n"
-    assert cone.finite_rank_vrep([]) == [1.0]
+    assert h.tolist() == [[1]] and h.dtype == int
+    vrep = cone.finite_rank_vrep([])
+    assert vrep.tolist() == [1.0] and vrep.dtype == float
     for P in (poset.chain(3), COLLIDER, random_forest(5, np.random.default_rng(49))):
         one, listed = cone.finite_rank_hrep(P), cone.finite_rank_hrep([P])
-        assert np.array_equal(one.normals, listed.normals) and one.shape == listed.shape == (P.p,)
+        assert np.array_equal(one, listed) and one.shape[1] == P.p
         got, want = cone.finite_rank_vrep(P), cone.finite_rank_vrep([P])
-        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got.shape == want.shape == (len(want), P.p) and np.array_equal(got, want)
 
 
 def test_membership_selenium():
@@ -287,7 +284,7 @@ def test_double_description_facets_are_computed_once_per_poset_tuple(monkeypatch
     monkeypatch.setattr(cone, "double_description", lambda gens: calls.append(1) or dd(gens))
     cone._finite_rank_plan.cache_clear()
     method, (normals,), _ = cone._finite_rank_plan(posets)
-    assert method == "double-description" and np.array_equal(normals, fresh.normals)
+    assert method == "double-description" and np.array_equal(normals, fresh)
     assert not normals.flags.writeable
     with pytest.raises(ValueError):
         normals[0, 0] = 7
@@ -298,9 +295,9 @@ def test_double_description_facets_are_computed_once_per_poset_tuple(monkeypatch
     assert cone._finite_rank_plan(posets)[1][0] is normals
     # the H-rep is a fresh writable copy, as double description returns it
     hrep = cone.finite_rank_hrep(posets)
-    assert hrep.normals.dtype == fresh.normals.dtype and np.array_equal(hrep.normals, fresh.normals)
-    assert hrep.shape == fresh.shape and hrep.normals.flags.writeable
-    hrep.normals[0, 0] = 7
+    assert hrep.dtype == fresh.dtype and np.array_equal(hrep, fresh)
+    assert hrep.shape == fresh.shape and hrep.flags.writeable
+    hrep[0, 0] = 7
     assert cone._finite_rank_plan(posets)[1][0][0, 0] != 7
     assert len(calls) == 1
 
@@ -468,21 +465,21 @@ def test_transposing_two_modes_moves_the_certificates_and_facets(method, seed):
                  cone.membership_finite_rank(T.swapaxes(i, k), swapped))
     assert (got.member, got.method, got.min_value) == (want.member, method, want.min_value)
     assert _violations(got) == _violations(want, lambda f: int(where[f]))
-    assert (cone.canonical_inequalities(cone.finite_rank_hrep(swapped).normals)
-            == cone.canonical_inequalities(cone.finite_rank_hrep(posets).normals[:, order]))
+    assert (cone.canonical_inequalities(cone.finite_rank_hrep(swapped))
+            == cone.canonical_inequalities(cone.finite_rank_hrep(posets)[:, order]))
 
 
 def test_membership_differencing_vs_double_description():
     rng = np.random.default_rng(1)
     posets = [poset.chain(2), poset.chain(3)]
-    hrep = cone.double_description(cone.finite_rank_vrep(posets))
+    normals = cone.double_description(cone.finite_rank_vrep(posets))
     for _ in range(300):
         T = rng.standard_normal((2, 3))
         if rng.random() < 0.4:  # bias towards members
             T = np.cumsum(np.cumsum(np.abs(T), axis=0), axis=1)
         a = cone.membership_finite_rank(T, posets).member
         tol = cone.default_tol(T)
-        b = bool((hrep.normals @ T.ravel() >= -tol).all())
+        b = bool((normals @ T.ravel() >= -tol).all())
         assert a == b
 
 
@@ -493,7 +490,7 @@ def test_mobius_maps_orthant_onto_cone():
         M = tensor.mobius_matrix(P)
         x = rng.uniform(0, 2, size=P.p)
         assert cone.is_monotone(M @ x, P).member
-        y = cone.order_cone_vrep(P).generators.T @ rng.uniform(0, 1, size=P.p)
+        y = cone.order_cone_vrep(P).T @ rng.uniform(0, 1, size=P.p)
         back = np.linalg.solve(M, y)
         assert (back >= -1e-9).all()
 
@@ -514,14 +511,14 @@ def test_pmf_cdf_duality_rank_r():
 
 def test_double_description_orthant():
     h = cone.double_description([np.array([1, 0]), np.array([0, 1])])
-    assert {tuple(r) for r in h.normals} == {(1, 0), (0, 1)}
+    assert {tuple(r) for r in h} == {(1, 0), (0, 1)}
 
 
 def test_double_description_simplicial():
     gens = [np.array([1, 0, 0]), np.array([1, 1, 0]), np.array([1, 1, 1])]
     h = cone.double_description(gens)
-    assert h.count == 3
-    for n in h.normals:
+    assert len(h) == 3
+    for n in h:
         assert sum(1 for g in gens if n @ g == 0) == 2
         assert all(n @ g >= 0 for g in gens)
 
@@ -536,6 +533,20 @@ def test_double_description_degenerate():
 def test_double_description_guards():
     with pytest.raises(TooLarge):
         cone.double_description([np.ones(13)])
+
+
+def test_double_description_reads_generators_as_flattened_rows():
+    # an (n, ...) array-like of one shape is n generators, each flattened row-major
+    gens = cone.finite_rank_vrep([COLLIDER, COLLIDER])  # 16 generators of shape (3, 3)
+    rows = gens.reshape(len(gens), -1)
+    want = reference_double_description(rows)
+    for given in (gens, list(gens), gens.tolist(), rows, list(rows)):
+        got = cone.double_description(given)
+        assert type(got) is np.ndarray and got.dtype == want.dtype and np.array_equal(got, want)
+    # ragged, or 1-D: a bare vector is not a list of generators
+    for bad in ([[1, 0], [1, 0, 0]], [np.ones((2, 2)), np.ones(4)], [1, 0, 0], np.ones(3)):
+        with pytest.raises(ShapeMismatch, match="one shape"):
+            cone.double_description(bad)
 
 
 def test_a_tuple_past_the_dimension_guard_builds_no_generators(monkeypatch):
@@ -565,20 +576,20 @@ def test_duality_generators_vs_facets():
     gens = [g.ravel() for g in cone.finite_rank_vrep(posets)]
     h = cone.finite_rank_hrep(posets)
     d = len(gens[0])
-    for n in h.normals:
+    for n in h:
         assert all(n @ g >= 0 for g in gens)
         tight = np.array([g for g in gens if n @ g == 0])
         assert np.linalg.matrix_rank(tight) >= d - 1
 
 
-def test_hrep_export_format():
+def test_hrep_export_format(capsys):
     h = cone.finite_rank_hrep([poset.chain(2), poset.chain(2)])
-    text = h.to_text()
-    lines = text.strip().splitlines()
-    assert len(lines) == h.count
+    assert cli.main(["hrep", "chain:2", "chain:2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == len(h)
     assert all(len(line.split()) == 4 for line in lines)
     parsed = np.array([[int(c) for c in line.split()] for line in lines])
-    assert np.array_equal(parsed, h.normals)
+    assert np.array_equal(parsed, h)
 
 
 def test_sampler_m1_and_seeding():
@@ -624,7 +635,7 @@ def test_double_description_matches_brute_force_facets():
         except (DegenerateCone, ValueError):
             continue
         checked += 1
-        assert {tuple(int(x) for x in row) for row in h.normals} == brute_facets(G)
+        assert {tuple(int(x) for x in row) for row in h} == brute_facets(G)
 
 
 def test_double_description_matches_reference_beyond_brute_force():
@@ -654,7 +665,7 @@ def test_double_description_matches_reference_beyond_brute_force():
             assert eq.dtype == ref_eq.dtype and np.array_equal(eq, ref_eq)
             degenerate += 1
             continue
-        normals = cone.double_description(gens).normals
+        normals = cone.double_description(gens)
         assert normals.dtype == want.dtype and np.array_equal(normals, want)
         checked += 1
     assert checked >= 25 and degenerate >= 10
@@ -686,7 +697,7 @@ def _random_tensor(posets, rng, kind):
     # sorted: a nonnegative combination of outer products of upset indicators
     T = np.zeros(shape)
     for _ in range(int(rng.integers(1, 4))):
-        gens = [cone.order_cone_vrep(P).generators for P in posets]
+        gens = [cone.order_cone_vrep(P) for P in posets]
         T = T + rng.uniform(0.1, 1.0) * tensor.outer([G[rng.integers(len(G))] for G in gens])
     return T
 
@@ -755,8 +766,7 @@ def test_finite_rank_hrep_matches_reference_normals():
             continue
         h = cone.finite_rank_hrep(posets)
         ref = reference_finite_rank_normals(posets)
-        assert h.normals.dtype == ref.dtype and np.array_equal(h.normals, ref)
-        assert h.shape == tuple(P.p for P in posets)
+        assert type(h) is np.ndarray and h.dtype == ref.dtype and np.array_equal(h, ref)
 
 
 def test_is_monotone_builds_no_product_poset(monkeypatch):

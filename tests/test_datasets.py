@@ -59,7 +59,7 @@ def test_cchs_posets_match_drawn_structure():
 def test_collider3_matrix_is_generator_self_product_sum():
     T, posets = datasets.fixture("collider3")
     from ndrank.cone import order_cone_vrep
-    G = order_cone_vrep(posets[0]).generators
+    G = order_cone_vrep(posets[0])
     assert np.array_equal(T, sum(np.outer(g, g) for g in G))
 
 

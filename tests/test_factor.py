@@ -1208,7 +1208,7 @@ def test_tri_factorization_identity():
 def test_tri_factorization_random_cone_coefficients():
     rng = np.random.default_rng(13)
     posets = [poset.chain(3), COLLIDER]
-    V = [cone.order_cone_vrep(P).generators.T for P in posets]
+    V = [cone.order_cone_vrep(P).T for P in posets]
     H = rng.uniform(0, 2, size=(V[0].shape[1], V[1].shape[1]))
     T = V[0] @ H @ V[1].T
     chk = rank.tri_factorization_verify(T, H, posets)
@@ -1353,6 +1353,10 @@ def _factor_file(**changes):
     (_factor_file(factors=[[[1.0, math.nan, 1.0]] * 2, [[1.0] * 2] * 2]), "'factors'[0]"),
     (json.dumps(_factor_file(factors=[[[1.0] * 3] * 2, [[1.0, 0.5]] * 2])).replace("0.5", "-1e400"),
      "'factors'[1]"),
+    # these loaded, and to_json then raised ValueError: what loads must write back
+    (_factor_file(diagnostics={"x": math.nan}), "'diagnostics'"),
+    (_factor_file(diagnostics={"sweeps": [1, {"rss": -math.inf}]}), "'diagnostics'"),
+    (json.dumps(_factor_file(diagnostics={"x": 0.5})).replace("0.5", "1e400"), "'diagnostics'"),
 ])
 def test_malformed_factor_file_is_refused_by_key(obj, key):
     # a bare KeyError, TypeError or OverflowError, or numpy's "cannot

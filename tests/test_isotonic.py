@@ -325,7 +325,7 @@ def test_projection_is_identity_on_cone():
     rng = np.random.default_rng(1)
     for _ in range(30):
         P = random_poset(int(rng.integers(1, 7)), rng)
-        g = order_cone_vrep(P).generators
+        g = order_cone_vrep(P)
         coeff = rng.uniform(0, 2, size=g.shape[0])
         y = coeff @ g
         assert np.allclose(project(y, P), y, atol=1e-9)
@@ -345,7 +345,7 @@ def test_kkt_characterization():
         y = rng.standard_normal(P.p) * rng.uniform(0.5, 4)
         v = project(y, P)
         assert abs((y - v) @ v) < 1e-9 * (1 + y @ y)
-        for g in order_cone_vrep(P).generators:
+        for g in order_cone_vrep(P):
             assert (y - v) @ g <= 1e-9 * (1 + np.linalg.norm(y))
 
 
@@ -393,7 +393,7 @@ def test_scrambled_chain_uses_permutation():
 def assert_kkt(y, v, P):
     """The conditions of test_kkt_characterization, for one target."""
     assert abs((y - v) @ v) < 1e-9 * (1 + y @ y)
-    for g in order_cone_vrep(P).generators:
+    for g in order_cone_vrep(P):
         assert (y - v) @ g <= 1e-9 * (1 + np.linalg.norm(y))
 
 
@@ -413,7 +413,7 @@ def test_tied_near_feasible_targets_match_oracle():
         P = random_collider(p, rng) if i % 2 == 0 else random_dag(p, rng)
         if isotonic._projection_plan(P)[0] == "chain" or not P.covers:
             continue
-        gens = order_cone_vrep(P).generators
+        gens = order_cone_vrep(P)
         for _ in range(3):
             pick = rng.choice(len(gens), size=int(rng.integers(1, 3)))
             y = rng.uniform(0.01, 2.0, size=pick.size) @ gens[pick]
@@ -437,7 +437,7 @@ def assert_moreau(y, v, P, slack=1e-9):
     polar cone, the two orthogonal), each test at ``slack`` relative to y."""
     ny = np.linalg.norm(y)
     assert (cone_halfspaces(P) @ v >= -slack * ny).all()
-    assert (order_cone_vrep(P).generators @ (y - v) <= slack * ny).all()
+    assert (order_cone_vrep(P) @ (y - v) <= slack * ny).all()
     assert abs((y - v) @ v) <= slack * ny ** 2
 
 
@@ -452,7 +452,7 @@ def test_projection_commutes_with_scaling(c):
     cases = [(GRID, GRID_Y)]
     for i in range(45):
         P = kinds[i % 3](int(rng.integers(3, 8)))
-        gens = order_cone_vrep(P).generators
+        gens = order_cone_vrep(P)
         pick = rng.choice(len(gens), size=2)
         # a draw, a tied draw, and a near-cone sum of two generators
         cases += [(P, rng.standard_normal(P.p)), (P, rng.integers(-2, 3, size=P.p) * 1.0),
@@ -575,7 +575,7 @@ def test_row_projector_on_random_tied_and_nudged_stacks():
     for i in range(50):
         p = int(rng.integers(3, 8))
         P = kinds[i % len(kinds)](p)
-        gens = order_cone_vrep(P).generators
+        gens = order_cone_vrep(P)
         rows = [rng.standard_normal(p) * rng.uniform(0.1, 5),
                 rng.integers(-2, 4, size=p).astype(float)]  # tied values
         for _ in range(3):  # sums of generators, each entry moved by one ulp
@@ -649,7 +649,7 @@ def _table_stack(P, rng, n):
     """n targets for P: random, integer-tied, and sums of two generators
     moved by up to 256 ulps per entry, so some lie just inside the in-cone
     exit's 16-ulp margin and some just outside."""
-    gens = order_cone_vrep(P).generators
+    gens = order_cone_vrep(P)
     rows = []
     for i in range(n):
         if i % 3 == 0:
@@ -674,7 +674,7 @@ def test_face_table_rows_match_project(kind, seed, n):
     assume(isotonic._projection_plan(P)[0] == "general" and isotonic._face_table(P) is not None)
     proj = isotonic._row_projector(P)
     assert proj.func is isotonic._project_table
-    A, gens = isotonic._halfspace_rows(P), order_cone_vrep(P).generators
+    A, gens = isotonic._halfspace_rows(P), order_cone_vrep(P)
     Y = _table_stack(P, rng, n)
     counts = dict.fromkeys(isotonic._ROW_PATHS, 0)
     V = proj(Y.copy(), counts=counts)

@@ -287,13 +287,18 @@ def test_tensor_input_checks(call, error, message):
     ("1,2,3\n4,5,6\n7,8,oops\n", 3, 3, "oops"),  # after good ones
     ("# note\n\n 1 ,\t2\t\n 3 ,  ? \n", 4, 2, "?"),  # padded cells, after skipped lines
     ("1,,3\n", 1, 2, ""),
-    ("nan,1\nnan, NaN ,nope\n", 2, 3, "nope"),  # nan parses, as before
+    # float() reads these, but a file's numbers are finite, as in JSON:
+    # nan, inf and 1e400 (inf) loaded, for check_tensor to refuse with no location
+    ("nan,1\nnan, NaN ,nope\n", 1, 1, "nan"),
+    ("1, inf \n", 1, 2, "inf"),
+    ("1,2\n3,4\n-inf,5\n", 3, 1, "-inf"),
+    ("# big\n1,1e400\n", 2, 2, "1e400"),
 ])
 def test_csv_reports_the_first_bad_cell(text, line, column, cell):
     with pytest.raises(ParseError) as err:
         tensor.matrix_from_csv(text)
     assert (err.value.line, err.value.column) == (line, column)
-    assert str(err.value) == f"not a number: {cell!r} (line {line}, column {column})"
+    assert str(err.value) == f"not a finite number: {cell!r} (line {line}, column {column})"
 
 
 def test_read_tensor_takes_json_by_content(tmp_path):
