@@ -2,10 +2,11 @@
 
 For a collider-free poset the linear map sending e_x to the indicator of
 everything above x is invertible, and its inverse has a signed-difference
-form; for chains it is the familiar bidiagonal differencing matrix.  Under
-the product of these maps, finite-ND-rank membership turns into plain
-entrywise nonnegativity, and a probability mass function maps to its
-cumulative distribution.
+form; for chains it is the familiar bidiagonal differencing matrix, so
+``apply_kronecker`` of the chain inverses differences a tensor along every
+mode, as ``np.diff`` does axis by axis.  Under the product of these maps,
+finite-ND-rank membership turns into plain entrywise nonnegativity, and a
+probability mass function maps to its cumulative distribution.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ import numpy as np
 from ndrank import (
     apply_kronecker,
     chain,
-    full_difference,
     mobius_inverse_matrix,
     mobius_matrix,
     product,
@@ -31,15 +31,15 @@ print("product equals identity:", np.array_equal(M @ Minv, np.eye(4)))
 rng = np.random.default_rng(0)
 seed = rng.uniform(0, 1, (3, 4))
 cum = np.cumsum(np.cumsum(seed, axis=0), axis=1)
-back = full_difference(cum)
+back = apply_kronecker([mobius_inverse_matrix(chain(p)) for p in cum.shape], cum)
 print("\nfull differencing inverts double cumulation:", np.allclose(back, seed))
 
-# on a product of chains, the Kronecker of inverse maps equals repeated
-# mode differencing
+# on a product of chains, the Kronecker of inverse maps equals
+# differencing along each mode in turn
 maps = [mobius_inverse_matrix(chain(3)), mobius_inverse_matrix(chain(4))]
 X = rng.standard_normal((3, 4))
-print("kronecker form matches differencing:",
-      np.allclose(apply_kronecker(maps, X), full_difference(X)))
+diffed = np.diff(np.diff(X, axis=0, prepend=0.0), axis=1, prepend=0.0)
+print("kronecker form matches differencing:", np.allclose(apply_kronecker(maps, X), diffed))
 
 # probabilistic reading: the transform of a PMF is its CDF
 q_row = rng.dirichlet(np.ones(3))

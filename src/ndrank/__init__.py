@@ -37,13 +37,8 @@ from .poset import (
 )
 from .tensor import (
     apply_kronecker,
-    fibre,
-    frobenius,
-    full_difference,
-    inner,
     mobius_inverse_matrix,
     mobius_matrix,
-    mode_difference,
     outer,
     read_tensor,
     tensor_from_json,

@@ -36,10 +36,6 @@ class UncertifiedSolution(NDRankError):
     """
 
 
-class IndexOutOfRange(NDRankError, IndexError):
-    """A tensor index lies outside the declared shape."""
-
-
 class HypothesisViolated(NDRankError):
     """A structural hypothesis of the requested method does not hold."""
 

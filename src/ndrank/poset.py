@@ -412,12 +412,13 @@ def parse_poset_text(text: str) -> Poset:
     """Parse the poset text format: an ``elements: a,b,c`` line, then one
     ``x < y`` line per relation; ``#`` starts a comment.
 
-    Raises :class:`ParseError` on every malformed input: no ``elements:``
-    line, or one that is not the first; an empty element list or a repeated
-    label (both reported at the ``elements:`` line); a relation line that is
-    not ``x < y``, one naming an undeclared label, or a line ``x < x`` (each
-    reported at its line); a cycle through several lines, reported at the
-    line that closes the first cycle when the relations are read in order.
+    Raises :class:`ParseError` on every malformed input.  As the file is
+    read: no ``elements:`` line, or one that is not the first; an empty
+    element list or a repeated label (both at the ``elements:`` line); a
+    relation line that is not ``x < y`` (at its line).  Then an undeclared
+    label, a line ``x < x`` or a cycle, at the first line where the relation
+    read in order becomes invalid, with :func:`from_relation`'s message for
+    the lines up to that one.
     """
     labels = None
     edges, linenos = [], []
@@ -433,7 +434,6 @@ def parse_poset_text(text: str) -> Poset:
                 raise ParseError("empty element list", line=lineno)
             if len(set(labels)) != len(labels):
                 raise ParseError("element labels must be distinct", line=lineno)
-            declared = set(labels)
             continue
         if "<" not in line:
             raise ParseError(f"expected 'x < y', got {line!r}", line=lineno)
@@ -441,28 +441,25 @@ def parse_poset_text(text: str) -> Poset:
         a, b = left.strip(), right.strip()
         if not a or not b:
             raise ParseError(f"expected 'x < y', got {line!r}", line=lineno)
-        for x in (a, b):
-            if x not in declared:
-                raise ParseError(f"edge references undeclared label {x!r}", line=lineno)
-        if a == b:
-            raise ParseError(f"relation contains a cycle: {a!r} < {b!r}", line=lineno)
         edges.append((a, b))
         linenos.append(lineno)
     if labels is None:
         raise ParseError("missing 'elements:' header", line=1)
     try:
         return from_relation(labels, edges)
-    except CycleError as exc:
-        # the shortest cyclic prefix ends at the line closing the first cycle
-        lo, hi = 0, len(edges)  # an acyclic prefix and a cyclic one
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                from_relation(labels, edges[:mid])
-                lo = mid
-            except CycleError:
-                hi = mid
-        raise ParseError(str(exc), line=linenos[hi - 1]) from exc
+    except (CycleError, UnknownLabel) as exc:
+        error = exc
+    # the shortest invalid prefix ends at the line that makes the relation
+    # invalid, and its own error names what that line adds
+    lo, hi = 0, len(edges)  # a valid prefix and an invalid one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            from_relation(labels, edges[:mid])
+            lo = mid
+        except (CycleError, UnknownLabel) as exc:
+            hi, error = mid, exc
+    raise ParseError(str(error), line=linenos[hi - 1]) from error
 
 
 def format_poset_text(P: Poset) -> str:

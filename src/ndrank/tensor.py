@@ -1,9 +1,9 @@
 """Dense tensor arithmetic and the linear maps tied to poset structure.
 
 Tensors are plain numpy arrays in row-major layout (last index fastest);
-linear maps are dense 2-D arrays.  Indices in the public API are 1-based to
-match the usual tensor-entry notation; internal storage is 0-based.  Every
-order-cone facet row is built here, by :func:`_halfspace_rows`.
+linear maps are dense 2-D arrays.  Mode and index arguments are 0-based, as
+in numpy; only rendered labels (``t[1,2]``) and messages count from 1.
+Every order-cone facet row is built here, by :func:`_halfspace_rows`.
 
 The membership checks validate their input by :func:`check_tensor`, and
 the fits that take posets by :func:`check_fit_input`, which adds that a fit
@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonFiniteInput, NotSimplicial, ParseError, ShapeMismatch
+from .errors import NonFiniteInput, NotSimplicial, ParseError, ShapeMismatch
 from .poset import Poset, is_simplicial
 
 
@@ -86,43 +86,6 @@ def outer(vectors) -> np.ndarray:
     return functools.reduce(np.multiply.outer, vecs)
 
 
-def fibre(T, mode: int, fixed) -> np.ndarray:
-    """Mode-``mode`` fibre of T with the other indices held at ``fixed``.
-
-    ``mode`` is 1-based; ``fixed`` lists 1-based indices for the other modes
-    in mode order.
-    """
-    T = np.asarray(T)
-    if not 1 <= mode <= T.ndim:
-        raise IndexOutOfRange(f"mode {mode} out of range for order-{T.ndim} tensor")
-    fixed = list(fixed)
-    if len(fixed) != T.ndim - 1:
-        raise IndexOutOfRange(f"expected {T.ndim - 1} fixed indices, got {len(fixed)}")
-    key = []
-    it = iter(fixed)
-    for j in range(T.ndim):
-        if j == mode - 1:
-            key.append(slice(None))
-        else:
-            i = next(it)
-            if not 1 <= i <= T.shape[j]:
-                raise IndexOutOfRange(f"index {i} out of range for mode {j + 1} of size {T.shape[j]}")
-            key.append(i - 1)
-    return T[tuple(key)].copy()
-
-
-def inner(S, T) -> float:
-    S, T = np.asarray(S, dtype=float), np.asarray(T, dtype=float)
-    if S.shape != T.shape:
-        raise ShapeMismatch(f"shapes {S.shape} and {T.shape} differ")
-    return float(np.vdot(S, T))
-
-
-def frobenius(T) -> float:
-    T = np.asarray(T, dtype=float)
-    return float(np.linalg.norm(T.ravel()))
-
-
 def mobius_matrix(P: Poset) -> np.ndarray:
     """Linear map sending each basis vector e_x to the indicator of [x, inf).
 
@@ -183,27 +146,6 @@ def apply_kronecker(maps, T) -> np.ndarray:
     return out.reshape(dims)
 
 
-def mode_difference(T, mode: int) -> np.ndarray:
-    """First difference along the given 1-based mode, with a zero boundary.
-
-    Entry i along the mode becomes T[i] - T[i-1], where the out-of-range
-    T[0] is treated as zero.  Composing over every mode of a product of
-    chains applies the Kronecker product of the chain inverse maps.
-    """
-    T = np.asarray(T, dtype=float)
-    if not 1 <= mode <= T.ndim:
-        raise IndexOutOfRange(f"mode {mode} out of range for order-{T.ndim} tensor")
-    return np.diff(T, axis=mode - 1, prepend=0.0)
-
-
-def full_difference(T) -> np.ndarray:
-    """Compose mode_difference over every mode."""
-    T = np.asarray(T, dtype=float)
-    for j in range(T.ndim):
-        T = np.diff(T, axis=j, prepend=0.0)
-    return T
-
-
 # ---------------------------------------------------------------------------
 # file formats: JSON {"shape": [...], "data": [...row-major...]} and, for
 # matrices, headerless CSV with rows along mode 1.  Both JSON readers, this
@@ -218,14 +160,17 @@ def _is_number(x) -> bool:
 def _json_fields(text: str, keys: tuple, kind: str) -> list:
     """The values of ``keys``, ``"shape"`` among them, in the JSON object
     ``text``; a ParseError for invalid JSON (with its line and column), for
-    a value that is not an object or lacks a key (naming the first missing
-    one), and for a shape that is not a list of non-negative integers."""
+    a value that is not an object, lacks a key (naming the first missing
+    one) or has another key (naming the first), and for a shape that is not
+    a list of non-negative integers."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     if missing := [k for k in keys if not isinstance(obj, dict) or k not in obj]:
         raise ParseError(f"{kind} JSON needs a {missing[0]!r} field")
+    if extra := [k for k in obj if k not in keys]:
+        raise ParseError(f"{kind} JSON has an unexpected {extra[0]!r} field")
     shape = obj["shape"]
     # bool is a subclass of int, so the types are compared exactly
     if type(shape) is not list or not all(type(p) is int and p >= 0 for p in shape):
@@ -256,7 +201,8 @@ def matrix_from_csv(text: str) -> np.ndarray:
         row = []
         for column, cell in enumerate(line.split(","), start=1):
             try:
-                x = float(cell)  # float() ignores the cell's padding
+                # float() ignores the cell's padding, and reads 1_0 as JSON does not
+                x = None if "_" in cell else float(cell)
             except ValueError:
                 x = None
             # the JSON readers' rule: float() also reads nan, inf and 1e400 (as inf)

@@ -1357,6 +1357,8 @@ def _factor_file(**changes):
     (_factor_file(diagnostics={"x": math.nan}), "'diagnostics'"),
     (_factor_file(diagnostics={"sweeps": [1, {"rss": -math.inf}]}), "'diagnostics'"),
     (json.dumps(_factor_file(diagnostics={"x": 0.5})).replace("0.5", "1e400"), "'diagnostics'"),
+    # a key beside the five loaded unseen, whatever it held
+    (_factor_file(note=math.inf), "'note'"),
 ])
 def test_malformed_factor_file_is_refused_by_key(obj, key):
     # a bare KeyError, TypeError or OverflowError, or numpy's "cannot

@@ -491,6 +491,15 @@ def test_text_format_names_the_line_of_a_self_loop():
 
 
 def test_text_format_names_the_line_closing_the_first_cycle():
+    # the whole relation's message named the a-b cycle at the line that
+    # closes the c-d one, and a later undeclared label was named at its line
+    for text, message in [
+        ("elements: a,b,c,d\nc < d\nd < c\na < b\nb < a\n", "cycle through 'c' and 'd' (line 3)"),
+        ("elements: a,b,c\na < b\nb < a\na < z\n", "cycle through 'a' and 'b' (line 3)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            poset.parse_poset_text(text)
+        assert str(err.value) == f"relation contains a {message}"
     # the parser bisects over prefixes of the relation with from_relation;
     # blank and comment lines keep a line's number apart from its edge's
     rng = np.random.default_rng(41)
@@ -505,8 +514,8 @@ def test_text_format_names_the_line_closing_the_first_cycle():
         try:
             poset.from_relation(labels, edges)
             continue
-        except CycleError as exc:
-            message = str(exc)
+        except CycleError:
+            pass
         lines, linenos = ["elements: " + ",".join(labels)], []
         for a, b in edges:
             if rng.random() < 0.3:
@@ -515,9 +524,12 @@ def test_text_format_names_the_line_closing_the_first_cycle():
             linenos.append(len(lines))
         with pytest.raises(ParseError) as err:
             poset.parse_poset_text("\n".join(lines) + "\n")
-        line = linenos[reference_first_cycle_edge(labels, edges)]
-        assert err.value.line == line
-        assert str(err.value) == f"{message} (line {line})"
+        k = reference_first_cycle_edge(labels, edges)
+        # the message names the cycle that line closes, not one the whole relation holds
+        with pytest.raises(CycleError) as first:
+            poset.from_relation(labels, edges[:k + 1])
+        assert err.value.line == linenos[k]
+        assert str(err.value) == f"{first.value} (line {linenos[k]})"
         checked += 1
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ndrank import cone, isotonic, poset, tensor
-from ndrank.errors import IndexOutOfRange, NonFiniteInput, NotSimplicial, ParseError, ShapeMismatch
+from ndrank.errors import NonFiniteInput, NotSimplicial, ParseError, ShapeMismatch
 
 from helpers import random_forest, reference_mobius_inverse
 
@@ -17,27 +17,6 @@ def test_outer_examples():
     assert not tensor.outer([[1, 2], [0, 0], [1, 3]]).any()
     T3 = tensor.outer([[1, 2], [0, 1], [1, 3]])
     assert T3[1, 1, 1] == 6  # last entry across all modes
-
-
-def test_fibre():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(tensor.fibre(M, 1, [2]), [2, 4])
-    assert np.array_equal(tensor.fibre(M, 2, [1]), [1, 2])
-    T = tensor.outer([[1, 2], [1, 1], [1, 3]])
-    assert np.array_equal(tensor.fibre(T, 3, [2, 1]), [2, 6])
-    with pytest.raises(IndexOutOfRange):
-        tensor.fibre(M, 1, [3])
-    with pytest.raises(IndexOutOfRange):
-        tensor.fibre(M, 3, [1])
-
-
-def test_inner_and_frobenius():
-    I2 = np.eye(2)
-    assert tensor.inner(I2, I2) == 2
-    assert tensor.frobenius(np.zeros((3, 2))) == 0
-    assert tensor.inner([[1, 2], [3, 4]], np.ones((2, 2))) == 10
-    with pytest.raises(ShapeMismatch):
-        tensor.inner(np.ones(2), np.ones(3))
 
 
 def test_mobius_matrix_chain_and_trivial():
@@ -173,20 +152,6 @@ def test_apply_kronecker_matches_tensordot():
         tensor.apply_kronecker([np.eye(2)], np.zeros((2, 3)))
 
 
-def test_mode_difference():
-    assert np.array_equal(tensor.mode_difference(np.array([1.0, 3.0, 6.0]), 1), [1, 2, 3])
-    T = tensor.outer([[1, 2], [1, 2, 3]])
-    D = tensor.mode_difference(tensor.mode_difference(T, 1), 2)
-    assert np.allclose(D, np.ones((2, 3)))
-
-
-def test_full_difference_equals_chain_kronecker():
-    rng = np.random.default_rng(3)
-    T = rng.standard_normal((3, 4, 2))
-    maps = [tensor.mobius_inverse_matrix(poset.chain(s)) for s in T.shape]
-    assert np.allclose(tensor.full_difference(T), tensor.apply_kronecker(maps, T))
-
-
 def test_json_roundtrip(tmp_path):
     T = np.arange(12.0).reshape(3, 4) / 7
     path = tmp_path / "t.json"
@@ -229,6 +194,8 @@ def test_csv_matrix(tmp_path):
     ('{"shape": [2], "data": [Infinity, 1]}', "data"),
     ('{"shape": [2], "data": [1, -Infinity]}', "data"),
     ('{"shape": [1], "data": [1e400]}', "data"),
+    # a key the reader does not read loaded unseen, whatever it held
+    ('{"shape": [2], "data": [1, 2], "extra": NaN}', "extra"),
 ])
 def test_json_rejects_malformed_shape_and_data(text, field):
     # these loaded as a vector, a (1, 2) matrix, a flattened nest, or
@@ -270,13 +237,10 @@ def test_finite_entries_near_the_float_limit_raise_no_warning():
     (lambda: tensor.outer([]), ValueError, "at least one vector"),
     (lambda: tensor.outer([[1.0], []]), ValueError, "non-empty vector"),
     (lambda: tensor.outer([[[1.0]]]), ValueError, "non-empty vector"),
-    (lambda: tensor.fibre(np.ones((2, 2)), 1, [1, 1]), IndexOutOfRange, "expected 1 fixed"),
-    (lambda: tensor.mode_difference(np.ones((2, 2)), 3), IndexOutOfRange, "mode 3"),
     (lambda: tensor.tensor_from_json("[1, 2]"), ParseError, "tensor JSON needs a 'shape' field"),
     (lambda: tensor.matrix_from_csv("1,2\n3\n"), ParseError, "expected 2 columns"),
     (lambda: tensor.matrix_from_csv("# only a comment\n\n"), ParseError, "empty matrix"),
-], ids=["no-vector", "empty-vector", "matrix-factor", "fixed-count", "difference-mode",
-        "json-fields", "csv-width", "csv-empty"])
+], ids=["no-vector", "empty-vector", "matrix-factor", "json-fields", "csv-width", "csv-empty"])
 def test_tensor_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -293,6 +257,8 @@ def test_tensor_input_checks(call, error, message):
     ("1, inf \n", 1, 2, "inf"),
     ("1,2\n3,4\n-inf,5\n", 3, 1, "-inf"),
     ("# big\n1,1e400\n", 2, 2, "1e400"),
+    # float() also reads digit separators, which JSON does not
+    ("1,2\n3,1_0\n", 2, 2, "1_0"),
 ])
 def test_csv_reports_the_first_bad_cell(text, line, column, cell):
     with pytest.raises(ParseError) as err:
