@@ -52,9 +52,8 @@ read all of T (the dimension-tree idea of Phan, Tichavsky & Cichocki, 2013,
 for sequential mode updates).  Every other solver contracts T with one
 vector per mode other than t as the Khatri-Rao product of those vectors
 times T's mode-t unfolding (Kolda & Bader, 2009): the right-hand sides of
-the ALS init, the alternating rank-one loop that revives dead terms and
-fits the Gaussian rank-one model, and the fixed-point update of
-:mod:`ndrank.rank`'s exponential solver.
+the ALS init, the alternating rank-one loop that revives dead terms, and
+the fixed-point update of :mod:`ndrank.rank`'s exponential solver.
 
 The starts of every restart are built as one stack as well: the inits take
 an int seed, for one start, or a sequence of seeds, for a list of starts,
@@ -296,18 +295,19 @@ def _unfoldings(T: np.ndarray) -> list:
             np.moveaxis(T, t, -1).reshape(-1, T.shape[t]) for t in range(T.ndim)]
 
 
-def _rank1_nd_fit(E: np.ndarray, posets, sweeps: int = 30, tol: float = 1e-12):
-    """Rank-one ND fit of a (possibly signed) tensor by alternating projections.
+def _rank1_nd_fit(E: np.ndarray, posets):
+    """The revival's rank-one ND fit of a (possibly signed) residual E by
+    alternating projections.
 
     Returns ``(lam, vecs)``; ``lam`` is 0 when a projection dies.  Stops when
-    no unit vector moves by ``tol`` in a sweep, or after ``sweeps`` sweeps.
+    no unit vector moves by 1e-12 in a sweep, or after 30 sweeps.
     """
     unfold = _unfoldings(E)
     # each projection is of one row, where a face table costs more than NNLS
     projectors = [_row_projector(P, table=False) for P in posets]
     vecs = [_uniform_unit(P.p) for P in posets]
     lam = 0.0
-    for _ in range(sweeps):
+    for _ in range(30):
         moved = 0.0
         for t in range(E.ndim):
             target = _khatri_rao_rows(vecs[:t] + vecs[t + 1:], ()) @ unfold[t]
@@ -320,7 +320,7 @@ def _rank1_nd_fit(E: np.ndarray, posets, sweeps: int = 30, tol: float = 1e-12):
             moved = max(moved, float(np.linalg.norm(v / n - vecs[t])))
             vecs[t] = v / n
             lam = n
-        if moved < tol:
+        if moved < 1e-12:
             break
     return lam, vecs
 

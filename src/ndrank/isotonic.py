@@ -178,6 +178,21 @@ def _check_weights(w, y: np.ndarray) -> np.ndarray:
     return w
 
 
+def _target_exponent(y: np.ndarray) -> int:
+    """The binary exponent e at which :func:`project` and :func:`pava_chain`
+    project y, as y 2^-e, with y's finiteness check in the same pass: 0
+    while max |y| <= 2^400, else the e that puts max |y| 2^-e in [1/2, 1).
+    Nearer the top of the float range PAVA's pooled sums, the certificate's
+    slack 1e-9 ||y||_1^2 and its x . g overflow.  Powers of two scale
+    exactly, and each entry of a projection is a pooled mean of entries of
+    y, or 0, so scaling it back by 2^e cannot overflow."""
+    top = np.abs(y).max(initial=0.0)
+    if top <= 2.0 ** 400:
+        return 0
+    require_finite("target", y)
+    return int(np.frexp(top)[1])
+
+
 def pava_chain(y, w=None) -> np.ndarray:
     """Weighted isotonic regression on a chain (pool adjacent violators).
 
@@ -186,14 +201,14 @@ def pava_chain(y, w=None) -> np.ndarray:
     the operation is idempotent.
     """
     y = np.array(y, dtype=float)  # a copy: the kernel pools it in place
-    require_finite("target", y)
+    e = _target_exponent(y)
     if w is not None:
         w = np.atleast_1d(_check_weights(w, y))
-    y = np.atleast_1d(y)
+    y = np.atleast_1d(np.ldexp(y, -e) if e else y)
     if y.ndim != 1:
         raise ValueError(f"target must be one-dimensional, got shape {y.shape}")
     _pool_rows(y[None], slice(None), w, np.empty(y.size), np.empty(y.size + 1, dtype=np.intp))
-    return y
+    return np.ldexp(y, e) if e else y
 
 
 def _pool_rows(Y: np.ndarray, idx, w, wrow: np.ndarray, r: np.ndarray) -> None:
@@ -517,9 +532,10 @@ def project(y, P: Poset, w=None) -> np.ndarray:
     and :class:`~ndrank.errors.NonFiniteInput` if either holds NaN or inf.
     """
     y = np.array(y, dtype=float)  # a copy: the projector works in place
-    require_finite("target", y)
+    e = _target_exponent(y)
     if y.shape != (P.p,):
         raise ValueError(f"target length {y.shape} != poset size {P.p}")
     if w is not None:
         w = _check_weights(w, y)
-    return _row_projector(P, table=False)(y[None], w)[0]
+    v = _row_projector(P, table=False)(np.ldexp(y, -e)[None] if e else y[None], w)[0]
+    return np.ldexp(v, e) if e else v

@@ -487,7 +487,8 @@ def format_poset_text(P: Poset) -> str:
 
 
 def read_poset(path) -> Poset:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8" export
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_poset_text(fh.read())
 
 

@@ -1,22 +1,22 @@
 """Closed-form rank results for the nondecreasing rank.
 
 Closed-form or fixed-point rank-one solvers cover the multinomial, Poisson
-and exponential likelihoods; the Gaussian and exponential loops stop at
-fixed limits (``_RANK1_TOL``, ``_RANK1_MAX_ITER``).  A truncated-SVD shortcut
-factorizes the rank-two truncation T2 of a matrix exactly whenever T2 has
-ND rank at most two, from the extreme rays of rowspace(T2) ∩ C(P2); for
-collider-free posets that is whenever T2 lies in the finite-rank cone.
+and exponential likelihoods; only the exponential loop stops at fixed
+limits (``_RANK1_TOL``, ``_RANK1_MAX_ITER``).  The Gaussian rank-one fit is
+the ND-HALS engine of :mod:`ndrank.factor` at rank one.  A truncated-SVD
+shortcut factorizes the rank-two truncation T2 of a matrix exactly whenever
+T2 has ND rank at most two, from the extreme rays of rowspace(T2) ∩ C(P2);
+for collider-free posets that is whenever T2 lies in the finite-rank cone.
 :func:`rank_bounds` gives the maximum and typical ND ranks where they are
 known, and :func:`tri_factorization_verify` checks the reduction to
-nonnegative rank, T = V1 H V2' over the cones' extremal rays.  The ND-HALS
-engine the fits fall back on is :mod:`ndrank.factor`.
+nonnegative rank, T = V1 H V2' over the cones' extremal rays.
 
-The Gaussian, exponential and rank-two fits check their input by
+The exponential and rank-two fits check their input by
 :func:`ndrank.tensor.check_fit_input` alone, :func:`rank2_matrix_exact`
 after its matrix test, and work at the unit scale that
-:func:`ndrank.factor._unit_scale` gives; the marginal fits check theirs by
-:func:`ndrank.tensor.check_tensor`, so they answer order 0, and refuse an
-empty mode themselves.
+:func:`ndrank.factor._unit_scale` gives, as ND-HALS does; the marginal fits
+check theirs by :func:`ndrank.tensor.check_tensor`, so they answer order 0,
+and refuse an empty mode themselves.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .factor import (
     FitConfig,
     NDFactorization,
     _khatri_rao_rows,
-    _rank1_nd_fit,
     _uniform_unit,
     _unit_scale,
     _unfoldings,
@@ -48,35 +47,25 @@ from .tensor import _halfspace_rows, check_fit_input, check_tensor, poset_list, 
 # ---------------------------------------------------------------------------
 # rank-one likelihood solvers
 
-# the Gaussian and exponential loops stop at the first cycle that moves
-# their vectors by less than _RANK1_TOL, or after _RANK1_MAX_ITER cycles
+# the exponential loop stops at the first cycle that moves its vectors by
+# less than _RANK1_TOL, or after _RANK1_MAX_ITER cycles
 _RANK1_TOL = 1e-10
 _RANK1_MAX_ITER = 10_000
 
 
 def rank1_gaussian(T, posets) -> NDFactorization:
-    """Best rank-one fit under squared error, for fibre-monotone tensors.
+    """Best rank-one fit under squared error: :func:`ndrank.factor.hals` at
+    ``FitConfig(rank=1)``, the fit ``ndrank factorize --rank 1`` writes.
 
     When every fibre lies in its mode's order cone, the unconstrained
-    rank-one stationary point is automatically monotone: every target of the
-    alternating rank-one loop that revives dead HALS terms is then already
-    in its cone, so each projection returns it unchanged and the loop is the
-    plain power iteration; for matrices it converges to the leading singular
-    pair.  If a fibre fails monotonicity the solver falls back to a rank-one
-    HALS run and flags it in the diagnostics.  The loop runs on T / ||T||
-    (:func:`ndrank.factor._unit_scale`) and multiplies its scale back; a
-    zero tensor gets scale 0 and uniform unit vectors, and a T whose
-    ||T||^2 overflows or underflows a float (||T|| outside about
-    [1.5e-154, 1.3e154]) raises NonFiniteInput.
+    rank-one stationary point is automatically monotone, so the fit reaches
+    the leading rank-one term of T; for matrices, the leading singular
+    pair.  :func:`ndrank.factor.hals` checks the input, runs on
+    T / ||T|| and refuses a T whose ||T||^2 overflows or underflows a
+    float (||T|| outside about [1.5e-154, 1.3e154]) with NonFiniteInput;
+    a zero tensor gets scale 0.
     """
-    T, posets = check_fit_input(T, posets)
-    unit, norm = _unit_scale(T)
-    if not is_monotone(T, posets).member:
-        fact, report = hals(T, posets, FitConfig(rank=1, restarts=3, seed=0))
-        fact.diagnostics["fallback"] = "fibres not monotone; used rank-one HALS"
-        return fact
-    lam, vecs = _rank1_nd_fit(unit, posets, sweeps=_RANK1_MAX_ITER, tol=_RANK1_TOL)
-    return NDFactorization(np.array([lam * norm]), [v[None, :] for v in vecs])
+    return hals(T, posets, FitConfig(rank=1))[0]
 
 
 def _count_marginals(T, model: str, posets):

@@ -218,7 +218,8 @@ def matrix_from_csv(text: str) -> np.ndarray:
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8" export
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
         return tensor_from_json(text)

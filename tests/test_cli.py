@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from ndrank import cli, cone, datasets, factor, poset, rank
+from ndrank import cli, cone, datasets, factor, poset, rank, tensor
 from ndrank.poset import collider_to_top, format_poset_text, parse_poset_text
 
 from helpers import rising_hals_restarts
@@ -197,6 +197,28 @@ def test_check_with_explicit_files(tmp_path, capsys):
     cp.write_text(format_poset_text(cols))
     code, out, _ = run(capsys, "check", str(tpath), str(rp), str(cp))
     assert code == 1
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_files_with_a_byte_order_mark_read_as_without(tmp_path, capsys, suffix):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF: the CSV reader
+    # read it as part of the first cell, the JSON decoder refused it, and
+    # the poset reader found no 'elements:' header
+    T, posets = datasets.fixture("selenium")
+    texts = {f"t{suffix}": (tensor.tensor_to_json(T) if suffix == ".json" else
+                            "\n".join(",".join(repr(float(v)) for v in row) for row in T) + "\n"),
+             "rows.poset": format_poset_text(posets[0]), "cols.poset": format_poset_text(posets[1])}
+    for folder, mark in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / folder).mkdir()
+        for name, text in texts.items():
+            (tmp_path / folder / name).write_text(mark + text, encoding="utf-8")
+    plain, bom = (tuple(str(tmp_path / folder / name) for name in texts) for folder in ("plain", "bom"))
+    assert tensor.read_tensor(bom[0]).tobytes() == tensor.read_tensor(plain[0]).tobytes()
+    for want, got in zip(plain[1:], bom[1:]):
+        assert poset.read_poset(got) == poset.read_poset(want)
+    code, out, err = run(capsys, "check", *plain)
+    assert code == 1 and err == ""
+    assert run(capsys, "check", *bom) == (code, out, err)
 
 
 def test_rays_counts(capsys):
@@ -574,6 +596,16 @@ def test_factorize_manifest_lists_exactly_the_files_written(tmp_path, capsys, so
     assert all(path.parent == tmp_path for path in listed) and len(set(listed)) == len(listed)
     # the directory holds the listed files, the manifest and the tensor file, and nothing else
     assert {path.name for path in tmp_path.iterdir()} == {p.name for p in listed} | {"fit_manifest.json"} | given
+
+
+@pytest.mark.parametrize("name", ["selenium", "cchs"])
+def test_factorize_rank_one_writes_rank1_gaussian(tmp_path, capsys, name):
+    # the library's Gaussian rank-one fit and the command's are one fit
+    code, _, err = run(capsys, "factorize", f"fixture:{name}", "--rank", "1",
+                       "--out", str(tmp_path / "fit"))
+    assert code == 0, err
+    want = rank.rank1_gaussian(*datasets.fixture(name)).to_json()
+    assert (tmp_path / "fit.json").read_text(encoding="utf-8") == want
 
 
 def test_factorize_refuses_an_unknown_loss(capsys):

@@ -916,17 +916,43 @@ def test_fit_config_takes_numpy_integers():
     assert json.loads(fact.to_json())["diagnostics"]["seed"] in (3, 4)
 
 
-def test_rank1_gaussian_matches_svd():
-    rng = np.random.default_rng(9)
-    M = np.sort(np.sort(rng.uniform(0.5, 2.0, (4, 5)), axis=0), axis=1)
-    f = rank.rank1_gaussian(M, [poset.chain(4), poset.chain(5)])
+def assert_leading_singular_pair(f, M):
     U, s, Vt = np.linalg.svd(M)
     assert abs(f.lambdas[0] - s[0]) < 1e-8 * s[0]
     assert np.arccos(min(1.0, abs(f.factors[0][0] @ U[:, 0]))) < 1e-6
     assert np.arccos(min(1.0, abs(f.factors[1][0] @ Vt[0]))) < 1e-6
-    # the loop's liveness floor is absolute: a tiny tensor must not die
+
+
+def test_rank1_gaussian_matches_svd():
+    rng = np.random.default_rng(9)
+    M = np.sort(np.sort(rng.uniform(0.5, 2.0, (4, 5)), axis=0), axis=1)
+    assert_leading_singular_pair(rank.rank1_gaussian(M, [poset.chain(4), poset.chain(5)]), M)
+    # the fit's liveness floor is absolute: a tiny tensor must not die
+    s = np.linalg.svd(M, compute_uv=False)
     tiny = rank.rank1_gaussian(1e-15 * M, [poset.chain(4), poset.chain(5)])
     assert abs(tiny.lambdas[0] - 1e-15 * s[0]) < 1e-8 * 1e-15 * s[0]
+
+
+@given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank1_gaussian_reaches_the_leading_singular_pair(m, n, seed):
+    # the paper's rank-one case: a fibre-monotone matrix's best rank-one
+    # approximation is already ND, so the rank-one fit is its leading
+    # singular pair; sorting the columns, then the rows, keeps both sorted
+    M = np.sort(np.sort(np.random.default_rng(seed).uniform(0.5, 2.0, (m, n)), axis=0), axis=1)
+    assert_leading_singular_pair(rank.rank1_gaussian(M, [poset.chain(m), poset.chain(n)]), M)
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "not-monotone"])
+def test_rank1_gaussian_is_hals_at_rank_one(monotone):
+    # rank1_gaussian ran its own loop on a fibre-monotone tensor and
+    # rank-one HALS with 3 restarts and a "fallback" key on any other
+    T = np.random.default_rng(48).uniform(0.5, 2.0, (3, 4, 3))
+    if monotone:  # sorted in C order, every fibre rises
+        T = np.sort(T, axis=None).reshape(T.shape)
+    posets = [poset.chain(3), poset.from_relation([0, 1, 2, 3], [(0, 1), (2, 3)]), COLLIDER]
+    assert cone.is_monotone(T, posets).member == monotone
+    want, _ = factor.hals(T, posets, FitConfig(rank=1))
+    assert rank.rank1_gaussian(T, posets).to_json() == want.to_json()
 
 
 def test_rank1_gaussian_zero_and_fallback():
@@ -934,7 +960,6 @@ def test_rank1_gaussian_zero_and_fallback():
     assert z.lambdas[0] == 0
     bad = np.array([[1.0, 0.0], [0.0, 1.0]])  # rows/columns not monotone
     f = rank.rank1_gaussian(bad, [poset.chain(2), poset.chain(2)])
-    assert "fallback" in f.diagnostics
     for j in range(2):
         assert cone.is_monotone(f.factors[j][0], [poset.chain(2)]).member
 
@@ -1540,9 +1565,9 @@ def test_fits_reject_a_squared_norm_that_overflows(fit, scale):
 
 
 def test_fits_project_only_through_row_projectors(monkeypatch):
-    # the rank-one loop of the revival and of rank1_gaussian called the
-    # public project once per target: a copy, a finiteness pass and a
-    # projector lookup each.  The fit is the batch test's revival case
+    # the rank-one loop of the revival called the public project once per
+    # target: a copy, a finiteness pass and a projector lookup each.  The
+    # fit is the batch test's revival case
     real, rank1_fit = isotonic.project, factor._rank1_nd_fit
     calls, revivals = [], []
     for mod in (isotonic, factor, rank):

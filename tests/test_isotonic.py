@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 from scipy.optimize import nnls as scipy_nnls
 
-from ndrank import datasets, factor, isotonic, poset
+from ndrank import cone, datasets, factor, isotonic, poset
 from ndrank.cone import order_cone_vrep
 from ndrank.errors import NDRankError, NonFiniteInput, UncertifiedSolution
 from ndrank.isotonic import pava_chain, project
@@ -462,6 +462,48 @@ def test_projection_commutes_with_scaling(c):
         got = project(c * y, P)
         assert np.abs(got / c - v).max() <= 1e-12 * max(np.abs(v).max(), np.abs(y).max())
         assert_moreau(c * y, got, P)
+
+
+@pytest.mark.filterwarnings("error")
+def test_projection_near_the_top_of_the_float_range():
+    # PAVA's pooled sums overflowed to [inf inf inf], the certificate's
+    # slack 1e-9 ||y||_1^2 overflowed and passed points outside the cone,
+    # and x . g overflowed under -W error::RuntimeWarning
+    third = 1.7e308 / 3
+    for v in (pava_chain([1.7e308, 1.7e308, -1.7e308]),
+              project([1.7e308, 1.7e308, -1.7e308], poset.chain(3))):
+        assert np.allclose(v, [third] * 3, rtol=1e-15, atol=0)
+    for y, want in (([9e307, 9e307, 0.0], [6e307] * 3), ([1.5e308, -1.5e308, 1.0], [7.5e307, 0, 7.5e307]),
+                    (np.array([3.0, -2.0, 1.0]) * 1e300, [2e300, 0, 2e300])):
+        v = project(y, COLLIDER)
+        assert np.allclose(v, want, rtol=1e-15, atol=0)
+        assert cone.is_monotone(v, [COLLIDER]).member
+    rng = np.random.default_rng(48)
+    posets = [poset.chain(5), poset.collider_to_top(4), COLLIDER] + [random_dag(4, rng) for _ in range(3)]
+    for P in posets:
+        for _ in range(5):
+            # a target whose largest entry lies in [1/2, 1), where a scaled-down
+            # copy of it is projected: by a power of two the answer is bitwise
+            # the unit-scale one scaled up
+            y = rng.standard_normal(P.p)
+            y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+            w = rng.uniform(0.5, 2.0, P.p)
+            v, vw = project(y, P), project(y, P, w)
+            for k in (401, 700, 1023):
+                got = project(np.ldexp(y, k), P)
+                assert got.tobytes() == np.ldexp(v, k).tobytes()
+                # in the cone up to rounding of the target, whose |y_l| < 2^k
+                assert np.isfinite(got).all() and cone.is_monotone(got, [P], tol=1e-9 * 2.0 ** k).member
+                assert project(np.ldexp(y, k), P, w).tobytes() == np.ldexp(vw, k).tobytes()
+            big = project(1e308 * y, P)
+            assert np.abs(big - 1e308 * v).max() <= 1e-15 * 1e308 * np.abs(y).max()
+            # up to 2^400 the target is projected as it is
+            edge = y * 2.0 ** 400 / np.abs(y).max()
+            want = isotonic._row_projector(P, table=False)(edge.copy()[None])[0]
+            assert project(edge, P).tobytes() == want.tobytes()
+    y = np.ldexp(rng.standard_normal(6), -3)
+    w = rng.uniform(0.5, 2.0, 6)
+    assert pava_chain(np.ldexp(y, 1020), w).tobytes() == np.ldexp(pava_chain(y, w), 1020).tobytes()
 
 
 def test_fallback_when_scipy_hits_its_iteration_cap(monkeypatch):
