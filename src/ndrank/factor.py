@@ -600,8 +600,6 @@ def _hals_restarts(T, posets, cfg: FitConfig, extrapolate: bool = True) -> tuple
     lambdas, factors = views(X)
     flat = T.reshape(-1)
     tnorm = math.sqrt(float(flat @ flat))  # the stopping certificate's ||T||
-    # each mode's projection, resolved once: a projector for this fit
-    # alone (a chain's keeps its own PAVA scratch)
     projectors = [_row_projector(P) for P in posets]
     others = [[j for j in range(k) if j != t] for t in range(k)]
     active = np.arange(len(seeds))  # restart behind each row of the stack

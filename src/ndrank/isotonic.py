@@ -26,19 +26,20 @@ projection followed by an elementwise max with zero.
 
 :func:`project` is the one public, validated entry point.  Every
 projection runs through :func:`_row_projector`, which resolves a poset's
-kind once and returns a function that projects a stack of rows in place;
-the HALS sweep builds one per mode and fit.  On a general poset,
+kind once, cached, and returns a stateless function that projects a stack
+of rows in place, shared by every caller.  On a general poset,
 :func:`project` takes the in-cone exit above or the certified NNLS.  The
 fits' projector reads the rows outside the cone off a face table instead
-(:func:`_face_table`), when the poset's table is at most
-``_TABLE_COLUMNS`` wide: one product per row picks the active set whose
-KKT conditions the row violates least, and the point it gives is kept
-only if it passes the same certificate as an NNLS answer, else the row
-goes to the NNLS.  On the CCHS age order (62 sets, 372 columns) a stack
-of 10 rows outside the cone projects in 22 us against 62 us by NNLS (one
-row: 17 us against 7 us), and ten CCHS fits (rank 2, 10 restarts) take
-0.220 s against 0.254 s (2-vCPU x86 VM, BLAS at one thread).  Rows are projected one at a time on every
-path, so a stack gives bitwise what its rows give alone.
+(:func:`_face_table`, which alone holds tables, at most 32 of them), when
+the poset's table is at most ``_TABLE_COLUMNS`` wide: one product per row
+picks the active set whose KKT conditions the row violates least, and the
+point it gives is kept only if it passes the same certificate as an NNLS
+answer, else the row goes to the NNLS.  On the CCHS age order (62 sets,
+372 columns) a stack of 10 rows outside the cone projects in 22 us against
+62 us by NNLS (one row: 17 us against 7 us), and ten CCHS fits (rank 2,
+10 restarts) take 0.220 s against 0.254 s (2-vCPU x86 VM, BLAS at one
+thread).  Rows are projected one at a time on every path, so a stack
+gives bitwise what its rows give alone.
 
 Chains call the compiled PAVA kernel behind
 ``scipy.optimize.isotonic_regression`` directly, one call per row
@@ -169,13 +170,17 @@ _TABLE_COLUMNS = 2048
 
 
 def _check_weights(w, y: np.ndarray) -> np.ndarray:
+    """w, checked against y, and past max w = 2^400 scaled by a power of two
+    to max w in [1/2, 1), which leaves the minimizer where it is: PAVA's
+    pooled weight sums overflowed near the top of the float range."""
     w = np.asarray(w, dtype=float)
     if w.shape != y.shape:
         raise ValueError("weights must match the target length")
     require_finite("weights", w)
     if (w <= 0).any():
         raise ValueError("weights must be strictly positive")
-    return w
+    top = w.max(initial=0.0)
+    return np.ldexp(w, -int(np.frexp(top)[1])) if top > 2.0 ** 400 else w
 
 
 def _target_exponent(y: np.ndarray) -> int:
@@ -207,53 +212,31 @@ def pava_chain(y, w=None) -> np.ndarray:
     y = np.atleast_1d(np.ldexp(y, -e) if e else y)
     if y.ndim != 1:
         raise ValueError(f"target must be one-dimensional, got shape {y.shape}")
-    _pool_rows(y[None], slice(None), w, np.empty(y.size), np.empty(y.size + 1, dtype=np.intp))
+    _pool_rows(y[None], slice(None), w)
     return np.ldexp(y, e) if e else y
 
 
-def _pool_rows(Y: np.ndarray, idx, w, wrow: np.ndarray, r: np.ndarray) -> None:
+def _pool_rows(Y: np.ndarray, idx, w) -> None:
     """Isotonic regression of every row of Y along the order ``idx``, in place.
 
     ``idx`` lists the columns in chain order (an index array, or a full
     slice) and indexes the weights ``w`` too, if given.  The compiled PAVA
-    kernel pools its weights in place as well, so ``wrow`` is refilled
-    before each row; ``r``, p + 1 intp entries, is its scratch, which it
-    never reads.  It would pool a copy of a row that is not contiguous, so
-    Y is pooled where it lies only when it is C-contiguous and ``idx`` a
-    full slice, and is otherwise gathered into chain order and scattered
-    back.  Bitwise ``isotonic_regression(y[idx], weights=w[idx]).x`` put
-    back at ``idx``, row by row.
+    kernel pools its weights in place as well, so a weight row, allocated
+    per call with the p + 1 intp entries of scratch the kernel never reads,
+    is refilled before each row.  The kernel would pool a copy of a row
+    that is not contiguous, so Y is pooled where it lies only when it is
+    C-contiguous and ``idx`` a full slice, and is otherwise gathered into
+    chain order and scattered back.  Bitwise ``isotonic_regression(y[idx],
+    weights=w[idx]).x`` put back at ``idx``, row by row.
     """
     X = Y if isinstance(idx, slice) and Y.flags.c_contiguous else np.ascontiguousarray(Y[:, idx])
     w = 1.0 if w is None else w[idx]
+    wrow, r = np.empty(Y.shape[1]), np.empty(Y.shape[1] + 1, dtype=np.intp)
     for x in X:
         wrow[:] = w
         _pava(x, wrow, r)
     if X is not Y:
         Y[:, idx] = X
-
-
-@functools.lru_cache(maxsize=256)
-def _projection_plan(P: Poset):
-    """How the order cone of P is projected onto, in one lookup.
-
-    Returns ``(kind, idx, A, E)``.  A poset without covers is "clamp".
-    A chain is "chain", with its permutation in ``idx`` (an index array, or
-    a full slice when the elements are listed in chain order).
-    Any other poset is "general", with its H-representation rows A and
-    E = A^T stored C-contiguous (scipy's nnls would copy a transposed view
-    on every call).
-    """
-    if not P.covers:
-        return "clamp", None, None, None
-    if (P.leq | P.leq.T).all():
-        # a chain lists its elements by falling upset size; one listed in
-        # its own order needs no gather and scatter
-        order = np.argsort(P.leq.sum(axis=1))[::-1]
-        idx = slice(None) if np.array_equal(order, np.arange(P.p)) else order
-        return "chain", idx, None, None
-    A = _halfspace_rows(P)
-    return "general", None, A, np.ascontiguousarray(A.T)
 
 
 def _kkt_holds(E, x, r, tol: float, scale: float) -> bool:
@@ -356,10 +339,19 @@ def _clamp(Y, w=None, counts=None) -> np.ndarray:
     return np.maximum(Y, 0.0, out=Y)
 
 
+def _project_chain(idx, Y, w=None, counts=None) -> np.ndarray:
+    """The row projector of a chain whose columns run in the order ``idx``:
+    :func:`_pool_rows`, then a clamp."""
+    if counts is not None:
+        counts["chain"] += len(Y)
+    _pool_rows(Y, idx, w)
+    return np.maximum(Y, 0.0, out=Y)
+
+
 def _project_general(A, E, Y, w=None, counts=None) -> np.ndarray:
     """The row projector of a poset that is neither a clamp nor a chain,
-    with H-rep rows A and E = A^T from :func:`_projection_plan`: each row
-    outside the cone is certified by :func:`_nnls_certified`."""
+    with H-rep rows A and E = A^T: each row outside the cone is certified
+    by :func:`_nnls_certified`."""
     # Moreau: v* = y + A^T mu* in the unit-weight metric, where mu* solves
     # the polar-cone NNLS min_{mu >= 0} ||A^T mu + y||; weights rescale axes.
     # A row in the cone, or within rounding of it, is its own projection in
@@ -409,7 +401,8 @@ def _face_table(P: Poset):
     E = A^T itself.  ``upper`` (F, m) is inf on each set's rows and 0
     elsewhere, so clipping z into [0, upper] gives the multipliers.
     """
-    _, _, A, E = _projection_plan(P)
+    A = _halfspace_rows(P)
+    E = np.ascontiguousarray(A.T)
     m, p = A.shape
     # each row's two ends, the ground vertex p standing in for a minimal row's
     ends = [(list(np.flatnonzero(a)) + [p])[:2] for a in A]
@@ -443,14 +436,15 @@ def _face_table(P: Poset):
     return W, upper
 
 
-def _project_table(A, E, W, upper, Y, w=None, counts=None) -> np.ndarray:
-    """The row projector of a general poset with a face table ``(W,
-    upper)``: each row outside the cone takes the set of :func:`_face_table`
-    with the largest slack, is kept if it meets :func:`_nnls_certified`'s
+def _project_table(P, A, E, Y, w=None, counts=None) -> np.ndarray:
+    """The row projector of a general poset P that has a face table: each
+    row outside the cone takes the set of :func:`_face_table` with the
+    largest slack, is kept if it meets :func:`_nnls_certified`'s
     certificate, and is solved by that function otherwise.  Weighted rows
     are projected by :func:`_project_general`."""
     if w is not None:
         return _project_general(A, E, Y, w, counts)
+    W, upper = _face_table(P)
     n, m = Y.shape[0], A.shape[0]
     # one product per row: a product of the whole stack rounds a row
     # differently with the stack's height
@@ -484,42 +478,41 @@ def _project_table(A, E, W, upper, Y, w=None, counts=None) -> np.ndarray:
     return np.maximum(Y, 0.0, out=Y)
 
 
+@functools.lru_cache(maxsize=256)
 def _row_projector(P: Poset, table: bool = True):
     """The exact projection onto C(P) of every row of a stack, in place.
 
     Returns a function ``(Y, w=None, counts=None)`` that projects each row
     of Y, shape (n, P.p), with the weights ``w`` if given, and returns Y;
-    it validates nothing.  P's kind is resolved here once: :func:`_clamp`,
-    :func:`_pool_rows` then a clamp, or for any other poset
-    :func:`_project_table` when ``table`` is true and P has a face table,
-    and :func:`_project_general` otherwise, each bound to the arrays of
-    P it reads, so no call looks them up again.  Rows are projected one at a
-    time on every path, so a row of a stack comes back bitwise as it
-    would alone.  ``counts``, if given, adds the rows taken by each path
-    under the keys of ``_ROW_PATHS``.  A chain's projector owns its weight
-    row and kernel scratch, so it serves one caller (one fit, say); the
-    others hold no state.  The caller picks ``table``, never the stack's
-    height: the table and NNLS round a row differently (sending stacks of
-    one or two rows to NNLS moved CCHS fits' final objectives by up to
-    6e-16 relative), so a restart left alone in its stack would switch paths
-    mid-fit and round as the number of restarts sharing its stack decides.
+    it validates nothing.  This is the one resolution of P, cached and
+    shared by every caller: :func:`_clamp`, :func:`_project_chain`, or for
+    any other poset :func:`_project_table` when ``table`` is true and P has
+    a face table, and :func:`_project_general` otherwise, bound to
+    read-only arrays alone, so it holds no state.  Callers pass ``table``
+    by keyword or not at all, as the cache keys the spellings apart.  Rows
+    are projected one at a time on every path, so a row of a stack comes
+    back bitwise as it would alone.  ``counts``, if given, adds the rows
+    taken by each path under the keys of ``_ROW_PATHS``.  The caller picks
+    ``table``, never the stack's height: the table and NNLS round a row
+    differently (sending stacks of one or two rows to NNLS moved CCHS fits'
+    final objectives by up to 6e-16 relative), so a restart left alone in
+    its stack would switch paths mid-fit and round as the number of
+    restarts sharing its stack decides.
     """
-    kind, idx, A, E = _projection_plan(P)
-    if kind == "clamp":
+    if not P.covers:
         return _clamp
-    if kind == "chain":
-        wrow, r = np.empty(P.p), np.empty(P.p + 1, dtype=np.intp)
-
-        def chain(Y, w=None, counts=None):
-            if counts is not None:
-                counts["chain"] += len(Y)
-            _pool_rows(Y, idx, w, wrow, r)
-            return np.maximum(Y, 0.0, out=Y)
-
-        return chain
-    faces = _face_table(P) if table else None
-    if faces is not None:
-        return functools.partial(_project_table, A, E, *faces)
+    if (P.leq | P.leq.T).all():
+        # a chain lists its elements by falling upset size; one listed in
+        # its own order needs no gather and scatter
+        order = np.argsort(-P.leq.sum(axis=1))
+        order.setflags(write=False)
+        in_order = np.array_equal(order, np.arange(P.p))
+        return functools.partial(_project_chain, slice(None) if in_order else order)
+    A = _halfspace_rows(P)
+    E = np.ascontiguousarray(A.T)  # scipy's nnls would copy a transposed view
+    E.setflags(write=False)
+    if table and _face_table(P) is not None:
+        return functools.partial(_project_table, P, A, E)
     return functools.partial(_project_general, A, E)
 
 

@@ -405,6 +405,14 @@ def projection_oracle(y, P, w=None, max_iter=200_000, kkt_tol=1e-13):
     return v, obj
 
 
+def projector_kind(P):
+    """How the order cone of P is projected onto: "clamp" for a poset
+    without covers, "chain" when every pair is comparable, else "general"."""
+    if not P.covers:
+        return "clamp"
+    return "chain" if (P.leq | P.leq.T).all() else "general"
+
+
 def reference_pava(y, w=None):
     """Weighted isotonic regression on a chain by pool adjacent violators."""
     means, weights, sizes = [], [], []

@@ -17,6 +17,9 @@ def test_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # in dev mode with warnings as errors: pytest's -W flags do not reach a
+    # subprocess, and a demo that warns fails here
+    command = [sys.executable, "-X", "dev", "-W", "error", str(demo)]
+    proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,10 +1,10 @@
 import importlib.util
-import inspect
 import itertools
 import os
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,8 @@ from ndrank.errors import NDRankError, NonFiniteInput, UncertifiedSolution
 from ndrank.isotonic import pava_chain, project
 
 from helpers import (METAMORPHIC_KINDS, cone_halfspaces, metamorphic_poset, projection_oracle,
-                     random_collider, random_dag, random_forest, random_poset, reference_pava,
-                     relabel)
+                     projector_kind, random_collider, random_dag, random_forest, random_poset,
+                     reference_pava, relabel)
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNEL_PATH = [os.path.join(d, "optimize") for d in scipy.__path__]
@@ -81,12 +81,6 @@ def _layouts(Y):
     return [Y.copy(), np.asfortranarray(Y), wide[:, :Y.shape[1]]], wide
 
 
-def _scratch(proj):
-    """The weight row and kernel scratch a chain projector holds."""
-    held = inspect.getclosurevars(proj).nonlocals
-    return held["wrow"], held["r"]
-
-
 @pytest.mark.parametrize("p", [1, 2, 3, 8, 30])
 def test_pava_rows_is_bitwise_scipy(p):
     # a chain's row projector calls scipy's compiled kernel without its
@@ -98,9 +92,12 @@ def test_pava_rows_is_bitwise_scipy(p):
         shuffled = shuffled[::-1]
     for order in (np.arange(p), shuffled):
         P = poset.from_relation(list(range(p)), list(zip(order[:-1], order[1:])))
-        kind, idx = isotonic._projection_plan(P)[:2]
+        # one projector for every call, as in a fit
+        proj = isotonic._row_projector(P)
         if p > 1:
-            assert kind == "chain" and np.array_equal(np.arange(p)[idx], order)
+            assert proj.func is isotonic._project_chain
+            idx, = proj.args
+            assert np.array_equal(np.arange(p)[idx], order)
             assert isinstance(idx, slice) == np.array_equal(order, np.arange(p))
         along = [rng.standard_normal(p),                            # random
                  rng.integers(-2, 3, size=p).astype(float),         # tied
@@ -109,9 +106,6 @@ def test_pava_rows_is_bitwise_scipy(p):
                  np.full(p, 0.25)]
         Y = np.empty((len(along), p))
         Y[:, order] = along  # the rows as they run along the chain
-        # one projector for every call, as in a fit, its scratch dirtied
-        # between calls: stale contents must not change an answer
-        proj = isotonic._row_projector(P)
         for w in (None, rng.uniform(0.05, 20.0, size=p)):
             want = np.maximum(_scipy_pava_rows(Y, order, w), 0.0).tobytes()
             w0 = None if w is None else w.copy()
@@ -120,9 +114,6 @@ def test_pava_rows_is_bitwise_scipy(p):
             # stack is not C-contiguous or the chain is out of order
             stacks, wide = _layouts(Y)
             for Z in stacks:
-                if p > 1:
-                    for held in _scratch(proj):
-                        held[:] = rng.integers(-10 ** 6, 10 ** 6, size=held.size)
                 assert proj(Z, w) is Z
                 assert np.ascontiguousarray(Z).tobytes() == want
             assert (wide[:, p:] == 7.0).all()  # the columns beside the slice
@@ -411,7 +402,7 @@ def test_tied_near_feasible_targets_match_oracle():
     for i in range(200):
         p = int(rng.integers(3, 9))
         P = random_collider(p, rng) if i % 2 == 0 else random_dag(p, rng)
-        if isotonic._projection_plan(P)[0] == "chain" or not P.covers:
+        if projector_kind(P) != "general":
             continue
         gens = order_cone_vrep(P)
         for _ in range(3):
@@ -515,7 +506,7 @@ def test_fallback_when_scipy_hits_its_iteration_cap(monkeypatch):
     for i in range(80):
         p = int(rng.integers(3, 10))
         P = random_collider(p, rng) if i % 2 == 0 else random_dag(p, rng, density=0.5)
-        if isotonic._projection_plan(P)[0] == "chain" or not P.covers:
+        if projector_kind(P) != "general":
             continue
         if i % 4 < 2:
             y = rng.standard_normal(p) * rng.uniform(0.1, 10)
@@ -713,7 +704,7 @@ def test_face_table_rows_match_project(kind, seed, n):
     # the in-cone rows bitwise, and projects a stack as its rows alone
     rng = np.random.default_rng(seed)
     P = TABLE_POSETS.get(kind) or random_dag(int(rng.integers(3, 8)), rng)
-    assume(isotonic._projection_plan(P)[0] == "general" and isotonic._face_table(P) is not None)
+    assume(projector_kind(P) == "general" and isotonic._face_table(P) is not None)
     proj = isotonic._row_projector(P)
     assert proj.func is isotonic._project_table
     A, gens = isotonic._halfspace_rows(P), order_cone_vrep(P)
@@ -773,6 +764,87 @@ def test_a_row_that_fails_its_face_certificate_is_solved_by_nnls(monkeypatch):
     for target, v in zip(Y, V):
         assert_moreau(target, v, COLLIDER)
     assert np.allclose(V, [[1.5, 0.5, 1.5], [0.0, 2.0, 3.0], y_in], rtol=0, atol=1e-12)
+
+
+SHARED_POSETS = {
+    "clamp": lambda: poset.trivial(4),
+    "chain": lambda: poset.chain(5),
+    "permuted-chain": lambda: poset.from_relation([0, 1, 2, 3], [(2, 0), (0, 3), (3, 1)]),
+    "table": lambda: poset.collider_to_top(4),
+    "cchs-year": lambda: datasets.fixture("cchs")[1][1],  # general, too wide for a table
+}
+
+
+@pytest.mark.parametrize("build", SHARED_POSETS.values(), ids=SHARED_POSETS)
+def test_row_projector_is_one_cached_stateless_resolution(build):
+    # equal posets built apart get one projector per table choice, and
+    # every caller shares it: it binds read-only arrays and holds no state
+    P, Q = build(), build()
+    assert P is not Q
+    kind = projector_kind(P)
+    for kwargs in ({}, {"table": False}):
+        proj = isotonic._row_projector(P, **kwargs)
+        assert isotonic._row_projector(Q, **kwargs) is proj
+        if kind == "clamp":
+            assert proj is isotonic._clamp
+            continue
+        assert proj.func.__closure__ is None and not proj.keywords
+        assert all(isinstance(a, (np.ndarray, slice, poset.Poset)) for a in proj.args)
+        arrays = [a for a in proj.args if isinstance(a, np.ndarray)]
+        assert not any(a.flags.writeable for a in arrays)
+        if kind == "chain":
+            assert proj.func is isotonic._project_chain
+        elif kwargs or isotonic._face_table(P) is None:
+            assert proj.func is isotonic._project_general and len(arrays) == 2
+        else:  # A and E: the table is looked up per call, held by _face_table alone
+            assert proj.func is isotonic._project_table and len(arrays) == 2
+    assert isotonic._face_table.cache_info().maxsize == 32
+
+
+def test_fits_on_two_threads_match_their_serial_runs():
+    # fits on two threads share each poset's projector: one that held a
+    # weight row or scratch would let one fit pool into another's rows
+    rng = np.random.default_rng(49)
+    grid = np.add.outer(np.add.outer(np.arange(12.0), np.arange(10.0)), np.arange(8.0)) / 30.0
+    chains = (grid + 0.2 * rng.random(grid.shape), [poset.chain(12), poset.chain(10), poset.chain(8)])
+    cchs = datasets.fixture("cchs")
+
+    def fit(job):
+        fact, report = factor.hals(*job, factor.FitConfig(rank=2, restarts=3, seed=0))
+        return fact.to_json(), np.array(report.objective_trace).tobytes()
+
+    jobs = [chains, chains, cchs, cchs]  # each pair runs at once on the two workers
+    want = [fit(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(fit, jobs)) == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_weighted_projection_near_the_top_of_the_float_range():
+    # the PAVA kernel's pooled weight sums overflowed: [1e308, 1e308] pooled
+    # [1, 0] to [0, 0]; weights scaled by a power of two project alike
+    assert pava_chain([1.0, 0.0], [1e308, 1e308]).tolist() == [0.5, 0.5]
+    assert project([1.0, 0.0], poset.chain(2), [1e308, 1e308]).tolist() == [0.5, 0.5]
+    assert np.allclose(pava_chain([1.0, 0.0, 2.0], [1.7e308, 1e308, 1.0]), [17 / 27, 17 / 27, 2],
+                       rtol=1e-15, atol=0)
+    backwards = poset.from_relation([0, 1, 2], [(2, 1), (1, 0)])
+    assert np.allclose(project([0.0, 1.0, 2.0], backwards, [1e308, 1e308, 1.0]), 0.5,
+                       rtol=1e-15, atol=0)
+    rng = np.random.default_rng(50)
+    in_order = poset.chain(6)
+    for P in (in_order, relabel(in_order, rng.permutation(6)), poset.collider_to_top(6)):
+        for _ in range(5):
+            y = rng.standard_normal(6)
+            # max w in [1/2, 1), and 2^400 at most: used as they are
+            w = rng.uniform(0.1, 1.0, 6)
+            w = np.ldexp(w, -np.frexp(w.max())[1])
+            top = w * 2.0 ** 400 / w.max()
+            assert isotonic._check_weights(w, y) is w and isotonic._check_weights(top, y) is top
+            want = project(y, P, w)
+            for k in (401, 700, 1023):
+                assert project(y, P, np.ldexp(w, k)).tobytes() == want.tobytes()
+                if P is in_order:
+                    assert pava_chain(y, np.ldexp(w, k)).tobytes() == pava_chain(y, w).tobytes()
 
 
 def test_pava_chain_input_checks():
